@@ -29,7 +29,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	obsDump := flag.String("obs-dump", "", "replay with telemetry enabled and write metrics.prom/metrics.json/series.csv/timelines.json into this directory")
 	obsPolicy := flag.String("obs-policy", "Kitsune", "policy for -obs-dump")
-	obsWorkers := flag.Int("obs-workers", 1, "worker count for -obs-dump (>1 uses the parallel engine)")
+	obsWorkers := flag.Int("obs-workers", 1, "worker count for -obs-dump (>1 shards the engine across worker goroutines)")
 	flag.Parse()
 
 	if *obsDump != "" {

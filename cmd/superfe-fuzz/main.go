@@ -11,8 +11,8 @@
 // Cases whose run hits FG-table collisions (FGOverwrites > 0) are
 // counted as approximate and excluded from the byte-identical
 // comparison: collision misattribution is a documented lossy
-// approximation, and the sequential engine's single FG table collides
-// on different keys than the parallel engine's per-shard tables.
+// approximation, and the inline leg's single FG table collides on
+// different keys than the sharded leg's per-shard tables.
 //
 // Every case also runs the planprove soundness cross-check: a plan
 // proved saturation-free must not trip any simulator saturation

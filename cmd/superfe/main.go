@@ -43,10 +43,8 @@ import (
 	"superfe/internal/core"
 	"superfe/internal/faults"
 	"superfe/internal/feature"
-	"superfe/internal/nicsim"
 	"superfe/internal/obs"
 	"superfe/internal/policy"
-	"superfe/internal/switchsim"
 	"superfe/internal/trace"
 )
 
@@ -69,7 +67,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "trace generator seed")
 	statsOnly := flag.Bool("stats", false, "print pipeline statistics instead of vectors")
 	maxVecs := flag.Int("n", 0, "emit at most n vectors (0 = all)")
-	workers := flag.Int("workers", 1, "shard the pipeline across n switch+NIC pairs (>1 uses the parallel engine)")
+	workers := flag.Int("workers", 1, "shard the pipeline across n switch+NIC pairs (>1 runs them on worker goroutines; 1 runs the engine inline)")
 	verifyWire := flag.Bool("verify-wire", false, "round-trip every switch→NIC message through the binary wire codec; exit non-zero on any mismatch")
 	faultSpec := flag.String("faults", "", "seeded fault-injection plan, e.g. seed=7,rate=0.01,kinds=drop+corrupt,scope=0:3fffffff (kinds also accept wire/switch/nic/all; see internal/faults)")
 	obsOn := flag.Bool("obs", false, "enable the telemetry subsystem (implied by -metrics-addr and -metrics-out)")
@@ -197,53 +195,36 @@ func main() {
 		}
 	}
 
-	var sw pipeStats
-	var src obs.Source
+	// The constructor is the only thing -workers chooses: one worker
+	// runs the engine inline, more shard it behind rings.
+	var fe *core.Engine
 	if *workers > 1 {
 		popts := core.DefaultParallelOptions()
 		popts.Options = opts
 		popts.Workers = *workers
 		// Deterministic merge keeps the CSV stable run-to-run.
 		popts.DeterministicMerge = true
-		pe, err := core.NewParallel(popts, pol, sink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "superfe:", err)
-			os.Exit(1)
-		}
-		src = pe.ObsSource()
-		serveMetrics(*metricsAddr, src)
-		for i := range tr.Packets {
-			pe.Process(&tr.Packets[i])
-		}
-		if err := pe.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe:", err)
-			os.Exit(1)
-		}
-		sw.sw, sw.nic = pe.SwitchStats(), pe.NICStats()
-		sw.faults = pe.FaultStats()
-		if err := pe.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe:", err)
-			os.Exit(1)
-		}
+		fe, err = core.NewParallel(popts, pol, sink)
 	} else {
-		fe, err := core.New(opts, pol, sink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "superfe:", err)
-			os.Exit(1)
-		}
-		src = fe.ObsSource()
-		serveMetrics(*metricsAddr, src)
-		for i := range tr.Packets {
-			fe.Process(&tr.Packets[i])
-		}
-		fe.Flush()
-		if err := fe.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe:", err)
-			os.Exit(1)
-		}
-		sw.sw, sw.nic = fe.SwitchStats(), fe.NICStats()
-		sw.faults = fe.FaultStats()
-		sw.degraded = fe.Degraded()
+		fe, err = core.New(opts, pol, sink)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "superfe:", err)
+		os.Exit(1)
+	}
+	src := fe.ObsSource()
+	serveMetrics(*metricsAddr, src)
+	for i := range tr.Packets {
+		fe.Process(&tr.Packets[i])
+	}
+	if err := fe.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "superfe:", err)
+		os.Exit(1)
+	}
+	swStats, nicStats, faultStats, degraded := fe.SwitchStats(), fe.NICStats(), fe.FaultStats(), fe.Degraded()
+	if err := fe.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "superfe:", err)
+		os.Exit(1)
 	}
 
 	// Profiles cover exactly the replay (not trace generation, not the
@@ -283,16 +264,14 @@ func main() {
 
 	if *statsOnly {
 		fmt.Printf("trace      : %s (%s)\n", tr.Name, tr.Stats())
-		if *workers > 1 {
-			fmt.Printf("workers    : %d (per-shard stats merged)\n", *workers)
-		}
-		fmt.Printf("switch     : %s\n", sw.sw)
+		fmt.Printf("workers    : %d (per-shard stats merged)\n", fe.Workers())
+		fmt.Printf("switch     : %s\n", swStats)
 		fmt.Printf("nic        : msgs=%d mgpvs=%d cells=%d vectors=%d groups=%d\n",
-			sw.nic.Msgs, sw.nic.MGPVs, sw.nic.Cells, sw.nic.Vectors, sw.nic.GroupsLive)
-		fmt.Printf("aggregation: %.4f (%.2f%% reduction)\n", sw.sw.AggregationRatio(), 100*(1-sw.sw.AggregationRatio()))
+			nicStats.Msgs, nicStats.MGPVs, nicStats.Cells, nicStats.Vectors, nicStats.GroupsLive)
+		fmt.Printf("aggregation: %.4f (%.2f%% reduction)\n", swStats.AggregationRatio(), 100*(1-swStats.AggregationRatio()))
 		fmt.Printf("vectors    : %d of dim %d\n", emitted, pol.FeatureDim())
 		if opts.Faults != nil {
-			fmt.Printf("faults     : %v degraded-now=%v\n", sw.faults, sw.degraded)
+			fmt.Printf("faults     : %v degraded-now=%v\n", faultStats, degraded)
 		}
 	}
 
@@ -369,15 +348,6 @@ func writeFlightRec(path string, src obs.Source) error {
 		w = f
 	}
 	return obs.WriteFlightRecJSON(w, src.FlightRec())
-}
-
-// pipeStats bundles the merged pipeline counters from either
-// engine for the -stats report.
-type pipeStats struct {
-	sw       switchsim.Stats
-	nic      nicsim.RuntimeStats
-	faults   faults.Stats
-	degraded bool
 }
 
 func makeTrace(name string, seed int64) (*trace.Trace, error) {

@@ -1,16 +1,16 @@
-// Admin surface of the sequential engine: the always-on flight
-// recorder, the health model derived from the graceful-degradation
-// pressure controller, the /status cache, and anomaly dump files.
+// Admin surface of the engine: the always-on flight recorder, the
+// health model derived from the graceful-degradation pressure
+// controller, anomaly pend/materialise with dump files, the /status,
+// /spans and /flightrecorder caches, and the obs.Source adapter.
 //
-// Concurrency contract: everything here except Status and FlightDump
-// runs on the engine goroutine (the one calling Process/Flush). The
-// /status report and the flight-recorder dump are served to the HTTP
-// goroutine from a mutex-guarded cache refreshed at quiescence points
-// — construction, degraded-mode transitions, anomalies, interval
-// snapshots and Flush — with the health state overlaid live from an
-// atomic, so degraded-mode transitions are visible while the replay
-// runs even though the counters are only exact as of the last
-// quiescence.
+// Concurrency contract: everything here except pendAnomaly, Status,
+// ObsSpans, FlightDump and ObsScrape runs on the router goroutine (the
+// one calling Process/Flush). The caches are served to the HTTP
+// goroutine from behind adminMu and refreshed at barriers — interval
+// snapshots, anomalies, Drain, Flush — with health and clock overlaid
+// live from atomics, so degraded-mode transitions are visible while
+// the replay runs even though the counters are only exact as of the
+// last barrier.
 package core
 
 import (
@@ -43,83 +43,102 @@ type FlightRecConfig struct {
 // frDumpRetain is the default anomaly-dump retention bound.
 const frDumpRetain = 8
 
-// frClock is the engine's logical clock for flight-recorder events:
-// packets the switch has accepted. NIC-side events recorded by the
-// runtime itself use NIC cells instead — clocks are per-domain and
-// only ordered within one (FREvent.Seq orders a whole ring).
-func (fe *SuperFE) frClock() uint64 { return fe.sw.Stats().PktsIn }
-
-// onAnomaly is the sequential engine's trigger handler: it runs
-// synchronously on the engine goroutine (inside the Record that
-// tripped the trigger), captures the event ring, writes the dump file
-// and refreshes the admin caches. The FRDumped marker is recorded
-// after the capture so each dump carries the markers of previous
-// dumps only.
-func (fe *SuperFE) onAnomaly(a obs.Anomaly) {
-	fe.anomalies++
-	fe.lastAnomaly = a.Reason
-	fe.frDumps++
-	d := &obs.FRDump{
-		Reason: a.Reason,
-		Clock:  a.Clock,
-		Shard:  a.Shard,
-		Health: obs.Health(fe.health.Load()),
-		Events: fe.fr.Events(),
-	}
-	if fe.frDir != "" {
-		if err := writeFRDumpFile(fe.frDir, fe.frRetain, fe.frDumps, a.Reason, d); err != nil {
-			fe.fail(fmt.Errorf("core: flight-recorder dump: %w", err))
-		}
-	}
-	fe.fr.Record(obs.FRDumped, a.Clock, int64(fe.frDumps))
-	fe.refreshAdmin()
+// pendAnomaly parks an anomaly for the router, first-wins: triggers
+// fire on shard goroutines (quarantine spikes, degraded entry) or
+// inside a blocked router push (sustained ring-full), and neither
+// place can run a barrier. Coalescing concurrent anomalies to one is
+// fine — the dump captures the full merged state anyway, and the
+// per-recorder cooldown bounds the pend rate.
+func (e *Engine) pendAnomaly(a obs.Anomaly) {
+	cp := a
+	e.frPend.CompareAndSwap(nil, &cp)
 }
 
-// refreshAdmin rebuilds the mutex-guarded /status and /flightrecorder
-// caches. No-op on parallel-engine shards (the router maintains its
-// own merged caches).
-func (fe *SuperFE) refreshAdmin() {
-	if !fe.admin {
+// materializePending turns a pended anomaly into counters, a dump
+// file and the FRDumped marker. Must run quiesced on the router; the
+// marker is recorded after the capture so each dump carries only the
+// markers of previous dumps.
+func (e *Engine) materializePending() {
+	a := e.frPend.Swap(nil)
+	if a == nil {
 		return
 	}
-	st := fe.buildStatus()
-	var d *obs.FRDump
-	if fe.fr != nil {
-		d = &obs.FRDump{
-			Reason: "on-demand",
-			Clock:  st.Clock,
-			Shard:  -1,
-			Health: obs.Health(fe.health.Load()),
-			Events: fe.fr.Events(),
+	e.anomalies++
+	e.lastAnomaly = a.Reason
+	e.frDumps++
+	d := e.buildDump(a.Reason, a.Clock, a.Shard)
+	if fc := e.opts.FlightRec; fc.Dir != "" {
+		if err := writeFRDumpFile(fc.Dir, fc.Retain, e.frDumps, a.Reason, d); err != nil && e.dumpErr == nil {
+			e.dumpErr = fmt.Errorf("core: flight-recorder dump: %w", err)
 		}
 	}
-	fe.statusMu.Lock()
-	fe.status, fe.frCache = st, d
-	fe.statusMu.Unlock()
+	e.fr.Record(obs.FRDumped, a.Clock, int64(e.frDumps))
 }
 
-// buildStatus assembles the /status report from the engine's own
-// counters. Engine goroutine only.
-func (fe *SuperFE) buildStatus() obs.StatusReport {
-	sw := fe.sw.Stats()
-	ns := fe.nic.Stats()
-	fs := fe.inj.Stats()
-	h := obs.Health(fe.health.Load())
-	deg := 0
-	if fe.degraded {
-		deg = 1
+// buildDump merges every shard's event ring plus the router's into
+// one dump. Quiesced router goroutine only.
+func (e *Engine) buildDump(reason string, clock uint64, shard int32) *obs.FRDump {
+	recs := make([]*obs.FlightRecorder, 0, len(e.shards)+1)
+	for _, sh := range e.shards {
+		recs = append(recs, sh.fe.fr)
 	}
-	return obs.StatusReport{
-		Health:         h.String(),
-		Workers:        1,
-		Policy:         fe.plan.Policy.Name(),
-		Clock:          sw.PktsIn,
-		DegradedShards: deg,
-		Anomalies:      fe.anomalies,
-		LastAnomaly:    fe.lastAnomaly,
-		Shards: []obs.ShardStatus{{
-			Shard:               fe.shard,
-			Health:              h.String(),
+	recs = append(recs, e.fr)
+	return &obs.FRDump{
+		Reason: reason,
+		Clock:  clock,
+		Shard:  shard,
+		Health: e.healthNow(),
+		Events: obs.MergeFREvents(recs...),
+	}
+}
+
+// healthNow is the merged live health: the max over shard states
+// (atomics, safe from any goroutine).
+func (e *Engine) healthNow() obs.Health {
+	h := obs.HealthHealthy
+	for _, sh := range e.shards {
+		if sh2 := obs.Health(sh.fe.health.Load()); sh2 > h {
+			h = sh2
+		}
+	}
+	return h
+}
+
+// refreshAdmin rebuilds the admin caches. Quiesced router goroutine
+// only.
+func (e *Engine) refreshAdmin() {
+	st := e.buildStatus()
+	var spans []obs.BatchSpan
+	if e.obsReg != nil {
+		spans = e.mergedSpans()
+	}
+	var d *obs.FRDump
+	if e.fr != nil {
+		d = e.buildDump("on-demand", e.pkts, -1)
+	}
+	e.adminMu.Lock()
+	e.status, e.spanCache, e.frCache = st, spans, d
+	e.adminMu.Unlock()
+}
+
+// buildStatus assembles the merged /status report from the quiesced
+// shard counters; Status overlays the health fields live.
+func (e *Engine) buildStatus() obs.StatusReport {
+	st := obs.StatusReport{
+		Workers:     len(e.shards),
+		Policy:      e.plan.Policy.Name(),
+		Clock:       e.pkts,
+		Anomalies:   e.anomalies,
+		LastAnomaly: e.lastAnomaly,
+		Shards:      make([]obs.ShardStatus, 0, len(e.shards)),
+	}
+	for i, sh := range e.shards {
+		fe := sh.fe
+		sw := fe.sw.Stats()
+		ns := fe.nic.Stats()
+		fs := fe.inj.Stats()
+		st.Shards = append(st.Shards, obs.ShardStatus{
+			Shard:               i,
 			Pkts:                sw.PktsIn,
 			Quarantined:         fs.Quarantined,
 			Retries:             fs.Retries,
@@ -128,43 +147,121 @@ func (fe *SuperFE) buildStatus() obs.StatusReport {
 			EMEMDrops:           ns.EMEMDrops,
 			DegradedTransitions: fs.DegradedTransitions,
 			FREvents:            fe.fr.Seq(),
-		}},
+		})
 	}
+	return st
 }
 
-// Status returns the engine's health report: counters exact at the
-// last quiescence point, health overlaid live. Safe from any
-// goroutine.
-func (fe *SuperFE) Status() *obs.StatusReport {
-	fe.statusMu.Lock()
-	st := fe.status
+// mergedSpans merges the quiesced shard span rings in (Shard, Batch)
+// order.
+func (e *Engine) mergedSpans() []obs.BatchSpan {
+	rings := make([]*obs.SpanRing, 0, len(e.shards))
+	for _, sh := range e.shards {
+		rings = append(rings, sh.spans)
+	}
+	return obs.MergeSpans(rings...)
+}
+
+// Status returns the merged health report: counters exact at the last
+// barrier, health and clock overlaid live. Safe from any goroutine.
+func (e *Engine) Status() *obs.StatusReport {
+	e.adminMu.Lock()
+	st := e.status
 	st.Shards = append([]obs.ShardStatus(nil), st.Shards...)
-	fe.statusMu.Unlock()
-	h := obs.Health(fe.health.Load())
-	st.Health = h.String()
-	if len(st.Shards) > 0 {
-		st.Shards[0].Health = h.String()
+	shards := e.shards
+	e.adminMu.Unlock()
+	st.Clock = e.pubPkts.Load()
+	worst := obs.HealthHealthy
+	degraded := 0
+	for i, sh := range shards {
+		h := obs.Health(sh.fe.health.Load())
+		if h > worst {
+			worst = h
+		}
+		if h >= obs.HealthDegraded {
+			degraded++
+		}
+		if i < len(st.Shards) {
+			st.Shards[i].Health = h.String()
+		}
 	}
-	if h >= obs.HealthDegraded {
-		st.DegradedShards = 1
-	} else {
-		st.DegradedShards = 0
-	}
+	st.Health = worst.String()
+	st.DegradedShards = degraded
 	return &st
 }
 
-// FlightDump returns the cached flight-recorder dump (current ring
-// state as of the last quiescence point), or nil when the recorder is
-// disabled. Safe from any goroutine; the returned dump is immutable.
-func (fe *SuperFE) FlightDump() *obs.FRDump {
-	fe.statusMu.Lock()
-	defer fe.statusMu.Unlock()
-	return fe.frCache
+// ObsSpans returns the merged batch spans as of the last barrier.
+// Safe from any goroutine; the slice is immutable once cached.
+func (e *Engine) ObsSpans() []obs.BatchSpan {
+	e.adminMu.Lock()
+	defer e.adminMu.Unlock()
+	return e.spanCache
 }
 
-// FlightRecorder exposes the engine's recorder (nil when disabled) —
-// quiescent reads only, per the obs contract.
-func (fe *SuperFE) FlightRecorder() *obs.FlightRecorder { return fe.fr }
+// FlightDump returns the merged flight-recorder dump as of the last
+// barrier (nil when the recorder is disabled). Safe from any
+// goroutine; the dump is immutable once cached.
+func (e *Engine) FlightDump() *obs.FRDump {
+	e.adminMu.Lock()
+	defer e.adminMu.Unlock()
+	return e.frCache
+}
+
+// ObsScrape merges a live snapshot of every shard's registry plus the
+// router's, without quiescing — every value is read with an atomic
+// load, so it is safe from any goroutine (the HTTP endpoint) while the
+// pipeline runs, at the cost of a slightly torn cross-shard cut. Nil
+// when telemetry is disabled.
+func (e *Engine) ObsScrape() *obs.Snapshot {
+	if e.obsReg == nil {
+		return nil
+	}
+	return e.mergedSnapshot()
+}
+
+// ObsSeries returns the barrier-quiesced interval time-series (empty
+// when snapshots are disabled).
+func (e *Engine) ObsSeries() *obs.Series { return e.rec.Series() }
+
+// ObsTimelines reconstructs sampled flow-lifecycle timelines across
+// all shard tracers. Establishes a Drain barrier first: the tracer
+// rings are single-writer per shard and only read at quiescence.
+// Router-goroutine only.
+func (e *Engine) ObsTimelines() []obs.Timeline {
+	if e.obsReg == nil {
+		return nil
+	}
+	e.quiesce()
+	tracers := make([]*obs.FlowTracer, 0, len(e.shards))
+	for _, sh := range e.shards {
+		if p := sh.fe.obs; p != nil && p.Tracer != nil {
+			tracers = append(tracers, p.Tracer)
+		}
+	}
+	return obs.Timelines(tracers...)
+}
+
+// ObsSource adapts the engine to the obs HTTP handler and dump
+// writers: Scrape is live and lock-free, Series and Timelines are
+// exact at quiescence, Status/Spans/FlightRec serve the barrier-
+// refreshed admin caches (with live health/clock overlays). Endpoints
+// for disabled facilities stay nil.
+func (e *Engine) ObsSource() obs.Source {
+	src := obs.Source{Scrape: e.ObsScrape, Status: e.Status}
+	if e.rec != nil {
+		src.Series = e.ObsSeries
+	}
+	if e.obsReg != nil && e.opts.Obs.TraceSampleEvery > 0 {
+		src.Timelines = e.ObsTimelines
+	}
+	if e.obsReg != nil && e.opts.Obs.SpanSampleEvery > 0 {
+		src.Spans = e.ObsSpans
+	}
+	if e.fr != nil {
+		src.FlightRec = e.FlightDump
+	}
+	return src
+}
 
 // writeFRDumpFile writes one anomaly dump into dir and prunes old
 // dumps down to retain. Ordinal-numbered names sort lexicographically

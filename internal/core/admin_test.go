@@ -22,10 +22,10 @@ import (
 // handler's 404 contract; the transition test drives the health model
 // through a full healthy → degraded → healthy excursion.
 
-// adminTestEngine runs a fixed-seed faulted trace through a sequential
+// adminTestEngine runs a fixed-seed faulted trace through an inline
 // engine — corruption and truncation at rate 0.5 make quarantines (and
 // the quarantine-spike anomaly) part of the deterministic fixture.
-func adminTestEngine(t *testing.T) *SuperFE {
+func adminTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	cfg := trace.CampusConfig
 	cfg.Flows = 400
@@ -90,7 +90,7 @@ func TestAdminStatusGolden(t *testing.T) {
 }
 
 // TestAdminFlightRecGolden pins the /flightrecorder dump for the same
-// fixture. The sequential engine's event stream is fully deterministic
+// fixture. The inline engine's event stream is fully deterministic
 // (the clocks are logical, the triggers seeded), so the dump —
 // including the quarantine-spike anomaly marker — is golden-stable.
 func TestAdminFlightRecGolden(t *testing.T) {
@@ -115,7 +115,7 @@ func TestAdminFlightRecGolden(t *testing.T) {
 	checkGolden(t, "admin_flightrec.golden", rr.Body.Bytes())
 }
 
-// TestAdminSpansGolden pins the parallel engine's span output shape:
+// TestAdminSpansGolden pins the sharded engine's span output shape:
 // a fixed-seed deterministic-merge run samples a deterministic set of
 // batches, and every span field except the scheduling-domain trio
 // (enqueue occupancy, producer parks, consumer wake — zeroed by

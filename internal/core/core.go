@@ -12,6 +12,12 @@
 //	}
 //	fe.Flush()                             // drain remaining vectors
 //
+// There is one engine type (Engine, engine.go) with two constructors:
+// New runs it inline on the caller's goroutine, NewParallel shards it
+// across worker goroutines behind lock-free rings. This file holds the
+// deployment options and the per-shard switch+NIC pair with its
+// fault-injecting delivery channel.
+//
 // The Options struct exposes the switch cache sizing, NIC topology
 // and optimization toggles so the experiment harness can run the
 // paper's ablations against the same pipeline users run.
@@ -21,16 +27,13 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"superfe/internal/faults"
 	"superfe/internal/feature"
-	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
 	"superfe/internal/nicsim"
 	"superfe/internal/obs"
-	"superfe/internal/packet"
 	"superfe/internal/policy"
 	"superfe/internal/switchsim"
 )
@@ -72,57 +75,42 @@ func DefaultOptions() Options {
 	}
 }
 
-// SuperFE is one deployed feature extractor: a policy compiled onto a
-// switch instance and a NIC runtime.
-type SuperFE struct {
-	opts    Options
-	plan    *policy.Plan
-	sw      *switchsim.Switch
-	nic     *nicsim.Runtime
-	enc     []byte // wire-verify scratch; one per engine, so shards never share
-	wireErr error
+// pair is one switch+NIC pair — a shard of an Engine — plus the
+// switch→NIC delivery channel between them, which is where wire
+// verification, fault injection and graceful degradation live. It is
+// owned by one goroutine (the shard worker, or the caller in the
+// inline configuration); only health is read from outside.
+type pair struct {
+	verifyWire bool
+	sw         *switchsim.Switch
+	nic        *nicsim.Runtime
+	enc        []byte // wire-verify scratch; one per pair, so shards never share
+	wireErr    error
 
-	// obs is the engine's telemetry pipeline (nil when disabled); rec
-	// drives interval snapshots for the sequential engine only — shards
-	// of a ParallelEngine share the router's recorder instead.
+	// obs is the pair's telemetry pipeline (nil when disabled); eng its
+	// engine panel.
 	obs *obs.Pipeline
-	rec *obs.Recorder
+	eng *obs.EngineObs
 
 	// Fault injection + graceful degradation (all nil/zero when
-	// Options.Faults is nil). inj is this engine's injector; eng the
-	// telemetry panel; fenc the scratch buffer for fault-mutated
-	// encodings; held the reorder hold queue. The degraded-mode
-	// pressure controller accumulates stall cycles over a window of
-	// delivered messages and toggles the switch's long-buffer
-	// shedding with hysteresis.
-	inj      *faults.Injector
-	eng      *obs.EngineObs
-	fenc     []byte
-	held     []heldFrame
-	degraded bool
-	winMsgs  int
-	winStall int64
-
-	// Admin surface (admin.go). fr is the always-on flight recorder
-	// (nil only when FlightRecConfig.Disable); health publishes the
-	// current health model state for the live /status overlay. The
-	// remaining fields are engine-goroutine-owned except status/frCache
-	// behind statusMu. admin marks a standalone (sequential) engine —
-	// parallel-engine shards leave it false and let the router own the
-	// merged admin caches and dump files.
-	fr          *obs.FlightRecorder
-	health      atomic.Uint32 // obs.Health
-	shard       int
-	admin       bool
+	// Options.Faults is nil). inj is this pair's injector; fenc the
+	// scratch buffer for fault-mutated encodings; held the reorder hold
+	// queue. The degraded-mode pressure controller accumulates stall
+	// cycles over a window of delivered messages and toggles the
+	// switch's long-buffer shedding with hysteresis.
+	inj         *faults.Injector
+	fenc        []byte
+	held        []heldFrame
+	degraded    bool
+	winMsgs     int
+	winStall    int64
 	shedAtEnter uint64
-	anomalies   uint64
-	lastAnomaly string
-	frDumps     int
-	frDir       string
-	frRetain    int
-	statusMu    sync.Mutex
-	status      obs.StatusReport
-	frCache     *obs.FRDump
+
+	// fr is the pair's always-on flight recorder (nil only when
+	// FlightRecConfig.Disable); health publishes the current health
+	// model state for the engine's live /status overlay.
+	fr     *obs.FlightRecorder
+	health atomic.Uint32 // obs.Health
 }
 
 // heldFrame is one reorder-delayed frame: its wire encoding (the
@@ -134,48 +122,19 @@ type heldFrame struct {
 	due int
 }
 
-// New compiles the policy and deploys it.
-func New(opts Options, pol *policy.Policy, sink feature.Sink) (*SuperFE, error) {
-	plan, err := policy.Compile(pol)
-	if err != nil {
-		return nil, fmt.Errorf("core: compile %q: %w", pol.Name(), err)
-	}
-	fe, err := newFromPlan(opts, plan, 0, sink)
-	if err != nil {
-		return nil, err
-	}
-	if fe.obs != nil {
-		// The interval capture doubles as the admin-cache refresh
-		// cadence: both want a periodic engine-goroutine quiescence.
-		fe.rec = obs.NewRecorder(opts.Obs.SnapshotInterval, func() *obs.Snapshot {
-			fe.refreshAdmin()
-			return fe.obs.Registry.Snapshot()
-		})
-	}
-	// Standalone engine: own the admin caches and anomaly dump files.
-	fe.admin = true
-	fe.frDir = opts.FlightRec.Dir
-	fe.frRetain = opts.FlightRec.Retain
-	if fe.fr != nil {
-		fe.fr.OnAnomaly = fe.onAnomaly
-	}
-	fe.refreshAdmin()
-	return fe, nil
-}
-
-// newFromPlan deploys an already-compiled plan (the parallel engine
-// compiles once and deploys one pair per shard, passing each shard's
-// index so fault injectors draw independent per-shard streams).
-func newFromPlan(opts Options, plan *policy.Plan, shard int, sink feature.Sink) (*SuperFE, error) {
+// newPair deploys a compiled plan on one switch+NIC pair. shard is the
+// pair's index in its engine, so fault injectors draw independent
+// per-shard streams and flight-recorder events carry their origin.
+func newPair(opts Options, plan *policy.Plan, shard int, sink feature.Sink) (*pair, error) {
 	// The switch's sink is fe.deliver, which hands each message to the
 	// NIC runtime (or the wire codec) synchronously and never retains
 	// it — so the switch can safely reuse its cell and message
 	// buffers, keeping the steady-state per-packet path free of
 	// allocations.
 	opts.Switch.ZeroCopy = true
-	// One telemetry pipeline per engine: the switch and NIC publish
-	// into the same registry, and (in the parallel engine) every shard
-	// builds the identical schema so snapshots merge slot-for-slot.
+	// One telemetry pipeline per pair: the switch and NIC publish into
+	// the same registry, and every shard builds the identical schema so
+	// snapshots merge slot-for-slot.
 	pipe := obs.NewPipeline(opts.Obs)
 	if pipe != nil {
 		opts.Switch.Obs = pipe.Switch
@@ -184,9 +143,9 @@ func newFromPlan(opts Options, plan *policy.Plan, shard int, sink feature.Sink) 
 	// The flight recorder is always on (unlike the opt-in telemetry):
 	// its ring is fixed, recording is an indexed write, and the events
 	// it sees — degradation, quarantine, backpressure — are rare by
-	// construction. Both engines of the pair record into it, which is
-	// sound because the switch and NIC run synchronously on the one
-	// goroutine that owns this engine.
+	// construction. Both simulators of the pair record into it, which
+	// is sound because the switch and NIC run synchronously on the one
+	// goroutine that owns this pair.
 	var fr *obs.FlightRecorder
 	if !opts.FlightRec.Disable {
 		fr = obs.NewFlightRecorder(shard, opts.FlightRec.Tuning)
@@ -206,7 +165,7 @@ func newFromPlan(opts Options, plan *policy.Plan, shard int, sink feature.Sink) 
 			inj.OnInject = func(k faults.Kind) { eng.FaultsInjected[k].Inc() }
 		}
 	}
-	fe := &SuperFE{opts: opts, plan: plan, obs: pipe, inj: inj, fr: fr, shard: shard}
+	fe := &pair{verifyWire: opts.VerifyWire, obs: pipe, inj: inj, fr: fr}
 	if pipe != nil {
 		fe.eng = pipe.Engine
 	}
@@ -226,7 +185,7 @@ func newFromPlan(opts Options, plan *policy.Plan, shard int, sink feature.Sink) 
 // faults disabled this is the reliable fast path — one branch on top
 // of the zero-allocation pipeline; with a fault plan installed every
 // frame runs the injection gauntlet.
-func (fe *SuperFE) deliver(m gpv.Message) {
+func (fe *pair) deliver(m gpv.Message) {
 	if fe.inj == nil {
 		fe.deliverDirect(m)
 		return
@@ -240,8 +199,8 @@ func (fe *SuperFE) deliver(m gpv.Message) {
 // codec. A round-trip failure is recorded (first error wins, surfaced
 // by Err) and the message is dropped, modelling a corrupted link
 // transfer, rather than panicking mid-pipeline.
-func (fe *SuperFE) deliverDirect(m gpv.Message) {
-	if fe.opts.VerifyWire {
+func (fe *pair) deliverDirect(m gpv.Message) {
+	if fe.verifyWire {
 		enc, err := m.Marshal(fe.enc[:0])
 		fe.enc = enc
 		if err != nil {
@@ -271,12 +230,12 @@ func (fe *SuperFE) deliverDirect(m gpv.Message) {
 // isolation the differential tests prove) and out-of-scope MGPVs
 // never consume injector randomness, so the fault sequence over the
 // scoped flows is independent of the surrounding traffic.
-func (fe *SuperFE) injectAndForward(m gpv.Message) {
+func (fe *pair) injectAndForward(m gpv.Message) {
 	if m.MGPV == nil || !fe.inj.InScope(m.MGPV.Hash) {
 		fe.forward(m)
 		return
 	}
-	switch fe.inj.WireKind() {
+	switch kind := fe.inj.WireKind(); kind {
 	case faults.KindNone:
 		fe.forward(m)
 	case faults.KindDrop:
@@ -296,23 +255,19 @@ func (fe *SuperFE) injectAndForward(m gpv.Message) {
 			return
 		}
 		fe.held = append(fe.held, heldFrame{buf: buf, due: fe.inj.Plan().ReorderWindow})
-	case faults.KindCorrupt:
+	case faults.KindCorrupt, faults.KindTruncate:
 		enc, err := m.Marshal(fe.fenc[:0])
 		fe.fenc = enc
 		if err != nil {
-			fe.fail(fmt.Errorf("core: faults: marshal for corrupt: %w", err))
+			fe.fail(fmt.Errorf("core: faults: marshal for %v: %w", kind, err))
 			return
 		}
-		fe.inj.Corrupt(fe.fenc)
-		fe.forwardWire(fe.fenc)
-	case faults.KindTruncate:
-		enc, err := m.Marshal(fe.fenc[:0])
-		fe.fenc = enc
-		if err != nil {
-			fe.fail(fmt.Errorf("core: faults: marshal for truncate: %w", err))
-			return
+		if kind == faults.KindCorrupt {
+			fe.inj.Corrupt(enc)
+		} else {
+			enc = enc[:fe.inj.TruncateLen(len(enc))]
 		}
-		fe.forwardWire(fe.fenc[:fe.inj.TruncateLen(len(fe.fenc))])
+		fe.forwardWire(enc)
 	}
 }
 
@@ -324,7 +279,7 @@ func (fe *SuperFE) injectAndForward(m gpv.Message) {
 // and dropped, never merged into the wrong group's state. A frame
 // whose kind byte mutated into an FG update is quarantined for the
 // same reason: it would poison the shared key table.
-func (fe *SuperFE) forwardWire(b []byte) {
+func (fe *pair) forwardWire(b []byte) {
 	dec, n, err := gpv.Unmarshal(b)
 	if err != nil || n != len(b) || dec.MGPV == nil || !dec.MGPV.KeyHashOK() {
 		fe.quarantine()
@@ -338,7 +293,7 @@ func (fe *SuperFE) forwardWire(b []byte) {
 // exponentially growing stall cycles to the degradation window, and a
 // frame that stays unlucky past MaxRetries is shed. FG updates skip
 // the island path (control channel).
-func (fe *SuperFE) forward(m gpv.Message) {
+func (fe *pair) forward(m gpv.Message) {
 	if m.MGPV != nil {
 		p := fe.inj.Plan()
 		attempt := 0
@@ -366,7 +321,7 @@ func (fe *SuperFE) forward(m gpv.Message) {
 // quarantine counts one rejected frame. Every quarantine lands in the
 // flight recorder — the quarantine-rate spike trigger needs the full
 // event stream, and quarantines are injected-fault-rate rare.
-func (fe *SuperFE) quarantine() {
+func (fe *pair) quarantine() {
 	fe.inj.CountQuarantined()
 	if fe.eng != nil {
 		fe.eng.FramesQuarantined.Inc()
@@ -375,8 +330,10 @@ func (fe *SuperFE) quarantine() {
 }
 
 // ageHeld advances the reorder hold queue by one delivered frame and
-// releases everything that has served its window.
-func (fe *SuperFE) ageHeld() {
+// releases everything that has served its window, through the same
+// decode-and-check path as any wire frame (a held frame is our own
+// encoding of an in-scope MGPV, so the checks pass).
+func (fe *pair) ageHeld() {
 	if len(fe.held) == 0 {
 		return
 	}
@@ -384,7 +341,7 @@ func (fe *SuperFE) ageHeld() {
 	for i := range fe.held {
 		fe.held[i].due--
 		if fe.held[i].due <= 0 {
-			fe.releaseHeld(fe.held[i].buf)
+			fe.forwardWire(fe.held[i].buf)
 		} else {
 			fe.held[n] = fe.held[i]
 			n++
@@ -393,25 +350,13 @@ func (fe *SuperFE) ageHeld() {
 	fe.held = fe.held[:n]
 }
 
-// releaseHeld decodes and forwards one reorder-delayed frame.
-func (fe *SuperFE) releaseHeld(b []byte) {
-	dec, n, err := gpv.Unmarshal(b)
-	if err != nil || n != len(b) {
-		// We encoded the frame ourselves, so this is unreachable —
-		// but a quarantine is still safer than a panic mid-pipeline.
-		fe.quarantine()
-		return
-	}
-	fe.forward(dec)
-}
-
 // tickDegrade runs the graceful-degradation pressure controller: a
 // window of delivered messages accumulates island-stall cycles, and
 // hysteresis thresholds flip the switch's long-buffer shedding. The
 // controller sees only logical quantities (messages, modelled
 // cycles), never a wall clock, so degraded-mode transitions are as
 // reproducible as the faults that cause them.
-func (fe *SuperFE) tickDegrade() {
+func (fe *pair) tickDegrade() {
 	fe.winMsgs++
 	p := fe.inj.Plan()
 	if fe.winMsgs < p.DegradeWindow {
@@ -441,10 +386,10 @@ func (fe *SuperFE) tickDegrade() {
 	fe.winMsgs, fe.winStall = 0, 0
 }
 
-// setDegraded flips degraded mode on the engine and its switch,
+// setDegraded flips degraded mode on the pair and its switch,
 // records the transition in the flight recorder (entering fires the
 // degraded-enter anomaly trigger) and updates the health state.
-func (fe *SuperFE) setDegraded(on bool) {
+func (fe *pair) setDegraded(on bool) {
 	fe.degraded = on
 	fe.sw.SetDegraded(on)
 	fe.inj.CountDegradedTransition()
@@ -464,66 +409,42 @@ func (fe *SuperFE) setDegraded(on bool) {
 		fe.health.Store(uint32(obs.HealthHealthy))
 		fe.fr.Record(obs.FRDegradedExit, fe.frClock(), fe.winStall)
 	}
-	fe.refreshAdmin()
 }
 
-// fail records the first wire error.
-func (fe *SuperFE) fail(err error) {
+// fail records the first wire error; the engine's Err surfaces it.
+func (fe *pair) fail(err error) {
 	if fe.wireErr == nil {
 		fe.wireErr = err
 	}
 }
 
-// Err returns the first wire round-trip failure observed by the
-// verify path, or nil. Only VerifyWire deployments can fail.
-func (fe *SuperFE) Err() error { return fe.wireErr }
-
-// Process runs one packet through the deployed extractor. It returns
-// whether the packet passed the policy filter.
-//
-//superfe:hotpath
-func (fe *SuperFE) Process(p *packet.Packet) bool {
-	ok := fe.sw.Process(p)
-	if fe.obs != nil {
-		fe.nic.PublishObs()
-	}
-	fe.rec.Tick()
-	return ok
-}
-
-// processKeyed is Process with the CG key and hash precomputed by the
-// caller.
-//
-//superfe:hotpath
-func (fe *SuperFE) processKeyed(p *packet.Packet, cgKey flowkey.Key, hash uint32) bool {
-	ok := fe.sw.ProcessKeyed(p, cgKey, hash)
-	if fe.obs != nil {
-		fe.nic.PublishObs()
-	}
-	return ok
-}
+// frClock is the pair's logical clock for flight-recorder events:
+// packets the switch has accepted. NIC-side events recorded by the
+// runtime itself use NIC cells instead — clocks are per-domain and
+// only ordered within one (FREvent.Seq orders a whole ring).
+func (fe *pair) frClock() uint64 { return fe.sw.Stats().PktsIn }
 
 // processColumns runs one columnar batch — keys, hashes, filter
-// verdicts and metadata fields pre-computed by the parallel engine's
-// router — through the deployed extractor. The switch publishes its
-// telemetry deltas at the end of the batch itself; the NIC's are
-// published here, at the same boundary.
+// verdicts and metadata fields pre-computed by the engine's router —
+// through the pair. The switch publishes its telemetry deltas at the
+// end of the batch itself; the NIC's are published here, at the same
+// boundary.
 //
 //superfe:hotpath
-func (fe *SuperFE) processColumns(c *switchsim.Columns) {
+func (fe *pair) processColumns(c *switchsim.Columns) {
 	fe.sw.ProcessColumns(c)
 	if fe.obs != nil {
 		fe.nic.PublishObs()
 	}
 }
 
-// Flush drains the switch cache and emits per-group feature vectors.
+// flush drains the switch cache and emits per-group feature vectors.
 // Reorder-delayed frames are released before the NIC drains so no
 // held metadata is lost at end of trace.
-func (fe *SuperFE) Flush() {
+func (fe *pair) flush() {
 	fe.sw.Flush()
 	for i := range fe.held {
-		fe.releaseHeld(fe.held[i].buf)
+		fe.forwardWire(fe.held[i].buf)
 	}
 	fe.held = fe.held[:0]
 	fe.nic.Flush()
@@ -531,77 +452,4 @@ func (fe *SuperFE) Flush() {
 		fe.nic.PublishObs()
 	}
 	fe.fr.Record(obs.FRFlush, fe.frClock(), 0)
-	fe.refreshAdmin()
-}
-
-// Plan exposes the compiled plan (for inspection and the experiment
-// harness).
-func (fe *SuperFE) Plan() *policy.Plan { return fe.plan }
-
-// SwitchStats returns the FE-Switch counters.
-func (fe *SuperFE) SwitchStats() switchsim.Stats { return fe.sw.Stats() }
-
-// NICStats returns the FE-NIC counters.
-func (fe *SuperFE) NICStats() nicsim.RuntimeStats { return fe.nic.Stats() }
-
-// FaultStats returns the fault-injection counters (zero when no fault
-// plan is installed).
-func (fe *SuperFE) FaultStats() faults.Stats { return fe.inj.Stats() }
-
-// Degraded reports whether the engine is currently in degraded
-// (long-buffer shedding) mode.
-func (fe *SuperFE) Degraded() bool { return fe.degraded }
-
-// NICStateBytes returns the live NIC state footprint.
-func (fe *SuperFE) NICStateBytes() int { return fe.nic.StateBytes() }
-
-// Switch exposes the underlying switch simulator (for experiments
-// that need occupancy probes).
-func (fe *SuperFE) Switch() *switchsim.Switch { return fe.sw }
-
-// Obs returns the engine's telemetry pipeline, nil unless
-// Options.Obs.Enabled.
-func (fe *SuperFE) Obs() *obs.Pipeline { return fe.obs }
-
-// ObsSnapshot captures a point-in-time copy of the telemetry registry
-// (nil when telemetry is disabled). Lock-free; safe to call from any
-// goroutine while Process runs.
-func (fe *SuperFE) ObsSnapshot() *obs.Snapshot {
-	if fe.obs == nil {
-		return nil
-	}
-	return fe.obs.Registry.Snapshot()
-}
-
-// ObsSeries returns the interval snapshot time-series recorded so
-// far (empty when snapshots are disabled).
-func (fe *SuperFE) ObsSeries() *obs.Series { return fe.rec.Series() }
-
-// ObsTimelines reconstructs the sampled flow-lifecycle timelines.
-// Exact at a quiescence point (after Flush); nil when tracing is
-// disabled.
-func (fe *SuperFE) ObsTimelines() []obs.Timeline {
-	if fe.obs == nil || fe.obs.Tracer == nil {
-		return nil
-	}
-	return obs.Timelines(fe.obs.Tracer)
-}
-
-// ObsSource adapts the engine to the obs HTTP handler and dump
-// writers. Endpoints for disabled facilities are left nil; /status is
-// always available (the health model does not depend on telemetry)
-// and /flightrecorder whenever the recorder is enabled. The
-// sequential engine has no batches, so /spans stays nil by design.
-func (fe *SuperFE) ObsSource() obs.Source {
-	src := obs.Source{Scrape: fe.ObsSnapshot, Status: fe.Status}
-	if fe.rec != nil {
-		src.Series = fe.ObsSeries
-	}
-	if fe.obs != nil && fe.obs.Tracer != nil {
-		src.Timelines = fe.ObsTimelines
-	}
-	if fe.fr != nil {
-		src.FlightRec = fe.FlightDump
-	}
-	return src
 }

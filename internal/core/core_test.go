@@ -214,9 +214,6 @@ func TestPlanExposed(t *testing.T) {
 	if fe.Plan() == nil || fe.Plan().Policy.Name() != "stats" {
 		t.Error("plan not exposed")
 	}
-	if fe.Switch() == nil {
-		t.Error("switch not exposed")
-	}
 	if fe.NICStateBytes() < 0 {
 		t.Error("negative state bytes")
 	}

@@ -21,7 +21,7 @@ type ParallelOptions struct {
 	Options
 	// Workers is the number of shards (switch+NIC pairs), each owned
 	// by one goroutine — the analogue of NIC cores fed by the NBI
-	// distributor.
+	// distributor. NewFromPlan reads zero as the inline configuration.
 	Workers int
 	// BatchSize is the number of packets in one columnar batch handed
 	// to a shard per ring slot; batching amortizes the synchronization
@@ -42,29 +42,34 @@ type ParallelOptions struct {
 // DefaultParallelOptions returns the default sharded configuration:
 // 4 workers, 256-packet batches. The batch default keeps the per-packet
 // hand-off cost low enough that a single-worker deployment matches the
-// sequential engine; smaller batches trade throughput for lower
-// per-shard latency.
+// inline one; smaller batches trade throughput for lower per-shard
+// latency.
 func DefaultParallelOptions() ParallelOptions {
 	return ParallelOptions{
 		Options:    DefaultOptions(),
 		Workers:    4,
-		BatchSize:  256,
+		BatchSize:  defaultBatch,
 		QueueDepth: 4,
 	}
 }
+
+// defaultBatch is the rows per columnar batch by default and when
+// BatchSize is unset, and always in the inline configuration.
+const defaultBatch = 256
 
 // sinkRunLen is the shard-local vector run buffered between shared-sink
 // flushes in streaming (non-DeterministicMerge) mode: one lock
 // acquisition per run instead of per vector.
 const sinkRunLen = 64
 
-// shardMsg is one ring slot on a shard's input ring: either a columnar
-// batch of packets or a control barrier (with optional flush). The
+// shardMsg is one unit of work for a shard — a ring slot in the worker
+// configuration, a plain argument inline: either a columnar batch of
+// packets (cols non-nil) or a control barrier with optional flush. The
 // recycle ring reuses the same slot type carrying only cols.
 type shardMsg struct {
 	cols  *switchsim.Columns
-	ctl   chan<- struct{} // non-nil: acknowledge after processing
-	flush bool            // with ctl: flush the shard's switch+NIC first
+	ctl   chan<- struct{} // worker configuration: acknowledge a barrier here
+	flush bool            // barrier: flush the shard's switch+NIC first
 }
 
 // pendingVec is one run-buffered vector in streaming mode: values live
@@ -77,10 +82,13 @@ type pendingVec struct {
 	n   int
 }
 
-// pshard is one worker-owned switch+NIC pair.
-type pshard struct {
-	eng  *ParallelEngine
-	fe   *SuperFE
+// shard is one switch+NIC pair and the batches in flight to it. In the
+// worker configuration a goroutine owns the pair and drains the in
+// ring; inline, the rings and done are nil and the router calls handle
+// itself.
+type shard struct {
+	eng  *Engine
+	fe   *pair
 	in   *spscRing // router → worker: batches and control barriers
 	free *spscRing // worker → router: recycled batch columns
 	cur  *switchsim.Columns
@@ -100,45 +108,50 @@ type pshard struct {
 	spans   *obs.SpanRing
 }
 
-// ParallelEngine is a sharded SuperFE deployment — the software
-// analogue of the hardware parallelism the paper scales on. The
-// prototype distributes work across the Tofino pipeline plus the
-// NFP-4000's islands × cores × 8 threads, with the ingress NBI
-// sharding flows per-IP so cores share no state (§6.2).
-// ParallelEngine reproduces that shape on host cores: the router
-// parses each packet once — CG key, key hash, filter verdict, batched
-// metadata fields — into columnar batches, shards them by CG-hash
-// fastrange across Workers independent switch+NIC pairs, and hands
-// batches over lock-free SPSC rings with spin-then-park blocking, so
-// shards run without locks and the hot path performs no steady-state
-// allocations. The ingress-computed hash rides the columns into the
-// switch's slot indexing, the NIC's grouping, fault scoping and
+// Engine is a deployed feature extractor — the software analogue of
+// the hardware parallelism the paper scales on. The prototype
+// distributes work across the Tofino pipeline plus the NFP-4000's
+// islands × cores × 8 threads, with the ingress NBI sharding flows
+// per-IP so cores share no state (§6.2). Engine reproduces that shape
+// on host cores: the router parses each packet once — CG key, key
+// hash, filter verdict, batched metadata fields — into columnar
+// batches and shards them by CG-hash fastrange across independent
+// switch+NIC pairs. The ingress-computed hash rides the columns into
+// the switch's slot indexing, the NIC's grouping, fault scoping and
 // tracer sampling — §6.2's hash-reuse trick applied end-to-end.
 //
+// The two constructors differ only in who runs the shards. NewParallel
+// gives every shard a worker goroutine fed over lock-free SPSC rings
+// with spin-then-park blocking, so shards run without locks and the
+// hot path performs no steady-state allocations. New is the inline
+// configuration: one shard, no rings, no goroutine — a full batch is
+// extracted on the caller's goroutine and vectors reach the sink
+// directly, in emission order.
+//
 // Process routes packets; Flush drains; the stats methods merge shard
-// counters. Process and Flush must be called from one goroutine (the
-// router), exactly like the sequential engine.
-type ParallelEngine struct {
+// counters. Process, Flush and the other router-side methods must be
+// called from one goroutine.
+type Engine struct {
 	opts       ParallelOptions
+	inline     bool
 	plan       *policy.Plan
 	pred       policy.Predicate
 	cg         flowkey.Granularity
 	metaFields []packet.FieldName
-	shards     []*pshard
+	shards     []*shard
 	sink       feature.Sink
 	sinkMu     sync.Mutex
 	closed     bool
 
-	// Router-level telemetry (obsEnabled false when Options.Obs is
-	// disabled, making the disabled hot path a single branch): a small
-	// registry of per-shard routing counters — the packet skew the
-	// CG-hash sharding produces — appended after the merged shard
-	// registries in every snapshot, plus the engine's interval
-	// recorder (ticked per routed packet, captured at a barrier).
-	obsEnabled bool
-	obsReg     *obs.Registry
-	shardPkts  []obs.Counter
-	rec        *obs.Recorder
+	// Router-level telemetry (obsReg nil when Options.Obs is disabled,
+	// making the disabled hot path a single branch): a small registry
+	// of per-shard routing counters — the packet skew the CG-hash
+	// sharding produces — appended after the merged shard registries in
+	// every snapshot, plus the engine's interval recorder (ticked per
+	// routed packet, captured at a barrier).
+	obsReg    *obs.Registry
+	shardPkts []obs.Counter
+	rec       *obs.Recorder
 
 	// pkts is the router's logical clock (packets routed), the clock
 	// domain of router flight-recorder events and span fill marks;
@@ -157,13 +170,11 @@ type ParallelEngine struct {
 	fr        *obs.FlightRecorder
 	frPend    atomic.Pointer[obs.Anomaly]
 	inControl bool
-	frDir     string
-	frRetain  int
 	frDumps   int
 
-	// Admin caches, rebuilt at every barrier (a quiescence point: all
-	// shard rings drained, shard-goroutine writes ordered before the
-	// router by the ack channel) and served to the HTTP goroutine
+	// Admin caches (admin.go), rebuilt at every barrier (a quiescence
+	// point: all shards drained, shard-goroutine writes ordered before
+	// the router by the ack channel) and served to the HTTP goroutine
 	// behind adminMu with health/clock overlaid live from atomics.
 	anomalies   uint64
 	lastAnomaly string
@@ -174,16 +185,49 @@ type ParallelEngine struct {
 	frCache     *obs.FRDump
 }
 
+// New compiles the policy and deploys it inline: one shard extracted
+// on the caller's goroutine in 256-packet batches, vectors handed to
+// the sink directly. Vectors and merged stats are identical to a
+// one-worker NewParallel deployment's.
+func New(opts Options, pol *policy.Policy, sink feature.Sink) (*Engine, error) {
+	return compileAndDeploy(ParallelOptions{Options: opts}, pol, sink)
+}
+
 // NewParallel compiles the policy once and deploys it on Workers
-// shards. MGPVs of one CG group always land on the same shard, so
-// per-group feature streams — and therefore the emitted vectors — are
-// identical to a sequential run's, as a multiset.
-func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*ParallelEngine, error) {
+// shards, each with its own worker goroutine. MGPVs of one CG group
+// always land on the same shard, so per-group feature streams — and
+// therefore the emitted vectors — are identical to an inline run's,
+// as a multiset.
+func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*Engine, error) {
 	if opts.Workers <= 0 {
-		return nil, fmt.Errorf("core: parallel engine needs at least one worker, got %d", opts.Workers)
+		return nil, fmt.Errorf("core: NewParallel needs at least one worker, got %d", opts.Workers)
+	}
+	return compileAndDeploy(opts, pol, sink)
+}
+
+func compileAndDeploy(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*Engine, error) {
+	plan, err := policy.Compile(pol)
+	if err != nil {
+		return nil, fmt.Errorf("core: compile %q: %w", pol.Name(), err)
+	}
+	return NewFromPlan(opts, plan, sink)
+}
+
+// NewFromPlan deploys an already-compiled plan — the constructor New
+// and NewParallel wrap, exported for callers that vet a plan before
+// deploying it (internal/serve). Workers == 0 selects the inline
+// configuration, which ignores BatchSize, QueueDepth and
+// DeterministicMerge.
+func NewFromPlan(opts ParallelOptions, plan *policy.Plan, sink feature.Sink) (*Engine, error) {
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("core: negative worker count %d", opts.Workers)
+	}
+	inline := opts.Workers == 0
+	if inline {
+		opts.Workers, opts.BatchSize = 1, defaultBatch
 	}
 	if opts.BatchSize <= 0 {
-		opts.BatchSize = 256
+		opts.BatchSize = defaultBatch
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 4
@@ -191,12 +235,9 @@ func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*
 	if sink == nil {
 		return nil, fmt.Errorf("core: nil sink")
 	}
-	plan, err := policy.Compile(pol)
-	if err != nil {
-		return nil, fmt.Errorf("core: compile %q: %w", pol.Name(), err)
-	}
-	e := &ParallelEngine{
+	e := &Engine{
 		opts:       opts,
+		inline:     inline,
 		plan:       plan,
 		pred:       plan.Switch.Pred,
 		cg:         plan.Switch.CG,
@@ -209,9 +250,8 @@ func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*
 		// the shard anomalies instead of materializing inline.
 		e.fr = obs.NewFlightRecorder(-1, opts.FlightRec.Tuning)
 		e.fr.OnAnomaly = e.pendAnomaly
-		e.frDir = opts.FlightRec.Dir
-		e.frRetain = opts.FlightRec.Retain
 	}
+	var err error
 	e.shards, err = e.deployShards(plan)
 	if err != nil {
 		return nil, err
@@ -221,7 +261,6 @@ func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*
 		// the packet skew of the CG-hash sharding. Kept separate from
 		// the shard registries (whose schemas must stay identical for
 		// the flat-array merge) and appended to every snapshot.
-		e.obsEnabled = true
 		e.obsReg = obs.NewRegistry()
 		e.shardPkts = make([]obs.Counter, opts.Workers)
 		for i := range e.shardPkts {
@@ -235,75 +274,86 @@ func NewParallel(opts ParallelOptions, pol *policy.Policy, sink feature.Sink) (*
 	return e, nil
 }
 
-// deployShards builds one complete shard set — switch+NIC pair,
-// rings, recycled columnar batches, worker goroutine — for the given
-// compiled plan, without touching the engine's current shard set. It
-// is the constructor's shard loop, factored out so SwapPlan can stand
-// up a candidate deployment off to the side and only then retire the
-// live one. On error the partially built set is stopped and nothing
-// is left running.
-func (e *ParallelEngine) deployShards(plan *policy.Plan) ([]*pshard, error) {
+// deployShards builds one complete shard set — switch+NIC pair and,
+// in the worker configuration, rings, recycled columnar batches and
+// worker goroutine — for the given compiled plan, without touching the
+// engine's current shard set. It is the constructor's shard loop,
+// factored out so SwapPlan can stand up a candidate deployment off to
+// the side and only then retire the live one. On error the partially
+// built set is stopped and nothing is left running.
+func (e *Engine) deployShards(plan *policy.Plan) ([]*shard, error) {
 	opts := e.opts
 	nf := len(plan.Switch.MetadataFields)
-	shards := make([]*pshard, 0, opts.Workers)
+	shards := make([]*shard, 0, opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		sh := &pshard{
-			eng:  e,
-			idx:  int32(i),
-			in:   newSPSCRing(opts.QueueDepth, 0),
-			free: newSPSCRing(opts.QueueDepth+1, 0),
-			done: make(chan struct{}),
-		}
-		// Both hooked ring sides run on the router goroutine (in-ring
-		// producer, free-ring consumer), so the router's recorder and
-		// clock are safe here.
-		sh.in.hookProdFR(e.fr, obs.FRRingPark, &e.pkts)
-		sh.free.hookConsFR(e.fr, obs.FRFreeStarve, &e.pkts)
+		sh := &shard{eng: e, idx: int32(i)}
 		var shardSink feature.Sink
-		if opts.DeterministicMerge {
+		switch {
+		case e.inline:
+			// Same goroutine as the caller: no buffering, no lock.
+			shardSink = e.sink
+		case opts.DeterministicMerge:
 			// Shard-local buffer: no lock needed, emitted in shard
 			// order at Flush.
 			shardSink = feature.Collect(&sh.vecs)
-		} else {
+		default:
 			shardSink = sh.bufferVec
 		}
-		fe, err := newFromPlan(opts.Options, plan, i, shardSink)
+		fe, err := newPair(opts.Options, plan, i, shardSink)
 		if err != nil {
 			stopShards(shards)
 			return nil, err
 		}
 		sh.fe = fe
-		if p := sh.fe.Obs(); p != nil {
-			sh.spans = p.Spans
-			sh.in.instrumentIn(p.Ring)
-			sh.free.instrumentFree(p.Ring)
+		if fe.obs != nil {
+			sh.spans = fe.obs.Spans
 		}
-		if sh.fe.fr != nil {
+		if fe.fr != nil {
 			// Shard anomaly triggers fire on the shard goroutine; pend
 			// them (thread-safe CAS) for the router to materialize at
 			// the next barrier.
-			sh.fe.fr.OnAnomaly = e.pendAnomaly
+			fe.fr.OnAnomaly = e.pendAnomaly
 		}
 		// Pre-size the recycled columnar batches: one being filled by
 		// the router, QueueDepth in flight or on the recycle ring.
 		sh.cur = switchsim.NewColumns(opts.BatchSize, nf)
+		shards = append(shards, sh)
+		if e.inline {
+			continue
+		}
+		sh.in = newSPSCRing(opts.QueueDepth, 0)
+		sh.free = newSPSCRing(opts.QueueDepth+1, 0)
+		sh.done = make(chan struct{})
+		// Both hooked ring sides run on the router goroutine (in-ring
+		// producer, free-ring consumer), so the router's recorder and
+		// clock are safe here.
+		sh.in.hookProdFR(e.fr, obs.FRRingPark, &e.pkts)
+		sh.free.hookConsFR(e.fr, obs.FRFreeStarve, &e.pkts)
+		if fe.obs != nil {
+			sh.in.instrumentIn(fe.obs.Ring)
+			sh.free.instrumentFree(fe.obs.Ring)
+		}
 		for j := 0; j < opts.QueueDepth; j++ {
 			sh.free.push(shardMsg{cols: switchsim.NewColumns(opts.BatchSize, nf)})
 		}
-		shards = append(shards, sh)
 		//superfe:goroutine-ok shard worker: exits when stopShards closes its input ring (pop returns ok=false) and is joined via sh.done
 		go sh.run()
 	}
 	return shards, nil
 }
 
-// stopShards closes the shard input rings and joins the workers.
-func stopShards(shards []*pshard) {
+// stopShards closes the shard input rings and joins the workers
+// (inline shards have neither).
+func stopShards(shards []*shard) {
 	for _, sh := range shards {
-		sh.in.close()
+		if sh.in != nil {
+			sh.in.close()
+		}
 	}
 	for _, sh := range shards {
-		<-sh.done
+		if sh.done != nil {
+			<-sh.done
+		}
 	}
 }
 
@@ -326,9 +376,9 @@ func stopShards(shards []*pshard) {
 // deployment, like any fresh deployment's; the router's clock,
 // routing counters and flight recorder carry across the swap.
 // Router goroutine only, like Process and Flush.
-func (e *ParallelEngine) SwapPlan(plan *policy.Plan) error {
+func (e *Engine) SwapPlan(plan *policy.Plan) error {
 	if e.closed {
-		return fmt.Errorf("core: parallel engine is closed")
+		return fmt.Errorf("core: engine is closed")
 	}
 	next, err := e.deployShards(plan)
 	if err != nil {
@@ -354,7 +404,7 @@ func (e *ParallelEngine) SwapPlan(plan *policy.Plan) error {
 // goroutine (the admin HTTP surface), which must not race a SwapPlan
 // installing a new set. Router-side code reads e.shards directly —
 // SwapPlan runs on the router goroutine, so no swap can interleave.
-func (e *ParallelEngine) liveShards() []*pshard {
+func (e *Engine) liveShards() []*shard {
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
 	return e.shards
@@ -365,51 +415,70 @@ func (e *ParallelEngine) liveShards() []*pshard {
 // under a fixed seed the same packets yield byte-identical snapshots
 // run-to-run — then merges the shard registries and appends the
 // router's. Router-goroutine only, like Process.
-func (e *ParallelEngine) captureQuiesced() *obs.Snapshot {
+func (e *Engine) captureQuiesced() *obs.Snapshot {
 	e.barrier(false)
 	return e.mergedSnapshot()
 }
 
 // mergedSnapshot sums the per-shard registries (identical schemas,
 // so the flat value arrays line up) and appends the router registry.
-func (e *ParallelEngine) mergedSnapshot() *obs.Snapshot {
+func (e *Engine) mergedSnapshot() *obs.Snapshot {
 	shards := e.liveShards()
 	snaps := make([]*obs.Snapshot, len(shards))
 	for i, sh := range shards {
-		snaps[i] = sh.fe.ObsSnapshot()
+		snaps[i] = sh.fe.obs.Registry.Snapshot()
 	}
 	merged := obs.MergeSnapshots(snaps...)
 	merged.Append(e.obsReg.Snapshot())
 	return merged
 }
 
-// run is the shard worker loop: drain batches from the input ring,
-// honour barriers, recycle consumed batches on the free ring.
-func (sh *pshard) run() {
+// run is the shard worker loop: drain the input ring through handle,
+// acknowledge barriers, recycle consumed batches on the free ring.
+func (sh *shard) run() {
 	defer close(sh.done)
 	for {
 		msg, ok := sh.in.pop()
 		if !ok {
 			return
 		}
-		if msg.ctl != nil {
-			if msg.flush {
-				sh.fe.Flush()
-			}
-			// Barrier contract: every vector produced so far is at the
-			// shared sink when the ack lands.
-			sh.flushPending()
-			msg.ctl <- struct{}{}
-			continue
-		}
-		if msg.cols.Span.Sampled {
-			sh.traceColumns(msg.cols)
+		sh.handle(msg)
+		if msg.cols != nil {
+			sh.free.push(shardMsg{cols: msg.cols})
 		} else {
-			sh.fe.processColumns(msg.cols)
+			msg.ctl <- struct{}{}
 		}
-		msg.cols.Reset()
-		sh.free.push(shardMsg{cols: msg.cols})
 	}
+}
+
+// handle does one message's work on the pair: extract a batch and
+// reset it for reuse, or honour a barrier. It runs on the worker
+// goroutine, or on the router's when the engine is inline, and touches
+// no ring either way.
+//
+//superfe:hotpath
+func (sh *shard) handle(msg shardMsg) {
+	if msg.cols == nil {
+		sh.handleBarrier(msg.flush)
+		return
+	}
+	if msg.cols.Span.Sampled {
+		sh.traceColumns(msg.cols)
+	} else {
+		sh.fe.processColumns(msg.cols)
+	}
+	msg.cols.Reset()
+}
+
+// handleBarrier optionally flushes the pair. Barrier contract: every
+// vector produced so far is at the shared sink on return.
+//
+//superfe:coldpath
+func (sh *shard) handleBarrier(flush bool) {
+	if flush {
+		sh.fe.flush()
+	}
+	sh.flushPending()
 }
 
 // traceColumns processes a span-sampled batch, bracketing the
@@ -418,13 +487,13 @@ func (sh *pshard) run() {
 // caused lands inside the bracket. The completed span is copied out
 // of the batch (which is about to be recycled) into the shard's ring.
 // Stats are value copies on the stack — no allocation.
-func (sh *pshard) traceColumns(c *switchsim.Columns) {
+func (sh *shard) traceColumns(c *switchsim.Columns) {
 	sp := c.Span
-	sw0 := sh.fe.SwitchStats()
-	nic0 := sh.fe.NICStats()
+	sw0 := sh.fe.sw.Stats()
+	nic0 := sh.fe.nic.Stats()
 	sh.fe.processColumns(c)
-	sw1 := sh.fe.SwitchStats()
-	nic1 := sh.fe.NICStats()
+	sw1 := sh.fe.sw.Stats()
+	nic1 := sh.fe.nic.Stats()
 	sp.SwPktsIn = uint32(sw1.PktsIn - sw0.PktsIn)
 	sp.SwFiltered = uint32(sw1.PktsFiltered - sw0.PktsFiltered)
 	sp.SwCellsOut = uint32(sw1.CellsOut - sw0.CellsOut)
@@ -449,7 +518,7 @@ func (sh *pshard) traceColumns(c *switchsim.Columns) {
 // contract (do not retain without copying) is unchanged.
 //
 //superfe:hotpath
-func (sh *pshard) bufferVec(v feature.Vector) {
+func (sh *shard) bufferVec(v feature.Vector) {
 	off := len(sh.pendVals)
 	sh.pendVals = append(sh.pendVals, v.Values...)
 	sh.pend = append(sh.pend, pendingVec{key: v.Key, ts: v.Timestamp, off: off, n: len(v.Values)})
@@ -460,7 +529,7 @@ func (sh *pshard) bufferVec(v feature.Vector) {
 
 // flushPending emits the shard's buffered run to the shared sink under
 // a single lock acquisition, then resets the arena for reuse.
-func (sh *pshard) flushPending() {
+func (sh *shard) flushPending() {
 	if len(sh.pend) == 0 {
 		return
 	}
@@ -492,7 +561,7 @@ func shardIndex(h uint32, n int) int {
 // switch will account, without re-evaluating the predicate).
 //
 //superfe:hotpath
-func (e *ParallelEngine) Process(p *packet.Packet) bool {
+func (e *Engine) Process(p *packet.Packet) bool {
 	e.pkts++
 	key, _ := flowkey.KeyFor(e.cg, p.Tuple)
 	h := flowkey.HashKey(key)
@@ -503,7 +572,7 @@ func (e *ParallelEngine) Process(p *packet.Packet) bool {
 	if sh.cur.N >= e.opts.BatchSize {
 		e.dispatch(sh)
 	}
-	if e.obsEnabled {
+	if e.obsReg != nil {
 		// Span lottery: a batch is traced when its first row's CG hash
 		// wins the 1-in-K sampling — the hash is already in hand, so
 		// the steady-state cost is one mask test per batch. The shard
@@ -523,37 +592,45 @@ func (e *ParallelEngine) Process(p *packet.Packet) bool {
 
 // dispatch hands the shard's current batch to its worker over the
 // input ring and pulls a recycled one from the free ring (blocking =
-// backpressure).
+// backpressure); inline, it extracts the batch in place and keeps it.
 //
 //superfe:hotpath
-func (e *ParallelEngine) dispatch(sh *pshard) {
+func (e *Engine) dispatch(sh *shard) {
 	sh.batches++
 	c := sh.cur
-	if e.obsEnabled {
+	if e.obsReg != nil {
 		// Batch-granular routing accounting: every packet lands in
 		// exactly one dispatched batch (barriers dispatch partial
 		// ones), so charging c.N here conserves the total while
 		// amortizing one atomic add over the whole batch.
 		e.shardPkts[sh.idx].Add(uint64(c.N))
 	}
-	if c.Span.Sampled {
+	sp := &c.Span
+	if sp.Sampled {
 		// Complete the ingress half of the span before the hand-off
 		// (nothing may touch the batch after the push) — the traced
 		// push fills the enqueue-evidence fields itself, pre-publication.
-		sp := &c.Span
 		sp.Shard = sh.idx
 		sp.Batch = sh.batches
 		sp.Rows = int32(c.N)
 		sp.FillEnd = e.pkts
-		sh.in.pushTraced(shardMsg{cols: c}, sp)
-	} else {
-		sh.in.push(shardMsg{cols: c})
 	}
-	m, _ := sh.free.pop() // never closed: always ok
-	sh.cur = m.cols
+	if e.inline {
+		sh.handle(shardMsg{cols: c})
+	} else {
+		if sp.Sampled {
+			sh.in.pushTraced(shardMsg{cols: c}, sp)
+		} else {
+			sh.in.push(shardMsg{cols: c})
+		}
+		m, _ := sh.free.pop() // never closed: always ok
+		sh.cur = m.cols
+	}
 	e.pubPkts.Store(e.pkts)
 	if e.frPend.Load() != nil && !e.inControl {
-		e.anomalyBarrier()
+		// A pended anomaly forces a quiescing barrier, whose tail end
+		// materializes it.
+		e.barrier(false)
 	}
 }
 
@@ -567,17 +644,26 @@ func (e *ParallelEngine) dispatch(sh *pshard) {
 // interval snapshots.
 //
 //superfe:coldpath
-func (e *ParallelEngine) barrier(flush bool) {
+func (e *Engine) barrier(flush bool) {
 	e.inControl = true
-	ack := make(chan struct{}, len(e.shards))
+	var ack chan struct{}
+	if !e.inline {
+		ack = make(chan struct{}, len(e.shards))
+	}
 	for _, sh := range e.shards {
 		if sh.cur.N > 0 {
 			e.dispatch(sh)
 		}
-		sh.in.push(shardMsg{ctl: ack, flush: flush})
+		if e.inline {
+			sh.handle(shardMsg{flush: flush})
+		} else {
+			sh.in.push(shardMsg{ctl: ack, flush: flush})
+		}
 	}
-	for range e.shards {
-		<-ack
+	if !e.inline {
+		for range e.shards {
+			<-ack
+		}
 	}
 	arg := int64(0)
 	if flush {
@@ -590,192 +676,10 @@ func (e *ParallelEngine) barrier(flush bool) {
 	e.inControl = false
 }
 
-// anomalyBarrier is the dispatch-time anomaly poll: a pended anomaly
-// forces a quiescing barrier, whose tail end materializes it.
-//
-//superfe:coldpath
-func (e *ParallelEngine) anomalyBarrier() {
-	e.barrier(false)
-}
-
-// pendAnomaly parks an anomaly for the router, first-wins: triggers
-// fire on shard goroutines (quarantine spikes, degraded entry) or
-// inside a blocked router push (sustained ring-full), and neither
-// place can run a barrier. Coalescing concurrent anomalies to one is
-// fine — the dump captures the full merged state anyway, and the
-// per-recorder cooldown bounds the pend rate.
-func (e *ParallelEngine) pendAnomaly(a obs.Anomaly) {
-	cp := a
-	e.frPend.CompareAndSwap(nil, &cp)
-}
-
-// materializePending turns a pended anomaly into counters, a dump
-// file and the FRDumped marker. Must run quiesced on the router; the
-// marker is recorded after the capture so each dump carries only the
-// markers of previous dumps.
-func (e *ParallelEngine) materializePending() {
-	a := e.frPend.Swap(nil)
-	if a == nil {
-		return
-	}
-	e.anomalies++
-	e.lastAnomaly = a.Reason
-	e.frDumps++
-	d := e.buildDump(a.Reason, a.Clock, a.Shard)
-	if e.frDir != "" {
-		if err := writeFRDumpFile(e.frDir, e.frRetain, e.frDumps, a.Reason, d); err != nil && e.dumpErr == nil {
-			e.dumpErr = fmt.Errorf("core: flight-recorder dump: %w", err)
-		}
-	}
-	e.fr.Record(obs.FRDumped, a.Clock, int64(e.frDumps))
-}
-
-// buildDump merges every shard's event ring plus the router's into
-// one dump. Quiesced router goroutine only.
-func (e *ParallelEngine) buildDump(reason string, clock uint64, shard int32) *obs.FRDump {
-	recs := make([]*obs.FlightRecorder, 0, len(e.shards)+1)
-	for _, sh := range e.shards {
-		recs = append(recs, sh.fe.fr)
-	}
-	recs = append(recs, e.fr)
-	return &obs.FRDump{
-		Reason: reason,
-		Clock:  clock,
-		Shard:  shard,
-		Health: e.healthNow(),
-		Events: obs.MergeFREvents(recs...),
-	}
-}
-
-// healthNow is the merged live health: the max over shard states
-// (atomics, safe from any goroutine).
-func (e *ParallelEngine) healthNow() obs.Health {
-	h := obs.HealthHealthy
-	for _, sh := range e.shards {
-		if sh2 := obs.Health(sh.fe.health.Load()); sh2 > h {
-			h = sh2
-		}
-	}
-	return h
-}
-
-// refreshAdmin rebuilds the admin caches. Quiesced router goroutine
-// only.
-func (e *ParallelEngine) refreshAdmin() {
-	st := e.buildStatus()
-	var spans []obs.BatchSpan
-	if e.obsEnabled {
-		spans = e.mergedSpans()
-	}
-	var d *obs.FRDump
-	if e.fr != nil {
-		d = e.buildDump("on-demand", e.pkts, -1)
-	}
-	e.adminMu.Lock()
-	e.status, e.spanCache, e.frCache = st, spans, d
-	e.adminMu.Unlock()
-}
-
-// buildStatus assembles the merged /status report from the quiesced
-// shard counters.
-func (e *ParallelEngine) buildStatus() obs.StatusReport {
-	st := obs.StatusReport{
-		Workers:     len(e.shards),
-		Policy:      e.plan.Policy.Name(),
-		Clock:       e.pkts,
-		Anomalies:   e.anomalies,
-		LastAnomaly: e.lastAnomaly,
-		Shards:      make([]obs.ShardStatus, 0, len(e.shards)),
-	}
-	worst := obs.HealthHealthy
-	for i, sh := range e.shards {
-		fe := sh.fe
-		h := obs.Health(fe.health.Load())
-		if h > worst {
-			worst = h
-		}
-		if fe.degraded {
-			st.DegradedShards++
-		}
-		sw := fe.SwitchStats()
-		ns := fe.NICStats()
-		fs := fe.FaultStats()
-		st.Shards = append(st.Shards, obs.ShardStatus{
-			Shard:               i,
-			Health:              h.String(),
-			Pkts:                sw.PktsIn,
-			Quarantined:         fs.Quarantined,
-			Retries:             fs.Retries,
-			RetryDrops:          fs.RetryDrops,
-			ShedCells:           sw.ShedCells,
-			EMEMDrops:           ns.EMEMDrops,
-			DegradedTransitions: fs.DegradedTransitions,
-			FREvents:            fe.fr.Seq(),
-		})
-	}
-	st.Health = worst.String()
-	return st
-}
-
-// mergedSpans merges the quiesced shard span rings in (Shard, Batch)
-// order.
-func (e *ParallelEngine) mergedSpans() []obs.BatchSpan {
-	rings := make([]*obs.SpanRing, 0, len(e.shards))
-	for _, sh := range e.shards {
-		rings = append(rings, sh.spans)
-	}
-	return obs.MergeSpans(rings...)
-}
-
-// Status returns the merged health report: counters exact at the last
-// barrier, health and clock overlaid live. Safe from any goroutine.
-func (e *ParallelEngine) Status() *obs.StatusReport {
-	e.adminMu.Lock()
-	st := e.status
-	st.Shards = append([]obs.ShardStatus(nil), st.Shards...)
-	shards := e.shards
-	e.adminMu.Unlock()
-	st.Clock = e.pubPkts.Load()
-	worst := obs.HealthHealthy
-	degraded := 0
-	for i, sh := range shards {
-		h := obs.Health(sh.fe.health.Load())
-		if h > worst {
-			worst = h
-		}
-		if h >= obs.HealthDegraded {
-			degraded++
-		}
-		if i < len(st.Shards) {
-			st.Shards[i].Health = h.String()
-		}
-	}
-	st.Health = worst.String()
-	st.DegradedShards = degraded
-	return &st
-}
-
-// ObsSpans returns the merged batch spans as of the last barrier.
-// Safe from any goroutine; the slice is immutable once cached.
-func (e *ParallelEngine) ObsSpans() []obs.BatchSpan {
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	return e.spanCache
-}
-
-// FlightDump returns the merged flight-recorder dump as of the last
-// barrier (nil when the recorder is disabled). Safe from any
-// goroutine; the dump is immutable once cached.
-func (e *ParallelEngine) FlightDump() *obs.FRDump {
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	return e.frCache
-}
-
 // Drain blocks until every packet handed to Process so far has been
 // fully processed by its shard, without evicting any state — the
 // quiescence point for reading mid-trace stats.
-func (e *ParallelEngine) Drain() {
+func (e *Engine) Drain() {
 	e.barrier(false)
 }
 
@@ -783,9 +687,9 @@ func (e *ParallelEngine) Drain() {
 // and NIC state) and, in DeterministicMerge mode, emits the buffered
 // vectors in shard order. It returns the first wire-verify error any
 // shard recorded, if any.
-func (e *ParallelEngine) Flush() error {
+func (e *Engine) Flush() error {
 	if e.closed {
-		return fmt.Errorf("core: parallel engine is closed")
+		return fmt.Errorf("core: engine is closed")
 	}
 	e.barrier(true)
 	if e.opts.DeterministicMerge {
@@ -802,144 +706,87 @@ func (e *ParallelEngine) Flush() error {
 // Close drains in-flight work and stops the workers. Unflushed state
 // is discarded; call Flush first to emit it. The engine cannot be
 // used after Close.
-func (e *ParallelEngine) Close() error {
+func (e *Engine) Close() error {
 	if e.closed {
 		return e.Err()
 	}
 	e.barrier(false)
-	e.stop()
-	return e.Err()
-}
-
-// stop terminates the started workers.
-func (e *ParallelEngine) stop() {
 	stopShards(e.shards)
 	e.closed = true
+	return e.Err()
 }
 
 // Err returns the first wire round-trip failure recorded by any
 // shard, or the first anomaly-dump write failure. Only meaningful at
 // a quiescence point (after Flush, Drain or Close), which Flush and
 // Close already establish.
-func (e *ParallelEngine) Err() error {
+func (e *Engine) Err() error {
 	for _, sh := range e.shards {
-		if err := sh.fe.Err(); err != nil {
-			return err
+		if sh.fe.wireErr != nil {
+			return sh.fe.wireErr
 		}
 	}
 	return e.dumpErr
 }
 
 // Workers returns the shard count.
-func (e *ParallelEngine) Workers() int { return len(e.shards) }
+func (e *Engine) Workers() int { return len(e.shards) }
 
 // Plan exposes the compiled plan shared by all shards.
-func (e *ParallelEngine) Plan() *policy.Plan { return e.plan }
+func (e *Engine) Plan() *policy.Plan { return e.plan }
 
 // SwitchStats sums the per-shard FE-Switch counters. Conservation
-// quantities (packets, bytes, cells out) equal a sequential run's on
-// the same trace; collision-dependent counters depend on the cache
-// partitioning. Establishes a Drain barrier.
-func (e *ParallelEngine) SwitchStats() switchsim.Stats {
+// quantities (packets, bytes, cells out) are the same at every shard
+// count on the same trace; collision-dependent counters depend on the
+// cache partitioning. Establishes a Drain barrier.
+func (e *Engine) SwitchStats() switchsim.Stats {
 	e.quiesce()
 	var total switchsim.Stats
 	for _, sh := range e.shards {
-		total.Add(sh.fe.SwitchStats())
+		total.Add(sh.fe.sw.Stats())
 	}
 	return total
 }
 
 // NICStats sums the per-shard FE-NIC counters. Establishes a Drain
 // barrier.
-func (e *ParallelEngine) NICStats() nicsim.RuntimeStats {
+func (e *Engine) NICStats() nicsim.RuntimeStats {
 	e.quiesce()
 	var total nicsim.RuntimeStats
 	for _, sh := range e.shards {
-		total.Add(sh.fe.NICStats())
+		total.Add(sh.fe.nic.Stats())
 	}
 	return total
 }
 
 // FaultStats merges the per-shard fault-injection counters (zero when
 // no fault plan is installed). Establishes a Drain barrier.
-func (e *ParallelEngine) FaultStats() faults.Stats {
+func (e *Engine) FaultStats() faults.Stats {
 	e.quiesce()
 	var total faults.Stats
 	for _, sh := range e.shards {
-		total.Add(sh.fe.FaultStats())
+		total.Add(sh.fe.inj.Stats())
 	}
 	return total
 }
 
 // NICStateBytes sums the live NIC state footprint across shards.
 // Establishes a Drain barrier.
-func (e *ParallelEngine) NICStateBytes() int {
+func (e *Engine) NICStateBytes() int {
 	e.quiesce()
 	total := 0
 	for _, sh := range e.shards {
-		total += sh.fe.NICStateBytes()
+		total += sh.fe.nic.StateBytes()
 	}
 	return total
 }
 
-func (e *ParallelEngine) quiesce() {
+// Degraded reports whether any shard is currently in degraded
+// (long-buffer shedding) mode.
+func (e *Engine) Degraded() bool { return e.healthNow() >= obs.HealthDegraded }
+
+func (e *Engine) quiesce() {
 	if !e.closed {
 		e.barrier(false)
 	}
-}
-
-// ObsScrape merges a live snapshot of every shard's registry plus the
-// router's, without quiescing — every value is read with an atomic
-// load, so it is safe from any goroutine (the HTTP endpoint) while the
-// pipeline runs, at the cost of a slightly torn cross-shard cut. Nil
-// when telemetry is disabled.
-func (e *ParallelEngine) ObsScrape() *obs.Snapshot {
-	if e.obsReg == nil {
-		return nil
-	}
-	return e.mergedSnapshot()
-}
-
-// ObsSeries returns the barrier-quiesced interval time-series (empty
-// when snapshots are disabled).
-func (e *ParallelEngine) ObsSeries() *obs.Series { return e.rec.Series() }
-
-// ObsTimelines reconstructs sampled flow-lifecycle timelines across
-// all shard tracers. Establishes a Drain barrier first: the tracer
-// rings are single-writer per shard and only read at quiescence.
-// Router-goroutine only.
-func (e *ParallelEngine) ObsTimelines() []obs.Timeline {
-	if e.obsReg == nil {
-		return nil
-	}
-	e.quiesce()
-	tracers := make([]*obs.FlowTracer, 0, len(e.shards))
-	for _, sh := range e.shards {
-		if p := sh.fe.Obs(); p != nil && p.Tracer != nil {
-			tracers = append(tracers, p.Tracer)
-		}
-	}
-	return obs.Timelines(tracers...)
-}
-
-// ObsSource adapts the engine to the obs HTTP handler and dump
-// writers: Scrape is live and lock-free, Series and Timelines are
-// exact at quiescence, Status/Spans/FlightRec serve the barrier-
-// refreshed admin caches (with live health/clock overlays). Endpoints
-// for disabled facilities stay nil.
-func (e *ParallelEngine) ObsSource() obs.Source {
-	src := obs.Source{Scrape: e.ObsScrape, Status: e.Status}
-	if e.rec != nil {
-		src.Series = e.ObsSeries
-	}
-	if e.obsReg != nil && e.opts.Obs.TraceSampleEvery > 0 {
-		src.Timelines = e.ObsTimelines
-	}
-	if e.obsEnabled && e.opts.Obs.SpanSampleEvery > 0 {
-		src.Spans = e.ObsSpans
-	}
-	if e.fr != nil {
-		src.FlightRec = e.FlightDump
-	}
-	return src
 }

@@ -35,7 +35,7 @@ func inScope(k flowkey.Key) bool {
 	return h >= scopeLo && h <= scopeHi
 }
 
-// runSeq runs the campus trace through a sequential engine and
+// runSeq runs the campus trace through an inline engine and
 // returns the emitted vectors keyed by group.
 func runSeq(t *testing.T, opts Options, tr *trace.Trace) map[flowkey.Key]feature.Vector {
 	t.Helper()

@@ -53,7 +53,7 @@ func identicalVectors(t *testing.T, name string, off, on []feature.Vector) {
 	}
 }
 
-// TestObsDifferentialSequential: sequential engine, obs-off vs obs-on
+// TestObsDifferentialSequential: inline engine, obs-off vs obs-on
 // (plus flight recorder off vs on), byte-identical output.
 func TestObsDifferentialSequential(t *testing.T) {
 	cfg := trace.CampusConfig

@@ -33,7 +33,7 @@ func obsTestTrace() *trace.Trace {
 
 // TestObsMergeMatchesSequential asserts the tentpole merge invariant:
 // for conservation counters, the sum of the sharded engine's per-shard
-// registries equals the sequential engine's single registry on the
+// registries equals the inline engine's single shard registry on the
 // same trace — and both agree with the Stats structs they mirror.
 func TestObsMergeMatchesSequential(t *testing.T) {
 	tr := obsTestTrace()
@@ -48,7 +48,7 @@ func TestObsMergeMatchesSequential(t *testing.T) {
 		fe.Process(&tr.Packets[i])
 	}
 	fe.Flush()
-	seq := fe.ObsSnapshot()
+	seq := fe.ObsScrape()
 	seqSW, seqNIC := fe.SwitchStats(), fe.NICStats()
 
 	popts := DefaultParallelOptions()
@@ -245,7 +245,7 @@ func TestObsPrometheusGolden(t *testing.T) {
 	}
 	fe.Flush()
 	var got bytes.Buffer
-	if err := obs.WritePrometheus(&got, fe.ObsSnapshot()); err != nil {
+	if err := obs.WritePrometheus(&got, fe.ObsScrape()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics_seed42.golden")
@@ -321,7 +321,7 @@ func TestObsDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe.Obs() != nil || fe.ObsSnapshot() != nil || fe.ObsTimelines() != nil {
+	if fe.ObsScrape() != nil || fe.ObsTimelines() != nil {
 		t.Error("disabled telemetry must return nils")
 	}
 	if s := fe.ObsSeries(); len(s.Snaps) != 0 {

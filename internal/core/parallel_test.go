@@ -12,6 +12,7 @@ import (
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
+	"superfe/internal/obs"
 	"superfe/internal/packet"
 	"superfe/internal/policy"
 	"superfe/internal/trace"
@@ -38,8 +39,8 @@ func vectorMultiset(t *testing.T, vecs []feature.Vector) []string {
 }
 
 // TestParallelMatchesSequential is the central scaling-fidelity
-// check: the same ENTERPRISE trace through the sequential engine and
-// a 4-worker ParallelEngine must produce the same feature-vector
+// check: the same ENTERPRISE trace through the inline engine and a
+// 4-worker deployment must produce the same feature-vector
 // multiset and the same conservation stats. Per-group cell streams
 // are preserved because all MGPVs of one CG group hash to one shard.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -106,58 +107,126 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSingleWorkerMatchesSequential pins the workers=1 case:
-// one shard must behave exactly like the sequential engine (same
-// cache geometry, same hash→slot mapping), so even the
-// collision-dependent counters agree.
+// TestParallelSingleWorkerMatchesSequential pins the two
+// configurations of the one engine against each other: core.New
+// (inline, fixed 256-row batches, sink called directly) and a
+// one-worker NewParallel (ring hand-off, a batch size that shares no
+// boundary with 256, DeterministicMerge) have the same cache geometry
+// and hash→slot mapping, so they must emit the identical vector
+// sequence — not just multiset — and identical merged switch and NIC
+// stats, collision-dependent counters included.
 func TestParallelSingleWorkerMatchesSequential(t *testing.T) {
 	cfg := trace.CampusConfig
-	cfg.Flows = 200
+	cfg.Flows = 100
 	tr := trace.Generate(cfg, 7)
 
-	var seqVecs []feature.Vector
-	fe, err := New(DefaultOptions(), statsPolicy(), feature.Collect(&seqVecs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-	}
-	fe.Flush()
+	for _, pol := range []func() *policy.Policy{statsPolicy, apps.Kitsune} {
+		var seqVecs []feature.Vector
+		fe, err := New(DefaultOptions(), pol(), feature.Collect(&seqVecs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fe.Plan().Policy.Name()
+		for i := range tr.Packets {
+			fe.Process(&tr.Packets[i])
+		}
+		if err := fe.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-	var parVecs []feature.Vector
-	popts := DefaultParallelOptions()
-	popts.Workers = 1
-	popts.DeterministicMerge = true
-	pe, err := NewParallel(popts, statsPolicy(), feature.Collect(&parVecs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		pe.Process(&tr.Packets[i])
-	}
-	if err := pe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pe.SwitchStats(), fe.SwitchStats(); got != want {
-		t.Errorf("one-shard switch stats = %+v, want %+v", got, want)
-	}
-	if err := pe.Close(); err != nil {
-		t.Fatal(err)
-	}
+		var parVecs []feature.Vector
+		popts := DefaultParallelOptions()
+		popts.Workers = 1
+		popts.BatchSize = 37
+		popts.DeterministicMerge = true
+		pe, err := NewParallel(popts, pol(), feature.Collect(&parVecs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Packets {
+			pe.Process(&tr.Packets[i])
+		}
+		if err := pe.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pe.SwitchStats(), fe.SwitchStats(); got != want {
+			t.Errorf("%s: one-worker switch stats = %+v, inline %+v", name, got, want)
+		}
+		if got, want := pe.NICStats(), fe.NICStats(); got != want {
+			t.Errorf("%s: one-worker NIC stats = %+v, inline %+v", name, got, want)
+		}
+		if err := pe.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	sm, pm := vectorMultiset(t, seqVecs), vectorMultiset(t, parVecs)
-	if len(sm) != len(pm) {
-		t.Fatalf("vector counts: sequential %d vs parallel %d", len(sm), len(pm))
-	}
-	for i := range sm {
-		if sm[i] != pm[i] {
-			t.Fatalf("vector multiset diverges at %d", i)
+		sm, pm := renderVectors(seqVecs), renderVectors(parVecs)
+		if len(sm) == 0 || len(sm) != len(pm) {
+			t.Fatalf("%s: vector counts: inline %d vs one worker %d", name, len(sm), len(pm))
+		}
+		for i := range sm {
+			if sm[i] != pm[i] {
+				t.Fatalf("%s: vector sequence diverges at %d:\n  inline     %s\n  one worker %s", name, i, sm[i], pm[i])
+			}
 		}
 	}
 }
 
-// TestParallelDeterministicMerge runs the parallel engine twice and
+// TestProcessZeroAllocs is the hot-path allocation gate: in the warm
+// steady state Process allocates nothing per packet — inline or
+// through the ring, telemetry off or on. "Warm" is asymptotic (cell
+// buffers, slabs and scratch slices grow on first use), so the fixture
+// uses a cache small enough that three passes over the trace touch
+// every buffer, leaving a residue of a few dozen allocations per pass;
+// AllocsPerRun's integer average over a further pass then reads 0
+// with a wide margin, and any per-packet allocation reads ≥ 1.
+func TestProcessZeroAllocs(t *testing.T) {
+	tr := obsTestTrace()
+	for _, tc := range []struct {
+		name    string
+		workers int
+		obsOn   bool
+	}{
+		{"inline/bare", 0, false},
+		{"inline/obs", 0, true},
+		{"workers=1/bare", 1, false},
+		{"workers=1/obs", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultParallelOptions()
+			opts.Workers = tc.workers
+			opts.Switch.NumShort, opts.Switch.NumLong, opts.Switch.FGTableSize = 512, 64, 1024
+			if tc.obsOn {
+				opts.Obs = obs.DefaultOptions()
+				opts.Obs.Enabled = true
+			}
+			plan, err := policy.Compile(apps.NPOD())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewFromPlan(opts, plan, func(feature.Vector) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for pass := 0; pass < 3; pass++ {
+				for i := range tr.Packets {
+					e.Process(&tr.Packets[i])
+				}
+			}
+			e.Drain()
+			i := 0
+			avg := testing.AllocsPerRun(len(tr.Packets), func() {
+				e.Process(&tr.Packets[i%len(tr.Packets)])
+				i++
+			})
+			if avg != 0 {
+				t.Errorf("%.0f allocs per Process in the warm steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestParallelDeterministicMerge runs a sharded engine twice and
 // requires identical output sequences (not just multisets).
 func TestParallelDeterministicMerge(t *testing.T) {
 	cfg := trace.EnterpriseConfig
@@ -200,7 +269,7 @@ func TestParallelDeterministicMerge(t *testing.T) {
 	}
 }
 
-// TestParallelWireVerify runs the parallel engine with the wire codec
+// TestParallelWireVerify runs a sharded engine with the wire codec
 // enabled on every shard: per-shard encode buffers must not race
 // (exercised under -race) and the output must survive the round trip.
 func TestParallelWireVerify(t *testing.T) {
@@ -289,13 +358,14 @@ func TestDeliverRecordsWireError(t *testing.T) {
 		{Values: []uint32{1, 2}},
 		{Values: []uint32{1}},
 	}}}
-	fe.deliver(bad)
+	pr := fe.shards[0].fe
+	pr.deliver(bad)
 	if fe.Err() == nil {
 		t.Fatal("wire error not recorded")
 	}
 	// First error wins; pipeline keeps operating.
 	first := fe.Err()
-	fe.deliver(bad)
+	pr.deliver(bad)
 	if fe.Err() != first {
 		t.Error("first error not preserved")
 	}
@@ -304,8 +374,9 @@ func TestDeliverRecordsWireError(t *testing.T) {
 // referenceRun is a test-local channel-based reimplementation of the
 // sharded engine — the shape the ring-based hand-off replaced: one
 // goroutine per shard fed whole packets over a buffered Go channel,
-// with the same CG-hash fastrange routing. Its shard-ordered output is
-// the differential oracle for the SPSC-ring engine.
+// with the same CG-hash fastrange routing into the switch's one-row
+// Process adapter. Its shard-ordered output is the differential oracle
+// for the SPSC-ring engine.
 func referenceRun(t *testing.T, tr *trace.Trace, workers int) []feature.Vector {
 	t.Helper()
 	plan, err := policy.Compile(apps.NPOD())
@@ -314,11 +385,11 @@ func referenceRun(t *testing.T, tr *trace.Trace, workers int) []feature.Vector {
 	}
 	chans := make([]chan *packet.Packet, workers)
 	vecs := make([][]feature.Vector, workers)
-	fes := make([]*SuperFE, workers)
+	fes := make([]*pair, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		chans[i] = make(chan *packet.Packet, 1024)
-		fes[i], err = newFromPlan(DefaultOptions(), plan, i, feature.Collect(&vecs[i]))
+		fes[i], err = newPair(DefaultOptions(), plan, i, feature.Collect(&vecs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +398,9 @@ func referenceRun(t *testing.T, tr *trace.Trace, workers int) []feature.Vector {
 		go func(i int) {
 			defer wg.Done()
 			for p := range chans[i] {
-				fes[i].Process(p)
+				fes[i].sw.Process(p)
 			}
-			fes[i].Flush()
+			fes[i].flush()
 		}(i)
 	}
 	for i := range tr.Packets {

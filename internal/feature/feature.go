@@ -1,4 +1,4 @@
-// Package feature defines the feature-vector type SuperFE emits —
+// Package feature defines the feature vectors SuperFE emits —
 // the output of the whole pipeline, ready for a behaviour detector
 // (§3.2: "the output of SuperFE are feature vectors from the
 // SmartNICs").

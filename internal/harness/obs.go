@@ -21,10 +21,10 @@ import (
 //	                ratio, eviction mix, occupancy, shard skew, ...)
 //	timelines.json  sampled flow-lifecycle timelines
 //
-// workers > 1 runs the sharded parallel engine with deterministic
-// merge; snapshots are captured at barrier quiescence, so fixed-seed
-// runs produce byte-identical files at any worker count's own
-// configuration.
+// workers > 1 shards the engine across worker goroutines with
+// deterministic merge (one worker runs it inline); snapshots are
+// captured at barrier quiescence, so fixed-seed runs produce
+// byte-identical files at any worker count's own configuration.
 func ObsDump(dir string, pol *policy.Policy, tr *trace.Trace, workers int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -32,58 +32,43 @@ func ObsDump(dir string, pol *policy.Policy, tr *trace.Trace, workers int) error
 	oo := obs.DefaultOptions()
 	oo.Enabled = true
 	sink := func(feature.Vector) {}
-	var src obs.Source
+	opts := core.DefaultOptions()
+	opts.Obs = oo
+	var fe *core.Engine
+	var err error
 	if workers > 1 {
 		popts := core.DefaultParallelOptions()
+		popts.Options = opts
 		popts.Workers = workers
 		popts.DeterministicMerge = true
-		popts.Obs = oo
-		pe, err := core.NewParallel(popts, pol, sink)
-		if err != nil {
-			return err
-		}
-		defer pe.Close()
-		for i := range tr.Packets {
-			pe.Process(&tr.Packets[i])
-		}
-		if err := pe.Flush(); err != nil {
-			return err
-		}
-		src = pe.ObsSource()
+		fe, err = core.NewParallel(popts, pol, sink)
 	} else {
-		opts := core.DefaultOptions()
-		opts.Obs = oo
-		fe, err := core.New(opts, pol, sink)
-		if err != nil {
-			return err
-		}
-		for i := range tr.Packets {
-			fe.Process(&tr.Packets[i])
-		}
-		fe.Flush()
-		if err := fe.Err(); err != nil {
-			return err
-		}
-		src = fe.ObsSource()
+		fe, err = core.New(opts, pol, sink)
 	}
-	dumps := []struct {
+	if err != nil {
+		return err
+	}
+	defer fe.Close()
+	for i := range tr.Packets {
+		fe.Process(&tr.Packets[i])
+	}
+	if err := fe.Flush(); err != nil {
+		return err
+	}
+	src := fe.ObsSource()
+	type dump struct {
 		name  string
 		write func(io.Writer) error
-	}{
+	}
+	dumps := []dump{
 		{"metrics.prom", func(w io.Writer) error { return obs.WritePrometheus(w, src.Scrape()) }},
 		{"metrics.json", func(w io.Writer) error { return obs.WriteJSON(w, src.Scrape()) }},
 	}
 	if src.Series != nil {
-		dumps = append(dumps, struct {
-			name  string
-			write func(io.Writer) error
-		}{"series.csv", func(w io.Writer) error { return obs.WriteSeriesCSV(w, src.Series()) }})
+		dumps = append(dumps, dump{"series.csv", func(w io.Writer) error { return obs.WriteSeriesCSV(w, src.Series()) }})
 	}
 	if src.Timelines != nil {
-		dumps = append(dumps, struct {
-			name  string
-			write func(io.Writer) error
-		}{"timelines.json", func(w io.Writer) error { return obs.WriteTimelinesJSON(w, src.Timelines()) }})
+		dumps = append(dumps, dump{"timelines.json", func(w io.Writer) error { return obs.WriteTimelinesJSON(w, src.Timelines()) }})
 	}
 	for _, d := range dumps {
 		f, err := os.Create(filepath.Join(dir, d.name))

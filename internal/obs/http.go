@@ -88,7 +88,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		if src.Spans == nil {
-			http.Error(w, "span tracing disabled (set SpanSampleEvery; parallel engine only)", http.StatusNotFound)
+			http.Error(w, "span tracing disabled (set SpanSampleEvery)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

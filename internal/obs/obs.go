@@ -50,8 +50,6 @@ type Options struct {
 	// SpanSampleEvery samples 1-in-K columnar batches into the
 	// batch-span ring, keyed by the first row's CG hash (rounded up to
 	// a power of two); 0 disables span tracing, 1 spans every batch.
-	// Only the parallel engine produces batches, so the sequential
-	// engine leaves the ring empty.
 	SpanSampleEvery int
 	// SpanRingSize is the per-shard span ring capacity (rounded up to
 	// a power of two).

@@ -97,7 +97,7 @@ type EngineObs struct {
 // recycle ring's consumer-park count (the router waiting for a free
 // batch — the whole pipeline stalled on the shard). Registered
 // unconditionally so the per-shard registry schemas stay identical
-// (the sequential engine simply leaves them at zero).
+// (an inline engine has no rings and simply leaves them at zero).
 type RingObs struct {
 	// InOccupancyHW is the high-watermark occupancy of the input ring
 	// (per-shard gauge; summed across shards at snapshot like the

@@ -77,8 +77,15 @@ type RunOptions struct {
 
 // Run executes one fuzz case end to end: build the policy, classify
 // the plan against the spec's own hardware envelope, and — when
-// feasible — run the three engines on the same seeded trace and
-// compare their outputs byte for byte.
+// feasible — run three legs on the same seeded trace and compare
+// their outputs byte for byte. The first two are configurations of
+// the one core.Engine chosen to share as little as it allows: inline
+// (one shard, 256-row batches, every message through the wire codec)
+// against 2–4 ring-fed workers at 64-row batches (different batch
+// boundaries, cache partitioning and FG tables). Neither can catch a
+// bug both inherit from the shared router, switch or NIC code; that
+// is the third leg's job — baseline.Extractor, which shares none of
+// it and stays the independent oracle.
 func Run(spec Spec, opts RunOptions) *Outcome {
 	out := &Outcome{Spec: spec}
 	pol, err := spec.Build()
@@ -207,23 +214,36 @@ func (r *engineRun) tripped() uint64 {
 	return r.sw.CellSaturations + r.sw.FGIndexClips + r.nic.RangeClamps + r.nic.SatInputs
 }
 
+// runEngine feeds the trace through a deployed engine and collects
+// its merged stats; vectors land in the sink the engine was built on.
+func runEngine(fe *core.Engine, run *engineRun, tr *trace.Trace) error {
+	for i := range tr.Packets {
+		fe.Process(&tr.Packets[i])
+	}
+	ferr := fe.Flush()
+	run.sw, run.nic = fe.SwitchStats(), fe.NICStats()
+	if err := fe.Close(); err != nil {
+		return err
+	}
+	return ferr
+}
+
+// runSequential is the inline leg: one shard on the caller's
+// goroutine, 256-row batches, opts as given (the differential passes
+// VerifyWire).
 func runSequential(opts core.Options, pol *policy.Policy, tr *trace.Trace) (engineRun, error) {
 	var run engineRun
 	fe, err := core.New(opts, pol, feature.Collect(&run.vecs))
 	if err != nil {
 		return run, err
 	}
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-	}
-	fe.Flush()
-	if err := fe.Err(); err != nil {
-		return run, fmt.Errorf("wire verify: %w", err)
-	}
-	run.sw, run.nic = fe.SwitchStats(), fe.NICStats()
-	return run, nil
+	err = runEngine(fe, &run, tr)
+	return run, err
 }
 
+// runParallel is the sharded leg: 2–4 worker goroutines behind
+// two-deep rings of 64-row batches, so its batch boundaries, cache
+// partitioning and FG tables all differ from the inline leg's.
 func runParallel(opts core.Options, spec Spec, pol *policy.Policy, tr *trace.Trace) (engineRun, error) {
 	workers := spec.Workers
 	if workers < 2 {
@@ -247,15 +267,8 @@ func runParallel(opts core.Options, spec Spec, pol *policy.Policy, tr *trace.Tra
 	if err != nil {
 		return run, err
 	}
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-	}
-	ferr := fe.Flush()
-	run.sw, run.nic = fe.SwitchStats(), fe.NICStats()
-	if err := fe.Close(); err != nil {
-		return run, err
-	}
-	return run, ferr
+	err = runEngine(fe, &run, tr)
+	return run, err
 }
 
 func runBaseline(pol *policy.Policy, tr *trace.Trace) ([]feature.Vector, error) {

@@ -5,9 +5,9 @@
 // synthesizers), pairs each with a randomized hardware envelope
 // (MGPV buffer splits, cache sizing, EMEM budget), asks planvet to
 // classify the plan feasible/infeasible, and — for feasible plans —
-// runs the sequential engine, the parallel (SPSC-ring) engine and
-// the software baseline on the same seeded trace, asserting
-// byte-identical feature vectors.
+// runs the engine inline ("sequential"), the engine sharded behind
+// SPSC rings ("parallel") and the independent software baseline on
+// the same seeded trace, asserting byte-identical feature vectors.
 //
 // The package is deliberately self-describing: a Spec is a plain
 // JSON value, so a failing policy shrinks to a minimal reproducer

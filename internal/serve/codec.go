@@ -2,7 +2,7 @@
 // multi-tenant service: a streaming ingest protocol (length-prefixed
 // packet frames over TCP or a unix socket, carried in the gpv frame
 // layer), a per-tenant registry where each tenant owns a policy, a
-// compiled plan and a dedicated parallel engine, planvet/planprove-
+// compiled plan and a dedicated engine, planvet/planprove-
 // gated hot reload that swaps plans at a batch barrier, per-tenant
 // feature-vector output streams, and lifecycle endpoints grafted onto
 // the obs admin surface.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"superfe/internal/core"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
+	"superfe/internal/gpv"
 	"superfe/internal/packet"
 	"superfe/internal/policy"
 	"superfe/internal/trace"
@@ -237,6 +240,90 @@ func TestServiceTwoTenantIsolation(t *testing.T) {
 		if msA[k] != n {
 			t.Fatalf("beta multiset diverges from the single-tenant reference")
 		}
+	}
+}
+
+// ackStallConn is the server side of a connection whose next Write,
+// once armed, delivers its bytes and then stalls until release closes
+// (or a grace period passes) — it stretches the instant between "the
+// peer has the subscribe ack" and "the handler moves on".
+type ackStallConn struct {
+	net.Conn
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (c *ackStallConn) Write(b []byte) (int, error) {
+	// Decide before writing: the test arms only after it has read the
+	// previous frame, so this cannot catch an earlier write's tail.
+	stall := c.armed.CompareAndSwap(true, false)
+	n, err := c.Conn.Write(b)
+	if stall {
+		select {
+		case <-c.release:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	return n, err
+}
+
+// TestSubscribeAckIsRegistration pins the subscription handshake: the
+// FrameOK that Subscribe waits for is written in the same critical
+// section that registers the subscriber, so every vector emitted
+// after Subscribe returns reaches it. The peer subscribes and, with
+// the handler held inside its ack write, ingests and flushes at once.
+// A handler that registers only after the ack lets that whole flush
+// run against an empty subscriber set and loses every vector; one that
+// acks under the fan-out lock holds the flush's first emit until the
+// registration is in.
+func TestSubscribeAckIsRegistration(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	t.Cleanup(func() { srv.Shutdown() })
+	ten, _, err := srv.StartTenant("sub", "NPOD", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = 40
+	tr := trace.Generate(cfg, 3)
+	want := len(referenceRun(t, apps.NPOD(), tr, 1))
+	if want == 0 {
+		t.Fatal("reference run emitted no vectors")
+	}
+
+	cli, srvSide := net.Pipe()
+	stall := &ackStallConn{Conn: srvSide, release: make(chan struct{})}
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.handleConn(stall)
+	}()
+	c := &Client{conn: cli, bw: bufio.NewWriter(cli), fr: gpv.NewFrameReader(bufio.NewReader(cli))}
+	defer func() {
+		c.Close()
+		<-handled
+	}()
+	if err := c.send(FrameHello, []byte("sub")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.awaitOK(); err != nil {
+		t.Fatal(err)
+	}
+
+	stall.armed.Store(true)
+	if err := c.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	col := collect(c)
+	if err := ten.Ingest(tr.Packets); err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stall.release)
+	if got := len(col.await(t, want)); got != want {
+		t.Fatalf("subscriber received %d vectors, want %d", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"superfe/internal/apps"
 	"superfe/internal/gpv"
-	"superfe/internal/packet"
 	"superfe/internal/policy"
 )
 
@@ -287,9 +286,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			t.unsubscribe(sub)
 		}
 	}()
-	// batch is the connection's decode scratch, reused across frames
-	// (Ingest copies into a tenant-pooled slice).
-	var batch []packet.Packet
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -300,12 +296,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		switch kind {
 		case FramePackets:
-			batch, err = DecodePackets(batch[:0], payload)
+			// Decode straight into a tenant-pooled slice and hand it to
+			// the command loop: the frame buffer is the only copy source.
+			batch, err := DecodePackets(t.batch(), payload)
 			if err != nil {
 				writeFrame(conn, FrameError, []byte(err.Error()))
 				return
 			}
-			if err := t.Ingest(batch); err != nil {
+			if err := t.send(tenantCmd{op: opIngest, pkts: batch}); err != nil {
 				writeFrame(conn, FrameError, []byte(err.Error()))
 				return
 			}
@@ -319,13 +317,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		case FrameSubscribe:
 			if sub == nil {
-				// Acknowledge before registering: after registration
-				// the fan-out owns the write side, so this is the
-				// connection's last handler-side write.
-				if err := writeFrame(conn, FrameOK, nil); err != nil {
+				// After registration the fan-out owns the write side:
+				// the ack inside subscribe is the connection's last
+				// handler-side write.
+				if sub, err = t.subscribe(conn); err != nil {
 					return
 				}
-				sub = t.subscribe(conn)
 			}
 		default:
 			writeFrame(conn, FrameError, []byte(fmt.Sprintf("unexpected frame kind %d", kind)))

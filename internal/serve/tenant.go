@@ -60,14 +60,14 @@ type reloadResult struct {
 }
 
 // Tenant is one isolated deployment inside the service: a policy, its
-// compiled plan and a dedicated parallel engine with its own obs
+// compiled plan and a dedicated engine with its own obs
 // registries, fed by a single command loop and observed by any number
 // of vector subscribers. All exported methods are safe from any
 // goroutine.
 type Tenant struct {
 	name    string
 	workers int
-	eng     *core.ParallelEngine
+	eng     *core.Engine
 	cmds    chan tenantCmd
 
 	// mu guards stopped (the send gate: senders hold it shared while
@@ -81,8 +81,9 @@ type Tenant struct {
 	lastReject string
 
 	// pool recycles ingest packet slices between the connection
-	// readers (which must copy records out of the reused frame buffer)
-	// and the loop (which returns them after Process).
+	// readers (which decode records out of the reused frame buffer
+	// straight into one) and the loop (which returns them after
+	// Process).
 	pool sync.Pool
 
 	// subMu guards the subscriber set; emit holds it while fanning an
@@ -128,14 +129,12 @@ func vetPlan(name string, pol *policy.Policy) (*policy.Plan, string, error) {
 	return plan, rep.String(), nil
 }
 
-// newTenant vets the policy, deploys the engine and starts the
+// newTenant vets the policy, deploys the vetted plan and starts the
 // command loop. The engine streams vectors (DeterministicMerge off)
 // into the tenant's subscriber fan-out; telemetry is always on so the
 // per-tenant admin surface has something to serve.
 func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, string, error) {
-	// The engine compiles its own plan below; vetPlan's copy only
-	// gates the deployment, exactly like a reload candidate's.
-	_, report, err := vetPlan(name, pol)
+	plan, report, err := vetPlan(name, pol)
 	if err != nil {
 		return nil, report, err
 	}
@@ -151,7 +150,7 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 	popts.Workers = workers
 	popts.Obs = obs.DefaultOptions()
 	popts.Obs.Enabled = true
-	eng, err := core.NewParallel(popts, pol, t.emit)
+	eng, err := core.NewFromPlan(popts, plan, t.emit)
 	if err != nil {
 		return nil, report, fmt.Errorf("serve: tenant %s: %w", name, err)
 	}
@@ -236,13 +235,17 @@ func (t *Tenant) Ingest(pkts []packet.Packet) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	var own []packet.Packet
+	return t.send(tenantCmd{op: opIngest, pkts: append(t.batch(), pkts...)})
+}
+
+// batch returns an empty packet slice from the pool (nil when the pool
+// is dry) for the caller to fill and send as an opIngest, which passes
+// its ownership to the command loop.
+func (t *Tenant) batch() []packet.Packet {
 	if p, ok := t.pool.Get().(*[]packet.Packet); ok {
-		own = append((*p)[:0], pkts...)
-	} else {
-		own = append([]packet.Packet(nil), pkts...)
+		return (*p)[:0]
 	}
-	return t.send(tenantCmd{op: opIngest, pkts: own})
+	return nil
 }
 
 // Flush drains the tenant's engine and blocks until every queued
@@ -354,13 +357,19 @@ type subscriber struct {
 	err     error
 }
 
-// subscribe registers a vector output stream on the tenant.
-func (t *Tenant) subscribe(w io.Writer) *subscriber {
+// subscribe acknowledges a FrameSubscribe on w and registers w as a
+// vector output stream, in one subMu critical section: emit fans out
+// under the same lock, so the ack strictly precedes the first
+// FrameVector and no vector emitted after the ack is missed.
+func (t *Tenant) subscribe(w io.Writer) (*subscriber, error) {
 	sub := &subscriber{w: w}
 	t.subMu.Lock()
+	defer t.subMu.Unlock()
+	if err := writeFrame(w, FrameOK, nil); err != nil {
+		return nil, err
+	}
 	t.subs[sub] = struct{}{}
-	t.subMu.Unlock()
-	return sub
+	return sub, nil
 }
 
 // unsubscribe removes the stream; safe to call twice.

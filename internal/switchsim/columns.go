@@ -1,7 +1,7 @@
-// Columnar packet batches for the router→shard hand-off. Instead of
-// handing shards packet pointers to chase, the parallel engine's
-// router parses each packet exactly once into parallel column arrays —
-// the grouping key and its hash (computed once at ingress and reused
+// Columnar packet batches — the switch's one ingress unit. Instead of
+// handing shards packet pointers to chase, the engine's router parses
+// each packet exactly once into parallel column arrays — the grouping
+// key and its hash (computed once at ingress and reused
 // by the switch's slot indexing, the NIC's grouping, fault scoping and
 // tracer sampling, §6.2's hash-reuse trick applied end-to-end), the
 // policy-filter verdict, the switch metadata the pipeline touches
@@ -66,15 +66,10 @@ func NewColumns(capacity, nfields int) *Columns {
 	}
 }
 
-// Cap returns the row capacity.
-func (c *Columns) Cap() int { return len(c.Keys) }
-
-// Fieldsk returns the number of metadata fields per row.
-func (c *Columns) Fieldsk() int { return c.nf }
-
 // Append fills the next row from a packet plus the router-computed
 // key, hash and filter verdict, extracting the batched metadata
-// fields in plan order. The caller must not append past Cap.
+// fields in plan order. The caller must not append past the capacity
+// given to NewColumns.
 //
 //superfe:hotpath
 func (c *Columns) Append(p *packet.Packet, key flowkey.Key, hash uint32, pass bool, fields []packet.FieldName) {
@@ -101,8 +96,8 @@ func (c *Columns) Reset() {
 // ProcessColumns runs every row of a columnar batch through the
 // pipeline: clock/aging advance, accounting, the pre-evaluated filter
 // verdict, then grouping with the router-computed key and hash. It is
-// the batched sibling of Process/ProcessKeyed used by the parallel
-// engine's shards.
+// the switch's only row loop: the engine's shards call it with full
+// batches, Process with one row.
 //
 //superfe:hotpath
 func (s *Switch) ProcessColumns(c *Columns) {

@@ -145,8 +145,8 @@ type Switch struct {
 	// Batch-granular telemetry publishing: the hot path only mutates
 	// the plain stat struct (plus the occupancy shadows and the staged
 	// histogram below); publishObs diffs stat against obsBase and
-	// pushes the deltas into the registry once per columnar batch (per
-	// packet on the scalar path). Scrapers see batch-granular values —
+	// pushes the deltas into the registry once per columnar batch.
+	// Scrapers see batch-granular values —
 	// snapshots are taken at barriers, i.e. batch boundaries, so they
 	// never observe a batch mid-step.
 	obsBase     Stats
@@ -159,6 +159,7 @@ type Switch struct {
 	// evict* and fgScratch fields back the borrowed messages emitted
 	// in ZeroCopy mode.
 	nvals       int
+	one         *Columns // Process's one-row batch
 	cellScratch gpv.Cell
 	evictCells  []gpv.Cell
 	evictMGPV   gpv.MGPV
@@ -223,6 +224,7 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 	s.singleGran = plan.CG == plan.FG && len(plan.Chain) == 1
 	s.nvals = len(plan.MetadataFields)
 	s.cellScratch.Values = make([]uint32, s.nvals)
+	s.one = NewColumns(1, s.nvals)
 	s.narrowSlots = narrowSlotsFor(plan.MetadataFields)
 	if s.obs != nil {
 		s.cellsPerMsg = s.obs.CellsPerMsg.Stage()
@@ -233,9 +235,8 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 // publishObs pushes the counter deltas accumulated in stat since the
 // last publish into the registry, refreshes the occupancy gauges from
 // their shadows, and flushes the staged cells-per-MGPV histogram.
-// Called once per columnar batch (the shard path) or per packet (the
-// scalar path) — keeping every lock-prefixed instruction off the
-// per-event hot path.
+// Called once per columnar batch — keeping every lock-prefixed
+// instruction off the per-event hot path.
 func (s *Switch) publishObs() {
 	o := s.obs
 	if o == nil {
@@ -298,82 +299,26 @@ func (s *Switch) Stats() Stats { return s.stat }
 // operation.
 func (s *Switch) SetDegraded(on bool) { s.degraded = on }
 
-// Degraded reports whether degraded mode is active.
-func (s *Switch) Degraded() bool { return s.degraded }
-
 // Plan returns the switch plan in force.
 func (s *Switch) Plan() policy.SwitchPlan { return s.plan }
 
-// Now returns the switch clock (the last packet or aging timestamp).
-func (s *Switch) Now() int64 { return s.now }
-
-// Process runs one packet through the pipeline: parse (already done
-// by the packet package), filter, group, batch. It returns whether
-// the packet was selected by the filter.
+// Process runs one packet through the pipeline and returns whether the
+// filter selected it. It is the per-packet adapter over ProcessColumns
+// (the one row loop) for callers that drive a bare switch — the
+// harness figures, GPVBank, tests: the packet becomes a one-row batch.
 //
 //superfe:hotpath
 func (s *Switch) Process(p *packet.Packet) bool {
-	ok := s.ingress(p)
-	if ok {
-		// Grouping key at the coarsest granularity.
-		cgKey, _ := flowkey.KeyFor(s.plan.CG, p.Tuple)
-		s.group(p, cgKey, flowkey.HashKey(cgKey))
-	}
-	s.publishObs()
-	return ok
+	key, _ := flowkey.KeyFor(s.plan.CG, p.Tuple)
+	pass := s.plan.Pred.Eval(p)
+	s.one.N = 0
+	s.one.Append(p, key, flowkey.HashKey(key), pass, s.plan.MetadataFields)
+	s.ProcessColumns(s.one)
+	return pass
 }
 
-// ProcessKeyed is Process with the packet's CG key and key hash
-// precomputed by the caller. The parallel engine's router already
-// hashes every packet to pick a shard, so the shard's switch reuses
-// that work instead of recomputing it — the software analogue of the
-// paper's "reuse the hash value computed by the switch" optimization
-// (§6.2), applied one hop earlier.
-//
-//superfe:hotpath
-func (s *Switch) ProcessKeyed(p *packet.Packet, cgKey flowkey.Key, hash uint32) bool {
-	ok := s.ingress(p)
-	if ok {
-		s.group(p, cgKey, hash)
-	}
-	s.publishObs()
-	return ok
-}
-
-// ingress advances the clock and aging scan, charges the packet to
-// the counters and evaluates the policy filter.
-func (s *Switch) ingress(p *packet.Packet) bool {
-	if p.Timestamp > s.now {
-		s.now = p.Timestamp
-	}
-	s.runAging()
-
-	s.stat.PktsIn++
-	s.stat.BytesIn += uint64(p.Size)
-
-	if !s.plan.Pred.Eval(p) {
-		s.stat.PktsFiltered++
-		return false
-	}
-	return true
-}
-
-// group batches one selected packet into its CG group's buffers: it
-// extracts the batched metadata fields into the cell scratch and hands
-// the packet's tuple to groupCell.
-func (s *Switch) group(p *packet.Packet, cgKey flowkey.Key, hash uint32) {
-	cell := &s.cellScratch
-	cell.Values = cell.Values[:s.nvals]
-	for i, f := range s.plan.MetadataFields {
-		cell.Values[i] = uint32(p.Field(f))
-	}
-	s.groupCell(cgKey, hash, p.Tuple)
-}
-
-// groupCell batches the cell currently staged in cellScratch (metadata
-// values already loaded) into the CG group's buffers. The columnar
-// path calls it directly with pre-extracted values; the scalar path
-// goes through group.
+// groupCell batches the cell ProcessColumns staged in cellScratch
+// (metadata values already loaded) into the CG group's buffers.
 //
 //superfe:hotpath
 func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTuple) {
