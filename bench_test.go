@@ -237,16 +237,11 @@ func BenchmarkFig10StreamingReducers(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr, timed := r.(streaming.TimedReducer)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if timed {
-					tr.ObserveAt(int64(i%1500), int64(i)*1000)
-				} else {
-					r.Observe(int64(i % 1500))
-				}
+				r.ObserveAt(int64(i%1500), int64(i)*1000)
 			}
-			_ = r.Features()
+			_ = streaming.Features(r, streaming.View{Func: f})
 		})
 	}
 }

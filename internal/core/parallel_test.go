@@ -173,23 +173,31 @@ func TestParallelSingleWorkerMatchesSequential(t *testing.T) {
 
 // TestProcessZeroAllocs is the hot-path allocation gate: in the warm
 // steady state Process allocates nothing per packet — inline or
-// through the ring, telemetry off or on. "Warm" is asymptotic (cell
-// buffers, slabs and scratch slices grow on first use), so the fixture
-// uses a cache small enough that three passes over the trace touch
-// every buffer, leaving a residue of a few dozen allocations per pass;
-// AllocsPerRun's integer average over a further pass then reads 0
-// with a wide margin, and any per-packet allocation reads ≥ 1.
+// through the ring, telemetry off or on, for a per-group policy (NPOD:
+// the vector leaves at Flush) and for a per-packet one (Kitsune: 115
+// features over a four-granularity chain leave with every packet).
+// "Warm" is asymptotic (cell buffers, slabs and scratch slices grow on
+// first use), so the fixture uses a cache small enough that three
+// passes over the trace touch every buffer, leaving a residue of a few
+// dozen allocations per pass; AllocsPerRun's integer average over a
+// further pass then reads 0 with a wide margin, and any per-packet
+// allocation reads ≥ 1.
 func TestProcessZeroAllocs(t *testing.T) {
 	tr := obsTestTrace()
 	for _, tc := range []struct {
 		name    string
+		policy  func() *policy.Policy
 		workers int
 		obsOn   bool
 	}{
-		{"inline/bare", 0, false},
-		{"inline/obs", 0, true},
-		{"workers=1/bare", 1, false},
-		{"workers=1/obs", 1, true},
+		{"inline/bare", apps.NPOD, 0, false},
+		{"inline/obs", apps.NPOD, 0, true},
+		{"workers=1/bare", apps.NPOD, 1, false},
+		{"workers=1/obs", apps.NPOD, 1, true},
+		{"Kitsune/inline/bare", apps.Kitsune, 0, false},
+		{"Kitsune/inline/obs", apps.Kitsune, 0, true},
+		{"Kitsune/workers=1/bare", apps.Kitsune, 1, false},
+		{"Kitsune/workers=1/obs", apps.Kitsune, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultParallelOptions()
@@ -199,7 +207,7 @@ func TestProcessZeroAllocs(t *testing.T) {
 				opts.Obs = obs.DefaultOptions()
 				opts.Obs.Enabled = true
 			}
-			plan, err := policy.Compile(apps.NPOD())
+			plan, err := policy.Compile(tc.policy())
 			if err != nil {
 				t.Fatal(err)
 			}

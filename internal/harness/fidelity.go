@@ -160,13 +160,9 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 		if f == streaming.FPercent && x < 0 {
 			x = -x
 		}
-		if tr, ok := r.(streaming.TimedReducer); ok {
-			tr.ObserveAt(absIfOneD(f, x), s.ts)
-		} else {
-			r.Observe(x)
-		}
+		r.ObserveAt(absIfOneD(f, x), s.ts)
 	}
-	return r.Features()[0]
+	return streaming.Features(r, streaming.ViewOf(f, params))[0]
 }
 
 // absIfOneD strips the direction sign for the 1D damped statistics

@@ -1,9 +1,10 @@
 package nicsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"superfe/internal/faults"
 	"superfe/internal/feature"
@@ -70,16 +71,17 @@ type Runtime struct {
 	// exponentially so sustained drop storms cost O(log n) records).
 	fr *obs.FlightRecorder
 
-	// Slab allocator for group state: groups, their reducer slices and
+	// Slab allocator for group state: groups, their state slices and
 	// scratch slices are carved from block allocations so admitting a
 	// new group costs amortized fractions of an allocation instead of
 	// three — the map-churn pooling of the parallel-engine hot path.
 	slabGroups  []group
-	slabReds    []streaming.Reducer
+	slabStates  []streaming.Reducer
 	slabScratch []scratchCell
 
-	// ppVals is the reused accumulation buffer for per-packet collect
-	// values; sinks must not retain vector Values past the call.
+	// ppVals is the reused accumulation buffer every vector's values
+	// are appended into (per-packet collects and Flush alike); sinks
+	// must not retain vector Values past the call.
 	ppVals []float64
 }
 
@@ -101,12 +103,12 @@ type fgSlot struct {
 // accordingly: gauges are carried through interval deltas while
 // counters are diffed.
 type RuntimeStats struct {
-	Msgs        uint64
-	MGPVs       uint64
-	FGUpdates   uint64
-	Cells       uint64
-	UnknownFG   uint64 // cells whose FG index had no synced key (dropped)
-	Vectors     uint64
+	Msgs      uint64
+	MGPVs     uint64
+	FGUpdates uint64
+	Cells     uint64
+	UnknownFG uint64 // cells whose FG index had no synced key (dropped)
+	Vectors   uint64
 	// EMEMDrops counts per-granularity cell contributions dropped by
 	// injected transient EMEM allocation failures on group admission.
 	EMEMDrops uint64
@@ -144,24 +146,30 @@ func (s *RuntimeStats) Add(o RuntimeStats) {
 	s.DRAMEntries += o.DRAMEntries
 }
 
-// instruction is one compiled NIC stage for one granularity.
+// opcode is the operation of one op-table row: opReduce, or a
+// mapping function's own number.
+type opcode uint8
+
+const opReduce = opcode(policy.NumMapFuncs)
+
+// instruction is one row of a granularity's op table.
 type instruction struct {
-	op policy.Op
-	// map: destination env slot, source resolution, scratch slot.
+	code opcode
+	src  valueRef
+	// map: destination env slot, scratch slot, burst gap.
 	dstSlot    int
-	src        valueRef
 	scratchIdx int
-	// reduce: source resolution and the group-local reducer indices,
-	// one per ReduceSpec.
-	reducerIdx []int
+	burstNS    int64
+	// reduce: the group states this op feeds. A state whose family an
+	// earlier reduce of the same source already feeds is not listed
+	// again: each state observes a cell once.
+	states []int
 	// reduce: the narrowest input contracts across the op's reducers
 	// (see streaming.ContractFor), priced once at compile time so the
 	// per-cell saturation accounting is two compares. satLo/satHi
 	// bound the clamp-free range [satLo, satHi); fpMax bounds |x| for
 	// the fixed-point input lane.
 	satLo, satHi, fpMax int64
-	// collect/synthesize bookkeeping: index of the reduce instruction
-	// whose output the collect emits (pre-resolved in emit plans).
 }
 
 // valueRef resolves a value for a cell: either a batched metadata
@@ -171,33 +179,52 @@ type valueRef struct {
 	idx     int
 }
 
-// program is the compiled stage list for one granularity.
+// program is the compiled op table for one granularity.
 type program struct {
-	gran        flowkey.Granularity
-	instrs      []instruction
-	numEnv      int
-	numScratch  int
-	env         []int64             // per-cell evaluation scratch, reused (one runtime = one goroutine)
-	reducerSpec []policy.ReduceSpec // constructors for group.reducers
+	gran       flowkey.Granularity
+	instrs     []instruction
+	numEnv     int
+	numScratch int
+	env        []int64 // per-cell evaluation scratch, reused (one runtime = one goroutine)
+	// states lists the group state this program keeps: one per source
+	// and reducer family (streaming.FamilyOf), however many of the
+	// policy's reduce specs are views of it.
+	states []stateSpec
 	// emits lists, per collect op in policy order at this
-	// granularity, which reducer range it snapshots and any
-	// synthesize to apply.
+	// granularity, which views it snapshots and any synthesize to
+	// apply.
 	emits []emitSpec
 }
 
+// stateSpec describes one entry of group.states.
+type stateSpec struct {
+	spec policy.ReduceSpec // the family's first member: constructs the state
+	// views counts the reduce specs reading the state: the executable
+	// keeps one copy, the modelled NIC (StateBytes, plan.NIC.StateSpecs,
+	// the cost model) is priced per spec.
+	views int
+}
+
 type emitSpec struct {
-	reducers  []int // group reducer indices to snapshot, in order
+	views     []viewRef // in feature order
 	synth     []policy.Op
 	perPacket bool
 }
 
+// viewRef is one emitted feature: a group state and the family member
+// to read from it.
+type viewRef struct {
+	state int
+	view  streaming.View
+}
+
 // group is the per-(granularity, key) state.
 type group struct {
-	key      flowkey.Key
-	reducers []streaming.Reducer
-	scratch  []scratchCell
-	lastTS   uint32
-	cells    uint64
+	key     flowkey.Key
+	states  []streaming.Reducer // indexed like program.states
+	scratch []scratchCell
+	lastTS  uint32
+	cells   uint64
 	// admitClock is the runtime's logical clock (total cells
 	// processed) when the group was admitted; emit latency is the
 	// clock distance to the vector emission.
@@ -232,7 +259,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		fieldPos[f] = i
 	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, fieldPos)
+		pr, err := compileProgram(plan, g, fieldPos, cfg.Naive)
 		if err != nil {
 			return nil, err
 		}
@@ -302,9 +329,11 @@ func (r *Runtime) PublishObs() {
 	*b = *st
 }
 
-// compileProgram lowers the ops at granularity g into an instruction
-// list with resolved slots.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int) (*program, error) {
+// compileProgram lowers the ops at granularity g into an op table with
+// resolved slots and shared state families. naive gives every reduce
+// spec a state of its own: the store-everything ablation is one buffer
+// per feature.
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool) (*program, error) {
 	pr := &program{gran: g}
 	envSlot := map[string]int{}
 	resolve := func(name string) (valueRef, error) {
@@ -320,6 +349,11 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		}
 		return valueRef{}, fmt.Errorf("nicsim: unresolved key %q", name)
 	}
+	type stateKey struct {
+		src valueRef
+		fam streaming.Family
+	}
+	stateOf := map[stateKey]int{}
 	var pendingEmit *emitSpec
 	flushEmit := func(perPacket bool) {
 		if pendingEmit != nil {
@@ -337,7 +371,9 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		}
 		switch op.Kind {
 		case policy.OpMap:
-			ins := instruction{op: op, dstSlot: len(envSlot)}
+			// Every map writes a slot of its own, so a valueRef names
+			// one definition and equal refs always carry equal values.
+			ins := instruction{code: opcode(op.MapF), dstSlot: pr.numEnv, burstNS: op.BurstNS}
 			envSlot[op.Dst] = ins.dstSlot
 			pr.numEnv++
 			switch op.Src.Kind {
@@ -371,11 +407,22 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			if err != nil {
 				return nil, err
 			}
-			ins := instruction{op: op, src: ref,
+			ins := instruction{code: opReduce, src: ref,
 				satLo: math.MinInt64, satHi: math.MaxInt64, fpMax: math.MaxInt64}
+			if pendingEmit == nil {
+				pendingEmit = &emitSpec{}
+			}
 			for _, rf := range op.Reducers {
-				ins.reducerIdx = append(ins.reducerIdx, len(pr.reducerSpec))
-				pr.reducerSpec = append(pr.reducerSpec, rf)
+				k := stateKey{ref, streaming.FamilyOf(rf.Func, rf.Params)}
+				si, shared := stateOf[k]
+				if !shared || naive {
+					si = len(pr.states)
+					stateOf[k] = si
+					pr.states = append(pr.states, stateSpec{spec: rf})
+					ins.states = append(ins.states, si)
+				}
+				pr.states[si].views++
+				pendingEmit.views = append(pendingEmit.views, viewRef{si, streaming.ViewOf(rf.Func, rf.Params)})
 				ct := streaming.ContractFor(rf.Func, rf.Params)
 				if ct.Clamps {
 					if ct.InLo > ins.satLo {
@@ -390,10 +437,6 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				}
 			}
 			pr.instrs = append(pr.instrs, ins)
-			if pendingEmit == nil {
-				pendingEmit = &emitSpec{}
-			}
-			pendingEmit.reducers = append(pendingEmit.reducers, ins.reducerIdx...)
 		case policy.OpSynthesize:
 			if pendingEmit == nil {
 				return nil, fmt.Errorf("nicsim: synthesize without pending reduce at %s", g)
@@ -409,7 +452,7 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 }
 
 // newGroup allocates a group's state for a program, carving the
-// group, reducer and scratch storage out of slab blocks.
+// group, state and scratch storage out of slab blocks.
 //
 //superfe:coldpath
 func (r *Runtime) newGroup(pr *program, key flowkey.Key) *group {
@@ -420,12 +463,12 @@ func (r *Runtime) newGroup(pr *program, key flowkey.Key) *group {
 	r.slabGroups = r.slabGroups[1:]
 	g.key = key
 	g.admitClock = r.stats.Cells
-	if n := len(pr.reducerSpec); n > 0 {
-		if len(r.slabReds) < n {
-			r.slabReds = make([]streaming.Reducer, n*groupSlab)
+	if n := len(pr.states); n > 0 {
+		if len(r.slabStates) < n {
+			r.slabStates = make([]streaming.Reducer, n*groupSlab)
 		}
-		g.reducers = r.slabReds[:n:n]
-		r.slabReds = r.slabReds[n:]
+		g.states = r.slabStates[:n:n]
+		r.slabStates = r.slabStates[n:]
 	}
 	if n := pr.numScratch; n > 0 {
 		if len(r.slabScratch) < n {
@@ -434,16 +477,17 @@ func (r *Runtime) newGroup(pr *program, key flowkey.Key) *group {
 		g.scratch = r.slabScratch[:n:n]
 		r.slabScratch = r.slabScratch[n:]
 	}
-	for i, rf := range pr.reducerSpec {
+	for i := range pr.states {
+		rf := pr.states[i].spec
 		if r.cfg.Naive {
-			g.reducers[i] = streaming.NewNaive(rf.Func, rf.Params)
+			g.states[i] = streaming.NewNaive(rf.Func, rf.Params)
 		} else {
-			red, err := streaming.New(rf.Func, rf.Params)
+			st, err := streaming.New(rf.Func, rf.Params)
 			if err != nil {
 				// Validated at Build/Compile; unreachable.
 				panic(fmt.Sprintf("superfe: nicsim: reducer %s: %v", rf.Func, err))
 			}
-			g.reducers[i] = red
+			g.states[i] = st
 		}
 	}
 	return g
@@ -462,13 +506,19 @@ func (r *Runtime) Stats() RuntimeStats {
 }
 
 // StateBytes sums the live per-group reducer state — the Figure 15
-// memory-consumption metric.
+// memory-consumption metric. It is the modelled footprint: a state
+// counts once per reduce spec that reads it (stateSpec.views).
 func (r *Runtime) StateBytes() int {
 	total := 0
 	//superfe:unordered summing state sizes is commutative
-	for _, g := range r.groups {
-		for _, red := range g.reducers {
-			total += red.StateBytes()
+	for k, g := range r.groups {
+		for _, pr := range r.programs {
+			if pr.gran != k.Gran {
+				continue
+			}
+			for i, st := range g.states {
+				total += st.StateBytes() * pr.states[i].views
+			}
 		}
 		total += 16 * len(g.scratch)
 	}
@@ -605,7 +655,7 @@ func (r *Runtime) cellTimestamp(cell *gpv.Cell) int64 {
 	return 0
 }
 
-// runCell executes one granularity's program over one cell,
+// runCell executes one granularity's op table over one cell,
 // appending any per-packet collect values to dst. It returns the
 // extended dst and whether the program has per-packet emits.
 func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst []float64) ([]float64, bool) {
@@ -616,58 +666,12 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 	}
 	for i := range pr.instrs {
 		ins := &pr.instrs[i]
-		switch ins.op.Kind {
-		case policy.OpMap:
-			var out int64
-			switch ins.op.MapF {
-			case policy.MapOne:
-				out = 1
-			case policy.MapIdentity:
-				out = loadRef(env, cell, ins.src)
-			case policy.MapDirection:
-				out = loadRef(env, cell, ins.src)
-				if !fwd {
-					out = -out
-				}
-			case policy.MapIPT:
-				sc := &g.scratch[ins.scratchIdx]
-				cur := loadRef(env, cell, ins.src)
-				if sc.set {
-					// 32-bit wrapping difference, matching the
-					// switch's 32-bit timestamp metadata.
-					out = int64(uint32(cur) - uint32(sc.v))
-				}
-				sc.v, sc.set = cur, true
-			case policy.MapSpeed:
-				sc := &g.scratch[ins.scratchIdx]
-				size := loadRef(env, cell, ins.src)
-				var dt int64
-				if sc.set {
-					dt = int64(ts - uint32(sc.v))
-				}
-				sc.v, sc.set = int64(ts), true
-				if dt > 0 {
-					out = size * 1e9 / dt // bytes per second
-				}
-			case policy.MapBurst:
-				last := &g.scratch[ins.scratchIdx]
-				count := &g.scratch[ins.scratchIdx+1]
-				cur := loadRef(env, cell, ins.src)
-				gap := int64(0)
-				if last.set {
-					gap = int64(uint32(cur) - uint32(last.v))
-				}
-				if !last.set || gap > ins.op.BurstNS {
-					count.v++ // new burst
-				}
-				last.v, last.set = cur, true
-				out = count.v
-			}
-			env[ins.dstSlot] = out
-		case policy.OpReduce:
+		var out int64
+		switch ins.code {
+		case opReduce:
 			x := loadRef(env, cell, ins.src)
 			// Saturation accounting against the op's narrowest input
-			// contracts (counter-only; the reducers see x unmodified).
+			// contracts (counter-only; the states see x unmodified).
 			// Order mirrors the contract semantics: an input already
 			// absorbed by a behavioural histogram clamp is not also a
 			// fixed-point saturation.
@@ -676,36 +680,75 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 			} else if x > ins.fpMax || x < -ins.fpMax {
 				r.stats.SatInputs++
 			}
-			for _, ri := range ins.reducerIdx {
-				if tr, ok := g.reducers[ri].(streaming.TimedReducer); ok {
-					tr.ObserveAt(x, int64(ts))
-				} else {
-					g.reducers[ri].Observe(x)
-				}
+			for _, si := range ins.states {
+				g.states[si].ObserveAt(x, int64(ts))
 			}
+			continue
+		case opcode(policy.MapOne):
+			out = 1
+		case opcode(policy.MapIdentity):
+			out = loadRef(env, cell, ins.src)
+		case opcode(policy.MapDirection):
+			out = loadRef(env, cell, ins.src)
+			if !fwd {
+				out = -out
+			}
+		case opcode(policy.MapIPT):
+			sc := &g.scratch[ins.scratchIdx]
+			cur := loadRef(env, cell, ins.src)
+			if sc.set {
+				// 32-bit wrapping difference, matching the
+				// switch's 32-bit timestamp metadata.
+				out = int64(uint32(cur) - uint32(sc.v))
+			}
+			sc.v, sc.set = cur, true
+		case opcode(policy.MapSpeed):
+			sc := &g.scratch[ins.scratchIdx]
+			size := loadRef(env, cell, ins.src)
+			var dt int64
+			if sc.set {
+				dt = int64(ts - uint32(sc.v))
+			}
+			sc.v, sc.set = int64(ts), true
+			if dt > 0 {
+				out = size * 1e9 / dt // bytes per second
+			}
+		case opcode(policy.MapBurst):
+			last := &g.scratch[ins.scratchIdx]
+			count := &g.scratch[ins.scratchIdx+1]
+			cur := loadRef(env, cell, ins.src)
+			gap := int64(0)
+			if last.set {
+				gap = int64(uint32(cur) - uint32(last.v))
+			}
+			if !last.set || gap > ins.burstNS {
+				count.v++ // new burst
+			}
+			last.v, last.set = cur, true
+			out = count.v
 		}
+		env[ins.dstSlot] = out
 	}
 	g.cells++
 	g.lastTS = ts
 
-	// Per-packet emits: snapshot the designated reducers now.
+	// Per-packet emits: snapshot the designated views now.
 	emitted := false
-	for _, em := range pr.emits {
-		if !em.perPacket {
-			continue
+	for i := range pr.emits {
+		if em := &pr.emits[i]; em.perPacket {
+			emitted = true
+			dst = appendSnapshot(dst, g, em)
 		}
-		emitted = true
-		dst = r.appendSnapshot(dst, g, em)
 	}
 	return dst, emitted
 }
 
 // appendSnapshot appends one emit's feature values to dst, applying
 // any synthesize post-processing to the appended region only.
-func (r *Runtime) appendSnapshot(dst []float64, g *group, em emitSpec) []float64 {
+func appendSnapshot(dst []float64, g *group, em *emitSpec) []float64 {
 	start := len(dst)
-	for _, ri := range em.reducers {
-		dst = append(dst, g.reducers[ri].Features()...)
+	for _, v := range em.views {
+		dst = g.states[v.state].AppendFeatures(dst, v.view)
 	}
 	if len(em.synth) > 0 {
 		vals := dst[start:]
@@ -757,10 +800,10 @@ func (r *Runtime) Flush() {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, keyCompare)
 	for _, k := range keys {
 		g := r.groups[k]
-		var vals []float64
+		vals := r.ppVals[:0]
 		for _, pr := range r.programs {
 			var pg *group
 			if pr.gran == fg {
@@ -772,36 +815,36 @@ func (r *Runtime) Flush() {
 			if pg == nil {
 				continue
 			}
-			for _, em := range pr.emits {
-				if em.perPacket {
-					continue
+			for i := range pr.emits {
+				if em := &pr.emits[i]; !em.perPacket {
+					vals = appendSnapshot(vals, pg, em)
 				}
-				vals = r.appendSnapshot(vals, pg, em)
 			}
 		}
 		if len(vals) > 0 {
 			cgKey := flowkey.Project(r.plan.Switch.CG, k.Tuple)
 			r.emitVector(k, g, int64(g.lastTS), vals, cgKey, flowkey.HashKey(cgKey))
 		}
+		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}
 }
 
-func keyLess(a, b flowkey.Key) bool {
-	if a.Gran != b.Gran {
-		return a.Gran < b.Gran
-	}
+// keyCompare orders group keys by granularity, then tuple fields.
+func keyCompare(a, b flowkey.Key) int {
 	ta, tb := a.Tuple, b.Tuple
 	switch {
+	case a.Gran != b.Gran:
+		return cmp.Compare(a.Gran, b.Gran)
 	case ta.SrcIP != tb.SrcIP:
-		return ta.SrcIP < tb.SrcIP
+		return cmp.Compare(ta.SrcIP, tb.SrcIP)
 	case ta.DstIP != tb.DstIP:
-		return ta.DstIP < tb.DstIP
+		return cmp.Compare(ta.DstIP, tb.DstIP)
 	case ta.SrcPort != tb.SrcPort:
-		return ta.SrcPort < tb.SrcPort
+		return cmp.Compare(ta.SrcPort, tb.SrcPort)
 	case ta.DstPort != tb.DstPort:
-		return ta.DstPort < tb.DstPort
+		return cmp.Compare(ta.DstPort, tb.DstPort)
 	}
-	return ta.Proto < tb.Proto
+	return cmp.Compare(ta.Proto, tb.Proto)
 }
 
 // loadRef reads one instruction operand: a previously computed env

@@ -83,8 +83,10 @@ type Tenant struct {
 	// pool recycles ingest packet slices between the connection
 	// readers (which decode records out of the reused frame buffer
 	// straight into one) and the loop (which returns them after
-	// Process).
-	pool sync.Pool
+	// Process). A pointer: the runtime's pool registry keeps a used
+	// Pool reachable for two collections, and must not keep a stopped
+	// tenant's engine reachable with it.
+	pool *sync.Pool
 
 	// subMu guards the subscriber set; emit holds it while fanning an
 	// emitted vector out, which also serializes subscriber writes.
@@ -144,6 +146,7 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 		polName:    polName,
 		featureDim: pol.FeatureDim(),
 		cmds:       make(chan tenantCmd, 16),
+		pool:       new(sync.Pool),
 		subs:       make(map[*subscriber]struct{}),
 	}
 	popts := core.DefaultParallelOptions()

@@ -20,9 +20,8 @@ import "math"
 // backward stream, matching the f_direction mapping function that
 // emits +1/-1 factors (§4.2 Figure 5).
 type Bidirectional struct {
-	emit Func
-	fwd  Welford
-	bwd  Welford
+	fwd Welford
+	bwd Welford
 	// Residual bookkeeping for the incremental covariance.
 	lastResFwd float64
 	lastResBwd float64
@@ -32,6 +31,8 @@ type Bidirectional struct {
 
 // Observe folds one directional sample: sign selects the stream, the
 // magnitude is the value.
+//
+//superfe:hotpath
 func (b *Bidirectional) Observe(x int64) {
 	if x >= 0 {
 		res := float64(x) - b.fwd.Mean()
@@ -77,17 +78,25 @@ func (b *Bidirectional) PCC() float64 {
 	return math.Max(-1, math.Min(1, p))
 }
 
-// Features emits the statistic selected at construction.
-func (b *Bidirectional) Features() []float64 {
-	switch b.emit {
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (b *Bidirectional) ObserveAt(x, _ int64) { b.Observe(x) }
+
+// AppendFeatures appends the magnitude, radius, covariance or
+// correlation.
+//
+//superfe:hotpath
+func (b *Bidirectional) AppendFeatures(dst []float64, v View) []float64 {
+	switch v.Func {
 	case FRadius:
-		return []float64{b.Radius()}
+		return append(dst, b.Radius())
 	case FCov:
-		return []float64{b.Cov()}
+		return append(dst, b.Cov())
 	case FPCC:
-		return []float64{b.PCC()}
+		return append(dst, b.PCC())
 	default:
-		return []float64{b.Magnitude()}
+		return append(dst, b.Magnitude())
 	}
 }
 

@@ -102,23 +102,23 @@ func TestDamped1DReducerModes(t *testing.T) {
 		{FDMean, 5},
 		{FDStd, 0},
 	} {
-		r := NewDamped1D(c.f, 1)
+		r := NewDamped1D(1)
 		for i := 0; i < 4; i++ {
 			r.ObserveAt(5, 0)
 		}
-		if !approx(r.Features()[0], c.want, tol) {
-			t.Errorf("%s = %g, want %g", c.f, r.Features()[0], c.want)
+		if !approx(feat(r, c.f), c.want, tol) {
+			t.Errorf("%s = %g, want %g", c.f, feat(r, c.f), c.want)
 		}
 	}
 }
 
 func TestDamped2DReducerSignConvention(t *testing.T) {
-	r := NewDamped2DReducer(FD2DMag, 1)
+	r := NewDamped2DReducer(1)
 	r.ObserveAt(300, 0)  // forward
 	r.ObserveAt(-400, 0) // backward, magnitude 400
 	want := math.Sqrt(300*300 + 400*400)
-	if !approx(r.Features()[0], want, tol) {
-		t.Errorf("magnitude = %g, want %g (sign convention broken)", r.Features()[0], want)
+	if !approx(feat(r, FD2DMag), want, tol) {
+		t.Errorf("magnitude = %g, want %g (sign convention broken)", feat(r, FD2DMag), want)
 	}
 }
 
@@ -134,12 +134,12 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 		ts := int64(0)
 		for i := 0; i < 200; i++ {
 			x := int64((i%13)*50 - 300)
-			s.(TimedReducer).ObserveAt(x, ts)
+			s.ObserveAt(x, ts)
 			n.ObserveAt(x, ts)
 			ts += 3e6
 		}
-		if !approx(s.Features()[0], n.Features()[0], 1e-9) {
-			t.Errorf("%s: streaming %g vs naive replay %g", f, s.Features()[0], n.Features()[0])
+		if !approx(feat(s, f), feat(n, f), 1e-9) {
+			t.Errorf("%s: streaming %g vs naive replay %g", f, feat(s, f), feat(n, f))
 		}
 	}
 }

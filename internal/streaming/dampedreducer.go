@@ -2,17 +2,6 @@ package streaming
 
 import "fmt"
 
-// TimedReducer is the extension interface for reducing functions that
-// need the packet timestamp in addition to the sample — the damped
-// (decayed) window statistics Kitsune/HELAD build on. The FE-NIC
-// runtime feeds ObserveAt when the reducer implements it, falling
-// back to Observe otherwise. This follows the paper's extensibility
-// story (§4.1: reducing functions "can also be extended by users").
-type TimedReducer interface {
-	Reducer
-	ObserveAt(x int64, ts int64)
-}
-
 // Damped reducing functions over 2^(-λΔt) windows. FDWeight/FDMean/
 // FDStd are the 1D statistics (w, μ, σ); the FD2D* functions are the
 // bidirectional 2D statistics, with direction carried in the sample
@@ -59,35 +48,40 @@ func dampedName(f Func) string {
 	return ""
 }
 
-// Damped1D adapts DampedWelford to the Reducer interface, emitting
-// weight, mean or stddev.
+// Damped1D adapts DampedWelford to the Reducer interface: one state
+// behind the weight, mean and stddev views.
 type Damped1D struct {
-	emit Func
-	w    DampedWelford
+	w DampedWelford
 }
 
 // NewDamped1D builds a damped 1D reducer with decay rate lambda
 // (1/s).
-func NewDamped1D(emit Func, lambda float64) *Damped1D {
-	return &Damped1D{emit: emit, w: DampedWelford{Lambda: lambda}}
+func NewDamped1D(lambda float64) *Damped1D {
+	return &Damped1D{w: DampedWelford{Lambda: lambda}}
 }
 
 // ObserveAt folds a timestamped sample.
-func (d *Damped1D) ObserveAt(x int64, ts int64) { d.w.ObserveAt(float64(x), ts) }
+//
+//superfe:hotpath
+func (d *Damped1D) ObserveAt(x, ts int64) { d.w.ObserveAt(float64(x), ts) }
 
 // Observe folds a sample with no time advance (decay frozen); the
 // runtime always uses ObserveAt.
+//
+//superfe:hotpath
 func (d *Damped1D) Observe(x int64) { d.w.ObserveAt(float64(x), d.w.lastTime) }
 
-// Features emits the selected damped statistic.
-func (d *Damped1D) Features() []float64 {
-	switch d.emit {
+// AppendFeatures appends the damped weight, mean or stddev.
+//
+//superfe:hotpath
+func (d *Damped1D) AppendFeatures(dst []float64, v View) []float64 {
+	switch v.Func {
 	case FDMean:
-		return []float64{d.w.Mean()}
+		return append(dst, d.w.Mean())
 	case FDStd:
-		return []float64{d.w.Std()}
+		return append(dst, d.w.Std())
 	default:
-		return []float64{d.w.Weight()}
+		return append(dst, d.w.Weight())
 	}
 }
 
@@ -97,21 +91,22 @@ func (d *Damped1D) StateBytes() int { return d.w.StateBytes() }
 // Reset clears the window.
 func (d *Damped1D) Reset() { d.w.Reset() }
 
-// Damped2DReducer adapts Damped2D to the Reducer interface: positive
-// samples feed stream A (forward), negative samples feed stream B
-// (backward) with magnitude |x|.
+// Damped2DReducer adapts Damped2D to the Reducer interface, one state
+// behind the four 2D views: positive samples feed stream A (forward),
+// negative samples feed stream B (backward) with magnitude |x|.
 type Damped2DReducer struct {
-	emit Func
-	d    *Damped2D
+	d Damped2D
 }
 
 // NewDamped2DReducer builds a damped 2D reducer.
-func NewDamped2DReducer(emit Func, lambda float64) *Damped2DReducer {
-	return &Damped2DReducer{emit: emit, d: NewDamped2D(lambda)}
+func NewDamped2DReducer(lambda float64) *Damped2DReducer {
+	return &Damped2DReducer{d: *NewDamped2D(lambda)}
 }
 
 // ObserveAt folds a timestamped directional sample.
-func (r *Damped2DReducer) ObserveAt(x int64, ts int64) {
+//
+//superfe:hotpath
+func (r *Damped2DReducer) ObserveAt(x, ts int64) {
 	if x >= 0 {
 		r.d.ObserveA(float64(x), ts)
 	} else {
@@ -121,19 +116,24 @@ func (r *Damped2DReducer) ObserveAt(x int64, ts int64) {
 
 // Observe folds with a frozen clock; the runtime always uses
 // ObserveAt.
+//
+//superfe:hotpath
 func (r *Damped2DReducer) Observe(x int64) { r.ObserveAt(x, r.d.lastTime) }
 
-// Features emits the selected damped 2D statistic.
-func (r *Damped2DReducer) Features() []float64 {
-	switch r.emit {
+// AppendFeatures appends the damped magnitude, radius, covariance or
+// correlation.
+//
+//superfe:hotpath
+func (r *Damped2DReducer) AppendFeatures(dst []float64, v View) []float64 {
+	switch v.Func {
 	case FD2DRadius:
-		return []float64{r.d.Radius()}
+		return append(dst, r.d.Radius())
 	case FD2DCov:
-		return []float64{r.d.Cov()}
+		return append(dst, r.d.Cov())
 	case FD2DPCC:
-		return []float64{r.d.PCC()}
+		return append(dst, r.d.PCC())
 	default:
-		return []float64{r.d.Magnitude()}
+		return append(dst, r.d.Magnitude())
 	}
 }
 
@@ -150,9 +150,9 @@ func newDamped(f Func, p Params) (Reducer, error) {
 	}
 	switch f {
 	case FDWeight, FDMean, FDStd:
-		return NewDamped1D(f, p.Lambda), nil
+		return NewDamped1D(p.Lambda), nil
 	case FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
-		return NewDamped2DReducer(f, p.Lambda), nil
+		return NewDamped2DReducer(p.Lambda), nil
 	}
 	return nil, fmt.Errorf("streaming: unknown damped function %d", uint8(f))
 }

@@ -8,17 +8,17 @@ package streaming
 // (power-of-two widths) or one division-free scaled multiply plus one
 // increment.
 type Histogram struct {
-	emit     Func
-	width    int64
-	bins     []uint32
-	quantile float64
-	n        uint64
+	width int64
+	bins  []uint32
+	n     uint64
 }
 
 // Observe increments the bin for the sample. Values past the last
 // bin clamp into it, negative values clamp into bin 0 (samples in
 // SuperFE are sizes and times, so negatives indicate direction and
 // are clamped deliberately).
+//
+//superfe:hotpath
 func (h *Histogram) Observe(x int64) {
 	h.n++
 	if x < 0 {
@@ -38,43 +38,42 @@ func (h *Histogram) Counts() []uint32 { return h.bins }
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Features emits, depending on the constructed mode:
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (h *Histogram) ObserveAt(x, _ int64) { h.Observe(x) }
+
+// AppendFeatures appends, depending on the view:
 //
 //	ft_hist:    raw bin counts
 //	f_pdf:      bin counts normalised to sum 1
 //	f_cdf:      cumulative normalised counts (monotone, ends at 1)
-//	ft_percent: the single value at the configured quantile
-func (h *Histogram) Features() []float64 {
-	switch h.emit {
-	case FPDF:
-		out := make([]float64, len(h.bins))
+//	ft_percent: the single value at the view's quantile
+//
+//superfe:hotpath
+func (h *Histogram) AppendFeatures(dst []float64, v View) []float64 {
+	switch v.Func {
+	case FPercent:
+		return append(dst, h.Quantile(v.Quantile))
+	case FPDF, FCDF:
+		n := float64(h.n)
 		if h.n == 0 {
-			return out
-		}
-		for i, c := range h.bins {
-			out[i] = float64(c) / float64(h.n)
-		}
-		return out
-	case FCDF:
-		out := make([]float64, len(h.bins))
-		if h.n == 0 {
-			return out
+			n = 1 // every bin is empty: emit zeros, not 0/0
 		}
 		var cum uint64
-		for i, c := range h.bins {
+		for _, c := range h.bins {
+			if v.Func == FPDF {
+				cum = 0 // the density does not accumulate
+			}
 			cum += uint64(c)
-			out[i] = float64(cum) / float64(h.n)
+			dst = append(dst, float64(cum)/n)
 		}
-		return out
-	case FPercent:
-		return []float64{h.Quantile(h.quantile)}
 	default: // ft_hist
-		out := make([]float64, len(h.bins))
-		for i, c := range h.bins {
-			out[i] = float64(c)
+		for _, c := range h.bins {
+			dst = append(dst, float64(c))
 		}
-		return out
 	}
+	return dst
 }
 
 // Quantile returns the q-th quantile estimated from the histogram

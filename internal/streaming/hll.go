@@ -42,6 +42,8 @@ func hash32(x int64) uint32 {
 }
 
 // Observe folds one sample into the sketch.
+//
+//superfe:hotpath
 func (h *HyperLogLog) Observe(x int64) {
 	v := hash32(x)
 	idx := v >> (32 - h.bits)
@@ -115,8 +117,17 @@ func (h *HyperLogLog) Merge(o *HyperLogLog) error {
 	return nil
 }
 
-// Features returns the cardinality estimate.
-func (h *HyperLogLog) Features() []float64 { return []float64{h.Estimate()} }
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (h *HyperLogLog) ObserveAt(x, _ int64) { h.Observe(x) }
+
+// AppendFeatures appends the cardinality estimate.
+//
+//superfe:hotpath
+func (h *HyperLogLog) AppendFeatures(dst []float64, _ View) []float64 {
+	return append(dst, h.Estimate())
+}
 
 // StateBytes reports one byte per bucket.
 func (h *HyperLogLog) StateBytes() int { return len(h.buckets) }

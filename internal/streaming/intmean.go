@@ -110,9 +110,6 @@ func (im *IntMean) Mean() int64 { return im.mean }
 // Count returns the number of observed samples.
 func (im *IntMean) Count() int64 { return im.n }
 
-// Features returns the mean as a float for the Reducer interface.
-func (im *IntMean) Features() []float64 { return []float64{float64(im.mean)} }
-
 // StateBytes reports 16 bytes (n + mean).
 func (im *IntMean) StateBytes() int { return 16 }
 

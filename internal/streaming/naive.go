@@ -24,10 +24,14 @@ func NewNaive(f Func, p Params) *NaiveReducer {
 }
 
 // Observe buffers the sample.
+//
+//superfe:hotpath
 func (n *NaiveReducer) Observe(x int64) { n.data = append(n.data, x) }
 
 // ObserveAt buffers the sample with its timestamp (damped functions
 // recompute the full decayed sums at emit time from the buffer).
+//
+//superfe:hotpath
 func (n *NaiveReducer) ObserveAt(x int64, ts int64) {
 	n.data = append(n.data, x)
 	n.tss = append(n.tss, ts)
@@ -40,24 +44,49 @@ func (n *NaiveReducer) StateBytes() int { return 8*len(n.data) + 8*len(n.tss) }
 // Reset drops the buffer.
 func (n *NaiveReducer) Reset() { n.data, n.tss = n.data[:0], n.tss[:0] }
 
-// Features computes the feature with the batch algorithm.
-func (n *NaiveReducer) Features() []float64 {
+// AppendFeatures computes the feature with the batch algorithm. A
+// naive reducer is one buffer per feature — its own family, whatever
+// FamilyOf says of the function — so it answers for the function it
+// was built with and ignores the view.
+//
+//superfe:coldpath ablation only (Figure 15): the batch algorithms allocate by design
+func (n *NaiveReducer) AppendFeatures(dst []float64, _ View) []float64 {
+	switch n.emit {
+	case FHist, FPDF, FCDF, FPercent:
+		h := &Histogram{width: n.params.BinWidth, bins: make([]uint32, n.params.Bins)}
+		for _, x := range n.data {
+			h.Observe(x)
+		}
+		return h.AppendFeatures(dst, ViewOf(n.emit, n.params))
+	case FArray:
+		maxLen := n.params.MaxLen
+		if maxLen == 0 {
+			maxLen = DefaultMaxArray
+		}
+		a := Array{maxLen: maxLen, data: n.data[:min(len(n.data), maxLen)]}
+		return a.AppendFeatures(dst, View{})
+	}
+	return append(dst, n.scalar())
+}
+
+// scalar computes the single-valued features.
+func (n *NaiveReducer) scalar() float64 {
 	switch n.emit {
 	case FSum:
 		var s int64
 		for _, x := range n.data {
 			s += x
 		}
-		return []float64{float64(s)}
+		return float64(s)
 	case FMean:
-		return []float64{naiveMean(n.data)}
+		return naiveMean(n.data)
 	case FVar:
-		return []float64{naiveVar(n.data)}
+		return naiveVar(n.data)
 	case FStd:
-		return []float64{math.Sqrt(naiveVar(n.data))}
+		return math.Sqrt(naiveVar(n.data))
 	case FMax:
 		if len(n.data) == 0 {
-			return []float64{0}
+			return 0
 		}
 		m := n.data[0]
 		for _, x := range n.data[1:] {
@@ -65,10 +94,10 @@ func (n *NaiveReducer) Features() []float64 {
 				m = x
 			}
 		}
-		return []float64{float64(m)}
+		return float64(m)
 	case FMin:
 		if len(n.data) == 0 {
-			return []float64{0}
+			return 0
 		}
 		m := n.data[0]
 		for _, x := range n.data[1:] {
@@ -76,42 +105,23 @@ func (n *NaiveReducer) Features() []float64 {
 				m = x
 			}
 		}
-		return []float64{float64(m)}
+		return float64(m)
 	case FSkew:
-		return []float64{naiveStandardMoment(n.data, 3)}
+		return naiveStandardMoment(n.data, 3)
 	case FKurtosis:
-		return []float64{naiveStandardMoment(n.data, 4) - 3}
+		return naiveStandardMoment(n.data, 4) - 3
 	case FCard:
 		set := make(map[int64]struct{}, len(n.data))
 		for _, x := range n.data {
 			set[x] = struct{}{}
 		}
-		return []float64{float64(len(set))}
-	case FHist, FPDF, FCDF, FPercent:
-		h := &Histogram{emit: n.emit, width: n.params.BinWidth, bins: make([]uint32, n.params.Bins), quantile: n.params.Quantile}
-		for _, x := range n.data {
-			h.Observe(x)
-		}
-		return h.Features()
-	case FArray:
-		maxLen := n.params.MaxLen
-		if maxLen == 0 {
-			maxLen = DefaultMaxArray
-		}
-		out := make([]float64, maxLen)
-		for i, x := range n.data {
-			if i >= maxLen {
-				break
-			}
-			out[i] = float64(x)
-		}
-		return out
+		return float64(len(set))
 	case FMag, FRadius, FCov, FPCC:
-		return []float64{naiveBidir(n.emit, n.data)}
+		return naiveBidir(n.emit, n.data)
 	case FDWeight, FDMean, FDStd, FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
-		return []float64{naiveDamped(n.emit, n.params.Lambda, n.data, n.tss)}
+		return naiveDamped(n.emit, n.params.Lambda, n.data, n.tss)
 	}
-	return []float64{0}
+	return 0
 }
 
 // naiveDamped replays the buffered (sample, timestamp) stream through

@@ -21,17 +21,35 @@ import (
 )
 
 // Reducer is the common interface of all reducing-function state.
-// Observe consumes one sample; Features emits the reducer's output
-// feature values (most reducers emit one, ft_hist emits one per bin,
-// f_array emits the whole sequence); StateBytes reports the state
-// footprint in bytes, used by the NIC memory model and the ILP
-// placement.
+// One state serves a whole family of reducing functions (see
+// FamilyOf): Observe consumes one sample, ObserveAt one sample with
+// its timestamp in ns (only the damped families read it; the rest
+// forward to Observe); AppendFeatures appends the feature value(s) of
+// the family member v selects to dst (most emit one, ft_hist emits
+// one per bin, f_array the whole sequence) and returns the extended
+// slice; StateBytes reports the state footprint in bytes, used by the
+// NIC memory model and the ILP placement.
 type Reducer interface {
 	Observe(x int64)
-	Features() []float64
+	ObserveAt(x, ts int64)
+	AppendFeatures(dst []float64, v View) []float64
 	StateBytes() int
 	Reset()
 }
+
+// View selects the family member AppendFeatures reads from a state.
+// States of single-member families ignore it.
+type View struct {
+	Func     Func
+	Quantile float64 // ft_percent: which quantile to report
+}
+
+// ViewOf returns the view of f with the given parameters.
+func ViewOf(f Func, p Params) View { return View{Func: f, Quantile: p.Quantile} }
+
+// Features returns the features v selects from r in a fresh slice —
+// the convenience form of AppendFeatures for cold callers and tests.
+func Features(r Reducer, v View) []float64 { return r.AppendFeatures(nil, v) }
 
 // Func identifies a reducing function from Appendix A Table 5.
 type Func uint8
@@ -135,13 +153,13 @@ func New(f Func, p Params) (Reducer, error) {
 	case FSum:
 		return &Sum{}, nil
 	case FMean, FVar, FStd:
-		return &Welford{emit: f}, nil
+		return &Welford{}, nil
 	case FMax:
 		return &Extremum{max: true}, nil
 	case FMin:
 		return &Extremum{}, nil
 	case FKurtosis, FSkew:
-		return &Moments{emit: f}, nil
+		return &Moments{}, nil
 	case FCard:
 		bits := p.HLLBits
 		if bits == 0 {
@@ -161,9 +179,9 @@ func New(f Func, p Params) (Reducer, error) {
 		if f == FPercent && (p.Quantile <= 0 || p.Quantile >= 1) {
 			return nil, fmt.Errorf("streaming: ft_percent requires quantile in (0,1), got %g", p.Quantile)
 		}
-		return &Histogram{emit: f, width: p.BinWidth, bins: make([]uint32, p.Bins), quantile: p.Quantile}, nil
+		return &Histogram{width: p.BinWidth, bins: make([]uint32, p.Bins)}, nil
 	case FMag, FRadius, FCov, FPCC:
-		return &Bidirectional{emit: f}, nil
+		return &Bidirectional{}, nil
 	case FDWeight, FDMean, FDStd, FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
 		return newDamped(f, p)
 	}
@@ -209,6 +227,40 @@ func FeatureWidth(f Func, p Params) int {
 	}
 }
 
+// Family identifies the streaming state a reducing function is a view
+// of. Functions with equal families read one state: fed the same
+// samples, a shared state performs exactly the float operations a
+// private copy per function would, so the FE-NIC keeps one state per
+// family and source and observes it once per packet (§6.1: one piece
+// of streaming state per statistic). Family is comparable.
+type Family struct {
+	Func   Func   // canonical member
+	Params Params // the parameters that shape the state; view-only ones are zero
+}
+
+// FamilyOf returns the family of f with the given parameters.
+func FamilyOf(f Func, p Params) Family {
+	switch f {
+	case FMean, FVar, FStd:
+		return Family{Func: FMean}
+	case FKurtosis, FSkew:
+		return Family{Func: FSkew}
+	case FMag, FRadius, FCov, FPCC:
+		return Family{Func: FMag}
+	case FHist, FPDF, FCDF, FPercent:
+		return Family{Func: FHist, Params: Params{BinWidth: p.BinWidth, Bins: p.Bins}}
+	case FDWeight, FDMean, FDStd:
+		return Family{Func: FDWeight, Params: Params{Lambda: p.Lambda}}
+	case FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
+		return Family{Func: FD2DMag, Params: Params{Lambda: p.Lambda}}
+	case FArray:
+		return Family{Func: f, Params: Params{MaxLen: p.MaxLen}}
+	case FCard:
+		return Family{Func: f, Params: Params{HLLBits: p.HLLBits}}
+	}
+	return Family{Func: f}
+}
+
 // ---------------------------------------------------------------------------
 // Simple reducers: sum, max, min.
 
@@ -223,8 +275,15 @@ type Sum struct {
 //superfe:hotpath
 func (s *Sum) Observe(x int64) { s.sum += x; s.n++ }
 
-// Features returns the running sum.
-func (s *Sum) Features() []float64 { return []float64{float64(s.sum)} }
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (s *Sum) ObserveAt(x, _ int64) { s.Observe(x) }
+
+// AppendFeatures appends the running sum.
+//
+//superfe:hotpath
+func (s *Sum) AppendFeatures(dst []float64, _ View) []float64 { return append(dst, float64(s.sum)) }
 
 // StateBytes reports 16 bytes (count + sum).
 func (s *Sum) StateBytes() int { return 16 }
@@ -256,12 +315,17 @@ func (e *Extremum) Observe(x int64) {
 	}
 }
 
-// Features returns the extremum (0 if no samples were observed).
-func (e *Extremum) Features() []float64 {
-	if !e.seen {
-		return []float64{0}
-	}
-	return []float64{float64(e.value)}
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (e *Extremum) ObserveAt(x, _ int64) { e.Observe(x) }
+
+// AppendFeatures appends the extremum (0 if no samples were observed;
+// Reset zeroes value).
+//
+//superfe:hotpath
+func (e *Extremum) AppendFeatures(dst []float64, _ View) []float64 {
+	return append(dst, float64(e.value))
 }
 
 // StateBytes reports 9 bytes (value + seen flag).
@@ -279,7 +343,6 @@ func (e *Extremum) Reset() { e.seen, e.value = false, 0 }
 // directly; we keep M2 = n·σ² which is the numerically standard form
 // and algebraically identical.
 type Welford struct {
-	emit Func
 	n    uint64
 	mean float64
 	m2   float64
@@ -310,23 +373,30 @@ func (w *Welford) Var() float64 {
 // Count returns the number of observed samples.
 func (w *Welford) Count() uint64 { return w.n }
 
-// Features emits mean, variance or stddev depending on construction.
-func (w *Welford) Features() []float64 {
-	switch w.emit {
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (w *Welford) ObserveAt(x, _ int64) { w.Observe(x) }
+
+// AppendFeatures appends the mean, variance or stddev.
+//
+//superfe:hotpath
+func (w *Welford) AppendFeatures(dst []float64, v View) []float64 {
+	switch v.Func {
 	case FVar:
-		return []float64{w.Var()}
+		return append(dst, w.Var())
 	case FStd:
-		return []float64{math.Sqrt(w.Var())}
+		return append(dst, math.Sqrt(w.Var()))
 	default:
-		return []float64{w.mean}
+		return append(dst, w.mean)
 	}
 }
 
 // StateBytes reports 24 bytes (n, mean, M2).
 func (w *Welford) StateBytes() int { return 24 }
 
-// Reset clears the state, preserving the emit mode.
-func (w *Welford) Reset() { w.n, w.mean, w.m2 = 0, 0, 0 }
+// Reset clears the state.
+func (w *Welford) Reset() { *w = Welford{} }
 
 // ---------------------------------------------------------------------------
 // Higher moments: skew and kurtosis.
@@ -334,7 +404,6 @@ func (w *Welford) Reset() { w.n, w.mean, w.m2 = 0, 0, 0 }
 // Moments implements f_skew and f_kur with the one-pass extension of
 // Welford's algorithm to third and fourth central moments.
 type Moments struct {
-	emit             Func
 	n                uint64
 	mean, m2, m3, m4 float64
 }
@@ -375,19 +444,26 @@ func (m *Moments) Kurtosis() float64 {
 	return n*m.m4/(m.m2*m.m2) - 3
 }
 
-// Features emits skew or kurtosis depending on construction.
-func (m *Moments) Features() []float64 {
-	if m.emit == FKurtosis {
-		return []float64{m.Kurtosis()}
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (m *Moments) ObserveAt(x, _ int64) { m.Observe(x) }
+
+// AppendFeatures appends the skew or kurtosis.
+//
+//superfe:hotpath
+func (m *Moments) AppendFeatures(dst []float64, v View) []float64 {
+	if v.Func == FKurtosis {
+		return append(dst, m.Kurtosis())
 	}
-	return []float64{m.Skew()}
+	return append(dst, m.Skew())
 }
 
 // StateBytes reports 40 bytes (n + four moments).
 func (m *Moments) StateBytes() int { return 40 }
 
-// Reset clears the state, preserving the emit mode.
-func (m *Moments) Reset() { m.n, m.mean, m.m2, m.m3, m.m4 = 0, 0, 0, 0, 0 }
+// Reset clears the state.
+func (m *Moments) Reset() { *m = Moments{} }
 
 // ---------------------------------------------------------------------------
 // f_array: pack samples into a sequence (direction sequences, §4.2).
@@ -409,14 +485,23 @@ func (a *Array) Observe(x int64) {
 	}
 }
 
-// Features returns the sequence zero-padded to maxLen, which is the
-// fixed-length representation the WFP models consume.
-func (a *Array) Features() []float64 {
-	out := make([]float64, a.maxLen)
-	for i, v := range a.data {
-		out[i] = float64(v)
+// ObserveAt ignores the timestamp.
+//
+//superfe:hotpath
+func (a *Array) ObserveAt(x, _ int64) { a.Observe(x) }
+
+// AppendFeatures appends the sequence zero-padded to maxLen, which is
+// the fixed-length representation the WFP models consume.
+//
+//superfe:hotpath
+func (a *Array) AppendFeatures(dst []float64, _ View) []float64 {
+	for _, v := range a.data {
+		dst = append(dst, float64(v))
 	}
-	return out
+	for i := len(a.data); i < a.maxLen; i++ {
+		dst = append(dst, 0)
+	}
+	return dst
 }
 
 // Values returns the raw (unpadded) sequence.

@@ -21,6 +21,9 @@ func approx(a, b, eps float64) bool {
 	return d/scale < eps
 }
 
+// feat reads the single feature f selects from r.
+func feat(r Reducer, f Func) float64 { return Features(r, View{Func: f})[0] }
+
 func feed(r Reducer, xs []int64) {
 	for _, x := range xs {
 		r.Observe(x)
@@ -30,14 +33,14 @@ func feed(r Reducer, xs []int64) {
 func TestSum(t *testing.T) {
 	s := &Sum{}
 	feed(s, []int64{1, 2, 3, -4})
-	if got := s.Features()[0]; got != 2 {
+	if got := feat(s, FSum); got != 2 {
 		t.Errorf("sum = %g, want 2", got)
 	}
 	if s.Count() != 4 {
 		t.Errorf("count = %d", s.Count())
 	}
 	s.Reset()
-	if s.Features()[0] != 0 || s.Count() != 0 {
+	if feat(s, FSum) != 0 || s.Count() != 0 {
 		t.Error("reset incomplete")
 	}
 }
@@ -48,15 +51,15 @@ func TestExtremum(t *testing.T) {
 	xs := []int64{5, -3, 17, 0}
 	feed(mx, xs)
 	feed(mn, xs)
-	if mx.Features()[0] != 17 {
-		t.Errorf("max = %g", mx.Features()[0])
+	if feat(mx, FMax) != 17 {
+		t.Errorf("max = %g", feat(mx, FMax))
 	}
-	if mn.Features()[0] != -3 {
-		t.Errorf("min = %g", mn.Features()[0])
+	if feat(mn, FMin) != -3 {
+		t.Errorf("min = %g", feat(mn, FMin))
 	}
 	// Empty reducers emit 0.
 	e := &Extremum{max: true}
-	if e.Features()[0] != 0 {
+	if feat(e, FMax) != 0 {
 		t.Error("empty extremum should be 0")
 	}
 }
@@ -71,11 +74,11 @@ func TestWelfordAgainstNaive(t *testing.T) {
 		for i := range xs {
 			xs[i] %= 1 << 20
 		}
-		w := &Welford{emit: FVar}
+		w := &Welford{}
 		n := NewNaive(FVar, Params{})
 		feed(w, xs)
 		feed(n, xs)
-		return approx(w.Features()[0], n.Features()[0], 1e-6)
+		return approx(feat(w, FVar), feat(n, FVar), 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -91,10 +94,8 @@ func TestWelfordKnown(t *testing.T) {
 	if !approx(w.Var(), 4, tol) {
 		t.Errorf("var = %g, want 4", w.Var())
 	}
-	std := &Welford{emit: FStd}
-	feed(std, []int64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !approx(std.Features()[0], 2, tol) {
-		t.Errorf("std = %g, want 2", std.Features()[0])
+	if std := feat(w, FStd); !approx(std, 2, tol) {
+		t.Errorf("std = %g, want 2", std)
 	}
 }
 
@@ -107,25 +108,25 @@ func TestMomentsAgainstNaive(t *testing.T) {
 		xs[i] = int64(v * v * 1000)
 	}
 	for _, emit := range []Func{FSkew, FKurtosis} {
-		m := &Moments{emit: emit}
+		m := &Moments{}
 		n := NewNaive(emit, Params{})
 		feed(m, xs)
 		feed(n, xs)
-		if !approx(m.Features()[0], n.Features()[0], 1e-6) {
-			t.Errorf("%s: streaming %g vs naive %g", emit, m.Features()[0], n.Features()[0])
+		if !approx(feat(m, emit), feat(n, emit), 1e-6) {
+			t.Errorf("%s: streaming %g vs naive %g", emit, feat(m, emit), feat(n, emit))
 		}
 	}
 }
 
 func TestMomentsDegenerate(t *testing.T) {
-	m := &Moments{emit: FSkew}
+	m := &Moments{}
 	m.Observe(5)
-	if m.Features()[0] != 0 {
+	if feat(m, FSkew) != 0 {
 		t.Error("single-sample skew must be 0")
 	}
-	m2 := &Moments{emit: FKurtosis}
+	m2 := &Moments{}
 	feed(m2, []int64{3, 3, 3, 3})
-	if m2.Features()[0] != 0 {
+	if feat(m2, FKurtosis) != 0 {
 		t.Error("constant-stream kurtosis must be 0 (zero variance guard)")
 	}
 }
@@ -187,12 +188,12 @@ func TestHyperLogLogHashReuse(t *testing.T) {
 }
 
 func TestHistogramBinning(t *testing.T) {
-	h := &Histogram{emit: FHist, width: 10, bins: make([]uint32, 4)}
+	h := &Histogram{width: 10, bins: make([]uint32, 4)}
 	for _, x := range []int64{0, 9, 10, 25, 39, 40, 1000, -5} {
 		h.Observe(x)
 	}
 	want := []float64{3, 1, 1, 3} // -5,0,9 | 10 | 25 | 39,40(clamp),1000(clamp)
-	got := h.Features()
+	got := Features(h, View{Func: FHist})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("hist = %v, want %v", got, want)
@@ -201,16 +202,20 @@ func TestHistogramBinning(t *testing.T) {
 }
 
 func TestHistogramPDFandCDF(t *testing.T) {
-	pdf := &Histogram{emit: FPDF, width: 10, bins: make([]uint32, 4)}
-	cdf := &Histogram{emit: FCDF, width: 10, bins: make([]uint32, 4)}
-	xs := []int64{5, 15, 15, 35}
-	feed(pdf, xs)
-	feed(cdf, xs)
-	p := pdf.Features()
+	h := &Histogram{width: 10, bins: make([]uint32, 4)}
+	for _, v := range []Func{FPDF, FCDF} {
+		for _, x := range Features(h, View{Func: v}) {
+			if x != 0 {
+				t.Errorf("empty %s = %v, want zeros", v, Features(h, View{Func: v}))
+			}
+		}
+	}
+	feed(h, []int64{5, 15, 15, 35})
+	p := Features(h, View{Func: FPDF})
 	if !approx(p[0], 0.25, tol) || !approx(p[1], 0.5, tol) || !approx(p[3], 0.25, tol) {
 		t.Errorf("pdf = %v", p)
 	}
-	c := cdf.Features()
+	c := Features(h, View{Func: FCDF})
 	if !approx(c[3], 1.0, tol) {
 		t.Errorf("cdf must end at 1: %v", c)
 	}
@@ -222,7 +227,7 @@ func TestHistogramPDFandCDF(t *testing.T) {
 }
 
 func TestHistogramQuantileInterpolation(t *testing.T) {
-	h := &Histogram{emit: FPercent, width: 100, bins: make([]uint32, 16), quantile: 0.5}
+	h := &Histogram{width: 100, bins: make([]uint32, 16)}
 	// Uniform 0..999: median ≈ 500.
 	for i := int64(0); i < 1000; i++ {
 		h.Observe(i)
@@ -240,7 +245,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 
 func TestHistogramQuantileVsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	h := &Histogram{emit: FPercent, width: 16, bins: make([]uint32, 128), quantile: 0.9}
+	h := &Histogram{width: 16, bins: make([]uint32, 128)}
 	n := NewNaive(FPercent, Params{BinWidth: 16, Bins: 128, Quantile: 0.9})
 	for i := 0; i < 5000; i++ {
 		x := int64(r.ExpFloat64() * 300)
@@ -281,7 +286,7 @@ func TestArray(t *testing.T) {
 	if len(vals) != 3 {
 		t.Fatalf("array should cap at 3, got %d", len(vals))
 	}
-	feats := a.Features()
+	feats := Features(a, View{})
 	if len(feats) != 3 || feats[0] != 1 || feats[1] != -1 {
 		t.Errorf("features = %v", feats)
 	}
@@ -293,7 +298,7 @@ func TestArray(t *testing.T) {
 func TestArrayZeroPadding(t *testing.T) {
 	a := &Array{maxLen: 5}
 	feed(a, []int64{7})
-	feats := a.Features()
+	feats := Features(a, View{})
 	if len(feats) != 5 || feats[0] != 7 || feats[4] != 0 {
 		t.Errorf("padding wrong: %v", feats)
 	}
@@ -317,21 +322,21 @@ func TestBidirectionalAgainstNaive(t *testing.T) {
 	}{
 		{FMag, 1e-9}, {FRadius, 1e-9},
 	} {
-		b := &Bidirectional{emit: c.f}
+		b := &Bidirectional{}
 		n := NewNaive(c.f, Params{})
 		feed(b, xs)
 		feed(n, xs)
-		if !approx(b.Features()[0], n.Features()[0], c.eps) {
-			t.Errorf("%s: %g vs %g", c.f, b.Features()[0], n.Features()[0])
+		if !approx(feat(b, c.f), feat(n, c.f), c.eps) {
+			t.Errorf("%s: %g vs %g", c.f, feat(b, c.f), feat(n, c.f))
 		}
 	}
 }
 
 func TestBidirectionalPCCBounds(t *testing.T) {
 	f := func(xs []int64) bool {
-		b := &Bidirectional{emit: FPCC}
+		b := &Bidirectional{}
 		feed(b, xs)
-		p := b.Features()[0]
+		p := feat(b, FPCC)
 		return p >= -1 && p <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -345,7 +350,7 @@ func TestBidirectionalCorrelatedStreams(t *testing.T) {
 	// products pair the current sample with the previous opposite-
 	// direction sample, so consecutive-sample correlation is what it
 	// measures — as in Kitsune's AfterImage).
-	b := &Bidirectional{emit: FPCC}
+	b := &Bidirectional{}
 	for i := 0; i < 3000; i++ {
 		v := int64(500 + 400*math.Sin(float64(i)/50))
 		b.Observe(v)
@@ -426,10 +431,10 @@ func TestAllReducersResetAndReuse(t *testing.T) {
 		// a fresh run.
 		xs := []int64{5, -3, 12, 7, -9, 4, 4, 20}
 		feedTimed(r, xs)
-		first := append([]float64(nil), r.Features()...)
+		first := Features(r, ViewOf(s.f, s.p))
 		r.Reset()
 		feedTimed(r, xs)
-		second := r.Features()
+		second := Features(r, ViewOf(s.f, s.p))
 		for i := range first {
 			if !approx(first[i], second[i], 1e-9) && !(math.IsNaN(first[i]) && math.IsNaN(second[i])) {
 				t.Errorf("%s: reset changes results: %v vs %v", s.f, first, second)
@@ -445,11 +450,7 @@ func TestAllReducersResetAndReuse(t *testing.T) {
 func feedTimed(r Reducer, xs []int64) {
 	ts := int64(0)
 	for _, x := range xs {
-		if tr, ok := r.(TimedReducer); ok {
-			tr.ObserveAt(x, ts)
-		} else {
-			r.Observe(x)
-		}
+		r.ObserveAt(x, ts)
 		ts += 1e6
 	}
 }
