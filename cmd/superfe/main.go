@@ -282,9 +282,9 @@ func main() {
 }
 
 // serveMetrics starts the telemetry HTTP server (no-op for an empty
-// address). Live scrapes during the replay are lock-free and
-// race-safe; the series and timeline endpoints are exact once the
-// replay has flushed.
+// address). Every endpoint is race-safe during the replay: scrapes are
+// lock-free, everything else is the engine's view as of its last
+// barrier — exact once the replay has flushed.
 func serveMetrics(addr string, src obs.Source) {
 	if addr == "" {
 		return

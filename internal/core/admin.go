@@ -1,16 +1,16 @@
 // Admin surface of the engine: the always-on flight recorder, the
 // health model derived from the graceful-degradation pressure
-// controller, anomaly pend/materialise with dump files, the /status,
-// /spans and /flightrecorder caches, and the obs.Source adapter.
+// controller, anomaly pend/materialise with dump files, the one cache
+// every admin view is served from, and the obs.Source adapter.
 //
-// Concurrency contract: everything here except pendAnomaly, Status,
-// ObsSpans, FlightDump and ObsScrape runs on the router goroutine (the
-// one calling Process/Flush). The caches are served to the HTTP
-// goroutine from behind adminMu and refreshed at barriers — interval
-// snapshots, anomalies, Drain, Flush — with health and clock overlaid
-// live from atomics, so degraded-mode transitions are visible while
-// the replay runs even though the counters are only exact as of the
-// last barrier.
+// Concurrency contract: pendAnomaly and the Obs*/Status/FlightDump
+// accessors are safe from any goroutine; everything else runs on the
+// router goroutine (the one calling Process/Flush). The cache is
+// served to the HTTP goroutine from behind adminMu and refreshed at
+// barriers — interval snapshots, anomalies, Drain, Flush — with health
+// and clock overlaid live from atomics, so degraded-mode transitions
+// are visible while the replay runs even though everything else is
+// only exact as of the last barrier.
 package core
 
 import (
@@ -31,24 +31,32 @@ type FlightRecConfig struct {
 	// enabled before the incident is a log, not a flight recorder.
 	Disable bool
 	// Dir, when non-empty, receives anomaly dump files named
-	// flightrec_<ordinal>_<reason>.json, pruned to the Retain newest.
+	// flightrec_<ordinal>_<reason>.json, pruned to the frDumpRetain
+	// newest.
 	Dir string
-	// Retain bounds the dump files kept in Dir (<= 0 selects 8).
-	Retain int
-	// Tuning sizes the event ring and the anomaly triggers; the zero
-	// value selects the obs defaults.
-	Tuning obs.FlightRecOptions
 }
 
-// frDumpRetain is the default anomaly-dump retention bound.
+// frDumpRetain bounds the anomaly dump files kept in
+// FlightRecConfig.Dir.
 const frDumpRetain = 8
+
+// adminCache is what the admin views are computed from: the status
+// counters, the interval series and the merged event rings as of the
+// last barrier. Every slice is immutable once published.
+type adminCache struct {
+	status obs.StatusReport
+	series obs.Series
+	life   []obs.Event     // sampled flow-lifecycle events
+	spans  []obs.BatchSpan // sampled batch spans
+	dump   *obs.FRDump     // flight events; nil when the recorder is disabled
+}
 
 // pendAnomaly parks an anomaly for the router, first-wins: triggers
 // fire on shard goroutines (quarantine spikes, degraded entry) or
 // inside a blocked router push (sustained ring-full), and neither
 // place can run a barrier. Coalescing concurrent anomalies to one is
 // fine — the dump captures the full merged state anyway, and the
-// per-recorder cooldown bounds the pend rate.
+// per-ring cooldown bounds the pend rate.
 func (e *Engine) pendAnomaly(a obs.Anomaly) {
 	cp := a
 	e.frPend.CompareAndSwap(nil, &cp)
@@ -67,28 +75,33 @@ func (e *Engine) materializePending() {
 	e.lastAnomaly = a.Reason
 	e.frDumps++
 	d := e.buildDump(a.Reason, a.Clock, a.Shard)
-	if fc := e.opts.FlightRec; fc.Dir != "" {
-		if err := writeFRDumpFile(fc.Dir, fc.Retain, e.frDumps, a.Reason, d); err != nil && e.dumpErr == nil {
+	if dir := e.opts.FlightRec.Dir; dir != "" {
+		if err := writeFRDumpFile(dir, e.frDumps, a.Reason, d); err != nil && e.dumpErr == nil {
 			e.dumpErr = fmt.Errorf("core: flight-recorder dump: %w", err)
 		}
 	}
-	e.fr.Record(obs.FRDumped, a.Clock, int64(e.frDumps))
+	e.fr.Record(obs.Event{Kind: obs.FRDumped, Clock: a.Clock, Arg: int64(e.frDumps)})
 }
 
-// buildDump merges every shard's event ring plus the router's into
-// one dump. Quiesced router goroutine only.
-func (e *Engine) buildDump(reason string, clock uint64, shard int32) *obs.FRDump {
-	recs := make([]*obs.FlightRecorder, 0, len(e.shards)+1)
+// gather merges one ring per shard, plus the router's own where there
+// is one, in (Shard, Seq) order. Quiesced router goroutine only.
+func gather[T obs.Element[T]](e *Engine, pick func(*shard) *obs.Ring[T], router ...*obs.Ring[T]) []T {
+	rings := make([]*obs.Ring[T], 0, len(e.shards)+1)
 	for _, sh := range e.shards {
-		recs = append(recs, sh.fe.fr)
+		rings = append(rings, pick(sh))
 	}
-	recs = append(recs, e.fr)
+	return obs.Merge(append(rings, router...)...)
+}
+
+// buildDump captures every shard's flight ring plus the router's in
+// one dump. Quiesced router goroutine only.
+func (e *Engine) buildDump(reason string, clock uint64, origin int32) *obs.FRDump {
 	return &obs.FRDump{
 		Reason: reason,
 		Clock:  clock,
-		Shard:  shard,
+		Shard:  origin,
 		Health: e.healthNow(),
-		Events: obs.MergeFREvents(recs...),
+		Events: gather(e, func(sh *shard) *obs.Ring[obs.Event] { return sh.fe.fr }, e.fr),
 	}
 }
 
@@ -104,21 +117,29 @@ func (e *Engine) healthNow() obs.Health {
 	return h
 }
 
-// refreshAdmin rebuilds the admin caches. Quiesced router goroutine
-// only.
+// refreshAdmin rebuilds the admin cache. Quiesced router goroutine
+// only. The series is copied by value: the recorder only ever appends,
+// so the copied header is an immutable prefix.
 func (e *Engine) refreshAdmin() {
-	st := e.buildStatus()
-	var spans []obs.BatchSpan
+	c := adminCache{status: e.buildStatus(), series: *e.rec.Series()}
 	if e.obsReg != nil {
-		spans = e.mergedSpans()
+		c.life = gather(e, func(sh *shard) *obs.Ring[obs.Event] { return sh.fe.obs.Tracer })
+		c.spans = gather(e, func(sh *shard) *obs.Ring[obs.BatchSpan] { return sh.spans })
 	}
-	var d *obs.FRDump
 	if e.fr != nil {
-		d = e.buildDump("on-demand", e.pkts, -1)
+		c.dump = e.buildDump("on-demand", e.pkts, -1)
 	}
 	e.adminMu.Lock()
-	e.status, e.spanCache, e.frCache = st, spans, d
+	e.admin = c
 	e.adminMu.Unlock()
+}
+
+// cached returns the admin cache as of the last barrier. Safe from any
+// goroutine.
+func (e *Engine) cached() adminCache {
+	e.adminMu.Lock()
+	defer e.adminMu.Unlock()
+	return e.admin
 }
 
 // buildStatus assembles the merged /status report from the quiesced
@@ -152,21 +173,11 @@ func (e *Engine) buildStatus() obs.StatusReport {
 	return st
 }
 
-// mergedSpans merges the quiesced shard span rings in (Shard, Batch)
-// order.
-func (e *Engine) mergedSpans() []obs.BatchSpan {
-	rings := make([]*obs.SpanRing, 0, len(e.shards))
-	for _, sh := range e.shards {
-		rings = append(rings, sh.spans)
-	}
-	return obs.MergeSpans(rings...)
-}
-
 // Status returns the merged health report: counters exact at the last
 // barrier, health and clock overlaid live. Safe from any goroutine.
 func (e *Engine) Status() *obs.StatusReport {
 	e.adminMu.Lock()
-	st := e.status
+	st := e.admin.status
 	st.Shards = append([]obs.ShardStatus(nil), st.Shards...)
 	shards := e.shards
 	e.adminMu.Unlock()
@@ -192,20 +203,12 @@ func (e *Engine) Status() *obs.StatusReport {
 
 // ObsSpans returns the merged batch spans as of the last barrier.
 // Safe from any goroutine; the slice is immutable once cached.
-func (e *Engine) ObsSpans() []obs.BatchSpan {
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	return e.spanCache
-}
+func (e *Engine) ObsSpans() []obs.BatchSpan { return e.cached().spans }
 
 // FlightDump returns the merged flight-recorder dump as of the last
 // barrier (nil when the recorder is disabled). Safe from any
 // goroutine; the dump is immutable once cached.
-func (e *Engine) FlightDump() *obs.FRDump {
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	return e.frCache
-}
+func (e *Engine) FlightDump() *obs.FRDump { return e.cached().dump }
 
 // ObsScrape merges a live snapshot of every shard's registry plus the
 // router's, without quiescing — every value is read with an atomic
@@ -219,33 +222,23 @@ func (e *Engine) ObsScrape() *obs.Snapshot {
 	return e.mergedSnapshot()
 }
 
-// ObsSeries returns the barrier-quiesced interval time-series (empty
-// when snapshots are disabled).
-func (e *Engine) ObsSeries() *obs.Series { return e.rec.Series() }
-
-// ObsTimelines reconstructs sampled flow-lifecycle timelines across
-// all shard tracers. Establishes a Drain barrier first: the tracer
-// rings are single-writer per shard and only read at quiescence.
-// Router-goroutine only.
-func (e *Engine) ObsTimelines() []obs.Timeline {
-	if e.obsReg == nil {
-		return nil
-	}
-	e.quiesce()
-	tracers := make([]*obs.FlowTracer, 0, len(e.shards))
-	for _, sh := range e.shards {
-		if p := sh.fe.obs; p != nil && p.Tracer != nil {
-			tracers = append(tracers, p.Tracer)
-		}
-	}
-	return obs.Timelines(tracers...)
+// ObsSeries returns the barrier-quiesced interval time-series as of
+// the last barrier (empty when snapshots are disabled). Safe from any
+// goroutine.
+func (e *Engine) ObsSeries() *obs.Series {
+	c := e.cached()
+	return &c.series
 }
 
+// ObsTimelines reconstructs the sampled flow-lifecycle timelines from
+// the lifecycle events cached at the last barrier (nil when telemetry
+// is disabled). Safe from any goroutine.
+func (e *Engine) ObsTimelines() []obs.Timeline { return obs.Timelines(e.cached().life) }
+
 // ObsSource adapts the engine to the obs HTTP handler and dump
-// writers: Scrape is live and lock-free, Series and Timelines are
-// exact at quiescence, Status/Spans/FlightRec serve the barrier-
-// refreshed admin caches (with live health/clock overlays). Endpoints
-// for disabled facilities stay nil.
+// writers: Scrape is live and lock-free, everything else is a view
+// over the barrier-refreshed admin cache (Status with live
+// health/clock overlays). Endpoints for disabled facilities stay nil.
 func (e *Engine) ObsSource() obs.Source {
 	src := obs.Source{Scrape: e.ObsScrape, Status: e.Status}
 	if e.rec != nil {
@@ -267,10 +260,7 @@ func (e *Engine) ObsSource() obs.Source {
 // dumps down to retain. Ordinal-numbered names sort lexicographically
 // in dump order (the same scheme as the obs.Profiler files), so
 // retention and fixed-seed reproducibility need no timestamps.
-func writeFRDumpFile(dir string, retain, ordinal int, reason string, d *obs.FRDump) error {
-	if retain <= 0 {
-		retain = frDumpRetain
-	}
+func writeFRDumpFile(dir string, ordinal int, reason string, d *obs.FRDump) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -282,11 +272,11 @@ func writeFRDumpFile(dir string, retain, ordinal int, reason string, d *obs.FRDu
 	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	return pruneFRDumps(dir, retain)
+	return pruneFRDumps(dir)
 }
 
-// pruneFRDumps keeps the newest retain dump files.
-func pruneFRDumps(dir string, retain int) error {
+// pruneFRDumps keeps the newest frDumpRetain dump files.
+func pruneFRDumps(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -298,7 +288,7 @@ func pruneFRDumps(dir string, retain int) error {
 		}
 	}
 	sort.Strings(names)
-	for len(names) > retain {
+	for len(names) > frDumpRetain {
 		if err := os.Remove(filepath.Join(dir, names[0])); err != nil {
 			return err
 		}

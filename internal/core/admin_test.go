@@ -125,7 +125,6 @@ func TestAdminSpansGolden(t *testing.T) {
 	popts := DefaultParallelOptions()
 	popts.Obs = obsTestOptions()
 	popts.Obs.SpanSampleEvery = 4
-	popts.Obs.SpanRingSize = 1 << 12
 	popts.Workers = 4
 	popts.DeterministicMerge = true
 	pe, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})

@@ -106,10 +106,10 @@ type pair struct {
 	winStall    int64
 	shedAtEnter uint64
 
-	// fr is the pair's always-on flight recorder (nil only when
+	// fr is the pair's always-on flight ring (nil only when
 	// FlightRecConfig.Disable); health publishes the current health
 	// model state for the engine's live /status overlay.
-	fr     *obs.FlightRecorder
+	fr     *obs.Ring[obs.Event]
 	health atomic.Uint32 // obs.Health
 }
 
@@ -124,8 +124,9 @@ type heldFrame struct {
 
 // newPair deploys a compiled plan on one switch+NIC pair. shard is the
 // pair's index in its engine, so fault injectors draw independent
-// per-shard streams and flight-recorder events carry their origin.
-func newPair(opts Options, plan *policy.Plan, shard int, sink feature.Sink) (*pair, error) {
+// per-shard streams and recorded events carry their origin; onAnomaly
+// observes the pair's flight-ring triggers on the pair's own goroutine.
+func newPair(opts Options, plan *policy.Plan, shard int, sink feature.Sink, onAnomaly func(obs.Anomaly)) (*pair, error) {
 	// The switch's sink is fe.deliver, which hands each message to the
 	// NIC runtime (or the wire codec) synchronously and never retains
 	// it — so the switch can safely reuse its cell and message
@@ -135,7 +136,7 @@ func newPair(opts Options, plan *policy.Plan, shard int, sink feature.Sink) (*pa
 	// One telemetry pipeline per pair: the switch and NIC publish into
 	// the same registry, and every shard builds the identical schema so
 	// snapshots merge slot-for-slot.
-	pipe := obs.NewPipeline(opts.Obs)
+	pipe := obs.NewPipeline(opts.Obs, shard)
 	if pipe != nil {
 		opts.Switch.Obs = pipe.Switch
 		opts.NIC.Obs = pipe.NIC
@@ -146,9 +147,9 @@ func newPair(opts Options, plan *policy.Plan, shard int, sink feature.Sink) (*pa
 	// construction. Both simulators of the pair record into it, which
 	// is sound because the switch and NIC run synchronously on the one
 	// goroutine that owns this pair.
-	var fr *obs.FlightRecorder
+	var fr *obs.Ring[obs.Event]
 	if !opts.FlightRec.Disable {
-		fr = obs.NewFlightRecorder(shard, opts.FlightRec.Tuning)
+		fr = obs.NewFlightRing(shard, onAnomaly)
 		opts.Switch.FlightRec = fr
 		opts.NIC.FlightRec = fr
 	}
@@ -304,7 +305,7 @@ func (fe *pair) forward(m gpv.Message) {
 				if fe.eng != nil {
 					fe.eng.DeliverRetryDrops.Inc()
 				}
-				fe.fr.Record(obs.FRRetryDrop, fe.frClock(), int64(attempt))
+				fe.fr.Record(obs.Event{Kind: obs.FRRetryDrop, Clock: fe.frClock(), Arg: int64(attempt)})
 				return
 			}
 			attempt++
@@ -312,7 +313,7 @@ func (fe *pair) forward(m gpv.Message) {
 			if fe.eng != nil {
 				fe.eng.DeliverRetries.Inc()
 			}
-			fe.fr.Record(obs.FRRetry, fe.frClock(), int64(attempt))
+			fe.fr.Record(obs.Event{Kind: obs.FRRetry, Clock: fe.frClock(), Arg: int64(attempt)})
 		}
 	}
 	fe.deliverDirect(m)
@@ -326,7 +327,7 @@ func (fe *pair) quarantine() {
 	if fe.eng != nil {
 		fe.eng.FramesQuarantined.Inc()
 	}
-	fe.fr.Record(obs.FRQuarantine, fe.frClock(), 0)
+	fe.fr.Record(obs.Event{Kind: obs.FRQuarantine, Clock: fe.frClock()})
 }
 
 // ageHeld advances the reorder hold queue by one delivered frame and
@@ -404,10 +405,10 @@ func (fe *pair) setDegraded(on bool) {
 	if on {
 		fe.shedAtEnter = fe.sw.Stats().ShedCells
 		fe.health.Store(uint32(obs.HealthDegraded))
-		fe.fr.Record(obs.FRDegradedEnter, fe.frClock(), fe.winStall)
+		fe.fr.Record(obs.Event{Kind: obs.FRDegradedEnter, Clock: fe.frClock(), Arg: fe.winStall})
 	} else {
 		fe.health.Store(uint32(obs.HealthHealthy))
-		fe.fr.Record(obs.FRDegradedExit, fe.frClock(), fe.winStall)
+		fe.fr.Record(obs.Event{Kind: obs.FRDegradedExit, Clock: fe.frClock(), Arg: fe.winStall})
 	}
 }
 
@@ -421,7 +422,7 @@ func (fe *pair) fail(err error) {
 // frClock is the pair's logical clock for flight-recorder events:
 // packets the switch has accepted. NIC-side events recorded by the
 // runtime itself use NIC cells instead — clocks are per-domain and
-// only ordered within one (FREvent.Seq orders a whole ring).
+// only ordered within one (Event.Seq orders a whole ring).
 func (fe *pair) frClock() uint64 { return fe.sw.Stats().PktsIn }
 
 // processColumns runs one columnar batch — keys, hashes, filter
@@ -451,5 +452,5 @@ func (fe *pair) flush() {
 	if fe.obs != nil {
 		fe.nic.PublishObs()
 	}
-	fe.fr.Record(obs.FRFlush, fe.frClock(), 0)
+	fe.fr.Record(obs.Event{Kind: obs.FRFlush, Clock: fe.frClock()})
 }

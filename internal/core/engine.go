@@ -105,7 +105,7 @@ type shard struct {
 	// telemetry or span sampling is off).
 	idx     int32
 	batches uint64
-	spans   *obs.SpanRing
+	spans   *obs.Ring[obs.BatchSpan]
 }
 
 // Engine is a deployed feature extractor — the software analogue of
@@ -160,19 +160,19 @@ type Engine struct {
 	pkts    uint64
 	pubPkts atomic.Uint64
 
-	// fr is the router's own flight recorder (shard -1: barriers, ring
+	// fr is the router's own flight ring (shard -1: barriers, ring
 	// parks, free-ring starvation, dump markers); nil when disabled.
 	// Anomalies — the router's own and every shard's — are pended
 	// first-wins into frPend (shard triggers fire on shard goroutines
 	// and the router's fire inside a blocked push, where no barrier can
 	// run) and materialized by the router at the next barrier; inControl
 	// guards against re-entering a barrier from its own dispatches.
-	fr        *obs.FlightRecorder
+	fr        *obs.Ring[obs.Event]
 	frPend    atomic.Pointer[obs.Anomaly]
 	inControl bool
 	frDumps   int
 
-	// Admin caches (admin.go), rebuilt at every barrier (a quiescence
+	// The admin cache (admin.go), rebuilt at every barrier (a quiescence
 	// point: all shards drained, shard-goroutine writes ordered before
 	// the router by the ack channel) and served to the HTTP goroutine
 	// behind adminMu with health/clock overlaid live from atomics.
@@ -180,9 +180,7 @@ type Engine struct {
 	lastAnomaly string
 	dumpErr     error
 	adminMu     sync.Mutex
-	status      obs.StatusReport
-	spanCache   []obs.BatchSpan
-	frCache     *obs.FRDump
+	admin       adminCache
 }
 
 // New compiles the policy and deploys it inline: one shard extracted
@@ -245,11 +243,10 @@ func NewFromPlan(opts ParallelOptions, plan *policy.Plan, sink feature.Sink) (*E
 		sink:       sink,
 	}
 	if !opts.FlightRec.Disable {
-		// The router's own recorder (shard -1). Its triggers (sustained
+		// The router's own ring (shard -1). Its triggers (sustained
 		// ring-full) can fire inside a blocked push, so they pend like
 		// the shard anomalies instead of materializing inline.
-		e.fr = obs.NewFlightRecorder(-1, opts.FlightRec.Tuning)
-		e.fr.OnAnomaly = e.pendAnomaly
+		e.fr = obs.NewFlightRing(-1, e.pendAnomaly)
 	}
 	var err error
 	e.shards, err = e.deployShards(plan)
@@ -299,7 +296,10 @@ func (e *Engine) deployShards(plan *policy.Plan) ([]*shard, error) {
 		default:
 			shardSink = sh.bufferVec
 		}
-		fe, err := newPair(opts.Options, plan, i, shardSink)
+		// Shard anomaly triggers fire on the shard goroutine; pendAnomaly
+		// parks them (thread-safe CAS) for the router to materialize at
+		// the next barrier.
+		fe, err := newPair(opts.Options, plan, i, shardSink, e.pendAnomaly)
 		if err != nil {
 			stopShards(shards)
 			return nil, err
@@ -307,12 +307,6 @@ func (e *Engine) deployShards(plan *policy.Plan) ([]*shard, error) {
 		sh.fe = fe
 		if fe.obs != nil {
 			sh.spans = fe.obs.Spans
-		}
-		if fe.fr != nil {
-			// Shard anomaly triggers fire on the shard goroutine; pend
-			// them (thread-safe CAS) for the router to materialize at
-			// the next barrier.
-			fe.fr.OnAnomaly = e.pendAnomaly
 		}
 		// Pre-size the recycled columnar batches: one being filled by
 		// the router, QueueDepth in flight or on the recycle ring.
@@ -610,7 +604,6 @@ func (e *Engine) dispatch(sh *shard) {
 		// Complete the ingress half of the span before the hand-off
 		// (nothing may touch the batch after the push) — the traced
 		// push fills the enqueue-evidence fields itself, pre-publication.
-		sp.Shard = sh.idx
 		sp.Batch = sh.batches
 		sp.Rows = int32(c.N)
 		sp.FillEnd = e.pkts
@@ -669,7 +662,7 @@ func (e *Engine) barrier(flush bool) {
 	if flush {
 		arg = 1
 	}
-	e.fr.Record(obs.FRBarrier, e.pkts, arg)
+	e.fr.Record(obs.Event{Kind: obs.FRBarrier, Clock: e.pkts, Arg: arg})
 	e.materializePending()
 	e.refreshAdmin()
 	e.pubPkts.Store(e.pkts)

@@ -29,9 +29,7 @@ func fullObsOptions() obs.Options {
 		Enabled:          true,
 		SnapshotInterval: 1 << 9,
 		TraceSampleEvery: 2,
-		TraceRingSize:    1 << 12,
 		SpanSampleEvery:  1,
-		SpanRingSize:     1 << 10,
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"superfe/internal/apps"
 	"superfe/internal/feature"
 	"superfe/internal/obs"
+	"superfe/internal/policy"
 	"superfe/internal/trace"
 )
 
@@ -21,7 +23,6 @@ func obsTestOptions() obs.Options {
 		Enabled:          true,
 		SnapshotInterval: 1 << 10,
 		TraceSampleEvery: 4,
-		TraceRingSize:    1 << 12,
 	}
 }
 
@@ -335,4 +336,46 @@ func TestObsDisabledIsInert(t *testing.T) {
 	if pe.ObsScrape() != nil || pe.ObsTimelines() != nil {
 		t.Error("disabled parallel telemetry must return nils")
 	}
+}
+
+// TestObsTimelinesGolden pins the rendered flow-lifecycle timelines of
+// a fixed-seed run, inline and sharded, to a golden file — the one obs
+// view the other goldens do not cover.
+func TestObsTimelinesGolden(t *testing.T) {
+	tr := obsTestTrace()
+	o := obsTestOptions()
+	o.TraceSampleEvery = 64
+	var got bytes.Buffer
+	for _, workers := range []int{0, 4} {
+		popts := DefaultParallelOptions()
+		popts.Obs = o
+		popts.Workers = workers
+		popts.DeterministicMerge = true
+		plan, err := policy.Compile(apps.NPOD())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewFromPlan(popts, plan, func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Packets {
+			e.Process(&tr.Packets[i])
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		tls := e.ObsTimelines()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(tls) == 0 {
+			t.Fatalf("workers=%d: no timelines", workers)
+		}
+		fmt.Fprintf(&got, "# workers=%d\n", workers)
+		if err := obs.WriteTimelinesJSON(&got, tls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "obs_timelines.golden", got.Bytes())
 }

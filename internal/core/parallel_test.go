@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"superfe/internal/apps"
@@ -397,7 +400,7 @@ func referenceRun(t *testing.T, tr *trace.Trace, workers int) []feature.Vector {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		chans[i] = make(chan *packet.Packet, 1024)
-		fes[i], err = newPair(DefaultOptions(), plan, i, feature.Collect(&vecs[i]))
+		fes[i], err = newPair(DefaultOptions(), plan, i, feature.Collect(&vecs[i]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,5 +560,65 @@ func TestParallelStreamingRunBufferMatches(t *testing.T) {
 		if dm[i] != sm[i] {
 			t.Fatalf("streaming run-buffer multiset diverges at %d", i)
 		}
+	}
+}
+
+// TestParallelObsEndpointsLive hammers every endpoint of the admin
+// handler from a second goroutine while a sharded engine is
+// mid-Process. Every view must be served from the barrier-refreshed
+// cache (or lock-free atomics): none may touch a shard ring, run a
+// barrier or read the recorder's series off the router goroutine.
+// Meaningful under -race.
+func TestParallelObsEndpointsLive(t *testing.T) {
+	tr := obsTestTrace()
+	popts := DefaultParallelOptions()
+	popts.Workers = 2
+	popts.Obs = fullObsOptions()
+	pe, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pe.Close()
+	h := obs.NewHTTPHandler(pe.ObsSource())
+	paths := []string{"/metrics", "/metrics.json", "/series.csv", "/timelines.json",
+		"/status", "/snapshot", "/spans", "/flightrecorder"}
+
+	var rounds atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			for _, p := range paths {
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest("GET", p, nil))
+				if rr.Code != http.StatusOK {
+					t.Errorf("%s mid-Process returned %d: %s", p, rr.Code, rr.Body.String())
+				}
+			}
+			rounds.Add(1)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	// Replay until the scraper has overlapped the run a few times (the
+	// bound only guards a starved scraper on a one-CPU host).
+	for pass := 0; pass < 5000 && rounds.Load() < 4; pass++ {
+		for i := range tr.Packets {
+			pe.Process(&tr.Packets[i])
+		}
+	}
+	if err := pe.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+	if rounds.Load() < 4 {
+		t.Fatalf("scraper completed only %d rounds during the replay", rounds.Load())
+	}
+	if len(pe.ObsTimelines()) == 0 || len(pe.ObsSeries().Snaps) == 0 || len(pe.ObsSpans()) == 0 {
+		t.Fatal("a cached view is empty after Flush")
 	}
 }

@@ -90,11 +90,11 @@ type spscRing struct {
 	prodWakes obs.Counter
 	consWakes obs.Counter
 
-	frProd      *obs.FlightRecorder
-	frProdKind  obs.FREventKind
+	frProd      *obs.Ring[obs.Event]
+	frProdKind  obs.EventKind
 	frProdClock *uint64
-	frCons      *obs.FlightRecorder
-	frConsKind  obs.FREventKind
+	frCons      *obs.Ring[obs.Event]
+	frConsKind  obs.EventKind
 	frConsClock *uint64
 }
 
@@ -221,7 +221,7 @@ func (r *spscRing) pushSlow(t uint64) {
 		r.prodParkEpisodes++
 		r.prodParks.Inc()
 		if r.frProd != nil {
-			r.frProd.Record(r.frProdKind, *r.frProdClock, int64(len(r.slots)))
+			r.frProd.Record(obs.Event{Kind: r.frProdKind, Clock: *r.frProdClock, Arg: int64(len(r.slots))})
 		}
 		<-r.wakeProd
 		r.headCache = r.head.Load()
@@ -292,7 +292,7 @@ func (r *spscRing) popSlow(h uint64) bool {
 		}
 		r.consParks.Inc()
 		if r.frCons != nil {
-			r.frCons.Record(r.frConsKind, *r.frConsClock, 0)
+			r.frCons.Record(obs.Event{Kind: r.frConsKind, Clock: *r.frConsClock})
 		}
 		<-r.wakeCons
 		r.tailCache = r.tail.Load()
@@ -361,12 +361,12 @@ func (r *spscRing) instrumentFree(ro *obs.RingObs) {
 
 // hookProdFR attaches a flight recorder to producer park episodes.
 // The recorder and clock must be owned by the producer goroutine.
-func (r *spscRing) hookProdFR(fr *obs.FlightRecorder, kind obs.FREventKind, clock *uint64) {
+func (r *spscRing) hookProdFR(fr *obs.Ring[obs.Event], kind obs.EventKind, clock *uint64) {
 	r.frProd, r.frProdKind, r.frProdClock = fr, kind, clock
 }
 
 // hookConsFR attaches a flight recorder to consumer park episodes.
 // The recorder and clock must be owned by the consumer goroutine.
-func (r *spscRing) hookConsFR(fr *obs.FlightRecorder, kind obs.FREventKind, clock *uint64) {
+func (r *spscRing) hookConsFR(fr *obs.Ring[obs.Event], kind obs.EventKind, clock *uint64) {
 	r.frCons, r.frConsKind, r.frConsClock = fr, kind, clock
 }

@@ -28,7 +28,7 @@
 //	                         order-insensitive (commutative reduction
 //	                         or sorted afterwards).
 //	//superfe:atomic-ok      on (or immediately above) a flagged
-//	                         line: suppresses atomicdiscipline — the
+//	                         line: suppresses memmodelatomic — the
 //	                         access happens in a provably
 //	                         single-threaded phase (stated reason
 //	                         required).
@@ -82,7 +82,6 @@ func Analyzers() []*analysis.Analyzer {
 		NoWallClock,
 		StatsMerge,
 		PanicDiscipline,
-		AtomicDiscipline,
 		GoroutineLeak,
 		SinkRetention,
 		MemModelAtomic,

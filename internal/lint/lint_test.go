@@ -35,13 +35,6 @@ func TestPanicDiscipline(t *testing.T) {
 	}
 }
 
-func TestAtomicDiscipline(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", lint.AtomicDiscipline, "atomic")
-	if len(diags) == 0 {
-		t.Fatal("expected seeded atomicdiscipline violations, got none")
-	}
-}
-
 func TestGoroutineLeak(t *testing.T) {
 	diags := analysistest.Run(t, "testdata", lint.GoroutineLeak, "goroutine")
 	if len(diags) == 0 {

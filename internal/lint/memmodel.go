@@ -17,9 +17,8 @@ import (
 //	memmodelatomic   every field touched via sync/atomic anywhere in
 //	                 the module is only ever accessed atomically,
 //	                 module-wide, with a flow exemption for the
-//	                 construction phase (atomicdiscipline's sibling:
-//	                 that pass checks the target package's own files;
-//	                 this one follows the field across every package).
+//	                 construction phase; structs carrying such fields
+//	                 or sync locks are never copied by value.
 //	memmodelrole     //superfe:producer and //superfe:consumer
 //	                 annotations partition methods so no sequence
 //	                 field is written from both sides of an SPSC pair.
@@ -97,21 +96,36 @@ func isSeqField(fld types.Object) bool {
 	return false
 }
 
-// MemModelAtomic extends atomicdiscipline across package boundaries:
-// for every field declared in the target package that any module code
-// touches through sync/atomic, every access anywhere in the module
-// must be atomic. The check is flow-sensitive about construction: a
-// non-atomic access through a variable the enclosing function itself
-// initialized from a composite literal or new() is a pre-publication
-// write and needs no waiver. //superfe:atomic-ok still suppresses.
+// MemModelAtomic enforces the access discipline the sharded engine
+// and the obs registry rest on: a struct field that is ever touched
+// through sync/atomic is an atomic field, and every other access to it
+// (or to its elements, for slice/array fields like the registry's flat
+// value array) anywhere in the module must also go through
+// sync/atomic. Mixed access is a data race the race detector only
+// catches when a test happens to interleave it; the type-based check
+// catches it on every build. The check is flow-sensitive about
+// construction: a non-atomic access through a variable the enclosing
+// function itself initialized from a composite literal or new() is a
+// pre-publication write and needs no waiver.
+//
+// It additionally flags by-value copies, in the target package, of
+// structs that contain atomic fields or sync.Mutex/RWMutex/WaitGroup/
+// Once fields (value parameters, value receivers, assignments from a
+// dereference): the copy silently forks the synchronization state.
+//
+// Single-threaded phases that legitimately touch atomic fields
+// non-atomically (registration before the pipeline starts, teardown
+// after quiescence) are suppressed with //superfe:atomic-ok <reason>
+// on (or immediately above) the offending line.
 var MemModelAtomic = &analysis.Analyzer{
 	Name: "memmodelatomic",
-	Doc:  "require module-wide atomic access to atomically-touched fields declared in this package (construction-phase accesses exempt)",
+	Doc:  "require module-wide atomic access to atomically-touched fields declared in this package (construction-phase accesses exempt); flag copies of lock/atomic-bearing structs",
 	Run:  runMemModelAtomic,
 }
 
 func runMemModelAtomic(pass *analysis.Pass) error {
 	all := collectAtomicFields(pass.Prog)
+	checkSyncCopies(pass, all)
 	mine := map[types.Object]bool{}
 	for fld := range all {
 		if fld.Pkg() == pass.Pkg {
@@ -134,6 +148,58 @@ func runMemModelAtomic(pass *analysis.Pass) error {
 				ast.Inspect(fd.Body, c.inspect)
 			}
 		}
+	}
+	return nil
+}
+
+// collectAtomicFields walks the whole module once and returns the set
+// of struct-field objects whose address (or an element's address)
+// reaches a sync/atomic call.
+func collectAtomicFields(prog *analysis.Program) map[types.Object]bool {
+	fields := map[types.Object]bool{}
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isAtomicCall(pkg.Info, call) {
+					return true
+				}
+				for _, arg := range call.Args {
+					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+					if !ok || un.Op != token.AND {
+						continue
+					}
+					if fld := fieldObject(pkg.Info, un.X); fld != nil {
+						fields[fld] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return fields
+}
+
+// isAtomicCall reports whether the call targets the sync/atomic
+// package (functions or the atomic.Int64-style method sets).
+func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := staticCallee(info, call)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
+}
+
+// fieldObject resolves the struct field an lvalue expression denotes:
+// x.f, x.f[i], (*p).f[i] all resolve to f. Non-field lvalues return
+// nil.
+func fieldObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			return sel.Obj()
+		}
+	case *ast.IndexExpr:
+		return fieldObject(info, e.X)
+	case *ast.StarExpr:
+		return fieldObject(info, e.X)
 	}
 	return nil
 }
@@ -196,7 +262,7 @@ func freshValue(info *types.Info, e ast.Expr) bool {
 }
 
 // flowAtomicChecker is the per-package traversal of memmodelatomic:
-// atomicChecker's access rules plus the construction-phase exemption.
+// the access rules plus the construction-phase exemption.
 type flowAtomicChecker struct {
 	pass   *analysis.Pass
 	info   *types.Info
@@ -254,4 +320,94 @@ func (c *flowAtomicChecker) inspect(n ast.Node) bool {
 		return false
 	}
 	return true
+}
+
+// checkSyncCopies flags, in the target package's own files, by-value
+// parameters and receivers whose type carries synchronization state,
+// and assignments that copy such a struct out of a dereference (x := *p
+// and *dst = *src are both forks of live synchronization state).
+func checkSyncCopies(pass *analysis.Pass, atomicFields map[types.Object]bool) {
+	dirs := newDirectives(pass.Fset, pass.Files)
+	report := func(n ast.Node, format string, args ...any) {
+		if !dirs.at(n.Pos(), "atomic-ok") {
+			pass.Reportf(n.Pos(), format, args...)
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				for _, fl := range []*ast.FieldList{n.Recv, n.Type.Params} {
+					if fl == nil {
+						continue
+					}
+					for _, fld := range fl.List {
+						t := pass.TypesInfo.Types[fld.Type].Type
+						if t == nil {
+							continue
+						}
+						if name := syncBearing(t, atomicFields); name != "" {
+							report(fld.Type, "%s passes %s by value, copying its %s", n.Name.Name, t.String(), name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, rhs := range n.Rhs {
+					star, ok := ast.Unparen(rhs).(*ast.StarExpr)
+					if !ok {
+						continue
+					}
+					t := pass.TypesInfo.Types[star].Type
+					if t == nil {
+						continue
+					}
+					if name := syncBearing(t, atomicFields); name != "" {
+						report(rhs, "copies %s by value, forking its %s", t.String(), name)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// syncBearing reports why a type must not be copied: it is (or
+// directly embeds) a sync lock type, or it is a struct with a field in
+// the module's atomic-field set. Returns "" for freely copyable types.
+func syncBearing(t types.Type, atomicFields map[types.Object]bool) string {
+	if isSyncLockType(t) {
+		return "lock state"
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return ""
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if atomicFields[f] {
+			return "atomically-updated field " + f.Name()
+		}
+		if isSyncLockType(f.Type()) {
+			return "sync." + f.Type().(*types.Named).Obj().Name() + " field " + f.Name()
+		}
+	}
+	return ""
+}
+
+// isSyncLockType reports whether t is one of the sync types that must
+// never be copied after first use.
+func isSyncLockType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	switch obj.Name() {
+	case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
+		return true
+	}
+	return false
 }

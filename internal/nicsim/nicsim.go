@@ -105,7 +105,7 @@ type Config struct {
 	// exponentially: the 1st, 2nd, 4th... drop) for the always-on
 	// flight recorder. Must be owned by the goroutine driving this
 	// runtime.
-	FlightRec *obs.FlightRecorder
+	FlightRec *obs.Ring[obs.Event]
 }
 
 // Optimizations toggles the §6.2 cycle optimizations, enabling the

@@ -69,7 +69,7 @@ type Runtime struct {
 	inj *faults.Injector
 	// fr mirrors cfg.FlightRec (nil-safe; EMEM-drop events coalesced
 	// exponentially so sustained drop storms cost O(log n) records).
-	fr *obs.FlightRecorder
+	fr *obs.Ring[obs.Event]
 
 	// Slab allocator for group state: groups, their state slices and
 	// scratch slices are carved from block allocations so admitting a
@@ -551,7 +551,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 		// The MGPV carries the switch-computed CG hash (§6.2 hash
 		// reuse), so the sampling decision matches the switch tracer's.
 		if o.Tracer.Sampled(v.Hash) {
-			o.Tracer.Record(obs.EvNICMerge, v.CG, r.stats.Cells, 0, uint16(len(v.Cells)))
+			o.Tracer.Record(obs.Event{Kind: obs.EvNICMerge, Key: v.CG, Clock: r.stats.Cells, Arg: int64(len(v.Cells))})
 		}
 	}
 	single := len(r.programs) == 1 && r.plan.Switch.CG == r.plan.Switch.FG
@@ -617,7 +617,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 					if r.inj.EMEMFail(v.Hash) {
 						r.stats.EMEMDrops++
 						if n := r.stats.EMEMDrops; r.fr != nil && n&(n-1) == 0 {
-							r.fr.Record(obs.FREMEMDrop, r.stats.Cells, int64(n))
+							r.fr.Record(obs.Event{Kind: obs.FREMEMDrop, Clock: r.stats.Cells, Arg: int64(n)})
 						}
 						continue
 					}
@@ -776,7 +776,7 @@ func (r *Runtime) emitVector(key flowkey.Key, g *group, ts int64, vals []float64
 			// Record under the CG key so the event joins the flow's
 			// switch-side admit/evict events in one timeline.
 			if t.Sampled(cgHash) {
-				t.Record(obs.EvVectorEmit, cgKey, r.stats.Cells, 0, uint16(len(vals)))
+				t.Record(obs.Event{Kind: obs.EvVectorEmit, Key: cgKey, Clock: r.stats.Cells, Arg: int64(len(vals))})
 			}
 		}
 	}

@@ -5,14 +5,14 @@ import (
 	"net/http/pprof"
 )
 
-// Source is what an engine exposes to the HTTP handler. Scrape and
-// Status must be safe to call from any goroutine at any time (the
-// registries are read lock-free with atomics; status reports are
-// served from a mutex-guarded cache refreshed at quiescence points
-// with live health/clock overlays); Series, Timelines, Spans and
-// FlightRec may return partial views while the pipeline is running
-// and are exact at a quiescence point (after Flush/Drain). Nil
-// functions mark disabled facilities; their endpoints answer 404.
+// Source is what an engine exposes to the HTTP handler. Every function
+// must be safe to call from any goroutine while the pipeline runs:
+// Scrape reads the registries lock-free with atomics; everything else
+// is served from the engine's one mutex-guarded cache of immutable
+// views, refreshed at quiescence points (barriers, Flush/Drain), with
+// Status overlaying live health and clock. The cached views are
+// therefore exact as of the last barrier. Nil functions mark disabled
+// facilities; their endpoints answer 404.
 type Source struct {
 	Scrape    func() *Snapshot
 	Series    func() *Series
@@ -72,7 +72,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, req *http.Request) {
 		if src.Status == nil {
-			http.Error(w, "status unavailable (engine does not expose it)", http.StatusNotFound)
+			http.Error(w, "status unavailable (source has no engine)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -98,7 +98,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/flightrecorder", func(w http.ResponseWriter, req *http.Request) {
 		if src.FlightRec == nil {
-			http.Error(w, "flight recorder unavailable (engine does not expose it)", http.StatusNotFound)
+			http.Error(w, "flight recorder disabled (clear FlightRec.Disable)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

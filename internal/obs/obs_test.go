@@ -170,50 +170,63 @@ func testKey(srcIP uint32) flowkey.Key {
 	}}
 }
 
+// TestFlowTracerSamplingAndRing covers the one ring every event view is
+// stored through: sampling mask, nil-safety, wrap, and the oldest-first
+// snapshot stamped with the ring's own (Shard, Seq).
 func TestFlowTracerSamplingAndRing(t *testing.T) {
-	tr := NewFlowTracer(64, 8)
+	tr := NewRing[Event](3, 64, 8)
 	if tr.Sampled(1) {
 		t.Error("hash 1 should not be sampled at 1-in-64")
 	}
 	if !tr.Sampled(0) || !tr.Sampled(64) {
 		t.Error("hashes ≡ 0 (mod 64) should be sampled")
 	}
-	var nilTr *FlowTracer
+	var nilTr *Ring[Event]
 	if nilTr.Sampled(0) {
-		t.Error("nil tracer samples nothing")
+		t.Error("nil ring samples nothing")
 	}
-	nilTr.Record(EvAdmit, testKey(1), 0, 0, 0) // must not panic
+	nilTr.Record(Event{Kind: EvAdmit, Key: testKey(1)}) // must not panic
+	if nilTr.Seq() != 0 || nilTr.Snapshot() != nil {
+		t.Error("nil ring must read empty")
+	}
 
 	// Overfill the 8-slot ring; the retained window is the newest 8.
 	for i := 0; i < 12; i++ {
-		tr.Record(EvCellAppend, testKey(uint32(i)), uint64(i), 0, 1)
+		tr.Record(Event{Kind: EvCellAppend, Key: testKey(uint32(i)), Clock: uint64(i), Arg: 1})
 	}
-	evs := tr.Events()
-	if len(evs) != 8 {
-		t.Fatalf("ring retained %d events, want 8", len(evs))
+	evs := tr.Snapshot()
+	if len(evs) != 8 || tr.Seq() != 12 {
+		t.Fatalf("ring retained %d of %d events, want 8 of 12", len(evs), tr.Seq())
 	}
 	for i, e := range evs {
-		if want := uint64(4 + i); e.Seq != want {
-			t.Errorf("event[%d].Seq = %d, want %d (oldest-first)", i, e.Seq, want)
+		if want := uint64(4 + i); e.Seq != want || e.Clock != want || e.Shard != 3 {
+			t.Errorf("event[%d] = seq %d clock %d shard %d, want %d/%d/3 (oldest-first)", i, e.Seq, e.Clock, e.Shard, want, want)
 		}
+	}
+
+	// The router's ring (shard -1) merges ahead of every shard's.
+	router := NewRing[Event](-1, 1, 4)
+	router.Record(Event{Kind: FRBarrier})
+	if all := Merge(tr, nil, router); len(all) != 9 || all[0].Kind != FRBarrier || all[1].Seq != 4 {
+		t.Errorf("merge order wrong: %d events, first %v", len(all), all[0])
 	}
 }
 
 func TestTimelineReconstruction(t *testing.T) {
 	a, b := testKey(1), testKey(2)
-	// Interleave two flows across two shard tracers, as CG-hash
-	// sharding would: all of one flow's events on one tracer.
-	t1 := NewFlowTracer(1, 16)
-	t1.Record(EvAdmit, a, 1, 0, 0)
-	t1.Record(EvCellAppend, a, 2, 0, 1)
-	t1.Record(EvEvict, a, 3, gpv.EvictFull, 2)
-	t1.Record(EvNICMerge, a, 4, 0, 2)
-	t1.Record(EvVectorEmit, a, 5, 0, 7)
-	t2 := NewFlowTracer(1, 16)
-	t2.Record(EvAdmit, b, 1, 0, 0)
-	t2.Record(EvEvict, b, 2, gpv.EvictFlush, 1)
+	// Interleave two flows across two shard rings, as CG-hash
+	// sharding would: all of one flow's events on one ring.
+	t1 := NewRing[Event](0, 1, 16)
+	t1.Record(Event{Kind: EvAdmit, Key: a, Clock: 1})
+	t1.Record(Event{Kind: EvCellAppend, Key: a, Clock: 2, Arg: 1})
+	t1.Record(Event{Kind: EvEvict, Key: a, Clock: 3, Reason: gpv.EvictFull, Arg: 2})
+	t1.Record(Event{Kind: EvNICMerge, Key: a, Clock: 4, Arg: 2})
+	t1.Record(Event{Kind: EvVectorEmit, Key: a, Clock: 5, Arg: 7})
+	t2 := NewRing[Event](1, 1, 16)
+	t2.Record(Event{Kind: EvAdmit, Key: b, Clock: 1})
+	t2.Record(Event{Kind: EvEvict, Key: b, Clock: 2, Reason: gpv.EvictFlush, Arg: 1})
 
-	tls := Timelines(t1, t2)
+	tls := Timelines(Merge(t1, t2))
 	if len(tls) != 2 {
 		t.Fatalf("got %d timelines, want 2", len(tls))
 	}
@@ -270,18 +283,18 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 func TestPipelineDisabled(t *testing.T) {
-	if p := NewPipeline(Options{}); p != nil {
+	if p := NewPipeline(Options{}, 0); p != nil {
 		t.Fatal("disabled options must yield a nil pipeline")
 	}
 	o := DefaultOptions()
 	o.Enabled = true
-	p := NewPipeline(o)
+	p := NewPipeline(o, 0)
 	if p == nil || p.Registry == nil || p.Switch == nil || p.NIC == nil {
 		t.Fatal("enabled pipeline missing components")
 	}
 	// All shards must share one schema: two pipelines from the same
 	// options have slot-identical registries.
-	q := NewPipeline(o)
+	q := NewPipeline(o, 1)
 	pd, qd := p.Registry.Defs(), q.Registry.Defs()
 	if len(pd) != len(qd) {
 		t.Fatalf("schema mismatch: %d vs %d series", len(pd), len(qd))

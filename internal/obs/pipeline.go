@@ -39,7 +39,7 @@ type SwitchObs struct {
 	// the per-message aggregation the switch achieves.
 	CellsPerMsg Histogram
 
-	Tracer *FlowTracer
+	Tracer *Ring[Event]
 }
 
 // NICObs is the FE-NIC's instrument panel. GroupsLive and
@@ -65,7 +65,7 @@ type NICObs struct {
 	// emission.
 	EmitLatency Histogram
 
-	Tracer *FlowTracer
+	Tracer *Ring[Event]
 }
 
 // EngineObs is the fault-injection and graceful-degradation panel:
@@ -126,8 +126,8 @@ type Pipeline struct {
 	NIC      *NICObs
 	Engine   *EngineObs
 	Ring     *RingObs
-	Tracer   *FlowTracer
-	Spans    *SpanRing
+	Tracer   *Ring[Event]
+	Spans    *Ring[BatchSpan]
 }
 
 // Geometric bucket edges for the per-stage histograms, derived with
@@ -146,12 +146,12 @@ var (
 // arrays up. Returns nil when o.Enabled is false.
 //
 //superfe:coldpath
-func NewPipeline(o Options) *Pipeline {
+func NewPipeline(o Options, shard int) *Pipeline {
 	if !o.Enabled {
 		return nil
 	}
 	r := NewRegistry()
-	tr := NewFlowTracer(o.TraceSampleEvery, o.TraceRingSize)
+	tr := NewRing[Event](shard, o.TraceSampleEvery, traceRingSize)
 	sw := &SwitchObs{
 		PktsIn:         r.Counter("superfe_switch_pkts_in_total", "packets received by the FE-Switch"),
 		BytesIn:        r.Counter("superfe_switch_bytes_in_total", "raw traffic bytes received by the FE-Switch"),
@@ -224,6 +224,6 @@ func NewPipeline(o Options) *Pipeline {
 	r.Seal()
 	return &Pipeline{
 		Registry: r, Switch: sw, NIC: nic, Engine: eng, Ring: ring, Tracer: tr,
-		Spans: NewSpanRing(o.SpanSampleEvery, o.SpanRingSize),
+		Spans: NewRing[BatchSpan](shard, o.SpanSampleEvery, spanRingSize),
 	}
 }

@@ -138,9 +138,9 @@ func WriteSeriesCSV(w io.Writer, series *Series) error {
 		b.WriteByte(',')
 		b.WriteString(csvName(d))
 	}
-	_, hasIn := series.Snaps[0].Value("superfe_switch_bytes_in_total")
-	_, hasOut := series.Snaps[0].Value("superfe_switch_bytes_out_total")
-	derived := hasIn && hasOut
+	// Resolved by name alone, so a tenant-Tagged series still derives.
+	inSlot, outSlot := slotOf(defs, "superfe_switch_bytes_in_total"), slotOf(defs, "superfe_switch_bytes_out_total")
+	derived := inSlot >= 0 && outSlot >= 0
 	if derived {
 		b.WriteString(",agg_ratio")
 	}
@@ -156,8 +156,7 @@ func WriteSeriesCSV(w io.Writer, series *Series) error {
 			}
 		}
 		if derived {
-			in, _ := snap.Value("superfe_switch_bytes_in_total")
-			out, _ := snap.Value("superfe_switch_bytes_out_total")
+			in, out := snap.Vals[inSlot], snap.Vals[outSlot]
 			ratio := 0.0
 			if in > 0 {
 				ratio = float64(out) / float64(in)
@@ -168,6 +167,17 @@ func WriteSeriesCSV(w io.Writer, series *Series) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// slotOf returns the value slot of the first series with the given
+// name, or -1.
+func slotOf(defs []SeriesDef, name string) int {
+	for i := range defs {
+		if defs[i].Name == name {
+			return defs[i].Slot
+		}
+	}
+	return -1
 }
 
 // csvName flattens a series name plus labels into one CSV column
@@ -186,36 +196,4 @@ func csvName(d *SeriesDef) string {
 		b.WriteString(l.Value)
 	}
 	return b.String()
-}
-
-// WriteTimelinesJSON renders reconstructed flow timelines as JSON.
-func WriteTimelinesJSON(w io.Writer, tls []Timeline) error {
-	type jsonEvent struct {
-		Seq    uint64 `json:"seq"`
-		Clock  uint64 `json:"clock"`
-		Kind   string `json:"kind"`
-		Reason string `json:"reason,omitempty"`
-		Cells  uint16 `json:"cells,omitempty"`
-	}
-	type jsonTimeline struct {
-		Key      string      `json:"key"`
-		Complete bool        `json:"complete"`
-		Events   []jsonEvent `json:"events"`
-	}
-	out := make([]jsonTimeline, 0, len(tls))
-	for i := range tls {
-		tl := &tls[i]
-		jt := jsonTimeline{Key: tl.Key.String(), Complete: tl.Complete()}
-		for _, e := range tl.Events {
-			je := jsonEvent{Seq: e.Seq, Clock: e.Clock, Kind: e.Kind.String(), Cells: e.Cells}
-			if e.Kind == EvEvict {
-				je.Reason = e.Reason.String()
-			}
-			jt.Events = append(jt.Events, je)
-		}
-		out = append(out, jt)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -54,6 +54,9 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 // the engine-level registry after the merged shard registries).
 func (s *Snapshot) Append(o *Snapshot) {
 	base := len(s.Vals)
+	// Defs may still be the registry's own slice (shared by every
+	// concurrent scrape): cap it so the first append copies.
+	s.Defs = s.Defs[:len(s.Defs):len(s.Defs)]
 	for _, d := range o.Defs {
 		d.Slot += base
 		s.Defs = append(s.Defs, d)
@@ -160,6 +163,16 @@ type Series struct {
 	// Snaps holds the interval deltas (counters/histograms are the
 	// interval's activity, gauges the end-of-interval value).
 	Snaps []*Snapshot
+}
+
+// Tagged returns a copy of the series with every interval snapshot
+// Tagged.
+func (s *Series) Tagged(name, value string) *Series {
+	out := &Series{Interval: s.Interval, Snaps: make([]*Snapshot, len(s.Snaps))}
+	for i, snap := range s.Snaps {
+		out.Snaps[i] = snap.Tagged(name, value)
+	}
+	return out
 }
 
 // Recorder drives logical-clock snapshots: Tick once per packet from

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // BatchSpan is one columnar batch's trace through the parallel
@@ -22,20 +21,21 @@ import (
 type BatchSpan struct {
 	// Sampled marks a live span; the router sets it when the batch's
 	// first row wins the hash lottery. Cleared by Columns.Reset.
-	Sampled bool
-	// Shard and Batch identify the span: Batch is the shard's dispatch
-	// ordinal (1-based), so (Shard, Batch) totally orders spans.
-	Shard int32
-	Batch uint64
+	Sampled bool `json:"-"`
+	// Shard and Batch identify the span: Shard is stamped by the ring
+	// that retains it, Batch is the shard's dispatch ordinal (1-based),
+	// so (Shard, Batch) totally orders spans.
+	Shard int32  `json:"shard"`
+	Batch uint64 `json:"batch"`
 	// Rows is the batch fill at dispatch; Hash the first-row CG hash
 	// that selected it.
-	Rows int32
-	Hash uint32
+	Rows int32  `json:"rows"`
+	Hash uint32 `json:"hash"`
 
 	// FillStart/FillEnd bracket the router fill (packets routed when
 	// the first row landed / when the batch was dispatched).
-	FillStart uint64
-	FillEnd   uint64
+	FillStart uint64 `json:"fill_start"`
+	FillEnd   uint64 `json:"fill_end"`
 
 	// Enqueue evidence, gathered producer-side just before the batch
 	// is published (the span rides inside the batch, so nothing may be
@@ -44,125 +44,21 @@ type BatchSpan struct {
 	// consumer was parked at publish time (the publish is then what
 	// wakes it). These depend on scheduling and are the span's only
 	// nondeterministic fields.
-	EnqueueOcc   int32
-	ProdParks    uint32
-	WokeConsumer bool
+	EnqueueOcc   int32  `json:"enqueue_occ"`
+	ProdParks    uint32 `json:"prod_parks"`
+	WokeConsumer bool   `json:"woke_consumer"`
 
 	// Switch deltas across ProcessColumns.
-	SwPktsIn    uint32
-	SwFiltered  uint32
-	SwCellsOut  uint32
-	SwMsgsOut   uint32
-	SwEvictions uint32
-	SwShed      uint32
+	SwPktsIn    uint32 `json:"sw_pkts_in"`
+	SwFiltered  uint32 `json:"sw_filtered"`
+	SwCellsOut  uint32 `json:"sw_cells_out"`
+	SwMsgsOut   uint32 `json:"sw_msgs_out"`
+	SwEvictions uint32 `json:"sw_evictions"`
+	SwShed      uint32 `json:"sw_shed"`
 
 	// NIC deltas across the same window (the switch delivers evicted
 	// MGPVs synchronously, so the NIC work the batch caused lands
 	// inside it).
-	NICMsgs      uint32
-	NICMGPVs     uint32
-	NICCells     uint32
-	NICVectors   uint32
-	NICEMEMDrops uint32
-}
-
-// SpanRing is one shard's fixed ring of completed batch spans.
-// Single-writer (the shard goroutine records, overwriting the oldest
-// when full); readers must run at a quiescence point — the same
-// contract as FlowTracer.
-type SpanRing struct {
-	mask uint32 // sample when hash&mask == 0
-	ring []BatchSpan
-	seq  uint64
-}
-
-// NewSpanRing samples 1-in-sampleEvery batches (rounded up to a power
-// of two) into a ring of ringSize spans (likewise rounded).
-// sampleEvery <= 0 returns nil: a nil ring is safe, samples nothing
-// and records nothing.
-func NewSpanRing(sampleEvery, ringSize int) *SpanRing {
-	if sampleEvery <= 0 {
-		return nil
-	}
-	if ringSize <= 0 {
-		ringSize = 1024
-	}
-	return &SpanRing{
-		mask: uint32(ceilPow2(sampleEvery) - 1),
-		ring: make([]BatchSpan, ceilPow2(ringSize)),
-	}
-}
-
-// Sampled reports whether a batch whose first row carries the given
-// CG hash is traced. Deterministic: purely a function of the hash.
-//
-//superfe:hotpath
-func (r *SpanRing) Sampled(hash uint32) bool {
-	return r != nil && hash&r.mask == 0
-}
-
-// Record stores one completed span, overwriting the oldest when the
-// ring is full. An indexed write — no allocation.
-//
-//superfe:hotpath
-func (r *SpanRing) Record(s BatchSpan) {
-	if r == nil {
-		return
-	}
-	r.ring[r.seq&uint64(len(r.ring)-1)] = s
-	r.seq++
-}
-
-// Spans returns the retained spans in recording order (oldest first).
-// Quiescent-read only.
-func (r *SpanRing) Spans() []BatchSpan {
-	if r == nil {
-		return nil
-	}
-	n := r.seq
-	if n > uint64(len(r.ring)) {
-		n = uint64(len(r.ring))
-	}
-	out := make([]BatchSpan, 0, n)
-	for s := r.seq - n; s < r.seq; s++ {
-		out = append(out, r.ring[s&uint64(len(r.ring)-1)])
-	}
-	return out
-}
-
-// MergeSpans collects the retained spans of several shard rings,
-// sorted by (Shard, Batch) for deterministic rendering.
-func MergeSpans(rings ...*SpanRing) []BatchSpan {
-	var all []BatchSpan
-	for _, r := range rings {
-		all = append(all, r.Spans()...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Shard != all[j].Shard {
-			return all[i].Shard < all[j].Shard
-		}
-		return all[i].Batch < all[j].Batch
-	})
-	return all
-}
-
-// jsonSpan is the exposition form of one span.
-type jsonSpan struct {
-	Shard        int32  `json:"shard"`
-	Batch        uint64 `json:"batch"`
-	Rows         int32  `json:"rows"`
-	Hash         uint32 `json:"hash"`
-	FillStart    uint64 `json:"fill_start"`
-	FillEnd      uint64 `json:"fill_end"`
-	EnqueueOcc   int32  `json:"enqueue_occ"`
-	ProdParks    uint32 `json:"prod_parks"`
-	WokeConsumer bool   `json:"woke_consumer"`
-	SwPktsIn     uint32 `json:"sw_pkts_in"`
-	SwFiltered   uint32 `json:"sw_filtered"`
-	SwCellsOut   uint32 `json:"sw_cells_out"`
-	SwMsgsOut    uint32 `json:"sw_msgs_out"`
-	SwEvictions  uint32 `json:"sw_evictions"`
-	SwShed       uint32 `json:"sw_shed"`
 	NICMsgs      uint32 `json:"nic_msgs"`
 	NICMGPVs     uint32 `json:"nic_mgpvs"`
 	NICCells     uint32 `json:"nic_cells"`
@@ -170,25 +66,19 @@ type jsonSpan struct {
 	NICEMEMDrops uint32 `json:"nic_emem_drops"`
 }
 
-// WriteSpansJSON renders spans (use MergeSpans for the deterministic
-// order) as indented JSON.
+func (s BatchSpan) stamp(shard int32, _ uint64) BatchSpan {
+	s.Shard = shard
+	return s
+}
+
+// WriteSpansJSON renders merged spans as indented JSON.
 func WriteSpansJSON(w io.Writer, spans []BatchSpan) error {
-	out := make([]jsonSpan, 0, len(spans))
-	for i := range spans {
-		s := &spans[i]
-		out = append(out, jsonSpan{
-			Shard: s.Shard, Batch: s.Batch, Rows: s.Rows, Hash: s.Hash,
-			FillStart: s.FillStart, FillEnd: s.FillEnd,
-			EnqueueOcc: s.EnqueueOcc, ProdParks: s.ProdParks, WokeConsumer: s.WokeConsumer,
-			SwPktsIn: s.SwPktsIn, SwFiltered: s.SwFiltered, SwCellsOut: s.SwCellsOut,
-			SwMsgsOut: s.SwMsgsOut, SwEvictions: s.SwEvictions, SwShed: s.SwShed,
-			NICMsgs: s.NICMsgs, NICMGPVs: s.NICMGPVs, NICCells: s.NICCells,
-			NICVectors: s.NICVectors, NICEMEMDrops: s.NICEMEMDrops,
-		})
+	if spans == nil {
+		spans = []BatchSpan{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(spans)
 }
 
 // NormalizeSpans zeroes the scheduling-dependent fields (enqueue

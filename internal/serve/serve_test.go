@@ -539,6 +539,13 @@ func TestAdminSurface(t *testing.T) {
 		!strings.Contains(body, `tenant="alpha"`) {
 		t.Fatalf("GET /tenants/alpha/obs/metrics = %d (want tenant label):\n%s", code, body)
 	}
+	// Every engine view is served from its barrier cache, so the tenant
+	// subtree exposes all of them, not a hand-picked subset.
+	for _, path := range []string{"timelines.json", "series.csv", "spans", "flightrecorder", "snapshot"} {
+		if code, body := get("/tenants/alpha/obs/" + path); code != http.StatusOK {
+			t.Fatalf("GET /tenants/alpha/obs/%s = %d:\n%s", path, code, body)
+		}
+	}
 	if code, body := get("/status"); code != http.StatusOK || !strings.Contains(body, `"tenants": 1`) {
 		t.Fatalf("GET /status = %d:\n%s", code, body)
 	}

@@ -329,25 +329,17 @@ func (t *Tenant) Status() *obs.StatusReport {
 	return st
 }
 
-// ObsSource adapts the tenant for the obs HTTP handler: the scrape is
-// tagged with the tenant label, the status report carries the tenant
-// name, and only the engine surfaces that are safe from the HTTP
-// goroutine while the command loop runs (scrape, status, span and
-// flight-recorder caches) are exposed.
+// ObsSource adapts the tenant for the obs HTTP handler: the engine's
+// own source — every view of which is safe from the HTTP goroutine
+// while the command loop runs — with the scrape and the interval
+// series tagged with the tenant label and the status report carrying
+// the tenant name.
 func (t *Tenant) ObsSource() obs.Source {
 	src := t.eng.ObsSource()
-	return obs.Source{
-		Scrape: func() *obs.Snapshot {
-			snap := t.eng.ObsScrape()
-			if snap == nil {
-				return nil
-			}
-			return snap.Tagged("tenant", t.name)
-		},
-		Status:    t.Status,
-		Spans:     src.Spans,
-		FlightRec: src.FlightRec,
-	}
+	src.Scrape = func() *obs.Snapshot { return t.eng.ObsScrape().Tagged("tenant", t.name) }
+	src.Series = func() *obs.Series { return t.eng.ObsSeries().Tagged("tenant", t.name) }
+	src.Status = t.Status
+	return src
 }
 
 // subscriber is one vector output stream: a connection the tenant's

@@ -75,8 +75,8 @@ type Config struct {
 	// FlightRec, when non-nil, receives degraded-mode shed events
 	// (coalesced exponentially: the 1st, 2nd, 4th, 8th... shed cell,
 	// so a long shedding episode cannot flood the bounded ring). The
-	// recorder must be owned by the goroutine driving this switch.
-	FlightRec *obs.FlightRecorder
+	// ring must be owned by the goroutine driving this switch.
+	FlightRec *obs.Ring[obs.Event]
 }
 
 // DefaultConfig returns the prototype parameters from §7.
@@ -176,7 +176,7 @@ type Switch struct {
 	// records shed events into the always-on flight recorder.
 	inj      *faults.Injector
 	degraded bool
-	fr       *obs.FlightRecorder
+	fr       *obs.Ring[obs.Event]
 
 	// singleGran is set when the switch emulates a plain GPV cache
 	// for one granularity (the Figure 13 baseline): the FG table is
@@ -336,7 +336,7 @@ func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTup
 		s.stat.GroupsAdmitted++
 		s.occSlots++
 		if o := s.obs; o != nil && o.Tracer.Sampled(hash) {
-			o.Tracer.Record(obs.EvAdmit, cgKey, s.stat.PktsIn, 0, 0)
+			o.Tracer.Record(obs.Event{Kind: obs.EvAdmit, Key: cgKey, Clock: s.stat.PktsIn})
 		}
 	}
 	sl.lastAccess = s.now
@@ -366,7 +366,7 @@ func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTup
 
 	s.appendCell(sl, cell)
 	if o := s.obs; o != nil && o.Tracer.Sampled(hash) {
-		o.Tracer.Record(obs.EvCellAppend, cgKey, s.stat.PktsIn, 0, 1)
+		o.Tracer.Record(obs.Event{Kind: obs.EvCellAppend, Key: cgKey, Clock: s.stat.PktsIn, Arg: 1})
 	}
 }
 
@@ -485,7 +485,7 @@ func (s *Switch) appendCell(sl *slot, cell *gpv.Cell) {
 		// Exponential coalescing: record the 1st, 2nd, 4th... shed so a
 		// sustained episode leaves a bounded trail in the event ring.
 		if n := s.stat.ShedCells; s.fr != nil && n&(n-1) == 0 {
-			s.fr.Record(obs.FRShed, s.stat.PktsIn, int64(n))
+			s.fr.Record(obs.Event{Kind: obs.FRShed, Clock: s.stat.PktsIn, Arg: int64(n)})
 		}
 		return
 	}
@@ -538,7 +538,7 @@ func (s *Switch) evict(sl *slot, reason gpv.EvictReason, release bool) {
 		if o := s.obs; o != nil {
 			s.cellsPerMsg.Observe(int64(len(cells)))
 			if o.Tracer.Sampled(sl.hash) {
-				o.Tracer.Record(obs.EvEvict, sl.key, s.stat.PktsIn, reason, uint16(len(cells)))
+				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: reason, Arg: int64(len(cells))})
 			}
 		}
 	}
