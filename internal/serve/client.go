@@ -23,10 +23,11 @@ type Client struct {
 	conn net.Conn
 	bw   *bufio.Writer
 	fr   *gpv.FrameReader
-	// scratch buffers reused across sends: payload for packet records,
-	// frame for the framed bytes.
+	// scratch buffers reused across calls: payload for packet records,
+	// frame for the framed bytes, vals for NextVector's Values.
 	payload []byte
 	frame   []byte
+	vals    []float64
 }
 
 // Dial connects to a serve listener ("unix" or "tcp") and binds the
@@ -116,8 +117,11 @@ func (c *Client) Subscribe() error {
 	return c.awaitOK()
 }
 
-// NextVector reads one vector from a subscribed connection. It
-// returns io.EOF when the server closes the stream cleanly.
+// NextVector reads one vector from a subscribed connection. Like a
+// feature.Sink argument, the vector's Values are valid only until the
+// next NextVector call — copy them to retain. It returns io.EOF when
+// the server closes the stream cleanly, and an ErrRemote naming the
+// reason when the server disconnects a subscriber that fell behind.
 func (c *Client) NextVector() (feature.Vector, error) {
 	kind, payload, err := c.fr.Next()
 	if err != nil {
@@ -125,7 +129,12 @@ func (c *Client) NextVector() (feature.Vector, error) {
 	}
 	switch kind {
 	case FrameVector:
-		return DecodeVector(payload)
+		v, err := DecodeVectorInto(c.vals, payload)
+		if err != nil {
+			return feature.Vector{}, err
+		}
+		c.vals = v.Values
+		return v, nil
 	case FrameError:
 		return feature.Vector{}, fmt.Errorf("%w: %s", ErrRemote, payload)
 	default:

@@ -20,9 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
+	"superfe/internal/gpv"
 	"superfe/internal/packet"
 )
 
@@ -124,7 +126,9 @@ const vectorHdrBytes = 1 + 13 + 8 + 4
 // key granularity (1 B), key tuple (13 B), timestamp (8 B), dimension
 // (4 B), then dimension float64 values, all big-endian.
 func AppendVector(dst []byte, v *feature.Vector) []byte {
-	var b [vectorHdrBytes]byte
+	n := len(dst)
+	dst = slices.Grow(dst, vectorHdrBytes+8*len(v.Values))[:n+vectorHdrBytes+8*len(v.Values)]
+	b := dst[n:]
 	b[0] = uint8(v.Key.Gran)
 	binary.BigEndian.PutUint32(b[1:5], v.Key.Tuple.SrcIP)
 	binary.BigEndian.PutUint32(b[5:9], v.Key.Tuple.DstIP)
@@ -133,25 +137,49 @@ func AppendVector(dst []byte, v *feature.Vector) []byte {
 	b[13] = uint8(v.Key.Tuple.Proto)
 	binary.BigEndian.PutUint64(b[14:22], uint64(v.Timestamp))
 	binary.BigEndian.PutUint32(b[22:26], uint32(len(v.Values)))
-	dst = append(dst, b[:]...)
-	for _, x := range v.Values {
-		var f [8]byte
-		binary.BigEndian.PutUint64(f[:], math.Float64bits(x))
-		dst = append(dst, f[:]...)
+	b = b[vectorHdrBytes:]
+	for i, x := range v.Values {
+		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return dst
 }
 
+// appendVectorFrame appends one complete FrameVector frame — gpv frame
+// header and vector payload — to dst, encoding the vector in place
+// behind a reserved header whose length is patched once the payload is
+// known: the egress path frames each vector exactly once, with no
+// intermediate payload buffer. The payload bound needs no check here:
+// vetPlan refuses a policy whose vectors would not fit a frame.
+func appendVectorFrame(dst []byte, v *feature.Vector) []byte {
+	start := len(dst)
+	dst = append(dst, gpv.FrameMagic, gpv.FrameVersion, FrameVector, 0, 0, 0, 0, 0)
+	dst = AppendVector(dst, v)
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(dst)-start-gpv.FrameHeaderBytes))
+	return dst
+}
+
 // DecodeVector decodes one FrameVector payload. Values are copied out
-// of the payload, so the vector may be retained past the frame
-// buffer's reuse.
+// of the payload into a fresh slice, so the vector may be retained
+// past the frame buffer's reuse.
 func DecodeVector(payload []byte) (feature.Vector, error) {
+	return DecodeVectorInto(nil, payload)
+}
+
+// DecodeVectorInto decodes one FrameVector payload with Values stored
+// in dst's backing array (grown when its capacity is short). The
+// caller that passes the returned Values back as the next dst decodes
+// a stream without allocating; the vector is then valid only until
+// that next call.
+func DecodeVectorInto(dst []float64, payload []byte) (feature.Vector, error) {
 	if len(payload) < vectorHdrBytes {
 		return feature.Vector{}, fmt.Errorf("%w: %d bytes", ErrVectorPayload, len(payload))
 	}
-	dim := binary.BigEndian.Uint32(payload[22:26])
-	if len(payload) != vectorHdrBytes+8*int(dim) {
+	dim := int(binary.BigEndian.Uint32(payload[22:26]))
+	if len(payload) != vectorHdrBytes+8*dim {
 		return feature.Vector{}, fmt.Errorf("%w: dim %d vs %d bytes", ErrVectorPayload, dim, len(payload))
+	}
+	if cap(dst) < dim {
+		dst = make([]float64, dim)
 	}
 	v := feature.Vector{
 		Key: flowkey.Key{
@@ -165,7 +193,7 @@ func DecodeVector(payload []byte) (feature.Vector, error) {
 			},
 		},
 		Timestamp: int64(binary.BigEndian.Uint64(payload[14:22])),
-		Values:    make([]float64, dim),
+		Values:    dst[:dim],
 	}
 	for i := range v.Values {
 		v.Values[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[vectorHdrBytes+8*i:]))

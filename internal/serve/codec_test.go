@@ -8,6 +8,7 @@ import (
 
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
+	"superfe/internal/gpv"
 	"superfe/internal/packet"
 	"superfe/internal/trace"
 )
@@ -83,5 +84,32 @@ func TestDecodeVectorRejectsMalformed(t *testing.T) {
 	lying[25] = 99 // declared dim no longer matches payload length
 	if _, err := DecodeVector(lying); !errors.Is(err, ErrVectorPayload) {
 		t.Errorf("lying dim: err=%v, want ErrVectorPayload", err)
+	}
+}
+
+// TestVectorFrameAndDecodeInto pins the two halves of the allocation-
+// free vector stream: the in-place frame encoder produces exactly the
+// bytes of AppendVector wrapped by gpv.AppendFrame, and DecodeVectorInto
+// decodes into the caller's buffer when it is large enough and into a
+// fresh one when it is not.
+func TestVectorFrameAndDecodeInto(t *testing.T) {
+	v := feature.Vector{Key: flowkey.Key{Gran: flowkey.GranFlow, Tuple: flowkey.FiveTuple{SrcIP: 7, DstPort: 53, Proto: flowkey.ProtoUDP}}, Timestamp: 42, Values: []float64{1, 2.5, -3}}
+	want, err := gpv.AppendFrame([]byte("prefix"), FrameVector, AppendVector(nil, &v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendVectorFrame([]byte("prefix"), &v); !bytes.Equal(got, want) {
+		t.Fatalf("appendVectorFrame = %x, want %x", got, want)
+	}
+
+	payload := AppendVector(nil, &v)
+	buf := make([]float64, 0, 8)
+	got, err := DecodeVectorInto(buf, payload)
+	if err != nil || len(got.Values) != 3 || &got.Values[0] != &buf[:1][0] {
+		t.Fatalf("DecodeVectorInto with room: %+v, %v (want Values in the caller's buffer)", got, err)
+	}
+	got, err = DecodeVectorInto(buf[:0:2], payload)
+	if err != nil || len(got.Values) != 3 || got.Values[2] != -3 {
+		t.Fatalf("DecodeVectorInto without room: %+v, %v", got, err)
 	}
 }

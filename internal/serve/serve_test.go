@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +82,7 @@ type collector struct {
 	mu   sync.Mutex
 	vecs []feature.Vector
 	done chan struct{}
+	err  error // what ended the stream; read after done
 }
 
 func collect(c *Client) *collector {
@@ -87,8 +92,11 @@ func collect(c *Client) *collector {
 		for {
 			v, err := c.NextVector()
 			if err != nil {
+				col.err = err
 				return
 			}
+			// NextVector reuses Values; the collector retains them.
+			v.Values = append([]float64(nil), v.Values...)
 			col.mu.Lock()
 			col.vecs = append(col.vecs, v)
 			col.mu.Unlock()
@@ -154,9 +162,24 @@ func referenceRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, workers int
 	return vecs
 }
 
+// assertEgressBalanced checks the egress conservation identity, which
+// holds whenever a Flush has returned and nothing else feeds the
+// tenant: every (vector, subscriber) pair accepted into a backlog has
+// been written or was discarded at a counted disconnect.
+func assertEgressBalanced(t *testing.T, ten *Tenant) EgressStats {
+	t.Helper()
+	eg := ten.Info().Egress
+	if eg.VectorsEnqueued != eg.VectorsWritten+eg.VectorsDiscarded {
+		t.Errorf("tenant %s egress out of balance after Flush: enqueued %d != written %d + discarded %d",
+			ten.Name(), eg.VectorsEnqueued, eg.VectorsWritten, eg.VectorsDiscarded)
+	}
+	return eg
+}
+
 // sendTrace streams the trace to the tenant in fixed-size batches and
-// flushes.
-func sendTrace(t *testing.T, sock, tenant string, pkts []packet.Packet, batch int) {
+// flushes; it is the tenant's only feeder in every test that uses it,
+// so the egress must balance when the Flush returns.
+func sendTrace(t *testing.T, srv *Server, sock, tenant string, pkts []packet.Packet, batch int) {
 	t.Helper()
 	c, err := Dial("unix", sock, tenant)
 	if err != nil {
@@ -175,6 +198,9 @@ func sendTrace(t *testing.T, sock, tenant string, pkts []packet.Packet, batch in
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush %s: %v", tenant, err)
 	}
+	if ten, ok := srv.Tenant(tenant); ok {
+		assertEgressBalanced(t, ten)
+	}
 }
 
 // TestServiceTwoTenantIsolation is the tenancy contract: two tenants
@@ -182,7 +208,7 @@ func sendTrace(t *testing.T, sock, tenant string, pkts []packet.Packet, batch in
 // per-tenant vector multisets to two independent single-tenant batch
 // runs on the same fixed-seed traces.
 func TestServiceTwoTenantIsolation(t *testing.T) {
-	_, sock := startServer(t, Config{Workers: 2},
+	srv, sock := startServer(t, Config{Workers: 2},
 		[2]string{"alpha", "NPOD"}, [2]string{"beta", "Kitsune"})
 
 	cfgA := trace.EnterpriseConfig
@@ -216,30 +242,21 @@ func TestServiceTwoTenantIsolation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sendTrace(t, sock, "alpha", trA.Packets, 97)
+		sendTrace(t, srv, sock, "alpha", trA.Packets, 97)
 	}()
 	go func() {
 		defer wg.Done()
-		sendTrace(t, sock, "beta", trB.Packets, 61)
+		sendTrace(t, srv, sock, "beta", trB.Packets, 61)
 	}()
 	wg.Wait()
 
 	gotA := colA.await(t, len(refA))
 	gotB := colB.await(t, len(refB))
-	if len(gotA) != len(refA) || len(gotB) != len(refB) {
-		t.Fatalf("vector counts: alpha %d/%d, beta %d/%d", len(gotA), len(refA), len(gotB), len(refB))
+	if !sameMultiset(gotA, refA) {
+		t.Fatalf("alpha's %d vectors diverge from the single-tenant reference's %d", len(gotA), len(refA))
 	}
-	msA, msB := wireMultiset(gotA), wireMultiset(refA)
-	for k, n := range msB {
-		if msA[k] != n {
-			t.Fatalf("alpha multiset diverges from the single-tenant reference")
-		}
-	}
-	msA, msB = wireMultiset(gotB), wireMultiset(refB)
-	for k, n := range msB {
-		if msA[k] != n {
-			t.Fatalf("beta multiset diverges from the single-tenant reference")
-		}
+	if !sameMultiset(gotB, refB) {
+		t.Fatalf("beta's %d vectors diverge from the single-tenant reference's %d", len(gotB), len(refB))
 	}
 }
 
@@ -404,7 +421,7 @@ func TestHotReloadMidIngestRace(t *testing.T) {
 
 	// Post-reload packets are definitely extracted under the new plan.
 	tail := trace.Generate(cfg, 14)
-	sendTrace(t, sock, "hot", tail.Packets[:500], 64)
+	sendTrace(t, srv, sock, "hot", tail.Packets[:500], 64)
 
 	ten, _ := srv.Tenant("hot")
 	if got := ten.Info().Pkts; got != uint64(len(tr.Packets)+500) {
@@ -465,7 +482,7 @@ func TestReloadRejectedLeavesLivePlan(t *testing.T) {
 	}
 	col := collect(sub)
 
-	sendTrace(t, sock, "prod", tr.Packets[:len(tr.Packets)/2], 64)
+	sendTrace(t, srv, sock, "prod", tr.Packets[:len(tr.Packets)/2], 64)
 	before := len(col.await(t, 1))
 
 	resp, err := http.Post(admin.URL+"/tenants/prod/reload", "application/json",
@@ -492,7 +509,7 @@ func TestReloadRejectedLeavesLivePlan(t *testing.T) {
 
 	// The live plan keeps extracting: more packets still come out with
 	// the old plan's dimension.
-	sendTrace(t, sock, "prod", tr.Packets[len(tr.Packets)/2:], 64)
+	sendTrace(t, srv, sock, "prod", tr.Packets[len(tr.Packets)/2:], 64)
 	vecs := col.await(t, before+1)
 	oldDim := apps.NPOD().FeatureDim()
 	for i, v := range vecs {
@@ -513,7 +530,16 @@ func TestAdminSurface(t *testing.T) {
 	cfg := trace.EnterpriseConfig
 	cfg.Flows = 40
 	tr := trace.Generate(cfg, 2)
-	sendTrace(t, sock, "alpha", tr.Packets, 64)
+	sub, err := Dial("unix", sock, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	collect(sub)
+	sendTrace(t, srv, sock, "alpha", tr.Packets, 64)
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -527,6 +553,38 @@ func TestAdminSurface(t *testing.T) {
 	if code, body := get("/tenants"); code != http.StatusOK ||
 		!strings.Contains(body, `"name": "alpha"`) || !strings.Contains(body, `"policy": "NPOD"`) {
 		t.Fatalf("GET /tenants = %d:\n%s", code, body)
+	}
+	// The egress counters: one subscriber, so every vector was enqueued
+	// and written once, in fewer writes than vectors; the same numbers
+	// are tenant-tagged series on the scrape.
+	var listing struct {
+		Tenants []TenantInfo `json:"tenants"`
+	}
+	_, body := get("/tenants")
+	if err := json.Unmarshal([]byte(body), &listing); err != nil || len(listing.Tenants) != 1 {
+		t.Fatalf("GET /tenants does not parse as one tenant (%v):\n%s", err, body)
+	}
+	info := listing.Tenants[0]
+	eg := info.Egress
+	if info.Vectors == 0 || eg.VectorsEnqueued != info.Vectors || eg.VectorsWritten != info.Vectors ||
+		eg.VectorsDiscarded != 0 || eg.Writes == 0 || eg.Writes >= eg.VectorsWritten || eg.Bytes == 0 {
+		t.Fatalf("egress rollup %+v does not account for %d vectors to one subscriber", eg, info.Vectors)
+	}
+	if len(info.SubscriberEgress) != 1 || info.SubscriberEgress[0].EgressStats != eg || info.SubscriberEgress[0].Peer == "" {
+		t.Fatalf("per-subscriber egress %+v does not match the rollup %+v", info.SubscriberEgress, eg)
+	}
+	if info.Disconnects != (Disconnects{}) {
+		t.Fatalf("disconnects = %+v with a healthy subscriber", info.Disconnects)
+	}
+	_, metrics := get("/tenants/alpha/obs/metrics")
+	for _, line := range []string{
+		fmt.Sprintf(`superfe_serve_egress_vectors_total{tenant="alpha",state="written"} %d`, eg.VectorsWritten),
+		fmt.Sprintf(`superfe_serve_egress_writes_total{tenant="alpha"} %d`, eg.Writes),
+		`superfe_serve_egress_disconnects_total{tenant="alpha",reason="deadline"} 0`,
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Fatalf("tenant scrape lacks %q", line)
+		}
 	}
 	if code, body := get("/tenants/alpha"); code != http.StatusOK ||
 		!strings.Contains(body, `"tenant": "alpha"`) || !strings.Contains(body, `"health": "healthy"`) {
@@ -606,4 +664,425 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// sameMultiset reports whether two vector sets are byte-identical as
+// multisets of wire encodings.
+func sameMultiset(a, b []feature.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	ma, mb := wireMultiset(a), wireMultiset(b)
+	for k, n := range mb {
+		if ma[k] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// linkMode is what a condConn does to the server's writes.
+type linkMode int32
+
+const (
+	linkUp     linkMode = iota
+	linkStall           // deliver nothing; block until the write deadline or Close
+	linkSlow            // trickle through in small pieces
+	linkCut             // deliver all but the tail of a frame, then fail: the link broke mid-frame
+	linkHiccup          // fail one write outright, delivering none of it, then come back up
+)
+
+var errLinkCut = errors.New("link cut")
+
+// condConn is an in-process link conditioner: the server side of a
+// connection whose write direction misbehaves on command, the way a
+// netem qdisc would make it, with no kernel and no privileges.
+type condConn struct {
+	net.Conn
+	mode atomic.Int32
+
+	mu        sync.Mutex
+	deadline  time.Time
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func newCondConn(c net.Conn) *condConn { return &condConn{Conn: c, closed: make(chan struct{})} }
+
+func (c *condConn) set(m linkMode) { c.mode.Store(int32(m)) }
+
+func (c *condConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *condConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+func (c *condConn) Write(b []byte) (int, error) {
+	switch linkMode(c.mode.Load()) {
+	case linkStall:
+		c.mu.Lock()
+		deadline := c.deadline
+		c.mu.Unlock()
+		var expired <-chan time.Time
+		if !deadline.IsZero() {
+			tm := time.NewTimer(time.Until(deadline))
+			defer tm.Stop()
+			expired = tm.C
+		}
+		select {
+		case <-expired:
+			return 0, os.ErrDeadlineExceeded
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	case linkSlow:
+		n := 0
+		for len(b) > 0 {
+			m, err := c.Conn.Write(b[:min(len(b), 4096)])
+			n += m
+			if err != nil {
+				return n, err
+			}
+			b = b[m:]
+			time.Sleep(20 * time.Microsecond)
+		}
+		return n, nil
+	case linkHiccup:
+		c.set(linkUp)
+		return 0, errLinkCut
+	case linkCut:
+		// Only the write side fails, as on a half-dead link; the reader
+		// learns when the server gives the connection up.
+		n, _ := c.Conn.Write(b[:len(b)-3])
+		return n, errLinkCut
+	}
+	return c.Conn.Write(b)
+}
+
+// pipeSession runs the connection handler on the server end of a
+// net.Pipe — no kernel buffer, so a server Write completes only as the
+// client reads it and an ordering bug has nowhere to hide — optionally
+// behind a link conditioner, and returns the client bound to tenant.
+// The handler is joined at cleanup.
+func pipeSession(t *testing.T, srv *Server, tenant string, conditioned bool) (*Client, *condConn) {
+	t.Helper()
+	cli, srvSide := net.Pipe()
+	var link *condConn
+	if conditioned {
+		link = newCondConn(srvSide)
+		srvSide = link
+	}
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.handleConn(srvSide)
+	}()
+	c := &Client{conn: cli, bw: bufio.NewWriter(cli), fr: gpv.NewFrameReader(bufio.NewReader(cli))}
+	t.Cleanup(func() {
+		c.Close()
+		<-handled
+	})
+	if err := c.send(FrameHello, []byte(tenant)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.awaitOK(); err != nil {
+		t.Fatal(err)
+	}
+	return c, link
+}
+
+// pipeSubscriber is a pipeSession that has subscribed and is being
+// collected.
+func pipeSubscriber(t *testing.T, srv *Server, tenant string, conditioned bool) (*collector, *condConn) {
+	t.Helper()
+	c, link := pipeSession(t, srv, tenant, conditioned)
+	if err := c.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	return collect(c), link
+}
+
+// startTenant deploys one tenant on a listener-less server.
+func startTenant(t *testing.T, name, pol string, workers int) (*Server, *Tenant) {
+	t.Helper()
+	srv := New(Config{Workers: workers})
+	t.Cleanup(func() { srv.Shutdown() })
+	ten, report, err := srv.StartTenant(name, pol, 0)
+	if err != nil {
+		t.Fatalf("StartTenant(%s, %s): %v\n%s", name, pol, err, report)
+	}
+	return srv, ten
+}
+
+// enterprise generates a fixed-seed ENTERPRISE-shaped trace.
+func enterprise(flows int, seed int64) *trace.Trace {
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = flows
+	return trace.Generate(cfg, seed)
+}
+
+// TestFlushIsEgressBarrier pins the barrier and framing contract over
+// an unbuffered pipe: when Client.Flush returns, every vector the flush
+// emitted has already been written to every subscriber. The link is cut
+// off the moment Flush returns, so a vector still sitting in a backlog
+// could never arrive; the stream must nevertheless decode cleanly —
+// no frame torn or interleaved with two shards emitting — into exactly
+// the batch engine's multiset.
+func TestFlushIsEgressBarrier(t *testing.T) {
+	srv, ten := startTenant(t, "edge", "NPOD", 2)
+	tr := enterprise(400, 7)
+	ref := referenceRun(t, apps.NPOD(), tr, 2)
+
+	col, link := pipeSubscriber(t, srv, "edge", true)
+	ingest, _ := pipeSession(t, srv, "edge", false)
+	for off := 0; off < len(tr.Packets); off += 113 {
+		if err := ingest.SendPackets(tr.Packets[off:min(off+113, len(tr.Packets))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingest.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	link.set(linkStall)
+
+	eg := assertEgressBalanced(t, ten)
+	if eg.VectorsWritten != uint64(len(ref)) || eg.VectorsDiscarded != 0 {
+		t.Fatalf("at the barrier: %d written, %d discarded, want %d written", eg.VectorsWritten, eg.VectorsDiscarded, len(ref))
+	}
+	if got := col.await(t, len(ref)); !sameMultiset(got, ref) {
+		t.Fatalf("subscriber's %d vectors diverge from the batch engine's %d", len(got), len(ref))
+	}
+}
+
+// TestVectorsFlowWithoutBarrier: a steady per-packet emitter (Kitsune)
+// reaches its subscriber as the engine emits — no Flush, no full
+// buffer. One engine batch of vectors is deliberately less than one
+// egress buffer, so a design that wrote only full buffers or at
+// barriers would deliver nothing here. (The engine itself hands
+// vectors to its sink in runs of 64, so that is what must arrive.)
+func TestVectorsFlowWithoutBarrier(t *testing.T) {
+	srv, ten := startTenant(t, "lab", "Kitsune", 1)
+	const engineBatch = 256 // core's rows per columnar batch
+	frame := gpv.FrameHeaderBytes + vectorHdrBytes + 8*apps.Kitsune().FeatureDim()
+	if engineBatch*frame >= egressBufBytes {
+		t.Fatalf("test premise broken: one engine batch (%d B) fills an egress buffer (%d B)", engineBatch*frame, egressBufBytes)
+	}
+	cfg := trace.CampusConfig
+	cfg.Flows = 40
+	tr := trace.Generate(cfg, 9)
+
+	col, _ := pipeSubscriber(t, srv, "lab", false)
+	if err := ten.Ingest(tr.Packets[:engineBatch+engineBatch/2]); err != nil {
+		t.Fatal(err)
+	}
+	// The half batch still sits in the router; the full one was
+	// extracted.
+	col.await(t, 64)
+}
+
+// TestStalledSubscriberIsDisconnected is the misbehaving neighbour on
+// one tenant: of three subscribers one stalls forever and one drains
+// slowly. The stalled one costs the dataplane a bounded wait — its
+// backlog fills, emit waits out one write deadline — and is then
+// disconnected with a counted reason and a counted loss; the other two
+// receive the batch engine's multiset byte for byte.
+func TestStalledSubscriberIsDisconnected(t *testing.T) {
+	srv, ten := startTenant(t, "edge", "NPOD", 2)
+	tr := enterprise(2500, 17)
+	ref := referenceRun(t, apps.NPOD(), tr, 2)
+
+	healthy, _ := pipeSubscriber(t, srv, "edge", false)
+	slow, slowLink := pipeSubscriber(t, srv, "edge", true)
+	stalled, stalledLink := pipeSubscriber(t, srv, "edge", true)
+	slowLink.set(linkSlow)
+	stalledLink.set(linkStall)
+
+	start := time.Now()
+	if err := ten.Ingest(tr.Packets); err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 3*egressWriteDeadline {
+		t.Errorf("ingest+Flush took %v beside a stalled subscriber; the stall is bounded by the %v write deadline", took, egressWriteDeadline)
+	}
+
+	info := ten.Info()
+	eg := assertEgressBalanced(t, ten)
+	if want := (Disconnects{Deadline: 1}); info.Disconnects != want {
+		t.Errorf("disconnects = %+v, want %+v", info.Disconnects, want)
+	}
+	if eg.VectorsWritten != 2*uint64(len(ref)) || eg.VectorsDiscarded == 0 {
+		t.Errorf("egress = %+v, want %d written (two live subscribers) and the stalled one's share discarded", eg, 2*len(ref))
+	}
+	if eg.EmitWaits == 0 {
+		t.Errorf("emit never waited: the stalled backlog (%d vectors) did not fill, the test is too small", eg.VectorsDiscarded)
+	}
+	if got := healthy.await(t, len(ref)); !sameMultiset(got, ref) {
+		t.Errorf("healthy subscriber's %d vectors diverge from the batch engine's %d", len(got), len(ref))
+	}
+	if got := slow.await(t, len(ref)); !sameMultiset(got, ref) {
+		t.Errorf("slow subscriber's %d vectors diverge from the batch engine's %d", len(got), len(ref))
+	}
+	select {
+	case <-stalled.done:
+		if n := len(stalled.snapshot()); n != 0 {
+			t.Errorf("stalled subscriber received %d vectors through a stalled link", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled subscriber's connection was never closed")
+	}
+}
+
+// TestStalledSubscriberTenantIsolation is the misbehaving neighbour
+// across tenants: while tenant alpha waits out a stalled subscriber,
+// tenant beta ingests, flushes and delivers the batch engine's multiset
+// — and is done before alpha's deadline has even fired.
+func TestStalledSubscriberTenantIsolation(t *testing.T) {
+	srv, sock := startServer(t, Config{Workers: 2},
+		[2]string{"alpha", "NPOD"}, [2]string{"beta", "Kitsune"})
+	alpha, _ := srv.Tenant("alpha")
+	trA := enterprise(160, 5)
+	cfgB := trace.CampusConfig
+	cfgB.Flows = 40
+	trB := trace.Generate(cfgB, 9)
+	refB := referenceRun(t, apps.Kitsune(), trB, 2)
+
+	_, stalledLink := pipeSubscriber(t, srv, "alpha", true)
+	stalledLink.set(linkStall)
+	colB, _ := pipeSubscriber(t, srv, "beta", false)
+
+	alphaDone := make(chan struct{})
+	go func() {
+		defer close(alphaDone)
+		sendTrace(t, srv, sock, "alpha", trA.Packets, 97)
+	}()
+	// alpha's flush is now (or soon) parked on the stalled writer.
+	sendTrace(t, srv, sock, "beta", trB.Packets, 61)
+	if d := alpha.Info().Disconnects; d != (Disconnects{}) {
+		t.Errorf("beta's flush outlasted alpha's stall (alpha disconnects %+v): either beta waited on alpha or this box is too slow for the test", d)
+	}
+	if got := colB.await(t, len(refB)); !sameMultiset(got, refB) {
+		t.Errorf("beta's %d vectors diverge from the single-tenant reference's %d beside alpha's stall", len(got), len(refB))
+	}
+	<-alphaDone
+	if want := (Disconnects{Deadline: 1}); alpha.Info().Disconnects != want {
+		t.Errorf("alpha disconnects = %+v, want %+v", alpha.Info().Disconnects, want)
+	}
+}
+
+// TestMidFrameCloseLeavesNothingBehind: a link that breaks in the
+// middle of a frame disconnects the subscriber with reason error, the
+// loss is counted, the peer sees a torn stream end, and neither the
+// writer nor the connection's handler outlives it.
+func TestMidFrameCloseLeavesNothingBehind(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, ten := startTenant(t, "edge", "NPOD", 1)
+	tr := enterprise(40, 3)
+
+	col, link := pipeSubscriber(t, srv, "edge", true)
+	link.set(linkCut)
+	if err := ten.Ingest(tr.Packets); err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	info := ten.Info()
+	eg := assertEgressBalanced(t, ten)
+	if want := (Disconnects{Error: 1}); info.Disconnects != want {
+		t.Errorf("disconnects = %+v, want %+v", info.Disconnects, want)
+	}
+	if eg.VectorsWritten != 0 || eg.VectorsDiscarded == 0 {
+		t.Errorf("egress = %+v, want nothing written and the backlog discarded", eg)
+	}
+	select {
+	case <-col.done:
+		if !errors.Is(col.err, io.ErrUnexpectedEOF) {
+			t.Errorf("peer's stream ended with %v, want a torn frame (io.ErrUnexpectedEOF)", col.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cut subscriber's connection was never closed")
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after shutdown:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestDisconnectSaysGoodbye: a subscriber dropped while its stream is
+// still on a frame boundary is told why — its next read is an ErrRemote
+// naming the reason, not a bare EOF — and then its connection closes.
+func TestDisconnectSaysGoodbye(t *testing.T) {
+	srv, ten := startTenant(t, "edge", "NPOD", 1)
+	col, link := pipeSubscriber(t, srv, "edge", true)
+	link.set(linkHiccup)
+	if err := ten.Ingest(enterprise(40, 3).Packets); err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertEgressBalanced(t, ten)
+	select {
+	case <-col.done:
+		if !errors.Is(col.err, ErrRemote) || !strings.Contains(col.err.Error(), reasonError.String()) {
+			t.Errorf("dropped subscriber's stream ended with %v, want ErrRemote naming %q", col.err, reasonError)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("dropped subscriber's connection was never closed")
+	}
+}
+
+// nullConn is a subscriber connection that accepts every write at once.
+type nullConn struct{ net.Conn }
+
+func (nullConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (nullConn) SetWriteDeadline(time.Time) error { return nil }
+func (nullConn) Close() error                     { return nil }
+
+// BenchmarkEmit prices the dataplane's side of the egress — frame once,
+// append to every backlog — and fails if it allocates once the buffers
+// have grown.
+func BenchmarkEmit(b *testing.B) {
+	for _, subs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			srv := New(Config{Workers: 1})
+			defer srv.Shutdown()
+			ten, _, err := srv.StartTenant("bench", "NPOD", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < subs; i++ {
+				if _, err := ten.subscribe(nullConn{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			v := feature.Vector{Values: make([]float64, apps.NPOD().FeatureDim())}
+			emit := func() { ten.emit(v) }
+			for i := 0; i < 4*egressBufBytes/64; i++ { // grow every buffer to its bound
+				emit()
+			}
+			if avg := testing.AllocsPerRun(10000, emit); avg != 0 {
+				b.Fatalf("emit allocates %.2f times per vector", avg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emit()
+			}
+		})
+	}
 }

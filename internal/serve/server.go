@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
@@ -245,16 +244,6 @@ func (s *Server) Shutdown() error {
 	return first
 }
 
-// writeFrame writes one frame (with a copied payload) to w.
-func writeFrame(w io.Writer, kind uint8, payload []byte) error {
-	buf, err := gpv.AppendFrame(nil, kind, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // handleConn speaks the ingest protocol on one connection: a
 // FrameHello binding first, then any mix of FramePackets, FrameFlush
 // and FrameSubscribe until EOF. Protocol errors answer FrameError and
@@ -263,27 +252,57 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	fr := gpv.NewFrameReader(bufio.NewReader(conn))
 
+	// reply sends one control frame, framed in a buffer the connection
+	// reuses: straight to the socket until the connection subscribes,
+	// through the subscriber's backlog afterwards — its writer owns the
+	// write side and the ordering against vectors.
+	var sub *subscriber
+	var scratch []byte
+	reply := func(kind uint8, payload []byte) error {
+		frame, err := gpv.AppendFrame(scratch[:0], kind, payload)
+		scratch = frame
+		if err != nil {
+			return err
+		}
+		if sub != nil {
+			if !sub.enqueue(frame, 0) {
+				return net.ErrClosed
+			}
+			return nil
+		}
+		_, err = conn.Write(frame)
+		return err
+	}
+	// fail answers a fatal error; the connection closes on return. The
+	// write's own error has nowhere to go.
+	fail := func(msg string) { _ = reply(FrameError, []byte(msg)) }
+
 	kind, payload, err := fr.Next()
 	if err != nil {
 		return
 	}
 	if kind != FrameHello {
-		writeFrame(conn, FrameError, []byte(fmt.Sprintf("expected hello frame, got kind %d", kind)))
+		fail(fmt.Sprintf("expected hello frame, got kind %d", kind))
 		return
 	}
 	t, ok := s.Tenant(string(payload))
 	if !ok {
-		writeFrame(conn, FrameError, []byte(fmt.Sprintf("unknown tenant %q", payload)))
+		fail(fmt.Sprintf("unknown tenant %q", payload))
 		return
 	}
-	if err := writeFrame(conn, FrameOK, nil); err != nil {
+	if err := reply(FrameOK, nil); err != nil {
 		return
 	}
 
-	var sub *subscriber
+	// A subscribed connection that the handler ends itself (a protocol
+	// error it has just answered) drains before closing; one whose read
+	// side ended is the peer's doing.
+	reason := reasonNone
 	defer func() {
 		if sub != nil {
-			t.unsubscribe(sub)
+			// A no-op when the writer has already shut the stream.
+			sub.shut(reason)
+			<-sub.done
 		}
 	}()
 	for {
@@ -291,7 +310,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			// io.EOF is the clean close; anything else (truncation,
 			// garbage) is the peer's problem — the connection is
-			// already unusable, so just drop it.
+			// already unusable, so just drop it. When the subscriber's
+			// writer closed the connection under this read, its reason
+			// was recorded first and stands.
+			reason = reasonPeerClosed
 			return
 		}
 		switch kind {
@@ -300,32 +322,30 @@ func (s *Server) handleConn(conn net.Conn) {
 			// the command loop: the frame buffer is the only copy source.
 			batch, err := DecodePackets(t.batch(), payload)
 			if err != nil {
-				writeFrame(conn, FrameError, []byte(err.Error()))
+				fail(err.Error())
 				return
 			}
 			if err := t.send(tenantCmd{op: opIngest, pkts: batch}); err != nil {
-				writeFrame(conn, FrameError, []byte(err.Error()))
+				fail(err.Error())
 				return
 			}
 		case FrameFlush:
 			if err := t.Flush(); err != nil {
-				writeFrame(conn, FrameError, []byte(err.Error()))
+				fail(err.Error())
 				return
 			}
-			if err := writeFrame(conn, FrameOK, nil); err != nil {
+			if err := reply(FrameOK, nil); err != nil {
 				return
 			}
 		case FrameSubscribe:
 			if sub == nil {
-				// After registration the fan-out owns the write side:
-				// the ack inside subscribe is the connection's last
-				// handler-side write.
 				if sub, err = t.subscribe(conn); err != nil {
+					fail(err.Error())
 					return
 				}
 			}
 		default:
-			writeFrame(conn, FrameError, []byte(fmt.Sprintf("unexpected frame kind %d", kind)))
+			fail(fmt.Sprintf("unexpected frame kind %d", kind))
 			return
 		}
 	}

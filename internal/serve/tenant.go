@@ -3,7 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
+	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,10 +89,15 @@ type Tenant struct {
 	// tenant's engine reachable with it.
 	pool *sync.Pool
 
-	// subMu guards the subscriber set; emit holds it while fanning an
-	// emitted vector out, which also serializes subscriber writes.
-	subMu sync.Mutex
-	subs  map[*subscriber]struct{}
+	// subMu guards the subscriber set, its closed flag and emit's encode
+	// buffer. emit holds it while appending one vector to every
+	// subscriber's backlog — memory only, except for the bounded wait on
+	// a full backlog — so subscribing is atomic with respect to vectors.
+	subMu      sync.Mutex
+	subs       []*subscriber
+	subsClosed bool
+	enc        []byte
+	egress     *egressCounters
 
 	pktsIn   atomic.Uint64
 	vecsOut  atomic.Uint64
@@ -112,6 +118,11 @@ type TenantInfo struct {
 	Reloads         uint64 `json:"reloads"`
 	RejectedReloads uint64 `json:"rejected_reloads"`
 	LastReject      string `json:"last_reject,omitempty"`
+	// Egress rolls up every subscriber the tenant has had, Disconnects
+	// those the server dropped; SubscriberEgress lists the live ones.
+	Egress           EgressStats      `json:"egress"`
+	Disconnects      Disconnects      `json:"disconnects"`
+	SubscriberEgress []SubscriberInfo `json:"subscriber_egress,omitempty"`
 }
 
 // vetPlan compiles and gates one policy the way `superfe-vet -prove`
@@ -124,6 +135,9 @@ func vetPlan(name string, pol *policy.Policy) (*policy.Plan, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: compile %s: %w", name, err)
 	}
+	if n := vectorHdrBytes + 8*pol.FeatureDim(); n > gpv.MaxFramePayload {
+		return nil, "", fmt.Errorf("serve: %s: a %d-byte vector does not fit a frame (%d)", name, n, gpv.MaxFramePayload)
+	}
 	rep := planvet.Check(planvet.DefaultModel(), pol.Name(), plan)
 	if !rep.Feasible() || len(rep.Proof.Unwaived(apps.Waivers())) > 0 {
 		return nil, rep.String(), fmt.Errorf("%w: %s", ErrReloadRejected, pol.Name())
@@ -133,7 +147,7 @@ func vetPlan(name string, pol *policy.Policy) (*policy.Plan, string, error) {
 
 // newTenant vets the policy, deploys the vetted plan and starts the
 // command loop. The engine streams vectors (DeterministicMerge off)
-// into the tenant's subscriber fan-out; telemetry is always on so the
+// into the tenant's subscriber backlogs; telemetry is always on so the
 // per-tenant admin surface has something to serve.
 func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, string, error) {
 	plan, report, err := vetPlan(name, pol)
@@ -147,7 +161,7 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 		featureDim: pol.FeatureDim(),
 		cmds:       make(chan tenantCmd, 16),
 		pool:       new(sync.Pool),
-		subs:       make(map[*subscriber]struct{}),
+		egress:     newEgressCounters(),
 	}
 	popts := core.DefaultParallelOptions()
 	popts.Workers = workers
@@ -178,17 +192,21 @@ func (t *Tenant) loop() {
 			t.pktsIn.Add(uint64(len(cmd.pkts)))
 			t.pool.Put(&cmd.pkts)
 		case opFlush:
+			// The egress half of the barrier runs on the caller (Flush), so
+			// a slow subscriber holds up whoever asked, not the loop.
 			cmd.err <- t.eng.Flush()
 		case opReload:
 			cmd.reply <- t.applyReload(cmd.polName, cmd.pol)
 		case opStop:
-			// Graceful drain: emit everything resident, then retire the
-			// workers. Queued commands cannot follow (the send gate
-			// closed before opStop was enqueued).
+			// Graceful drain: emit everything resident, retire the
+			// workers, then end every subscriber's stream once its
+			// writer has written what is left. Queued commands cannot
+			// follow (the send gate closed before opStop was enqueued).
 			err := t.eng.Flush()
 			if cerr := t.eng.Close(); err == nil {
 				err = cerr
 			}
+			t.closeSubscribers()
 			cmd.err <- err
 			return
 		}
@@ -252,14 +270,21 @@ func (t *Tenant) batch() []packet.Packet {
 }
 
 // Flush drains the tenant's engine and blocks until every queued
-// packet has been extracted and every resident group evicted — the
-// service-level sync point.
+// packet has been extracted, every resident group evicted, and every
+// subscriber's writer has written everything that emitted (a
+// subscriber that cannot take it within egressWriteDeadline is
+// disconnected and its share counted as discarded) — the service-level
+// sync point.
 func (t *Tenant) Flush() error {
 	reply := make(chan error, 1)
 	if err := t.send(tenantCmd{op: opFlush, err: reply}); err != nil {
 		return err
 	}
-	return <-reply
+	err := <-reply
+	for _, sub := range t.subscribers() {
+		sub.await()
+	}
+	return err
 }
 
 // Reload gates the candidate policy through planvet/planprove and
@@ -276,8 +301,9 @@ func (t *Tenant) Reload(polName string, pol *policy.Policy) (string, error) {
 	return res.Report, res.Err
 }
 
-// Stop flushes, retires the engine and ends the command loop. Every
-// operation after Stop returns ErrTenantStopped.
+// Stop flushes, retires the engine, drains and closes every
+// subscriber's stream (joining its writer) and ends the command loop.
+// Every operation after Stop returns ErrTenantStopped.
 func (t *Tenant) Stop() error {
 	t.mu.Lock()
 	if t.stopped {
@@ -304,20 +330,29 @@ func (t *Tenant) Info() TenantInfo {
 	polName, dim, lastReject := t.polName, t.featureDim, t.lastReject
 	t.mu.RUnlock()
 	t.subMu.Lock()
-	subs := len(t.subs)
+	var subs []SubscriberInfo
+	for _, sub := range t.subs {
+		sub.mu.Lock()
+		subs = append(subs, SubscriberInfo{Peer: sub.conn.RemoteAddr().String(), EgressStats: sub.stats})
+		sub.mu.Unlock()
+	}
 	t.subMu.Unlock()
+	egress, disconnects := t.egress.read()
 	return TenantInfo{
-		Name:            t.name,
-		Policy:          polName,
-		Workers:         t.workers,
-		FeatureDim:      dim,
-		Health:          t.eng.Status().Health,
-		Pkts:            t.pktsIn.Load(),
-		Vectors:         t.vecsOut.Load(),
-		Subscribers:     subs,
-		Reloads:         t.reloads.Load(),
-		RejectedReloads: t.rejected.Load(),
-		LastReject:      lastReject,
+		Name:             t.name,
+		Policy:           polName,
+		Workers:          t.workers,
+		FeatureDim:       dim,
+		Health:           t.eng.Status().Health,
+		Pkts:             t.pktsIn.Load(),
+		Vectors:          t.vecsOut.Load(),
+		Subscribers:      len(subs),
+		Reloads:          t.reloads.Load(),
+		RejectedReloads:  t.rejected.Load(),
+		LastReject:       lastReject,
+		Egress:           egress,
+		Disconnects:      disconnects,
+		SubscriberEgress: subs,
 	}
 }
 
@@ -331,67 +366,96 @@ func (t *Tenant) Status() *obs.StatusReport {
 
 // ObsSource adapts the tenant for the obs HTTP handler: the engine's
 // own source — every view of which is safe from the HTTP goroutine
-// while the command loop runs — with the scrape and the interval
-// series tagged with the tenant label and the status report carrying
-// the tenant name.
+// while the command loop runs — with the egress counters stacked onto
+// the scrape, the scrape and the interval series tagged with the tenant
+// label and the status report carrying the tenant name.
 func (t *Tenant) ObsSource() obs.Source {
 	src := t.eng.ObsSource()
-	src.Scrape = func() *obs.Snapshot { return t.eng.ObsScrape().Tagged("tenant", t.name) }
+	src.Scrape = func() *obs.Snapshot {
+		snap := t.eng.ObsScrape()
+		snap.Append(t.egress.reg.Snapshot())
+		return snap.Tagged("tenant", t.name)
+	}
 	src.Series = func() *obs.Series { return t.eng.ObsSeries().Tagged("tenant", t.name) }
 	src.Status = t.Status
 	return src
 }
 
-// subscriber is one vector output stream: a connection the tenant's
-// emit fan-out writes FrameVector frames to. Buffers are reused
-// across vectors; writes are serialized by subMu.
-type subscriber struct {
-	w       io.Writer
-	payload []byte
-	frame   []byte
-	err     error
-}
-
-// subscribe acknowledges a FrameSubscribe on w and registers w as a
-// vector output stream, in one subMu critical section: emit fans out
-// under the same lock, so the ack strictly precedes the first
-// FrameVector and no vector emitted after the ack is missed.
-func (t *Tenant) subscribe(w io.Writer) (*subscriber, error) {
-	sub := &subscriber{w: w}
-	t.subMu.Lock()
-	defer t.subMu.Unlock()
-	if err := writeFrame(w, FrameOK, nil); err != nil {
+// subscribe turns conn into a vector output stream: it enqueues the
+// FrameOK acknowledgement as the first bytes of the new subscriber's
+// backlog and registers it, in one subMu critical section. emit
+// enqueues under the same lock, so the ack strictly precedes the first
+// FrameVector and no vector emitted after the ack is missed. From here
+// on the subscriber's writer owns conn's write side.
+func (t *Tenant) subscribe(conn net.Conn) (*subscriber, error) {
+	ack, err := gpv.AppendFrame(nil, FrameOK, nil)
+	if err != nil {
 		return nil, err
 	}
-	t.subs[sub] = struct{}{}
+	sub := newSubscriber(t, conn)
+	t.subMu.Lock()
+	if t.subsClosed {
+		t.subMu.Unlock()
+		return nil, ErrTenantStopped
+	}
+	sub.enqueue(ack, 0)
+	t.subs = append(t.subs, sub)
+	t.subMu.Unlock()
+	//superfe:goroutine-ok subscriber writer: exits once the subscriber is shut (by its connection handler when the peer goes, by its own failed or late Write, or by Tenant.Stop) and its backlog is written or discarded; every Write is deadline-bounded, and unsubscribe and closeSubscribers wait on sub.done
+	go sub.writeLoop()
 	return sub, nil
 }
 
-// unsubscribe removes the stream; safe to call twice.
-func (t *Tenant) unsubscribe(sub *subscriber) {
+// remove takes a subscriber whose writer is exiting out of the set.
+func (t *Tenant) remove(sub *subscriber) {
 	t.subMu.Lock()
-	delete(t.subs, sub)
+	if i := slices.Index(t.subs, sub); i >= 0 {
+		t.subs = slices.Delete(t.subs, i, i+1)
+	}
 	t.subMu.Unlock()
 }
 
-// emit is the tenant engine's sink: it fans each emitted vector out
-// to every live subscriber. It runs on shard goroutines under the
-// engine's sink lock; a subscriber whose transport fails is dropped
-// and its connection reader observes the error.
+// subscribers returns a copy of the live set.
+func (t *Tenant) subscribers() []*subscriber {
+	t.subMu.Lock()
+	defer t.subMu.Unlock()
+	return slices.Clone(t.subs)
+}
+
+// closeSubscribers refuses further subscriptions, lets every writer
+// drain what is enqueued and joins them.
+func (t *Tenant) closeSubscribers() {
+	t.subMu.Lock()
+	t.subsClosed = true
+	t.subMu.Unlock()
+	subs := t.subscribers()
+	for _, sub := range subs {
+		sub.shut(reasonNone)
+	}
+	for _, sub := range subs {
+		<-sub.done
+	}
+}
+
+// emit is the tenant engine's sink. It runs on shard goroutines under
+// the engine's sink lock: it frames the vector once and appends the
+// bytes to every live subscriber's backlog. No socket is touched here;
+// the only wait is for a subscriber whose backlog is full, bounded by
+// egressWriteDeadline.
+//
+//superfe:hotpath
 func (t *Tenant) emit(v feature.Vector) {
 	t.vecsOut.Add(1)
 	t.subMu.Lock()
-	for sub := range t.subs {
-		sub.payload = AppendVector(sub.payload[:0], &v)
-		frame, err := gpv.AppendFrame(sub.frame[:0], FrameVector, sub.payload)
-		sub.frame = frame
-		if err == nil {
-			_, err = sub.w.Write(frame)
+	if len(t.subs) > 0 {
+		t.enc = appendVectorFrame(t.enc[:0], &v)
+		var n uint64
+		for _, sub := range t.subs {
+			if sub.enqueue(t.enc, 1) {
+				n++
+			}
 		}
-		if err != nil {
-			sub.err = err
-			delete(t.subs, sub)
-		}
+		t.egress.enqueued.Add(n)
 	}
 	t.subMu.Unlock()
 }
