@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -234,6 +235,42 @@ func TestProcessZeroAllocs(t *testing.T) {
 				t.Errorf("%.0f allocs per Process in the warm steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestColdPassAllocs is the gate TestProcessZeroAllocs cannot be: that
+// one pre-admits every group and touches every buffer before it
+// measures, so what a deployment pays the first time it sees a flow —
+// the switch slot's buffers, the NIC group and its reducer states —
+// was held by nothing. Here a fresh engine is fed a short-flow trace
+// once and flushed; all of that must come from blocks, a small
+// fraction of an allocation per packet.
+func TestColdPassAllocs(t *testing.T) {
+	tr := obsTestTrace()
+	for _, workers := range []int{0, 1} {
+		opts := DefaultParallelOptions()
+		opts.Workers = workers
+		plan, err := policy.Compile(apps.NPOD())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewFromPlan(opts, plan, func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range tr.Packets {
+			e.Process(&tr.Packets[i])
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		e.Close()
+		if per := float64(after.Mallocs-before.Mallocs) / float64(len(tr.Packets)); per > 0.1 {
+			t.Errorf("workers=%d: %.3f allocations per packet on a cold pass of %d packets, want ≤ 0.1", workers, per, len(tr.Packets))
+		}
 	}
 }
 

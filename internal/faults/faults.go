@@ -35,15 +35,15 @@ type Kind uint8
 
 // Fault kinds.
 const (
-	KindDrop     Kind = iota // frame lost on the wire
-	KindDup                  // frame delivered twice
-	KindReorder              // frame delayed within a bounded window
-	KindCorrupt              // random byte flips in the encoded frame
-	KindTruncate             // frame cut short mid-encoding
-	KindAgingStall           // recirculation stall postpones the aging scan
-	KindSoftError            // register-array soft error (stale last-access)
-	KindIslandStall          // NFP island busy for K cycles (delivery retries)
-	KindEMEMFail             // transient EMEM allocation failure on group admit
+	KindDrop        Kind = iota // frame lost on the wire
+	KindDup                     // frame delivered twice
+	KindReorder                 // frame delayed within a bounded window
+	KindCorrupt                 // random byte flips in the encoded frame
+	KindTruncate                // frame cut short mid-encoding
+	KindAgingStall              // recirculation stall postpones the aging scan
+	KindSoftError               // register-array soft error (stale last-access)
+	KindIslandStall             // NFP island busy for K cycles (delivery retries)
+	KindEMEMFail                // transient EMEM allocation failure on group admit
 	numKinds
 )
 

@@ -27,15 +27,20 @@ type Runtime struct {
 	plan *policy.Plan
 
 	// FG key table, synchronised from the switch (§5.1). Indexed by
-	// the FGUpdate index; sized on first use.
-	fgTable []fgSlot
+	// the FGUpdate index; allocated by the first FGUpdate, so a
+	// single-granularity plan (which ships none) never pays for it.
+	fgTable *[1 << 16]fgSlot
 
-	// programs, one per granularity in the chain, in chain order.
+	// programs, one per granularity in the chain, in chain order; each
+	// owns the group table of its granularity. fgProg is the FG's.
 	programs []*program
+	fgProg   *program
+	// single is set for a one-granularity chain: no FG keys are
+	// shipped, the MGPV's CG key is the group key.
+	single bool
 
-	groups map[flowkey.Key]*group
-	sink   feature.Sink
-	stats  RuntimeStats
+	sink  feature.Sink
+	stats RuntimeStats
 
 	// obs mirrors cfg.Obs; cyclesPerCell is the cost model's per-cell
 	// price, precomputed once so the CyclesPerMGPV histogram costs one
@@ -58,11 +63,11 @@ type Runtime struct {
 	// Per-program group memo for the cell loop: consecutive cells of
 	// one MGPV mostly resolve to the same group at each granularity
 	// (always, at the CG — every cell of an MGPV shares its CG group),
-	// so the hot path compares the projected key against the last one
-	// and skips the map lookup on a hit. Reset per MGPV; a memo entry
-	// is only ever a group already present in the map, so admission
-	// (and its injected EMEM failures) is byte-for-byte unchanged.
-	memoKeys   []flowkey.Key
+	// so the hot path compares the projected key against the last
+	// group's and skips the table probe on a hit. Reset per MGPV; a
+	// memo entry is only ever a group already in its table, so
+	// admission (and its injected EMEM failures) is byte-for-byte
+	// unchanged.
 	memoGroups []*group
 
 	// inj mirrors cfg.Faults (nil when injection is disabled).
@@ -71,22 +76,13 @@ type Runtime struct {
 	// exponentially so sustained drop storms cost O(log n) records).
 	fr *obs.Ring[obs.Event]
 
-	// Slab allocator for group state: groups, their state slices and
-	// scratch slices are carved from block allocations so admitting a
-	// new group costs amortized fractions of an allocation instead of
-	// three — the map-churn pooling of the parallel-engine hot path.
-	slabGroups  []group
-	slabStates  []streaming.Reducer
-	slabScratch []scratchCell
-
 	// ppVals is the reused accumulation buffer every vector's values
 	// are appended into (per-packet collects and Flush alike); sinks
 	// must not retain vector Values past the call.
 	ppVals []float64
+	// drain is Flush's reused sort scratch.
+	drain []drainRec
 }
-
-// groupSlab is the slab block size (groups per allocation).
-const groupSlab = 64
 
 type fgSlot struct {
 	key flowkey.FiveTuple
@@ -179,9 +175,22 @@ type valueRef struct {
 	idx     int
 }
 
-// program is the compiled op table for one granularity.
+// program is the compiled op table for one granularity, and the store
+// of that granularity's groups.
 type program struct {
-	gran       flowkey.Granularity
+	gran flowkey.Granularity
+	// isCG / isFG: the granularity is the plan's coarsest / finest,
+	// resolved once. At the CG the MGPV's carried hash probes the
+	// table; the FG's groups are the ones Flush emits.
+	isCG, isFG bool
+	table      groupTable
+	// stateSlab / scratchSlab back the states and scratch slices of the
+	// groups of the table's current block; carver backs the reducer
+	// states themselves, a group's states side by side.
+	stateSlab   []streaming.Reducer
+	scratchSlab []scratchCell
+	carver      streaming.Carver
+
 	instrs     []instruction
 	numEnv     int
 	numScratch int
@@ -198,7 +207,9 @@ type program struct {
 
 // stateSpec describes one entry of group.states.
 type stateSpec struct {
-	spec policy.ReduceSpec // the family's first member: constructs the state
+	// alloc constructs the state, resolved from the family's first
+	// member when the program is compiled.
+	alloc func() streaming.Reducer
 	// views counts the reduce specs reading the state: the executable
 	// keeps one copy, the modelled NIC (StateBytes, plan.NIC.StateSpecs,
 	// the cost model) is priced per spec.
@@ -245,13 +256,12 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		return nil, fmt.Errorf("nicsim: nil sink")
 	}
 	r := &Runtime{
-		cfg:     cfg,
-		plan:    plan,
-		fgTable: make([]fgSlot, 1<<16),
-		groups:  make(map[flowkey.Key]*group),
-		sink:    sink,
-		inj:     cfg.Faults,
-		fr:      cfg.FlightRec,
+		cfg:    cfg,
+		plan:   plan,
+		single: len(plan.Switch.Chain) == 1 && plan.Switch.CG == plan.Switch.FG,
+		sink:   sink,
+		inj:    cfg.Faults,
+		fr:     cfg.FlightRec,
 	}
 	// Field position index within cells.
 	fieldPos := map[packet.FieldName]int{}
@@ -264,12 +274,14 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 			return nil, err
 		}
 		r.programs = append(r.programs, pr)
+		if pr.isFG {
+			r.fgProg = pr
+		}
 	}
 	r.tsPos = -1
 	if pos, ok := fieldPos[packet.FieldTimestamp]; ok {
 		r.tsPos = pos
 	}
-	r.memoKeys = make([]flowkey.Key, len(r.programs))
 	r.memoGroups = make([]*group, len(r.programs))
 	if cfg.Obs != nil {
 		r.obs = cfg.Obs
@@ -318,11 +330,8 @@ func (r *Runtime) PublishObs() {
 	if d := st.Vectors - b.Vectors; d != 0 {
 		o.Vectors.Add(d)
 	}
-	o.GroupsLive.Set(int64(len(r.groups)))
-	over := len(r.groups) - r.cfg.GroupSlots*r.cfg.TableWidth
-	if over < 0 {
-		over = 0
-	}
+	live, over := r.occupancy()
+	o.GroupsLive.Set(int64(live))
 	o.DRAMEntries.Set(int64(over))
 	r.cycStage.Flush()
 	r.emitStage.Flush()
@@ -334,7 +343,7 @@ func (r *Runtime) PublishObs() {
 // spec a state of its own: the store-everything ablation is one buffer
 // per feature.
 func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool) (*program, error) {
-	pr := &program{gran: g}
+	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, table: newGroupTable()}
 	envSlot := map[string]int{}
 	resolve := func(name string) (valueRef, error) {
 		if s, ok := envSlot[name]; ok {
@@ -416,9 +425,15 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				k := stateKey{ref, streaming.FamilyOf(rf.Func, rf.Params)}
 				si, shared := stateOf[k]
 				if !shared || naive {
+					var alloc func() streaming.Reducer
+					if naive {
+						alloc = func() streaming.Reducer { return streaming.NewNaive(rf.Func, rf.Params) }
+					} else if alloc, err = pr.carver.Constructor(rf.Func, rf.Params); err != nil {
+						return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
+					}
 					si = len(pr.states)
 					stateOf[k] = si
-					pr.states = append(pr.states, stateSpec{spec: rf})
+					pr.states = append(pr.states, stateSpec{alloc: alloc})
 					ins.states = append(ins.states, si)
 				}
 				pr.states[si].views++
@@ -451,57 +466,56 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	return pr, nil
 }
 
-// newGroup allocates a group's state for a program, carving the
-// group, state and scratch storage out of slab blocks.
+// hashOf is the probe hash of a key of the program's granularity when
+// no MGPV carries one: the switch's own function at the CG (so it
+// agrees with the carried hash), a word-at-a-time mix below it.
+func (pr *program) hashOf(key flowkey.Key) uint32 {
+	if pr.isCG {
+		return flowkey.HashKey(key)
+	}
+	return mixTuple(key.Tuple)
+}
+
+// admit adds a group for key, which the table does not hold, carving
+// its state and scratch slices from the program's slabs and its
+// reducer states from the program's carver.
 //
 //superfe:coldpath
-func (r *Runtime) newGroup(pr *program, key flowkey.Key) *group {
-	if len(r.slabGroups) == 0 {
-		r.slabGroups = make([]group, groupSlab)
-	}
-	g := &r.slabGroups[0]
-	r.slabGroups = r.slabGroups[1:]
-	g.key = key
-	g.admitClock = r.stats.Cells
+func (pr *program) admit(h uint32, key flowkey.Key, clock uint64) *group {
+	g := pr.table.insert(h, key)
+	g.admitClock = clock
 	if n := len(pr.states); n > 0 {
-		if len(r.slabStates) < n {
-			r.slabStates = make([]streaming.Reducer, n*groupSlab)
+		if len(pr.stateSlab) == 0 {
+			pr.stateSlab = make([]streaming.Reducer, n*groupBlock)
 		}
-		g.states = r.slabStates[:n:n]
-		r.slabStates = r.slabStates[n:]
+		g.states, pr.stateSlab = pr.stateSlab[:n:n], pr.stateSlab[n:]
+		for i := range pr.states {
+			g.states[i] = pr.states[i].alloc()
+		}
 	}
 	if n := pr.numScratch; n > 0 {
-		if len(r.slabScratch) < n {
-			r.slabScratch = make([]scratchCell, n*groupSlab)
+		if len(pr.scratchSlab) == 0 {
+			pr.scratchSlab = make([]scratchCell, n*groupBlock)
 		}
-		g.scratch = r.slabScratch[:n:n]
-		r.slabScratch = r.slabScratch[n:]
-	}
-	for i := range pr.states {
-		rf := pr.states[i].spec
-		if r.cfg.Naive {
-			g.states[i] = streaming.NewNaive(rf.Func, rf.Params)
-		} else {
-			st, err := streaming.New(rf.Func, rf.Params)
-			if err != nil {
-				// Validated at Build/Compile; unreachable.
-				panic(fmt.Sprintf("superfe: nicsim: reducer %s: %v", rf.Func, err))
-			}
-			g.states[i] = st
-		}
+		g.scratch, pr.scratchSlab = pr.scratchSlab[:n:n], pr.scratchSlab[n:]
 	}
 	return g
+}
+
+// occupancy returns the live group count over all granularities and
+// how many of them lie past the modelled fixed chain (DRAM overflow).
+func (r *Runtime) occupancy() (live, over int) {
+	for _, pr := range r.programs {
+		live += pr.table.n
+	}
+	return live, max(0, live-r.cfg.GroupSlots*r.cfg.TableWidth)
 }
 
 // Stats returns a copy of the runtime counters with live-group and
 // modelled DRAM-overflow numbers refreshed.
 func (r *Runtime) Stats() RuntimeStats {
 	s := r.stats
-	s.GroupsLive = len(r.groups)
-	capacity := r.cfg.GroupSlots * r.cfg.TableWidth
-	if over := len(r.groups) - capacity; over > 0 {
-		s.DRAMEntries = over
-	}
+	s.GroupsLive, s.DRAMEntries = r.occupancy()
 	return s
 }
 
@@ -510,17 +524,14 @@ func (r *Runtime) Stats() RuntimeStats {
 // counts once per reduce spec that reads it (stateSpec.views).
 func (r *Runtime) StateBytes() int {
 	total := 0
-	//superfe:unordered summing state sizes is commutative
-	for k, g := range r.groups {
-		for _, pr := range r.programs {
-			if pr.gran != k.Gran {
-				continue
-			}
+	for _, pr := range r.programs {
+		for gi := 0; gi < pr.table.n; gi++ {
+			g := pr.table.at(gi)
 			for i, st := range g.states {
 				total += st.StateBytes() * pr.states[i].views
 			}
+			total += 16 * len(g.scratch)
 		}
-		total += 16 * len(g.scratch)
 	}
 	return total
 }
@@ -532,12 +543,23 @@ func (r *Runtime) Process(m gpv.Message) {
 	r.stats.Msgs++
 	switch {
 	case m.FG != nil:
-		r.fgTable[m.FG.Index] = fgSlot{key: m.FG.Key, set: true}
-		r.stats.FGUpdates++
+		r.syncFG(m.FG)
 	case m.MGPV != nil:
 		r.stats.MGPVs++
 		r.processMGPV(m.MGPV)
 	}
+}
+
+// syncFG installs one FG key table update (§5.1); the first one
+// allocates the table.
+//
+//superfe:coldpath
+func (r *Runtime) syncFG(u *gpv.FGUpdate) {
+	if r.fgTable == nil {
+		r.fgTable = new([1 << 16]fgSlot)
+	}
+	r.fgTable[u.Index] = fgSlot{key: u.Key, set: true}
+	r.stats.FGUpdates++
 }
 
 // processMGPV traverses the vector's cells, splitting the CG batch
@@ -554,10 +576,8 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			o.Tracer.Record(obs.Event{Kind: obs.EvNICMerge, Key: v.CG, Clock: r.stats.Cells, Arg: int64(len(v.Cells))})
 		}
 	}
-	single := len(r.programs) == 1 && r.plan.Switch.CG == r.plan.Switch.FG
-	// Reset the per-program group memo: entries never cross MGPVs, so
-	// Flush-time deletions or map growth between messages cannot leave
-	// a stale pointer behind.
+	single := r.single
+	// Reset the per-program group memo: entries never cross MGPVs.
 	for i := range r.memoGroups {
 		r.memoGroups[i] = nil
 	}
@@ -573,12 +593,11 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 				tuple = tuple.Reverse()
 			}
 		} else {
-			slot := r.fgTable[cell.FGIndex]
-			if !slot.set {
+			if r.fgTable == nil || !r.fgTable[cell.FGIndex].set {
 				r.stats.UnknownFG++
 				continue
 			}
-			tuple = slot.key
+			tuple = r.fgTable[cell.FGIndex].key
 			if !cell.Forward {
 				tuple = tuple.Reverse()
 			}
@@ -605,10 +624,16 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			// same group at this granularity (guaranteed at the CG,
 			// overwhelmingly common at coarser intermediate levels).
 			g := r.memoGroups[pi]
-			if g == nil || r.memoKeys[pi] != key {
-				var ok bool
-				g, ok = r.groups[key]
-				if !ok {
+			if g == nil || g.key != key {
+				// The carried hash is the switch's hash of v.CG (§6.2 hash
+				// reuse; core quarantines frames where it is not). A CG key
+				// re-derived from a misattributed FG entry is not v.CG and
+				// takes the hash it would have arrived with.
+				h := v.Hash
+				if !pr.isCG || key != v.CG {
+					h = pr.hashOf(key)
+				}
+				if g = pr.table.lookup(h, key); g == nil {
 					// Transient EMEM allocation failure: group admission
 					// loses the allocator race and this cell's contribution
 					// to this granularity is dropped; the group's next cell
@@ -621,13 +646,11 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 						}
 						continue
 					}
-					g = r.newGroup(pr, key)
-					r.groups[key] = g
+					g = pr.admit(h, key, r.stats.Cells)
 				}
-				r.memoKeys[pi] = key
 				r.memoGroups[pi] = g
 			}
-			if pr.gran == r.plan.Switch.FG {
+			if pr.isFG {
 				fgGroup = g
 			}
 			vals, emitted := r.runCell(pr, g, cell, fwd, perPacketVals)
@@ -783,37 +806,48 @@ func (r *Runtime) emitVector(key flowkey.Key, g *group, ts int64, vals []float64
 	r.sink(feature.Vector{Key: key, Timestamp: ts, Values: vals})
 }
 
+// drainRec is one FG group in Flush's sort scratch: the key's tuple as
+// two words (see tupleWords) and the group's position in its table.
+type drainRec struct {
+	a, b uint64
+	idx  uint32
+}
+
 // Flush emits the per-group vectors of all finest-granularity groups
-// (end-of-stream collection for per-group policies). Coarser
-// granularities contribute the features their collect ops selected,
-// looked up by projecting the group's key.
+// (end-of-stream collection for per-group policies) in key order —
+// SrcIP, DstIP, SrcPort, DstPort, Proto — which is a contract: CSV
+// output, DeterministicMerge and the goldens depend on it. It walks
+// the FG table's blocks once, sorts 24-byte records on two integer
+// compares and emits through the index. Coarser granularities
+// contribute the features their collect ops selected, found in their
+// own tables by projecting the group's key. Groups are kept, not
+// retired: a second Flush emits them again.
 func (r *Runtime) Flush() {
 	if r.plan.Policy.PerPacket() {
 		return // per-packet policies have already emitted everything
 	}
-	fg := r.plan.Switch.FG
-	// Deterministic order for reproducible outputs.
-	keys := make([]flowkey.Key, 0, len(r.groups))
-	//superfe:unordered collects keys that are sorted before use
-	for k := range r.groups {
-		if k.Gran == fg {
-			keys = append(keys, k)
-		}
+	t := &r.fgProg.table
+	recs := slices.Grow(r.drain[:0], t.n)
+	for i := 0; i < t.n; i++ {
+		a, b := tupleWords(t.at(i).key.Tuple)
+		recs = append(recs, drainRec{a, b, uint32(i)})
 	}
-	slices.SortFunc(keys, keyCompare)
-	for _, k := range keys {
-		g := r.groups[k]
+	slices.SortFunc(recs, func(x, y drainRec) int {
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	for _, rec := range recs {
+		g := t.at(int(rec.idx))
 		vals := r.ppVals[:0]
 		for _, pr := range r.programs {
-			var pg *group
-			if pr.gran == fg {
-				pg = g
-			} else {
-				ck := flowkey.Project(pr.gran, k.Tuple)
-				pg = r.groups[ck]
-			}
-			if pg == nil {
-				continue
+			pg := g
+			if !pr.isFG {
+				ck := flowkey.Project(pr.gran, g.key.Tuple)
+				if pg = pr.table.lookup(pr.hashOf(ck), ck); pg == nil {
+					continue
+				}
 			}
 			for i := range pr.emits {
 				if em := &pr.emits[i]; !em.perPacket {
@@ -822,29 +856,19 @@ func (r *Runtime) Flush() {
 			}
 		}
 		if len(vals) > 0 {
-			cgKey := flowkey.Project(r.plan.Switch.CG, k.Tuple)
-			r.emitVector(k, g, int64(g.lastTS), vals, cgKey, flowkey.HashKey(cgKey))
+			// Only the tracer reads the CG identity; without telemetry
+			// the projection and its hash are not computed.
+			var cgKey flowkey.Key
+			var cgHash uint32
+			if r.obs != nil {
+				cgKey = flowkey.Project(r.plan.Switch.CG, g.key.Tuple)
+				cgHash = flowkey.HashKey(cgKey)
+			}
+			r.emitVector(g.key, g, int64(g.lastTS), vals, cgKey, cgHash)
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}
-}
-
-// keyCompare orders group keys by granularity, then tuple fields.
-func keyCompare(a, b flowkey.Key) int {
-	ta, tb := a.Tuple, b.Tuple
-	switch {
-	case a.Gran != b.Gran:
-		return cmp.Compare(a.Gran, b.Gran)
-	case ta.SrcIP != tb.SrcIP:
-		return cmp.Compare(ta.SrcIP, tb.SrcIP)
-	case ta.DstIP != tb.DstIP:
-		return cmp.Compare(ta.DstIP, tb.DstIP)
-	case ta.SrcPort != tb.SrcPort:
-		return cmp.Compare(ta.SrcPort, tb.SrcPort)
-	case ta.DstPort != tb.DstPort:
-		return cmp.Compare(ta.DstPort, tb.DstPort)
-	}
-	return cmp.Compare(ta.Proto, tb.Proto)
+	r.drain = recs[:0]
 }
 
 // loadRef reads one instruction operand: a previously computed env

@@ -1,0 +1,319 @@
+package nicsim
+
+import (
+	"cmp"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"superfe/internal/apps"
+	"superfe/internal/faults"
+	"superfe/internal/feature"
+	"superfe/internal/flowkey"
+	"superfe/internal/gpv"
+	"superfe/internal/policy"
+	"superfe/internal/switchsim"
+	"superfe/internal/trace"
+)
+
+func flowKey(i int) flowkey.Key {
+	return flowkey.Key{Gran: flowkey.GranFlow, Tuple: flowkey.FiveTuple{
+		SrcIP: uint32(i) * 2654435761, DstIP: uint32(i), SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: flowkey.ProtoTCP}}
+}
+
+// TestGroupTableGrowth admits enough keys for seven doublings of the index and
+// checks, after every insert that grew the index, that each key still
+// finds the *group it was given (groups never move) and that absent
+// keys miss.
+func TestGroupTableGrowth(t *testing.T) {
+	tb := newGroupTable()
+	const n = 5000
+	var groups []*group
+	doublings := 0
+	for i := 0; i < n; i++ {
+		k := flowKey(i)
+		h := mixTuple(k.Tuple)
+		if tb.lookup(h, k) != nil {
+			t.Fatalf("key %d found before it was inserted", i)
+		}
+		size := len(tb.index)
+		groups = append(groups, tb.insert(h, k))
+		if len(tb.index) == size && i != n-1 {
+			continue
+		}
+		doublings++
+		for j, want := range groups {
+			kj := flowKey(j)
+			if got := tb.lookup(mixTuple(kj.Tuple), kj); got != want {
+				t.Fatalf("after %d inserts (index %d): key %d resolves to %p, admitted as %p", i+1, len(tb.index), j, got, want)
+			}
+			if tb.at(j) != want {
+				t.Fatalf("group %d is not at its admission position", j)
+			}
+		}
+	}
+	if doublings < 5 || tb.n != n {
+		t.Fatalf("%d doublings, %d groups; want ≥ 5 doublings and %d groups", doublings, tb.n, n)
+	}
+	if 4*tb.n > 3*len(tb.index) {
+		t.Errorf("load %d/%d is past 3/4", tb.n, len(tb.index))
+	}
+}
+
+// TestGroupTableProbeWraps makes three keys share a hash whose home is
+// the last slot: the second and third land in slots 0 and 1.
+func TestGroupTableProbeWraps(t *testing.T) {
+	tb := newGroupTable()
+	last := uint32(len(tb.index) - 1)
+	h := uint32(0)
+	for tb.home(h) != last {
+		h++
+	}
+	var want []*group
+	for i := 0; i < 3; i++ {
+		want = append(want, tb.insert(h, flowKey(i)))
+	}
+	for i, slot := range []uint32{last, 0, 1} {
+		if ref := tb.index[slot].ref; ref != uint32(i+1) {
+			t.Errorf("slot %d holds ref %d, want %d", slot, ref, i+1)
+		}
+		if got := tb.lookup(h, flowKey(i)); got != want[i] {
+			t.Errorf("key %d not found past the wrap", i)
+		}
+	}
+	if tb.lookup(h, flowKey(3)) != nil {
+		t.Error("absent key found")
+	}
+}
+
+// teeRun replays tr through a switch whose every message goes to a
+// Runtime and to the reference interpreter (fused_test.go), after
+// mutate, and requires bit-identical vector sequences. It returns the
+// switch's counters.
+func teeRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, mutate func(*gpv.MGPV)) switchsim.Stats {
+	t.Helper()
+	plan, err := policy.Compile(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []feature.Vector
+	rt, err := NewRuntime(DefaultConfig(), plan, feature.Collect(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefNIC(plan)
+	sw, err := switchsim.New(switchsim.DefaultConfig(), plan.Switch, func(m gpv.Message) {
+		if m.MGPV != nil {
+			mutate(m.MGPV)
+		}
+		rt.Process(m)
+		ref.process(m)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Packets {
+		sw.Process(&tr.Packets[i])
+	}
+	sw.Flush()
+	rt.Flush()
+	ref.flush()
+	if len(got) != len(ref.out) || len(got) == 0 {
+		t.Fatalf("%d vectors, reference %d", len(got), len(ref.out))
+	}
+	for i, want := range ref.out {
+		if got[i].Key != want.Key || got[i].Timestamp != want.Timestamp || len(got[i].Values) != len(want.Values) {
+			t.Fatalf("vector %d: %v@%d dim %d, reference %v@%d dim %d", i, got[i].Key, got[i].Timestamp,
+				len(got[i].Values), want.Key, want.Timestamp, len(want.Values))
+		}
+		for j, x := range want.Values {
+			if math.Float64bits(got[i].Values[j]) != math.Float64bits(x) {
+				t.Fatalf("vector %d feature %d: %v, reference %v", i, j, got[i].Values[j], x)
+			}
+		}
+	}
+	return sw.Stats()
+}
+
+// TestSameHashStreamStaysCorrect is the adversarial stream: every MGPV
+// carries the same hash, so every CG probe starts at one slot and the
+// table degrades to a linear scan — slow, and still the reference
+// vectors, because the hash never decides identity. What a stream that
+// breaks the carried-hash contract (core's KeyHashOK quarantine
+// enforces it) cannot have is a CG key arriving any other way than on
+// its own MGPV: a per-group chain's Flush and a cell misattributed by
+// an FG overwrite both hash the CG key with the switch's function, so
+// the list is a single-granularity policy and a per-packet chain on a
+// trace without FG overwrites.
+func TestSameHashStreamStaysCorrect(t *testing.T) {
+	wl := trace.CampusConfig
+	wl.Flows = 150
+	tr := trace.Generate(wl, 8)
+	for _, build := range []func() *policy.Policy{apps.NPOD, apps.Kitsune} {
+		pol := build()
+		t.Run(pol.Name(), func(t *testing.T) {
+			st := teeRun(t, pol, tr, func(v *gpv.MGPV) { v.Hash = 0xdeadbeef })
+			if st.FGOverwrites != 0 {
+				t.Fatalf("fixture has %d FG overwrites; pick a trace with none", st.FGOverwrites)
+			}
+		})
+	}
+}
+
+// keyCompare is the comparator the map-backed Flush sorted its keys
+// with; the drain's order is a contract and is checked against it.
+func keyCompare(a, b flowkey.Key) int {
+	ta, tb := a.Tuple, b.Tuple
+	switch {
+	case a.Gran != b.Gran:
+		return cmp.Compare(a.Gran, b.Gran)
+	case ta.SrcIP != tb.SrcIP:
+		return cmp.Compare(ta.SrcIP, tb.SrcIP)
+	case ta.DstIP != tb.DstIP:
+		return cmp.Compare(ta.DstIP, tb.DstIP)
+	case ta.SrcPort != tb.SrcPort:
+		return cmp.Compare(ta.SrcPort, tb.SrcPort)
+	case ta.DstPort != tb.DstPort:
+		return cmp.Compare(ta.DstPort, tb.DstPort)
+	}
+	return cmp.Compare(ta.Proto, tb.Proto)
+}
+
+// TestFlushOrderIsKeyOrder admits random flow keys drawn from tiny
+// field alphabets — so many pairs differ only in Proto, only in one
+// port, only in DstIP — in random order, and requires Flush to emit
+// them in keyCompare order.
+func TestFlushOrderIsKeyOrder(t *testing.T) {
+	plan := compile(t, statsPolicy())
+	var got []flowkey.Key
+	rt, err := NewRuntime(DefaultConfig(), plan, func(v feature.Vector) { got = append(got, v.Key) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(xs ...uint32) uint32 { return xs[rng.Intn(len(xs))] }
+	seen := map[flowkey.Key]bool{}
+	for len(seen) < 400 {
+		tup := flowkey.FiveTuple{
+			SrcIP: pick(1, 2, 1<<31, ^uint32(0)), DstIP: pick(0, 7, 1<<31, ^uint32(0)),
+			SrcPort: uint16(pick(0, 80, 65535)), DstPort: uint16(pick(0, 443, 65535)),
+			Proto: flowkey.Proto(pick(0, 6, 17, 255)),
+		}
+		k, _ := flowkey.KeyFor(flowkey.GranFlow, tup)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		cell := gpv.Cell{Values: make([]uint32, len(plan.Switch.MetadataFields)), Forward: true}
+		rt.Process(gpv.Message{MGPV: &gpv.MGPV{CG: k, Hash: flowkey.HashKey(k), Cells: []gpv.Cell{cell}}})
+	}
+	rt.Flush()
+	want := make([]flowkey.Key, 0, len(seen))
+	for k := range seen {
+		want = append(want, k)
+	}
+	slices.SortFunc(want, keyCompare)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Flush order differs from keyCompare order (%d emitted, %d admitted)", len(got), len(want))
+	}
+}
+
+// TestFaultedReplayPinned replays a fixed trace under the CLI's
+// `-faults seed=3,rate=0.05,kinds=nic` plan, whose EMEM failures are
+// drawn once per lookup miss in cell order: a table that probed,
+// missed or admitted in any other order than the map it replaced would
+// move every number below. They were recorded at the parent commit.
+func TestFaultedReplayPinned(t *testing.T) {
+	fp, err := faults.Parse("seed=3,rate=0.05,kinds=nic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := trace.EnterpriseConfig
+	wl.Flows = 2000
+	tr := trace.Generate(wl, 42)
+	for _, tc := range []struct {
+		pol                  func() *policy.Policy
+		drops, vectors, live uint64
+		digest               uint64
+	}{
+		{apps.NPOD, 180, 3451, 3451, 0xea570f0f02fd2049},
+		{apps.NBaIoT, 180, 1888, 3424, 0x45a827abc10673b1},
+	} {
+		plan, err := policy.Compile(tc.pol())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		word := func(x uint64) {
+			var b [8]byte
+			for i := range b {
+				b[i] = byte(x >> (8 * i))
+			}
+			h.Write(b[:])
+		}
+		cfg := DefaultConfig()
+		cfg.Faults = fp.NewInjector(0)
+		rt, err := NewRuntime(cfg, plan, func(v feature.Vector) {
+			k := v.Key.Tuple
+			word(uint64(k.SrcIP)<<32 | uint64(k.DstIP))
+			word(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
+			for _, x := range v.Values {
+				word(math.Float64bits(x))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := switchsim.New(switchsim.DefaultConfig(), plan.Switch, rt.Process)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Packets {
+			sw.Process(&tr.Packets[i])
+		}
+		sw.Flush()
+		rt.Flush()
+		st := rt.Stats()
+		if st.EMEMDrops != tc.drops || st.Vectors != tc.vectors || uint64(st.GroupsLive) != tc.live || h.Sum64() != tc.digest {
+			t.Errorf("%s: EMEMDrops=%d Vectors=%d GroupsLive=%d digest=%#x, parent commit had %d %d %d %#x",
+				plan.Policy.Name(), st.EMEMDrops, st.Vectors, st.GroupsLive, h.Sum64(), tc.drops, tc.vectors, tc.live, tc.digest)
+		}
+	}
+}
+
+// TestAdmissionAllocs holds the cold path: admitting 64·k NPOD groups
+// costs a fraction of an allocation each — a block of groups, two
+// slabs and one block per reducer family every 64 admissions, plus the
+// index doublings — not one heap object per group and per state.
+func TestAdmissionAllocs(t *testing.T) {
+	plan, err := policy.Compile(apps.NPOD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64 * 32
+	msgs := make([]gpv.Message, n)
+	for i := range msgs {
+		k := flowKey(i)
+		cell := gpv.Cell{Values: make([]uint32, len(plan.Switch.MetadataFields)), Forward: true}
+		msgs[i] = gpv.Message{MGPV: &gpv.MGPV{CG: k, Hash: flowkey.HashKey(k), Cells: []gpv.Cell{cell}}}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range msgs {
+		rt.Process(msgs[i])
+	}
+	runtime.ReadMemStats(&after)
+	if got := rt.Stats().GroupsLive; got != n {
+		t.Fatalf("%d groups admitted, want %d", got, n)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.25 {
+		t.Errorf("%.3f allocations per admitted group, want < 0.25", per)
+	}
+}

@@ -38,9 +38,9 @@ func fuzzSeedStream() []byte {
 func FuzzIngestFrame(f *testing.F) {
 	seed := fuzzSeedStream()
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])              // truncated mid-frame
-	f.Add(seed[:gpv.FrameHeaderBytes-2])   // truncated mid-header
-	f.Add([]byte{})                        // empty stream
+	f.Add(seed[:len(seed)-3])               // truncated mid-frame
+	f.Add(seed[:gpv.FrameHeaderBytes-2])    // truncated mid-header
+	f.Add([]byte{})                         // empty stream
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n")) // wrong protocol entirely
 	oversize := []byte{gpv.FrameMagic, gpv.FrameVersion, FramePackets, 0, 0xFF, 0xFF, 0xFF, 0xFF}
 	f.Add(oversize) // length prefix far past the payload bound

@@ -154,6 +154,14 @@ type Switch struct {
 	longGrant   int64 // shadow of the LongGranted gauge
 	cellsPerMsg obs.HistStage
 
+	// ZeroCopy buffer arena: a slot's short buffer is carved on first
+	// touch, cells and their Values together, and a long-buffer cell's
+	// Values on first use, from blocks the switch owns — a deployment
+	// pays for the slots its traffic touches, a block at a time, never
+	// for the whole cache and never an allocation per cell.
+	arenaCells []gpv.Cell
+	arenaVals  []uint32
+
 	// Hot-path scratch. cellScratch is the cell being built for the
 	// current packet (its Values array is reused every packet); the
 	// evict* and fgScratch fields back the borrowed messages emitted
@@ -411,11 +419,46 @@ func (s *Switch) fgIndex(key flowkey.FiveTuple) uint16 {
 	return uint16(idx)
 }
 
+// arenaSlots is how many short buffers' worth of cells and values one
+// arena block holds.
+const arenaSlots = 64
+
+// carveShort returns an empty short buffer, its cells' Values already
+// in place, cut from the arena.
+//
+//superfe:coldpath
+func (s *Switch) carveShort() []gpv.Cell {
+	n := s.cfg.ShortBufCells
+	if len(s.arenaCells) < n {
+		s.arenaCells = make([]gpv.Cell, n*arenaSlots)
+	}
+	buf := s.arenaCells[:n:n]
+	s.arenaCells = s.arenaCells[n:]
+	for i := range buf {
+		buf[i].Values = s.carveVals()
+	}
+	return buf[:0]
+}
+
+// carveVals returns one cell's Values array cut from the arena.
+//
+//superfe:coldpath
+func (s *Switch) carveVals() []uint32 {
+	n := s.nvals
+	if len(s.arenaVals) < n {
+		s.arenaVals = make([]uint32, n*s.cfg.ShortBufCells*arenaSlots)
+	}
+	v := s.arenaVals[:n:n]
+	s.arenaVals = s.arenaVals[n:]
+	return v
+}
+
 // pushCell appends a copy of c to *buf. In ZeroCopy mode the
 // destination cell's Values array is reused across evictions (the
-// sink has already consumed any message referencing it); otherwise a
-// fresh array is allocated per cell so evicted messages stay valid
-// after the slot's buffers restart.
+// sink has already consumed any message referencing it) and comes
+// from the arena the first time; otherwise a fresh array is allocated
+// per cell so evicted messages stay valid after the slot's buffers
+// restart.
 func (s *Switch) pushCell(buf *[]gpv.Cell, c *gpv.Cell) {
 	b := *buf
 	if n := len(b); s.cfg.ZeroCopy && n < cap(b) {
@@ -424,7 +467,7 @@ func (s *Switch) pushCell(buf *[]gpv.Cell, c *gpv.Cell) {
 		if cap(dst.Values) >= len(c.Values) {
 			dst.Values = dst.Values[:len(c.Values)]
 		} else {
-			dst.Values = make([]uint32, len(c.Values))
+			dst.Values = s.carveVals()
 		}
 		copy(dst.Values, c.Values)
 		dst.FGIndex, dst.Forward = c.FGIndex, c.Forward
@@ -442,6 +485,9 @@ func (s *Switch) pushCell(buf *[]gpv.Cell, c *gpv.Cell) {
 // §5.2).
 func (s *Switch) appendCell(sl *slot, cell *gpv.Cell) {
 	if len(sl.short) < s.cfg.ShortBufCells {
+		if sl.short == nil && s.cfg.ZeroCopy {
+			sl.short = s.carveShort()
+		}
 		s.pushCell(&sl.short, cell)
 		if len(sl.short) == s.cfg.ShortBufCells && sl.longIdx < 0 && !s.degraded {
 			// Short buffer just filled for the first time: likely a
