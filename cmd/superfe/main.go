@@ -15,8 +15,7 @@
 // With -metrics-addr the server is the full admin/debug surface:
 // /metrics, /status, /snapshot, /spans, /flightrecorder and
 // /debug/pprof/. -flightrec-dir collects anomaly-triggered
-// flight-recorder dumps; -profile-dir rotates CPU+heap profiles on a
-// wall-clock cadence.
+// flight-recorder dumps.
 //
 // Two subcommands run the resident service mode instead of a one-shot
 // replay:
@@ -37,7 +36,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"superfe/internal/apps"
 	"superfe/internal/core"
@@ -77,9 +75,6 @@ func main() {
 	memProf := flag.String("memprofile", "", "write a heap profile taken after the replay to this file")
 	flightrecDir := flag.String("flightrec-dir", "", "write anomaly-triggered flight-recorder dumps (JSON) into this directory, retention-bounded")
 	flightrecOut := flag.String("flightrec-out", "", "write a final on-demand flight-recorder dump to this file after the replay (- = stdout)")
-	profileDir := flag.String("profile-dir", "", "capture rotating CPU+heap profiles into this directory, retention-bounded (see -profile-interval, -profile-retain)")
-	profileEvery := flag.Duration("profile-interval", 30*time.Second, "cadence of the rotating profile capture for -profile-dir")
-	profileRetain := flag.Int("profile-retain", 4, "profiles of each kind retained in -profile-dir")
 	flag.Parse()
 
 	if *list {
@@ -167,34 +162,6 @@ func main() {
 	}
 	opts.FlightRec.Dir = *flightrecDir
 
-	// The rotating profiler is driven from a wall-clock ticker here in
-	// the command — package obs is deterministic by contract and owns
-	// no clock. One explicit Tick starts the first CPU window covering
-	// the replay; in serving mode a goroutine keeps the cadence, in
-	// one-shot mode main closes the window itself after the replay.
-	var prof *obs.Profiler
-	if *profileDir != "" {
-		var err error
-		if prof, err = obs.NewProfiler(*profileDir, *profileRetain); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe: profiler:", err)
-			os.Exit(1)
-		}
-		if err := prof.Tick(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe: profiler:", err)
-			os.Exit(1)
-		}
-		if *metricsAddr != "" {
-			//superfe:goroutine-ok process-lifetime ticker: serving mode blocks on select{} until Ctrl-C, so the profiler's only shutdown edge is process exit
-			go func() {
-				for range time.Tick(*profileEvery) {
-					if err := prof.Tick(); err != nil {
-						fmt.Fprintln(os.Stderr, "superfe: profiler:", err)
-					}
-				}
-			}()
-		}
-	}
-
 	// The constructor is the only thing -workers chooses: one worker
 	// runs the engine inline, more shard it behind rings.
 	var fe *core.Engine
@@ -251,17 +218,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// One-shot mode: close out the CPU window that covered the replay.
-	// (Serving mode keeps rotating on the ticker instead.)
-	if prof != nil && *metricsAddr == "" {
-		if err := prof.Tick(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe: profiler:", err)
-		}
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "superfe: profiler:", err)
-		}
-	}
-
 	if *statsOnly {
 		fmt.Printf("trace      : %s (%s)\n", tr.Name, tr.Stats())
 		fmt.Printf("workers    : %d (per-shard stats merged)\n", fe.Workers())

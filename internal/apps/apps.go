@@ -310,7 +310,7 @@ func HELAD() *policy.Policy {
 func Waivers() []planprove.Waiver {
 	const (
 		iptLane  = "inter-packet gaps are 64-bit nanosecond counts; gaps past ~2.1s exceed the 32-bit fixed-point input lane and saturate to the lane maximum, which the detectors tolerate (a 2.1s-saturated mean still separates the classes)"
-		damped   = "damped-window statistics ride the packed 16-bit lane; the deployed firmware block-rescales size (MSS-bounded ≤ 1500) and nanosecond-gap inputs by 2^-10 before accumulating, trading 3 decimal digits of precision documented in DESIGN.md §14"
+		damped   = "damped-window statistics ride the packed 16-bit lane; the deployed firmware block-rescales size (MSS-bounded ≤ 1500) and nanosecond-gap inputs by 2^-10 before accumulating, trading 3 decimal digits of precision documented in DESIGN.md §10.3"
 		histTail = "the histogram clamp is the designed binning semantics: tail mass past the last bin edge lands in the last bin (and pre-epoch negatives in bin 0), exactly the distribution shape the detector trains on"
 	)
 	return []planprove.Waiver{

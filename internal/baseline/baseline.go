@@ -120,12 +120,6 @@ type ServerModel struct {
 	FreqHz       float64
 }
 
-// DefaultServerModel approximates the paper's Xeon Gold 6230R
-// back-end server running the original software extractors.
-func DefaultServerModel() ServerModel {
-	return ServerModel{Cores: 26, CyclesPerPkt: 12000, FreqHz: 2.1e9}
-}
-
 // ThroughputGbps returns the sustainable raw-traffic rate.
 func (m ServerModel) ThroughputGbps(avgPktBytes float64) float64 {
 	pps := float64(m.Cores) * m.FreqHz / m.CyclesPerPkt

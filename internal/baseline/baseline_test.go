@@ -63,7 +63,9 @@ func TestSoftwareExtractorMultiGranularity(t *testing.T) {
 }
 
 func TestServerModelThroughput(t *testing.T) {
-	m := DefaultServerModel()
+	// The paper's Xeon Gold 6230R back-end server running the original
+	// software extractors.
+	m := ServerModel{Cores: 26, CyclesPerPkt: 12000, FreqHz: 2.1e9}
 	g := m.ThroughputGbps(739)
 	if g <= 0 || g > 200 {
 		t.Errorf("software throughput %g Gbps implausible", g)

@@ -258,8 +258,8 @@ func (e *Engine) ObsSource() obs.Source {
 
 // writeFRDumpFile writes one anomaly dump into dir and prunes old
 // dumps down to retain. Ordinal-numbered names sort lexicographically
-// in dump order (the same scheme as the obs.Profiler files), so
-// retention and fixed-seed reproducibility need no timestamps.
+// in dump order, so retention and fixed-seed reproducibility need no
+// timestamps.
 func writeFRDumpFile(dir string, ordinal int, reason string, d *obs.FRDump) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -118,8 +118,8 @@ func TestAdminFlightRecGolden(t *testing.T) {
 // TestAdminSpansGolden pins the sharded engine's span output shape:
 // a fixed-seed deterministic-merge run samples a deterministic set of
 // batches, and every span field except the scheduling-domain trio
-// (enqueue occupancy, producer parks, consumer wake — zeroed by
-// NormalizeSpans) is reproducible.
+// (enqueue occupancy, producer parks, consumer wake — zeroed here) is
+// reproducible.
 func TestAdminSpansGolden(t *testing.T) {
 	tr := obsTestTrace()
 	popts := DefaultParallelOptions()
@@ -146,7 +146,11 @@ func TestAdminSpansGolden(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("no spans sampled")
 	}
-	obs.NormalizeSpans(spans)
+	for i := range spans {
+		spans[i].EnqueueOcc = 0
+		spans[i].ProdParks = 0
+		spans[i].WokeConsumer = false
+	}
 	var buf bytes.Buffer
 	if err := obs.WriteSpansJSON(&buf, spans); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // identity, so quarantine-on-integrity-failure makes isolation exact.
 // Multi-granularity plans share the FG key table across flows, which
 // is why FG updates ride the reliable control channel and are never
-// faulted (see DESIGN.md §10).
+// faulted (see DESIGN.md §9).
 
 // faultScope is the CG-hash range the plans in this file target:
 // the bottom quarter of the hash space.

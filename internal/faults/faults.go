@@ -118,8 +118,8 @@ func (s Set) String() string {
 // Plan describes a deterministic fault campaign: the seed, the
 // per-opportunity rate, which kinds to inject, and the CG-hash scope
 // faults are confined to. The zero value is unusable; fill the seed
-// and rate or use DefaultPlan / Parse. Fields left zero are
-// normalised to the documented defaults by NewInjector.
+// and rate or use Parse. Fields left zero are normalised to the
+// documented defaults by NewInjector.
 type Plan struct {
 	// Seed roots every injector PRNG. Identical seeds reproduce
 	// identical fault sequences across runs (per shard, the streams
@@ -162,12 +162,6 @@ type Plan struct {
 	// degraded mode (defaults 1<<18 and 1<<15).
 	DegradeEnterCycles int64
 	DegradeExitCycles  int64
-}
-
-// DefaultPlan returns a 1% all-wire-faults campaign over the full
-// hash space.
-func DefaultPlan(seed int64) Plan {
-	return Plan{Seed: seed, Rate: 0.01, Kinds: WireKinds}
 }
 
 // normalised fills defaulted fields.

@@ -13,6 +13,7 @@
 package flowkey
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -136,6 +137,32 @@ type FiveTuple struct {
 func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s",
 		ipString(t.SrcIP), t.SrcPort, ipString(t.DstIP), t.DstPort, t.Proto)
+}
+
+// TupleWireBytes is the size of a five-tuple on the wire. Every
+// encoding in the tree — the MGPV and FG-update records in gpv, the
+// packet and vector records in serve — carries it as the same 13
+// big-endian bytes, written and read here.
+const TupleWireBytes = 13
+
+// PutTuple writes t's wire form into b[:TupleWireBytes].
+func PutTuple(b []byte, t FiveTuple) {
+	binary.BigEndian.PutUint32(b[0:4], t.SrcIP)
+	binary.BigEndian.PutUint32(b[4:8], t.DstIP)
+	binary.BigEndian.PutUint16(b[8:10], t.SrcPort)
+	binary.BigEndian.PutUint16(b[10:12], t.DstPort)
+	b[12] = byte(t.Proto)
+}
+
+// GetTuple reads the tuple PutTuple wrote from b[:TupleWireBytes].
+func GetTuple(b []byte) FiveTuple {
+	return FiveTuple{
+		SrcIP:   binary.BigEndian.Uint32(b[0:4]),
+		DstIP:   binary.BigEndian.Uint32(b[4:8]),
+		SrcPort: binary.BigEndian.Uint16(b[8:10]),
+		DstPort: binary.BigEndian.Uint16(b[10:12]),
+		Proto:   Proto(b[12]),
+	}
 }
 
 func ipString(ip uint32) string {

@@ -96,7 +96,7 @@ type Message struct {
 const (
 	kindMGPV     = 0
 	kindFGUpdate = 1
-	tupleBytes   = 13
+	tupleBytes   = flowkey.TupleWireBytes
 	mgpvHdrBytes = 1 + 1 + tupleBytes + 4 + 1 + 2 + 1
 	fgUpdBytes   = 1 + 2 + tupleBytes
 )
@@ -109,24 +109,6 @@ var (
 	ErrBadGran     = errors.New("gpv: granularity out of range")
 	ErrBadReason   = errors.New("gpv: eviction reason out of range")
 )
-
-func putTuple(b []byte, t flowkey.FiveTuple) {
-	binary.BigEndian.PutUint32(b[0:4], t.SrcIP)
-	binary.BigEndian.PutUint32(b[4:8], t.DstIP)
-	binary.BigEndian.PutUint16(b[8:10], t.SrcPort)
-	binary.BigEndian.PutUint16(b[10:12], t.DstPort)
-	b[12] = byte(t.Proto)
-}
-
-func getTuple(b []byte) flowkey.FiveTuple {
-	return flowkey.FiveTuple{
-		SrcIP:   binary.BigEndian.Uint32(b[0:4]),
-		DstIP:   binary.BigEndian.Uint32(b[4:8]),
-		SrcPort: binary.BigEndian.Uint16(b[8:10]),
-		DstPort: binary.BigEndian.Uint16(b[10:12]),
-		Proto:   flowkey.Proto(b[12]),
-	}
-}
 
 // EncodedSize returns the wire size of the message without encoding
 // it — the fast path for bandwidth accounting.
@@ -151,7 +133,7 @@ func (m *Message) Marshal(dst []byte) ([]byte, error) {
 		binary.BigEndian.PutUint16(idx[:], m.FG.Index)
 		dst = append(dst, idx[:]...)
 		var tb [tupleBytes]byte
-		putTuple(tb[:], m.FG.Key)
+		flowkey.PutTuple(tb[:], m.FG.Key)
 		return append(dst, tb[:]...), nil
 	case m.MGPV != nil:
 		v := m.MGPV
@@ -164,7 +146,7 @@ func (m *Message) Marshal(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, kindMGPV, byte(v.CG.Gran))
 		var tb [tupleBytes]byte
-		putTuple(tb[:], v.CG.Tuple)
+		flowkey.PutTuple(tb[:], v.CG.Tuple)
 		dst = append(dst, tb[:]...)
 		var h [4]byte
 		binary.BigEndian.PutUint32(h[:], v.Hash)
@@ -209,7 +191,7 @@ func Unmarshal(b []byte) (Message, int, error) {
 		}
 		u := &FGUpdate{
 			Index: binary.BigEndian.Uint16(b[1:3]),
-			Key:   getTuple(b[3 : 3+tupleBytes]),
+			Key:   flowkey.GetTuple(b[3 : 3+tupleBytes]),
 		}
 		return Message{FG: u}, fgUpdBytes, nil
 	case kindMGPV:
@@ -221,7 +203,7 @@ func Unmarshal(b []byte) (Message, int, error) {
 		if v.CG.Gran > flowkey.GranSocket {
 			return Message{}, 0, ErrBadGran
 		}
-		v.CG.Tuple = getTuple(b[2 : 2+tupleBytes])
+		v.CG.Tuple = flowkey.GetTuple(b[2 : 2+tupleBytes])
 		off := 2 + tupleBytes
 		v.Hash = binary.BigEndian.Uint32(b[off : off+4])
 		off += 4
@@ -270,8 +252,9 @@ func (v *MGPV) KeyHashOK() bool {
 
 // GPVSize returns the wire size a plain single-granularity GPV record
 // (the *Flow baseline) would need for the same group: key + per-cell
-// metadata without the FG index. Used by the Figure 13 comparison,
-// which charges the GPV approach once per granularity.
+// metadata without the FG index. The GPV approach pays it once per
+// granularity (Figure 13; the harness measures that on a running
+// switchsim.GPVBank, this is the arithmetic behind it).
 func GPVSize(ncells, nvals int) int {
 	return 1 + tupleBytes + 4 + 1 + 2 + 1 + ncells*4*nvals
 }

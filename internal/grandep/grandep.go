@@ -90,11 +90,6 @@ func Coarser(a, b Gran) bool {
 	return !a.Directional || b.Directional
 }
 
-// Comparable reports whether a and b sit on a common chain.
-func Comparable(a, b Gran) bool {
-	return a == b || Coarser(a, b) || Coarser(b, a)
-}
-
 // String renders the granularity.
 func (g Gran) String() string {
 	if g.Name != "" {

@@ -160,7 +160,7 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 		if f == streaming.FPercent && x < 0 {
 			x = -x
 		}
-		r.ObserveAt(absIfOneD(f, x), s.ts)
+		r.Observe(absIfOneD(f, x), s.ts)
 	}
 	return streaming.Features(r, streaming.ViewOf(f, params))[0]
 }

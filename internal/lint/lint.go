@@ -61,10 +61,8 @@
 //	                         slot access is ordered by other means
 //	                         (stated reason required).
 //
-// See DESIGN.md ("Invariant annotations and superfe-vet", "Typed
-// dataflow analysis and planvet", and "Lock-free memory-model vetting
-// and differential compiler fuzzing") for the full vocabulary and
-// rationale.
+// See DESIGN.md §10.1 for the vocabulary, the analyzers and what each
+// has earned.
 package lint
 
 import (

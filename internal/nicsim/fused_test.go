@@ -169,7 +169,7 @@ func (n *refNIC) cell(gran flowkey.Granularity, g *refGroup, cell *gpv.Cell, fwd
 					r, _ = streaming.New(rf.Func, rf.Params)
 					g.reducers[[2]int{oi, si}] = r
 				}
-				r.ObserveAt(x, int64(ts))
+				r.Observe(x, int64(ts))
 			}
 		}
 	}

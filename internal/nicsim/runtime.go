@@ -19,9 +19,9 @@ import (
 // Runtime is the functional FE-NIC engine: it consumes the switch→NIC
 // message stream (FG table updates and evicted MGPVs), maintains
 // per-group state with the compiled plan's map/reduce stages, and
-// emits feature vectors. One Runtime models one core's shard; the
-// Cluster type fans a message stream across runtimes the way the NBI
-// distributes packets per-IP.
+// emits feature vectors. One Runtime models one core's shard;
+// core.Engine pairs each with a switch and shards packets across the
+// pairs by CG hash, the way the NBI distributes packets per-IP (§6.2).
 type Runtime struct {
 	cfg  Config
 	plan *policy.Plan
@@ -124,10 +124,8 @@ type RuntimeStats struct {
 	DRAMEntries int // gauge: group-table entries past the fixed chain (modelled)
 }
 
-// Add accumulates another runtime's counters — merging shard stats
-// for the Cluster and the core parallel engine. Note FG updates are
-// broadcast to every shard, so the merged FGUpdates (and therefore
-// Msgs) count each update once per shard.
+// Add accumulates another runtime's counters — how core.Engine merges
+// its shards' stats.
 func (s *RuntimeStats) Add(o RuntimeStats) {
 	s.Msgs += o.Msgs
 	s.MGPVs += o.MGPVs
@@ -704,7 +702,7 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 				r.stats.SatInputs++
 			}
 			for _, si := range ins.states {
-				g.states[si].ObserveAt(x, int64(ts))
+				g.states[si].Observe(x, int64(ts))
 			}
 			continue
 		case opcode(policy.MapOne):

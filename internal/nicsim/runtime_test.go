@@ -309,66 +309,6 @@ func TestRuntimeNaiveMatchesStreamingPerGroup(t *testing.T) {
 	}
 }
 
-func TestClusterEquivalence(t *testing.T) {
-	// A 4-shard cluster must produce the same multiset of vectors as
-	// a single runtime.
-	plan := compile(t, statsPolicy())
-	msgs := buildWorkload(plan, 40)
-
-	var single []feature.Vector
-	rt, _ := NewRuntime(DefaultConfig(), plan, feature.Collect(&single))
-	for _, m := range msgs {
-		rt.Process(m)
-	}
-	rt.Flush()
-
-	var clustered []feature.Vector
-	cl, err := NewCluster(DefaultConfig(), plan, 4, feature.Collect(&clustered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		cl.Process(m)
-	}
-	st := cl.Close()
-	if st.Cells == 0 {
-		t.Fatal("cluster processed nothing")
-	}
-	if len(single) != len(clustered) {
-		t.Fatalf("vector counts: single %d vs cluster %d", len(single), len(clustered))
-	}
-	key := func(v feature.Vector) string { return v.Key.String() }
-	sort.Slice(single, func(i, j int) bool { return key(single[i]) < key(single[j]) })
-	sort.Slice(clustered, func(i, j int) bool { return key(clustered[i]) < key(clustered[j]) })
-	for i := range single {
-		if key(single[i]) != key(clustered[i]) {
-			t.Fatalf("vector %d keys differ: %s vs %s", i, key(single[i]), key(clustered[i]))
-		}
-		for j := range single[i].Values {
-			if math.Abs(single[i].Values[j]-clustered[i].Values[j]) > 1e-9 {
-				t.Fatalf("vector %d value %d differs", i, j)
-			}
-		}
-	}
-}
-
-// buildWorkload fabricates MGPV messages for n distinct flows.
-func buildWorkload(plan *policy.Plan, n int) []gpv.Message {
-	var msgs []gpv.Message
-	for f := 0; f < n; f++ {
-		tup := flowkey.FiveTuple{
-			SrcIP: flowkey.IPv4(10, 0, byte(f/250), byte(f%250+1)), DstIP: flowkey.IPv4(10, 1, 0, 1),
-			SrcPort: uint16(1000 + f), DstPort: 80, Proto: flowkey.ProtoTCP,
-		}
-		pkts := flowPkts(5+f%7, uint32(100+f), 1_000_000)
-		for i := range pkts {
-			pkts[i].Tuple = tup
-		}
-		msgs = append(msgs, mgpvFor(plan, pkts))
-	}
-	return msgs
-}
-
 func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
@@ -388,8 +328,5 @@ func TestConfigValidation(t *testing.T) {
 	bad.Memories[MemCLS].Bytes = 0
 	if bad.Validate() == nil {
 		t.Error("zero memory accepted")
-	}
-	if _, err := NewCluster(DefaultConfig(), nil, 0, func(feature.Vector) {}); err == nil {
-		t.Error("zero-shard cluster accepted")
 	}
 }

@@ -80,15 +80,3 @@ func WriteSpansJSON(w io.Writer, spans []BatchSpan) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(spans)
 }
-
-// NormalizeSpans zeroes the scheduling-dependent fields (enqueue
-// occupancy, producer parks, consumer wake) in place, leaving only
-// the deterministic ones — what the golden tests and cross-run diffs
-// compare.
-func NormalizeSpans(spans []BatchSpan) {
-	for i := range spans {
-		spans[i].EnqueueOcc = 0
-		spans[i].ProdParks = 0
-		spans[i].WokeConsumer = false
-	}
-}

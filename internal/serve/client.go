@@ -30,6 +30,11 @@ type Client struct {
 	vals    []float64
 }
 
+// newClient wraps an established connection; nothing is sent yet.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, bw: bufio.NewWriter(conn), fr: gpv.NewFrameReader(bufio.NewReader(conn))}
+}
+
 // Dial connects to a serve listener ("unix" or "tcp") and binds the
 // connection to the tenant.
 func Dial(network, addr, tenant string) (*Client, error) {
@@ -37,7 +42,7 @@ func Dial(network, addr, tenant string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, bw: bufio.NewWriter(conn), fr: gpv.NewFrameReader(bufio.NewReader(conn))}
+	c := newClient(conn)
 	if err := c.send(FrameHello, []byte(tenant)); err != nil {
 		conn.Close()
 		return nil, err

@@ -46,7 +46,8 @@ const (
 	FrameFlush uint8 = 3
 	// FrameSubscribe turns the connection into the tenant's vector
 	// output stream: after the FrameOK acknowledgement the server
-	// writes one FrameVector per emitted feature vector.
+	// writes one FrameVector per emitted feature vector. A second
+	// FrameSubscribe on the connection is a protocol error.
 	FrameSubscribe uint8 = 4
 	// FrameVector carries one feature vector (server→subscriber).
 	FrameVector uint8 = 5
@@ -77,11 +78,7 @@ var (
 // AppendPacket appends one wire-encoded packet record to dst.
 func AppendPacket(dst []byte, p *packet.Packet) []byte {
 	var b [PacketWireBytes]byte
-	binary.BigEndian.PutUint32(b[0:4], p.Tuple.SrcIP)
-	binary.BigEndian.PutUint32(b[4:8], p.Tuple.DstIP)
-	binary.BigEndian.PutUint16(b[8:10], p.Tuple.SrcPort)
-	binary.BigEndian.PutUint16(b[10:12], p.Tuple.DstPort)
-	b[12] = uint8(p.Tuple.Proto)
+	flowkey.PutTuple(b[:], p.Tuple)
 	binary.BigEndian.PutUint64(b[13:21], uint64(p.Timestamp))
 	binary.BigEndian.PutUint32(b[21:25], p.Size)
 	b[25] = uint8(p.Flags)
@@ -100,13 +97,7 @@ func DecodePackets(dst []packet.Packet, payload []byte) ([]packet.Packet, error)
 	for off := 0; off < len(payload); off += PacketWireBytes {
 		b := payload[off : off+PacketWireBytes]
 		dst = append(dst, packet.Packet{
-			Tuple: flowkey.FiveTuple{
-				SrcIP:   binary.BigEndian.Uint32(b[0:4]),
-				DstIP:   binary.BigEndian.Uint32(b[4:8]),
-				SrcPort: binary.BigEndian.Uint16(b[8:10]),
-				DstPort: binary.BigEndian.Uint16(b[10:12]),
-				Proto:   flowkey.Proto(b[12]),
-			},
+			Tuple:     flowkey.GetTuple(b),
 			Timestamp: int64(binary.BigEndian.Uint64(b[13:21])),
 			Size:      binary.BigEndian.Uint32(b[21:25]),
 			Flags:     packet.TCPFlags(b[25]),
@@ -120,7 +111,7 @@ func DecodePackets(dst []packet.Packet, payload []byte) ([]packet.Packet, error)
 // vectorHdrBytes is the fixed prefix of a FrameVector payload: the
 // group key (granularity byte + five-tuple), the emission timestamp
 // and the dimension.
-const vectorHdrBytes = 1 + 13 + 8 + 4
+const vectorHdrBytes = 1 + flowkey.TupleWireBytes + 8 + 4
 
 // AppendVector appends one wire-encoded feature vector to dst:
 // key granularity (1 B), key tuple (13 B), timestamp (8 B), dimension
@@ -130,11 +121,7 @@ func AppendVector(dst []byte, v *feature.Vector) []byte {
 	dst = slices.Grow(dst, vectorHdrBytes+8*len(v.Values))[:n+vectorHdrBytes+8*len(v.Values)]
 	b := dst[n:]
 	b[0] = uint8(v.Key.Gran)
-	binary.BigEndian.PutUint32(b[1:5], v.Key.Tuple.SrcIP)
-	binary.BigEndian.PutUint32(b[5:9], v.Key.Tuple.DstIP)
-	binary.BigEndian.PutUint16(b[9:11], v.Key.Tuple.SrcPort)
-	binary.BigEndian.PutUint16(b[11:13], v.Key.Tuple.DstPort)
-	b[13] = uint8(v.Key.Tuple.Proto)
+	flowkey.PutTuple(b[1:], v.Key.Tuple)
 	binary.BigEndian.PutUint64(b[14:22], uint64(v.Timestamp))
 	binary.BigEndian.PutUint32(b[22:26], uint32(len(v.Values)))
 	b = b[vectorHdrBytes:]
@@ -158,13 +145,6 @@ func appendVectorFrame(dst []byte, v *feature.Vector) []byte {
 	return dst
 }
 
-// DecodeVector decodes one FrameVector payload. Values are copied out
-// of the payload into a fresh slice, so the vector may be retained
-// past the frame buffer's reuse.
-func DecodeVector(payload []byte) (feature.Vector, error) {
-	return DecodeVectorInto(nil, payload)
-}
-
 // DecodeVectorInto decodes one FrameVector payload with Values stored
 // in dst's backing array (grown when its capacity is short). The
 // caller that passes the returned Values back as the next dst decodes
@@ -183,14 +163,8 @@ func DecodeVectorInto(dst []float64, payload []byte) (feature.Vector, error) {
 	}
 	v := feature.Vector{
 		Key: flowkey.Key{
-			Gran: flowkey.Granularity(payload[0]),
-			Tuple: flowkey.FiveTuple{
-				SrcIP:   binary.BigEndian.Uint32(payload[1:5]),
-				DstIP:   binary.BigEndian.Uint32(payload[5:9]),
-				SrcPort: binary.BigEndian.Uint16(payload[9:11]),
-				DstPort: binary.BigEndian.Uint16(payload[11:13]),
-				Proto:   flowkey.Proto(payload[13]),
-			},
+			Gran:  flowkey.Granularity(payload[0]),
+			Tuple: flowkey.GetTuple(payload[1:]),
 		},
 		Timestamp: int64(binary.BigEndian.Uint64(payload[14:22])),
 		Values:    dst[:dim],

@@ -53,7 +53,7 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 	for i, want := range vecs {
 		wire := AppendVector(nil, &want)
-		got, err := DecodeVector(wire)
+		got, err := DecodeVectorInto(nil, wire)
 		if err != nil {
 			t.Fatalf("vector %d: %v", i, err)
 		}
@@ -76,13 +76,13 @@ func TestDecodeVectorRejectsMalformed(t *testing.T) {
 	wire := AppendVector(nil, &v)
 	// Truncations and a lying dimension must both fail cleanly.
 	for cut := 0; cut < len(wire); cut++ {
-		if _, err := DecodeVector(wire[:cut]); !errors.Is(err, ErrVectorPayload) {
+		if _, err := DecodeVectorInto(nil, wire[:cut]); !errors.Is(err, ErrVectorPayload) {
 			t.Fatalf("cut=%d: err=%v, want ErrVectorPayload", cut, err)
 		}
 	}
 	lying := bytes.Clone(wire)
 	lying[25] = 99 // declared dim no longer matches payload length
-	if _, err := DecodeVector(lying); !errors.Is(err, ErrVectorPayload) {
+	if _, err := DecodeVectorInto(nil, lying); !errors.Is(err, ErrVectorPayload) {
 		t.Errorf("lying dim: err=%v, want ErrVectorPayload", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Egress bounds. They are constants, not configuration: each is sized
-// against a property of the mechanism (DESIGN.md §15 argues them), not
+// against a property of the mechanism (DESIGN.md §7 argues them), not
 // of a deployment.
 const (
 	// egressBufBytes bounds each of a subscriber's two buffers (the one

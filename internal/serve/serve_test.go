@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,7 +314,7 @@ func TestSubscribeAckIsRegistration(t *testing.T) {
 		defer close(handled)
 		srv.handleConn(stall)
 	}()
-	c := &Client{conn: cli, bw: bufio.NewWriter(cli), fr: gpv.NewFrameReader(bufio.NewReader(cli))}
+	c := newClient(cli)
 	defer func() {
 		c.Close()
 		<-handled
@@ -344,11 +343,62 @@ func TestSubscribeAckIsRegistration(t *testing.T) {
 	}
 }
 
+// TestProtocolErrorsAnswerAndClose: every frame the protocol does not
+// allow where it arrives is answered with a FrameError naming the
+// fault — through the subscriber's backlog once the connection has
+// subscribed — and then the server closes the connection.
+func TestProtocolErrorsAnswerAndClose(t *testing.T) {
+	_, sock := startServer(t, Config{Workers: 1}, [2]string{"edge", "NPOD"})
+	type frame struct {
+		kind    uint8
+		payload []byte
+	}
+	hello := frame{FrameHello, []byte("edge")}
+	for _, tc := range []struct {
+		name   string
+		frames []frame // each answered FrameOK, except the last
+		want   string
+	}{
+		{"no hello", []frame{{FrameFlush, nil}}, "expected hello frame"},
+		{"unknown tenant", []frame{{FrameHello, []byte("ghost")}}, "unknown tenant"},
+		{"server-only kind", []frame{hello, {FrameVector, nil}}, "unexpected frame kind"},
+		{"ragged packet batch", []frame{hello, {FramePackets, make([]byte, PacketWireBytes+1)}}, ErrPacketPayload.Error()},
+		{"second subscribe", []frame{hello, {FrameSubscribe, nil}, {FrameSubscribe, nil}}, "already subscribed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			c := newClient(conn)
+			for i, f := range tc.frames {
+				if err := c.send(f.kind, f.payload); err != nil {
+					t.Fatal(err)
+				}
+				err := c.awaitOK()
+				if i < len(tc.frames)-1 {
+					if err != nil {
+						t.Fatalf("frame %d (kind %d): %v", i, f.kind, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("answer = %v, want ErrRemote naming %q", err, tc.want)
+				}
+			}
+			if _, _, err := c.fr.Next(); err != io.EOF {
+				t.Fatalf("after the error frame: %v, want the connection closed", err)
+			}
+		})
+	}
+}
+
 // TestHotReloadMidIngestRace reloads a tenant's policy while packets
-// stream in (the CI service-smoke job runs this under -race). The
-// output stream must be a clean prefix of old-plan vectors followed
-// by new-plan vectors — never a torn batch — and every sent packet
-// must be accounted for.
+// stream in (CI runs it under -race). The output stream must be a
+// clean prefix of old-plan vectors followed by new-plan vectors —
+// never a torn batch — and every sent packet must be accounted for.
 func TestHotReloadMidIngestRace(t *testing.T) {
 	srv, sock := startServer(t, Config{Workers: 2}, [2]string{"hot", "NPOD"})
 	admin := httptest.NewServer(srv.AdminHandler())
@@ -783,7 +833,7 @@ func pipeSession(t *testing.T, srv *Server, tenant string, conditioned bool) (*C
 		defer close(handled)
 		srv.handleConn(srvSide)
 	}()
-	c := &Client{conn: cli, bw: bufio.NewWriter(cli), fr: gpv.NewFrameReader(bufio.NewReader(cli))}
+	c := newClient(cli)
 	t.Cleanup(func() {
 		c.Close()
 		<-handled

@@ -338,11 +338,13 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		case FrameSubscribe:
-			if sub == nil {
-				if sub, err = t.subscribe(conn); err != nil {
-					fail(err.Error())
-					return
-				}
+			if sub != nil {
+				fail("already subscribed")
+				return
+			}
+			if sub, err = t.subscribe(conn); err != nil {
+				fail(err.Error())
+				return
 			}
 		default:
 			fail(fmt.Sprintf("unexpected frame kind %d", kind))

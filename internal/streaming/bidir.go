@@ -33,16 +33,16 @@ type Bidirectional struct {
 // magnitude is the value.
 //
 //superfe:hotpath
-func (b *Bidirectional) Observe(x int64) {
+func (b *Bidirectional) Observe(x, ts int64) {
 	if x >= 0 {
 		res := float64(x) - b.fwd.Mean()
-		b.fwd.Observe(x)
+		b.fwd.Observe(x, ts)
 		b.lastResFwd = res
 		b.sp += res * b.lastResBwd
 	} else {
 		v := -x
 		res := float64(v) - b.bwd.Mean()
-		b.bwd.Observe(v)
+		b.bwd.Observe(v, ts)
 		b.lastResBwd = res
 		b.sp += res * b.lastResFwd
 	}
@@ -77,11 +77,6 @@ func (b *Bidirectional) PCC() float64 {
 	p := b.Cov() / denom
 	return math.Max(-1, math.Min(1, p))
 }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (b *Bidirectional) ObserveAt(x, _ int64) { b.Observe(x) }
 
 // AppendFeatures appends the magnitude, radius, covariance or
 // correlation.

@@ -38,8 +38,8 @@ func TestCarvedStatesMatchNew(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			for i := range carved {
 				x := int64((si*13+i*37+step*101)%1500) - 300
-				carved[i].ObserveAt(x, int64(step)*3e8)
-				fresh[i].ObserveAt(x, int64(step)*3e8)
+				carved[i].Observe(x, int64(step)*3e8)
+				fresh[i].Observe(x, int64(step)*3e8)
 			}
 		}
 		v := ViewOf(s.f, s.p)

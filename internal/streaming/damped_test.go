@@ -11,7 +11,7 @@ func TestDampedNoDecayEqualsPlainStats(t *testing.T) {
 	w := &Welford{}
 	for _, x := range []int64{2, 4, 4, 4, 5, 5, 7, 9} {
 		d.ObserveAt(float64(x), 0)
-		w.Observe(x)
+		w.Observe(x, 0)
 	}
 	if !approx(d.Mean(), w.Mean(), tol) {
 		t.Errorf("mean: damped %g vs plain %g", d.Mean(), w.Mean())
@@ -104,7 +104,7 @@ func TestDamped1DReducerModes(t *testing.T) {
 	} {
 		r := NewDamped1D(1)
 		for i := 0; i < 4; i++ {
-			r.ObserveAt(5, 0)
+			r.Observe(5, 0)
 		}
 		if !approx(feat(r, c.f), c.want, tol) {
 			t.Errorf("%s = %g, want %g", c.f, feat(r, c.f), c.want)
@@ -114,8 +114,8 @@ func TestDamped1DReducerModes(t *testing.T) {
 
 func TestDamped2DReducerSignConvention(t *testing.T) {
 	r := NewDamped2DReducer(1)
-	r.ObserveAt(300, 0)  // forward
-	r.ObserveAt(-400, 0) // backward, magnitude 400
+	r.Observe(300, 0)  // forward
+	r.Observe(-400, 0) // backward, magnitude 400
 	want := math.Sqrt(300*300 + 400*400)
 	if !approx(feat(r, FD2DMag), want, tol) {
 		t.Errorf("magnitude = %g, want %g (sign convention broken)", feat(r, FD2DMag), want)
@@ -134,8 +134,8 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 		ts := int64(0)
 		for i := 0; i < 200; i++ {
 			x := int64((i%13)*50 - 300)
-			s.ObserveAt(x, ts)
-			n.ObserveAt(x, ts)
+			s.Observe(x, ts)
+			n.Observe(x, ts)
 			ts += 3e6
 		}
 		if !approx(feat(s, f), feat(n, f), 1e-9) {

@@ -60,16 +60,10 @@ func NewDamped1D(lambda float64) *Damped1D {
 	return &Damped1D{w: DampedWelford{Lambda: lambda}}
 }
 
-// ObserveAt folds a timestamped sample.
+// Observe folds a timestamped sample.
 //
 //superfe:hotpath
-func (d *Damped1D) ObserveAt(x, ts int64) { d.w.ObserveAt(float64(x), ts) }
-
-// Observe folds a sample with no time advance (decay frozen); the
-// runtime always uses ObserveAt.
-//
-//superfe:hotpath
-func (d *Damped1D) Observe(x int64) { d.w.ObserveAt(float64(x), d.w.lastTime) }
+func (d *Damped1D) Observe(x, ts int64) { d.w.ObserveAt(float64(x), ts) }
 
 // AppendFeatures appends the damped weight, mean or stddev.
 //
@@ -103,22 +97,16 @@ func NewDamped2DReducer(lambda float64) *Damped2DReducer {
 	return &Damped2DReducer{d: *NewDamped2D(lambda)}
 }
 
-// ObserveAt folds a timestamped directional sample.
+// Observe folds a timestamped directional sample.
 //
 //superfe:hotpath
-func (r *Damped2DReducer) ObserveAt(x, ts int64) {
+func (r *Damped2DReducer) Observe(x, ts int64) {
 	if x >= 0 {
 		r.d.ObserveA(float64(x), ts)
 	} else {
 		r.d.ObserveB(float64(-x), ts)
 	}
 }
-
-// Observe folds with a frozen clock; the runtime always uses
-// ObserveAt.
-//
-//superfe:hotpath
-func (r *Damped2DReducer) Observe(x int64) { r.ObserveAt(x, r.d.lastTime) }
 
 // AppendFeatures appends the damped magnitude, radius, covariance or
 // correlation.

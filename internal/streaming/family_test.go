@@ -118,18 +118,9 @@ func TestFamilyViewsMatchPrivateReducers(t *testing.T) {
 			default:
 				ts += rng.Int63n(5e8)
 			}
-			// The runtime feeds ObserveAt; Observe (clock frozen) must
-			// stay a view-independent operation too.
-			if step%7 == 3 {
-				state.Observe(x)
-				for _, r := range private {
-					r.Observe(x)
-				}
-			} else {
-				state.ObserveAt(x, ts)
-				for _, r := range private {
-					r.ObserveAt(x, ts)
-				}
+			state.Observe(x, ts)
+			for _, r := range private {
+				r.Observe(x, ts)
 			}
 			check(step)
 		}

@@ -19,7 +19,7 @@ type Histogram struct {
 // are clamped deliberately).
 //
 //superfe:hotpath
-func (h *Histogram) Observe(x int64) {
+func (h *Histogram) Observe(x, _ int64) {
 	h.n++
 	if x < 0 {
 		h.bins[0]++
@@ -37,11 +37,6 @@ func (h *Histogram) Counts() []uint32 { return h.bins }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.n }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (h *Histogram) ObserveAt(x, _ int64) { h.Observe(x) }
 
 // AppendFeatures appends, depending on the view:
 //

@@ -44,7 +44,7 @@ func hash32(x int64) uint32 {
 // Observe folds one sample into the sketch.
 //
 //superfe:hotpath
-func (h *HyperLogLog) Observe(x int64) {
+func (h *HyperLogLog) Observe(x, _ int64) {
 	v := hash32(x)
 	idx := v >> (32 - h.bits)
 	rest := v << h.bits // remaining 32-k bits, left aligned
@@ -116,11 +116,6 @@ func (h *HyperLogLog) Merge(o *HyperLogLog) error {
 	}
 	return nil
 }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (h *HyperLogLog) ObserveAt(x, _ int64) { h.Observe(x) }
 
 // AppendFeatures appends the cardinality estimate.
 //

@@ -24,7 +24,7 @@ func hllFrom(t *testing.T, r *rand.Rand, n int) *HyperLogLog {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		h.Observe(r.Int63n(1 << 20))
+		h.Observe(r.Int63n(1<<20), 0)
 	}
 	return h
 }
@@ -99,11 +99,11 @@ func TestHLLMergeUnionEquivalence(t *testing.T) {
 	union, _ := NewHyperLogLog(10)
 	for i := 0; i < 5000; i++ {
 		x := r.Int63n(1 << 24)
-		union.Observe(x)
+		union.Observe(x, 0)
 		if i%2 == 0 {
-			a.Observe(x)
+			a.Observe(x, 0)
 		} else {
-			b.Observe(x)
+			b.Observe(x, 0)
 		}
 	}
 	must(t, a.Merge(b))

@@ -23,16 +23,11 @@ func NewNaive(f Func, p Params) *NaiveReducer {
 	return &NaiveReducer{emit: f, params: p}
 }
 
-// Observe buffers the sample.
-//
-//superfe:hotpath
-func (n *NaiveReducer) Observe(x int64) { n.data = append(n.data, x) }
-
-// ObserveAt buffers the sample with its timestamp (damped functions
+// Observe buffers the sample with its timestamp (damped functions
 // recompute the full decayed sums at emit time from the buffer).
 //
 //superfe:hotpath
-func (n *NaiveReducer) ObserveAt(x int64, ts int64) {
+func (n *NaiveReducer) Observe(x, ts int64) {
 	n.data = append(n.data, x)
 	n.tss = append(n.tss, ts)
 }
@@ -55,7 +50,7 @@ func (n *NaiveReducer) AppendFeatures(dst []float64, _ View) []float64 {
 	case FHist, FPDF, FCDF, FPercent:
 		h := &Histogram{width: n.params.BinWidth, bins: make([]uint32, n.params.Bins)}
 		for _, x := range n.data {
-			h.Observe(x)
+			h.Observe(x, 0)
 		}
 		return h.AppendFeatures(dst, ViewOf(n.emit, n.params))
 	case FArray:

@@ -22,16 +22,15 @@ import (
 
 // Reducer is the common interface of all reducing-function state.
 // One state serves a whole family of reducing functions (see
-// FamilyOf): Observe consumes one sample, ObserveAt one sample with
-// its timestamp in ns (only the damped families read it; the rest
-// forward to Observe); AppendFeatures appends the feature value(s) of
+// FamilyOf): Observe consumes one sample with its timestamp in ns
+// (only the damped families read it); AppendFeatures appends the
+// feature value(s) of
 // the family member v selects to dst (most emit one, ft_hist emits
 // one per bin, f_array the whole sequence) and returns the extended
 // slice; StateBytes reports the state footprint in bytes, used by the
 // NIC memory model and the ILP placement.
 type Reducer interface {
-	Observe(x int64)
-	ObserveAt(x, ts int64)
+	Observe(x, ts int64)
 	AppendFeatures(dst []float64, v View) []float64
 	StateBytes() int
 	Reset()
@@ -273,12 +272,7 @@ type Sum struct {
 // Observe adds the sample.
 //
 //superfe:hotpath
-func (s *Sum) Observe(x int64) { s.sum += x; s.n++ }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (s *Sum) ObserveAt(x, _ int64) { s.Observe(x) }
+func (s *Sum) Observe(x, _ int64) { s.sum += x; s.n++ }
 
 // AppendFeatures appends the running sum.
 //
@@ -305,7 +299,7 @@ type Extremum struct {
 // Observe folds the sample into the extremum.
 //
 //superfe:hotpath
-func (e *Extremum) Observe(x int64) {
+func (e *Extremum) Observe(x, _ int64) {
 	if !e.seen {
 		e.value, e.seen = x, true
 		return
@@ -314,11 +308,6 @@ func (e *Extremum) Observe(x int64) {
 		e.value = x
 	}
 }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (e *Extremum) ObserveAt(x, _ int64) { e.Observe(x) }
 
 // AppendFeatures appends the extremum (0 if no samples were observed;
 // Reset zeroes value).
@@ -351,7 +340,7 @@ type Welford struct {
 // Observe folds one sample into the running moments.
 //
 //superfe:hotpath
-func (w *Welford) Observe(x int64) {
+func (w *Welford) Observe(x, _ int64) {
 	w.n++
 	xf := float64(x)
 	delta := xf - w.mean
@@ -372,11 +361,6 @@ func (w *Welford) Var() float64 {
 
 // Count returns the number of observed samples.
 func (w *Welford) Count() uint64 { return w.n }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (w *Welford) ObserveAt(x, _ int64) { w.Observe(x) }
 
 // AppendFeatures appends the mean, variance or stddev.
 //
@@ -411,7 +395,7 @@ type Moments struct {
 // Observe folds one sample into the running central moments.
 //
 //superfe:hotpath
-func (m *Moments) Observe(x int64) {
+func (m *Moments) Observe(x, _ int64) {
 	n1 := float64(m.n)
 	m.n++
 	n := float64(m.n)
@@ -444,11 +428,6 @@ func (m *Moments) Kurtosis() float64 {
 	return n*m.m4/(m.m2*m.m2) - 3
 }
 
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (m *Moments) ObserveAt(x, _ int64) { m.Observe(x) }
-
 // AppendFeatures appends the skew or kurtosis.
 //
 //superfe:hotpath
@@ -479,16 +458,11 @@ type Array struct {
 // Observe appends the sample until the cap is reached.
 //
 //superfe:hotpath
-func (a *Array) Observe(x int64) {
+func (a *Array) Observe(x, _ int64) {
 	if len(a.data) < a.maxLen {
 		a.data = append(a.data, x)
 	}
 }
-
-// ObserveAt ignores the timestamp.
-//
-//superfe:hotpath
-func (a *Array) ObserveAt(x, _ int64) { a.Observe(x) }
 
 // AppendFeatures appends the sequence zero-padded to maxLen, which is
 // the fixed-length representation the WFP models consume.

@@ -26,7 +26,7 @@ func feat(r Reducer, f Func) float64 { return Features(r, View{Func: f})[0] }
 
 func feed(r Reducer, xs []int64) {
 	for _, x := range xs {
-		r.Observe(x)
+		r.Observe(x, 0)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestMomentsAgainstNaive(t *testing.T) {
 
 func TestMomentsDegenerate(t *testing.T) {
 	m := &Moments{}
-	m.Observe(5)
+	m.Observe(5, 0)
 	if feat(m, FSkew) != 0 {
 		t.Error("single-sample skew must be 0")
 	}
@@ -141,11 +141,11 @@ func TestHyperLogLogAccuracy(t *testing.T) {
 	for len(seen) < 10000 {
 		x := int64(r.Uint64() >> 8)
 		seen[x] = struct{}{}
-		h.Observe(x)
+		h.Observe(x, 0)
 	}
 	// Duplicates must not change the estimate.
 	for x := range seen {
-		h.Observe(x)
+		h.Observe(x, 0)
 		break
 	}
 	est := h.Estimate()
@@ -157,7 +157,7 @@ func TestHyperLogLogAccuracy(t *testing.T) {
 func TestHyperLogLogSmallRange(t *testing.T) {
 	h, _ := NewHyperLogLog(6)
 	for i := int64(0); i < 10; i++ {
-		h.Observe(i)
+		h.Observe(i, 0)
 	}
 	est := h.Estimate()
 	if est < 5 || est > 20 {
@@ -179,7 +179,7 @@ func TestHyperLogLogHashReuse(t *testing.T) {
 	h1, _ := NewHyperLogLog(6)
 	h2, _ := NewHyperLogLog(6)
 	for i := int64(0); i < 1000; i++ {
-		h1.Observe(i)
+		h1.Observe(i, 0)
 		h2.ObserveHash(hash32(i))
 	}
 	if h1.Estimate() != h2.Estimate() {
@@ -190,7 +190,7 @@ func TestHyperLogLogHashReuse(t *testing.T) {
 func TestHistogramBinning(t *testing.T) {
 	h := &Histogram{width: 10, bins: make([]uint32, 4)}
 	for _, x := range []int64{0, 9, 10, 25, 39, 40, 1000, -5} {
-		h.Observe(x)
+		h.Observe(x, 0)
 	}
 	want := []float64{3, 1, 1, 3} // -5,0,9 | 10 | 25 | 39,40(clamp),1000(clamp)
 	got := Features(h, View{Func: FHist})
@@ -230,7 +230,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	h := &Histogram{width: 100, bins: make([]uint32, 16)}
 	// Uniform 0..999: median ≈ 500.
 	for i := int64(0); i < 1000; i++ {
-		h.Observe(i)
+		h.Observe(i, 0)
 	}
 	med := h.Quantile(0.5)
 	if med < 450 || med > 550 {
@@ -249,8 +249,8 @@ func TestHistogramQuantileVsExact(t *testing.T) {
 	n := NewNaive(FPercent, Params{BinWidth: 16, Bins: 128, Quantile: 0.9})
 	for i := 0; i < 5000; i++ {
 		x := int64(r.ExpFloat64() * 300)
-		h.Observe(x)
-		n.Observe(x)
+		h.Observe(x, 0)
+		n.Observe(x, 0)
 	}
 	exact := n.ExactQuantile(0.9)
 	got := h.Quantile(0.9)
@@ -353,8 +353,8 @@ func TestBidirectionalCorrelatedStreams(t *testing.T) {
 	b := &Bidirectional{}
 	for i := 0; i < 3000; i++ {
 		v := int64(500 + 400*math.Sin(float64(i)/50))
-		b.Observe(v)
-		b.Observe(-(v + 5))
+		b.Observe(v, 0)
+		b.Observe(-(v + 5), 0)
 	}
 	if p := b.PCC(); p < 0.7 {
 		t.Errorf("strongly correlated streams give pcc %g", p)
@@ -450,7 +450,7 @@ func TestAllReducersResetAndReuse(t *testing.T) {
 func feedTimed(r Reducer, xs []int64) {
 	ts := int64(0)
 	for _, x := range xs {
-		r.ObserveAt(x, ts)
+		r.Observe(x, ts)
 		ts += 1e6
 	}
 }

@@ -102,75 +102,3 @@ func TestPropertyStatsMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLoadBalancerRouting(t *testing.T) {
-	const nics = 4
-	var perNIC [nics]uint64
-	var sinks []func(gpv.Message)
-	for i := 0; i < nics; i++ {
-		i := i
-		sinks = append(sinks, func(m gpv.Message) {
-			if m.MGPV != nil {
-				perNIC[i] += uint64(len(m.MGPV.Cells))
-			}
-		})
-	}
-	lb, err := NewLoadBalancer(sinks...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := New(DefaultConfig(), flowPlan(t, flowkey.GranFlow), lb.Sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 20000; i++ {
-		p := pkt(byte(r.Intn(200)+1), byte(r.Intn(50)+1), uint16(1000+r.Intn(2000)), 500, int64(i)*1000)
-		sw.Process(&p)
-	}
-	sw.Flush()
-	var total uint64
-	for _, c := range perNIC {
-		if c == 0 {
-			t.Fatal("a NIC received no traffic")
-		}
-		total += c
-	}
-	if total != 20000 {
-		t.Errorf("cells across NICs = %d, want 20000", total)
-	}
-	// Hash distribution over thousands of groups should be fairly
-	// even.
-	if imb := lb.Imbalance(); imb > 0.25 {
-		t.Errorf("imbalance %.2f too high", imb)
-	}
-	if len(lb.BytesPerNIC()) != nics {
-		t.Error("per-NIC counters wrong")
-	}
-}
-
-func TestLoadBalancerBroadcastsFGUpdates(t *testing.T) {
-	var got [2]int
-	lb, err := NewLoadBalancer(
-		func(m gpv.Message) {
-			if m.FG != nil {
-				got[0]++
-			}
-		},
-		func(m gpv.Message) {
-			if m.FG != nil {
-				got[1]++
-			}
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb.Sink(gpv.Message{FG: &gpv.FGUpdate{Index: 1}})
-	if got[0] != 1 || got[1] != 1 {
-		t.Errorf("FG update not broadcast: %v", got)
-	}
-	if _, err := NewLoadBalancer(); err == nil {
-		t.Error("empty balancer accepted")
-	}
-}
