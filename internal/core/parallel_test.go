@@ -241,10 +241,11 @@ func TestProcessZeroAllocs(t *testing.T) {
 // TestColdPassAllocs is the gate TestProcessZeroAllocs cannot be: that
 // one pre-admits every group and touches every buffer before it
 // measures, so what a deployment pays the first time it sees a flow —
-// the switch slot's buffers, the NIC group and its reducer states —
-// was held by nothing. Here a fresh engine is fed a short-flow trace
+// the switch slot's buffers, the NIC group record and the states in it
+// — was held by nothing. Here a fresh engine is fed a short-flow trace
 // once and flushed; all of that must come from blocks, a small
-// fraction of an allocation per packet.
+// fraction of an allocation per packet (0.02–0.025 measured: the NIC's
+// share is one record block per 64 groups).
 func TestColdPassAllocs(t *testing.T) {
 	tr := obsTestTrace()
 	for _, workers := range []int{0, 1} {
@@ -268,8 +269,8 @@ func TestColdPassAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		e.Close()
-		if per := float64(after.Mallocs-before.Mallocs) / float64(len(tr.Packets)); per > 0.1 {
-			t.Errorf("workers=%d: %.3f allocations per packet on a cold pass of %d packets, want ≤ 0.1", workers, per, len(tr.Packets))
+		if per := float64(after.Mallocs-before.Mallocs) / float64(len(tr.Packets)); per > 0.04 {
+			t.Errorf("workers=%d: %.3f allocations per packet on a cold pass of %d packets, want ≤ 0.04", workers, per, len(tr.Packets))
 		}
 	}
 }

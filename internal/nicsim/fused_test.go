@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"superfe/internal/apps"
+	"superfe/internal/faults"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
@@ -29,6 +30,10 @@ type refNIC struct {
 	fg     map[uint16]flowkey.FiveTuple
 	groups map[flowkey.Key]*refGroup
 	out    []feature.Vector
+	// inj, when set, fails group admissions as the Runtime's injector
+	// does: one draw per cell and granularity whose group is missing, in
+	// order, so two injectors of one plan stay in step.
+	inj *faults.Injector
 }
 
 type refGroup struct {
@@ -82,6 +87,9 @@ func (n *refNIC) process(m gpv.Message) {
 			}
 			g := n.groups[key]
 			if g == nil {
+				if n.inj.EMEMFail(v.Hash) {
+					continue // this granularity loses the cell
+				}
 				g = &refGroup{reducers: map[[2]int]streaming.Reducer{}, last: map[int]int64{}, bursts: map[int]int64{}}
 				n.groups[key] = g
 			}
@@ -333,6 +341,74 @@ func TestFusedRuntimeMatchesPrivateReducers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedRuntimeMatchesPrivateReducersUnderEMEMFaults is the same
+// differential with admissions failing: a granularity whose admission
+// lost the race skips the cell while the others absorb it, so a group's
+// first cell is not its packet's first, its clock starts later than its
+// neighbours' at other granularities, and per-packet vectors are emitted
+// with a granularity missing. The reference fails the same admissions
+// from its own injector of the same plan.
+func TestFusedRuntimeMatchesPrivateReducersUnderEMEMFaults(t *testing.T) {
+	fp, err := faults.Parse("seed=5,rate=0.2,kinds=nic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := trace.CampusConfig
+	wl.Flows = 150
+	tr := trace.Generate(wl, 7)
+	for _, build := range []func() *policy.Policy{apps.Kitsune, apps.NBaIoT, sharingEdges} {
+		pol := build()
+		t.Run(pol.Name(), func(t *testing.T) {
+			_, st := teeRunFaulted(t, pol, tr, fp, func(*gpv.MGPV) {})
+			if st.EMEMDrops == 0 {
+				t.Fatal("no admission failed: the fixture exercises nothing")
+			}
+		})
+	}
+}
+
+// TestDecayLanesPerCell counts, from the op table, the decay factors a
+// cell can cost the damped catalog policies: one per granularity and
+// distinct rate, plus one per 2D state for the direction half whose
+// clock is not its group's. Private reducers paid one per 1D state and
+// two per 2D state.
+func TestDecayLanesPerCell(t *testing.T) {
+	for _, tc := range []struct {
+		pol             func() *policy.Policy
+		private, atMost int
+	}{
+		{apps.Kitsune, 45, 30},
+		{apps.HELAD, 40, 30},
+		{apps.NBaIoT, 25, 15},
+	} {
+		plan, err := policy.Compile(tc.pol())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, shared := 0, 0
+		for _, pr := range rt.programs {
+			shared += len(pr.lanes)
+			for _, st := range pr.states {
+				switch fam := streaming.FamilyOf(st.fn, st.params).Func; fam {
+				case streaming.FDWeight:
+					private++
+				case streaming.FD2DMag:
+					private += 2
+					shared++
+				}
+			}
+		}
+		if private != tc.private || shared > tc.atMost {
+			t.Errorf("%s: %d decay factors per cell on private reducers (want %d), %d on the record (want <= %d)",
+				plan.Policy.Name(), private, tc.private, shared, tc.atMost)
+		}
 	}
 }
 

@@ -68,7 +68,12 @@ type Runtime struct {
 	// memo entry is only ever a group already in its table, so
 	// admission (and its injected EMEM failures) is byte-for-byte
 	// unchanged.
-	memoGroups []*group
+	memoGroups []record
+
+	// decay is the cell in hand's decay factors by rate and interval,
+	// shared by the granularities: a packet's groups mostly stand the same
+	// few intervals behind it.
+	decay streaming.Decay
 
 	// inj mirrors cfg.Faults (nil when injection is disabled).
 	inj *faults.Injector
@@ -150,13 +155,14 @@ const opReduce = opcode(policy.NumMapFuncs)
 type instruction struct {
 	code opcode
 	src  valueRef
-	// map: destination env slot, scratch slot, burst gap.
+	// map: destination env slot, record offset of its scratch word(s)
+	// (-1 when it keeps none), burst gap.
 	dstSlot    int
-	scratchIdx int
+	scratchOff int
 	burstNS    int64
-	// reduce: the group states this op feeds. A state whose family an
-	// earlier reduce of the same source already feeds is not listed
-	// again: each state observes a cell once.
+	// reduce: the states this op feeds, as positions in program.states.
+	// A state whose family an earlier reduce of the same source already
+	// feeds is not listed again: each state observes a cell once.
 	states []int
 	// reduce: the narrowest input contracts across the op's reducers
 	// (see streaming.ContractFor), priced once at compile time so the
@@ -173,8 +179,16 @@ type valueRef struct {
 	idx     int
 }
 
-// program is the compiled op table for one granularity, and the store
-// of that granularity's groups.
+// program is the compiled op table for one granularity, the layout of
+// that granularity's group record, and the store of its groups.
+//
+// The layout rule: after the header (recHeader words) come the map ops'
+// scratch words in op order, then the states in the order their first
+// reduce op names them, each at stateSpec.off. A state of a fixed-size
+// family lives in the record (its streaming.Kernel's words); a state
+// whose storage grows with the data — f_array, f_card, and every
+// store-everything reducer of cfg.Naive — is a streaming.Reducer in
+// outline, and the record's word holds its position there.
 type program struct {
 	gran flowkey.Granularity
 	// isCG / isFG: the granularity is the plan's coarsest / finest,
@@ -182,12 +196,6 @@ type program struct {
 	// table; the FG's groups are the ones Flush emits.
 	isCG, isFG bool
 	table      groupTable
-	// stateSlab / scratchSlab back the states and scratch slices of the
-	// groups of the table's current block; carver backs the reducer
-	// states themselves, a group's states side by side.
-	stateSlab   []streaming.Reducer
-	scratchSlab []scratchCell
-	carver      streaming.Carver
 
 	instrs     []instruction
 	numEnv     int
@@ -197,17 +205,38 @@ type program struct {
 	// and reducer family (streaming.FamilyOf), however many of the
 	// policy's reduce specs are views of it.
 	states []stateSpec
+	// lanes lists the decay lanes (Runtime.decay) of the damped states,
+	// one per distinct rate. The states of a group share its clock
+	// (recClock), so a cell costs at most one decay factor per lane, not
+	// one per state.
+	lanes []int
+	step  streaming.Step // this cell's clock step, reused
+	// outOfLine lists the states kept in outline, and outline holds
+	// them for every group: group after group in admission order, each
+	// group's in outOfLine order.
+	outOfLine []int
+	outline   []streaming.Reducer
+	// inlineBytes is the modelled footprint of a group's inline states
+	// and scratch, a constant of the program (see StateBytes).
+	inlineBytes int
 	// emits lists, per collect op in policy order at this
 	// granularity, which views it snapshots and any synthesize to
 	// apply.
 	emits []emitSpec
 }
 
-// stateSpec describes one entry of group.states.
+// stateSpec describes one state of the record.
 type stateSpec struct {
-	// alloc constructs the state, resolved from the family's first
-	// member when the program is compiled.
-	alloc func() streaming.Reducer
+	// off is the state's first word in the record.
+	off int
+	// inline states are kern's words at off. An out-of-line state is
+	// built per group by streaming.New(fn, params), or streaming.NewNaive
+	// under cfg.Naive.
+	inline bool
+	kern   streaming.Kernel
+	fn     streaming.Func
+	params streaming.Params
+	naive  bool
 	// views counts the reduce specs reading the state: the executable
 	// keeps one copy, the modelled NIC (StateBytes, plan.NIC.StateSpecs,
 	// the cost model) is priced per spec.
@@ -215,34 +244,17 @@ type stateSpec struct {
 }
 
 type emitSpec struct {
-	views     []viewRef // in feature order
+	runs      []viewRun // in feature order
 	synth     []policy.Op
 	perPacket bool
 }
 
-// viewRef is one emitted feature: a group state and the family member
-// to read from it.
-type viewRef struct {
+// viewRun is a run of consecutive emitted features read from one state:
+// the family members to read, in feature order. A family appends a run
+// in one pass (streaming.Kernel.AppendViews).
+type viewRun struct {
 	state int
-	view  streaming.View
-}
-
-// group is the per-(granularity, key) state.
-type group struct {
-	key     flowkey.Key
-	states  []streaming.Reducer // indexed like program.states
-	scratch []scratchCell
-	lastTS  uint32
-	cells   uint64
-	// admitClock is the runtime's logical clock (total cells
-	// processed) when the group was admitted; emit latency is the
-	// clock distance to the vector emission.
-	admitClock uint64
-}
-
-type scratchCell struct {
-	v   int64
-	set bool
+	views []streaming.View
 }
 
 // NewRuntime compiles the plan into per-granularity programs.
@@ -267,7 +279,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		fieldPos[f] = i
 	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, fieldPos, cfg.Naive)
+		pr, err := compileProgram(plan, g, fieldPos, cfg.Naive, &r.decay)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +292,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 	if pos, ok := fieldPos[packet.FieldTimestamp]; ok {
 		r.tsPos = pos
 	}
-	r.memoGroups = make([]*group, len(r.programs))
+	r.memoGroups = make([]record, len(r.programs))
 	if cfg.Obs != nil {
 		r.obs = cfg.Obs
 		r.cycStage = cfg.Obs.CyclesPerMGPV.Stage()
@@ -340,8 +352,8 @@ func (r *Runtime) PublishObs() {
 // resolved slots and shared state families. naive gives every reduce
 // spec a state of its own: the store-everything ablation is one buffer
 // per feature.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool) (*program, error) {
-	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, table: newGroupTable()}
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
+	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
 	envSlot := map[string]int{}
 	resolve := func(name string) (valueRef, error) {
 		if s, ok := envSlot[name]; ok {
@@ -397,16 +409,15 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				}
 				ins.src = ref
 			}
+			ins.scratchOff = recHeader + pr.numScratch
 			switch op.MapF {
 			case policy.MapIPT, policy.MapSpeed:
-				ins.scratchIdx = pr.numScratch
 				pr.numScratch++
 			case policy.MapBurst:
-				// Two scratch slots: last timestamp + burst counter.
-				ins.scratchIdx = pr.numScratch
+				// Two scratch words: last timestamp + burst counter.
 				pr.numScratch += 2
 			default:
-				ins.scratchIdx = -1
+				ins.scratchOff = -1
 			}
 			pr.instrs = append(pr.instrs, ins)
 		case policy.OpReduce:
@@ -423,19 +434,33 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				k := stateKey{ref, streaming.FamilyOf(rf.Func, rf.Params)}
 				si, shared := stateOf[k]
 				if !shared || naive {
-					var alloc func() streaming.Reducer
-					if naive {
-						alloc = func() streaming.Reducer { return streaming.NewNaive(rf.Func, rf.Params) }
-					} else if alloc, err = pr.carver.Constructor(rf.Func, rf.Params); err != nil {
-						return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
+					st := stateSpec{fn: rf.Func, params: rf.Params, naive: naive}
+					if !naive {
+						if st.kern, st.inline, err = streaming.KernelFor(rf.Func, rf.Params); err != nil {
+							return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
+						}
+					}
+					if st.kern.Lambda != 0 {
+						st.kern.Lane = decay.Lane(st.kern.Lambda)
+						if !slices.Contains(pr.lanes, st.kern.Lane) {
+							pr.lanes = append(pr.lanes, st.kern.Lane)
+						}
 					}
 					si = len(pr.states)
 					stateOf[k] = si
-					pr.states = append(pr.states, stateSpec{alloc: alloc})
+					if !st.inline {
+						pr.outOfLine = append(pr.outOfLine, si)
+					}
+					pr.states = append(pr.states, st)
 					ins.states = append(ins.states, si)
 				}
 				pr.states[si].views++
-				pendingEmit.views = append(pendingEmit.views, viewRef{si, streaming.ViewOf(rf.Func, rf.Params)})
+				view := streaming.ViewOf(rf.Func, rf.Params)
+				if n := len(pendingEmit.runs); n > 0 && pendingEmit.runs[n-1].state == si {
+					pendingEmit.runs[n-1].views = append(pendingEmit.runs[n-1].views, view)
+				} else {
+					pendingEmit.runs = append(pendingEmit.runs, viewRun{si, []streaming.View{view}})
+				}
 				ct := streaming.ContractFor(rf.Func, rf.Params)
 				if ct.Clamps {
 					if ct.InLo > ins.satLo {
@@ -461,6 +486,21 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	}
 	flushEmit(false)
 	pr.env = make([]int64, pr.numEnv)
+	// The states follow the scratch words, which are only counted once
+	// every map op has been seen.
+	words := recHeader + pr.numScratch
+	pr.inlineBytes = 16 * pr.numScratch
+	for i := range pr.states {
+		st := &pr.states[i]
+		st.off = words
+		if st.inline {
+			words += st.kern.Words
+			pr.inlineBytes += st.kern.StateBytes * st.views
+		} else {
+			words++
+		}
+	}
+	pr.table = newGroupTable(words)
 	return pr, nil
 }
 
@@ -474,28 +514,23 @@ func (pr *program) hashOf(key flowkey.Key) uint32 {
 	return mixTuple(key.Tuple)
 }
 
-// admit adds a group for key, which the table does not hold, carving
-// its state and scratch slices from the program's slabs and its
-// reducer states from the program's carver.
+// admit adds a group for the key (a, b), which the table does not
+// hold, and builds its out-of-line states.
 //
 //superfe:coldpath
-func (pr *program) admit(h uint32, key flowkey.Key, clock uint64) *group {
-	g := pr.table.insert(h, key)
-	g.admitClock = clock
-	if n := len(pr.states); n > 0 {
-		if len(pr.stateSlab) == 0 {
-			pr.stateSlab = make([]streaming.Reducer, n*groupBlock)
+func (pr *program) admit(h uint32, a, b, clock uint64) record {
+	g := pr.table.insert(h, a, b)
+	g[recAdmit] = clock
+	for _, si := range pr.outOfLine {
+		st := &pr.states[si]
+		g[st.off] = uint64(len(pr.outline))
+		var r streaming.Reducer
+		if st.naive {
+			r = streaming.NewNaive(st.fn, st.params)
+		} else {
+			r, _ = streaming.New(st.fn, st.params) // validated by KernelFor
 		}
-		g.states, pr.stateSlab = pr.stateSlab[:n:n], pr.stateSlab[n:]
-		for i := range pr.states {
-			g.states[i] = pr.states[i].alloc()
-		}
-	}
-	if n := pr.numScratch; n > 0 {
-		if len(pr.scratchSlab) == 0 {
-			pr.scratchSlab = make([]scratchCell, n*groupBlock)
-		}
-		g.scratch, pr.scratchSlab = pr.scratchSlab[:n:n], pr.scratchSlab[n:]
+		pr.outline = append(pr.outline, r)
 	}
 	return g
 }
@@ -519,16 +554,16 @@ func (r *Runtime) Stats() RuntimeStats {
 
 // StateBytes sums the live per-group reducer state — the Figure 15
 // memory-consumption metric. It is the modelled footprint: a state
-// counts once per reduce spec that reads it (stateSpec.views).
+// counts once per reduce spec that reads it (stateSpec.views), at what
+// its streaming.Reducer reports, whatever the record spends on it. The
+// inline families are a constant per group; only the out-of-line
+// states, whose size follows their data, are walked.
 func (r *Runtime) StateBytes() int {
 	total := 0
 	for _, pr := range r.programs {
-		for gi := 0; gi < pr.table.n; gi++ {
-			g := pr.table.at(gi)
-			for i, st := range g.states {
-				total += st.StateBytes() * pr.states[i].views
-			}
-			total += 16 * len(g.scratch)
+		total += pr.table.n * pr.inlineBytes
+		for i, st := range pr.outline {
+			total += st.StateBytes() * pr.states[pr.outOfLine[i%len(pr.outOfLine)]].views
 		}
 	}
 	return total
@@ -582,6 +617,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 	for ci := range v.Cells {
 		cell := &v.Cells[ci]
 		r.stats.Cells++
+		r.decay.Reset()
 		// Reconstruct the packet's tuple orientation from the FG key
 		// and direction bit.
 		var tuple flowkey.FiveTuple
@@ -602,7 +638,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 		}
 		perPacketVals := r.ppVals[:0]
 		perPacketEmit := false
-		var fgGroup *group
+		var fgGroup record
 		for pi, pr := range r.programs {
 			var key flowkey.Key
 			var fwd bool
@@ -621,8 +657,9 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			// Memo hit: the previous cell of this MGPV resolved the
 			// same group at this granularity (guaranteed at the CG,
 			// overwhelmingly common at coarser intermediate levels).
+			a, b := keyWords(key)
 			g := r.memoGroups[pi]
-			if g == nil || g.key != key {
+			if g == nil || g[recKeyA] != a || g[recKeyB] != b {
 				// The carried hash is the switch's hash of v.CG (§6.2 hash
 				// reuse; core quarantines frames where it is not). A CG key
 				// re-derived from a misattributed FG entry is not v.CG and
@@ -631,7 +668,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 				if !pr.isCG || key != v.CG {
 					h = pr.hashOf(key)
 				}
-				if g = pr.table.lookup(h, key); g == nil {
+				if g = pr.table.lookup(h, a, b); g == nil {
 					// Transient EMEM allocation failure: group admission
 					// loses the allocator race and this cell's contribution
 					// to this granularity is dropped; the group's next cell
@@ -644,7 +681,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 						}
 						continue
 					}
-					g = pr.admit(h, key, r.stats.Cells)
+					g = pr.admit(h, a, b, r.stats.Cells)
 				}
 				r.memoGroups[pi] = g
 			}
@@ -676,15 +713,21 @@ func (r *Runtime) cellTimestamp(cell *gpv.Cell) int64 {
 	return 0
 }
 
-// runCell executes one granularity's op table over one cell,
-// appending any per-packet collect values to dst. It returns the
+// runCell executes one granularity's op table over one cell of group
+// g, appending any per-packet collect values to dst. It returns the
 // extended dst and whether the program has per-packet emits.
-func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst []float64) ([]float64, bool) {
+func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst []float64) ([]float64, bool) {
 	env := pr.env // reused across cells; every slot is written before it is read
 	ts := uint32(0)
 	if r.tsPos >= 0 {
 		ts = cell.Values[r.tsPos]
 	}
+	// Every op below runs on every cell of the group, so one flag and
+	// one clock serve them all: a scratch word or a state has been
+	// written exactly when the group has absorbed a cell, and the damped
+	// states decay over the same interval.
+	step := &pr.step
+	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, g[recCells] == 0, int64(g[recClock]), int64(ts)))
 	for i := range pr.instrs {
 		ins := &pr.instrs[i]
 		var out int64
@@ -702,7 +745,11 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 				r.stats.SatInputs++
 			}
 			for _, si := range ins.states {
-				g.states[si].Observe(x, int64(ts))
+				if st := &pr.states[si]; st.inline {
+					st.kern.Observe(g[st.off:], x, step)
+				} else {
+					pr.outline[g[st.off]].Observe(x, step.Now)
+				}
 			}
 			continue
 		case opcode(policy.MapOne):
@@ -715,61 +762,63 @@ func (r *Runtime) runCell(pr *program, g *group, cell *gpv.Cell, fwd bool, dst [
 				out = -out
 			}
 		case opcode(policy.MapIPT):
-			sc := &g.scratch[ins.scratchIdx]
+			last := &g[ins.scratchOff]
 			cur := loadRef(env, cell, ins.src)
-			if sc.set {
+			if !step.First {
 				// 32-bit wrapping difference, matching the
 				// switch's 32-bit timestamp metadata.
-				out = int64(uint32(cur) - uint32(sc.v))
+				out = int64(uint32(cur) - uint32(*last))
 			}
-			sc.v, sc.set = cur, true
+			*last = uint64(cur)
 		case opcode(policy.MapSpeed):
-			sc := &g.scratch[ins.scratchIdx]
+			last := &g[ins.scratchOff]
 			size := loadRef(env, cell, ins.src)
 			var dt int64
-			if sc.set {
-				dt = int64(ts - uint32(sc.v))
+			if !step.First {
+				dt = int64(ts - uint32(*last))
 			}
-			sc.v, sc.set = int64(ts), true
+			*last = uint64(ts)
 			if dt > 0 {
 				out = size * 1e9 / dt // bytes per second
 			}
 		case opcode(policy.MapBurst):
-			last := &g.scratch[ins.scratchIdx]
-			count := &g.scratch[ins.scratchIdx+1]
+			last, count := &g[ins.scratchOff], &g[ins.scratchOff+1]
 			cur := loadRef(env, cell, ins.src)
-			gap := int64(0)
-			if last.set {
-				gap = int64(uint32(cur) - uint32(last.v))
+			if step.First || int64(uint32(cur)-uint32(*last)) > ins.burstNS {
+				*count++ // new burst
 			}
-			if !last.set || gap > ins.burstNS {
-				count.v++ // new burst
-			}
-			last.v, last.set = cur, true
-			out = count.v
+			*last = uint64(cur)
+			out = int64(*count)
 		}
 		env[ins.dstSlot] = out
 	}
-	g.cells++
-	g.lastTS = ts
+	g[recCells]++
+	g[recLastTS] = uint64(ts)
 
 	// Per-packet emits: snapshot the designated views now.
 	emitted := false
 	for i := range pr.emits {
 		if em := &pr.emits[i]; em.perPacket {
 			emitted = true
-			dst = appendSnapshot(dst, g, em)
+			dst = pr.appendSnapshot(dst, g, em)
 		}
 	}
 	return dst, emitted
 }
 
-// appendSnapshot appends one emit's feature values to dst, applying
-// any synthesize post-processing to the appended region only.
-func appendSnapshot(dst []float64, g *group, em *emitSpec) []float64 {
+// appendSnapshot appends one emit's feature values to dst, run by run,
+// applying any synthesize post-processing to the appended region only.
+func (pr *program) appendSnapshot(dst []float64, g record, em *emitSpec) []float64 {
 	start := len(dst)
-	for _, v := range em.views {
-		dst = g.states[v.state].AppendFeatures(dst, v.view)
+	for i := range em.runs {
+		run := &em.runs[i]
+		if st := &pr.states[run.state]; st.inline {
+			dst = st.kern.AppendViews(dst, g[st.off:], run.views)
+		} else {
+			for _, v := range run.views {
+				dst = pr.outline[g[st.off]].AppendFeatures(dst, v)
+			}
+		}
 	}
 	if len(em.synth) > 0 {
 		vals := dst[start:]
@@ -787,11 +836,11 @@ func appendSnapshot(dst []float64, g *group, em *emitSpec) []float64 {
 // the flow's CG group for tracer sampling: the per-packet path passes
 // the MGPV's switch-computed values straight through (§6.2 hash
 // reuse); only the cold Flush path derives them by projection.
-func (r *Runtime) emitVector(key flowkey.Key, g *group, ts int64, vals []float64, cgKey flowkey.Key, cgHash uint32) {
+func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64, cgKey flowkey.Key, cgHash uint32) {
 	r.stats.Vectors++
 	if o := r.obs; o != nil {
 		if g != nil {
-			r.emitStage.Observe(int64(r.stats.Cells - g.admitClock))
+			r.emitStage.Observe(int64(r.stats.Cells - g[recAdmit]))
 		}
 		if t := o.Tracer; t != nil {
 			// Record under the CG key so the event joins the flow's
@@ -827,8 +876,8 @@ func (r *Runtime) Flush() {
 	t := &r.fgProg.table
 	recs := slices.Grow(r.drain[:0], t.n)
 	for i := 0; i < t.n; i++ {
-		a, b := tupleWords(t.at(i).key.Tuple)
-		recs = append(recs, drainRec{a, b, uint32(i)})
+		g := t.at(i)
+		recs = append(recs, drainRec{g[recKeyA], g[recKeyB] & (1<<tupleBits - 1), uint32(i)})
 	}
 	slices.SortFunc(recs, func(x, y drainRec) int {
 		if x.a != y.a {
@@ -838,18 +887,20 @@ func (r *Runtime) Flush() {
 	})
 	for _, rec := range recs {
 		g := t.at(int(rec.idx))
+		key := g.key()
 		vals := r.ppVals[:0]
 		for _, pr := range r.programs {
 			pg := g
 			if !pr.isFG {
-				ck := flowkey.Project(pr.gran, g.key.Tuple)
-				if pg = pr.table.lookup(pr.hashOf(ck), ck); pg == nil {
+				ck := flowkey.Project(pr.gran, key.Tuple)
+				a, b := keyWords(ck)
+				if pg = pr.table.lookup(pr.hashOf(ck), a, b); pg == nil {
 					continue
 				}
 			}
 			for i := range pr.emits {
 				if em := &pr.emits[i]; !em.perPacket {
-					vals = appendSnapshot(vals, pg, em)
+					vals = pr.appendSnapshot(vals, pg, em)
 				}
 			}
 		}
@@ -859,10 +910,10 @@ func (r *Runtime) Flush() {
 			var cgKey flowkey.Key
 			var cgHash uint32
 			if r.obs != nil {
-				cgKey = flowkey.Project(r.plan.Switch.CG, g.key.Tuple)
+				cgKey = flowkey.Project(r.plan.Switch.CG, key.Tuple)
 				cgHash = flowkey.HashKey(cgKey)
 			}
-			r.emitVector(g.key, g, int64(g.lastTS), vals, cgKey, cgHash)
+			r.emitVector(key, g, int64(g[recLastTS]), vals, cgKey, cgHash)
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}

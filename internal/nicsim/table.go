@@ -10,39 +10,75 @@ import (
 // stay the modelled NFP geometry (DRAMEntries, the cost model); these
 // two only shape what the simulator itself probes.
 const (
-	// groupBlock is how many groups one block holds (and how many
-	// groups' state and scratch slices one slab backs).
+	// groupBlock is how many group records one block holds.
 	groupBlock = 64
 	// tableMinSlots is the index size a table starts from; it doubles
 	// whenever an insert would take the load past 3/4.
 	tableMinSlots = 64
 )
 
+// record is one group: a fixed number of words, the header below and
+// then the granularity's map scratch and reducer states at the offsets
+// compileProgram resolved. It is a slice into its table's block and
+// names the group for as long as the table lives.
+type record []uint64
+
+// The header words of a record.
+const (
+	// recKeyA and recKeyB hold the key (keyWords).
+	recKeyA = iota
+	recKeyB
+	// recCells counts the cells the group has absorbed; zero marks the
+	// group's first cell, which is what starts every state.
+	recCells
+	// recAdmit is the runtime's logical clock (total cells processed)
+	// when the group was admitted; emit latency is the clock distance
+	// to the vector emission.
+	recAdmit
+	// recLastTS is the timestamp of the group's latest cell, the
+	// timestamp of the vector Flush emits for it.
+	recLastTS
+	// recClock is the damped families' one clock: the latest timestamp
+	// any cell of the group carried.
+	recClock
+	recHeader // the layout's first word
+)
+
+// key rebuilds the group's key from its two words.
+func (g record) key() flowkey.Key {
+	a, b := g[recKeyA], g[recKeyB]
+	return flowkey.Key{Gran: flowkey.Granularity(b >> tupleBits), Tuple: flowkey.FiveTuple{
+		SrcIP: uint32(a >> 32), DstIP: uint32(a),
+		SrcPort: uint16(b >> 24), DstPort: uint16(b >> 8), Proto: flowkey.Proto(b)}}
+}
+
 // groupTable stores one granularity's groups: an open-addressed,
-// linearly probed index over groups kept in admission order in
-// fixed-size blocks. A *group therefore never moves (the per-MGPV memo
-// survives growth) and walking the blocks is deterministic. The caller
-// supplies the probe hash — the switch-computed one carried by the
-// MGPV wherever it can (§6.2 hash reuse) — and the hash only picks
+// linearly probed index over records kept in admission order, at a
+// fixed stride, in blocks of groupBlock. A record therefore never moves
+// (the per-MGPV memo survives growth), walking the blocks is
+// deterministic, and a block is one pointer-free allocation. The
+// caller supplies the probe hash — the switch-computed one carried by
+// the MGPV wherever it can (§6.2 hash reuse) — and the hash only picks
 // where probing starts: identity is full key equality, so the one
 // requirement is that a key always arrives with the same hash.
 type groupTable struct {
 	index  []tableSlot // power-of-two length
 	shift  uint        // 32 - log2(len(index))
-	blocks []*[groupBlock]group
+	stride int         // words per record
+	blocks [][]uint64
 	n      int
 }
 
 // tableSlot is one index entry: the group's full hash, so a probe
-// rejects a non-matching entry without touching its group, beside its
+// rejects a non-matching entry without touching its record, beside its
 // position.
 type tableSlot struct {
 	hash uint32
 	ref  uint32 // group index + 1; 0 marks an empty slot
 }
 
-func newGroupTable() groupTable {
-	return groupTable{index: make([]tableSlot, tableMinSlots), shift: 32 - uint(bits.TrailingZeros(tableMinSlots))}
+func newGroupTable(stride int) groupTable {
+	return groupTable{index: make([]tableSlot, tableMinSlots), shift: 32 - uint(bits.TrailingZeros(tableMinSlots)), stride: stride}
 }
 
 // home is the slot probing for h starts at. The multiply spreads the
@@ -51,12 +87,15 @@ func newGroupTable() groupTable {
 func (t *groupTable) home(h uint32) uint32 { return (h * 2654435769) >> t.shift }
 
 // at returns the i-th group in admission order.
-func (t *groupTable) at(i int) *group { return &t.blocks[i/groupBlock][i%groupBlock] }
+func (t *groupTable) at(i int) record {
+	o := (i % groupBlock) * t.stride
+	return t.blocks[i/groupBlock][o : o+t.stride : o+t.stride]
+}
 
-// lookup returns key's group, or nil.
+// lookup returns the group whose key words are (a, b), or nil.
 //
 //superfe:hotpath
-func (t *groupTable) lookup(h uint32, key flowkey.Key) *group {
+func (t *groupTable) lookup(h uint32, a, b uint64) record {
 	mask := uint32(len(t.index) - 1)
 	for i := t.home(h); ; i = (i + 1) & mask {
 		s := t.index[i]
@@ -64,28 +103,28 @@ func (t *groupTable) lookup(h uint32, key flowkey.Key) *group {
 			return nil
 		}
 		if s.hash == h {
-			if g := t.at(int(s.ref - 1)); g.key == key {
+			if g := t.at(int(s.ref - 1)); g[recKeyA] == a && g[recKeyB] == b {
 				return g
 			}
 		}
 	}
 }
 
-// insert appends a zero group for key, which must not be present, and
-// indexes it under h.
+// insert appends a zero record for the key (a, b), which must not be
+// present, and indexes it under h.
 //
 //superfe:coldpath
-func (t *groupTable) insert(h uint32, key flowkey.Key) *group {
+func (t *groupTable) insert(h uint32, a, b uint64) record {
 	if (t.n+1)*4 > len(t.index)*3 {
 		t.grow()
 	}
 	if t.n == len(t.blocks)*groupBlock {
-		t.blocks = append(t.blocks, new([groupBlock]group))
+		t.blocks = append(t.blocks, make([]uint64, groupBlock*t.stride))
 	}
 	t.n++
 	t.place(tableSlot{hash: h, ref: uint32(t.n)})
 	g := t.at(t.n - 1)
-	g.key = key
+	g[recKeyA], g[recKeyB] = a, b
 	return g
 }
 
@@ -100,7 +139,7 @@ func (t *groupTable) place(s tableSlot) {
 }
 
 // grow doubles the index and re-places every entry from its stored
-// hash; the groups stay where they are.
+// hash; the records stay where they are.
 //
 //superfe:coldpath
 func (t *groupTable) grow() {
@@ -112,6 +151,17 @@ func (t *groupTable) grow() {
 			t.place(s)
 		}
 	}
+}
+
+// tupleBits is how much of a key's second word the tuple takes; the
+// granularity sits above it.
+const tupleBits = 40
+
+// keyWords packs a key into the two words a record stores and a probe
+// compares.
+func keyWords(k flowkey.Key) (a, b uint64) {
+	a, b = tupleWords(k.Tuple)
+	return a, b | uint64(k.Gran)<<tupleBits
 }
 
 // tupleWords packs a tuple into two words whose lexicographic order is

@@ -24,34 +24,46 @@ func flowKey(i int) flowkey.Key {
 		SrcIP: uint32(i) * 2654435761, DstIP: uint32(i), SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: flowkey.ProtoTCP}}
 }
 
+// same reports whether two records are one group: records never move,
+// so a group is named by where its first word lives.
+func same(x, y record) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] }
+
 // TestGroupTableGrowth admits enough keys for seven doublings of the index and
 // checks, after every insert that grew the index, that each key still
-// finds the *group it was given (groups never move) and that absent
-// keys miss.
+// finds the record it was given (records never move), stamped with its
+// key and clear of its neighbours, and that absent keys miss.
 func TestGroupTableGrowth(t *testing.T) {
-	tb := newGroupTable()
+	const stride = recHeader + 3
+	tb := newGroupTable(stride)
 	const n = 5000
-	var groups []*group
+	var groups []record
 	doublings := 0
 	for i := 0; i < n; i++ {
 		k := flowKey(i)
+		a, b := keyWords(k)
 		h := mixTuple(k.Tuple)
-		if tb.lookup(h, k) != nil {
+		if tb.lookup(h, a, b) != nil {
 			t.Fatalf("key %d found before it was inserted", i)
 		}
 		size := len(tb.index)
-		groups = append(groups, tb.insert(h, k))
+		g := tb.insert(h, a, b)
+		if len(g) != stride || cap(g) != stride || g.key() != k {
+			t.Fatalf("record %d: len %d cap %d key %v, want %d %d %v", i, len(g), cap(g), g.key(), stride, stride, k)
+		}
+		g[stride-1] = uint64(i) // the last word: a neighbour's write would land here
+		groups = append(groups, g)
 		if len(tb.index) == size && i != n-1 {
 			continue
 		}
 		doublings++
 		for j, want := range groups {
 			kj := flowKey(j)
-			if got := tb.lookup(mixTuple(kj.Tuple), kj); got != want {
-				t.Fatalf("after %d inserts (index %d): key %d resolves to %p, admitted as %p", i+1, len(tb.index), j, got, want)
+			aj, bj := keyWords(kj)
+			if got := tb.lookup(mixTuple(kj.Tuple), aj, bj); !same(got, want) {
+				t.Fatalf("after %d inserts (index %d): key %d does not resolve to the record it was admitted as", i+1, len(tb.index), j)
 			}
-			if tb.at(j) != want {
-				t.Fatalf("group %d is not at its admission position", j)
+			if !same(tb.at(j), want) || want[stride-1] != uint64(j) {
+				t.Fatalf("group %d is not at its admission position, or was overwritten", j)
 			}
 		}
 	}
@@ -66,25 +78,27 @@ func TestGroupTableGrowth(t *testing.T) {
 // TestGroupTableProbeWraps makes three keys share a hash whose home is
 // the last slot: the second and third land in slots 0 and 1.
 func TestGroupTableProbeWraps(t *testing.T) {
-	tb := newGroupTable()
+	tb := newGroupTable(recHeader)
 	last := uint32(len(tb.index) - 1)
 	h := uint32(0)
 	for tb.home(h) != last {
 		h++
 	}
-	var want []*group
+	var want []record
 	for i := 0; i < 3; i++ {
-		want = append(want, tb.insert(h, flowKey(i)))
+		a, b := keyWords(flowKey(i))
+		want = append(want, tb.insert(h, a, b))
 	}
 	for i, slot := range []uint32{last, 0, 1} {
 		if ref := tb.index[slot].ref; ref != uint32(i+1) {
 			t.Errorf("slot %d holds ref %d, want %d", slot, ref, i+1)
 		}
-		if got := tb.lookup(h, flowKey(i)); got != want[i] {
+		a, b := keyWords(flowKey(i))
+		if got := tb.lookup(h, a, b); !same(got, want[i]) {
 			t.Errorf("key %d not found past the wrap", i)
 		}
 	}
-	if tb.lookup(h, flowKey(3)) != nil {
+	if a, b := keyWords(flowKey(3)); tb.lookup(h, a, b) != nil {
 		t.Error("absent key found")
 	}
 }
@@ -95,16 +109,29 @@ func TestGroupTableProbeWraps(t *testing.T) {
 // switch's counters.
 func teeRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, mutate func(*gpv.MGPV)) switchsim.Stats {
 	t.Helper()
+	st, _ := teeRunFaulted(t, pol, tr, nil, mutate)
+	return st
+}
+
+// teeRunFaulted is teeRun with the Runtime and the reference each
+// failing EMEM admissions from an injector of fp (nil: none fail); it
+// also returns the Runtime's counters.
+func teeRunFaulted(t *testing.T, pol *policy.Policy, tr *trace.Trace, fp *faults.Plan, mutate func(*gpv.MGPV)) (switchsim.Stats, RuntimeStats) {
+	t.Helper()
 	plan, err := policy.Compile(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []feature.Vector
-	rt, err := NewRuntime(DefaultConfig(), plan, feature.Collect(&got))
+	cfg := DefaultConfig()
+	ref := newRefNIC(plan)
+	if fp != nil {
+		cfg.Faults, ref.inj = fp.NewInjector(0), fp.NewInjector(0)
+	}
+	rt, err := NewRuntime(cfg, plan, feature.Collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefNIC(plan)
 	sw, err := switchsim.New(switchsim.DefaultConfig(), plan.Switch, func(m gpv.Message) {
 		if m.MGPV != nil {
 			mutate(m.MGPV)
@@ -135,7 +162,7 @@ func teeRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, mutate func(*gpv.
 			}
 		}
 	}
-	return sw.Stats()
+	return sw.Stats(), rt.Stats()
 }
 
 // TestSameHashStreamStaysCorrect is the adversarial stream: every MGPV
@@ -285,9 +312,9 @@ func TestFaultedReplayPinned(t *testing.T) {
 }
 
 // TestAdmissionAllocs holds the cold path: admitting 64·k NPOD groups
-// costs a fraction of an allocation each — a block of groups, two
-// slabs and one block per reducer family every 64 admissions, plus the
-// index doublings — not one heap object per group and per state.
+// costs one block of records every 64 admissions plus the index
+// doublings (0.022 an admission; 0.131 when every reducer family carved
+// blocks of its own) — not a heap object per group or per state.
 func TestAdmissionAllocs(t *testing.T) {
 	plan, err := policy.Compile(apps.NPOD())
 	if err != nil {
@@ -313,7 +340,7 @@ func TestAdmissionAllocs(t *testing.T) {
 	if got := rt.Stats().GroupsLive; got != n {
 		t.Fatalf("%d groups admitted, want %d", got, n)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.25 {
-		t.Errorf("%.3f allocations per admitted group, want < 0.25", per)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.04 {
+		t.Errorf("%.3f allocations per admitted group, want < 0.04", per)
 	}
 }

@@ -31,8 +31,6 @@ type Bidirectional struct {
 
 // Observe folds one directional sample: sign selects the stream, the
 // magnitude is the value.
-//
-//superfe:hotpath
 func (b *Bidirectional) Observe(x, ts int64) {
 	if x >= 0 {
 		res := float64(x) - b.fwd.Mean()
@@ -80,8 +78,6 @@ func (b *Bidirectional) PCC() float64 {
 
 // AppendFeatures appends the magnitude, radius, covariance or
 // correlation.
-//
-//superfe:hotpath
 func (b *Bidirectional) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
 	case FRadius:

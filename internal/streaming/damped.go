@@ -30,8 +30,7 @@ func (d *DampedWelford) decayTo(ts int64) {
 	if ts <= d.lastTime {
 		return
 	}
-	dt := float64(ts-d.lastTime) / 1e9
-	factor := math.Exp2(-d.Lambda * dt)
+	factor := DecayFactor(d.Lambda, ts-d.lastTime)
 	d.w *= factor
 	d.linSum *= factor
 	d.sqSum *= factor
@@ -44,36 +43,6 @@ func (d *DampedWelford) ObserveAt(x float64, ts int64) {
 	d.w++
 	d.linSum += x
 	d.sqSum += x * x
-}
-
-// Merge folds another damped statistic into d. Both sides are decayed
-// to the later of the two last-update timestamps and the decayed
-// moments are summed — the unique combination consistent with
-// observing both sample streams interleaved. The operation is exactly
-// commutative (the same decay factors and float additions are applied
-// regardless of argument order) and associative up to floating-point
-// rounding (decay factors compose as exp2(-λ·t₁)·exp2(-λ·t₂) vs
-// exp2(-λ·(t₁+t₂))). It is NOT idempotent — merging a statistic with
-// itself doubles the weight, by design: the identity element is the
-// never-started zero value. Both sides must share Lambda.
-func (d *DampedWelford) Merge(o *DampedWelford) {
-	if !o.started {
-		return
-	}
-	if !d.started {
-		*d = *o
-		return
-	}
-	ts := d.lastTime
-	if o.lastTime > ts {
-		ts = o.lastTime
-	}
-	oc := *o
-	d.decayTo(ts)
-	oc.decayTo(ts)
-	d.w += oc.w
-	d.linSum += oc.linSum
-	d.sqSum += oc.sqSum
 }
 
 // Weight returns the decayed sample weight.
@@ -141,8 +110,7 @@ func (d *Damped2D) decayTo(ts int64) {
 	if ts <= d.lastTime {
 		return
 	}
-	dt := float64(ts-d.lastTime) / 1e9
-	factor := math.Exp2(-d.Lambda * dt)
+	factor := DecayFactor(d.Lambda, ts-d.lastTime)
 	d.sr *= factor
 	d.wSR *= factor
 	d.lastTime = ts

@@ -61,13 +61,9 @@ func NewDamped1D(lambda float64) *Damped1D {
 }
 
 // Observe folds a timestamped sample.
-//
-//superfe:hotpath
 func (d *Damped1D) Observe(x, ts int64) { d.w.ObserveAt(float64(x), ts) }
 
 // AppendFeatures appends the damped weight, mean or stddev.
-//
-//superfe:hotpath
 func (d *Damped1D) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
 	case FDMean:
@@ -98,8 +94,6 @@ func NewDamped2DReducer(lambda float64) *Damped2DReducer {
 }
 
 // Observe folds a timestamped directional sample.
-//
-//superfe:hotpath
 func (r *Damped2DReducer) Observe(x, ts int64) {
 	if x >= 0 {
 		r.d.ObserveA(float64(x), ts)
@@ -110,8 +104,6 @@ func (r *Damped2DReducer) Observe(x, ts int64) {
 
 // AppendFeatures appends the damped magnitude, radius, covariance or
 // correlation.
-//
-//superfe:hotpath
 func (r *Damped2DReducer) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
 	case FD2DRadius:

@@ -17,8 +17,6 @@ type Histogram struct {
 // bin clamp into it, negative values clamp into bin 0 (samples in
 // SuperFE are sizes and times, so negatives indicate direction and
 // are clamped deliberately).
-//
-//superfe:hotpath
 func (h *Histogram) Observe(x, _ int64) {
 	h.n++
 	if x < 0 {
@@ -44,8 +42,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 //	f_pdf:      bin counts normalised to sum 1
 //	f_cdf:      cumulative normalised counts (monotone, ends at 1)
 //	ft_percent: the single value at the view's quantile
-//
-//superfe:hotpath
 func (h *Histogram) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
 	case FPercent:

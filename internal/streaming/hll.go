@@ -101,22 +101,6 @@ func alphaFor(m int) float64 {
 	}
 }
 
-// Merge folds another sketch into h (set-union semantics): bucketwise
-// maximum, which makes Merge commutative, associative and idempotent
-// — the invariants DeterministicMerge relies on when shard-local
-// sketches are combined. Both sketches must share the bucket count.
-func (h *HyperLogLog) Merge(o *HyperLogLog) error {
-	if len(h.buckets) != len(o.buckets) {
-		return fmt.Errorf("streaming: HyperLogLog merge size mismatch (%d vs %d buckets)", len(h.buckets), len(o.buckets))
-	}
-	for i, b := range o.buckets {
-		if b > h.buckets[i] {
-			h.buckets[i] = b
-		}
-	}
-	return nil
-}
-
 // AppendFeatures appends the cardinality estimate.
 //
 //superfe:hotpath

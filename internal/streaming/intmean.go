@@ -79,31 +79,6 @@ func (im *IntMean) Observe(x int64) {
 	}
 }
 
-// Merge folds another running mean into im with the symmetric
-// weighted formula (nₐ·mₐ + n_b·m_b)/(nₐ+n_b) — integer arithmetic,
-// so the result is exactly commutative; associativity holds to ±1
-// from the two truncating divisions taken in different orders. The
-// one division is charged to DivisionsUsed like any other expensive
-// operation (merges are per-eviction, not per-packet, so the NFP can
-// afford it). The zero value is the identity. The receiver's Exact
-// mode is preserved.
-func (im *IntMean) Merge(o *IntMean) {
-	if o.n == 0 {
-		return
-	}
-	if im.n == 0 {
-		im.n, im.mean = o.n, o.mean
-		im.DivisionsUsed += o.DivisionsUsed
-		im.ComparesUsed += o.ComparesUsed
-		return
-	}
-	total := im.n + o.n
-	im.mean = (im.n*im.mean + o.n*o.mean) / total
-	im.n = total
-	im.DivisionsUsed += o.DivisionsUsed + 1
-	im.ComparesUsed += o.ComparesUsed
-}
-
 // Mean returns the integer running mean.
 func (im *IntMean) Mean() int64 { return im.mean }
 

@@ -270,13 +270,9 @@ type Sum struct {
 }
 
 // Observe adds the sample.
-//
-//superfe:hotpath
 func (s *Sum) Observe(x, _ int64) { s.sum += x; s.n++ }
 
 // AppendFeatures appends the running sum.
-//
-//superfe:hotpath
 func (s *Sum) AppendFeatures(dst []float64, _ View) []float64 { return append(dst, float64(s.sum)) }
 
 // StateBytes reports 16 bytes (count + sum).
@@ -297,8 +293,6 @@ type Extremum struct {
 }
 
 // Observe folds the sample into the extremum.
-//
-//superfe:hotpath
 func (e *Extremum) Observe(x, _ int64) {
 	if !e.seen {
 		e.value, e.seen = x, true
@@ -311,8 +305,6 @@ func (e *Extremum) Observe(x, _ int64) {
 
 // AppendFeatures appends the extremum (0 if no samples were observed;
 // Reset zeroes value).
-//
-//superfe:hotpath
 func (e *Extremum) AppendFeatures(dst []float64, _ View) []float64 {
 	return append(dst, float64(e.value))
 }
@@ -338,8 +330,6 @@ type Welford struct {
 }
 
 // Observe folds one sample into the running moments.
-//
-//superfe:hotpath
 func (w *Welford) Observe(x, _ int64) {
 	w.n++
 	xf := float64(x)
@@ -363,8 +353,6 @@ func (w *Welford) Var() float64 {
 func (w *Welford) Count() uint64 { return w.n }
 
 // AppendFeatures appends the mean, variance or stddev.
-//
-//superfe:hotpath
 func (w *Welford) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
 	case FVar:
@@ -393,8 +381,6 @@ type Moments struct {
 }
 
 // Observe folds one sample into the running central moments.
-//
-//superfe:hotpath
 func (m *Moments) Observe(x, _ int64) {
 	n1 := float64(m.n)
 	m.n++
@@ -429,8 +415,6 @@ func (m *Moments) Kurtosis() float64 {
 }
 
 // AppendFeatures appends the skew or kurtosis.
-//
-//superfe:hotpath
 func (m *Moments) AppendFeatures(dst []float64, v View) []float64 {
 	if v.Func == FKurtosis {
 		return append(dst, m.Kurtosis())
