@@ -41,6 +41,10 @@ type refGroup struct {
 	last     map[int]int64                // map op index → previous timestamp
 	bursts   map[int]int64
 	lastTS   uint32
+	// clock is the latest time any cell carried, the 32-bit timestamps
+	// unwrapped: what the reducers are shown instead of the raw ts.
+	clock   int64
+	started bool
 }
 
 func newRefNIC(plan *policy.Plan) *refNIC {
@@ -118,6 +122,13 @@ func (n *refNIC) field(cell *gpv.Cell, f packet.FieldName) int64 {
 // collects to vals.
 func (n *refNIC) cell(gran flowkey.Granularity, g *refGroup, cell *gpv.Cell, fwd bool, vals []float64) ([]float64, bool) {
 	ts := uint32(n.field(cell, packet.FieldTimestamp))
+	now := int64(ts)
+	if g.started {
+		now = g.clock + int64(int32(ts-uint32(g.clock)))
+	}
+	if !g.started || now > g.clock {
+		g.clock, g.started = now, true
+	}
 	env := map[string]int64{}
 	load := func(name string) int64 {
 		if x, ok := env[name]; ok {
@@ -177,7 +188,7 @@ func (n *refNIC) cell(gran flowkey.Granularity, g *refGroup, cell *gpv.Cell, fwd
 					r, _ = streaming.New(rf.Func, rf.Params)
 					g.reducers[[2]int{oi, si}] = r
 				}
-				r.Observe(x, int64(ts))
+				r.Observe(x, now)
 			}
 		}
 	}
@@ -445,5 +456,69 @@ func TestCompileSharesOneStatePerFamilyAndSource(t *testing.T) {
 				t.Errorf("naive=%v %s: %d states with %d views, want %d with %d", tc.naive, pr.gran, len(pr.states), views, want[0], want[1])
 			}
 		}
+	}
+}
+
+// TestDampedClockSurvivesTimestampWrap: cells carry uint32(ns), which
+// wraps every 4.29 s, and a damped group must go on decaying past the
+// wrap. A flow is fed by hand — a cell before the wrap, one after it, a
+// reordered one behind the clock, one more ahead — and its fd_weight is
+// checked against the factors the intervals call for; then Kitsune's
+// whole stream, shifted so that it straddles the wrap, is held to the
+// reference, which unwraps the same clock for its private reducers.
+func TestDampedClockSurvivesTimestampWrap(t *testing.T) {
+	plan := compile(t, policy.New("wrap").
+		GroupBy(flowkey.GranFlow).
+		Reduce("size", policy.RFDamped(streaming.FDWeight, 1)).
+		CollectPerPacket())
+	var vecs []feature.Vector
+	rt, err := NewRuntime(DefaultConfig(), plan, feature.Collect(&vecs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := flowPkts(4, 100, 0)
+	for i, ts := range []int64{4.0e9, 4.5e9, 4.4e9, 5.0e9} { // 2³² ns = 4.295 s
+		pkts[i].Timestamp = ts
+	}
+	rt.Process(mgpvFor(plan, pkts))
+	half := streaming.DecayFactor(1, 5e8)
+	w := 1.0
+	want := []float64{w}
+	w = w*half + 1 // idle across the wrap: decayed over 0.5 s
+	want = append(want, w)
+	w++ // behind the clock: no decay, and the clock stays at 4.5 s
+	want = append(want, w)
+	w = w*half + 1
+	want = append(want, w)
+	if len(vecs) != len(want) {
+		t.Fatalf("%d vectors, want %d", len(vecs), len(want))
+	}
+	for i, v := range vecs {
+		if math.Float64bits(v.Values[0]) != math.Float64bits(want[i]) {
+			t.Errorf("cell %d: fd_weight %v, want %v", i, v.Values[0], want[i])
+		}
+	}
+
+	kit, err := policy.Compile(apps.Kitsune())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsPos := slices.Index(kit.Switch.MetadataFields, packet.FieldTimestamp)
+	wl := trace.CampusConfig
+	wl.Flows = 150
+	const shift = 0xF8000000 // the trace's first 0.134 s lie before the wrap
+	before, after := 0, 0
+	teeRun(t, apps.Kitsune(), trace.Generate(wl, 7), func(v *gpv.MGPV) {
+		for i := range v.Cells {
+			ts := &v.Cells[i].Values[tsPos]
+			if *ts += shift; *ts >= shift {
+				before++
+			} else {
+				after++
+			}
+		}
+	})
+	if before == 0 || after == 0 {
+		t.Fatalf("%d cells before the wrap, %d after: the stream does not straddle it", before, after)
 	}
 }

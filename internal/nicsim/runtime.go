@@ -726,8 +726,19 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 	// one clock serve them all: a scratch word or a state has been
 	// written exactly when the group has absorbed a cell, and the damped
 	// states decay over the same interval.
+	//
+	// Cells carry 32-bit nanosecond timestamps, which wrap every 4.29 s,
+	// so the clock is kept in 64 bits and advanced by the serial-number
+	// difference: a cell less than 2.15 s ahead of the clock (mod 2³²)
+	// moves it forward, anything else is a reordered or duplicate cell,
+	// which stands at or behind the clock and decays nothing.
 	step := &pr.step
-	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, g[recCells] == 0, int64(g[recClock]), int64(ts)))
+	first, clock := g[recCells] == 0, int64(g[recClock])
+	now := int64(ts)
+	if !first {
+		now = clock + int64(int32(ts-uint32(clock)))
+	}
+	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, first, clock, now))
 	for i := range pr.instrs {
 		ins := &pr.instrs[i]
 		var out int64

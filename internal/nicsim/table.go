@@ -38,8 +38,9 @@ const (
 	// recLastTS is the timestamp of the group's latest cell, the
 	// timestamp of the vector Flush emits for it.
 	recLastTS
-	// recClock is the damped families' one clock: the latest timestamp
-	// any cell of the group carried.
+	// recClock is the damped families' one clock: the latest time any
+	// cell of the group carried, the 32-bit cell timestamps unwrapped
+	// into 64 bits (runCell).
 	recClock
 	recHeader // the layout's first word
 )

@@ -22,7 +22,7 @@ import (
 //	2D          fwd Welford, bwd Welford, lastResFwd, lastResBwd, SP, pairs
 //	histogram   n, then the uint32 bins two to a word, even bin low
 //	fd_* 1D     w, LS, SS                  (clock is the group's)
-//	fd_* 2D     SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock+1
+//	fd_* 2D     SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock
 //
 // What a reducer keeps per state and a kernel does not: λ, bin width,
 // bin count and the max/min mode live in the Kernel (the op table), and
@@ -178,8 +178,9 @@ type Step struct {
 	// First: the group's first cell. States are empty and the clock
 	// starts at Now.
 	First bool
-	// Now is the cell's timestamp (ns) and Prev the clock before it:
-	// the latest timestamp any earlier cell carried.
+	// Now is the cell's time (ns) and Prev the clock before it: the
+	// latest time any earlier cell carried. A reordered cell's Now lies
+	// behind Prev.
 	Now, Prev int64
 	// decays: the clock advances (Now > Prev on a started group), and
 	// factors[lane] is DecayFactor(λ, Now-Prev) for each of the group's
@@ -344,14 +345,15 @@ func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
 	}
 	x := float64(xi)
 	res := x - dampedMean(half)
-	// The half's own clock (stored +1; 0 is a half that has seen no
-	// sample). When it stands where the group's stood, the half decays
-	// over the same interval as the group: the factor is the shared one.
+	// The half's own clock; a half that has seen a sample weighs at
+	// least 1. When the clock stands where the group's stood, the half
+	// decays over the same interval as the group: the factor is the
+	// shared one.
 	w, ls, ss := f64(half[0]), f64(half[1]), f64(half[2])
 	f, decay := 0.0, false
-	switch last := int64(half[3]) - 1; {
-	case last < 0:
-		half[3] = uint64(s.Now + 1)
+	switch last := int64(half[3]); {
+	case half[0] == 0:
+		half[3] = uint64(s.Now)
 	case last == s.Prev:
 		if s.decays {
 			f, decay = s.factors[k.Lane], true
@@ -363,7 +365,7 @@ func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
 		w *= f
 		ls *= f
 		ss *= f
-		half[3] = uint64(s.Now + 1)
+		half[3] = uint64(s.Now)
 	}
 	w++
 	ls += x
