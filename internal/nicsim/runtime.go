@@ -195,7 +195,9 @@ type program struct {
 	// resolved once. At the CG the MGPV's carried hash probes the
 	// table; the FG's groups are the ones Flush emits.
 	isCG, isFG bool
-	table      groupTable
+	// naive: cfg.Naive, every state a store-everything reducer out of line.
+	naive bool
+	table groupTable
 
 	instrs     []instruction
 	numEnv     int
@@ -231,12 +233,11 @@ type stateSpec struct {
 	off int
 	// inline states are kern's words at off. An out-of-line state is
 	// built per group by streaming.New(fn, params), or streaming.NewNaive
-	// under cfg.Naive.
+	// when the program is naive.
 	inline bool
 	kern   streaming.Kernel
 	fn     streaming.Func
 	params streaming.Params
-	naive  bool
 	// views counts the reduce specs reading the state: the executable
 	// keeps one copy, the modelled NIC (StateBytes, plan.NIC.StateSpecs,
 	// the cost model) is priced per spec.
@@ -353,7 +354,7 @@ func (r *Runtime) PublishObs() {
 // spec a state of its own: the store-everything ablation is one buffer
 // per feature.
 func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
-	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
+	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, naive: naive}
 	envSlot := map[string]int{}
 	resolve := func(name string) (valueRef, error) {
 		if s, ok := envSlot[name]; ok {
@@ -434,7 +435,7 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				k := stateKey{ref, streaming.FamilyOf(rf.Func, rf.Params)}
 				si, shared := stateOf[k]
 				if !shared || naive {
-					st := stateSpec{fn: rf.Func, params: rf.Params, naive: naive}
+					st := stateSpec{fn: rf.Func, params: rf.Params}
 					if !naive {
 						if st.kern, st.inline, err = streaming.KernelFor(rf.Func, rf.Params); err != nil {
 							return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
@@ -525,7 +526,7 @@ func (pr *program) admit(h uint32, a, b, clock uint64) record {
 		st := &pr.states[si]
 		g[st.off] = uint64(len(pr.outline))
 		var r streaming.Reducer
-		if st.naive {
+		if pr.naive {
 			r = streaming.NewNaive(st.fn, st.params)
 		} else {
 			r, _ = streaming.New(st.fn, st.params) // validated by KernelFor

@@ -163,11 +163,11 @@ func (d *Decay) addRow() {
 	d.rows = append(d.rows, decayRow{f: make([]float64, len(d.lambdas)), ok: make([]bool, len(d.lambdas))})
 }
 
-// factor returns lane's factor over dt.
-func (d *Decay) factor(lane int, dt int64) float64 {
-	r := d.row(dt)
+// factor returns lane's factor over r's interval, computing it on the
+// cell's first request.
+func (d *Decay) factor(r *decayRow, lane int) float64 {
 	if !r.ok[lane] {
-		r.f[lane], r.ok[lane] = DecayFactor(d.lambdas[lane], dt), true
+		r.f[lane], r.ok[lane] = DecayFactor(d.lambdas[lane], r.dt), true
 	}
 	return r.f[lane]
 }
@@ -205,13 +205,13 @@ func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
 		}
 		return prev
 	}
-	r := d.row(now - prev)
-	for _, l := range lanes {
-		if !r.ok[l] {
-			r.f[l], r.ok[l] = DecayFactor(d.lambdas[l], now-prev), true
+	if len(lanes) > 0 {
+		r := d.row(now - prev)
+		for _, l := range lanes {
+			d.factor(r, l)
 		}
+		s.factors = r.f
 	}
-	s.factors = r.f
 	return now
 }
 
@@ -359,7 +359,7 @@ func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
 			f, decay = s.factors[k.Lane], true
 		}
 	case s.Now > last:
-		f, decay = s.memo.factor(k.Lane, s.Now-last), true
+		f, decay = s.memo.factor(s.memo.row(s.Now-last), k.Lane), true
 	}
 	if decay {
 		w *= f

@@ -159,7 +159,7 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 	if d.n != 1 || s.factors[fast] != -1 || s.factors[slow] != DecayFactor(0.1, 3e8) {
 		t.Errorf("a second group at the same interval: %d intervals, factors %v", d.n, s.factors)
 	}
-	if got := d.factor(slow, 4e8); got != DecayFactor(0.1, 4e8) || d.n != 2 {
+	if got := d.factor(d.row(4e8), slow); got != DecayFactor(0.1, 4e8) || d.n != 2 {
 		t.Errorf("a half's own interval: factor %v, %d intervals", got, d.n)
 	}
 	d.Reset()
