@@ -220,14 +220,11 @@ func run() int {
 var fixHints = map[string]string{
 	"hotpathalloc":    "hoist the allocation out of the per-packet path (reuse a buffer, preallocate in the constructor) or waive an intentional one with //superfe:alloc-ok <reason>",
 	"nowallclock":     "derive time from packet timestamps and order from sequence numbers; use a seeded rand.Rand; sort map keys before iterating or waive with //superfe:unordered <reason>",
-	"statsmerge":      "reference every field in Merge/Add/Reset/DeltaFrom (or drop the field); a field a merge forgets silently corrupts aggregated stats",
-	"panicdiscipline": "prefix the panic message with \"superfe: \" so operators can attribute crashes, or return an error instead",
 	"goroutineleak":   "give the goroutine a shutdown edge — range over a channel that is closed, select on ctx.Done(), or signal a WaitGroup — or waive a process-lifetime worker with //superfe:goroutine-ok <reason>",
 	"sinkretention":   "copy borrowed slices before storing them (dst = append(dst[:0], src...)); the extractor reuses the backing array after the sink returns; waive owned-message topologies with //superfe:retain-ok <reason>",
 	"memmodelatomic":  "access the field through sync/atomic in every package that touches it (or guard all access with one mutex) and pass lock-bearing structs by pointer; construction-phase writes through a function-local value are exempt, other single-threaded phases waive with //superfe:atomic-ok <reason>",
-	"memmodelrole":    "keep each SPSC sequence field written by exactly one side: move the write into a //superfe:producer or //superfe:consumer function (or annotate the writer with its real role)",
+	"memmodelrole":    "keep each SPSC sequence field written by exactly one side: move the write into a //superfe:producer or //superfe:consumer function (or annotate the writer with its real role); hold //superfe:padded structs by pointer everywhere (fields, slices, parameters) and make every pad a full _ [64]byte cache line",
 	"memmodelpublish": "publish slot payloads with store-index-then-release: write the slot, then store the sequence atomically; read the sequence atomically before reading the slot; waive externally-ordered sites with //superfe:publish-ok <reason>",
-	"memmodelpad":     "hold //superfe:padded structs by pointer everywhere (fields, slices, parameters) and make every pad a full _ [64]byte cache line",
 }
 
 // planEntry is one registered policy: the Table 3 catalog plus the

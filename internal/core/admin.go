@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"superfe/internal/gpv"
 	"superfe/internal/obs"
 )
 
@@ -233,7 +234,9 @@ func (e *Engine) ObsSeries() *obs.Series {
 // ObsTimelines reconstructs the sampled flow-lifecycle timelines from
 // the lifecycle events cached at the last barrier (nil when telemetry
 // is disabled). Safe from any goroutine.
-func (e *Engine) ObsTimelines() []obs.Timeline { return obs.Timelines(e.cached().life) }
+func (e *Engine) ObsTimelines() []obs.Timeline {
+	return obs.Timelines(e.cached().life, func(reason uint8) string { return gpv.EvictReason(reason).String() })
+}
 
 // ObsSource adapts the engine to the obs HTTP handler and dump
 // writers: Scrape is live and lock-free, everything else is a view

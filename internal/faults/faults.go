@@ -15,9 +15,9 @@
 // switch, NIC — keep each fault category's sequence stable when the
 // others are toggled.
 //
-// The package is pure stdlib and imports nothing from the rest of
-// the module, so every layer (core, switchsim, nicsim, obs) can
-// depend on it without cycles.
+// Besides the standard library the package imports only obs, for the
+// Row type its counters are declared with, so every pipeline layer
+// (core, switchsim, nicsim) can depend on it without cycles.
 //
 //superfe:deterministic
 package faults
@@ -25,6 +25,8 @@ package faults
 import (
 	"fmt"
 	"strings"
+
+	"superfe/internal/obs"
 )
 
 // Kind identifies one fault class. The first five are wire-level
@@ -240,16 +242,27 @@ type Stats struct {
 	DegradedTransitions uint64
 }
 
+// Rows declares every counter once: its series and the word it lives
+// in. Add, the shard registry's schema and the batch-boundary publish
+// are all this list.
+func (s *Stats) Rows() []obs.Row {
+	rows := make([]obs.Row, 0, NumKinds+4)
+	for k := range s.Injected {
+		rows = append(rows, obs.Row{Name: "superfe_faults_injected_total", Help: "injected faults by kind",
+			Labels: []obs.LabelPair{obs.L("kind", Kind(k).String())}, Word: &s.Injected[k]})
+	}
+	return append(rows,
+		obs.Row{Name: "superfe_frames_quarantined_total", Help: "frames rejected at wire decode or key-hash integrity check", Word: &s.Quarantined},
+		obs.Row{Name: "superfe_deliver_retries_total", Help: "delivery re-attempts after island stalls", Word: &s.Retries},
+		obs.Row{Name: "superfe_deliver_retry_drops_total", Help: "frames shed after exhausting the deliver retry budget", Word: &s.RetryDrops},
+		obs.Row{Name: "superfe_degraded_mode_transitions_total", Help: "degraded-mode enter and exit events", Word: &s.DegradedTransitions},
+	)
+}
+
 // Add accumulates another injector's counters — merging per-shard
 // fault stats for the parallel engine.
 func (s *Stats) Add(o Stats) {
-	for i := range s.Injected {
-		s.Injected[i] += o.Injected[i]
-	}
-	s.Quarantined += o.Quarantined
-	s.Retries += o.Retries
-	s.RetryDrops += o.RetryDrops
-	s.DegradedTransitions += o.DegradedTransitions
+	obs.AddRows(s.Rows(), o.Rows())
 }
 
 // Total sums the injected-fault counters across kinds.
@@ -311,20 +324,6 @@ type Injector struct {
 	wire, sw, nic rng
 	wireKinds     []Kind
 	stats         Stats
-
-	// OnInject, when non-nil, is called for every injected fault with
-	// its kind — the engine hooks its telemetry counters here, which
-	// keeps this package free of any obs dependency (obs imports
-	// faults for the kind labels, not the other way round).
-	OnInject func(Kind)
-}
-
-// record counts one injected fault and fires the telemetry hook.
-func (inj *Injector) record(k Kind) {
-	inj.stats.Injected[k]++
-	if inj.OnInject != nil {
-		inj.OnInject(k)
-	}
 }
 
 // NewInjector builds the injector for one shard, deriving its PRNG
@@ -366,6 +365,16 @@ func (inj *Injector) Stats() Stats {
 	return inj.stats
 }
 
+// Rows binds the injector's live counters. A nil injector's rows sit
+// on words nothing increments: the series exist, at zero, with faults
+// off, so every shard registers one schema.
+func (inj *Injector) Rows() []obs.Row {
+	if inj == nil {
+		return new(Stats).Rows()
+	}
+	return inj.stats.Rows()
+}
+
 // InScope reports whether a CG hash falls inside the plan's fault
 // scope. Nil injectors are never in scope.
 func (inj *Injector) InScope(hash uint32) bool {
@@ -386,7 +395,7 @@ func (inj *Injector) WireKind() Kind {
 		return KindNone
 	}
 	k := inj.wireKinds[inj.wire.intn(len(inj.wireKinds))]
-	inj.record(k)
+	inj.stats.Injected[k]++
 	return k
 }
 
@@ -420,7 +429,7 @@ func (inj *Injector) AgingStall() int64 {
 	if inj.sw.float64() >= inj.plan.Rate {
 		return 0
 	}
-	inj.record(KindAgingStall)
+	inj.stats.Injected[KindAgingStall]++
 	return inj.plan.StallNS
 }
 
@@ -433,7 +442,7 @@ func (inj *Injector) SoftError(hash uint32) bool {
 	if inj.sw.float64() >= inj.plan.Rate {
 		return false
 	}
-	inj.record(KindSoftError)
+	inj.stats.Injected[KindSoftError]++
 	return true
 }
 
@@ -447,7 +456,7 @@ func (inj *Injector) IslandBusy() bool {
 	if inj.nic.float64() >= inj.plan.Rate {
 		return false
 	}
-	inj.record(KindIslandStall)
+	inj.stats.Injected[KindIslandStall]++
 	return true
 }
 
@@ -461,7 +470,7 @@ func (inj *Injector) EMEMFail(hash uint32) bool {
 	if inj.nic.float64() >= inj.plan.Rate {
 		return false
 	}
-	inj.record(KindEMEMFail)
+	inj.stats.Injected[KindEMEMFail]++
 	return true
 }
 

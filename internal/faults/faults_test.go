@@ -159,10 +159,12 @@ func TestStatsAddAndTotal(t *testing.T) {
 	}
 }
 
-func TestOnInjectHook(t *testing.T) {
+// TestInjectorRowsFollowDecisions: the injector's rows are bound to
+// its live counters — every decision shows through them without a
+// hook — and a nil injector still declares the same schema.
+func TestInjectorRowsFollowDecisions(t *testing.T) {
 	inj := (&Plan{Seed: 9, Rate: 1, Kinds: AllKinds}).NewInjector(0)
-	var hooked []Kind
-	inj.OnInject = func(k Kind) { hooked = append(hooked, k) }
+	rows := inj.Rows()
 	k := inj.WireKind()
 	if k == KindNone {
 		t.Fatal("rate 1 must inject")
@@ -170,12 +172,24 @@ func TestOnInjectHook(t *testing.T) {
 	if !inj.IslandBusy() {
 		t.Fatal("rate 1 island check must stall")
 	}
-	if len(hooked) != 2 || hooked[0] != k || hooked[1] != KindIslandStall {
-		t.Fatalf("hook saw %v", hooked)
+	inj.CountQuarantined()
+	for _, r := range rows {
+		want := uint64(0)
+		switch {
+		case len(r.Labels) == 1 && (r.Labels[0].Value == k.String() || r.Labels[0].Value == KindIslandStall.String()),
+			r.Name == "superfe_frames_quarantined_total":
+			want = 1
+		}
+		if *r.Word != want {
+			t.Errorf("row %s%v reads %d, want %d", r.Name, r.Labels, *r.Word, want)
+		}
 	}
-	st := inj.Stats()
-	if st.Total() != 2 {
+	if st := inj.Stats(); st.Total() != 2 {
 		t.Fatalf("stats total %d, want 2", st.Total())
+	}
+	var none *Injector
+	if got := none.Rows(); len(got) != len(rows) {
+		t.Fatalf("nil injector declares %d rows, a live one %d", len(got), len(rows))
 	}
 }
 

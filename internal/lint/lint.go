@@ -2,8 +2,7 @@
 // that mechanically enforce the invariants the engine's correctness
 // and performance claims rest on, so a future PR cannot silently
 // re-introduce an allocation on the per-packet path, a wall-clock
-// read in a simulator, or a Stats counter that merges show but Merge
-// forgets.
+// read in a simulator, or a second writer on an SPSC ring field.
 //
 // The suite is driven by cmd/superfe-vet and runs in CI. Invariants
 // are declared in the source with comment directives:
@@ -52,7 +51,7 @@
 //	                         //superfe:producer, plus slot reads must
 //	                         be preceded by an atomic acquire load.
 //	//superfe:padded         on a struct type: the struct carries
-//	                         cache-line pads (_ [64]byte). memmodelpad
+//	                         cache-line pads (_ [64]byte). memmodelrole
 //	                         verifies the pads exist, span a full
 //	                         line, and that the struct is only ever
 //	                         held and passed by pointer.
@@ -78,14 +77,11 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		HotPathAlloc,
 		NoWallClock,
-		StatsMerge,
-		PanicDiscipline,
 		GoroutineLeak,
 		SinkRetention,
 		MemModelAtomic,
 		MemModelRole,
 		MemModelPublish,
-		MemModelPad,
 	}
 }
 

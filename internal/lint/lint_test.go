@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"strings"
 	"testing"
 
 	"superfe/internal/lint"
@@ -18,20 +19,6 @@ func TestNoWallClock(t *testing.T) {
 	diags := analysistest.Run(t, "testdata", lint.NoWallClock, "wallclock")
 	if len(diags) == 0 {
 		t.Fatal("expected seeded nowallclock violations, got none")
-	}
-}
-
-func TestStatsMerge(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", lint.StatsMerge, "statsmerge")
-	if len(diags) == 0 {
-		t.Fatal("expected seeded statsmerge violations, got none")
-	}
-}
-
-func TestPanicDiscipline(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", lint.PanicDiscipline, "panics")
-	if len(diags) == 0 {
-		t.Fatal("expected seeded panicdiscipline violations, got none")
 	}
 }
 
@@ -59,10 +46,31 @@ func TestMemModelAtomic(t *testing.T) {
 	}
 }
 
+// memModelRoleSeeded runs memmodelrole over its one fixture package
+// and reports whether it raised diagnostics from the //superfe:padded
+// half (padded.go) or from the role-partition half (memmodelrole.go).
+func memModelRoleSeeded(t *testing.T, padded bool) bool {
+	t.Helper()
+	for _, d := range analysistest.Run(t, "testdata", lint.MemModelRole, "memmodelrole") {
+		isPad := strings.Contains(d.Message, "//superfe:padded") || strings.Contains(d.Message, "padded struct")
+		if isPad == padded {
+			return true
+		}
+	}
+	return false
+}
+
 func TestMemModelRole(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", lint.MemModelRole, "memmodelrole")
-	if len(diags) == 0 {
-		t.Fatal("expected seeded memmodelrole violations, got none")
+	if !memModelRoleSeeded(t, false) {
+		t.Fatal("expected seeded role-partition violations, got none")
+	}
+}
+
+// TestMemModelPad: the //superfe:padded contract memmodelrole absorbed
+// from the memmodelpad analyzer still reports every seeded violation.
+func TestMemModelPad(t *testing.T) {
+	if !memModelRoleSeeded(t, true) {
+		t.Fatal("expected seeded padding violations, got none")
 	}
 }
 
@@ -70,13 +78,6 @@ func TestMemModelPublish(t *testing.T) {
 	diags := analysistest.Run(t, "testdata", lint.MemModelPublish, "memmodelpublish")
 	if len(diags) == 0 {
 		t.Fatal("expected seeded memmodelpublish violations, got none")
-	}
-}
-
-func TestMemModelPad(t *testing.T) {
-	diags := analysistest.Run(t, "testdata", lint.MemModelPad, "memmodelpad")
-	if len(diags) == 0 {
-		t.Fatal("expected seeded memmodelpad violations, got none")
 	}
 }
 

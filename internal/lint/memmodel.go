@@ -21,14 +21,14 @@ import (
 //	                 or sync locks are never copied by value.
 //	memmodelrole     //superfe:producer and //superfe:consumer
 //	                 annotations partition methods so no sequence
-//	                 field is written from both sides of an SPSC pair.
+//	                 field is written from both sides of an SPSC pair;
+//	                 //superfe:padded structs really contain
+//	                 cache-line pads and are never embedded, copied,
+//	                 or element-packed in a way that breaks alignment.
 //	memmodelpublish  inside role-annotated code, plain slot writes are
 //	                 followed by an atomic release store and plain
 //	                 slot reads are preceded by an atomic acquire load
 //	                 (the store-index-then-release pattern).
-//	memmodelpad      //superfe:padded structs really contain
-//	                 cache-line pads and are never embedded, copied,
-//	                 or element-packed in a way that breaks alignment.
 
 // atomicVerbs are the sync/atomic operation stems, longest first so
 // CompareAndSwapUint64 does not classify as "And".

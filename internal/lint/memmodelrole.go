@@ -22,10 +22,24 @@ import (
 //
 // atomic.Bool fields are deliberately outside the partition: the
 // park/wake flags are a two-sided rendezvous by design.
+//
+// It also holds the //superfe:padded contract that keeps the two
+// sides' fields on separate cache lines: the annotated struct actually
+// contains at least one full cache-line pad (a blank [64]byte-or-larger
+// field), every pad it declares is at least a line wide, and no module
+// code embeds or copies the struct in a way that discards the
+// alignment the pads buy — by-value struct fields, array/slice/map/chan
+// elements, by-value parameters, receivers, results, and dereference
+// copies are all flagged. Padded structs are held and passed by
+// pointer, full stop.
 var MemModelRole = &analysis.Analyzer{
 	Name: "memmodelrole",
-	Doc:  "require //superfe:producer and //superfe:consumer methods to write disjoint sequence fields (SPSC ownership partition)",
-	Run:  runMemModelRole,
+	Doc:  "require //superfe:producer and //superfe:consumer methods to write disjoint sequence fields (SPSC ownership partition), and //superfe:padded structs to contain real cache-line pads and be used only by pointer",
+	Run: func(pass *analysis.Pass) error {
+		checkRoles(pass)
+		checkPadded(pass)
+		return nil
+	},
 }
 
 // roleWrite is one write to a sequence field inside one function.
@@ -34,7 +48,7 @@ type roleWrite struct {
 	pos token.Pos
 }
 
-func runMemModelRole(pass *analysis.Pass) error {
+func checkRoles(pass *analysis.Pass) {
 	decls := pkgFuncDecls(pass)
 	roles := map[*types.Func]string{}
 	roleStructs := map[*types.TypeName]bool{}
@@ -58,7 +72,7 @@ func runMemModelRole(pass *analysis.Pass) error {
 		}
 	}
 	if len(roles) == 0 {
-		return nil
+		return
 	}
 
 	// Direct sequence-field writes per function: atomic read-modify
@@ -164,7 +178,135 @@ func runMemModelRole(pass *analysis.Pass) error {
 			pass.Reportf(w.pos, "%s writes %s-owned sequence field %s but is not reachable from any //superfe:%s function", d.fn.Name(), owner, w.fld.Name(), owner)
 		}
 	}
-	return nil
+}
+
+// checkPadded verifies the //superfe:padded contract.
+func checkPadded(pass *analysis.Pass) {
+	padded := map[*types.TypeName]bool{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if !commentGroupDirective(ts.Doc, "padded") &&
+					!(len(gd.Specs) == 1 && commentGroupDirective(gd.Doc, "padded")) {
+					continue
+				}
+				tn, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
+				if !ok {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					pass.Reportf(ts.Pos(), "%s is //superfe:padded but is not a struct type", ts.Name.Name)
+					continue
+				}
+				padded[tn] = true
+				checkPads(pass, ts, st)
+			}
+		}
+	}
+	if len(padded) == 0 {
+		return
+	}
+
+	isPadded := func(t types.Type) *types.TypeName {
+		if named, ok := t.(*types.Named); ok && padded[named.Obj()] {
+			return named.Obj()
+		}
+		return nil
+	}
+	flag := func(info *types.Info, e ast.Expr, what string) {
+		if e == nil {
+			return
+		}
+		t := info.Types[e].Type
+		if t == nil {
+			return
+		}
+		if tn := isPadded(t); tn != nil {
+			pass.Reportf(e.Pos(), "%s holds padded struct %s by value, breaking its cache-line alignment; use *%s", what, tn.Name(), tn.Name())
+		}
+	}
+	for _, pkg := range pass.Prog.Packages {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.StructType:
+					for _, fl := range n.Fields.List {
+						flag(info, fl.Type, "struct field")
+					}
+				case *ast.ArrayType:
+					flag(info, n.Elt, "array/slice element")
+				case *ast.MapType:
+					flag(info, n.Key, "map key")
+					flag(info, n.Value, "map value")
+				case *ast.ChanType:
+					flag(info, n.Value, "channel element")
+				case *ast.FuncType:
+					if n.Params != nil {
+						for _, fl := range n.Params.List {
+							flag(info, fl.Type, "parameter")
+						}
+					}
+					if n.Results != nil {
+						for _, fl := range n.Results.List {
+							flag(info, fl.Type, "result")
+						}
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						for _, fl := range n.Recv.List {
+							flag(info, fl.Type, "receiver")
+						}
+					}
+				case *ast.AssignStmt:
+					for _, rhs := range n.Rhs {
+						if star, ok := ast.Unparen(rhs).(*ast.StarExpr); ok {
+							flag(info, star, "dereference copy")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// checkPads validates the pads inside one annotated struct: every
+// blank byte-array field must span a full 64-byte cache line, and at
+// least one such pad must exist.
+func checkPads(pass *analysis.Pass, ts *ast.TypeSpec, st *ast.StructType) {
+	hasPad := false
+	for _, fl := range st.Fields.List {
+		if len(fl.Names) != 1 || fl.Names[0].Name != "_" {
+			continue
+		}
+		t := pass.TypesInfo.Types[fl.Type].Type
+		arr, ok := t.(*types.Array)
+		if !ok {
+			continue
+		}
+		elem, ok := arr.Elem().Underlying().(*types.Basic)
+		if !ok || elem.Kind() != types.Uint8 {
+			continue
+		}
+		if arr.Len() >= 64 {
+			hasPad = true
+		} else {
+			pass.Reportf(fl.Pos(), "pad in //superfe:padded struct %s is %d bytes, smaller than the 64-byte cache line", ts.Name.Name, arr.Len())
+		}
+	}
+	if !hasPad {
+		pass.Reportf(ts.Pos(), "%s is declared //superfe:padded but contains no cache-line pad (_ [64]byte between writer-owned field groups)", ts.Name.Name)
+	}
 }
 
 // MemModelPublish checks the store-index-then-release pattern inside

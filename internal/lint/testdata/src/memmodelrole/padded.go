@@ -1,13 +1,13 @@
-// Package memmodelpad seeds memmodelpad violations: a padded struct
-// with no pad, an undersized pad, and the by-value embeddings that
-// silently discard cache-line alignment.
-package memmodelpad
+// The //superfe:padded half of memmodelrole: a padded struct with no
+// pad, an undersized pad, and the by-value embeddings that silently
+// discard cache-line alignment.
+package memmodelrole
 
-// ring is properly padded: the writer-owned halves sit a full line
+// padRing is properly padded: the writer-owned halves sit a full line
 // apart.
 //
 //superfe:padded
-type ring struct {
+type padRing struct {
 	a uint64
 	_ [64]byte
 	b uint64
@@ -33,22 +33,22 @@ type short struct {
 }
 
 type holder struct {
-	byValue ring  // want `struct field holds padded struct ring by value`
-	byPtr   *ring // pointer: alignment preserved
+	byValue padRing  // want `struct field holds padded struct padRing by value`
+	byPtr   *padRing // pointer: alignment preserved
 }
 
 type table struct {
-	rings []ring // want `array/slice element holds padded struct ring by value`
+	rings []padRing // want `array/slice element holds padded struct padRing by value`
 }
 
-func byValue(r ring) uint64 { // want `parameter holds padded struct ring by value`
+func byValue(r padRing) uint64 { // want `parameter holds padded struct padRing by value`
 	return r.a
 }
 
-func byPtr(r *ring) uint64 { return r.a }
+func byPtr(r *padRing) uint64 { return r.a }
 
-func copies(p *ring) {
-	r := *p // want `dereference copy holds padded struct ring by value`
+func copies(p *padRing) {
+	r := *p // want `dereference copy holds padded struct padRing by value`
 	_ = r
 }
 

@@ -91,11 +91,13 @@ type Config struct {
 	// Naive switches the runtime to the store-everything reducers of
 	// the Figure 15 ablation.
 	Naive bool
-	// Obs, when non-nil, publishes the runtime's counters, occupancy
-	// gauges and per-MGPV cycle/latency histograms into a telemetry
-	// registry. Nil keeps the hot path byte-identical to the
+	// Obs, when non-nil, is the shard's telemetry: NewRuntime registers
+	// the runtime's series in its still-open registry — a counter per
+	// RuntimeStats.Rows row, the occupancy gauges, the per-MGPV cycle
+	// and emit-latency histograms — and sampled flow-lifecycle events
+	// go to its tracer. Nil keeps the hot path byte-identical to the
 	// uninstrumented build.
-	Obs *obs.NICObs
+	Obs *obs.Pipeline
 	// Faults, when non-nil, injects the NIC-side fault kinds the
 	// runtime handles itself (transient EMEM allocation failures on
 	// group admission; island stalls are modelled at the delivery

@@ -43,14 +43,15 @@ type Runtime struct {
 	stats RuntimeStats
 
 	// obs mirrors cfg.Obs; cyclesPerCell is the cost model's per-cell
-	// price, precomputed once so the CyclesPerMGPV histogram costs one
+	// price, precomputed once so the cycles-per-MGPV histogram costs one
 	// multiply per message on the hot path. The hot path only mutates
 	// the plain stats struct and the staged histograms; PublishObs
-	// diffs stats against obsBase and pushes the deltas into the
-	// registry at batch boundaries (same discipline as the switch's
-	// publishObs).
-	obs           *obs.NICObs
-	obsBase       RuntimeStats
+	// pushes what the stats' rows gained into the registry at batch
+	// boundaries (same discipline as the switch's publishObs).
+	obs           *obs.Pipeline
+	pub           obs.Bound
+	groupsLive    obs.Gauge
+	dramEntries   obs.Gauge
 	cycStage      obs.HistStage
 	emitStage     obs.HistStage
 	cyclesPerCell float64
@@ -129,18 +130,29 @@ type RuntimeStats struct {
 	DRAMEntries int // gauge: group-table entries past the fixed chain (modelled)
 }
 
+// Rows declares every counter once: its series and the word it lives
+// in. Add, the shard registry's schema and the batch-boundary publish
+// are all this list, so a new counter is a field, a row here and its
+// increment. The two gauges are not rows: Stats() and PublishObs
+// refresh them from the group tables.
+func (s *RuntimeStats) Rows() []obs.Row {
+	return []obs.Row{
+		{Name: "superfe_nic_msgs_total", Help: "messages consumed from the switch-to-NIC channel", Word: &s.Msgs},
+		{Name: "superfe_nic_mgpvs_total", Help: "MGPV messages merged into NIC group state", Word: &s.MGPVs},
+		{Name: "superfe_nic_fg_updates_total", Help: "FG key table updates applied", Word: &s.FGUpdates},
+		{Name: "superfe_nic_cells_total", Help: "MGPV cells processed by the NIC programs", Word: &s.Cells},
+		{Name: "superfe_nic_unknown_fg_total", Help: "cells dropped for an unsynced FG index", Word: &s.UnknownFG},
+		{Name: "superfe_nic_vectors_total", Help: "feature vectors emitted", Word: &s.Vectors},
+		{Name: "superfe_nic_emem_drops_total", Help: "cell contributions dropped by injected EMEM allocation failures on group admission", Word: &s.EMEMDrops},
+		{Name: "superfe_nic_range_clamps_total", Help: "reducer inputs outside their op's narrowest clamp-free histogram range", Word: &s.RangeClamps},
+		{Name: "superfe_nic_sat_inputs_total", Help: "reducer inputs past their op's narrowest fixed-point input lane", Word: &s.SatInputs},
+	}
+}
+
 // Add accumulates another runtime's counters — how core.Engine merges
 // its shards' stats.
 func (s *RuntimeStats) Add(o RuntimeStats) {
-	s.Msgs += o.Msgs
-	s.MGPVs += o.MGPVs
-	s.FGUpdates += o.FGUpdates
-	s.Cells += o.Cells
-	s.UnknownFG += o.UnknownFG
-	s.Vectors += o.Vectors
-	s.EMEMDrops += o.EMEMDrops
-	s.RangeClamps += o.RangeClamps
-	s.SatInputs += o.SatInputs
+	obs.AddRows(s.Rows(), o.Rows())
 	s.GroupsLive += o.GroupsLive
 	s.DRAMEntries += o.DRAMEntries
 }
@@ -296,8 +308,15 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 	r.memoGroups = make([]record, len(r.programs))
 	if cfg.Obs != nil {
 		r.obs = cfg.Obs
-		r.cycStage = cfg.Obs.CyclesPerMGPV.Stage()
-		r.emitStage = cfg.Obs.EmitLatency.Stage()
+		reg := cfg.Obs.Registry
+		r.pub = reg.Bind(r.stats.Rows())
+		r.groupsLive = reg.Gauge("superfe_nic_groups_live", "live per-granularity group-state entries")
+		r.dramEntries = reg.Gauge("superfe_nic_dram_entries", "group-table entries overflowed past the fixed chain into DRAM")
+		// Geometric edges, fine near zero: 64 .. ~256k cycles, 16 .. ~256k ticks.
+		r.cycStage = reg.Histogram("superfe_nic_cycles_per_mgpv", "modelled NFP core cycles per MGPV (cost model x batch size)",
+			streaming.GeometricEdges(64, 2, 12)).Stage()
+		r.emitStage = reg.Histogram("superfe_nic_emit_latency_ticks", "logical ticks (NIC cells) between group admission and vector emit",
+			streaming.GeometricEdges(16, 2, 14)).Stage()
 		// Price the plan once with the architectural cost model so the
 		// CyclesPerMGPV histogram reflects the same cycles the Figure
 		// 16/17 experiments report.
@@ -310,43 +329,23 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 	return r, nil
 }
 
-// PublishObs pushes the counter deltas accumulated in stats since the
-// last publish into the registry, refreshes the live-group gauges and
-// flushes the staged histograms. The owning engine calls it once per
-// columnar batch (per packet on the sequential path) so the per-event
-// NIC path carries no lock-prefixed instructions; scrapers see
-// batch-granular values, which barrier-quiesced snapshots never
-// observe mid-step. No-op without telemetry.
+// PublishObs pushes what the counters gained since the last publish
+// into the registry, refreshes the live-group gauges and flushes the
+// staged histograms. The owning engine calls it once per columnar
+// batch so the per-event NIC path carries no lock-prefixed
+// instructions; scrapers see batch-granular values, which
+// barrier-quiesced snapshots never observe mid-step. No-op without
+// telemetry.
 func (r *Runtime) PublishObs() {
-	o := r.obs
-	if o == nil {
+	if r.obs == nil {
 		return
 	}
-	st, b := &r.stats, &r.obsBase
-	if d := st.Msgs - b.Msgs; d != 0 {
-		o.Msgs.Add(d)
-	}
-	if d := st.MGPVs - b.MGPVs; d != 0 {
-		o.MGPVs.Add(d)
-	}
-	if d := st.FGUpdates - b.FGUpdates; d != 0 {
-		o.FGUpdates.Add(d)
-	}
-	if d := st.Cells - b.Cells; d != 0 {
-		o.Cells.Add(d)
-	}
-	if d := st.UnknownFG - b.UnknownFG; d != 0 {
-		o.UnknownFG.Add(d)
-	}
-	if d := st.Vectors - b.Vectors; d != 0 {
-		o.Vectors.Add(d)
-	}
+	r.pub.Publish()
 	live, over := r.occupancy()
-	o.GroupsLive.Set(int64(live))
-	o.DRAMEntries.Set(int64(over))
+	r.groupsLive.Set(int64(live))
+	r.dramEntries.Set(int64(over))
 	r.cycStage.Flush()
 	r.emitStage.Flush()
-	*b = *st
 }
 
 // compileProgram lowers the ops at granularity g into an op table with

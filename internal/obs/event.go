@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"superfe/internal/flowkey"
-	"superfe/internal/gpv"
 )
 
 // EventKind classifies one recorded Event: a stage of a sampled flow
@@ -61,7 +60,10 @@ func (k EventKind) String() string {
 // events — so clocks are comparable only within a shard and stage;
 // ordering comes from (Shard, Seq), which the ring stamps at Snapshot.
 // Lifecycle events carry Key (always the CG group key, the sampling
-// unit), Reason (EvEvict only) and in Arg the cells in the MGPV
+// unit), Reason (EvEvict only: the evicting stage's code for the cause,
+// spelled out by the Timelines view — kept a plain byte so ring slots
+// hold no pointer for the collector to scan) and in Arg the cells in
+// the MGPV
 // (evict/merge) or the vector dimension (emit); flight events carry
 // their kind-specific Arg.
 type Event struct {
@@ -71,7 +73,7 @@ type Event struct {
 	Key    flowkey.Key
 	Shard  int32 // -1 = the router's ring
 	Kind   EventKind
-	Reason gpv.EvictReason
+	Reason uint8
 }
 
 func (e Event) stamp(shard int32, seq uint64) Event {
@@ -84,6 +86,8 @@ func (e Event) stamp(shard int32, seq uint64) Event {
 type Timeline struct {
 	Key    flowkey.Key
 	Events []Event
+	// reasonName spells an EvEvict event's Reason for rendering.
+	reasonName func(uint8) string
 }
 
 // Complete reports whether the timeline covers a full life: an admit,
@@ -107,8 +111,9 @@ func (tl *Timeline) Complete() bool {
 // it groups them by CG key. CG-hash sharding puts all of one group's
 // events on one shard, so within a timeline the single ring's Seq is a
 // total order. Output is sorted by key for deterministic rendering;
-// events is not modified.
-func Timelines(events []Event) []Timeline {
+// events is not modified. reasonName spells the evict events' Reason
+// codes: the vocabulary belongs to the stage that records them.
+func Timelines(events []Event, reasonName func(uint8) string) []Timeline {
 	if len(events) == 0 {
 		return nil
 	}
@@ -125,7 +130,7 @@ func Timelines(events []Event) []Timeline {
 		for j < len(all) && all[j].Key == all[i].Key {
 			j++
 		}
-		out = append(out, Timeline{Key: all[i].Key, Events: all[i:j]})
+		out = append(out, Timeline{Key: all[i].Key, Events: all[i:j], reasonName: reasonName})
 		i = j
 	}
 	return out
@@ -172,7 +177,7 @@ func WriteTimelinesJSON(w io.Writer, tls []Timeline) error {
 		for _, e := range tl.Events {
 			je := jsonEvent{Seq: e.Seq, Clock: e.Clock, Kind: e.Kind.String(), Cells: uint16(e.Arg)}
 			if e.Kind == EvEvict {
-				je.Reason = e.Reason.String()
+				je.Reason = tl.reasonName(e.Reason)
 			}
 			jt.Events = append(jt.Events, je)
 		}

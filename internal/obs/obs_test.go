@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"superfe/internal/flowkey"
-	"superfe/internal/gpv"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -219,14 +218,14 @@ func TestTimelineReconstruction(t *testing.T) {
 	t1 := NewRing[Event](0, 1, 16)
 	t1.Record(Event{Kind: EvAdmit, Key: a, Clock: 1})
 	t1.Record(Event{Kind: EvCellAppend, Key: a, Clock: 2, Arg: 1})
-	t1.Record(Event{Kind: EvEvict, Key: a, Clock: 3, Reason: gpv.EvictFull, Arg: 2})
+	t1.Record(Event{Kind: EvEvict, Key: a, Clock: 3, Reason: 1, Arg: 2})
 	t1.Record(Event{Kind: EvNICMerge, Key: a, Clock: 4, Arg: 2})
 	t1.Record(Event{Kind: EvVectorEmit, Key: a, Clock: 5, Arg: 7})
 	t2 := NewRing[Event](1, 1, 16)
 	t2.Record(Event{Kind: EvAdmit, Key: b, Clock: 1})
-	t2.Record(Event{Kind: EvEvict, Key: b, Clock: 2, Reason: gpv.EvictFlush, Arg: 1})
+	t2.Record(Event{Kind: EvEvict, Key: b, Clock: 2, Reason: 3, Arg: 1})
 
-	tls := Timelines(Merge(t1, t2))
+	tls := Timelines(Merge(t1, t2), func(r uint8) string { return [...]string{"collision", "full", "aging", "flush"}[r] })
 	if len(tls) != 2 {
 		t.Fatalf("got %d timelines, want 2", len(tls))
 	}
@@ -289,34 +288,47 @@ func TestPipelineDisabled(t *testing.T) {
 	o := DefaultOptions()
 	o.Enabled = true
 	p := NewPipeline(o, 0)
-	if p == nil || p.Registry == nil || p.Switch == nil || p.NIC == nil {
+	if p == nil || p.Registry == nil || p.Ring == nil || p.Tracer == nil || p.Spans == nil {
 		t.Fatal("enabled pipeline missing components")
 	}
-	// All shards must share one schema: two pipelines from the same
-	// options have slot-identical registries.
-	q := NewPipeline(o, 1)
-	pd, qd := p.Registry.Defs(), q.Registry.Defs()
-	if len(pd) != len(qd) {
-		t.Fatalf("schema mismatch: %d vs %d series", len(pd), len(qd))
-	}
-	for i := range pd {
-		if pd[i].Name != qd[i].Name || pd[i].Slot != qd[i].Slot {
-			t.Errorf("series %d differs: %v vs %v", i, pd[i], qd[i])
+	// The registry is handed over open: the shard's stages add their
+	// own series before the owner seals it.
+	p.Registry.Counter("stage_total", "a stage's own series")
+}
+
+// TestBindPublishesDeltas: a bound row's series follows the plain word
+// its owner increments, one Publish at a time, labelled rows included.
+func TestBindPublishesDeltas(t *testing.T) {
+	var pkts uint64
+	var byCause [2]uint64
+	r := NewRegistry()
+	b := r.Bind([]Row{
+		{Name: "st_pkts_total", Help: "packets", Word: &pkts},
+		{Name: "st_drops_total", Help: "drops by cause", Labels: []LabelPair{L("cause", "a")}, Word: &byCause[0]},
+		{Name: "st_drops_total", Help: "drops by cause", Labels: []LabelPair{L("cause", "b")}, Word: &byCause[1]},
+	})
+	r.Seal()
+	value := func(name string, labels ...string) uint64 {
+		t.Helper()
+		v, ok := r.Snapshot().Value(name, labels...)
+		if !ok {
+			t.Fatalf("series %s%v not registered", name, labels)
 		}
+		return v
 	}
-	// Eviction labels come from the shared enum renderer.
-	for reason := 0; reason < 4; reason++ {
-		want := gpv.EvictReason(reason).String()
-		found := false
-		for _, d := range pd {
-			if d.Name == "superfe_switch_evictions_total" && len(d.Labels) == 1 && d.Labels[0].Value == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no eviction series labelled %q", want)
-		}
+	pkts, byCause[1] = 5, 2
+	if value("st_pkts_total") != 0 {
+		t.Error("a word's increments must not reach the series before Publish")
 	}
+	b.Publish()
+	pkts += 3
+	b.Publish()
+	b.Publish()
+	if got := [3]uint64{value("st_pkts_total"), value("st_drops_total", "a"), value("st_drops_total", "b")}; got != [3]uint64{8, 0, 2} {
+		t.Errorf("published (pkts, drops a, drops b) = %v, want [8 0 2]", got)
+	}
+	var zero Bound
+	zero.Publish()
 }
 
 func TestSnapshotTagged(t *testing.T) {

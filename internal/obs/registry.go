@@ -153,6 +153,62 @@ func (c Counter) Add(n uint64) {
 	}
 }
 
+// Row is one counter series declared by the stage that owns it: the
+// exposition metadata and the plain word the stage's hot path
+// increments. A stats struct lists each of its counters as one Row;
+// its merge, its registration and its publishing all derive from that
+// list.
+type Row struct {
+	Name, Help string
+	Labels     []LabelPair
+	Word       *uint64
+}
+
+// AddRows adds each src word into the dst word of the same row — how a
+// stats struct merges another of its type, both lists coming from the
+// one Rows method.
+func AddRows(dst, src []Row) {
+	for i := range dst {
+		*dst[i].Word += *src[i].Word
+	}
+}
+
+// Bound is a set of rows registered as counters, with the value each
+// was last published at. The zero value publishes nothing, so a stage
+// keeps one unconditionally.
+type Bound struct{ rows []boundRow }
+
+type boundRow struct {
+	word *uint64
+	last uint64
+	c    Counter
+}
+
+// Bind registers every row as a counter series, in order.
+func (r *Registry) Bind(rows []Row) Bound {
+	b := Bound{rows: make([]boundRow, len(rows))}
+	for i, row := range rows {
+		b.rows[i] = boundRow{word: row.Word, c: r.Counter(row.Name, row.Help, row.Labels...)}
+	}
+	return b
+}
+
+// Publish adds what each word gained since the last Publish to its
+// series. The owning goroutine calls it at batch boundaries, which
+// keeps lock-prefixed instructions off the per-event path; a counter
+// that did not move costs a load and a compare.
+//
+//superfe:hotpath
+func (b *Bound) Publish() {
+	for i := range b.rows {
+		r := &b.rows[i]
+		if v := *r.word; v != r.last {
+			r.c.Add(v - r.last)
+			r.last = v
+		}
+	}
+}
+
 // Gauge is a handle to one instantaneous series (int64 semantics).
 // The zero value is a no-op.
 type Gauge struct {

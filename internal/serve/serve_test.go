@@ -569,6 +569,89 @@ func TestReloadRejectedLeavesLivePlan(t *testing.T) {
 	}
 }
 
+// TestReloadWithFullCommandQueue pins the send gate against the
+// reload path: senders block on a full command queue holding the gate
+// shared, so the loop — the queue's only receiver — must not need the
+// gate to finish a reload. The loop is parked on an unreceived flush
+// reply while a reload and 32 one-packet ingests pile up behind it (16
+// fill the queue, the rest block in send); released, it must get
+// through the reload, accepted and rejected alike, every ingest must
+// return and a Flush must still go through.
+func TestReloadWithFullCommandQueue(t *testing.T) {
+	for _, pol := range []string{"Kitsune", "HistHog"} {
+		t.Run(pol, func(t *testing.T) {
+			srv := New(Config{Workers: 2, Resolve: testResolve})
+			ten, report, err := srv.StartTenant("edge", "NPOD", 0)
+			if err != nil {
+				t.Fatalf("StartTenant: %v\n%s", err, report)
+			}
+			within := func(what string, f func()) {
+				t.Helper()
+				done := make(chan struct{})
+				go func() { f(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					// No Shutdown: it would hang behind the same gate.
+					t.Fatalf("%s did not finish: the command loop is wedged", what)
+				}
+			}
+
+			gate := make(chan error)
+			if err := ten.send(tenantCmd{op: opFlush, err: gate}); err != nil {
+				t.Fatal(err)
+			}
+			candidate, err := testResolve(pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reloaded := make(chan reloadResult, 1)
+			if err := ten.send(tenantCmd{op: opReload, polName: pol, pol: candidate, reply: reloaded}); err != nil {
+				t.Fatal(err)
+			}
+			pkts := enterprise(4, 3).Packets
+			var wg sync.WaitGroup
+			errs := make(chan error, 32)
+			for i := 0; i < 32; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs <- ten.Ingest(pkts[i : i+1])
+				}(i)
+			}
+			for deadline := time.Now().Add(10 * time.Second); len(ten.cmds) < cap(ten.cmds); {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue holds %d of %d commands", len(ten.cmds), cap(ten.cmds))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Let the senders the queue had no room for reach their send.
+			time.Sleep(20 * time.Millisecond)
+			if err := <-gate; err != nil {
+				t.Fatal(err)
+			}
+
+			within("the queued ingests", wg.Wait)
+			for i := 0; i < 32; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("Ingest: %v", err)
+				}
+			}
+			if res := <-reloaded; (res.Err != nil) != (pol == "HistHog") {
+				t.Fatalf("reload to %s: %v", pol, res.Err)
+			}
+			within("Flush", func() { err = ten.Flush() })
+			if err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			if got := ten.Info().Pkts; got != 32 {
+				t.Fatalf("tenant ingested %d packets, want 32", got)
+			}
+			within("Shutdown", func() { srv.Shutdown() })
+		})
+	}
+}
+
 // TestAdminSurface walks the lifecycle endpoints: listing, per-tenant
 // status with the tenant tag, tenant-scoped telemetry, runtime create
 // and stop.

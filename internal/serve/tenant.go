@@ -71,12 +71,16 @@ type Tenant struct {
 	eng     *core.Engine
 	cmds    chan tenantCmd
 
-	// mu guards stopped (the send gate: senders hold it shared while
-	// enqueueing, Stop takes it exclusively to flip the flag, so no
-	// command can be enqueued after the opStop that ends the loop) and
-	// the mutable identity fields below.
-	mu         sync.RWMutex
-	stopped    bool
+	// mu is the send gate and guards only stopped: senders hold it
+	// shared while enqueueing — possibly blocked on a full cmds — and
+	// Stop takes it exclusively to flip the flag, so no command can be
+	// enqueued after the opStop that ends the loop. The loop, cmds' only
+	// receiver, must therefore never take it.
+	mu      sync.RWMutex
+	stopped bool
+
+	// idMu guards the identity fields a reload rewrites on the loop.
+	idMu       sync.Mutex
 	polName    string
 	featureDim int
 	lastReject string
@@ -220,9 +224,9 @@ func (t *Tenant) applyReload(polName string, pol *policy.Policy) reloadResult {
 	plan, report, err := vetPlan(t.name, pol)
 	if err != nil {
 		t.rejected.Add(1)
-		t.mu.Lock()
+		t.idMu.Lock()
 		t.lastReject = polName
-		t.mu.Unlock()
+		t.idMu.Unlock()
 		return reloadResult{Report: report, Err: err}
 	}
 	if err := t.eng.SwapPlan(plan); err != nil {
@@ -230,10 +234,10 @@ func (t *Tenant) applyReload(polName string, pol *policy.Policy) reloadResult {
 		return reloadResult{Report: report, Err: err}
 	}
 	t.reloads.Add(1)
-	t.mu.Lock()
+	t.idMu.Lock()
 	t.polName = polName
 	t.featureDim = pol.FeatureDim()
-	t.mu.Unlock()
+	t.idMu.Unlock()
 	return reloadResult{Report: report}
 }
 
@@ -319,16 +323,16 @@ func (t *Tenant) Stop() error {
 
 // Policy returns the name the live policy was loaded under.
 func (t *Tenant) Policy() string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.idMu.Lock()
+	defer t.idMu.Unlock()
 	return t.polName
 }
 
 // Info assembles the tenant's admin listing row.
 func (t *Tenant) Info() TenantInfo {
-	t.mu.RLock()
+	t.idMu.Lock()
 	polName, dim, lastReject := t.polName, t.featureDim, t.lastReject
-	t.mu.RUnlock()
+	t.idMu.Unlock()
 	t.subMu.Lock()
 	var subs []SubscriberInfo
 	for _, sub := range t.subs {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"superfe/internal/gpv"
+	"superfe/internal/obs"
 )
 
 // Stats aggregates the switch counters the experiments read.
@@ -45,29 +46,42 @@ type Stats struct {
 	FGIndexClips uint64
 }
 
+// Rows declares every counter once: its series and the word it lives
+// in. Add, the shard registry's schema and the batch-boundary publish
+// are all this list, so a new counter is a field, a row here and its
+// increment.
+func (s *Stats) Rows() []obs.Row {
+	rows := []obs.Row{
+		{Name: "superfe_switch_pkts_in_total", Help: "packets received by the FE-Switch", Word: &s.PktsIn},
+		{Name: "superfe_switch_bytes_in_total", Help: "raw traffic bytes received by the FE-Switch", Word: &s.BytesIn},
+		{Name: "superfe_switch_pkts_filtered_total", Help: "packets dropped by the policy filter", Word: &s.PktsFiltered},
+		{Name: "superfe_switch_groups_admitted_total", Help: "CG groups admitted to the MGPV cache", Word: &s.GroupsAdmitted},
+		{Name: "superfe_switch_long_buf_grants_total", Help: "long buffers granted to long flows", Word: &s.LongBufGrants},
+		{Name: "superfe_switch_msgs_out_total", Help: "messages emitted on the switch-to-NIC channel", Word: &s.MsgsOut},
+		{Name: "superfe_switch_bytes_out_total", Help: "encoded bytes emitted on the switch-to-NIC channel", Word: &s.BytesOut},
+		{Name: "superfe_switch_cells_out_total", Help: "MGPV cells evicted to the NIC", Word: &s.CellsOut},
+		{Name: "superfe_switch_fg_updates_total", Help: "FG key table synchronisation messages", Word: &s.FGUpdates},
+		{Name: "superfe_switch_fg_overwrites_total", Help: "FG table collisions that replaced a live key", Word: &s.FGOverwrites},
+	}
+	for r := range s.Evictions {
+		rows = append(rows, obs.Row{Name: "superfe_switch_evictions_total", Help: "MGPV evictions by cause",
+			Labels: []obs.LabelPair{obs.L("reason", gpv.EvictReason(r).String())}, Word: &s.Evictions[r]})
+	}
+	return append(rows,
+		obs.Row{Name: "superfe_switch_aging_checks_total", Help: "cache entries visited by the recirculated aging scan", Word: &s.AgingChecks},
+		obs.Row{Name: "superfe_switch_cells_shed_total", Help: "cells dropped by degraded-mode long-buffer shedding", Word: &s.ShedCells},
+		obs.Row{Name: "superfe_switch_cell_saturations_total", Help: "staged cell values wider than their modelled hardware register", Word: &s.CellSaturations},
+		obs.Row{Name: "superfe_switch_fg_index_clips_total", Help: "FG table indices past the 15 bits the wire cell header carries", Word: &s.FGIndexClips},
+	)
+}
+
 // Add accumulates another switch's counters — merging per-shard
 // stats for the parallel engine. Conservation quantities (packets,
 // bytes, cells) sum exactly to the sequential totals on the same
 // trace; collision-dependent counters (evictions, FG overwrites,
 // groups admitted) depend on the cache partitioning.
 func (s *Stats) Add(o Stats) {
-	s.PktsIn += o.PktsIn
-	s.BytesIn += o.BytesIn
-	s.PktsFiltered += o.PktsFiltered
-	s.GroupsAdmitted += o.GroupsAdmitted
-	s.LongBufGrants += o.LongBufGrants
-	s.MsgsOut += o.MsgsOut
-	s.BytesOut += o.BytesOut
-	s.CellsOut += o.CellsOut
-	s.FGUpdates += o.FGUpdates
-	s.FGOverwrites += o.FGOverwrites
-	for i := range s.Evictions {
-		s.Evictions[i] += o.Evictions[i]
-	}
-	s.AgingChecks += o.AgingChecks
-	s.ShedCells += o.ShedCells
-	s.CellSaturations += o.CellSaturations
-	s.FGIndexClips += o.FGIndexClips
+	obs.AddRows(s.Rows(), o.Rows())
 }
 
 // AggregationRatio is the Figure 12 metric: bytes sent to the NIC

@@ -33,6 +33,7 @@ import (
 	"superfe/internal/obs"
 	"superfe/internal/packet"
 	"superfe/internal/policy"
+	"superfe/internal/streaming"
 )
 
 // Config sizes the MGPV cache. The zero value is unusable; use
@@ -60,12 +61,13 @@ type Config struct {
 	// while direct users of the simulator keep the default
 	// copy-on-evict behaviour.
 	ZeroCopy bool
-	// Obs, when non-nil, publishes the switch's live telemetry —
-	// counters, occupancy gauges, the cells-per-MGPV histogram and
-	// sampled flow-lifecycle events — into the shard's metrics
-	// registry. All hooks are allocation-free; nil keeps the hot path
+	// Obs, when non-nil, is the shard's telemetry: New registers the
+	// switch's series in its still-open registry — a counter per
+	// Stats.Rows row, the occupancy gauges, the cells-per-MGPV
+	// histogram — and sampled flow-lifecycle events go to its tracer.
+	// All hooks are allocation-free; nil keeps the hot path
 	// byte-identical to an uninstrumented switch.
-	Obs *obs.SwitchObs
+	Obs *obs.Pipeline
 	// Faults, when non-nil, injects the switch-side fault kinds
 	// (recirculation stalls that postpone the aging scan,
 	// register-array soft errors that spoil a slot's last-access
@@ -140,19 +142,20 @@ type Switch struct {
 	now  int64
 	enc  []byte // scratch encode buffer
 	stat Stats
-	obs  *obs.SwitchObs
+	obs  *obs.Pipeline
 
 	// Batch-granular telemetry publishing: the hot path only mutates
 	// the plain stat struct (plus the occupancy shadows and the staged
-	// histogram below); publishObs diffs stat against obsBase and
-	// pushes the deltas into the registry once per columnar batch.
-	// Scrapers see batch-granular values —
-	// snapshots are taken at barriers, i.e. batch boundaries, so they
-	// never observe a batch mid-step.
-	obsBase     Stats
-	occSlots    int64 // shadow of the OccupiedSlots gauge
-	longGrant   int64 // shadow of the LongGranted gauge
-	cellsPerMsg obs.HistStage
+	// histogram below); publishObs pushes what stat's rows gained into
+	// the registry once per columnar batch. Scrapers see batch-granular
+	// values — snapshots are taken at barriers, i.e. batch boundaries,
+	// so they never observe a batch mid-step.
+	pub           obs.Bound
+	occSlots      int64 // shadow of occupiedSlots
+	longGrant     int64 // shadow of longGranted
+	occupiedSlots obs.Gauge
+	longGranted   obs.Gauge
+	cellsPerMsg   obs.HistStage
 
 	// ZeroCopy buffer arena: a slot's short buffer is carved on first
 	// touch, cells and their Values together, and a long-buffer cell's
@@ -235,64 +238,31 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 	s.one = NewColumns(1, s.nvals)
 	s.narrowSlots = narrowSlotsFor(plan.MetadataFields)
 	if s.obs != nil {
-		s.cellsPerMsg = s.obs.CellsPerMsg.Stage()
+		r := s.obs.Registry
+		s.pub = r.Bind(s.stat.Rows())
+		s.occupiedSlots = r.Gauge("superfe_switch_occupied_slots", "CG cache slots currently occupied")
+		s.longGranted = r.Gauge("superfe_switch_long_bufs_granted", "long buffers currently granted")
+		// 1, 3, 7, ..., 255 cells: fine near zero where batch sizes
+		// concentrate, a long tail still covered.
+		s.cellsPerMsg = r.Histogram("superfe_switch_cells_per_msg", "cells batched per evicted MGPV message",
+			streaming.GeometricEdges(1, 2, 8)).Stage()
 	}
 	return s, nil
 }
 
-// publishObs pushes the counter deltas accumulated in stat since the
-// last publish into the registry, refreshes the occupancy gauges from
-// their shadows, and flushes the staged cells-per-MGPV histogram.
-// Called once per columnar batch — keeping every lock-prefixed
-// instruction off the per-event hot path.
+// publishObs pushes what the counters gained since the last publish
+// into the registry, refreshes the occupancy gauges from their shadows
+// and flushes the staged cells-per-MGPV histogram. Called once per
+// columnar batch — keeping every lock-prefixed instruction off the
+// per-event hot path.
 func (s *Switch) publishObs() {
-	o := s.obs
-	if o == nil {
+	if s.obs == nil {
 		return
 	}
-	st, b := &s.stat, &s.obsBase
-	if d := st.PktsIn - b.PktsIn; d != 0 {
-		o.PktsIn.Add(d)
-	}
-	if d := st.BytesIn - b.BytesIn; d != 0 {
-		o.BytesIn.Add(d)
-	}
-	if d := st.PktsFiltered - b.PktsFiltered; d != 0 {
-		o.PktsFiltered.Add(d)
-	}
-	if d := st.GroupsAdmitted - b.GroupsAdmitted; d != 0 {
-		o.GroupsAdmitted.Add(d)
-	}
-	if d := st.LongBufGrants - b.LongBufGrants; d != 0 {
-		o.LongBufGrants.Add(d)
-	}
-	if d := st.MsgsOut - b.MsgsOut; d != 0 {
-		o.MsgsOut.Add(d)
-	}
-	if d := st.BytesOut - b.BytesOut; d != 0 {
-		o.BytesOut.Add(d)
-	}
-	if d := st.CellsOut - b.CellsOut; d != 0 {
-		o.CellsOut.Add(d)
-	}
-	if d := st.FGUpdates - b.FGUpdates; d != 0 {
-		o.FGUpdates.Add(d)
-	}
-	if d := st.FGOverwrites - b.FGOverwrites; d != 0 {
-		o.FGOverwrites.Add(d)
-	}
-	if d := st.ShedCells - b.ShedCells; d != 0 {
-		o.CellsShed.Add(d)
-	}
-	for r := range st.Evictions {
-		if d := st.Evictions[r] - b.Evictions[r]; d != 0 {
-			o.Evictions[r].Add(d)
-		}
-	}
-	o.OccupiedSlots.Set(s.occSlots)
-	o.LongGranted.Set(s.longGrant)
+	s.pub.Publish()
+	s.occupiedSlots.Set(s.occSlots)
+	s.longGranted.Set(s.longGrant)
 	s.cellsPerMsg.Flush()
-	*b = *st
 }
 
 // Stats returns a copy of the switch counters.
@@ -584,7 +554,7 @@ func (s *Switch) evict(sl *slot, reason gpv.EvictReason, release bool) {
 		if o := s.obs; o != nil {
 			s.cellsPerMsg.Observe(int64(len(cells)))
 			if o.Tracer.Sampled(sl.hash) {
-				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: reason, Arg: int64(len(cells))})
+				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: uint8(reason), Arg: int64(len(cells))})
 			}
 		}
 	}
