@@ -1,7 +1,6 @@
 package nicsim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -68,7 +67,8 @@ type Runtime struct {
 	// group's and skips the table probe on a hit. Reset per MGPV; a
 	// memo entry is only ever a group already in its table, so
 	// admission (and its injected EMEM failures) is byte-for-byte
-	// unchanged.
+	// unchanged. Flush reuses it the same way: in key order,
+	// consecutive FG groups nearly always share their coarser groups.
 	memoGroups []record
 
 	// decay is the cell in hand's decay factors by rate and interval,
@@ -86,8 +86,11 @@ type Runtime struct {
 	// are appended into (per-packet collects and Flush alike); sinks
 	// must not retain vector Values past the call.
 	ppVals []float64
-	// drain is Flush's reused sort scratch.
-	drain []drainRec
+	// drain is Flush's reused radix-sort scratch, both ping-pong halves
+	// in one slice; drainHist its digit histograms (allocated by the
+	// first Flush).
+	drain     []drainRec
+	drainHist *drainHist
 }
 
 type fgSlot struct {
@@ -865,47 +868,119 @@ func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64
 }
 
 // drainRec is one FG group in Flush's sort scratch: the key's tuple as
-// two words (see tupleWords) and the group's position in its table.
+// two words (see tupleWords), least significant first — b, then a —
+// and the group's position in its table.
 type drainRec struct {
-	a, b uint64
-	idx  uint32
+	key [2]uint64
+	idx uint32
+}
+
+// The drain's radix digits: drainDigit bits each, cut from each key
+// word separately, least significant first — b's 40 tuple bits, then
+// a's 64 — so no digit straddles the two words. Eleven bits (ten
+// passes, 80 KiB of histograms) sorted npod-enterprise's 52 k records
+// faster than eight (thirteen passes) or sixteen (seven passes over
+// 1.8 MiB).
+const (
+	drainDigit   = 11
+	drainMask    = 1<<drainDigit - 1
+	drainBDigits = (tupleBits + drainDigit - 1) / drainDigit
+	drainPasses  = drainBDigits + (64+drainDigit-1)/drainDigit
+)
+
+// drainHist holds one count per value of every digit.
+type drainHist [drainPasses][1 << drainDigit]uint32
+
+// drainDigitAt is where digit p sits: its key word and shift.
+func drainDigitAt(p int) (word int, shift uint) {
+	if p < drainBDigits {
+		return 0, uint(p * drainDigit)
+	}
+	return 1, uint((p - drainBDigits) * drainDigit)
+}
+
+// radixSort orders recs by key with a least-significant-digit radix
+// sort through tmp (as long as recs) and returns whichever of the two
+// holds the result. One pass counts every digit; a digit every record
+// shares takes no pass. Keys in one table are unique, so the order is
+// total: any correct sort gives this sequence.
+func radixSort(recs, tmp []drainRec, hist *drainHist) []drainRec {
+	n := len(recs)
+	if n < 2 {
+		return recs
+	}
+	clear(hist[:])
+	for i := range recs {
+		x := &recs[i]
+		for p := range hist {
+			w, s := drainDigitAt(p)
+			hist[p][x.key[w]>>s&drainMask]++
+		}
+	}
+	src, dst := recs, tmp
+	for p := range hist {
+		h := &hist[p]
+		w, s := drainDigitAt(p)
+		if h[src[0].key[w]>>s&drainMask] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for d, c := range h {
+			h[d] = sum
+			sum += c
+		}
+		for i := range src {
+			x := &src[i]
+			d := x.key[w] >> s & drainMask
+			dst[h[d]] = *x
+			h[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Flush emits the per-group vectors of all finest-granularity groups
 // (end-of-stream collection for per-group policies) in key order —
 // SrcIP, DstIP, SrcPort, DstPort, Proto — which is a contract: CSV
 // output, DeterministicMerge and the goldens depend on it. It walks
-// the FG table's blocks once, sorts 24-byte records on two integer
-// compares and emits through the index. Coarser granularities
+// the FG table's blocks once, radix-sorts 24-byte records on their two
+// key words and emits through the index. Coarser granularities
 // contribute the features their collect ops selected, found in their
-// own tables by projecting the group's key. Groups are kept, not
+// own tables by projecting the group's key — probed only when the
+// projection changes from the previous group's. Groups are kept, not
 // retired: a second Flush emits them again.
 func (r *Runtime) Flush() {
 	if r.plan.Policy.PerPacket() {
 		return // per-packet policies have already emitted everything
 	}
 	t := &r.fgProg.table
-	recs := slices.Grow(r.drain[:0], t.n)
-	for i := 0; i < t.n; i++ {
+	scratch := slices.Grow(r.drain[:0], 2*t.n)[:2*t.n]
+	recs, tmp := scratch[:t.n], scratch[t.n:]
+	for i := range recs {
 		g := t.at(i)
-		recs = append(recs, drainRec{g[recKeyA], g[recKeyB] & (1<<tupleBits - 1), uint32(i)})
+		recs[i] = drainRec{[2]uint64{g[recKeyB] & (1<<tupleBits - 1), g[recKeyA]}, uint32(i)}
 	}
-	slices.SortFunc(recs, func(x, y drainRec) int {
-		if x.a != y.a {
-			return cmp.Compare(x.a, y.a)
-		}
-		return cmp.Compare(x.b, y.b)
-	})
-	for _, rec := range recs {
+	if r.drainHist == nil {
+		r.drainHist = new(drainHist)
+	}
+	for _, rec := range radixSort(recs, tmp, r.drainHist) {
 		g := t.at(int(rec.idx))
 		key := g.key()
 		vals := r.ppVals[:0]
-		for _, pr := range r.programs {
+		for pi, pr := range r.programs {
 			pg := g
 			if !pr.isFG {
+				// The memo is a group of this table, so a key match is
+				// the group; an absent group stays nil and is probed
+				// again, and missed again.
 				ck := flowkey.Project(pr.gran, key.Tuple)
 				a, b := keyWords(ck)
-				if pg = pr.table.lookup(pr.hashOf(ck), a, b); pg == nil {
+				if pg = r.memoGroups[pi]; pg == nil || pg[recKeyA] != a || pg[recKeyB] != b {
+					pg = pr.table.lookup(pr.hashOf(ck), a, b)
+					r.memoGroups[pi] = pg
+				}
+				if pg == nil {
 					continue
 				}
 			}
@@ -928,7 +1003,7 @@ func (r *Runtime) Flush() {
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}
-	r.drain = recs[:0]
+	r.drain = scratch[:0]
 }
 
 // loadRef reads one instruction operand: a previously computed env

@@ -209,42 +209,123 @@ func keyCompare(a, b flowkey.Key) int {
 	return cmp.Compare(ta.Proto, tb.Proto)
 }
 
-// TestFlushOrderIsKeyOrder admits random flow keys drawn from tiny
-// field alphabets — so many pairs differ only in Proto, only in one
-// port, only in DstIP — in random order, and requires Flush to emit
-// them in keyCompare order.
+// TestFlushOrderIsKeyOrder admits distinct flow keys in random order
+// and requires Flush to emit them in keyCompare order: keys drawn from
+// tiny field alphabets (many pairs differ only in Proto, only in one
+// port, only in DstIP); thousands of random keys over many 64-record
+// blocks, differing in every byte; keys sharing every field but one
+// port, so the radix sort skips most digits; and the empty and
+// one-group tables. A second Flush must emit the same sequence without
+// allocating: the drain's scratch is reused.
 func TestFlushOrderIsKeyOrder(t *testing.T) {
 	plan := compile(t, statsPolicy())
-	var got []flowkey.Key
-	rt, err := NewRuntime(DefaultConfig(), plan, func(v feature.Vector) { got = append(got, v.Key) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	pick := func(xs ...uint32) uint32 { return xs[rng.Intn(len(xs))] }
-	seen := map[flowkey.Key]bool{}
-	for len(seen) < 400 {
-		tup := flowkey.FiveTuple{
-			SrcIP: pick(1, 2, 1<<31, ^uint32(0)), DstIP: pick(0, 7, 1<<31, ^uint32(0)),
-			SrcPort: uint16(pick(0, 80, 65535)), DstPort: uint16(pick(0, 443, 65535)),
-			Proto: flowkey.Proto(pick(0, 6, 17, 255)),
-		}
-		k, _ := flowkey.KeyFor(flowkey.GranFlow, tup)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		cell := gpv.Cell{Values: make([]uint32, len(plan.Switch.MetadataFields)), Forward: true}
-		rt.Process(gpv.Message{MGPV: &gpv.MGPV{CG: k, Hash: flowkey.HashKey(k), Cells: []gpv.Cell{cell}}})
+	random := func() flowkey.FiveTuple {
+		return flowkey.FiveTuple{SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
+			SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: flowkey.Proto(rng.Uint32())}
 	}
-	rt.Flush()
-	want := make([]flowkey.Key, 0, len(seen))
-	for k := range seen {
-		want = append(want, k)
+	for _, tc := range []struct {
+		name string
+		n    int
+		tup  func() flowkey.FiveTuple
+	}{
+		{"tiny-alphabets", 400, func() flowkey.FiveTuple {
+			return flowkey.FiveTuple{
+				SrcIP: pick(1, 2, 1<<31, ^uint32(0)), DstIP: pick(0, 7, 1<<31, ^uint32(0)),
+				SrcPort: uint16(pick(0, 80, 65535)), DstPort: uint16(pick(0, 443, 65535)),
+				Proto: flowkey.Proto(pick(0, 6, 17, 255)),
+			}
+		}},
+		{"every-byte", 6000, random},
+		{"one-port", 5000, func() flowkey.FiveTuple {
+			return flowkey.FiveTuple{SrcIP: flowkey.IPv4(10, 0, 0, 1), DstIP: flowkey.IPv4(10, 0, 1, 2),
+				SrcPort: 443, DstPort: uint16(rng.Uint32()), Proto: flowkey.ProtoTCP}
+		}},
+		{"empty", 0, random},
+		{"one", 1, random},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []flowkey.Key
+			rt, err := NewRuntime(DefaultConfig(), plan, func(v feature.Vector) { got = append(got, v.Key) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[flowkey.Key]bool{}
+			for len(seen) < tc.n {
+				k, _ := flowkey.KeyFor(flowkey.GranFlow, tc.tup())
+				if seen[k] {
+					continue
+				}
+				seen[k] = true
+				cell := gpv.Cell{Values: make([]uint32, len(plan.Switch.MetadataFields)), Forward: true}
+				rt.Process(gpv.Message{MGPV: &gpv.MGPV{CG: k, Hash: flowkey.HashKey(k), Cells: []gpv.Cell{cell}}})
+			}
+			rt.Flush()
+			want := make([]flowkey.Key, 0, len(seen))
+			for k := range seen {
+				want = append(want, k)
+			}
+			slices.SortFunc(want, keyCompare)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Flush order differs from keyCompare order (%d emitted, %d admitted)", len(got), len(want))
+			}
+			if allocs := testing.AllocsPerRun(3, func() {
+				got = got[:0]
+				rt.Flush()
+			}); allocs != 0 {
+				t.Errorf("a second Flush allocates %.1f times", allocs)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("a second Flush emitted another sequence (%d vectors, want %d)", len(got), len(want))
+			}
+		})
 	}
-	slices.SortFunc(want, keyCompare)
-	if !slices.Equal(got, want) {
-		t.Fatalf("Flush order differs from keyCompare order (%d emitted, %d admitted)", len(got), len(want))
+}
+
+// BenchmarkFlush prices the end-of-trace drain per FG group: a single
+// granularity (NPOD, flow) and the host/channel/socket chain (N-BaIoT),
+// whose coarser groups the drain finds by projecting each FG key. Each
+// admits ~40 k groups from an ENTERPRISE-shaped trace; groups are kept,
+// so every iteration drains the same tables.
+func BenchmarkFlush(b *testing.B) {
+	for _, tc := range []struct {
+		pol   func() *policy.Policy
+		flows int
+	}{
+		{apps.NPOD, 23000},
+		{apps.NBaIoT, 51000},
+	} {
+		plan, err := policy.Compile(tc.pol())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(plan.Policy.Name(), func(b *testing.B) {
+			wl := trace.EnterpriseConfig
+			wl.Flows = tc.flows
+			tr := trace.Generate(wl, 42)
+			rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sw, err := switchsim.New(switchsim.DefaultConfig(), plan.Switch, rt.Process)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := range tr.Packets {
+				sw.Process(&tr.Packets[i])
+			}
+			sw.Flush()
+			rt.Flush() // grows the scratch
+			groups := rt.fgProg.table.n
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt.Flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(groups), "ns/group")
+			b.ReportMetric(float64(groups), "groups")
+		})
 	}
 }
 

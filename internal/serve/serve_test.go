@@ -1111,6 +1111,68 @@ func TestStalledSubscriberTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestEmitWaitHoldsNoTenantLock: while emit waits on one subscriber's
+// full backlog, it holds up the dataplane and nobody else. GET /tenants
+// (Info) and a second connection's Subscribe return at once, not after
+// the stalled Write's deadline.
+func TestEmitWaitHoldsNoTenantLock(t *testing.T) {
+	srv, ten := startTenant(t, "edge", "NPOD", 1)
+	_, link := pipeSubscriber(t, srv, "edge", true)
+	second, _ := pipeSession(t, srv, "edge", false)
+	link.set(linkStall)
+	stalled := ten.subscribers()[0]
+
+	v := feature.Vector{Values: make([]float64, apps.NPOD().FeatureDim())}
+	frame := len(appendVectorFrame(nil, &v))
+	emitting := make(chan struct{})
+	var calls, returns atomic.Int64
+	go func() {
+		defer close(emitting)
+		// The writer's Write stalls holding the first vector; the rest
+		// fill the other buffer past its bound.
+		for i := 0; i < 3*egressBufBytes/frame; i++ {
+			calls.Add(1)
+			ten.emit(v)
+			returns.Add(1)
+		}
+	}()
+	// Parked: an emit call is under way and the backlog has no room.
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		stalled.mu.Lock()
+		parked = stalled.full(frame) && calls.Load() > returns.Load()
+		stalled.mu.Unlock()
+	}
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(200 * time.Millisecond):
+			t.Errorf("%s waited on the parked emit", what)
+			<-done
+		}
+	}
+	within("Info", func() { ten.Info() })
+	within("a second subscriber's Subscribe", func() {
+		if err := second.Subscribe(); err != nil {
+			t.Error(err)
+		}
+	})
+	select {
+	case <-emitting:
+		t.Fatal("emit finished before the checks: nothing was parked")
+	default:
+	}
+	collect(second)
+	link.Close() // fails the stalled Write, which releases emit
+	<-emitting
+}
+
 // TestMidFrameCloseLeavesNothingBehind: a link that breaks in the
 // middle of a frame disconnects the subscriber with reason error, the
 // loss is counted, the peer sees a torn stream end, and neither the

@@ -93,13 +93,16 @@ type Tenant struct {
 	// tenant's engine reachable with it.
 	pool *sync.Pool
 
-	// subMu guards the subscriber set, its closed flag and emit's encode
-	// buffer. emit holds it while appending one vector to every
-	// subscriber's backlog — memory only, except for the bounded wait on
-	// a full backlog — so subscribing is atomic with respect to vectors.
+	// subMu guards the subscriber set and its closed flag. emit holds it
+	// only to copy the set into emitSubs, and subscribe enqueues the ack
+	// before adding to the set under it, so a subscriber emit sees has
+	// its ack first in its backlog. emitSubs and enc belong to emit,
+	// which the engine's sink lock serialises; its bounded wait on a full
+	// backlog therefore holds up no one but the dataplane.
 	subMu      sync.Mutex
 	subs       []*subscriber
 	subsClosed bool
+	emitSubs   []*subscriber
 	enc        []byte
 	egress     *egressCounters
 
@@ -387,8 +390,8 @@ func (t *Tenant) ObsSource() obs.Source {
 
 // subscribe turns conn into a vector output stream: it enqueues the
 // FrameOK acknowledgement as the first bytes of the new subscriber's
-// backlog and registers it, in one subMu critical section. emit
-// enqueues under the same lock, so the ack strictly precedes the first
+// backlog and registers it, in one subMu critical section. emit copies
+// the set under the same lock, so the ack strictly precedes the first
 // FrameVector and no vector emitted after the ack is missed. From here
 // on the subscriber's writer owns conn's write side.
 func (t *Tenant) subscribe(conn net.Conn) (*subscriber, error) {
@@ -443,23 +446,29 @@ func (t *Tenant) closeSubscribers() {
 
 // emit is the tenant engine's sink. It runs on shard goroutines under
 // the engine's sink lock: it frames the vector once and appends the
-// bytes to every live subscriber's backlog. No socket is touched here;
-// the only wait is for a subscriber whose backlog is full, bounded by
-// egressWriteDeadline.
+// bytes to the backlog of every subscriber live when it copied the
+// set. No socket is touched here, and no tenant lock is held past the
+// copy; the only wait is for a subscriber whose backlog is full,
+// bounded by egressWriteDeadline. A subscriber shut since the copy
+// takes nothing.
 //
 //superfe:hotpath
 func (t *Tenant) emit(v feature.Vector) {
 	t.vecsOut.Add(1)
 	t.subMu.Lock()
-	if len(t.subs) > 0 {
-		t.enc = appendVectorFrame(t.enc[:0], &v)
-		var n uint64
-		for _, sub := range t.subs {
-			if sub.enqueue(t.enc, 1) {
-				n++
-			}
-		}
-		t.egress.enqueued.Add(n)
-	}
+	subs := append(t.emitSubs[:0], t.subs...)
 	t.subMu.Unlock()
+	t.emitSubs = subs
+	if len(subs) == 0 {
+		return
+	}
+	t.enc = appendVectorFrame(t.enc[:0], &v)
+	var n uint64
+	for _, sub := range subs {
+		if sub.enqueue(t.enc, 1) {
+			n++
+		}
+	}
+	t.egress.enqueued.Add(n)
+	clear(subs) // retain no departed subscriber until the next vector
 }

@@ -107,7 +107,10 @@ func replay(t *testing.T, cfg Config, plan policy.SwitchPlan, pkts []packet.Pack
 // boundaries fall — every packet (the Process adapter), every 7 or
 // every 256 — must not change a byte of the gpv message stream nor a
 // single counter, across every eviction cause, the FG table and both
-// buffer-ownership modes.
+// buffer-ownership modes. The ZeroCopy case also has a copy-mode twin
+// (same geometry): a short-only eviction lends the slot's own buffer
+// to the sink, and a lent buffer that aliased a later cell would make
+// the two modes' streams differ.
 func TestBatchBoundaryInvariance(t *testing.T) {
 	pkts := mixedTrace(17, 3000)
 	aging := tinyConfig()
@@ -115,19 +118,31 @@ func TestBatchBoundaryInvariance(t *testing.T) {
 	zero := aging
 	zero.ZeroCopy = true
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		plan policy.SwitchPlan
+		name     string
+		cfg      Config
+		plan     policy.SwitchPlan
+		copyTwin bool
 	}{
-		{"single-gran", tinyConfig(), flowPlan(t, flowkey.GranFlow)},
-		{"multi-gran/aging", aging, filteredMultiGranPlan(t)},
-		{"multi-gran/aging/zerocopy", zero, filteredMultiGranPlan(t)},
-		{"multi-gran/default-geometry", DefaultConfig(), filteredMultiGranPlan(t)},
+		{"single-gran", tinyConfig(), flowPlan(t, flowkey.GranFlow), false},
+		{"multi-gran/aging", aging, filteredMultiGranPlan(t), false},
+		{"multi-gran/aging/zerocopy", zero, filteredMultiGranPlan(t), true},
+		{"multi-gran/default-geometry", DefaultConfig(), filteredMultiGranPlan(t), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, wantStats := replay(t, tc.cfg, tc.plan, pkts, 0)
 			if wantStats.CellsOut == 0 || wantStats.MsgsOut == 0 {
 				t.Fatalf("adapter run emitted nothing: %v", wantStats)
+			}
+			if tc.copyTwin {
+				twin := tc.cfg
+				twin.ZeroCopy = false
+				got, gotStats := replay(t, twin, tc.plan, pkts, 0)
+				if !bytes.Equal(got, want) {
+					t.Errorf("copy mode's gpv stream differs from ZeroCopy's (%d vs %d bytes)", len(got), len(want))
+				}
+				if gotStats != wantStats {
+					t.Errorf("copy mode's stats differ:\n  copy     %s\n  zerocopy %s", gotStats, wantStats)
+				}
 			}
 			for _, batch := range []int{7, 256} {
 				got, gotStats := replay(t, tc.cfg, tc.plan, pkts, batch)

@@ -519,17 +519,20 @@ func (s *Switch) evict(sl *slot, reason gpv.EvictReason, release bool) {
 		return
 	}
 	// Assemble short+long into one contiguous cell list. In ZeroCopy
-	// mode the per-switch scratch backs a borrowed message; otherwise
-	// copy out of the buffers, since the sink may retain the message
-	// while the slot's backing arrays are reused for the next batch.
+	// mode the message is borrowed: a short-only batch is the slot's
+	// own short buffer (capped, so an append cannot reach the slot's
+	// spare cells), and short+long is concatenated into the per-switch
+	// scratch. Otherwise copy out of the buffers, since the sink may
+	// retain the message while the slot's backing arrays are reused for
+	// the next batch.
 	var cells []gpv.Cell
 	if s.cfg.ZeroCopy {
-		s.evictCells = append(s.evictCells[:0], sl.short...)
-		if sl.longIdx >= 0 {
-			s.evictCells = append(s.evictCells, s.longBufs[sl.longIdx]...)
+		cells = sl.short[:len(sl.short):len(sl.short)]
+		if sl.longIdx >= 0 && len(s.longBufs[sl.longIdx]) > 0 {
+			s.evictCells = append(append(s.evictCells[:0], sl.short...), s.longBufs[sl.longIdx]...)
 			s.longBufs[sl.longIdx] = s.longBufs[sl.longIdx][:0]
+			cells = s.evictCells
 		}
-		cells = s.evictCells
 	} else {
 		n := len(sl.short)
 		if sl.longIdx >= 0 {
