@@ -539,10 +539,7 @@ func (sh *shard) flushPending() {
 }
 
 // shardIndex maps a key hash onto a shard with a multiply-shift
-// (fastrange), which keys off the hash's HIGH bits. The switch's slot
-// index is hash % NumShort — the LOW bits — so shard choice and slot
-// choice stay independent: with hash%N sharding every shard would
-// only ever touch 1/N of its own cache slots.
+// (fastrange); flowkey.HashKey says which bits each stage takes.
 func shardIndex(h uint32, n int) int {
 	return int((uint64(h) * uint64(n)) >> 32)
 }

@@ -188,13 +188,14 @@ func (t FiveTuple) Reverse() FiveTuple {
 // compute features over bidirectional sequences.
 func (t FiveTuple) Canonical() (FiveTuple, bool) {
 	r := t.Reverse()
-	if t.less(r) || t == r {
+	if t.Less(r) || t == r {
 		return t, true
 	}
 	return r, false
 }
 
-func (t FiveTuple) less(o FiveTuple) bool {
+// Less orders tuples by field: SrcIP, DstIP, SrcPort, DstPort, Proto.
+func (t FiveTuple) Less(o FiveTuple) bool {
 	if t.SrcIP != o.SrcIP {
 		return t.SrcIP < o.SrcIP
 	}
@@ -273,49 +274,49 @@ func Project(g Granularity, fg FiveTuple) Key {
 	return k
 }
 
-// Hash32 computes the 32-bit hash of a 5-tuple using the same
-// function on the switch and the NIC. The switch ships this value to
-// the NIC alongside evicted MGPVs so the NIC never recomputes it
-// (§6.2 "reuse the hash value computed by the switch"). The function
-// is an FNV-1a over the 13 key bytes — cheap enough for a Tofino
-// CRC unit and good enough for table indexing.
-func Hash32(t FiveTuple) uint32 {
-	h := uint32(fnvOffset32)
-	h = fnvByte(h, byte(t.SrcIP>>24))
-	h = fnvByte(h, byte(t.SrcIP>>16))
-	h = fnvByte(h, byte(t.SrcIP>>8))
-	h = fnvByte(h, byte(t.SrcIP))
-	h = fnvByte(h, byte(t.DstIP>>24))
-	h = fnvByte(h, byte(t.DstIP>>16))
-	h = fnvByte(h, byte(t.DstIP>>8))
-	h = fnvByte(h, byte(t.DstIP))
-	h = fnvByte(h, byte(t.SrcPort>>8))
-	h = fnvByte(h, byte(t.SrcPort))
-	h = fnvByte(h, byte(t.DstPort>>8))
-	h = fnvByte(h, byte(t.DstPort))
-	h = fnvByte(h, byte(t.Proto))
-	return h
+// TupleBits is how much of a key's second word (Words) the tuple
+// takes; the granularity sits above it.
+const TupleBits = 40
+
+// Words packs the key into two words: SrcIP and DstIP in a; SrcPort,
+// DstPort and Proto in b's low TupleBits, the granularity above them.
+// Within one granularity their lexicographic order is the tuple's
+// field order. HashKey mixes them; the NIC stores them as a group's
+// identity and sorts its drain by them.
+func (k Key) Words() (a, b uint64) {
+	t := k.Tuple
+	return uint64(t.SrcIP)<<32 | uint64(t.DstIP),
+		uint64(k.Gran)<<TupleBits | uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
 }
 
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-// fnvByte folds one byte into an FNV-1a running hash.
-func fnvByte(h uint32, b byte) uint32 {
-	return (h ^ uint32(b)) * fnvPrime32
+// FromWords rebuilds the key Words packed.
+func FromWords(a, b uint64) Key {
+	return Key{Gran: Granularity(b >> TupleBits), Tuple: FiveTuple{
+		SrcIP: uint32(a >> 32), DstIP: uint32(a),
+		SrcPort: uint16(b >> 24), DstPort: uint16(b >> 8), Proto: Proto(b)}}
 }
 
-// HashKey hashes a grouping key, mixing in the granularity so keys of
-// different granularities with coincident tuples do not collide
-// systematically.
+// HashKey is the one hash of a grouping key: a multiply-xorshift mix
+// of its two Words, granularity included, so coincident tuples at two
+// granularities do not collide systematically. The router computes it
+// once per packet and every later stage reuses it (§6.2 hash reuse),
+// each taking its own bits:
+//
+//   - shard choice: the high bits, by fastrange;
+//   - switch slot and FG index: the low bits, mod the table size,
+//     so every shard spreads over all of its slots;
+//   - the NIC group table's home slot: the top bits of the hash times
+//     a constant, so the high bits a shard's keys share do not crowd
+//     its index;
+//   - tracer and span sampling: a low-bit mask;
+//   - fault scope: a range over the whole value, which under fastrange
+//     is a range of whole shards.
 func HashKey(k Key) uint32 {
-	h := Hash32(k.Tuple)
-	// One extra FNV round over the granularity byte.
-	h ^= uint32(k.Gran)
-	h *= 16777619
-	return h
+	a, b := k.Words()
+	h := a*0x9E3779B97F4A7C15 + b*0xC2B2AE3D27D4EB4F
+	h ^= h >> 29
+	h *= 0xFF51AFD7ED558CCD
+	return uint32(h >> 32)
 }
 
 // IPv4 packs four octets into the uint32 representation used by

@@ -156,39 +156,80 @@ func TestProjectConsistency(t *testing.T) {
 	}
 }
 
+func TestWordsRoundTrip(t *testing.T) {
+	f := func(a, b uint32, sp, dp uint16, pr uint8, g uint8) bool {
+		k := Key{Gran: Granularity(g % 4), Tuple: tupleOf(a, b, sp, dp, Proto(pr))}
+		return FromWords(k.Words()) == k
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// clientServerTuple draws a client-server shaped tuple: one /16 of
+// clients, a few servers and service ports, ephemeral source ports.
+func clientServerTuple(r *rand.Rand) FiveTuple {
+	return tupleOf(IPv4(10, 7, byte(r.Uint32()), byte(r.Uint32())), IPv4(192, 168, 0, byte(r.Intn(16))),
+		uint16(32768+r.Intn(28232)), []uint16{53, 80, 443}[r.Intn(3)], ProtoTCP)
+}
+
 func TestHash32Deterministic(t *testing.T) {
 	tup := tupleOf(1, 2, 3, 4, ProtoTCP)
-	if Hash32(tup) != Hash32(tup) {
+	if HashKey(Key{Tuple: tup}) != HashKey(Key{Tuple: tup}) {
 		t.Error("hash not deterministic")
 	}
-	if Hash32(tup) == Hash32(tup.Reverse()) {
+	if HashKey(Key{Tuple: tup}) == HashKey(Key{Tuple: tup.Reverse()}) {
 		t.Error("hash should distinguish directions (raw tuples)")
 	}
 }
 
+// TestHashKeyGranularityMixing checks that the granularity is mixed
+// in: no client-server tuple hashes alike at two granularities.
 func TestHashKeyGranularityMixing(t *testing.T) {
-	tup := tupleOf(1, 2, 3, 4, ProtoTCP)
-	a := HashKey(Key{Gran: GranFlow, Tuple: tup})
-	b := HashKey(Key{Gran: GranSocket, Tuple: tup})
-	if a == b {
-		t.Error("same tuple at different granularities must hash differently")
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4096; i++ {
+		tup := clientServerTuple(r)
+		seen := map[uint32]Granularity{}
+		for _, g := range []Granularity{GranFlow, GranHost, GranChannel, GranSocket} {
+			hg := HashKey(Key{Gran: g, Tuple: tup})
+			if o, dup := seen[hg]; dup {
+				t.Fatalf("%v hashes alike at %s and %s", tup, o, g)
+			}
+			seen[hg] = g
+		}
 	}
 }
 
+// TestHashDistribution checks the bit budget HashKey's doc comment
+// promises, on client-server shaped keys: the four fastrange quarters
+// (shards at workers=4) are balanced, and inside every quarter each of
+// the 2¹⁴ values of the low 14 bits (a default switch's slot, or FG
+// index) is taken, so no shard's switch leaves slots idle.
 func TestHashDistribution(t *testing.T) {
-	// Coarse uniformity check: buckets of a few thousand random keys
-	// should all be populated.
 	r := rand.New(rand.NewSource(1))
-	const buckets = 64
-	var counts [buckets]int
-	const n = 64 * 200
+	const (
+		n        = 1 << 21
+		quarters = 4
+		lowBits  = 14
+	)
+	var counts [quarters][1 << lowBits]int32
 	for i := 0; i < n; i++ {
-		tup := tupleOf(r.Uint32(), r.Uint32(), uint16(r.Intn(65536)), uint16(r.Intn(65536)), ProtoTCP)
-		counts[Hash32(tup)%buckets]++
+		h := HashKey(Key{Gran: GranSocket, Tuple: clientServerTuple(r)})
+		counts[uint64(h)*quarters>>32][h&(1<<lowBits-1)]++
 	}
-	for b, c := range counts {
-		if c < n/buckets/4 {
-			t.Errorf("bucket %d badly underpopulated: %d", b, c)
+	for q := range counts {
+		total, empty := 0, 0
+		for _, c := range counts[q] {
+			total += int(c)
+			if c == 0 {
+				empty++
+			}
+		}
+		if d := total - n/quarters; d > n/quarters/100 || -d > n/quarters/100 {
+			t.Errorf("quarter %d holds %d keys, want %d ± 1%%", q, total, n/quarters)
+		}
+		if empty > 0 {
+			t.Errorf("quarter %d: %d of %d low-bit buckets empty", q, empty, 1<<lowBits)
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 //	                 precision from the buffered sample stream
 //	                 (exact decayed sums; exact sorted quantile;
 //	                 exact distinct count);
-//	streamingValue — SuperFE's one-pass streaming algorithms, as
-//	                 deployed on the FE-NIC;
+//	streamingValue — SuperFE's one-pass streaming algorithms, in
+//	                 their reference Reducer form (the deployed
+//	                 kernels are held bit-identical to it);
 //	float32Value   — an emulation of the original Kitsune
 //	                 implementation: the same incremental updates in
 //	                 float32 state.
@@ -144,8 +145,9 @@ func exact2D(f streaming.Func, ss sampleStream, lambda float64) float64 {
 	return math.Max(-1, math.Min(1, cov/denom))
 }
 
-// streamingValue runs SuperFE's deployed streaming reducer over the
-// stream.
+// streamingValue runs the reference streaming Reducer over the stream.
+// It is not the NIC's kernel record, but TestKernelsMatchReducers holds
+// the deployed kernels bit-identical to it.
 func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 	params := streaming.Params{Lambda: lambda}
 	if f == streaming.FPercent {

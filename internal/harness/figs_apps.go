@@ -133,7 +133,7 @@ func Fig10(s Scale) Table {
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return flowkey.Hash32(keys[i]) < flowkey.Hash32(keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 
 	for _, fam := range families {
 		var errSFE, errOrig float64
@@ -219,10 +219,10 @@ func Fig11(s Scale) Table {
 func kitsuneDetect(tr *trace.Trace) (mlsim.DetectionMetrics, int) {
 	// Ground truth: label by (canonical tuple, timestamp) — the
 	// vector's key and timestamp identify the originating packet.
-	labelOf := map[uint64]uint8{}
+	labelOf := map[labelKey]uint8{}
 	for i := range tr.Packets {
 		canon, _ := tr.Packets[i].Tuple.Canonical()
-		labelOf[labelKey(canon, tr.Packets[i].Timestamp)] = tr.Labels[i]
+		labelOf[labelKey{canon, uint32(tr.Packets[i].Timestamp)}] = tr.Labels[i]
 	}
 	type scored struct {
 		vec   []float64
@@ -235,7 +235,7 @@ func kitsuneDetect(tr *trace.Trace) (mlsim.DetectionMetrics, int) {
 		// The vector key is the FG (flow) tuple in packet orientation;
 		// the label table is keyed canonically.
 		canon, _ := v.Key.Tuple.Canonical()
-		lbl, ok := labelOf[labelKey(canon, v.Timestamp)]
+		lbl, ok := labelOf[labelKey{canon, uint32(v.Timestamp)}]
 		if !ok {
 			return
 		}
@@ -272,6 +272,9 @@ func kitsuneDetect(tr *trace.Trace) (mlsim.DetectionMetrics, int) {
 	return mlsim.EvaluateScores(scores, labels), len(samples)
 }
 
-func labelKey(tup flowkey.FiveTuple, ts int64) uint64 {
-	return uint64(flowkey.Hash32(tup))<<32 | uint64(uint32(ts))
+// labelKey identifies a packet by its canonical tuple and 32-bit
+// timestamp.
+type labelKey struct {
+	tuple flowkey.FiveTuple
+	ts    uint32
 }

@@ -507,16 +507,6 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	return pr, nil
 }
 
-// hashOf is the probe hash of a key of the program's granularity when
-// no MGPV carries one: the switch's own function at the CG (so it
-// agrees with the carried hash), a word-at-a-time mix below it.
-func (pr *program) hashOf(key flowkey.Key) uint32 {
-	if pr.isCG {
-		return flowkey.HashKey(key)
-	}
-	return mixTuple(key.Tuple)
-}
-
 // admit adds a group for the key (a, b), which the table does not
 // hold, and builds its out-of-line states.
 //
@@ -660,16 +650,16 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			// Memo hit: the previous cell of this MGPV resolved the
 			// same group at this granularity (guaranteed at the CG,
 			// overwhelmingly common at coarser intermediate levels).
-			a, b := keyWords(key)
+			a, b := key.Words()
 			g := r.memoGroups[pi]
 			if g == nil || g[recKeyA] != a || g[recKeyB] != b {
-				// The carried hash is the switch's hash of v.CG (§6.2 hash
-				// reuse; core quarantines frames where it is not). A CG key
-				// re-derived from a misattributed FG entry is not v.CG and
-				// takes the hash it would have arrived with.
+				// The carried hash is HashKey(v.CG) (§6.2 hash reuse; core
+				// quarantines frames where it is not). Any other key — a
+				// finer granularity's, or a CG key re-derived from a
+				// misattributed FG entry — is hashed here.
 				h := v.Hash
-				if !pr.isCG || key != v.CG {
-					h = pr.hashOf(key)
+				if key != v.CG {
+					h = flowkey.HashKey(key)
 				}
 				if g = pr.table.lookup(h, a, b); g == nil {
 					// Transient EMEM allocation failure: group admission
@@ -867,9 +857,9 @@ func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64
 	r.sink(feature.Vector{Key: key, Timestamp: ts, Values: vals})
 }
 
-// drainRec is one FG group in Flush's sort scratch: the key's tuple as
-// two words (see tupleWords), least significant first — b, then a —
-// and the group's position in its table.
+// drainRec is one FG group in Flush's sort scratch: the key's words
+// (flowkey.Key.Words) without the granularity, least significant
+// first — b, then a — and the group's position in its table.
 type drainRec struct {
 	key [2]uint64
 	idx uint32
@@ -884,7 +874,7 @@ type drainRec struct {
 const (
 	drainDigit   = 11
 	drainMask    = 1<<drainDigit - 1
-	drainBDigits = (tupleBits + drainDigit - 1) / drainDigit
+	drainBDigits = (flowkey.TupleBits + drainDigit - 1) / drainDigit
 	drainPasses  = drainBDigits + (64+drainDigit-1)/drainDigit
 )
 
@@ -959,7 +949,7 @@ func (r *Runtime) Flush() {
 	recs, tmp := scratch[:t.n], scratch[t.n:]
 	for i := range recs {
 		g := t.at(i)
-		recs[i] = drainRec{[2]uint64{g[recKeyB] & (1<<tupleBits - 1), g[recKeyA]}, uint32(i)}
+		recs[i] = drainRec{[2]uint64{g[recKeyB] & (1<<flowkey.TupleBits - 1), g[recKeyA]}, uint32(i)}
 	}
 	if r.drainHist == nil {
 		r.drainHist = new(drainHist)
@@ -975,9 +965,9 @@ func (r *Runtime) Flush() {
 				// the group; an absent group stays nil and is probed
 				// again, and missed again.
 				ck := flowkey.Project(pr.gran, key.Tuple)
-				a, b := keyWords(ck)
+				a, b := ck.Words()
 				if pg = r.memoGroups[pi]; pg == nil || pg[recKeyA] != a || pg[recKeyB] != b {
-					pg = pr.table.lookup(pr.hashOf(ck), a, b)
+					pg = pr.table.lookup(flowkey.HashKey(ck), a, b)
 					r.memoGroups[pi] = pg
 				}
 				if pg == nil {

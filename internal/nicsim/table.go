@@ -25,7 +25,7 @@ type record []uint64
 
 // The header words of a record.
 const (
-	// recKeyA and recKeyB hold the key (keyWords).
+	// recKeyA and recKeyB hold the key (flowkey.Key.Words).
 	recKeyA = iota
 	recKeyB
 	// recCells counts the cells the group has absorbed; zero marks the
@@ -46,12 +46,7 @@ const (
 )
 
 // key rebuilds the group's key from its two words.
-func (g record) key() flowkey.Key {
-	a, b := g[recKeyA], g[recKeyB]
-	return flowkey.Key{Gran: flowkey.Granularity(b >> tupleBits), Tuple: flowkey.FiveTuple{
-		SrcIP: uint32(a >> 32), DstIP: uint32(a),
-		SrcPort: uint16(b >> 24), DstPort: uint16(b >> 8), Proto: flowkey.Proto(b)}}
-}
+func (g record) key() flowkey.Key { return flowkey.FromWords(g[recKeyA], g[recKeyB]) }
 
 // groupTable stores one granularity's groups: an open-addressed,
 // linearly probed index over records kept in admission order, at a
@@ -82,9 +77,10 @@ func newGroupTable(stride int) groupTable {
 	return groupTable{index: make([]tableSlot, tableMinSlots), shift: 32 - uint(bits.TrailingZeros(tableMinSlots)), stride: stride}
 }
 
-// home is the slot probing for h starts at. The multiply spreads the
-// hash's entropy into the top bits the shift keeps, so a carried hash
-// with weak low bits (FNV-1a) still scatters.
+// home is the slot probing for h starts at. The multiply brings the
+// low bits into the top bits the shift keeps: a shard's keys share
+// the hash's high bits (flowkey.HashKey), so h >> shift alone would
+// pile them into one part of the index.
 func (t *groupTable) home(h uint32) uint32 { return (h * 2654435769) >> t.shift }
 
 // at returns the i-th group in admission order.
@@ -152,33 +148,4 @@ func (t *groupTable) grow() {
 			t.place(s)
 		}
 	}
-}
-
-// tupleBits is how much of a key's second word the tuple takes; the
-// granularity sits above it.
-const tupleBits = 40
-
-// keyWords packs a key into the two words a record stores and a probe
-// compares.
-func keyWords(k flowkey.Key) (a, b uint64) {
-	a, b = tupleWords(k.Tuple)
-	return a, b | uint64(k.Gran)<<tupleBits
-}
-
-// tupleWords packs a tuple into two words whose lexicographic order is
-// the tuple's field order (SrcIP, DstIP, SrcPort, DstPort, Proto): the
-// drain sorts by them and mixTuple hashes them.
-func tupleWords(t flowkey.FiveTuple) (a, b uint64) {
-	return uint64(t.SrcIP)<<32 | uint64(t.DstIP),
-		uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
-}
-
-// mixTuple hashes a projected tuple a word at a time, for the
-// granularities the switch ships no hash for.
-func mixTuple(t flowkey.FiveTuple) uint32 {
-	a, b := tupleWords(t)
-	h := a*0x9E3779B97F4A7C15 + b*0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0xFF51AFD7ED558CCD
-	return uint32(h >> 32)
 }

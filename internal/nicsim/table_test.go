@@ -40,8 +40,8 @@ func TestGroupTableGrowth(t *testing.T) {
 	doublings := 0
 	for i := 0; i < n; i++ {
 		k := flowKey(i)
-		a, b := keyWords(k)
-		h := mixTuple(k.Tuple)
+		a, b := k.Words()
+		h := flowkey.HashKey(k)
 		if tb.lookup(h, a, b) != nil {
 			t.Fatalf("key %d found before it was inserted", i)
 		}
@@ -58,8 +58,8 @@ func TestGroupTableGrowth(t *testing.T) {
 		doublings++
 		for j, want := range groups {
 			kj := flowKey(j)
-			aj, bj := keyWords(kj)
-			if got := tb.lookup(mixTuple(kj.Tuple), aj, bj); !same(got, want) {
+			aj, bj := kj.Words()
+			if got := tb.lookup(flowkey.HashKey(kj), aj, bj); !same(got, want) {
 				t.Fatalf("after %d inserts (index %d): key %d does not resolve to the record it was admitted as", i+1, len(tb.index), j)
 			}
 			if !same(tb.at(j), want) || want[stride-1] != uint64(j) {
@@ -86,20 +86,45 @@ func TestGroupTableProbeWraps(t *testing.T) {
 	}
 	var want []record
 	for i := 0; i < 3; i++ {
-		a, b := keyWords(flowKey(i))
+		a, b := flowKey(i).Words()
 		want = append(want, tb.insert(h, a, b))
 	}
 	for i, slot := range []uint32{last, 0, 1} {
 		if ref := tb.index[slot].ref; ref != uint32(i+1) {
 			t.Errorf("slot %d holds ref %d, want %d", slot, ref, i+1)
 		}
-		a, b := keyWords(flowKey(i))
+		a, b := flowKey(i).Words()
 		if got := tb.lookup(h, a, b); !same(got, want[i]) {
 			t.Errorf("key %d not found past the wrap", i)
 		}
 	}
-	if a, b := keyWords(flowKey(3)); tb.lookup(h, a, b) != nil {
+	if a, b := flowKey(3).Words(); tb.lookup(h, a, b) != nil {
 		t.Error("absent key found")
+	}
+}
+
+// TestGroupTableShardKeys admits only keys one shard of four is routed
+// (flowkey.HashKey's top two bits fixed) and bounds the longest probe
+// run: an index homed on the hash's top bits as they are would start
+// every probe in one quarter of its slots.
+func TestGroupTableShardKeys(t *testing.T) {
+	tb := newGroupTable(recHeader)
+	for i := 0; tb.n < 20000; i++ {
+		k := flowKey(i)
+		if h := flowkey.HashKey(k); h>>30 == 2 {
+			a, b := k.Words()
+			tb.insert(h, a, b)
+		}
+	}
+	mask := uint32(len(tb.index) - 1)
+	longest := uint32(0)
+	for i, s := range tb.index {
+		if s.ref != 0 {
+			longest = max(longest, (uint32(i)-tb.home(s.hash))&mask)
+		}
+	}
+	if longest > 64 {
+		t.Errorf("a probe runs %d slots past its home in an index of %d", longest, len(tb.index))
 	}
 }
 
@@ -172,7 +197,7 @@ func teeRunFaulted(t *testing.T, pol *policy.Policy, tr *trace.Trace, fp *faults
 // breaks the carried-hash contract (core's KeyHashOK quarantine
 // enforces it) cannot have is a CG key arriving any other way than on
 // its own MGPV: a per-group chain's Flush and a cell misattributed by
-// an FG overwrite both hash the CG key with the switch's function, so
+// an FG overwrite both hash the CG key with flowkey.HashKey, so
 // the list is a single-granularity policy and a per-packet chain on a
 // trace without FG overwrites.
 func TestSameHashStreamStaysCorrect(t *testing.T) {
@@ -333,7 +358,8 @@ func BenchmarkFlush(b *testing.B) {
 // `-faults seed=3,rate=0.05,kinds=nic` plan, whose EMEM failures are
 // drawn once per lookup miss in cell order: a table that probed,
 // missed or admitted in any other order than the map it replaced would
-// move every number below. They were recorded at the parent commit.
+// move every number below. So would another flowkey.HashKey: the
+// switch's slots and FG indices decide the order cells arrive in.
 func TestFaultedReplayPinned(t *testing.T) {
 	fp, err := faults.Parse("seed=3,rate=0.05,kinds=nic")
 	if err != nil {
@@ -347,8 +373,8 @@ func TestFaultedReplayPinned(t *testing.T) {
 		drops, vectors, live uint64
 		digest               uint64
 	}{
-		{apps.NPOD, 180, 3451, 3451, 0xea570f0f02fd2049},
-		{apps.NBaIoT, 180, 1888, 3424, 0x45a827abc10673b1},
+		{apps.NPOD, 180, 3457, 3457, 0xeddd8e0ee0746c36},
+		{apps.NBaIoT, 179, 1878, 3403, 0xbdad00b3ca4d8ad2},
 	} {
 		plan, err := policy.Compile(tc.pol())
 		if err != nil {
@@ -386,7 +412,7 @@ func TestFaultedReplayPinned(t *testing.T) {
 		rt.Flush()
 		st := rt.Stats()
 		if st.EMEMDrops != tc.drops || st.Vectors != tc.vectors || uint64(st.GroupsLive) != tc.live || h.Sum64() != tc.digest {
-			t.Errorf("%s: EMEMDrops=%d Vectors=%d GroupsLive=%d digest=%#x, parent commit had %d %d %d %#x",
+			t.Errorf("%s: EMEMDrops=%d Vectors=%d GroupsLive=%d digest=%#x, pinned %d %d %d %#x",
 				plan.Policy.Name(), st.EMEMDrops, st.Vectors, st.GroupsLive, h.Sum64(), tc.drops, tc.vectors, tc.live, tc.digest)
 		}
 	}

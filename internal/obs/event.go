@@ -142,18 +142,7 @@ func keyLess(a, b flowkey.Key) bool {
 	if a.Gran != b.Gran {
 		return a.Gran < b.Gran
 	}
-	ta, tb := a.Tuple, b.Tuple
-	switch {
-	case ta.SrcIP != tb.SrcIP:
-		return ta.SrcIP < tb.SrcIP
-	case ta.DstIP != tb.DstIP:
-		return ta.DstIP < tb.DstIP
-	case ta.SrcPort != tb.SrcPort:
-		return ta.SrcPort < tb.SrcPort
-	case ta.DstPort != tb.DstPort:
-		return ta.DstPort < tb.DstPort
-	}
-	return ta.Proto < tb.Proto
+	return a.Tuple.Less(b.Tuple)
 }
 
 // WriteTimelinesJSON renders reconstructed flow timelines as JSON.

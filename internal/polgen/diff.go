@@ -83,9 +83,10 @@ type RunOptions struct {
 // (one shard, 256-row batches, every message through the wire codec)
 // against 2–4 ring-fed workers at 64-row batches (different batch
 // boundaries, cache partitioning and FG tables). Neither can catch a
-// bug both inherit from the shared router, switch or NIC code; that
-// is the third leg's job — baseline.Extractor, which shares none of
-// it and stays the independent oracle.
+// bug both inherit from the shared router, switch or NIC code. The
+// third leg, baseline.Extractor, bypasses the router and the switch
+// but wraps nicsim.NewRuntime, so it shares the whole NIC: a NIC bug
+// is invisible to all three legs.
 func Run(spec Spec, opts RunOptions) *Outcome {
 	out := &Outcome{Spec: spec}
 	pol, err := spec.Build()

@@ -123,10 +123,6 @@ func (n *NaiveReducer) scalar() float64 {
 // a fresh damped window — the multi-pass equivalent of the streaming
 // damped statistics.
 func naiveDamped(f Func, lambda float64, data, tss []int64) float64 {
-	if len(tss) != len(data) {
-		// Samples observed without timestamps; treat as simultaneous.
-		tss = make([]int64, len(data))
-	}
 	switch f {
 	case FDWeight, FDMean, FDStd:
 		w := DampedWelford{Lambda: lambda}

@@ -367,7 +367,7 @@ func (s *Switch) fgKeyFor(t flowkey.FiveTuple) (flowkey.FiveTuple, bool) {
 // old key are misattributed on the NIC — counted in FGOverwrites and
 // one of the approximation sources bounded by Figure 10.
 func (s *Switch) fgIndex(key flowkey.FiveTuple) uint16 {
-	idx := flowkey.Hash32(key) % uint32(len(s.fgTable))
+	idx := flowkey.HashKey(flowkey.Key{Tuple: key}) % uint32(len(s.fgTable))
 	if idx > MaxWireFGIndex {
 		s.stat.FGIndexClips++
 	}
