@@ -53,7 +53,7 @@ func (s *Switch) runAging() {
 			// Evict with the aging reason and release the long buffer
 			// so it can be reused by other long flows — the memory
 			// efficiency gain Figure 14 measures.
-			s.evict(sl, gpv.EvictAging, true)
+			s.evict(s.agingCursor, gpv.EvictAging, true)
 		}
 		s.agingCursor++
 		if s.agingCursor == len(s.slots) {

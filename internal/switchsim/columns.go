@@ -117,12 +117,9 @@ func (s *Switch) ProcessColumns(c *Columns) {
 			continue
 		}
 
-		// Load the pre-extracted metadata row into the cell scratch and
-		// group it under the router-computed key and hash.
-		cell := &s.cellScratch
-		cell.Values = cell.Values[:s.nvals]
-		copy(cell.Values, c.Fields[i*c.nf:i*c.nf+c.nf])
-		s.groupCell(c.Keys[i], c.Hashes[i], c.Tuples[i])
+		// Group the pre-extracted metadata row under the
+		// router-computed key and hash.
+		s.groupCell(c.Keys[i], c.Hashes[i], c.Tuples[i], c.Fields[i*c.nf:i*c.nf+c.nf])
 	}
 	// Telemetry is published once per batch (deltas of the plain
 	// stats), not per event: a handful of atomic adds amortized over

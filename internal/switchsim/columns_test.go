@@ -68,14 +68,24 @@ func mixedTrace(seed int64, n int) []packet.Packet {
 // batch 0 drives the per-packet Process adapter; batch > 0 plays the
 // engine's router, filling batch-row Columns and calling
 // ProcessColumns on each full one and on the final partial one.
+// ZeroCopy messages die with the sink call, so they are marshalled
+// inside it; copy-mode messages are kept and marshalled only after
+// Flush, so every later eviction has had its chance to clobber them.
 func replay(t *testing.T, cfg Config, plan policy.SwitchPlan, pkts []packet.Packet, batch int) ([]byte, Stats) {
 	t.Helper()
 	var stream []byte
-	sw, err := New(cfg, plan, func(m gpv.Message) {
-		// Marshal inside the sink: ZeroCopy messages die with the call.
+	var kept []gpv.Message
+	marshal := func(m gpv.Message) {
 		var err error
 		if stream, err = m.Marshal(stream); err != nil {
 			t.Fatal(err)
+		}
+	}
+	sw, err := New(cfg, plan, func(m gpv.Message) {
+		if cfg.ZeroCopy {
+			marshal(m)
+		} else {
+			kept = append(kept, m)
 		}
 	})
 	if err != nil {
@@ -99,6 +109,9 @@ func replay(t *testing.T, cfg Config, plan policy.SwitchPlan, pkts []packet.Pack
 		sw.ProcessColumns(cols)
 	}
 	sw.Flush()
+	for _, m := range kept {
+		marshal(m)
+	}
 	return stream, sw.Stats()
 }
 
@@ -108,9 +121,10 @@ func replay(t *testing.T, cfg Config, plan policy.SwitchPlan, pkts []packet.Pack
 // every 256 — must not change a byte of the gpv message stream nor a
 // single counter, across every eviction cause, the FG table and both
 // buffer-ownership modes. The ZeroCopy case also has a copy-mode twin
-// (same geometry): a short-only eviction lends the slot's own buffer
-// to the sink, and a lent buffer that aliased a later cell would make
-// the two modes' streams differ.
+// (same geometry) whose messages are all kept until after Flush: a
+// ZeroCopy message aliases the register arrays, and a copy-mode one
+// that still shared a word with them — or with a later message — would
+// make the two modes' streams differ.
 func TestBatchBoundaryInvariance(t *testing.T) {
 	pkts := mixedTrace(17, 3000)
 	aging := tinyConfig()

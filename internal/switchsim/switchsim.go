@@ -51,15 +51,17 @@ type Config struct {
 	// entirely in the data plane "at a high frequency"; the default
 	// visits all 16384 entries in ~1.6ms.
 	AgingScanNS int64
-	// ZeroCopy reuses the switch's internal cell and message buffers
-	// across evictions, making the steady-state per-packet path
-	// allocation-free. Messages handed to the sink (and the cell
-	// Values they reference) are then only valid for the duration of
-	// the sink call: a sink that retains or forwards them
-	// asynchronously must deep-copy first. The core engines enable
+	// ZeroCopy lends evicted messages instead of copying them out:
+	// an MGPV's cells are a per-switch scratch whose Values alias the
+	// register arrays, and an FGUpdate is a per-switch scratch too, so
+	// the per-packet path allocates nothing. Messages handed to the
+	// sink (and the cell Values they reference) are then only valid for
+	// the duration of the sink call: a sink that retains or forwards
+	// them asynchronously must deep-copy first. The core engines enable
 	// this — their deliver path consumes each message synchronously —
 	// while direct users of the simulator keep the default
-	// copy-on-evict behaviour.
+	// copy-on-evict behaviour (one cells slice and one values slice per
+	// evicted MGPV).
 	ZeroCopy bool
 	// Obs, when non-nil, is the shard's telemetry: New registers the
 	// switch's series in its still-open registry — a counter per
@@ -111,13 +113,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// slot is one CG group entry: the short buffer plus an optional long
-// buffer reference.
+// slot is one CG group entry: the fill of its short buffer (slot i's
+// cells are shortBuf's cells i·ShortBufCells onward) plus an optional
+// long buffer reference.
 type slot struct {
 	occupied   bool
 	key        flowkey.Key
 	hash       uint32
-	short      []gpv.Cell
+	nshort     int32 // cells in the short buffer
 	longIdx    int32 // -1 when the group owns no long buffer
 	lastAccess int64
 }
@@ -133,10 +136,18 @@ type Switch struct {
 	cfg  Config
 	plan policy.SwitchPlan
 
-	slots    []slot
-	longBufs [][]gpv.Cell
-	stack    []int32 // free long-buffer indices
-	fgTable  []fgEntry
+	slots   []slot
+	stack   []int32 // free long-buffer indices
+	fgTable []fgEntry
+
+	// The short and long buffers as the Tofino holds them: register
+	// arrays of fixed-width cells, sized once at deploy. A cell is
+	// nvals+1 words — the metadata values, then FGIndex | Forward<<16.
+	// Long buffer j's cells are longBuf's cells j·LongBufCells onward
+	// and longLen[j] of them are filled.
+	shortBuf []uint32
+	longBuf  []uint32
+	longLen  []int32
 
 	out  func(gpv.Message)
 	now  int64
@@ -157,24 +168,13 @@ type Switch struct {
 	longGranted   obs.Gauge
 	cellsPerMsg   obs.HistStage
 
-	// ZeroCopy buffer arena: a slot's short buffer is carved on first
-	// touch, cells and their Values together, and a long-buffer cell's
-	// Values on first use, from blocks the switch owns — a deployment
-	// pays for the slots its traffic touches, a block at a time, never
-	// for the whole cache and never an allocation per cell.
-	arenaCells []gpv.Cell
-	arenaVals  []uint32
-
-	// Hot-path scratch. cellScratch is the cell being built for the
-	// current packet (its Values array is reused every packet); the
-	// evict* and fgScratch fields back the borrowed messages emitted
-	// in ZeroCopy mode.
-	nvals       int
-	one         *Columns // Process's one-row batch
-	cellScratch gpv.Cell
-	evictCells  []gpv.Cell
-	evictMGPV   gpv.MGPV
-	fgScratch   gpv.FGUpdate
+	// Hot-path scratch: the evict* and fgScratch fields back the
+	// borrowed messages emitted in ZeroCopy mode.
+	nvals      int
+	one        *Columns // Process's one-row batch
+	evictCells []gpv.Cell
+	evictMGPV  gpv.MGPV
+	fgScratch  gpv.FGUpdate
 
 	// Aging scan state (the recirculated internal packets).
 	agingCursor int
@@ -209,23 +209,28 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 	if sink == nil {
 		return nil, fmt.Errorf("switchsim: nil sink")
 	}
+	nvals := len(plan.MetadataFields)
 	s := &Switch{
-		cfg:      cfg,
-		plan:     plan,
-		slots:    make([]slot, cfg.NumShort),
-		longBufs: make([][]gpv.Cell, cfg.NumLong),
-		stack:    make([]int32, 0, cfg.NumLong),
-		fgTable:  make([]fgEntry, cfg.FGTableSize),
-		out:      sink,
-		obs:      cfg.Obs,
-		inj:      cfg.Faults,
-		fr:       cfg.FlightRec,
+		cfg:        cfg,
+		plan:       plan,
+		slots:      make([]slot, cfg.NumShort),
+		stack:      make([]int32, 0, cfg.NumLong),
+		fgTable:    make([]fgEntry, cfg.FGTableSize),
+		shortBuf:   make([]uint32, cfg.NumShort*cfg.ShortBufCells*(nvals+1)),
+		longBuf:    make([]uint32, cfg.NumLong*cfg.LongBufCells*(nvals+1)),
+		longLen:    make([]int32, cfg.NumLong),
+		nvals:      nvals,
+		one:        NewColumns(1, nvals),
+		evictCells: make([]gpv.Cell, 0, cfg.ShortBufCells+cfg.LongBufCells),
+		out:        sink,
+		obs:        cfg.Obs,
+		inj:        cfg.Faults,
+		fr:         cfg.FlightRec,
 	}
 	for i := range s.slots {
 		s.slots[i].longIdx = -1
 	}
 	for i := cfg.NumLong - 1; i >= 0; i-- {
-		s.longBufs[i] = make([]gpv.Cell, 0, cfg.LongBufCells)
 		s.stack = append(s.stack, int32(i))
 	}
 	// Single-granularity fast path: when CG == FG the FG table is
@@ -233,9 +238,6 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 	// the compiled program omits it — this also serves as the plain
 	// GPV emulation for Figure 13.
 	s.singleGran = plan.CG == plan.FG && len(plan.Chain) == 1
-	s.nvals = len(plan.MetadataFields)
-	s.cellScratch.Values = make([]uint32, s.nvals)
-	s.one = NewColumns(1, s.nvals)
 	s.narrowSlots = narrowSlotsFor(plan.MetadataFields)
 	if s.obs != nil {
 		r := s.obs.Registry
@@ -295,17 +297,17 @@ func (s *Switch) Process(p *packet.Packet) bool {
 	return pass
 }
 
-// groupCell batches the cell ProcessColumns staged in cellScratch
-// (metadata values already loaded) into the CG group's buffers.
+// groupCell batches one cell — the metadata values vals, staged by
+// ProcessColumns — into the CG group's buffers.
 //
 //superfe:hotpath
-func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTuple) {
+func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTuple, vals []uint32) {
 	idx := int(hash % uint32(len(s.slots)))
 	sl := &s.slots[idx]
 
 	// Case 1 of §5.2: hash collision with an older group → evict it.
 	if sl.occupied && sl.key != cgKey {
-		s.evict(sl, gpv.EvictCollision, true)
+		s.evict(idx, gpv.EvictCollision, true)
 	}
 	if !sl.occupied {
 		sl.occupied = true
@@ -319,30 +321,29 @@ func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTup
 	}
 	sl.lastAccess = s.now
 
-	// Finish the staged cell: FG index + direction.
-	cell := &s.cellScratch
 	// Register-width accounting (values stay exact; see registers.go).
 	for _, ns := range s.narrowSlots {
-		if cell.Values[ns.pos] > ns.max {
+		if vals[ns.pos] > ns.max {
 			s.stat.CellSaturations++
 		}
 	}
+	// The cell's last word: FG index + direction. Non-directional
+	// single granularity has FG index 0 and is always forward — the
+	// group key IS the packet's tuple orientation.
+	meta := uint32(forwardBit)
 	if !s.singleGran {
 		fgKey, fwd := s.fgKeyFor(tuple)
-		cell.FGIndex = s.fgIndex(fgKey)
-		cell.Forward = fwd
+		meta = uint32(s.fgIndex(fgKey))
+		if fwd {
+			meta |= forwardBit
+		}
 	} else if s.plan.NeedsDirection {
-		_, fwd := flowkey.KeyFor(s.plan.FG, tuple)
-		cell.FGIndex = 0
-		cell.Forward = fwd
-	} else {
-		// Non-directional single granularity: the group key IS the
-		// packet's tuple orientation.
-		cell.FGIndex = 0
-		cell.Forward = true
+		if _, fwd := flowkey.KeyFor(s.plan.FG, tuple); !fwd {
+			meta = 0
+		}
 	}
 
-	s.appendCell(sl, cell)
+	s.appendCell(idx, vals, meta)
 	if o := s.obs; o != nil && o.Tracer.Sampled(hash) {
 		o.Tracer.Record(obs.Event{Kind: obs.EvCellAppend, Key: cgKey, Clock: s.stat.PktsIn, Arg: 1})
 	}
@@ -389,77 +390,41 @@ func (s *Switch) fgIndex(key flowkey.FiveTuple) uint16 {
 	return uint16(idx)
 }
 
-// arenaSlots is how many short buffers' worth of cells and values one
-// arena block holds.
-const arenaSlots = 64
+// forwardBit is the direction flag in a register cell's last word,
+// above the 16-bit FG index.
+const forwardBit = 1 << 16
 
-// carveShort returns an empty short buffer, its cells' Values already
-// in place, cut from the arena.
-//
-//superfe:coldpath
-func (s *Switch) carveShort() []gpv.Cell {
-	n := s.cfg.ShortBufCells
-	if len(s.arenaCells) < n {
-		s.arenaCells = make([]gpv.Cell, n*arenaSlots)
-	}
-	buf := s.arenaCells[:n:n]
-	s.arenaCells = s.arenaCells[n:]
-	for i := range buf {
-		buf[i].Values = s.carveVals()
-	}
-	return buf[:0]
+// store writes one cell — vals, then the FG-index/direction word — at
+// cell index at of the register array regs.
+func (s *Switch) store(regs []uint32, at int, vals []uint32, meta uint32) {
+	w := s.nvals + 1
+	dst := regs[at*w : at*w+w]
+	copy(dst, vals)
+	dst[s.nvals] = meta
 }
 
-// carveVals returns one cell's Values array cut from the arena.
-//
-//superfe:coldpath
-func (s *Switch) carveVals() []uint32 {
-	n := s.nvals
-	if len(s.arenaVals) < n {
-		s.arenaVals = make([]uint32, n*s.cfg.ShortBufCells*arenaSlots)
+// view appends to cells the n cells stored in regs from cell index at
+// on. Each cell's Values aliases its register words, capped so an
+// append cannot reach the cell's last word or the next cell.
+func (s *Switch) view(cells []gpv.Cell, regs []uint32, at, n int) []gpv.Cell {
+	w := s.nvals + 1
+	for i := at * w; i < (at+n)*w; i += w {
+		meta := regs[i+s.nvals]
+		cells = append(cells, gpv.Cell{Values: regs[i : i+s.nvals : i+s.nvals], FGIndex: uint16(meta), Forward: meta&forwardBit != 0})
 	}
-	v := s.arenaVals[:n:n]
-	s.arenaVals = s.arenaVals[n:]
-	return v
+	return cells
 }
 
-// pushCell appends a copy of c to *buf. In ZeroCopy mode the
-// destination cell's Values array is reused across evictions (the
-// sink has already consumed any message referencing it) and comes
-// from the arena the first time; otherwise a fresh array is allocated
-// per cell so evicted messages stay valid after the slot's buffers
-// restart.
-func (s *Switch) pushCell(buf *[]gpv.Cell, c *gpv.Cell) {
-	b := *buf
-	if n := len(b); s.cfg.ZeroCopy && n < cap(b) {
-		b = b[:n+1]
-		dst := &b[n]
-		if cap(dst.Values) >= len(c.Values) {
-			dst.Values = dst.Values[:len(c.Values)]
-		} else {
-			dst.Values = s.carveVals()
-		}
-		copy(dst.Values, c.Values)
-		dst.FGIndex, dst.Forward = c.FGIndex, c.Forward
-		*buf = b
-		return
-	}
-	cp := *c
-	cp.Values = append([]uint32(nil), c.Values...)
-	//superfe:alloc-ok copy mode: evicted cells must outlive the slot's reused buffers
-	*buf = append(b, cp)
-}
-
-// appendCell adds the cell to the group's buffers, handling the
-// short→long promotion and the buffer-full eviction (case 2 of
-// §5.2).
-func (s *Switch) appendCell(sl *slot, cell *gpv.Cell) {
-	if len(sl.short) < s.cfg.ShortBufCells {
-		if sl.short == nil && s.cfg.ZeroCopy {
-			sl.short = s.carveShort()
-		}
-		s.pushCell(&sl.short, cell)
-		if len(sl.short) == s.cfg.ShortBufCells && sl.longIdx < 0 && !s.degraded {
+// appendCell adds a cell to slot idx's buffers, handling the
+// short→long promotion and the buffer-full eviction (case 2 of §5.2).
+// A granted long buffer never holds LongBufCells cells here: the push
+// that fills it evicts it.
+func (s *Switch) appendCell(idx int, vals []uint32, meta uint32) {
+	sl := &s.slots[idx]
+	if n := int(sl.nshort); n < s.cfg.ShortBufCells {
+		s.store(s.shortBuf, idx*s.cfg.ShortBufCells+n, vals, meta)
+		sl.nshort++
+		if n+1 == s.cfg.ShortBufCells && sl.longIdx < 0 && !s.degraded {
 			// Short buffer just filled for the first time: likely a
 			// long flow — try to pop a long buffer from the stack.
 			// Degraded mode skips the grant: long-buffer work is what
@@ -474,21 +439,16 @@ func (s *Switch) appendCell(sl *slot, cell *gpv.Cell) {
 		return
 	}
 	// Short buffer full.
-	if sl.longIdx >= 0 {
-		lb := s.longBufs[sl.longIdx]
-		if len(lb) < s.cfg.LongBufCells {
-			s.pushCell(&s.longBufs[sl.longIdx], cell)
-			if len(lb)+1 == s.cfg.LongBufCells {
-				// Long buffer now full: evict short+long, keep the
-				// long buffer owned so the still-active long flow can
-				// keep batching without re-contending for the stack.
-				s.evict(sl, gpv.EvictFull, false)
-			}
-			return
+	if li := sl.longIdx; li >= 0 {
+		n := int(s.longLen[li])
+		s.store(s.longBuf, int(li)*s.cfg.LongBufCells+n, vals, meta)
+		s.longLen[li]++
+		if n+1 == s.cfg.LongBufCells {
+			// Long buffer now full: evict short+long, keep the long
+			// buffer owned so the still-active long flow can keep
+			// batching without re-contending for the stack.
+			s.evict(idx, gpv.EvictFull, false)
 		}
-		// Defensive: should have been evicted at fill time.
-		s.evict(sl, gpv.EvictFull, false)
-		s.pushCell(&s.longBufs[sl.longIdx], cell)
 		return
 	}
 	// No long buffer available. Degraded mode sheds the overflow cell
@@ -506,62 +466,56 @@ func (s *Switch) appendCell(sl *slot, cell *gpv.Cell) {
 		return
 	}
 	// Evict the short buffer and restart it.
-	s.evict(sl, gpv.EvictFull, false)
-	s.pushCell(&sl.short, cell)
+	s.evict(idx, gpv.EvictFull, false)
+	s.store(s.shortBuf, idx*s.cfg.ShortBufCells, vals, meta)
+	sl.nshort = 1
 }
 
-// evict emits the group's batched cells as one MGPV message and
-// clears its buffers. release controls whether an owned long buffer
-// is returned to the stack (collision and aging evictions release;
+// evict emits slot idx's batched cells as one MGPV message and clears
+// its buffers. release controls whether an owned long buffer is
+// returned to the stack (collision and aging evictions release;
 // buffer-full evictions keep it, §5.2).
-func (s *Switch) evict(sl *slot, reason gpv.EvictReason, release bool) {
+func (s *Switch) evict(idx int, reason gpv.EvictReason, release bool) {
+	sl := &s.slots[idx]
 	if !sl.occupied {
 		return
 	}
-	// Assemble short+long into one contiguous cell list. In ZeroCopy
-	// mode the message is borrowed: a short-only batch is the slot's
-	// own short buffer (capped, so an append cannot reach the slot's
-	// spare cells), and short+long is concatenated into the per-switch
-	// scratch. Otherwise copy out of the buffers, since the sink may
-	// retain the message while the slot's backing arrays are reused for
-	// the next batch.
-	var cells []gpv.Cell
-	if s.cfg.ZeroCopy {
-		cells = sl.short[:len(sl.short):len(sl.short)]
-		if sl.longIdx >= 0 && len(s.longBufs[sl.longIdx]) > 0 {
-			s.evictCells = append(append(s.evictCells[:0], sl.short...), s.longBufs[sl.longIdx]...)
-			s.longBufs[sl.longIdx] = s.longBufs[sl.longIdx][:0]
-			cells = s.evictCells
-		}
-	} else {
-		n := len(sl.short)
-		if sl.longIdx >= 0 {
-			n += len(s.longBufs[sl.longIdx])
-		}
-		cells = make([]gpv.Cell, 0, n)
-		cells = append(cells, sl.short...)
-		if sl.longIdx >= 0 {
-			cells = append(cells, s.longBufs[sl.longIdx]...)
-			s.longBufs[sl.longIdx] = s.longBufs[sl.longIdx][:0]
-		}
+	short := idx * s.cfg.ShortBufCells
+	ns, nl, long := int(sl.nshort), 0, 0
+	if sl.longIdx >= 0 {
+		nl, long = int(s.longLen[sl.longIdx]), int(sl.longIdx)*s.cfg.LongBufCells
+		s.longLen[sl.longIdx] = 0
 	}
-	if len(cells) > 0 {
+	if n := ns + nl; n > 0 {
+		// The message's short+long cell list. In ZeroCopy mode it is
+		// borrowed: the per-switch scratch, its Values aliasing the
+		// register arrays. Otherwise the cells' words are copied out,
+		// since the sink may retain the message while the registers
+		// take the slot's next batch.
+		var m *gpv.MGPV
 		if s.cfg.ZeroCopy {
-			s.evictMGPV = gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: cells, Reason: reason}
-			s.emit(gpv.Message{MGPV: &s.evictMGPV})
+			cells := s.view(s.evictCells[:0], s.shortBuf, short, ns)
+			cells = s.view(cells, s.longBuf, long, nl)
+			s.evictMGPV = gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: cells[:n:n], Reason: reason}
+			m = &s.evictMGPV
 		} else {
-			s.emit(gpv.Message{MGPV: &gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: cells, Reason: reason}})
+			w := s.nvals + 1
+			regs := make([]uint32, n*w)
+			copy(regs, s.shortBuf[short*w:(short+ns)*w])
+			copy(regs[ns*w:], s.longBuf[long*w:(long+nl)*w])
+			m = &gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: s.view(make([]gpv.Cell, 0, n), regs, 0, n), Reason: reason}
 		}
+		s.emit(gpv.Message{MGPV: m})
 		s.stat.Evictions[reason]++
-		s.stat.CellsOut += uint64(len(cells))
+		s.stat.CellsOut += uint64(n)
 		if o := s.obs; o != nil {
-			s.cellsPerMsg.Observe(int64(len(cells)))
+			s.cellsPerMsg.Observe(int64(n))
 			if o.Tracer.Sampled(sl.hash) {
-				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: uint8(reason), Arg: int64(len(cells))})
+				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: uint8(reason), Arg: int64(n)})
 			}
 		}
 	}
-	sl.short = sl.short[:0]
+	sl.nshort = 0
 	if release && sl.longIdx >= 0 {
 		s.stack = append(s.stack, sl.longIdx)
 		sl.longIdx = -1
@@ -587,7 +541,7 @@ func (s *Switch) emit(m gpv.Message) {
 func (s *Switch) Flush() {
 	for i := range s.slots {
 		if s.slots[i].occupied {
-			s.evict(&s.slots[i], gpv.EvictFlush, true)
+			s.evict(i, gpv.EvictFlush, true)
 		}
 	}
 	s.publishObs()

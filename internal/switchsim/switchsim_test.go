@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"superfe/internal/flowkey"
@@ -488,5 +490,116 @@ func TestActiveOccupied(t *testing.T) {
 	}
 	if active != 1 {
 		t.Errorf("active = %d, want 1 (first flow idle beyond window)", active)
+	}
+}
+
+// mallocs returns how many heap objects run allocates, each time
+// after a fresh, unmeasured setup: the fewest over three tries, since
+// the count is deterministic and the runtime's and the test
+// framework's own allocations can only add to it. The collector is
+// off while run runs.
+func mallocs(setup, run func()) uint64 {
+	fewest := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		setup()
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestColdPassAllocs pins the switch's storage to deploy time: New
+// sizes every register array once, so its allocation count is the
+// same for 2 long buffers as for 4096, and a fresh ZeroCopy switch
+// at the prototype geometry then runs a cold trace — every group new,
+// every slot untouched — through ProcessColumns and Flush without a
+// single allocation. testing.AllocsPerRun would warm the switch first
+// and hide exactly the cold cost, so every measured pass is a fresh
+// switch's first.
+func TestColdPassAllocs(t *testing.T) {
+	plan := filteredMultiGranPlan(t)
+	var sw *Switch
+	var cells int
+	deploy := func(cfg Config) func() {
+		return func() {
+			var err error
+			sw, err = New(cfg, plan, func(m gpv.Message) {
+				if m.MGPV != nil {
+					cells += len(m.MGPV.Cells)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wide := tinyConfig()
+	wide.NumLong = 4096
+	nothing := func() {}
+	tiny := mallocs(nothing, deploy(tinyConfig()))
+	wideN := mallocs(nothing, deploy(wide))
+	def := mallocs(nothing, deploy(DefaultConfig()))
+	if wideN != tiny || def != tiny {
+		t.Errorf("New allocates %d times at NumLong=%d, %d at %d, %d at DefaultConfig: want one count for every geometry",
+			tiny, tinyConfig().NumLong, wideN, wide.NumLong, def)
+	}
+
+	pkts := mixedTrace(17, 3000)
+	var batches []*Columns
+	for i := range pkts {
+		if i%256 == 0 {
+			batches = append(batches, NewColumns(256, len(plan.MetadataFields)))
+		}
+		p, cols := &pkts[i], batches[len(batches)-1]
+		key, _ := flowkey.KeyFor(plan.CG, p.Tuple)
+		cols.Append(p, key, flowkey.HashKey(key), plan.Pred.Eval(p), plan.MetadataFields)
+	}
+	cfg := DefaultConfig()
+	cfg.ZeroCopy = true
+	n := mallocs(func() { cells = 0; deploy(cfg)() }, func() {
+		for _, cols := range batches {
+			sw.ProcessColumns(cols)
+		}
+		sw.Flush()
+	})
+	if n != 0 {
+		t.Errorf("cold pass of %d packets allocated %d times, want 0", len(pkts), n)
+	}
+	if st := sw.Stats(); cells == 0 || uint64(cells) != st.CellsOut {
+		t.Errorf("cold pass delivered %d cells, stats say %d", cells, st.CellsOut)
+	}
+}
+
+// TestRegisterArraysMatchMemoryModel holds the Figure 13 memory
+// figure to the storage that runs: for 0, 1 and 2 batched metadata
+// fields, single- and multi-granularity, the bytes of the switch's
+// two register arrays are exactly the cell terms of
+// ConfiguredMemoryBytes — the terms that vanish with zero-cell
+// buffers.
+func TestRegisterArraysMatchMemoryModel(t *testing.T) {
+	layouts := [][]packet.FieldName{nil, {packet.FieldSize}, {packet.FieldSize, packet.FieldTimestamp}}
+	for _, base := range []policy.SwitchPlan{flowPlan(t, flowkey.GranFlow), multiGranPlan(t)} {
+		for _, fields := range layouts {
+			plan := base
+			plan.MetadataFields = fields
+			for _, cfg := range []Config{tinyConfig(), DefaultConfig()} {
+				sw, err := New(cfg, plan, func(gpv.Message) {})
+				if err != nil {
+					t.Fatal(err)
+				}
+				noCells := cfg
+				noCells.ShortBufCells, noCells.LongBufCells = 0, 0
+				model := ConfiguredMemoryBytes(cfg, plan) - ConfiguredMemoryBytes(noCells, plan)
+				if got := 4 * (len(sw.shortBuf) + len(sw.longBuf)); got != model {
+					t.Errorf("%d fields, chain %v, %d short slots: register arrays hold %d bytes, ConfiguredMemoryBytes prices %d",
+						len(fields), plan.Chain, cfg.NumShort, got, model)
+				}
+			}
+		}
 	}
 }
