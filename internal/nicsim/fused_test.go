@@ -77,6 +77,7 @@ func teeRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, scfg switchsim.Co
 // sharingEdges is a policy built to sit on the edges of state sharing:
 // a map key redefined between two reduces of it (the two must not
 // share) and read again afterwards (that one shares with the second),
+// then redefined from itself (the map reads the old definition),
 // a new key defined after the redefinition, one family fed by several
 // reduce ops, equal specs twice, every view of the histogram family,
 // and a synthesize over a shared f_array.
@@ -96,6 +97,9 @@ func sharingEdges() *policy.Policy {
 		Reduce("w", policy.RF(streaming.FMax), policy.RF(streaming.FSkew)).
 		Collect().
 		Reduce("v", policy.RF(streaming.FStd), policy.RF(streaming.FKurtosis)).
+		Collect().
+		Map("v", policy.SrcKey("v"), policy.MapDirection).
+		Reduce("v", policy.RF(streaming.FMin)).
 		Collect().
 		GroupBy(flowkey.GranFlow).
 		Map("d", policy.SrcField(packet.FieldSize), policy.MapDirection).
@@ -212,10 +216,10 @@ func TestCompileSharesOneStatePerFamilyAndSource(t *testing.T) {
 		host, flow   int // states per group
 		hostV, flowV int // reduce specs
 	}{
-		// host: mean(v), sum(v) | var+std(v'), sum+sum(v'), kurtosis(v') | max(w), skew(w)
+		// host: mean(v), sum(v) | var+std(v'), sum+sum(v'), kurtosis(v') | max(w), skew(w) | min(v'')
 		// flow: array+array(d), mag+pcc(d), the five 8-bin views (size), hist9(size)
-		{naive: false, host: 7, flow: 4, hostV: 9, flowV: 10},
-		{naive: true, host: 9, flow: 10, hostV: 9, flowV: 10},
+		{naive: false, host: 8, flow: 4, hostV: 10, flowV: 10},
+		{naive: true, host: 10, flow: 10, hostV: 10, flowV: 10},
 	} {
 		cfg := DefaultConfig()
 		cfg.Naive = tc.naive

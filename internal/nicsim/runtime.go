@@ -166,13 +166,16 @@ type opcode uint8
 
 const opReduce = opcode(policy.NumMapFuncs)
 
-// instruction is one row of a granularity's op table.
+// instruction is one row of a granularity's op table. Operands are
+// columns of the program's run (program.cols): a batched field the
+// cells carry, or a map op's output.
 type instruction struct {
 	code opcode
-	src  valueRef
-	// map: destination env slot, record offset of its scratch word(s)
+	// src is the operand's column (-1: f_one reads none).
+	src int
+	// map: destination column, record offset of its scratch word(s)
 	// (-1 when it keeps none), burst gap.
-	dstSlot    int
+	dst        int
 	scratchOff int
 	burstNS    int64
 	// reduce: the states this op feeds, as positions in program.states.
@@ -187,12 +190,14 @@ type instruction struct {
 	satLo, satHi, fpMax int64
 }
 
-// valueRef resolves a value for a cell: either a batched metadata
-// field (by position in the cell's Values) or a mapped env slot.
-type valueRef struct {
-	fromEnv bool
-	idx     int
-}
+// fieldCol is a batched field an op reads: its position in the cells'
+// Values and the column it is gathered into.
+type fieldCol struct{ pos, col int }
+
+// runChunk is the most cells one run of an op table spans, the length
+// of a program's columns. A longer MGPV runs in chunks of it; at the
+// switch's default buffers (4 short + 20 long cells) an MGPV is one.
+const runChunk = 32
 
 // program is the compiled op table for one granularity, the layout of
 // that granularity's group record, and the store of its groups.
@@ -215,9 +220,19 @@ type program struct {
 	table groupTable
 
 	instrs     []instruction
-	numEnv     int
 	numScratch int
-	env        []int64 // per-cell evaluation scratch, reused (one runtime = one goroutine)
+	// fields lists the batched fields the ops read. An operand is a
+	// column: every field's, gathered from the cells, and every map op's
+	// output. env holds one cell's, for runCell; cols a run's, runChunk
+	// values a column, and nows its cell times, for runSpan. Sized at
+	// compile time and reused (one runtime = one goroutine).
+	fields []fieldCol
+	env    []int64
+	cols   []int64
+	nows   []int64
+	// runs: the program takes an MGPV's cells as one run instead of one
+	// at a time (see NewRuntime).
+	runs bool
 	// states lists the group state this program keeps: one per source
 	// and reducer family (streaming.FamilyOf), however many of the
 	// policy's reduce specs are views of it.
@@ -299,6 +314,12 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		if err != nil {
 			return nil, err
 		}
+		// A run is one pass of each op over a group's cells, which
+		// changes no result when every cell is the group's (one
+		// granularity: the MGPV's key is the group key), nothing is
+		// emitted between cells (no per-packet collect), and no state
+		// reads the clock the cells advance (no decay lane).
+		pr.runs = r.single && len(pr.lanes) == 0 && !slices.ContainsFunc(pr.emits, func(em emitSpec) bool { return em.perPacket })
 		r.programs = append(r.programs, pr)
 		if pr.isFG {
 			r.fgProg = pr
@@ -357,22 +378,33 @@ func (r *Runtime) PublishObs() {
 // per feature.
 func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
 	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, naive: naive}
-	envSlot := map[string]int{}
-	resolve := func(name string) (valueRef, error) {
-		if s, ok := envSlot[name]; ok {
-			return valueRef{fromEnv: true, idx: s}, nil
+	numCols := 0
+	mapCol := map[string]int{}
+	field := func(pos int) int {
+		for _, f := range pr.fields {
+			if f.pos == pos {
+				return f.col
+			}
+		}
+		pr.fields = append(pr.fields, fieldCol{pos, numCols})
+		numCols++
+		return numCols - 1
+	}
+	resolve := func(name string) (int, error) {
+		if c, ok := mapCol[name]; ok {
+			return c, nil
 		}
 		if f, ok := policy.BuiltinField(name); ok {
 			pos, ok := fieldPos[f]
 			if !ok {
-				return valueRef{}, fmt.Errorf("nicsim: field %s not batched in MGPV cells", f)
+				return 0, fmt.Errorf("nicsim: field %s not batched in MGPV cells", f)
 			}
-			return valueRef{idx: pos}, nil
+			return field(pos), nil
 		}
-		return valueRef{}, fmt.Errorf("nicsim: unresolved key %q", name)
+		return 0, fmt.Errorf("nicsim: unresolved key %q", name)
 	}
 	type stateKey struct {
-		src valueRef
+		src int
 		fam streaming.Family
 	}
 	stateOf := map[stateKey]int{}
@@ -393,25 +425,26 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		}
 		switch op.Kind {
 		case policy.OpMap:
-			// Every map writes a slot of its own, so a valueRef names
-			// one definition and equal refs always carry equal values.
-			ins := instruction{code: opcode(op.MapF), dstSlot: pr.numEnv, burstNS: op.BurstNS}
-			envSlot[op.Dst] = ins.dstSlot
-			pr.numEnv++
+			// Every map writes a column of its own, so a column names
+			// one definition and equal columns always carry equal values.
+			ins := instruction{code: opcode(op.MapF), src: -1, burstNS: op.BurstNS}
 			switch op.Src.Kind {
 			case policy.SourceField:
 				pos, ok := fieldPos[op.Src.Field]
 				if !ok {
 					return nil, fmt.Errorf("nicsim: field %s not batched", op.Src.Field)
 				}
-				ins.src = valueRef{idx: pos}
+				ins.src = field(pos)
 			case policy.SourceKey:
-				ref, err := resolve(op.Src.Key)
+				c, err := resolve(op.Src.Key)
 				if err != nil {
 					return nil, err
 				}
-				ins.src = ref
+				ins.src = c
 			}
+			ins.dst = numCols
+			numCols++
+			mapCol[op.Dst] = ins.dst
 			ins.scratchOff = recHeader + pr.numScratch
 			switch op.MapF {
 			case policy.MapIPT, policy.MapSpeed:
@@ -424,17 +457,17 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			}
 			pr.instrs = append(pr.instrs, ins)
 		case policy.OpReduce:
-			ref, err := resolve(op.ReduceSrc)
+			src, err := resolve(op.ReduceSrc)
 			if err != nil {
 				return nil, err
 			}
-			ins := instruction{code: opReduce, src: ref,
+			ins := instruction{code: opReduce, src: src,
 				satLo: math.MinInt64, satHi: math.MaxInt64, fpMax: math.MaxInt64}
 			if pendingEmit == nil {
 				pendingEmit = &emitSpec{}
 			}
 			for _, rf := range op.Reducers {
-				k := stateKey{ref, streaming.FamilyOf(rf.Func, rf.Params)}
+				k := stateKey{src, streaming.FamilyOf(rf.Func, rf.Params)}
 				si, shared := stateOf[k]
 				if !shared || naive {
 					st := stateSpec{fn: rf.Func, params: rf.Params}
@@ -488,7 +521,9 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		}
 	}
 	flushEmit(false)
-	pr.env = make([]int64, pr.numEnv)
+	pr.env = make([]int64, numCols)
+	pr.cols = make([]int64, numCols*runChunk)
+	pr.nows = make([]int64, runChunk)
 	// The states follow the scratch words, which are only counted once
 	// every map op has been seen.
 	words := recHeader + pr.numScratch
@@ -590,7 +625,9 @@ func (r *Runtime) syncFG(u *gpv.FGUpdate) {
 
 // processMGPV traverses the vector's cells, splitting the CG batch
 // back into every granularity of the chain via the FG keys (§5.1)
-// and running the compiled stages.
+// and running the compiled stages: cell by cell, except that a program
+// that runs (program.runs) takes every cell from the one its group
+// resolves at as one run.
 func (r *Runtime) processMGPV(v *gpv.MGPV) {
 	if o := r.obs; o != nil {
 		if n := len(v.Cells); n > 0 {
@@ -612,14 +649,9 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 		r.stats.Cells++
 		r.decay.Reset()
 		// Reconstruct the packet's tuple orientation from the FG key
-		// and direction bit.
+		// and direction bit. A single-granularity chain needs none.
 		var tuple flowkey.FiveTuple
-		if single {
-			tuple = v.CG.Tuple
-			if !cell.Forward {
-				tuple = tuple.Reverse()
-			}
-		} else {
+		if !single {
 			if r.fgTable == nil || !r.fgTable[cell.FGIndex].set {
 				r.stats.UnknownFG++
 				continue
@@ -678,6 +710,19 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 				}
 				r.memoGroups[pi] = g
 			}
+			if pr.runs {
+				// The group holds from here on: this cell and the rest of
+				// the MGPV are one run. Nothing in it reads the cell
+				// counter, so it advances once.
+				rest := v.Cells[ci:]
+				r.stats.Cells += uint64(len(rest) - 1)
+				for len(rest) > 0 {
+					n := min(len(rest), runChunk)
+					r.runSpan(pr, g, rest[:n])
+					rest = rest[n:]
+				}
+				return
+			}
 			if pr.isFG {
 				fgGroup = g
 			}
@@ -706,48 +751,53 @@ func (r *Runtime) cellTimestamp(cell *gpv.Cell) int64 {
 	return 0
 }
 
+// col is column c over the run's first n cells.
+func (pr *program) col(c, n int) []int64 { return pr.cols[c*runChunk : c*runChunk+n] }
+
+// cellTime is a cell's time on its group's clock. Cells carry 32-bit
+// nanosecond timestamps, which wrap every 4.29 s, so the clock is kept
+// in 64 bits and a cell stands at the serial-number difference from
+// it: less than 2.15 s ahead of the clock (mod 2³²) moves it forward,
+// anything else is a reordered or duplicate cell, at or behind the
+// clock, which decays nothing. A group's first cell starts the clock.
+// The time's low 32 bits are the cell's timestamp.
+func cellTime(first bool, clock int64, ts uint32) int64 {
+	if first {
+		return int64(ts)
+	}
+	return clock + int64(int32(ts-uint32(clock)))
+}
+
 // runCell executes one granularity's op table over one cell of group
 // g, appending any per-packet collect values to dst. It returns the
 // extended dst and whether the program has per-packet emits.
+//
+// Every op below runs on every cell of the group, so one flag and one
+// clock serve them all: a scratch word or a state has been written
+// exactly when the group has absorbed a cell, and the damped states
+// decay over the same interval.
 func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst []float64) ([]float64, bool) {
-	env := pr.env // reused across cells; every slot is written before it is read
+	env := pr.env
+	for _, f := range pr.fields {
+		env[f.col] = int64(cell.Values[f.pos])
+	}
 	ts := uint32(0)
 	if r.tsPos >= 0 {
 		ts = cell.Values[r.tsPos]
 	}
-	// Every op below runs on every cell of the group, so one flag and
-	// one clock serve them all: a scratch word or a state has been
-	// written exactly when the group has absorbed a cell, and the damped
-	// states decay over the same interval.
-	//
-	// Cells carry 32-bit nanosecond timestamps, which wrap every 4.29 s,
-	// so the clock is kept in 64 bits and advanced by the serial-number
-	// difference: a cell less than 2.15 s ahead of the clock (mod 2³²)
-	// moves it forward, anything else is a reordered or duplicate cell,
-	// which stands at or behind the clock and decays nothing.
 	step := &pr.step
 	first, clock := g[recCells] == 0, int64(g[recClock])
-	now := int64(ts)
-	if !first {
-		now = clock + int64(int32(ts-uint32(clock)))
-	}
-	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, first, clock, now))
+	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, first, clock, cellTime(first, clock, ts)))
 	for i := range pr.instrs {
 		ins := &pr.instrs[i]
+		var x int64
+		if ins.src >= 0 {
+			x = env[ins.src]
+		}
 		var out int64
 		switch ins.code {
 		case opReduce:
-			x := loadRef(env, cell, ins.src)
-			// Saturation accounting against the op's narrowest input
-			// contracts (counter-only; the states see x unmodified).
-			// Order mirrors the contract semantics: an input already
-			// absorbed by a behavioural histogram clamp is not also a
-			// fixed-point saturation.
-			if x < ins.satLo || x >= ins.satHi {
-				r.stats.RangeClamps++
-			} else if x > ins.fpMax || x < -ins.fpMax {
-				r.stats.SatInputs++
-			}
+			r.countInput(ins, x)
 			for _, si := range ins.states {
 				if st := &pr.states[si]; st.inline {
 					st.kern.Observe(g[st.off:], x, step)
@@ -759,42 +809,17 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		case opcode(policy.MapOne):
 			out = 1
 		case opcode(policy.MapIdentity):
-			out = loadRef(env, cell, ins.src)
+			out = x
 		case opcode(policy.MapDirection):
-			out = loadRef(env, cell, ins.src)
-			if !fwd {
-				out = -out
-			}
+			out = direction(x, fwd)
 		case opcode(policy.MapIPT):
-			last := &g[ins.scratchOff]
-			cur := loadRef(env, cell, ins.src)
-			if !step.First {
-				// 32-bit wrapping difference, matching the
-				// switch's 32-bit timestamp metadata.
-				out = int64(uint32(cur) - uint32(*last))
-			}
-			*last = uint64(cur)
+			out = ipt(&g[ins.scratchOff], x, step.First)
 		case opcode(policy.MapSpeed):
-			last := &g[ins.scratchOff]
-			size := loadRef(env, cell, ins.src)
-			var dt int64
-			if !step.First {
-				dt = int64(ts - uint32(*last))
-			}
-			*last = uint64(ts)
-			if dt > 0 {
-				out = size * 1e9 / dt // bytes per second
-			}
+			out = speed(&g[ins.scratchOff], x, ts, step.First)
 		case opcode(policy.MapBurst):
-			last, count := &g[ins.scratchOff], &g[ins.scratchOff+1]
-			cur := loadRef(env, cell, ins.src)
-			if step.First || int64(uint32(cur)-uint32(*last)) > ins.burstNS {
-				*count++ // new burst
-			}
-			*last = uint64(cur)
-			out = int64(*count)
+			out = burst(g[ins.scratchOff:ins.scratchOff+2], x, step.First, ins.burstNS)
 		}
-		env[ins.dstSlot] = out
+		env[ins.dst] = out
 	}
 	g[recCells]++
 	g[recLastTS] = uint64(ts)
@@ -808,6 +833,162 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		}
 	}
 	return dst, emitted
+}
+
+// runSpan executes one granularity's op table over a run of cells of
+// group g (at most runChunk), for a program whose results cannot
+// depend on where the cells were cut (program.runs): every cell is
+// the group's, with its direction bit relative to the group's key;
+// nothing is emitted per packet; no kernel reads the clock.
+//
+// The table runs op by op, each op over the run's column: a map fills
+// its output column, a reduce feeds its whole input column to each
+// state. Every state therefore sees its inputs in cell order, as
+// runCell feeds them, and a map's scratch and the record's header are
+// written once, at the end. Only the run's first cell can be the
+// group's first.
+//
+//superfe:hotpath
+func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
+	n := len(cells)
+	for _, f := range pr.fields {
+		col := pr.col(f.col, n)
+		for j := range cells {
+			col[j] = int64(cells[j].Values[f.pos])
+		}
+	}
+	// nows[j] is cell j's time. Step.Begin starts the first cell's step
+	// (without decay lanes, First is all a kernel reads of it).
+	nows := pr.nows[:n]
+	step := &pr.step
+	first, clock := g[recCells] == 0, int64(g[recClock])
+	for j := range cells {
+		ts := uint32(0)
+		if r.tsPos >= 0 {
+			ts = cells[j].Values[r.tsPos]
+		}
+		now := cellTime(first && j == 0, clock, ts)
+		nows[j] = now
+		if j == 0 {
+			clock = step.Begin(&r.decay, pr.lanes, first, clock, now)
+		} else if now > clock {
+			clock = now
+		}
+	}
+	for i := range pr.instrs {
+		ins := &pr.instrs[i]
+		var src []int64
+		if ins.src >= 0 {
+			src = pr.col(ins.src, n)
+		}
+		if ins.code == opReduce {
+			for _, x := range src {
+				r.countInput(ins, x)
+			}
+			for _, si := range ins.states {
+				if st := &pr.states[si]; st.inline {
+					st.kern.ObserveRun(g[st.off:], src, step)
+				} else {
+					red := pr.outline[g[st.off]]
+					for j, x := range src {
+						red.Observe(x, nows[j])
+					}
+				}
+			}
+			continue
+		}
+		out := pr.col(ins.dst, n)
+		switch ins.code {
+		case opcode(policy.MapOne):
+			for j := range out {
+				out[j] = 1
+			}
+		case opcode(policy.MapIdentity):
+			copy(out, src)
+		case opcode(policy.MapDirection):
+			for j, x := range src {
+				out[j] = direction(x, cells[j].Forward)
+			}
+		case opcode(policy.MapIPT):
+			last := g[ins.scratchOff]
+			for j, x := range src {
+				out[j] = ipt(&last, x, j == 0 && step.First)
+			}
+			g[ins.scratchOff] = last
+		case opcode(policy.MapSpeed):
+			last := g[ins.scratchOff]
+			for j, x := range src {
+				out[j] = speed(&last, x, uint32(nows[j]), j == 0 && step.First)
+			}
+			g[ins.scratchOff] = last
+		case opcode(policy.MapBurst):
+			sc := [2]uint64{g[ins.scratchOff], g[ins.scratchOff+1]}
+			for j, x := range src {
+				out[j] = burst(sc[:], x, j == 0 && step.First, ins.burstNS)
+			}
+			g[ins.scratchOff], g[ins.scratchOff+1] = sc[0], sc[1]
+		}
+	}
+	g[recCells] += uint64(n)
+	g[recLastTS] = uint64(uint32(nows[n-1]))
+	g[recClock] = uint64(clock)
+}
+
+// The maps' arithmetic on one cell, which runCell and runSpan share.
+// first: the cell is its group's first; last, sc: the op's scratch.
+
+func direction(x int64, fwd bool) int64 {
+	if !fwd {
+		return -x
+	}
+	return x
+}
+
+// ipt is the gap to the previous cell's timestamp, a 32-bit wrapping
+// difference matching the switch's 32-bit timestamp metadata.
+func ipt(last *uint64, cur int64, first bool) int64 {
+	var out int64
+	if !first {
+		out = int64(uint32(cur) - uint32(*last))
+	}
+	*last = uint64(cur)
+	return out
+}
+
+// speed is bytes per second since the previous cell.
+func speed(last *uint64, size int64, ts uint32, first bool) int64 {
+	var dt int64
+	if !first {
+		dt = int64(ts - uint32(*last))
+	}
+	*last = uint64(ts)
+	if dt > 0 {
+		return size * 1e9 / dt
+	}
+	return 0
+}
+
+// burst numbers the cell's burst: sc holds the last timestamp and the
+// burst count, and a gap past gapNS starts a new burst.
+func burst(sc []uint64, cur int64, first bool, gapNS int64) int64 {
+	if first || int64(uint32(cur)-uint32(sc[0])) > gapNS {
+		sc[1]++
+	}
+	sc[0] = uint64(cur)
+	return int64(sc[1])
+}
+
+// countInput is a reduce op's saturation accounting for one input,
+// against the op's narrowest input contracts (counter-only; the states
+// see the input unmodified). Order mirrors the contract semantics: an
+// input already absorbed by a behavioural histogram clamp is not also a
+// fixed-point saturation.
+func (r *Runtime) countInput(ins *instruction, x int64) {
+	if x < ins.satLo || x >= ins.satHi {
+		r.stats.RangeClamps++
+	} else if x > ins.fpMax || x < -ins.fpMax {
+		r.stats.SatInputs++
+	}
 }
 
 // appendSnapshot appends one emit's feature values to dst, run by run,
@@ -994,13 +1175,4 @@ func (r *Runtime) Flush() {
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}
 	r.drain = scratch[:0]
-}
-
-// loadRef reads one instruction operand: a previously computed env
-// slot or a raw cell value.
-func loadRef(env []int64, cell *gpv.Cell, ref valueRef) int64 {
-	if ref.fromEnv {
-		return env[ref.idx]
-	}
-	return int64(cell.Values[ref.idx])
 }

@@ -40,7 +40,7 @@ const (
 	recLastTS
 	// recClock is the damped families' one clock: the latest time any
 	// cell of the group carried, the 32-bit cell timestamps unwrapped
-	// into 64 bits (runCell).
+	// into 64 bits (cellTime).
 	recClock
 	recHeader // the layout's first word
 )

@@ -11,8 +11,8 @@
 // The abstract domain is the interval lattice over int64
 // (internal/planprove/interval.go), seeded per packet field from the
 // plan's filter predicate and the fields' natural wire widths. The
-// transfer functions mirror nicsim's runCell semantics instruction
-// for instruction — f_ipt is a 32-bit wrapping difference, f_speed
+// transfer functions mirror nicsim's map arithmetic (ipt, speed,
+// burst, shared by its cell and run loops) instruction for instruction — f_ipt is a 32-bit wrapping difference, f_speed
 // divides by a ≥1ns delta so its range is bounded by src×1e9, f_burst
 // is an unbounded counter — so a proved range is an invariant of the
 // simulator's concrete execution. Synthesize ops post-process emitted
@@ -574,7 +574,7 @@ func (c *checker) transfer(g flowkey.Granularity) {
 	}
 }
 
-// mapTransfer mirrors nicsim runCell's map semantics on intervals.
+// mapTransfer mirrors nicsim's map arithmetic on intervals.
 func (c *checker) mapTransfer(g flowkey.Granularity, op policy.Op, vals map[string]Interval) Interval {
 	in := c.srcIv(vals, op.Src)
 	switch op.MapF {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1279,5 +1280,45 @@ func BenchmarkEmit(b *testing.B) {
 				emit()
 			}
 		})
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestIngestSteadyStateAllocs: once the tenant's pool is stocked, an
+// Ingest frame costs no allocation on its way through the command
+// loop. The command carries the pool's own slice pointer, which the
+// loop puts back; putting the address of the command's slice instead
+// moves every command to the heap, one allocation a frame.
+func TestIngestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts")
+	}
+	_, ten := startTenant(t, "edge", "NPOD", 1)
+	pkts := enterprise(200, 1).Packets[:512]
+	var sent uint64
+	ingest := func(frames int) {
+		for i := 0; i < frames; i++ {
+			if err := ten.Ingest(pkts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent += uint64(frames * len(pkts))
+		for ten.pktsIn.Load() != sent {
+			runtime.Gosched()
+		}
+	}
+	ingest(50) // admits the groups, stocks the pool
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const frames = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest(frames)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / frames
+	t.Logf("%.2f allocations per Ingest frame", per)
+	if per > 0.5 {
+		t.Errorf("%.2f allocations per Ingest frame in the steady state", per)
 	}
 }

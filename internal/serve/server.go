@@ -320,8 +320,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		case FramePackets:
 			// Decode straight into a tenant-pooled slice and hand it to
 			// the command loop: the frame buffer is the only copy source.
-			batch, err := DecodePackets(t.batch(), payload)
-			if err != nil {
+			batch := t.batch()
+			var err error
+			if *batch, err = DecodePackets(*batch, payload); err != nil {
 				fail(err.Error())
 				return
 			}

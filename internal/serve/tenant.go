@@ -44,8 +44,10 @@ const (
 // Flush, SwapPlan, Close), so queueing is what preserves the engine's
 // single-router contract under many concurrent connections.
 type tenantCmd struct {
-	op      tenantOp
-	pkts    []packet.Packet
+	op tenantOp
+	// pkts is an opIngest's batch: the pool's own slice pointer, which
+	// the loop puts back once it has processed the packets.
+	pkts    *[]packet.Packet
 	polName string
 	pol     *policy.Policy
 	reply   chan<- reloadResult
@@ -193,11 +195,12 @@ func (t *Tenant) loop() {
 	for cmd := range t.cmds {
 		switch cmd.op {
 		case opIngest:
-			for i := range cmd.pkts {
-				t.eng.Process(&cmd.pkts[i])
+			pkts := *cmd.pkts
+			for i := range pkts {
+				t.eng.Process(&pkts[i])
 			}
-			t.pktsIn.Add(uint64(len(cmd.pkts)))
-			t.pool.Put(&cmd.pkts)
+			t.pktsIn.Add(uint64(len(pkts)))
+			t.pool.Put(cmd.pkts)
 		case opFlush:
 			// The egress half of the barrier runs on the caller (Flush), so
 			// a slow subscriber holds up whoever asked, not the loop.
@@ -263,17 +266,20 @@ func (t *Tenant) Ingest(pkts []packet.Packet) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	return t.send(tenantCmd{op: opIngest, pkts: append(t.batch(), pkts...)})
+	b := t.batch()
+	*b = append(*b, pkts...)
+	return t.send(tenantCmd{op: opIngest, pkts: b})
 }
 
-// batch returns an empty packet slice from the pool (nil when the pool
-// is dry) for the caller to fill and send as an opIngest, which passes
-// its ownership to the command loop.
-func (t *Tenant) batch() []packet.Packet {
+// batch returns an empty packet slice from the pool (a new one when
+// the pool is dry) for the caller to fill and send as an opIngest,
+// which passes its ownership to the command loop.
+func (t *Tenant) batch() *[]packet.Packet {
 	if p, ok := t.pool.Get().(*[]packet.Packet); ok {
-		return (*p)[:0]
+		*p = (*p)[:0]
+		return p
 	}
-	return nil
+	return new([]packet.Packet)
 }
 
 // Flush drains the tenant's engine and blocks until every queued

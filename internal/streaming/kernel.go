@@ -218,17 +218,16 @@ func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
 func f64(w uint64) float64 { return math.Float64frombits(w) }
 func u64(f float64) uint64 { return math.Float64bits(f) }
 
-// Observe folds one sample into the state at st[:k.Words].
+// Observe folds one sample into the state at st[:k.Words], under the
+// step s.
 //
 //superfe:hotpath
 func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 	switch k.kind {
 	case kindSum:
-		st[0] += uint64(x)
+		sumObserve(st, x)
 	case kindExtremum:
-		if v := int64(st[0]); s.First || (k.max == (x > v) && x != v) {
-			st[0] = uint64(x)
-		}
+		k.extremumObserve(st, x, s.First)
 	case kindWelford:
 		welfordObserve(st, float64(x))
 	case kindMoments:
@@ -236,19 +235,7 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 	case kindBidir:
 		bidirObserve(st, x)
 	case kindHist:
-		st[0]++
-		idx := 0
-		if x >= 0 {
-			idx = k.bins - 1
-			if q := x / k.width; q < int64(idx) {
-				idx = int(q)
-			}
-		}
-		if w := &st[1+idx>>1]; idx&1 == 0 {
-			*w = *w&^math.MaxUint32 | uint64(uint32(*w)+1)
-		} else {
-			*w += 1 << 32
-		}
+		k.histObserve(st, x)
 	case kindDamped1D:
 		w, ls, ss := f64(st[0]), f64(st[1]), f64(st[2])
 		if s.decays {
@@ -264,6 +251,75 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 		st[0], st[1], st[2] = u64(w), u64(ls), u64(ss)
 	case kindDamped2D:
 		k.damped2DObserve(st, x, s)
+	}
+}
+
+// ObserveRun folds the samples xs, in order, into the state at
+// st[:k.Words]: one op's inputs over a run of cells of one group, with
+// the family switched on once, outside the loop. s is the step of
+// xs[0], the only sample of a run that can be its group's first. A
+// damped family reads the group's clock, which moves from cell to
+// cell, so it is only ever fed one sample at a time (Observe): a
+// program that keeps decay lanes never forms runs (nicsim).
+//
+//superfe:hotpath
+func (k *Kernel) ObserveRun(st []uint64, xs []int64, s *Step) {
+	switch k.kind {
+	case kindSum:
+		for _, x := range xs {
+			sumObserve(st, x)
+		}
+	case kindExtremum:
+		for i, x := range xs {
+			k.extremumObserve(st, x, i == 0 && s.First)
+		}
+	case kindWelford:
+		for _, x := range xs {
+			welfordObserve(st, float64(x))
+		}
+	case kindMoments:
+		for _, x := range xs {
+			momentsObserve(st, float64(x))
+		}
+	case kindBidir:
+		for _, x := range xs {
+			bidirObserve(st, x)
+		}
+	case kindHist:
+		for _, x := range xs {
+			k.histObserve(st, x)
+		}
+	default: // the damped families, one sample
+		for _, x := range xs {
+			k.Observe(st, x, s)
+		}
+	}
+}
+
+// The families' per-sample updates, which Observe and ObserveRun share.
+
+func sumObserve(st []uint64, x int64) { st[0] += uint64(x) }
+
+// extremumObserve: first is the group's first sample.
+func (k *Kernel) extremumObserve(st []uint64, x int64, first bool) {
+	if v := int64(st[0]); first || (k.max == (x > v) && x != v) {
+		st[0] = uint64(x)
+	}
+}
+
+func (k *Kernel) histObserve(st []uint64, x int64) {
+	st[0]++
+	idx := 0
+	if x >= 0 {
+		idx = k.bins - 1
+		if q := x / k.width; q < int64(idx) {
+			idx = int(q)
+		}
+	}
+	if w := &st[1+idx>>1]; idx&1 == 0 {
+		*w = *w&^math.MaxUint32 | uint64(uint32(*w)+1)
+	} else {
+		*w += 1 << 32
 	}
 }
 

@@ -3,6 +3,7 @@ package streaming
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -120,6 +121,48 @@ func TestKernelsMatchReducers(t *testing.T) {
 			st.reducer.Observe(x, ts)
 		}
 		check(i)
+	}
+}
+
+// TestObserveRunSplitsAnywhere: for every family that does not read
+// the clock, a stream fed as runs cut at random boundaries leaves the
+// state word for word where Observe, sample by sample, leaves it — the
+// property the NIC's run-at-a-time op table rests on. Only the
+// stream's first sample is its group's first.
+func TestObserveRunSplitsAnywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]int64, 700)
+	for i := range xs {
+		xs[i] = rng.Int63n(3000) - 600 // negatives, and past the histogram range
+	}
+	tested := map[kind]bool{}
+	for _, s := range familySpecs() {
+		k, inline, err := KernelFor(s.f, s.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !inline || k.Lambda != 0 {
+			continue
+		}
+		tested[k.kind] = true
+		one, runs := make([]uint64, k.Words), make([]uint64, k.Words)
+		var step Step
+		for i, x := range xs {
+			step.First = i == 0
+			k.Observe(one, x, &step)
+		}
+		for i := 0; i < len(xs); {
+			n := min(len(xs)-i, rng.Intn(40))
+			step.First = i == 0
+			k.ObserveRun(runs, xs[i:i+n], &step)
+			i += n
+		}
+		if !slices.Equal(one, runs) {
+			t.Errorf("%s: runs leave %v, Observe %v", s.f, runs, one)
+		}
+	}
+	if len(tested) != 6 {
+		t.Fatalf("%d clock-free families under test, want 6", len(tested))
 	}
 }
 
