@@ -154,7 +154,8 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 		params = streaming.Params{BinWidth: 16, Bins: 128, Quantile: 0.5}
 	}
 	view := streaming.ViewOf(f, params)
-	k, inline, err := streaming.KernelFor(f, params)
+	var decay streaming.Decay
+	k, inline, err := streaming.KernelFor(f, params, &decay)
 	must(err)
 	if !inline {
 		r, err := streaming.New(f, params)
@@ -163,12 +164,6 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 			r.Observe(s.x, s.ts)
 		}
 		return streaming.Features(r, view)[0]
-	}
-	var decay streaming.Decay
-	var lanes []int
-	if k.Lambda != 0 {
-		k.Lane = decay.Lane(k.Lambda)
-		lanes = []int{k.Lane}
 	}
 	rec := make([]uint64, k.Words)
 	var step streaming.Step
@@ -180,10 +175,13 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 			x = -x // the 1D statistics and the percentile observe magnitudes
 		}
 		decay.Reset()
-		clock = step.Begin(&decay, lanes, i == 0, clock, s.ts)
+		clock = step.Begin(&decay, k.Lanes(), i == 0, clock, s.ts)
 		k.Observe(rec, x, &step)
 	}
-	return k.AppendViews(nil, rec, []streaming.View{view})[0]
+	plan := k.PlanRead([]streaming.View{view}, []int{0})
+	out := make([]float64, 1)
+	k.Read(out, rec, &plan)
+	return out[0]
 }
 
 // float32Value emulates the original Kitsune implementation: the same

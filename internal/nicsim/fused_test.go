@@ -163,9 +163,9 @@ func TestFusedRuntimeMatchesPrivateReducersUnderEMEMFaults(t *testing.T) {
 
 // TestDecayLanesPerCell counts, from the op table, the decay factors a
 // cell can cost the damped catalog policies: one per granularity and
-// distinct rate, plus one per 2D state for the direction half whose
-// clock is not its group's. Private reducers paid one per 1D state and
-// two per 2D state.
+// distinct rate, plus one per 2D state and rate for the direction half
+// whose clock is not its group's. Private reducers paid one per 1D
+// state and rate and two per 2D state and rate.
 func TestDecayLanesPerCell(t *testing.T) {
 	for _, tc := range []struct {
 		pol             func() *policy.Policy
@@ -187,12 +187,13 @@ func TestDecayLanesPerCell(t *testing.T) {
 		for _, pr := range rt.programs {
 			shared += len(pr.lanes)
 			for _, st := range pr.states {
+				lanes := len(st.kern.Lanes()) // a fused state is one private reducer per lane
 				switch fam := streaming.FamilyOf(st.fn, st.params).Func; fam {
 				case streaming.FDWeight:
-					private++
+					private += lanes
 				case streaming.FD2DMag:
-					private += 2
-					shared++
+					private += 2 * lanes
+					shared += lanes
 				}
 			}
 		}
@@ -200,6 +201,55 @@ func TestDecayLanesPerCell(t *testing.T) {
 			t.Errorf("%s: %d decay factors per cell on private reducers (want %d), %d on the record (want <= %d)",
 				plan.Policy.Name(), private, tc.private, shared, tc.atMost)
 		}
+	}
+}
+
+// TestFusedOpsCountEveryInput: five reduce ops of one damped statistic
+// over IPT, one per rate, fuse into one op-table row feeding one
+// five-lane state, and that row still counts each input once per op: a
+// gap past the damped fixed-point input lane is five saturated inputs.
+func TestFusedOpsCountEveryInput(t *testing.T) {
+	b := policy.New("ipt-lanes").
+		GroupBy(flowkey.GranFlow).
+		Map("ipt", policy.SrcField(packet.FieldTimestamp), policy.MapIPT)
+	for _, l := range []float64{5, 3, 1, 0.1, 0.01} {
+		b.Reduce("ipt", policy.RFDamped(streaming.FDMean, l)).CollectPerPacket()
+	}
+	plan := compile(t, b)
+	var vecs []feature.Vector
+	rt, err := NewRuntime(DefaultConfig(), plan, feature.Collect(&vecs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := rt.programs[0]
+	var rows []instruction
+	for _, ins := range pr.instrs {
+		if ins.code == opReduce {
+			rows = append(rows, ins)
+		}
+	}
+	if len(rows) != 1 || rows[0].ops != 5 || len(pr.states) != 1 || len(pr.states[0].kern.Lanes()) != 5 {
+		t.Fatalf("%d reduce rows (%+v), %d states: the five ops did not fuse", len(rows), rows, len(pr.states))
+	}
+	gaps := []int64{0, 1000, 40000, streaming.DampedFixedPointInputMax, streaming.DampedFixedPointInputMax + 1, 5e6, 20000, 1e9}
+	pkts := flowPkts(len(gaps), 100, 0)
+	over, ts := 0, int64(0)
+	for i, gap := range gaps {
+		ts += gap
+		pkts[i].Timestamp = ts
+		if gap > streaming.DampedFixedPointInputMax {
+			over++
+		}
+	}
+	rt.Process(mgpvFor(plan, pkts))
+	if st := rt.Stats(); st.SatInputs != uint64(5*over) || st.RangeClamps != 0 {
+		t.Errorf("%d saturated inputs and %d clamps, want %d and 0", st.SatInputs, st.RangeClamps, 5*over)
+	}
+	if len(vecs) != len(gaps) {
+		t.Fatalf("%d vectors, want %d", len(vecs), len(gaps))
+	}
+	if n := len(vecs[0].Values); n != 5 {
+		t.Errorf("%d values a vector, want 5", n)
 	}
 }
 

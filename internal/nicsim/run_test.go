@@ -184,17 +184,27 @@ func TestRunsEqualOneCellMGPVs(t *testing.T) {
 }
 
 // BenchmarkProcess prices the NIC alone per cell: a captured switch
-// stream (NPOD: hist, sum and IPT on one record; TF: the direction
-// sequence, an out-of-line f_array) replayed into a Runtime that has
-// already admitted its groups, so an iteration is the steady update.
+// stream replayed into a Runtime that has already admitted its groups,
+// so an iteration is the steady update. NPOD (hist, sum and IPT on one
+// record) and TF (the direction sequence, an out-of-line f_array) run
+// at a time over MAWI flows; Kitsune, over CAMPUS flows, is the
+// four-granularity chain of fused damped lanes and a 115-value
+// read-out every cell.
 func BenchmarkProcess(b *testing.B) {
-	for _, build := range []func() *policy.Policy{apps.NPOD, apps.TF} {
-		plan, err := policy.Compile(build())
+	for _, bc := range []struct {
+		build func() *policy.Policy
+		wl    trace.WorkloadConfig
+	}{
+		{apps.NPOD, trace.MAWIConfig},
+		{apps.TF, trace.MAWIConfig},
+		{apps.Kitsune, trace.CampusConfig},
+	} {
+		plan, err := policy.Compile(bc.build())
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(plan.Policy.Name(), func(b *testing.B) {
-			wl := trace.MAWIConfig
+			wl := bc.wl
 			wl.Flows = 300
 			msgs := capture(b, plan, trace.Generate(wl, 42))
 			cells := 0

@@ -171,6 +171,11 @@ const opReduce = opcode(policy.NumMapFuncs)
 // cells carry, or a map op's output.
 type instruction struct {
 	code opcode
+	// reduce: how many of the policy's reduce ops the row stands for.
+	// An op whose damped states all fused into lanes of states an
+	// earlier op over its source feeds is merged into that op
+	// (fuseLanes), and an input is counted once per op.
+	ops uint32
 	// src is the operand's column (-1: f_one reads none).
 	src int
 	// map: destination column, record offset of its scratch word(s)
@@ -251,10 +256,11 @@ type program struct {
 	// inlineBytes is the modelled footprint of a group's inline states
 	// and scratch, a constant of the program (see StateBytes).
 	inlineBytes int
-	// emits lists, per collect op in policy order at this
-	// granularity, which views it snapshots and any synthesize to
-	// apply.
-	emits []emitSpec
+	// out is the program's collect ops compiled into one read-out: the
+	// per-packet ones of a per-packet policy, read every cell
+	// (perPacket), or those Flush emits.
+	out       readOut
+	perPacket bool
 }
 
 // stateSpec describes one state of the record.
@@ -263,29 +269,48 @@ type stateSpec struct {
 	off int
 	// inline states are kern's words at off. An out-of-line state is
 	// built per group by streaming.New(fn, params), or streaming.NewNaive
-	// when the program is naive.
+	// when the program is naive. A fused damped state's fn and params
+	// are its first lane's.
 	inline bool
 	kern   streaming.Kernel
 	fn     streaming.Func
 	params streaming.Params
-	// views counts the reduce specs reading the state: the executable
-	// keeps one copy, the modelled NIC (StateBytes, plan.NIC.StateSpecs,
-	// the cost model) is priced per spec.
+	// views counts the reduce specs reading the state, over all its
+	// lanes: the executable keeps one copy, the modelled NIC
+	// (StateBytes, plan.NIC.StateSpecs, the cost model) is priced per
+	// spec.
 	views int
+	// src is the column the state observes.
+	src int
 }
 
-type emitSpec struct {
-	runs      []viewRun // in feature order
-	synth     []policy.Op
-	perPacket bool
+// readOut is a program's collect ops compiled at deploy: every feature
+// they emit has a position in a window of width values, and each inline
+// state is read once, all its views and lanes in one call
+// (streaming.Kernel.Read), with no per-view dispatch left for the cell.
+type readOut struct {
+	width int
+	reads []stateRead
+	// emits is set when a collect synthesizes: the collects' regions of
+	// the window, in order, each rewritten through its synthesize ops.
+	emits []emitSpan
+	raw   []float64 // the window before synthesis, reused
 }
 
-// viewRun is a run of consecutive emitted features read from one state:
-// the family members to read, in feature order. A family appends a run
-// in one pass (streaming.Kernel.AppendViews).
-type viewRun struct {
+// stateRead is one state's part of a read-out: an inline state's plan,
+// or an out-of-line one's views and their positions.
+type stateRead struct {
 	state int
+	plan  streaming.ReadPlan
 	views []streaming.View
+	pos   []int
+}
+
+// emitSpan is a collect's region [lo, hi) of its read-out's window and
+// the synthesize ops applied to it.
+type emitSpan struct {
+	lo, hi int
+	synth  []policy.Op
 }
 
 // NewRuntime compiles the plan into per-granularity programs.
@@ -319,7 +344,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		// granularity: the MGPV's key is the group key), nothing is
 		// emitted between cells (no per-packet collect), and no state
 		// reads the clock the cells advance (no decay lane).
-		pr.runs = r.single && len(pr.lanes) == 0 && !slices.ContainsFunc(pr.emits, func(em emitSpec) bool { return em.perPacket })
+		pr.runs = r.single && len(pr.lanes) == 0 && !pr.perPacket
 		r.programs = append(r.programs, pr)
 		if pr.isFG {
 			r.fgProg = pr
@@ -373,9 +398,10 @@ func (r *Runtime) PublishObs() {
 }
 
 // compileProgram lowers the ops at granularity g into an op table with
-// resolved slots and shared state families. naive gives every reduce
-// spec a state of its own: the store-everything ablation is one buffer
-// per feature.
+// resolved slots and shared state families, fuses the damped states of
+// each source into lanes (fuseLanes) and compiles the collects into one
+// read-out. naive gives every reduce spec a state of its own: the
+// store-everything ablation is one buffer per feature.
 func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
 	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, naive: naive}
 	numCols := 0
@@ -408,14 +434,8 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		fam streaming.Family
 	}
 	stateOf := map[stateKey]int{}
-	var pendingEmit *emitSpec
-	flushEmit := func(perPacket bool) {
-		if pendingEmit != nil {
-			pendingEmit.perPacket = perPacket
-			pr.emits = append(pr.emits, *pendingEmit)
-			pendingEmit = nil
-		}
-	}
+	var collects []collect
+	var pending *collect
 	for _, op := range plan.Policy.Ops() {
 		if op.Kind == policy.OpGroupBy || op.Kind == policy.OpFilter {
 			continue // switch-side
@@ -461,42 +481,33 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			if err != nil {
 				return nil, err
 			}
-			ins := instruction{code: opReduce, src: src,
+			ins := instruction{code: opReduce, src: src, ops: 1,
 				satLo: math.MinInt64, satHi: math.MaxInt64, fpMax: math.MaxInt64}
-			if pendingEmit == nil {
-				pendingEmit = &emitSpec{}
+			if pending == nil {
+				pending = &collect{}
 			}
 			for _, rf := range op.Reducers {
 				k := stateKey{src, streaming.FamilyOf(rf.Func, rf.Params)}
 				si, shared := stateOf[k]
 				if !shared || naive {
-					st := stateSpec{fn: rf.Func, params: rf.Params}
+					st := stateSpec{fn: rf.Func, params: rf.Params, src: src}
 					if !naive {
-						if st.kern, st.inline, err = streaming.KernelFor(rf.Func, rf.Params); err != nil {
+						if st.kern, st.inline, err = streaming.KernelFor(rf.Func, rf.Params, decay); err != nil {
 							return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
 						}
 					}
-					if st.kern.Lambda != 0 {
-						st.kern.Lane = decay.Lane(st.kern.Lambda)
-						if !slices.Contains(pr.lanes, st.kern.Lane) {
-							pr.lanes = append(pr.lanes, st.kern.Lane)
+					for _, l := range st.kern.Lanes() {
+						if !slices.Contains(pr.lanes, l) {
+							pr.lanes = append(pr.lanes, l)
 						}
 					}
 					si = len(pr.states)
 					stateOf[k] = si
-					if !st.inline {
-						pr.outOfLine = append(pr.outOfLine, si)
-					}
 					pr.states = append(pr.states, st)
 					ins.states = append(ins.states, si)
 				}
 				pr.states[si].views++
-				view := streaming.ViewOf(rf.Func, rf.Params)
-				if n := len(pendingEmit.runs); n > 0 && pendingEmit.runs[n-1].state == si {
-					pendingEmit.runs[n-1].views = append(pendingEmit.runs[n-1].views, view)
-				} else {
-					pendingEmit.runs = append(pendingEmit.runs, viewRun{si, []streaming.View{view}})
-				}
+				pending.feats = append(pending.feats, feat{state: si, view: streaming.ViewOf(rf.Func, rf.Params)})
 				ct := streaming.ContractFor(rf.Func, rf.Params)
 				if ct.Clamps {
 					if ct.InLo > ins.satLo {
@@ -512,15 +523,46 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			}
 			pr.instrs = append(pr.instrs, ins)
 		case policy.OpSynthesize:
-			if pendingEmit == nil {
+			if pending == nil {
 				return nil, fmt.Errorf("nicsim: synthesize without pending reduce at %s", g)
 			}
-			pendingEmit.synth = append(pendingEmit.synth, op)
+			pending.synth = append(pending.synth, op)
 		case policy.OpCollect:
-			flushEmit(op.PerPacket)
+			if pending != nil {
+				pending.perPacket = op.PerPacket
+				collects = append(collects, *pending)
+				pending = nil
+			}
 		}
 	}
-	flushEmit(false)
+	if pending != nil {
+		collects = append(collects, *pending)
+	}
+	// The read-out is the collects the runtime emits: a per-packet
+	// policy's per-packet ones (Flush emits nothing), or every one.
+	var at [][]feat
+	at, pr.out.emits, pr.out.width = pr.place(collects, plan.Policy.PerPacket())
+	pr.perPacket = plan.Policy.PerPacket() && pr.out.width > 0
+	members := pr.fuseLanes(at)
+	for j, m := range members {
+		if len(at[m[0]]) == 0 {
+			continue // no collect reads it
+		}
+		rd := stateRead{state: j}
+		for _, f := range at[m[0]] {
+			rd.views = append(rd.views, f.view)
+		}
+		for _, si := range m { // lane by lane
+			for _, f := range at[si] {
+				rd.pos = append(rd.pos, f.pos)
+			}
+		}
+		if st := &pr.states[j]; st.inline {
+			rd.plan = st.kern.PlanRead(rd.views, rd.pos)
+			rd.views, rd.pos = nil, nil
+		}
+		pr.out.reads = append(pr.out.reads, rd)
+	}
 	pr.env = make([]int64, numCols)
 	pr.cols = make([]int64, numCols*runChunk)
 	pr.nows = make([]int64, runChunk)
@@ -535,11 +577,123 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			words += st.kern.Words
 			pr.inlineBytes += st.kern.StateBytes * st.views
 		} else {
+			pr.outOfLine = append(pr.outOfLine, i)
 			words++
 		}
 	}
 	pr.table = newGroupTable(words)
 	return pr, nil
+}
+
+// collect is one collect op being compiled: the features it emits, in
+// order, and the synthesize ops over them.
+type collect struct {
+	feats     []feat
+	synth     []policy.Op
+	perPacket bool
+}
+
+// feat is one emitted feature: the view of a state it reads, and where
+// it lands in the read-out (place).
+type feat struct {
+	state int
+	view  streaming.View
+	pos   int
+}
+
+// place lays the features of the collects the runtime emits (perPacket:
+// the per-packet ones, else the rest) out in one window, collect after
+// collect, each view FeatureWidth values wide. It returns every state's
+// features in window order, the collects' regions when one
+// synthesizes, and the window's width.
+func (pr *program) place(collects []collect, perPacket bool) (at [][]feat, emits []emitSpan, width int) {
+	at = make([][]feat, len(pr.states))
+	synth := false
+	for _, c := range collects {
+		if c.perPacket != perPacket {
+			continue
+		}
+		lo := width
+		for _, f := range c.feats {
+			f.pos = width
+			at[f.state] = append(at[f.state], f)
+			width += streaming.FeatureWidth(f.view.Func, pr.states[f.state].params)
+		}
+		emits = append(emits, emitSpan{lo, width, c.synth})
+		synth = synth || len(c.synth) > 0
+	}
+	if !synth {
+		emits = nil
+	}
+	return at, emits, width
+}
+
+// fuseLanes merges the damped states of one source and kind (1D or 2D)
+// that the read-out reads alike — at[si] are state si's features —
+// into one state of one lane each (streaming.Fuse), at the first one's
+// position, and rewrites the op table to match: a fused state is fed
+// by the first reduce op that fed any of its lanes, and an op left
+// feeding nothing is merged into an earlier one over its source with
+// its input contracts, which then counts each input for both (maps
+// write fresh columns and reduces none, so both read the same input).
+// It returns each state's old positions, lane by lane.
+func (pr *program) fuseLanes(at [][]feat) (members [][]int) {
+	to := make([]int, len(pr.states))
+	fuses := func(a, b int) bool {
+		sa, sb := &pr.states[a], &pr.states[b]
+		return sa.kern.Lanes() != nil && sb.kern.Lanes() != nil && sa.src == sb.src &&
+			streaming.FamilyOf(sa.fn, sa.params).Func == streaming.FamilyOf(sb.fn, sb.params).Func &&
+			slices.EqualFunc(at[a], at[b], func(x, y feat) bool { return x.view == y.view })
+	}
+	for si := range pr.states {
+		j := slices.IndexFunc(members, func(m []int) bool { return fuses(m[0], si) })
+		if j < 0 {
+			j = len(members)
+			members = append(members, nil)
+		}
+		to[si] = j
+		members[j] = append(members[j], si)
+	}
+	states := make([]stateSpec, len(members))
+	for j, m := range members {
+		states[j] = pr.states[m[0]]
+		if len(m) > 1 {
+			ks := make([]streaming.Kernel, len(m))
+			for i, si := range m {
+				ks[i] = pr.states[si].kern
+				if i > 0 {
+					states[j].views += pr.states[si].views
+				}
+			}
+			states[j].kern = streaming.Fuse(ks)
+		}
+	}
+	pr.states = states
+	fed := make([]bool, len(states))
+	instrs := pr.instrs[:0]
+	for _, ins := range pr.instrs {
+		if ins.code == opReduce {
+			feeds := ins.states[:0]
+			for _, si := range ins.states {
+				if j := to[si]; !fed[j] {
+					fed[j] = true
+					feeds = append(feeds, j)
+				}
+			}
+			ins.states = feeds
+			if len(feeds) == 0 {
+				if k := slices.IndexFunc(instrs, func(o instruction) bool {
+					return o.code == opReduce && o.src == ins.src && o.satLo == ins.satLo && o.satHi == ins.satHi && o.fpMax == ins.fpMax
+				}); k >= 0 {
+					instrs[k].ops += ins.ops
+					continue
+				}
+			}
+		}
+		instrs = append(instrs, ins)
+	}
+	pr.instrs = instrs
+	return members
 }
 
 // admit adds a group for the key (a, b), which the table does not
@@ -769,8 +923,8 @@ func cellTime(first bool, clock int64, ts uint32) int64 {
 }
 
 // runCell executes one granularity's op table over one cell of group
-// g, appending any per-packet collect values to dst. It returns the
-// extended dst and whether the program has per-packet emits.
+// g, appending its read-out to dst when the program emits per packet.
+// It returns the extended dst and whether it did.
 //
 // Every op below runs on every cell of the group, so one flag and one
 // clock serve them all: a scratch word or a state has been written
@@ -824,15 +978,11 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 	g[recCells]++
 	g[recLastTS] = uint64(ts)
 
-	// Per-packet emits: snapshot the designated views now.
-	emitted := false
-	for i := range pr.emits {
-		if em := &pr.emits[i]; em.perPacket {
-			emitted = true
-			dst = pr.appendSnapshot(dst, g, em)
-		}
+	// Per-packet emits: read the group out now.
+	if !pr.perPacket {
+		return dst, false
 	}
-	return dst, emitted
+	return pr.read(dst, g), true
 }
 
 // runSpan executes one granularity's op table over a run of cells of
@@ -978,39 +1128,51 @@ func burst(sc []uint64, cur int64, first bool, gapNS int64) int64 {
 	return int64(sc[1])
 }
 
-// countInput is a reduce op's saturation accounting for one input,
+// countInput is a reduce row's saturation accounting for one input,
+// once for each reduce op it stands for,
 // against the op's narrowest input contracts (counter-only; the states
 // see the input unmodified). Order mirrors the contract semantics: an
 // input already absorbed by a behavioural histogram clamp is not also a
 // fixed-point saturation.
 func (r *Runtime) countInput(ins *instruction, x int64) {
 	if x < ins.satLo || x >= ins.satHi {
-		r.stats.RangeClamps++
+		r.stats.RangeClamps += uint64(ins.ops)
 	} else if x > ins.fpMax || x < -ins.fpMax {
-		r.stats.SatInputs++
+		r.stats.SatInputs += uint64(ins.ops)
 	}
 }
 
-// appendSnapshot appends one emit's feature values to dst, run by run,
-// applying any synthesize post-processing to the appended region only.
-func (pr *program) appendSnapshot(dst []float64, g record, em *emitSpec) []float64 {
+// read appends the program's read-out of group g to dst: the window
+// grown once, every state's features written at their positions, then
+// each collect's synthesize ops over its region.
+func (pr *program) read(dst []float64, g record) []float64 {
+	ro := &pr.out
 	start := len(dst)
-	for i := range em.runs {
-		run := &em.runs[i]
-		if st := &pr.states[run.state]; st.inline {
-			dst = st.kern.AppendViews(dst, g[st.off:], run.views)
-		} else {
-			for _, v := range run.views {
-				dst = pr.outline[g[st.off]].AppendFeatures(dst, v)
-			}
+	dst = slices.Grow(dst, ro.width)[:start+ro.width]
+	win := dst[start:]
+	for i := range ro.reads {
+		rd := &ro.reads[i]
+		st := &pr.states[rd.state]
+		if st.inline {
+			st.kern.Read(win, g[st.off:], &rd.plan)
+			continue
+		}
+		red := pr.outline[g[st.off]]
+		for j, v := range rd.views {
+			// The view appends its FeatureWidth values into the window.
+			red.AppendFeatures(win[rd.pos[j]:rd.pos[j]], v)
 		}
 	}
-	if len(em.synth) > 0 {
-		vals := dst[start:]
-		for _, s := range em.synth {
-			vals = s.Synthesize(vals)
+	if ro.emits != nil {
+		ro.raw = append(ro.raw[:0], win...)
+		dst = dst[:start]
+		for _, em := range ro.emits {
+			vals := ro.raw[em.lo:em.hi]
+			for _, s := range em.synth {
+				vals = s.Synthesize(vals)
+			}
+			dst = append(dst, vals...)
 		}
-		dst = append(dst[:start], vals...)
 	}
 	return dst
 }
@@ -1155,11 +1317,7 @@ func (r *Runtime) Flush() {
 					continue
 				}
 			}
-			for i := range pr.emits {
-				if em := &pr.emits[i]; !em.perPacket {
-					vals = pr.appendSnapshot(vals, pg, em)
-				}
-			}
+			vals = pr.read(vals, pg)
 		}
 		if len(vals) > 0 {
 			// Only the tracer reads the CG identity; without telemetry

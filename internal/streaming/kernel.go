@@ -21,8 +21,8 @@ import (
 //	moments     n, mean, M2, M3, M4
 //	2D          fwd Welford, bwd Welford, lastResFwd, lastResBwd, SP, pairs
 //	histogram   n, then the uint32 bins two to a word, even bin low
-//	fd_* 1D     w, LS, SS                  (clock is the group's)
-//	fd_* 2D     SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock
+//	fd_* 1D     per lane: w, LS, SS        (clock is the group's)
+//	fd_* 2D     per lane: SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock
 //
 // What a reducer keeps per state and a kernel does not: λ, bin width,
 // bin count and the max/min mode live in the Kernel (the op table), and
@@ -30,6 +30,12 @@ import (
 // group observes every cell of it, so their lastTime/started fields
 // were equal by construction. Only a 2D direction half, which observes
 // just the cells of its sign, keeps a clock of its own.
+//
+// A damped kernel has lanes: one per decay rate, each the words of one
+// λ's state, one after the other (Fuse). The states of one source at
+// several rates see the same samples on the same clock, so one kernel
+// takes the sample once and updates every lane; a lane's arithmetic is
+// its single-rate kernel's, in the same order.
 
 type kind uint8
 
@@ -48,25 +54,32 @@ const (
 // words, and the parameters the reducer type would have carried.
 type Kernel struct {
 	kind kind
-	// Words is the state's size in the record; StateBytes the family's
-	// modelled footprint, what its Reducer reports.
+	// Words is the state's size in the record, all its lanes;
+	// StateBytes the family's modelled footprint, what its Reducer
+	// reports, for one lane.
 	Words      int
 	StateBytes int
-	// Lambda is the decay rate of a damped family (0 otherwise) and Lane
-	// its Decay.Lane, which whoever lays out the record assigns.
-	Lambda float64
-	Lane   int
+	// lanes are a damped kernel's Decay lanes, one per rate; lane i's
+	// words follow lane i-1's, damped1DWords or damped2DWords each.
+	lanes []int
 
 	max   bool  // f_max rather than f_min
 	width int64 // histogram bin width
 	bins  int   // histogram bin count
 }
 
+// The words of one lane of a damped kernel.
+const (
+	damped1DWords = 3
+	damped2DWords = 12
+)
+
 // KernelFor resolves the kernel of f's family. inline is false for the
 // families whose storage grows with the data (f_array, f_card): they
 // stay Reducers behind a pointer. The parameters are validated exactly
-// as New validates them.
-func KernelFor(f Func, p Params) (k Kernel, inline bool, err error) {
+// as New validates them. A damped family's kernel has one lane, d's
+// lane of its rate (d is not read for the other families).
+func KernelFor(f Func, p Params, d *Decay) (k Kernel, inline bool, err error) {
 	r, err := New(f, p)
 	if err != nil {
 		return Kernel{}, false, err
@@ -86,14 +99,34 @@ func KernelFor(f Func, p Params) (k Kernel, inline bool, err error) {
 	case FHist:
 		k.kind, k.Words, k.width, k.bins = kindHist, 1+(p.Bins+1)/2, p.BinWidth, p.Bins
 	case FDWeight:
-		k.kind, k.Words, k.Lambda = kindDamped1D, 3, p.Lambda
+		k.kind, k.Words, k.lanes = kindDamped1D, damped1DWords, []int{d.Lane(p.Lambda)}
 	case FD2DMag:
-		k.kind, k.Words, k.Lambda = kindDamped2D, 12, p.Lambda
+		k.kind, k.Words, k.lanes = kindDamped2D, damped2DWords, []int{d.Lane(p.Lambda)}
 	default:
 		return Kernel{}, false, nil
 	}
 	return k, true, nil
 }
+
+// Fuse lays damped kernels of one kind out as one kernel of all their
+// lanes, in order: the states of one source at several rates. It
+// panics unless every kernel is a damped one of ks[0]'s kind.
+func Fuse(ks []Kernel) Kernel {
+	k := ks[0]
+	k.Words, k.lanes = 0, nil
+	for _, o := range ks {
+		if o.kind != k.kind || len(o.lanes) == 0 {
+			panic("streaming: Fuse of kernels that are not damped states of one kind")
+		}
+		k.Words += o.Words
+		k.lanes = append(k.lanes, o.lanes...)
+	}
+	return k
+}
+
+// Lanes returns a damped kernel's Decay lanes, one per rate; nil for
+// the other families.
+func (k *Kernel) Lanes() []int { return k.lanes }
 
 // DecayFactor is the damped window's decay over dt nanoseconds at rate
 // lambda: 2^(-λ·Δt).
@@ -218,8 +251,8 @@ func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
 func f64(w uint64) float64 { return math.Float64frombits(w) }
 func u64(f float64) uint64 { return math.Float64bits(f) }
 
-// Observe folds one sample into the state at st[:k.Words], under the
-// step s.
+// Observe folds one sample into the state at st[:k.Words], every lane
+// of a damped one, under the step s.
 //
 //superfe:hotpath
 func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
@@ -237,18 +270,7 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 	case kindHist:
 		k.histObserve(st, x)
 	case kindDamped1D:
-		w, ls, ss := f64(st[0]), f64(st[1]), f64(st[2])
-		if s.decays {
-			f := s.factors[k.Lane]
-			w *= f
-			ls *= f
-			ss *= f
-		}
-		xf := float64(x)
-		w++
-		ls += xf
-		ss += xf * xf
-		st[0], st[1], st[2] = u64(w), u64(ls), u64(ss)
+		k.damped1DObserve(st, x, s)
 	case kindDamped2D:
 		k.damped2DObserve(st, x, s)
 	}
@@ -390,46 +412,73 @@ func dampedVar(st []uint64, mean float64) float64 {
 	return v
 }
 
-func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
-	if s.decays {
-		f := s.factors[k.Lane]
-		st[0], st[1] = u64(f64(st[0])*f), u64(f64(st[1])*f)
+// damped1DObserve folds x into every lane, each on its own rate.
+func (k *Kernel) damped1DObserve(st []uint64, x int64, s *Step) {
+	xf := float64(x)
+	decays, factors := s.decays, s.factors
+	for i, l := range k.lanes {
+		ln := st[i*damped1DWords : (i+1)*damped1DWords : (i+1)*damped1DWords]
+		w, ls, ss := f64(ln[0]), f64(ln[1]), f64(ln[2])
+		if decays {
+			f := factors[l]
+			w *= f
+			ls *= f
+			ss *= f
+		}
+		w++
+		ls += xf
+		ss += xf * xf
+		ln[0], ln[1], ln[2] = u64(w), u64(ls), u64(ss)
 	}
-	half, mine, other := st[4:8], 2, 3
+}
+
+// damped2DObserve folds xi into every lane: the sign picks the
+// direction half once, and each lane decays on its own rate.
+func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
+	h, mine, other := 4, 2, 3 // forward: the half at 4:8
 	if xi < 0 {
-		xi, half, mine, other = -xi, st[8:12], 3, 2
+		xi, h, mine, other = -xi, 8, 3, 2
 	}
 	x := float64(xi)
-	res := x - dampedMean(half)
-	// The half's own clock; a half that has seen a sample weighs at
-	// least 1. When the clock stands where the group's stood, the half
-	// decays over the same interval as the group: the factor is the
-	// shared one.
-	w, ls, ss := f64(half[0]), f64(half[1]), f64(half[2])
-	f, decay := 0.0, false
-	switch last := int64(half[3]); {
-	case half[0] == 0:
-		half[3] = uint64(s.Now)
-	case last == s.Prev:
-		if s.decays {
-			f, decay = s.factors[k.Lane], true
+	decays, factors := s.decays, s.factors
+	for i, l := range k.lanes {
+		ln := st[i*damped2DWords : (i+1)*damped2DWords : (i+1)*damped2DWords]
+		if decays {
+			f := factors[l]
+			ln[0], ln[1] = u64(f64(ln[0])*f), u64(f64(ln[1])*f)
 		}
-	case s.Now > last:
-		f, decay = s.memo.factor(s.memo.row(s.Now-last), k.Lane), true
+		half := ln[h : h+4 : h+4]
+		res := x - dampedMean(half)
+		// The half's own clock; a half that has seen a sample weighs at
+		// least 1. When the clock stands where the group's stood, the
+		// half decays over the same interval as the group: the factor is
+		// the shared one.
+		w, ls, ss := f64(half[0]), f64(half[1]), f64(half[2])
+		f, decay := 0.0, false
+		switch last := int64(half[3]); {
+		case half[0] == 0:
+			half[3] = uint64(s.Now)
+		case last == s.Prev:
+			if decays {
+				f, decay = factors[l], true
+			}
+		case s.Now > last:
+			f, decay = s.memo.factor(s.memo.row(s.Now-last), l), true
+		}
+		if decay {
+			w *= f
+			ls *= f
+			ss *= f
+			half[3] = uint64(s.Now)
+		}
+		w++
+		ls += x
+		ss += x * x
+		half[0], half[1], half[2] = u64(w), u64(ls), u64(ss)
+		ln[mine] = u64(res)
+		ln[0] = u64(f64(ln[0]) + res*f64(ln[other]))
+		ln[1] = u64(f64(ln[1]) + 1)
 	}
-	if decay {
-		w *= f
-		ls *= f
-		ss *= f
-		half[3] = uint64(s.Now)
-	}
-	w++
-	ls += x
-	ss += x * x
-	half[0], half[1], half[2] = u64(w), u64(ls), u64(ss)
-	st[mine] = u64(res)
-	st[0] = u64(f64(st[0]) + res*f64(st[other]))
-	st[1] = u64(f64(st[1]) + 1)
 }
 
 // clampPCC bounds a correlation estimate to [-1, 1]: what
@@ -444,100 +493,142 @@ func clampPCC(p float64) float64 {
 	return p
 }
 
-// AppendViews appends the features of consecutive views of one state —
-// a run — to dst. What the views of a family share is computed once:
-// a 1D triple's LS/w serves mean and stddev, a 2D state's two means and
-// variances serve magnitude, radius and correlation (the host form of
-// the paper's division elimination).
+// ReadPlan is a kernel's part of a read-out compiled at deploy: the
+// views every lane reads, each resolved to the family member it reads,
+// and where in the output each lands. What the members of a family
+// share is computed once per lane — a 1D triple's LS/w serves mean and
+// stddev, a 2D state's two means and variances serve magnitude, radius
+// and correlation (the host form of the paper's division elimination) —
+// and a member no view reads is not computed.
+type ReadPlan struct {
+	views   []View  // the histogram's: its views differ in shape
+	members []uint8 // by view: the member it reads, an index into the lane's values
+	pos     []int   // lane i's view j lands at pos[i*len(members)+j]
+	need    uint8   // the members read, a bit each
+}
+
+// PlanRead compiles the read-out of views, in order, from every lane
+// of k: lane i's view j lands at pos[i*len(views)+j] of the window Read
+// writes (a multi-bin view's bins from there on).
+func (k *Kernel) PlanRead(views []View, pos []int) ReadPlan {
+	if len(pos) != max(1, len(k.lanes))*len(views) {
+		panic("streaming: a read-out position per lane and view")
+	}
+	p := ReadPlan{pos: pos, members: make([]uint8, len(views))}
+	if k.kind == kindHist {
+		p.views = views
+	}
+	for j, v := range views {
+		m := memberOf(v.Func)
+		p.members[j] = m
+		p.need |= 1 << m
+	}
+	return p
+}
+
+// memberOf is the index of the value f reads among its family's
+// read-out values, in the order Read lists them.
+func memberOf(f Func) uint8 {
+	switch f {
+	case FVar, FKurtosis, FRadius, FDMean, FD2DRadius:
+		return 1
+	case FStd, FCov, FDStd, FD2DCov:
+		return 2
+	case FPCC, FD2DPCC:
+		return 3
+	}
+	return 0
+}
+
+// scatter writes lane's views out of its member values m.
+func (p *ReadPlan) scatter(win []float64, lane int, m *[4]float64) {
+	n := len(p.members)
+	pos := p.pos[lane*n : lane*n+n]
+	for j, mb := range p.members {
+		win[pos[j]] = m[mb&3]
+	}
+}
+
+// Read writes the features p plans from the state at st[:k.Words] into
+// win, one family switch for every lane and view.
 //
 //superfe:hotpath
-func (k *Kernel) AppendViews(dst []float64, st []uint64, views []View) []float64 {
+func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
+	var m [4]float64
 	switch k.kind {
-	case kindSum, kindExtremum:
-		for range views {
-			dst = append(dst, float64(int64(st[0])))
-		}
-	case kindWelford:
+	case kindSum, kindExtremum: // value
+		m[0] = float64(int64(st[0]))
+		p.scatter(win, 0, &m)
+	case kindWelford: // mean, var, std
 		v := welfordVar(st)
-		for _, vw := range views {
-			switch vw.Func {
-			case FVar:
-				dst = append(dst, v)
-			case FStd:
-				dst = append(dst, math.Sqrt(v))
-			default:
-				dst = append(dst, f64(st[1]))
-			}
+		m[0], m[1] = f64(st[1]), v
+		if p.need&(1<<2) != 0 {
+			m[2] = math.Sqrt(v)
 		}
-	case kindMoments:
-		for _, vw := range views {
-			dst = append(dst, momentsView(st, vw.Func == FKurtosis))
+		p.scatter(win, 0, &m)
+	case kindMoments: // skewness, kurtosis
+		if p.need&(1<<0) != 0 {
+			m[0] = momentsView(st, false)
 		}
-	case kindBidir:
-		mf, mb := f64(st[1]), f64(st[4])
-		vf, vb := welfordVar(st[0:3]), welfordVar(st[3:6])
+		if p.need&(1<<1) != 0 {
+			m[1] = momentsView(st, true)
+		}
+		p.scatter(win, 0, &m)
+	case kindBidir: // magnitude, radius, cov, pcc
 		cov := 0.0
 		if n := st[9]; n != 0 {
 			cov = f64(st[8]) / float64(n)
 		}
-		for _, vw := range views {
-			switch vw.Func {
-			case FRadius:
-				dst = append(dst, math.Sqrt(vf*vf+vb*vb))
-			case FCov:
-				dst = append(dst, cov)
-			case FPCC:
-				p := 0.0
-				if denom := math.Sqrt(vf) * math.Sqrt(vb); denom != 0 {
-					p = clampPCC(cov / denom)
-				}
-				dst = append(dst, p)
-			default:
-				dst = append(dst, math.Sqrt(mf*mf+mb*mb))
-			}
-		}
+		vf, vb := welfordVar(st[0:3]), welfordVar(st[3:6])
+		read2D(&m, p.need, f64(st[1]), f64(st[4]), vf, vb, cov)
+		p.scatter(win, 0, &m)
 	case kindHist:
-		for _, vw := range views {
-			dst = k.appendHist(dst, st, vw)
+		for j, v := range p.views {
+			k.readHist(win[p.pos[j]:], st, v)
 		}
-	case kindDamped1D:
-		mean := dampedMean(st)
-		for _, vw := range views {
-			switch vw.Func {
-			case FDMean:
-				dst = append(dst, mean)
-			case FDStd:
-				dst = append(dst, math.Sqrt(dampedVar(st, mean)))
-			default:
-				dst = append(dst, f64(st[0]))
+	case kindDamped1D: // weight, mean, std
+		for i := range k.lanes {
+			ln := st[i*damped1DWords : (i+1)*damped1DWords : (i+1)*damped1DWords]
+			mean := dampedMean(ln)
+			m[0], m[1] = f64(ln[0]), mean
+			if p.need&(1<<2) != 0 {
+				m[2] = math.Sqrt(dampedVar(ln, mean))
 			}
+			p.scatter(win, i, &m)
 		}
-	case kindDamped2D:
-		a, b := st[4:8], st[8:12]
-		ma, mb := dampedMean(a), dampedMean(b)
-		va, vb := dampedVar(a, ma), dampedVar(b, mb)
-		cov := 0.0
-		if wSR := f64(st[1]); wSR != 0 {
-			cov = f64(st[0]) / wSR
-		}
-		for _, vw := range views {
-			switch vw.Func {
-			case FD2DRadius:
-				dst = append(dst, math.Sqrt(va*va+vb*vb))
-			case FD2DCov:
-				dst = append(dst, cov)
-			case FD2DPCC:
-				p := 0.0
-				if denom := math.Sqrt(va) * math.Sqrt(vb); denom != 0 {
-					p = clampPCC(cov / denom)
-				}
-				dst = append(dst, p)
-			default:
-				dst = append(dst, math.Sqrt(ma*ma+mb*mb))
+	case kindDamped2D: // magnitude, radius, cov, pcc
+		for i := range k.lanes {
+			ln := st[i*damped2DWords : (i+1)*damped2DWords : (i+1)*damped2DWords]
+			a, b := ln[4:8], ln[8:12]
+			ma, mb := dampedMean(a), dampedMean(b)
+			va, vb := dampedVar(a, ma), dampedVar(b, mb)
+			cov := 0.0
+			if wSR := f64(ln[1]); wSR != 0 {
+				cov = f64(ln[0]) / wSR
 			}
+			read2D(&m, p.need, ma, mb, va, vb, cov)
+			p.scatter(win, i, &m)
 		}
 	}
-	return dst
+}
+
+// read2D computes the members of a two-stream state that need asks
+// for from its two means and variances and the covariance.
+func read2D(m *[4]float64, need uint8, ma, mb, va, vb, cov float64) {
+	if need&(1<<0) != 0 {
+		m[0] = math.Sqrt(ma*ma + mb*mb)
+	}
+	if need&(1<<1) != 0 {
+		m[1] = math.Sqrt(va*va + vb*vb)
+	}
+	m[2] = cov
+	if need&(1<<3) != 0 {
+		p := 0.0
+		if denom := math.Sqrt(va) * math.Sqrt(vb); denom != 0 {
+			p = clampPCC(cov / denom)
+		}
+		m[3] = p
+	}
 }
 
 func momentsView(st []uint64, kurtosis bool) float64 {
@@ -555,29 +646,30 @@ func momentsView(st []uint64, kurtosis bool) float64 {
 // bin reads histogram bin i.
 func bin(st []uint64, i int) uint32 { return uint32(st[1+i>>1] >> (32 * uint(i&1))) }
 
-func (k *Kernel) appendHist(dst []float64, st []uint64, v View) []float64 {
+// readHist writes histogram view v from out[0] on: the views of a
+// histogram differ in what they compute, not only in what they pick.
+func (k *Kernel) readHist(out []float64, st []uint64, v View) {
 	switch v.Func {
 	case FPercent:
-		return append(dst, k.quantile(st, v.Quantile))
+		out[0] = k.quantile(st, v.Quantile)
 	case FPDF, FCDF:
 		n := float64(st[0])
 		if st[0] == 0 {
 			n = 1 // every bin is empty: emit zeros, not 0/0
 		}
 		var cum uint64
-		for i := 0; i < k.bins; i++ {
+		for i := range out[:k.bins] {
 			if v.Func == FPDF {
 				cum = 0 // the density does not accumulate
 			}
 			cum += uint64(bin(st, i))
-			dst = append(dst, float64(cum)/n)
+			out[i] = float64(cum) / n
 		}
 	default: // ft_hist
-		for i := 0; i < k.bins; i++ {
-			dst = append(dst, float64(bin(st, i)))
+		for i := range out[:k.bins] {
+			out[i] = float64(bin(st, i))
 		}
 	}
-	return dst
 }
 
 // quantile is Histogram.Quantile over record words.

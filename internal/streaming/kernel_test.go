@@ -10,34 +10,44 @@ import (
 // TestKernelsMatchReducers lays every inline family of familySpecs out
 // in one record — the states interleaved with guard words, the damped
 // ones on one clock and one Decay, as a group record holds them — and
-// feeds it the hostile stream of TestFamilyViewsMatchPrivateReducers
-// (sign flips for the 2D split, equal and backwards timestamps, samples
-// beyond the histogram range) beside one streaming.New reducer per
-// family. After every sample every view of every state must read, bit
-// for bit, what its reducer reads, as single views and as one run; the
-// guards must stand; and a kernel must model the bytes its reducer
-// reports.
+// beside them fused damped kernels, 1D and 2D, of 1, 3 and 5 lanes. It
+// feeds the record a hostile stream beside one streaming.New reducer
+// per family and lane: sign flips for the 2D split and one-direction
+// stretches that leave a 2D half's clock behind its group's, equal and
+// backwards timestamps, 32-bit cell stamps that wrap and are unwrapped
+// as the NIC unwraps them, and samples beyond the histogram range.
+// After every sample every view of every lane must read, bit for bit,
+// what its reducer reads, planned alone and with all the state's views
+// at once, interleaved across lanes; the guards must stand; and a
+// kernel must model the bytes its reducer reports.
 func TestKernelsMatchReducers(t *testing.T) {
 	const guard = 0xA5A5A5A5A5A5A5A5
 	type state struct {
-		kern    Kernel
-		off     int
-		reducer Reducer
-		views   []View
+		kern     Kernel
+		off      int
+		reducers []Reducer // one per lane
+		views    []View
 	}
 	var states []state
 	var decay Decay
-	var lanes []int
 	kinds := map[kind]bool{}
-	seen := map[Family]int{}
 	words := 1
+	add := func(k Kernel, rs []Reducer, views []View) {
+		if k.StateBytes != rs[0].StateBytes() {
+			t.Errorf("%s: kernel models %d bytes, its reducer %d", views[0].Func, k.StateBytes, rs[0].StateBytes())
+		}
+		kinds[k.kind] = true
+		states = append(states, state{kern: k, off: words, reducers: rs, views: views})
+		words += k.Words + 1
+	}
+	seen := map[Family]int{}
 	for _, s := range familySpecs() {
 		fam := FamilyOf(s.f, s.p)
 		if i, ok := seen[fam]; ok {
 			states[i].views = append(states[i].views, ViewOf(s.f, s.p))
 			continue
 		}
-		k, inline, err := KernelFor(s.f, s.p)
+		k, inline, err := KernelFor(s.f, s.p, &decay)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,24 +57,50 @@ func TestKernelsMatchReducers(t *testing.T) {
 			}
 			continue
 		}
-		if k.Lambda != 0 {
-			k.Lane = decay.Lane(k.Lambda)
-			lanes = append(lanes, k.Lane)
-		}
 		r, err := New(s.f, s.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k.StateBytes != r.StateBytes() {
-			t.Errorf("%s: kernel models %d bytes, its reducer %d", s.f, k.StateBytes, r.StateBytes())
-		}
-		kinds[k.kind] = true
 		seen[fam] = len(states)
-		states = append(states, state{kern: k, off: words, reducer: r, views: []View{ViewOf(s.f, s.p)}})
-		words += k.Words + 1
+		add(k, []Reducer{r}, []View{ViewOf(s.f, s.p)})
 	}
 	if len(kinds) != 8 {
 		t.Fatalf("%d inline families under test, want 8", len(kinds))
+	}
+	rates := []float64{3, 0.1, 5, 0.01, 1}
+	for _, fam := range [][]Func{{FDWeight, FDMean, FDStd}, {FD2DMag, FD2DRadius, FD2DCov, FD2DPCC}} {
+		var views []View
+		for _, f := range append(fam, fam[1]) { // a view read twice
+			views = append(views, View{Func: f})
+		}
+		for _, n := range []int{1, 3, 5} {
+			var ks []Kernel
+			var rs []Reducer
+			for _, l := range rates[:n] {
+				k, _, err := KernelFor(fam[0], Params{Lambda: l}, &decay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := New(fam[0], Params{Lambda: l})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ks, rs = append(ks, k), append(rs, r)
+			}
+			k := Fuse(ks)
+			if len(k.Lanes()) != n || k.Words != n*ks[0].Words {
+				t.Fatalf("%s x%d: fused to %d lanes, %d words", fam[0], n, len(k.Lanes()), k.Words)
+			}
+			add(k, rs, views)
+		}
+	}
+	var lanes []int
+	for _, st := range states {
+		for _, l := range st.kern.Lanes() {
+			if !slices.Contains(lanes, l) {
+				lanes = append(lanes, l)
+			}
+		}
 	}
 	rec := make([]uint64, words)
 	guards := []int{0}
@@ -75,6 +111,23 @@ func TestKernelsMatchReducers(t *testing.T) {
 		rec[g] = guard
 	}
 
+	// read plans views from every lane of st, lane i's view j at pos(i,
+	// j), and returns the window Read writes, its unwritten words NaN.
+	read := func(st *state, views []View, size int, pos func(i, j int) int) []float64 {
+		var ps []int
+		for i := range st.reducers {
+			for j := range views {
+				ps = append(ps, pos(i, j))
+			}
+		}
+		plan := st.kern.PlanRead(views, ps)
+		win := make([]float64, size)
+		for i := range win {
+			win[i] = math.NaN()
+		}
+		st.kern.Read(win, rec[st.off:], &plan)
+		return win
+	}
 	check := func(step int) {
 		t.Helper()
 		for _, g := range guards {
@@ -84,43 +137,82 @@ func TestKernelsMatchReducers(t *testing.T) {
 		}
 		for i := range states {
 			st := &states[i]
-			var want []float64
+			nl := len(st.reducers)
+			// Each view alone: lane i's at i*width.
 			for _, v := range st.views {
-				one := Features(st.reducer, v)
-				if got := st.kern.AppendViews(nil, rec[st.off:], []View{v}); !sameBits(got, one) {
-					t.Fatalf("step %d %s: kernel reads %v, reducer %v", step, v.Func, got, one)
+				w := len(Features(st.reducers[0], v))
+				got := read(st, []View{v}, nl*w, func(i, _ int) int { return i * w })
+				for l, r := range st.reducers {
+					if want := Features(r, v); !sameBits(got[l*w:(l+1)*w], want) {
+						t.Fatalf("step %d %s lane %d/%d: kernel reads %v, reducer %v", step, v.Func, l, nl, got[l*w:(l+1)*w], want)
+					}
 				}
-				want = append(want, one...)
 			}
-			if got := st.kern.AppendViews(nil, rec[st.off:], st.views); !sameBits(got, want) {
-				t.Fatalf("step %d family of %s: the run reads %v, the reducer view by view %v", step, st.views[0].Func, got, want)
+			// Every view at once, view-major: view j of every lane, then
+			// view j+1.
+			var want []float64
+			at := map[[2]int]int{}
+			for j, v := range st.views {
+				for l, r := range st.reducers {
+					at[[2]int{l, j}] = len(want)
+					want = append(want, Features(r, v)...)
+				}
+			}
+			got := read(st, st.views, len(want), func(i, j int) int { return at[[2]int{i, j}] })
+			if !sameBits(got, want) {
+				t.Fatalf("step %d family of %s x%d: the plan reads %v, the reducers view by view %v", step, st.views[0].Func, nl, got, want)
 			}
 		}
 	}
 	check(-1) // empty states
 	rng := rand.New(rand.NewSource(1))
 	var step Step
-	clock, ts := int64(0), int64(1e9)
-	for i := 0; i < 600; i++ {
+	clock := int64(0)
+	tt := int64(1)<<32 - 3e9 // true time; a cell carries uint32(tt)
+	neg, stretch := false, 0
+	for i := 0; i < 900; i++ {
 		x := rng.Int63n(1500)
-		if rng.Intn(3) == 0 {
+		switch {
+		case stretch > 0:
+			stretch--
+		case rng.Intn(10) == 0: // one direction for a while
+			stretch, neg = 5+rng.Intn(30), rng.Intn(2) == 0
+		default:
+			neg = rng.Intn(3) == 0
+		}
+		if neg {
 			x = -x
 		}
 		switch rng.Intn(4) {
-		case 0: // same instant
+		case 0: // same instant: a duplicate
 		case 1:
-			ts -= rng.Int63n(1e6) // backwards
+			tt -= rng.Int63n(1e6) // reordered, behind the clock
 		default:
-			ts += rng.Int63n(5e8)
+			tt += rng.Int63n(5e8)
+		}
+		// The clock unwraps the cell's 32-bit stamp by serial-number
+		// difference, as the NIC does.
+		ts := uint32(tt)
+		now := int64(ts)
+		if i > 0 {
+			now = clock + int64(int32(ts-uint32(clock)))
+		}
+		if now != tt {
+			t.Fatalf("step %d: stamp %d unwraps to %d, want %d", i, ts, now, tt)
 		}
 		decay.Reset()
-		clock = step.Begin(&decay, lanes, i == 0, clock, ts)
+		clock = step.Begin(&decay, lanes, i == 0, clock, now)
 		for j := range states {
 			st := &states[j]
 			st.kern.Observe(rec[st.off:], x, &step)
-			st.reducer.Observe(x, ts)
+			for _, r := range st.reducers {
+				r.Observe(x, now)
+			}
 		}
 		check(i)
+	}
+	if tt>>32 < 3 {
+		t.Fatalf("the stream ends at %d: its stamps wrapped fewer than three times", tt)
 	}
 }
 
@@ -137,11 +229,11 @@ func TestObserveRunSplitsAnywhere(t *testing.T) {
 	}
 	tested := map[kind]bool{}
 	for _, s := range familySpecs() {
-		k, inline, err := KernelFor(s.f, s.p)
+		k, inline, err := KernelFor(s.f, s.p, new(Decay))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inline || k.Lambda != 0 {
+		if !inline || k.Lanes() != nil {
 			continue
 		}
 		tested[k.kind] = true
@@ -221,7 +313,7 @@ func TestConstructorRejectsWhatNewRejects(t *testing.T) {
 		if _, err := New(s.f, s.p); err == nil {
 			t.Fatalf("%s %+v: fixture is valid", s.f, s.p)
 		}
-		if _, inline, err := KernelFor(s.f, s.p); err == nil || inline {
+		if _, inline, err := KernelFor(s.f, s.p, new(Decay)); err == nil || inline {
 			t.Errorf("KernelFor(%s, %+v) accepted what New rejects", s.f, s.p)
 		}
 	}
