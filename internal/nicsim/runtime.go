@@ -26,9 +26,18 @@ type Runtime struct {
 	plan *policy.Plan
 
 	// FG key table, synchronised from the switch (§5.1). Indexed by
-	// the FGUpdate index; allocated by the first FGUpdate, so a
-	// single-granularity plan (which ships none) never pays for it.
-	fgTable *[1 << 16]fgSlot
+	// the FGUpdate index; syncFG grows it by doubling to cover the
+	// highest index synced, so a single-granularity plan (which ships
+	// none) never pays for it.
+	fgTable []fgSlot
+	// fgRefs caches what a cell's FG key resolves to: per FG index,
+	// orientation and program, the group ref (refFwd set when the cell
+	// runs forward relative to the group's key), 0 until a cell
+	// resolves it. Index i's refs for orientation o (1: Forward) are
+	// fgRefs[(2i+o)·P:][:P], P programs. Records never move and groups
+	// never retire, so a ref holds until syncFG rewrites the index's key,
+	// which clears both orientations' refs.
+	fgRefs []uint32
 
 	// programs, one per granularity in the chain, in chain order; each
 	// owns the group table of its granularity. fgProg is the FG's.
@@ -60,17 +69,6 @@ type Runtime struct {
 	// never scans the plan's field list.
 	tsPos int
 
-	// Per-program group memo for the cell loop: consecutive cells of
-	// one MGPV mostly resolve to the same group at each granularity
-	// (always, at the CG — every cell of an MGPV shares its CG group),
-	// so the hot path compares the projected key against the last
-	// group's and skips the table probe on a hit. Reset per MGPV; a
-	// memo entry is only ever a group already in its table, so
-	// admission (and its injected EMEM failures) is byte-for-byte
-	// unchanged. Flush reuses it the same way: in key order,
-	// consecutive FG groups nearly always share their coarser groups.
-	memoGroups []record
-
 	// decay is the cell in hand's decay factors by rate and interval,
 	// shared by the granularities: a packet's groups mostly stand the same
 	// few intervals behind it.
@@ -88,15 +86,24 @@ type Runtime struct {
 	ppVals []float64
 	// drain is Flush's reused radix-sort scratch, both ping-pong halves
 	// in one slice; drainHist its digit histograms (allocated by the
-	// first Flush).
+	// first Flush); drainMemo its last group per program.
 	drain     []drainRec
 	drainHist *drainHist
+	drainMemo []record
 }
 
 type fgSlot struct {
 	key flowkey.FiveTuple
 	set bool
 }
+
+// fgTableMinSlots is the FG table's length at its first sync.
+const fgTableMinSlots = 64
+
+// refFwd is a group ref's direction bit: the cell runs forward relative
+// to the group's key (flowkey.KeyFor's forward). The low bits are the
+// group's ref in its table (groupTable.lookup).
+const refFwd = 1 << 31
 
 // RuntimeStats aggregates the NIC-side counters. The uint64 fields
 // are monotonic counters: they only ever increase, interval rates are
@@ -354,7 +361,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 	if pos, ok := fieldPos[packet.FieldTimestamp]; ok {
 		r.tsPos = pos
 	}
-	r.memoGroups = make([]record, len(r.programs))
+	r.drainMemo = make([]record, len(r.programs))
 	if cfg.Obs != nil {
 		r.obs = cfg.Obs
 		reg := cfg.Obs.Registry
@@ -765,15 +772,25 @@ func (r *Runtime) Process(m gpv.Message) {
 	}
 }
 
-// syncFG installs one FG key table update (§5.1); the first one
-// allocates the table.
+// syncFG installs one FG key table update (§5.1), growing the table
+// to cover its index, and clears the index's group refs: the key they
+// were resolved from is gone.
 //
 //superfe:coldpath
 func (r *Runtime) syncFG(u *gpv.FGUpdate) {
-	if r.fgTable == nil {
-		r.fgTable = new([1 << 16]fgSlot)
+	i, np := int(u.Index), len(r.programs)
+	if i >= len(r.fgTable) {
+		n := max(len(r.fgTable), fgTableMinSlots)
+		for n <= i {
+			n *= 2
+		}
+		table, refs := make([]fgSlot, n), make([]uint32, 2*n*np)
+		copy(table, r.fgTable)
+		copy(refs, r.fgRefs)
+		r.fgTable, r.fgRefs = table, refs
 	}
-	r.fgTable[u.Index] = fgSlot{key: u.Key, set: true}
+	r.fgTable[i] = fgSlot{key: u.Key, set: true}
+	clear(r.fgRefs[2*i*np : 2*(i+1)*np])
 	r.stats.FGUpdates++
 }
 
@@ -781,7 +798,8 @@ func (r *Runtime) syncFG(u *gpv.FGUpdate) {
 // back into every granularity of the chain via the FG keys (§5.1)
 // and running the compiled stages: cell by cell, except that a program
 // that runs (program.runs) takes every cell from the one its group
-// resolves at as one run.
+// resolves at as one run. A cell finds its groups through its FG
+// index's refs (fgRefs); only an unset ref projects the FG key.
 func (r *Runtime) processMGPV(v *gpv.MGPV) {
 	if o := r.obs; o != nil {
 		if n := len(v.Cells); n > 0 {
@@ -793,33 +811,33 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			o.Tracer.Record(obs.Event{Kind: obs.EvNICMerge, Key: v.CG, Clock: r.stats.Cells, Arg: int64(len(v.Cells))})
 		}
 	}
-	single := r.single
-	// Reset the per-program group memo: entries never cross MGPVs.
-	for i := range r.memoGroups {
-		r.memoGroups[i] = nil
-	}
+	single, np := r.single, len(r.programs)
+	// cg is a single-granularity chain's one group ref for the whole
+	// MGPV, resolved by its first cell (0 until then, and again after a
+	// failed admission, so the next cell retries).
+	var cg uint32
 	for ci := range v.Cells {
 		cell := &v.Cells[ci]
 		r.stats.Cells++
 		r.decay.Reset()
-		// Reconstruct the packet's tuple orientation from the FG key
-		// and direction bit. A single-granularity chain needs none.
-		var tuple flowkey.FiveTuple
+		var refs []uint32
 		if !single {
-			if r.fgTable == nil || !r.fgTable[cell.FGIndex].set {
+			i := int(cell.FGIndex)
+			if i >= len(r.fgTable) || !r.fgTable[i].set {
 				r.stats.UnknownFG++
 				continue
 			}
-			tuple = r.fgTable[cell.FGIndex].key
-			if !cell.Forward {
-				tuple = tuple.Reverse()
+			o := 2 * i
+			if cell.Forward {
+				o++
 			}
+			refs = r.fgRefs[o*np : (o+1)*np]
 		}
 		perPacketVals := r.ppVals[:0]
 		perPacketEmit := false
 		var fgGroup record
 		for pi, pr := range r.programs {
-			var key flowkey.Key
+			var ref uint32
 			var fwd bool
 			if single {
 				// Single-granularity chains ship no FG keys: the MGPV's
@@ -829,41 +847,21 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 				// keys carry no DstIP, so min-folding them a second
 				// time collapses every group to 0.0.0.0 and inverts
 				// the direction bit.
-				key, fwd = v.CG, cell.Forward
+				if cg == 0 {
+					a, b := v.CG.Words()
+					cg = r.resolve(pr, v.Hash, a, b, v.Hash)
+				}
+				ref, fwd = cg, cell.Forward
 			} else {
-				key, fwd = flowkey.KeyFor(pr.gran, tuple)
-			}
-			// Memo hit: the previous cell of this MGPV resolved the
-			// same group at this granularity (guaranteed at the CG,
-			// overwhelmingly common at coarser intermediate levels).
-			a, b := key.Words()
-			g := r.memoGroups[pi]
-			if g == nil || g[recKeyA] != a || g[recKeyB] != b {
-				// The carried hash is HashKey(v.CG) (§6.2 hash reuse; core
-				// quarantines frames where it is not). Any other key — a
-				// finer granularity's, or a CG key re-derived from a
-				// misattributed FG entry — is hashed here.
-				h := v.Hash
-				if key != v.CG {
-					h = flowkey.HashKey(key)
+				if refs[pi] == 0 {
+					refs[pi] = r.project(pr, cell, v)
 				}
-				if g = pr.table.lookup(h, a, b); g == nil {
-					// Transient EMEM allocation failure: group admission
-					// loses the allocator race and this cell's contribution
-					// to this granularity is dropped; the group's next cell
-					// retries the admission naturally. Scoped by the MGPV's
-					// switch-computed CG hash, like the wire faults.
-					if r.inj.EMEMFail(v.Hash) {
-						r.stats.EMEMDrops++
-						if n := r.stats.EMEMDrops; r.fr != nil && n&(n-1) == 0 {
-							r.fr.Record(obs.Event{Kind: obs.FREMEMDrop, Clock: r.stats.Cells, Arg: int64(n)})
-						}
-						continue
-					}
-					g = pr.admit(h, a, b, r.stats.Cells)
-				}
-				r.memoGroups[pi] = g
+				ref, fwd = refs[pi]&^refFwd, refs[pi]&refFwd != 0
 			}
+			if ref == 0 {
+				continue // the admission failed: this granularity drops the cell
+			}
+			g := pr.table.at(int(ref - 1))
 			if pr.runs {
 				// The group holds from here on: this cell and the rest of
 				// the MGPV are one run. Nothing in it reads the cell
@@ -885,9 +883,14 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			perPacketEmit = perPacketEmit || emitted
 		}
 		if perPacketEmit {
+			// The FG group's key is the cell's; without one (its
+			// admission failed) the FG key is projected.
 			fgKey := v.CG
-			if !single {
-				fgKey, _ = flowkey.KeyFor(r.plan.Switch.FG, tuple)
+			switch {
+			case fgGroup != nil:
+				fgKey = fgGroup.key()
+			case !single:
+				fgKey, _ = flowkey.KeyFor(r.plan.Switch.FG, r.cellTuple(cell))
 			}
 			// The MGPV's switch-computed CG hash scopes the tracer
 			// sampling decision — no rehash on the emit path (§6.2).
@@ -895,6 +898,61 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 		}
 		r.ppVals = perPacketVals[:0] // retain the backing array for the next cell
 	}
+}
+
+// cellTuple reconstructs the packet's tuple orientation from the cell's
+// FG key and direction bit.
+func (r *Runtime) cellTuple(cell *gpv.Cell) flowkey.FiveTuple {
+	t := r.fgTable[cell.FGIndex].key
+	if !cell.Forward {
+		t = t.Reverse()
+	}
+	return t
+}
+
+// project resolves a cell's group at pr's granularity from its FG key,
+// for an FG index and orientation whose ref is unset, and returns the
+// ref to keep: the group's, with refFwd when the cell runs forward
+// relative to its key, or 0 when the admission failed.
+func (r *Runtime) project(pr *program, cell *gpv.Cell, v *gpv.MGPV) uint32 {
+	key, fwd := flowkey.KeyFor(pr.gran, r.cellTuple(cell))
+	// The carried hash is HashKey(v.CG) (§6.2 hash reuse; core
+	// quarantines frames where it is not). Any other key — a finer
+	// granularity's, or a CG key re-derived from a misattributed FG
+	// entry — is hashed here.
+	h := v.Hash
+	if key != v.CG {
+		h = flowkey.HashKey(key)
+	}
+	a, b := key.Words()
+	ref := r.resolve(pr, h, a, b, v.Hash)
+	if ref != 0 && fwd {
+		ref |= refFwd
+	}
+	return ref
+}
+
+// resolve returns the ref of pr's group for the key (a, b) hashed to h,
+// admitting the group when the table holds none; 0 when the admission
+// fails.
+func (r *Runtime) resolve(pr *program, h uint32, a, b uint64, scope uint32) uint32 {
+	if ref := pr.table.lookup(h, a, b); ref != 0 {
+		return ref
+	}
+	// Transient EMEM allocation failure: group admission loses the
+	// allocator race and this cell's contribution to this granularity
+	// is dropped; the group's next cell retries the admission
+	// naturally. Scoped by the MGPV's switch-computed CG hash, like the
+	// wire faults.
+	if r.inj.EMEMFail(scope) {
+		r.stats.EMEMDrops++
+		if n := r.stats.EMEMDrops; r.fr != nil && n&(n-1) == 0 {
+			r.fr.Record(obs.Event{Kind: obs.FREMEMDrop, Clock: r.stats.Cells, Arg: int64(n)})
+		}
+		return 0
+	}
+	pr.admit(h, a, b, r.stats.Cells)
+	return uint32(pr.table.n)
 }
 
 // cellTimestamp extracts the timestamp metadata if batched, else 0.
@@ -1297,6 +1355,11 @@ func (r *Runtime) Flush() {
 	if r.drainHist == nil {
 		r.drainHist = new(drainHist)
 	}
+	// memo holds each coarser granularity's last group: in key order,
+	// consecutive FG groups nearly always share their coarser groups, so
+	// the projection is probed only when it changes.
+	memo := r.drainMemo
+	clear(memo)
 	for _, rec := range radixSort(recs, tmp, r.drainHist) {
 		g := t.at(int(rec.idx))
 		key := g.key()
@@ -1309,9 +1372,12 @@ func (r *Runtime) Flush() {
 				// again, and missed again.
 				ck := flowkey.Project(pr.gran, key.Tuple)
 				a, b := ck.Words()
-				if pg = r.memoGroups[pi]; pg == nil || pg[recKeyA] != a || pg[recKeyB] != b {
-					pg = pr.table.lookup(flowkey.HashKey(ck), a, b)
-					r.memoGroups[pi] = pg
+				if pg = memo[pi]; pg == nil || pg[recKeyA] != a || pg[recKeyB] != b {
+					pg = nil
+					if ref := pr.table.lookup(flowkey.HashKey(ck), a, b); ref != 0 {
+						pg = pr.table.at(int(ref - 1))
+					}
+					memo[pi] = pg
 				}
 				if pg == nil {
 					continue

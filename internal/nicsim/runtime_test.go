@@ -184,6 +184,11 @@ func TestRuntimeMultiGranularitySplit(t *testing.T) {
 	}
 }
 
+// TestRuntimeUnknownFGDropped: a cell of an FG index never synced —
+// before the first sync, inside the table or past its end — is counted
+// and dropped, not a panic. The NIC's FG table grows by doubling to
+// cover the highest index synced, so the switch's default 16 384
+// entries take 16 384 slots.
 func TestRuntimeUnknownFGDropped(t *testing.T) {
 	plan := compile(t, policy.New("multi").
 		GroupBy(flowkey.GranHost).
@@ -192,13 +197,38 @@ func TestRuntimeUnknownFGDropped(t *testing.T) {
 		GroupBy(flowkey.GranSocket).
 		Reduce("size", policy.RF(streaming.FMean)).
 		Collect())
-	var vecs []feature.Vector
-	rt, _ := NewRuntime(DefaultConfig(), plan, feature.Collect(&vecs))
-	hostKey := flowkey.Key{Gran: flowkey.GranHost, Tuple: flowkey.FiveTuple{SrcIP: 1}}
-	v := &gpv.MGPV{CG: hostKey, Cells: []gpv.Cell{{FGIndex: 77, Values: []uint32{100}}}}
-	rt.Process(gpv.Message{MGPV: v})
-	if rt.Stats().UnknownFG != 1 {
-		t.Errorf("unknown FG not counted: %+v", rt.Stats())
+	rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tup := flowkey.FiveTuple{SrcIP: flowkey.IPv4(10, 0, 0, 1), DstIP: flowkey.IPv4(10, 0, 0, 2), SrcPort: 1000, DstPort: 80, Proto: flowkey.ProtoTCP}
+	hostKey, _ := flowkey.KeyFor(flowkey.GranHost, tup)
+	cell := func(i uint16) {
+		v := &gpv.MGPV{CG: hostKey, Hash: flowkey.HashKey(hostKey), Cells: []gpv.Cell{
+			{FGIndex: i, Forward: true, Values: []uint32{100}}}}
+		rt.Process(gpv.Message{MGPV: v})
+	}
+	sync := func(i uint16) { rt.Process(gpv.Message{FG: &gpv.FGUpdate{Index: i, Key: tup}}) }
+	cell(77)
+	sync(3)
+	if len(rt.fgTable) != fgTableMinSlots {
+		t.Fatalf("index 3 synced: %d slots, want %d", len(rt.fgTable), fgTableMinSlots)
+	}
+	cell(4)
+	cell(fgTableMinSlots)
+	cell(0x7fff)
+	if got := rt.Stats().UnknownFG; got != 4 {
+		t.Errorf("%d unknown FG cells, want 4", got)
+	}
+	cell(3)
+	sync(16383)
+	if len(rt.fgTable) != 16384 || len(rt.fgRefs) != 2*16384*len(rt.programs) {
+		t.Errorf("index 16383 synced: %d slots and %d refs, want 16384 and %d", len(rt.fgTable), len(rt.fgRefs), 2*16384*len(rt.programs))
+	}
+	cell(16383)
+	cell(3)
+	if st := rt.Stats(); st.UnknownFG != 4 || st.Cells != 7 || st.GroupsLive != 2 {
+		t.Errorf("cells %d, unknown FG %d, groups %d; want 7, 4 and 2", st.Cells, st.UnknownFG, st.GroupsLive)
 	}
 }
 

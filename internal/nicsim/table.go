@@ -51,11 +51,11 @@ func (g record) key() flowkey.Key { return flowkey.FromWords(g[recKeyA], g[recKe
 // groupTable stores one granularity's groups: an open-addressed,
 // linearly probed index over records kept in admission order, at a
 // fixed stride, in blocks of groupBlock. A record therefore never moves
-// (the per-MGPV memo survives growth), walking the blocks is
-// deterministic, and a block is one pointer-free allocation. The
-// caller supplies the probe hash — the switch-computed one carried by
-// the MGPV wherever it can (§6.2 hash reuse) — and the hash only picks
-// where probing starts: identity is full key equality, so the one
+// (a group's ref, its position + 1, names it for good), walking the
+// blocks is deterministic, and a block is one pointer-free allocation.
+// The caller supplies the probe hash — the switch-computed one carried
+// by the MGPV wherever it can (§6.2 hash reuse) — and the hash only
+// picks where probing starts: identity is full key equality, so the one
 // requirement is that a key always arrives with the same hash.
 type groupTable struct {
 	index  []tableSlot // power-of-two length
@@ -89,19 +89,20 @@ func (t *groupTable) at(i int) record {
 	return t.blocks[i/groupBlock][o : o+t.stride : o+t.stride]
 }
 
-// lookup returns the group whose key words are (a, b), or nil.
+// lookup returns the ref of the group whose key words are (a, b): its
+// position + 1, or 0 when the table holds no such group.
 //
 //superfe:hotpath
-func (t *groupTable) lookup(h uint32, a, b uint64) record {
+func (t *groupTable) lookup(h uint32, a, b uint64) uint32 {
 	mask := uint32(len(t.index) - 1)
 	for i := t.home(h); ; i = (i + 1) & mask {
 		s := t.index[i]
 		if s.ref == 0 {
-			return nil
+			return 0
 		}
 		if s.hash == h {
 			if g := t.at(int(s.ref - 1)); g[recKeyA] == a && g[recKeyB] == b {
-				return g
+				return s.ref
 			}
 		}
 	}

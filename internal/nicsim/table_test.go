@@ -42,7 +42,7 @@ func TestGroupTableGrowth(t *testing.T) {
 		k := flowKey(i)
 		a, b := k.Words()
 		h := flowkey.HashKey(k)
-		if tb.lookup(h, a, b) != nil {
+		if tb.lookup(h, a, b) != 0 {
 			t.Fatalf("key %d found before it was inserted", i)
 		}
 		size := len(tb.index)
@@ -59,7 +59,7 @@ func TestGroupTableGrowth(t *testing.T) {
 		for j, want := range groups {
 			kj := flowKey(j)
 			aj, bj := kj.Words()
-			if got := tb.lookup(flowkey.HashKey(kj), aj, bj); !same(got, want) {
+			if got := tb.lookup(flowkey.HashKey(kj), aj, bj); got != uint32(j+1) {
 				t.Fatalf("after %d inserts (index %d): key %d does not resolve to the record it was admitted as", i+1, len(tb.index), j)
 			}
 			if !same(tb.at(j), want) || want[stride-1] != uint64(j) {
@@ -94,11 +94,11 @@ func TestGroupTableProbeWraps(t *testing.T) {
 			t.Errorf("slot %d holds ref %d, want %d", slot, ref, i+1)
 		}
 		a, b := flowKey(i).Words()
-		if got := tb.lookup(h, a, b); !same(got, want[i]) {
+		if got := tb.lookup(h, a, b); got == 0 || !same(tb.at(int(got-1)), want[i]) {
 			t.Errorf("key %d not found past the wrap", i)
 		}
 	}
-	if a, b := flowKey(3).Words(); tb.lookup(h, a, b) != nil {
+	if a, b := flowKey(3).Words(); tb.lookup(h, a, b) != 0 {
 		t.Error("absent key found")
 	}
 }
