@@ -88,6 +88,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "superfe: -policy required (try -list)")
 		os.Exit(2)
 	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "superfe: -workers %d: want at least 1\n", *workers)
+		os.Exit(2)
+	}
 	var pol *policy.Policy
 	for _, e := range apps.Catalog() {
 		if strings.EqualFold(e.Name, *polName) {

@@ -118,6 +118,18 @@ func TestMissingPolicyExitsTwo(t *testing.T) {
 	}
 }
 
+func TestBadWorkersExitsTwo(t *testing.T) {
+	for _, workers := range []string{"0", "-3"} {
+		out, code := runCLI(t, "-policy", "NPOD", "-workers", workers, "-stats")
+		if code != 2 {
+			t.Fatalf("-workers %s exited %d, want 2:\n%s", workers, code, out)
+		}
+		if !strings.Contains(out, "want at least 1") {
+			t.Errorf("-workers %s: missing usage hint:\n%s", workers, out)
+		}
+	}
+}
+
 func TestProfileFlagsWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

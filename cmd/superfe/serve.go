@@ -62,6 +62,10 @@ func runServe(args []string) int {
 		fmt.Fprintln(os.Stderr, "superfe: serve: -tenants required (e.g. -tenants edge=NPOD,lab=Kitsune)")
 		return 2
 	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "superfe: serve: -workers %d: want at least 1\n", *workers)
+		return 2
+	}
 	srv := serve.New(serve.Config{Workers: *workers})
 	for _, spec := range strings.Split(*tenantsSpec, ",") {
 		name, pol, w, err := parseTenantSpec(spec)
@@ -137,6 +141,10 @@ func runIngest(args []string) int {
 
 	if *connect == "" || *tenant == "" {
 		fmt.Fprintln(os.Stderr, "superfe: ingest: -connect and -tenant required")
+		return 2
+	}
+	if *batch < 1 {
+		fmt.Fprintf(os.Stderr, "superfe: ingest: -batch %d: want at least 1\n", *batch)
 		return 2
 	}
 	network, addr, err := splitListen(*connect)

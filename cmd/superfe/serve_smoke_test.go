@@ -202,3 +202,28 @@ func TestServeBadTenantSpecExitsTwo(t *testing.T) {
 		t.Errorf("missing spec usage hint:\n%s", out)
 	}
 }
+
+func TestServeBadWorkersExitsTwo(t *testing.T) {
+	out, code := runCLI(t, "serve", "-tenants", "edge=NPOD", "-workers", "-1")
+	if code != 2 {
+		t.Fatalf("-workers -1 exited %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "want at least 1") || strings.Contains(out, "listening") {
+		t.Errorf("want a usage error before any listener binds:\n%s", out)
+	}
+}
+
+func TestIngestBadBatchExitsTwo(t *testing.T) {
+	// Rejected before dialing, so no server is needed: -batch 0 would
+	// otherwise never advance, and a negative batch would slice past
+	// its end.
+	for _, batch := range []string{"0", "-4"} {
+		out, code := runCLI(t, "ingest", "-connect", "unix:/nonexistent.sock", "-tenant", "edge", "-batch", batch)
+		if code != 2 {
+			t.Fatalf("-batch %s exited %d, want 2:\n%s", batch, code, out)
+		}
+		if !strings.Contains(out, "want at least 1") {
+			t.Errorf("-batch %s: missing usage hint:\n%s", batch, out)
+		}
+	}
+}

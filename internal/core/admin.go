@@ -5,12 +5,12 @@
 //
 // Concurrency contract: pendAnomaly and the Obs*/Status/FlightDump
 // accessors are safe from any goroutine; everything else runs on the
-// router goroutine (the one calling Process/Flush). The cache is
-// served to the HTTP goroutine from behind adminMu and refreshed at
-// barriers — interval snapshots, anomalies, Drain, Flush — with health
-// and clock overlaid live from atomics, so degraded-mode transitions
-// are visible while the replay runs even though everything else is
-// only exact as of the last barrier.
+// router side (whichever goroutine has the turn to call Process/Flush).
+// The cache is served to the HTTP goroutine from behind adminMu and
+// refreshed at barriers — interval snapshots, anomalies, Drain, Flush —
+// with health and clock overlaid live from atomics, so degraded-mode
+// transitions are visible while the replay runs even though everything
+// else is only exact as of the last barrier.
 package core
 
 import (
@@ -85,7 +85,7 @@ func (e *Engine) materializePending() {
 }
 
 // gather merges one ring per shard, plus the router's own where there
-// is one, in (Shard, Seq) order. Quiesced router goroutine only.
+// is one, in (Shard, Seq) order. Quiesced router side only.
 func gather[T obs.Element[T]](e *Engine, pick func(*shard) *obs.Ring[T], router ...*obs.Ring[T]) []T {
 	rings := make([]*obs.Ring[T], 0, len(e.shards)+1)
 	for _, sh := range e.shards {
@@ -95,7 +95,7 @@ func gather[T obs.Element[T]](e *Engine, pick func(*shard) *obs.Ring[T], router 
 }
 
 // buildDump captures every shard's flight ring plus the router's in
-// one dump. Quiesced router goroutine only.
+// one dump. Quiesced router side only.
 func (e *Engine) buildDump(reason string, clock uint64, origin int32) *obs.FRDump {
 	return &obs.FRDump{
 		Reason: reason,
@@ -118,7 +118,7 @@ func (e *Engine) healthNow() obs.Health {
 	return h
 }
 
-// refreshAdmin rebuilds the admin cache. Quiesced router goroutine
+// refreshAdmin rebuilds the admin cache. Quiesced router side
 // only. The series is copied by value: the recorder only ever appends,
 // so the copied header is an immutable prefix.
 func (e *Engine) refreshAdmin() {

@@ -129,8 +129,12 @@ type shard struct {
 // directly, in emission order.
 //
 // Process routes packets; Flush drains; the stats methods merge shard
-// counters. Process, Flush and the other router-side methods must be
-// called from one goroutine.
+// counters. Process, Flush, SwapPlan, Close and the other router-side
+// methods take one goroutine at a time, each call ordered after the
+// last by synchronisation (internal/serve holds a tenant mutex across
+// them). Nothing depends on which goroutine that is: the router's
+// state, the rings' producer sides and the router's flight ring are
+// single-writer at a time under that happens-before edge.
 type Engine struct {
 	opts       ParallelOptions
 	inline     bool
@@ -318,7 +322,7 @@ func (e *Engine) deployShards(plan *policy.Plan) ([]*shard, error) {
 		sh.in = newSPSCRing(opts.QueueDepth, 0)
 		sh.free = newSPSCRing(opts.QueueDepth+1, 0)
 		sh.done = make(chan struct{})
-		// Both hooked ring sides run on the router goroutine (in-ring
+		// Both hooked ring sides run on the router side (in-ring
 		// producer, free-ring consumer), so the router's recorder and
 		// clock are safe here.
 		sh.in.hookProdFR(e.fr, obs.FRRingPark, &e.pkts)
@@ -369,7 +373,7 @@ func stopShards(shards []*shard) {
 // pipeline counters and flight-recorder rings restart with the new
 // deployment, like any fresh deployment's; the router's clock,
 // routing counters and flight recorder carry across the swap.
-// Router goroutine only, like Process and Flush.
+// Router side only, like Process and Flush.
 func (e *Engine) SwapPlan(plan *policy.Plan) error {
 	if e.closed {
 		return fmt.Errorf("core: engine is closed")
@@ -395,9 +399,9 @@ func (e *Engine) SwapPlan(plan *policy.Plan) error {
 }
 
 // liveShards snapshots the shard slice for readers off the router
-// goroutine (the admin HTTP surface), which must not race a SwapPlan
+// side (the admin HTTP surface), which must not race a SwapPlan
 // installing a new set. Router-side code reads e.shards directly —
-// SwapPlan runs on the router goroutine, so no swap can interleave.
+// SwapPlan is a router-side call, so no swap can interleave.
 func (e *Engine) liveShards() []*shard {
 	e.adminMu.Lock()
 	defer e.adminMu.Unlock()
@@ -408,7 +412,7 @@ func (e *Engine) liveShards() []*shard {
 // shard (barrier, no flush) so the merged snapshot is an exact cut —
 // under a fixed seed the same packets yield byte-identical snapshots
 // run-to-run — then merges the shard registries and appends the
-// router's. Router-goroutine only, like Process.
+// router's. Router side only, like Process.
 func (e *Engine) captureQuiesced() *obs.Snapshot {
 	e.barrier(false)
 	return e.mergedSnapshot()
@@ -549,7 +553,9 @@ func shardIndex(h uint32, n int) int {
 // the shard needs — including the batched metadata field values — to
 // the shard's current columnar batch, dispatching over the ring when
 // full. It returns the filter verdict (the same decision the shard's
-// switch will account, without re-evaluating the predicate).
+// switch will account, without re-evaluating the predicate). Calls
+// from several goroutines must be serialised (see Engine); p is read
+// only during the call.
 //
 //superfe:hotpath
 func (e *Engine) Process(p *packet.Packet) bool {

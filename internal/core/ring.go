@@ -11,7 +11,9 @@
 // atomic load before reading the slot (and symmetrically for head on
 // the recycle direction). Go's sync/atomic operations are sequentially
 // consistent, which subsumes the acquire/release pairing this protocol
-// needs.
+// needs. The producer is a role, not a goroutine: the router's callers
+// take turns under a happens-before edge (see Engine), so the producer
+// fields have one writer at a time.
 //
 // Blocking: both sides spin briefly (yielding the processor between
 // polls, which matters on single-core hosts where the peer goroutine

@@ -570,15 +570,11 @@ func TestReloadRejectedLeavesLivePlan(t *testing.T) {
 	}
 }
 
-// TestReloadWithFullCommandQueue pins the send gate against the
-// reload path: senders block on a full command queue holding the gate
-// shared, so the loop — the queue's only receiver — must not need the
-// gate to finish a reload. The loop is parked on an unreceived flush
-// reply while a reload and 32 one-packet ingests pile up behind it (16
-// fill the queue, the rest block in send); released, it must get
-// through the reload, accepted and rejected alike, every ingest must
-// return and a Flush must still go through.
-func TestReloadWithFullCommandQueue(t *testing.T) {
+// TestReloadRacingIngest: a reload, accepted and rejected alike, runs
+// beside 32 concurrent one-packet ingests and a Flush, all contending
+// for the tenant lock. Every call returns, every packet is counted, and
+// a later Flush still goes through.
+func TestReloadRacingIngest(t *testing.T) {
 	for _, pol := range []string{"Kitsune", "HistHog"} {
 		t.Run(pol, func(t *testing.T) {
 			srv := New(Config{Workers: 2, Resolve: testResolve})
@@ -593,53 +589,41 @@ func TestReloadWithFullCommandQueue(t *testing.T) {
 				select {
 				case <-done:
 				case <-time.After(30 * time.Second):
-					// No Shutdown: it would hang behind the same gate.
-					t.Fatalf("%s did not finish: the command loop is wedged", what)
+					// No Shutdown: it would hang behind the same lock.
+					t.Fatalf("%s did not finish: the tenant is wedged", what)
 				}
 			}
 
-			gate := make(chan error)
-			if err := ten.send(tenantCmd{op: opFlush, err: gate}); err != nil {
-				t.Fatal(err)
-			}
 			candidate, err := testResolve(pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reloaded := make(chan reloadResult, 1)
-			if err := ten.send(tenantCmd{op: opReload, polName: pol, pol: candidate, reply: reloaded}); err != nil {
-				t.Fatal(err)
-			}
 			pkts := enterprise(4, 3).Packets
 			var wg sync.WaitGroup
-			errs := make(chan error, 32)
+			errs := make(chan error, 34)
+			wg.Add(34)
+			go func() {
+				defer wg.Done()
+				if _, err := ten.Reload(pol, candidate); (err != nil) != (pol == "HistHog") {
+					errs <- fmt.Errorf("reload to %s: %v", pol, err)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				errs <- ten.Flush()
+			}()
 			for i := 0; i < 32; i++ {
-				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
 					errs <- ten.Ingest(pkts[i : i+1])
 				}(i)
 			}
-			for deadline := time.Now().Add(10 * time.Second); len(ten.cmds) < cap(ten.cmds); {
-				if time.Now().After(deadline) {
-					t.Fatalf("queue holds %d of %d commands", len(ten.cmds), cap(ten.cmds))
+			within("the racing calls", wg.Wait)
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatal(err)
 				}
-				time.Sleep(time.Millisecond)
-			}
-			// Let the senders the queue had no room for reach their send.
-			time.Sleep(20 * time.Millisecond)
-			if err := <-gate; err != nil {
-				t.Fatal(err)
-			}
-
-			within("the queued ingests", wg.Wait)
-			for i := 0; i < 32; i++ {
-				if err := <-errs; err != nil {
-					t.Fatalf("Ingest: %v", err)
-				}
-			}
-			if res := <-reloaded; (res.Err != nil) != (pol == "HistHog") {
-				t.Fatalf("reload to %s: %v", pol, res.Err)
 			}
 			within("Flush", func() { err = ten.Flush() })
 			if err != nil {
@@ -650,6 +634,87 @@ func TestReloadWithFullCommandQueue(t *testing.T) {
 			}
 			within("Shutdown", func() { srv.Shutdown() })
 		})
+	}
+}
+
+// TestStopRacingIngest: Stop lands while eight goroutines ingest
+// disjoint flow sets in 8-packet chunks. Each chunk is taken whole or
+// refused with ErrTenantStopped, and once refused every later chunk is
+// too; the tenant counts exactly the accepted packets, and the
+// subscriber's stream — drained by Stop — is the multiset of a batch
+// engine run over each goroutine's accepted prefix. NPOD has one
+// granularity, so a group's vector depends on its own packets alone.
+func TestStopRacingIngest(t *testing.T) {
+	const feeders, chunk = 8, 8
+	srv, ten := startTenant(t, "edge", "NPOD", 2)
+	col, _ := pipeSubscriber(t, srv, "edge", false)
+
+	var sets [feeders][]packet.Packet
+	tr := enterprise(1500, 5)
+	for _, p := range tr.Packets {
+		key, _ := flowkey.KeyFor(flowkey.GranFlow, p.Tuple)
+		i := flowkey.HashKey(key) % feeders
+		sets[i] = append(sets[i], p)
+	}
+	var accepted [feeders]int
+	var wg sync.WaitGroup
+	errs := make(chan error, feeders)
+	for g := range sets {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pkts := sets[g]
+			for off := 0; off < len(pkts); off += chunk {
+				err := ten.Ingest(pkts[off:min(off+chunk, len(pkts))])
+				switch {
+				case err == nil && accepted[g] == off:
+					accepted[g] = min(off+chunk, len(pkts))
+				case err == nil:
+					errs <- fmt.Errorf("feeder %d: chunk at %d accepted after a refusal", g, off)
+					return
+				case !errors.Is(err, ErrTenantStopped):
+					errs <- fmt.Errorf("feeder %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ten.Info().Pkts < uint64(len(tr.Packets)/4); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("feeders made no progress")
+		}
+	}
+	if err := ten.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	<-col.done
+
+	var ref []feature.Vector
+	total := 0
+	for g := range sets {
+		total += accepted[g]
+		e, err := core.New(core.DefaultOptions(), apps.NPOD(), feature.Collect(&ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sets[g][:accepted[g]] {
+			e.Process(&sets[g][i])
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("accepted %d of %d packets", total, len(tr.Packets))
+	if got := ten.Info().Pkts; got != uint64(total) {
+		t.Fatalf("tenant counted %d packets, feeders had %d accepted", got, total)
+	}
+	if got := col.snapshot(); !sameMultiset(got, ref) {
+		t.Fatalf("subscriber's %d vectors diverge from the batch engine's %d over the accepted prefixes", len(got), len(ref))
 	}
 }
 
@@ -1283,33 +1348,20 @@ func BenchmarkEmit(b *testing.B) {
 	}
 }
 
-// raceEnabled is set under -race (race_test.go).
-var raceEnabled bool
-
-// TestIngestSteadyStateAllocs: once the tenant's pool is stocked, an
-// Ingest frame costs no allocation on its way through the command
-// loop. The command carries the pool's own slice pointer, which the
-// loop puts back; putting the address of the command's slice instead
-// moves every command to the heap, one allocation a frame.
+// TestIngestSteadyStateAllocs: once the engine's groups are admitted,
+// an Ingest frame costs no allocation: it routes the caller's packets
+// in place, with no copy and no hand-off.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool puts")
-	}
 	_, ten := startTenant(t, "edge", "NPOD", 1)
 	pkts := enterprise(200, 1).Packets[:512]
-	var sent uint64
 	ingest := func(frames int) {
 		for i := 0; i < frames; i++ {
 			if err := ten.Ingest(pkts); err != nil {
 				t.Fatal(err)
 			}
 		}
-		sent += uint64(frames * len(pkts))
-		for ten.pktsIn.Load() != sent {
-			runtime.Gosched()
-		}
 	}
-	ingest(50) // admits the groups, stocks the pool
+	ingest(50) // admits the groups
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const frames = 200
 	var before, after runtime.MemStats

@@ -11,6 +11,7 @@ import (
 
 	"superfe/internal/apps"
 	"superfe/internal/gpv"
+	"superfe/internal/packet"
 	"superfe/internal/policy"
 )
 
@@ -258,6 +259,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// write side and the ordering against vectors.
 	var sub *subscriber
 	var scratch []byte
+	var pkts []packet.Packet
 	reply := func(kind uint8, payload []byte) error {
 		frame, err := gpv.AppendFrame(scratch[:0], kind, payload)
 		scratch = frame
@@ -318,15 +320,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		switch kind {
 		case FramePackets:
-			// Decode straight into a tenant-pooled slice and hand it to
-			// the command loop: the frame buffer is the only copy source.
-			batch := t.batch()
-			var err error
-			if *batch, err = DecodePackets(*batch, payload); err != nil {
+			// Decode into the connection's reused batch and route it on
+			// this goroutine, under the tenant lock.
+			if pkts, err = DecodePackets(pkts[:0], payload); err != nil {
 				fail(err.Error())
 				return
 			}
-			if err := t.send(tenantCmd{op: opIngest, pkts: batch}); err != nil {
+			if err := t.Ingest(pkts); err != nil {
 				fail(err.Error())
 				return
 			}

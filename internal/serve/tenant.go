@@ -21,7 +21,7 @@ import (
 // Tenant lifecycle errors.
 var (
 	// ErrTenantStopped is returned by every tenant operation after
-	// Stop: the engine has drained and the command loop has exited.
+	// Stop: the engine has drained and retired.
 	ErrTenantStopped = errors.New("serve: tenant is stopped")
 	// ErrReloadRejected marks a hot-reload candidate that failed the
 	// planvet/planprove gate; the accompanying report carries the cost
@@ -29,71 +29,30 @@ var (
 	ErrReloadRejected = errors.New("serve: reload rejected by planvet")
 )
 
-// tenantOp enumerates the command loop's operations.
-type tenantOp uint8
-
-const (
-	opIngest tenantOp = iota
-	opFlush
-	opReload
-	opStop
-)
-
-// tenantCmd is one queued command. The loop goroutine is the only
-// caller of the engine's router-goroutine-only methods (Process,
-// Flush, SwapPlan, Close), so queueing is what preserves the engine's
-// single-router contract under many concurrent connections.
-type tenantCmd struct {
-	op tenantOp
-	// pkts is an opIngest's batch: the pool's own slice pointer, which
-	// the loop puts back once it has processed the packets.
-	pkts    *[]packet.Packet
-	polName string
-	pol     *policy.Policy
-	reply   chan<- reloadResult
-	err     chan<- error
-}
-
-// reloadResult is a reload's outcome: the planvet cost report (always
-// populated when the candidate compiled) plus the rejection or swap
-// error, nil on success.
-type reloadResult struct {
-	Report string
-	Err    error
-}
-
 // Tenant is one isolated deployment inside the service: a policy, its
-// compiled plan and a dedicated engine with its own obs
-// registries, fed by a single command loop and observed by any number
-// of vector subscribers. All exported methods are safe from any
+// compiled plan and a dedicated engine with its own obs registries,
+// fed by any number of connections and observed by any number of
+// vector subscribers. All exported methods are safe from any
 // goroutine.
 type Tenant struct {
 	name    string
 	workers int
 	eng     *core.Engine
-	cmds    chan tenantCmd
 
-	// mu is the send gate and guards only stopped: senders hold it
-	// shared while enqueueing — possibly blocked on a full cmds — and
-	// Stop takes it exclusively to flip the flag, so no command can be
-	// enqueued after the opStop that ends the loop. The loop, cmds' only
-	// receiver, must therefore never take it.
-	mu      sync.RWMutex
+	// mu guards stopped and every call into the engine's router side
+	// (Process, Flush, SwapPlan, Close), which takes one caller at a
+	// time: each connection's handler runs the router on its own
+	// goroutine while it holds mu. Nothing emit, Info, Status or
+	// ObsSource does takes it.
+	mu      sync.Mutex
 	stopped bool
 
-	// idMu guards the identity fields a reload rewrites on the loop.
+	// idMu guards the identity fields a reload rewrites, so Info never
+	// waits behind a batch holding mu.
 	idMu       sync.Mutex
 	polName    string
 	featureDim int
 	lastReject string
-
-	// pool recycles ingest packet slices between the connection
-	// readers (which decode records out of the reused frame buffer
-	// straight into one) and the loop (which returns them after
-	// Process). A pointer: the runtime's pool registry keeps a used
-	// Pool reachable for two collections, and must not keep a stopped
-	// tenant's engine reachable with it.
-	pool *sync.Pool
 
 	// subMu guards the subscriber set and its closed flag. emit holds it
 	// only to copy the set into emitSubs, and subscribe enqueues the ack
@@ -154,10 +113,10 @@ func vetPlan(name string, pol *policy.Policy) (*policy.Plan, string, error) {
 	return plan, rep.String(), nil
 }
 
-// newTenant vets the policy, deploys the vetted plan and starts the
-// command loop. The engine streams vectors (DeterministicMerge off)
-// into the tenant's subscriber backlogs; telemetry is always on so the
-// per-tenant admin surface has something to serve.
+// newTenant vets the policy and deploys the vetted plan. The engine
+// streams vectors (DeterministicMerge off) into the tenant's
+// subscriber backlogs; telemetry is always on so the per-tenant admin
+// surface has something to serve.
 func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, string, error) {
 	plan, report, err := vetPlan(name, pol)
 	if err != nil {
@@ -168,8 +127,6 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 		workers:    workers,
 		polName:    polName,
 		featureDim: pol.FeatureDim(),
-		cmds:       make(chan tenantCmd, 16),
-		pool:       new(sync.Pool),
 		egress:     newEgressCounters(),
 	}
 	popts := core.DefaultParallelOptions()
@@ -181,142 +138,96 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 		return nil, report, fmt.Errorf("serve: tenant %s: %w", name, err)
 	}
 	t.eng = eng
-	//superfe:goroutine-ok tenant command loop: exits when the opStop command (the only command enqueueable after the stopped flag is set) is processed, and Stop waits on its reply
-	go t.loop()
 	return t, report, nil
 }
 
 // Name returns the tenant's registry name.
 func (t *Tenant) Name() string { return t.name }
 
-// loop is the tenant's router goroutine: it owns every call into the
-// engine's single-goroutine surface.
-func (t *Tenant) loop() {
-	for cmd := range t.cmds {
-		switch cmd.op {
-		case opIngest:
-			pkts := *cmd.pkts
-			for i := range pkts {
-				t.eng.Process(&pkts[i])
-			}
-			t.pktsIn.Add(uint64(len(pkts)))
-			t.pool.Put(cmd.pkts)
-		case opFlush:
-			// The egress half of the barrier runs on the caller (Flush), so
-			// a slow subscriber holds up whoever asked, not the loop.
-			cmd.err <- t.eng.Flush()
-		case opReload:
-			cmd.reply <- t.applyReload(cmd.polName, cmd.pol)
-		case opStop:
-			// Graceful drain: emit everything resident, retire the
-			// workers, then end every subscriber's stream once its
-			// writer has written what is left. Queued commands cannot
-			// follow (the send gate closed before opStop was enqueued).
-			err := t.eng.Flush()
-			if cerr := t.eng.Close(); err == nil {
-				err = cerr
-			}
-			t.closeSubscribers()
-			cmd.err <- err
-			return
-		}
-	}
-}
-
-// applyReload gates a candidate policy through planvet/planprove and,
-// only if it passes, swaps it in at a batch barrier. A rejected or
-// failed candidate leaves the live plan serving untouched.
-func (t *Tenant) applyReload(polName string, pol *policy.Policy) reloadResult {
-	plan, report, err := vetPlan(t.name, pol)
-	if err != nil {
-		t.rejected.Add(1)
-		t.idMu.Lock()
-		t.lastReject = polName
-		t.idMu.Unlock()
-		return reloadResult{Report: report, Err: err}
-	}
-	if err := t.eng.SwapPlan(plan); err != nil {
-		t.rejected.Add(1)
-		return reloadResult{Report: report, Err: err}
-	}
-	t.reloads.Add(1)
-	t.idMu.Lock()
-	t.polName = polName
-	t.featureDim = pol.FeatureDim()
-	t.idMu.Unlock()
-	return reloadResult{Report: report}
-}
-
-// send enqueues one command, holding the send gate shared so Stop's
-// exclusive flip strictly orders every command before opStop.
-func (t *Tenant) send(cmd tenantCmd) error {
-	t.mu.RLock()
-	if t.stopped {
-		t.mu.RUnlock()
-		return ErrTenantStopped
-	}
-	t.cmds <- cmd
-	t.mu.RUnlock()
-	return nil
-}
-
-// Ingest queues a batch of packets for extraction. The batch is
-// copied (into a pooled slice), so the caller may reuse pkts.
+// Ingest extracts a batch of packets: it routes each one into the
+// engine on the caller's goroutine, holding the tenant lock for the
+// batch, and returns once all of them are on their shards' rings. The
+// engine reads pkts only during the call, so the caller may reuse it.
 func (t *Tenant) Ingest(pkts []packet.Packet) error {
 	if len(pkts) == 0 {
 		return nil
 	}
-	b := t.batch()
-	*b = append(*b, pkts...)
-	return t.send(tenantCmd{op: opIngest, pkts: b})
-}
-
-// batch returns an empty packet slice from the pool (a new one when
-// the pool is dry) for the caller to fill and send as an opIngest,
-// which passes its ownership to the command loop.
-func (t *Tenant) batch() *[]packet.Packet {
-	if p, ok := t.pool.Get().(*[]packet.Packet); ok {
-		*p = (*p)[:0]
-		return p
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		return ErrTenantStopped
 	}
-	return new([]packet.Packet)
+	for i := range pkts {
+		t.eng.Process(&pkts[i])
+	}
+	t.pktsIn.Add(uint64(len(pkts)))
+	return nil
 }
 
-// Flush drains the tenant's engine and blocks until every queued
+// Flush drains the tenant's engine and blocks until every ingested
 // packet has been extracted, every resident group evicted, and every
 // subscriber's writer has written everything that emitted (a
 // subscriber that cannot take it within egressWriteDeadline is
 // disconnected and its share counted as discarded) — the service-level
-// sync point.
+// sync point. The egress half of the barrier runs after the tenant
+// lock is released, so a slow subscriber holds up the caller, not the
+// ingest.
 func (t *Tenant) Flush() error {
-	reply := make(chan error, 1)
-	if err := t.send(tenantCmd{op: opFlush, err: reply}); err != nil {
-		return err
+	t.mu.Lock()
+	if t.stopped {
+		t.mu.Unlock()
+		return ErrTenantStopped
 	}
-	err := <-reply
+	err := t.eng.Flush()
+	t.mu.Unlock()
 	for _, sub := range t.subscribers() {
 		sub.await()
 	}
 	return err
 }
 
-// Reload gates the candidate policy through planvet/planprove and
-// swaps it in at a batch barrier. The returned report is the planvet
-// cost report (populated whenever the candidate compiled); on
-// ErrReloadRejected it carries the findings and the live plan keeps
-// serving.
+// Reload gates the candidate policy through planvet/planprove and,
+// only if it passes, swaps it in at a batch barrier. The gate runs
+// outside the tenant lock, so ingest carries on while a candidate is
+// proved. The returned report is the planvet cost report (populated
+// whenever the candidate compiled); on ErrReloadRejected it carries
+// the findings and the live plan keeps serving untouched.
 func (t *Tenant) Reload(polName string, pol *policy.Policy) (string, error) {
-	reply := make(chan reloadResult, 1)
-	if err := t.send(tenantCmd{op: opReload, polName: polName, pol: pol, reply: reply}); err != nil {
-		return "", err
+	t.mu.Lock()
+	stopped := t.stopped
+	t.mu.Unlock()
+	if stopped {
+		return "", ErrTenantStopped
 	}
-	res := <-reply
-	return res.Report, res.Err
+	plan, report, err := vetPlan(t.name, pol)
+	if err != nil {
+		t.rejected.Add(1)
+		t.idMu.Lock()
+		t.lastReject = polName
+		t.idMu.Unlock()
+		return report, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stopped {
+		return report, ErrTenantStopped
+	}
+	if err := t.eng.SwapPlan(plan); err != nil {
+		t.rejected.Add(1)
+		return report, err
+	}
+	t.reloads.Add(1)
+	t.idMu.Lock()
+	t.polName = polName
+	t.featureDim = pol.FeatureDim()
+	t.idMu.Unlock()
+	return report, nil
 }
 
-// Stop flushes, retires the engine, drains and closes every
-// subscriber's stream (joining its writer) and ends the command loop.
-// Every operation after Stop returns ErrTenantStopped.
+// Stop drains the tenant: it emits everything resident, retires the
+// engine's workers, then ends every subscriber's stream once its
+// writer has written what is left (joining the writer). Every
+// operation after Stop returns ErrTenantStopped.
 func (t *Tenant) Stop() error {
 	t.mu.Lock()
 	if t.stopped {
@@ -324,10 +235,13 @@ func (t *Tenant) Stop() error {
 		return ErrTenantStopped
 	}
 	t.stopped = true
-	reply := make(chan error, 1)
-	t.cmds <- tenantCmd{op: opStop, err: reply}
+	err := t.eng.Flush()
+	if cerr := t.eng.Close(); err == nil {
+		err = cerr
+	}
 	t.mu.Unlock()
-	return <-reply
+	t.closeSubscribers()
+	return err
 }
 
 // Policy returns the name the live policy was loaded under.
@@ -379,7 +293,7 @@ func (t *Tenant) Status() *obs.StatusReport {
 
 // ObsSource adapts the tenant for the obs HTTP handler: the engine's
 // own source — every view of which is safe from the HTTP goroutine
-// while the command loop runs — with the egress counters stacked onto
+// while the router runs — with the egress counters stacked onto
 // the scrape, the scrape and the interval series tagged with the tenant
 // label and the status report carrying the tenant name.
 func (t *Tenant) ObsSource() obs.Source {
