@@ -161,7 +161,6 @@ func main() {
 		*obsOn = true
 	}
 	if *obsOn {
-		opts.Obs = obs.DefaultOptions()
 		opts.Obs.Enabled = true
 	}
 	opts.FlightRec.Dir = *flightrecDir

@@ -39,8 +39,8 @@ func TestWFPFamilySharesShape(t *testing.T) {
 		if p.FeatureDim() != 5000 {
 			t.Errorf("%s: dim %d", p.Name(), p.FeatureDim())
 		}
-		if p.FinestGranularity() != flowkey.GranSocket {
-			t.Errorf("%s: granularity %s, want socket", p.Name(), p.FinestGranularity())
+		if g := p.Granularities(); g[len(g)-1] != flowkey.GranSocket {
+			t.Errorf("%s: granularity %s, want socket", p.Name(), g[len(g)-1])
 		}
 		if !strings.Contains(p.Source(), "f_direction") {
 			t.Errorf("%s: missing direction mapping", p.Name())

@@ -33,10 +33,9 @@ import (
 // finest key and a one-cell MGPV, so grouping and features run one
 // packet at a time on the host CPU.
 type Extractor struct {
-	plan     *policy.Plan
-	in       *Interpreter
-	mirrored uint64
-	scratch  gpv.MGPV
+	plan    *policy.Plan
+	in      *Interpreter
+	scratch gpv.MGPV
 }
 
 // New builds a software extractor for the policy.
@@ -55,7 +54,6 @@ func New(pol *policy.Policy, sink feature.Sink) (*Extractor, error) {
 func (e *Extractor) Process(p *packet.Packet) bool {
 	// Port mirroring duplicates everything to the server; filtering
 	// happens in software after the copy.
-	e.mirrored += uint64(p.Size)
 	if !e.plan.Switch.Pred.Eval(p) {
 		return false
 	}
@@ -85,11 +83,6 @@ func (e *Extractor) Process(p *packet.Packet) bool {
 
 // Flush emits per-group vectors.
 func (e *Extractor) Flush() { e.in.Flush() }
-
-// MirroredBytes returns the bytes copied over the mirror link — the
-// communication overhead of the software architecture (every raw
-// byte, versus SuperFE's aggregated MGPV stream).
-func (e *Extractor) MirroredBytes() uint64 { return e.mirrored }
 
 // ServerModel prices the software path the way the paper's testbed
 // behaves: a multi-core x86 server processing mirrored raw traffic.

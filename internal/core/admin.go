@@ -244,14 +244,8 @@ func (e *Engine) ObsTimelines() []obs.Timeline {
 // health/clock overlays). Endpoints for disabled facilities stay nil.
 func (e *Engine) ObsSource() obs.Source {
 	src := obs.Source{Scrape: e.ObsScrape, Status: e.Status}
-	if e.rec != nil {
-		src.Series = e.ObsSeries
-	}
-	if e.obsReg != nil && e.opts.Obs.TraceSampleEvery > 0 {
-		src.Timelines = e.ObsTimelines
-	}
-	if e.obsReg != nil && e.opts.Obs.SpanSampleEvery > 0 {
-		src.Spans = e.ObsSpans
+	if e.opts.Obs.Enabled {
+		src.Series, src.Timelines, src.Spans = e.ObsSeries, e.ObsTimelines, e.ObsSpans
 	}
 	if e.fr != nil {
 		src.FlightRec = e.FlightDump

@@ -13,7 +13,11 @@ import (
 	"superfe/internal/apps"
 	"superfe/internal/faults"
 	"superfe/internal/feature"
+	"superfe/internal/flowkey"
 	"superfe/internal/obs"
+	"superfe/internal/packet"
+	"superfe/internal/policy"
+	"superfe/internal/streaming"
 	"superfe/internal/trace"
 )
 
@@ -121,10 +125,9 @@ func TestAdminFlightRecGolden(t *testing.T) {
 // (enqueue occupancy, producer parks, consumer wake — zeroed here) is
 // reproducible.
 func TestAdminSpansGolden(t *testing.T) {
-	tr := obsTestTrace()
+	tr := obsSeriesTrace()
 	popts := DefaultParallelOptions()
 	popts.Obs = obsTestOptions()
-	popts.Obs.SpanSampleEvery = 4
 	popts.Workers = 4
 	popts.DeterministicMerge = true
 	pe, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})
@@ -160,13 +163,14 @@ func TestAdminSpansGolden(t *testing.T) {
 
 // TestAdminHandlerErrorPaths pins the 404 contract: every optional
 // endpoint must answer 404 with a hint naming the knob that enables
-// it, never 200 with an empty body.
+// it, never 200 with an empty body. The telemetry endpoints share
+// one: Obs.Enabled.
 func TestAdminHandlerErrorPaths(t *testing.T) {
 	h := obs.NewHTTPHandler(obs.Source{Scrape: func() *obs.Snapshot { return nil }})
 	for path, hint := range map[string]string{
-		"/series.csv":     "SnapshotInterval",
-		"/timelines.json": "TraceSampleEvery",
-		"/spans":          "SpanSampleEvery",
+		"/series.csv":     "Obs.Enabled",
+		"/timelines.json": "Obs.Enabled",
+		"/spans":          "Obs.Enabled",
 		"/flightrecorder": "flight recorder",
 		"/status":         "status",
 	} {
@@ -187,48 +191,129 @@ func TestAdminHandlerErrorPaths(t *testing.T) {
 	}
 }
 
-// TestStatusHealthTransitions drives the pressure controller through
-// a full excursion: island stalls with a tight window and a narrow
-// hysteresis band make the health model visit degraded and return to
-// healthy within one fixed-seed trace, all visible through Status.
-func TestStatusHealthTransitions(t *testing.T) {
-	cfg := trace.CampusConfig
-	cfg.Flows = 1200
-	tr := trace.Generate(cfg, 31)
+// excursion is the controller state at the checkpoints of
+// degradeExcursion: the close of the first and second pressure
+// windows, the last calm packet before the third window closes, and
+// that close.
+type excursion struct{ enter, stay, beforeExit, exit controllerState }
 
-	// Island stalls are shard-wide (scope does not gate them), so the
-	// only road back to healthy is a window with zero stalls. A 2%
-	// stall rate makes zero-stall windows common (≈ 0.98^64 ≈ 27% of
-	// windows) while occasional bursts still cross the tight enter
-	// threshold — the fixed seed pins one full excursion.
+type controllerState struct {
+	health      string
+	transitions uint64
+	degraded    bool
+}
+
+func stateOf(fe *Engine) controllerState {
+	return controllerState{fe.Status().Health, fe.FaultStats().DegradedTransitions, fe.Degraded()}
+}
+
+// degradeExcursion drives the pressure controller at its production
+// constants (degradeWindow, degradeEnterCycles, degradeExitCycles,
+// stallCycles) through enter, stay and exit on one fixed-seed run,
+// calling observe after every packet. Island stalls charge only MGPV
+// deliveries while every delivered message, FG updates included,
+// advances the window, so the traffic sets the pressure at a fixed
+// 5% stall rate. The switch geometry is the test's lever: 16 CG slots
+// and no long buffers.
+//   - Pressure: 256 hosts in turn collide in the 16 slots, one MGPV per
+//     packet, ~200 stall hits per window against the 64 that enter.
+//     It runs until two windows have closed (enter, then stay) and
+//     the run sits exactly on a window boundary.
+//   - Calm: the last host's packets on fresh sockets for exactly one
+//     window. Each is one FG update (no island stall) and a cell its
+//     full short buffer sheds, so the window closes at zero stall
+//     cycles and the controller exits.
+func degradeExcursion(t *testing.T, observe func(*Engine)) excursion {
+	t.Helper()
 	opts := DefaultOptions()
-	opts.Faults = &faults.Plan{
-		Seed:               19,
-		Rate:               0.02,
-		Kinds:              faults.Set(0).With(faults.KindIslandStall),
-		DegradeWindow:      64,
-		DegradeEnterCycles: 8_192,
-		DegradeExitCycles:  4_096,
-	}
-	fe, err := New(opts, statsPolicy(), func(feature.Vector) {})
+	opts.Switch.NumShort = 16
+	opts.Switch.NumLong = 0
+	opts.FlightRec.Disable = true // keeps the per-packet barriers cheap
+	opts.Faults = &faults.Plan{Seed: 19, Rate: 0.05, Kinds: faults.Set(0).With(faults.KindIslandStall)}
+	pol := policy.New("host-socket").
+		GroupBy(flowkey.GranHost).
+		Reduce("size", policy.RF(streaming.FSum)).
+		Collect().
+		GroupBy(flowkey.GranSocket).
+		Reduce("size", policy.RF(streaming.FMean)).
+		Collect().
+		MustBuild()
+	fe, err := New(opts, pol, func(feature.Vector) {})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ts int64
+	send := func(src uint32, sport uint16) uint64 {
+		ts += 1000
+		p := packet.Packet{Timestamp: ts, Size: 100, Tuple: flowkey.FiveTuple{
+			SrcIP: src, DstIP: 0xfffffff0, SrcPort: sport, DstPort: 80, Proto: flowkey.ProtoTCP}}
+		fe.Process(&p)
+		delivered := fe.SwitchStats().MsgsOut // quiesces: the packet has run
+		observe(fe)
+		return delivered // every emitted message is delivered
+	}
 
+	var ex excursion
+	observe(fe)
+	host := uint32(0)
+	for delivered := uint64(0); delivered < 2*degradeWindow || delivered%degradeWindow != 0; {
+		if host++; host > 1<<16 {
+			t.Fatalf("pressure traffic delivered only %d messages", delivered)
+		}
+		before := delivered
+		delivered = send(1+host%256, 1000)
+		if w := delivered / degradeWindow; w > before/degradeWindow { // a window closed
+			switch w {
+			case 1:
+				ex.enter = stateOf(fe)
+			case 2:
+				ex.stay = stateOf(fe)
+			}
+		}
+	}
+	for i := 0; i < degradeWindow; i++ {
+		if i == degradeWindow-1 {
+			ex.beforeExit = stateOf(fe)
+		}
+		send(1+host%256, uint16(2000+i))
+	}
+	ex.exit = stateOf(fe)
+	return ex
+}
+
+// TestDegradeControllerAtProductionThresholds holds the controller's
+// hysteresis at the constants production runs: one pressure window
+// enters degraded mode, a second keeps it, and one stall-free window
+// leaves it.
+func TestDegradeControllerAtProductionThresholds(t *testing.T) {
+	ex := degradeExcursion(t, func(*Engine) {})
+	degraded := func(h string) bool { return h == obs.HealthDegraded.String() || h == obs.HealthShedding.String() }
+	if !ex.enter.degraded || ex.enter.transitions != 1 || !degraded(ex.enter.health) {
+		t.Errorf("first pressure window did not enter degraded mode: %+v", ex.enter)
+	}
+	if !ex.stay.degraded || ex.stay.transitions != 1 || !degraded(ex.stay.health) {
+		t.Errorf("second pressure window did not stay degraded: %+v", ex.stay)
+	}
+	if !ex.beforeExit.degraded || ex.beforeExit.transitions != 1 {
+		t.Errorf("controller left degraded mode before the calm window closed: %+v", ex.beforeExit)
+	}
+	if ex.exit.degraded || ex.exit.transitions != 2 || ex.exit.health != obs.HealthHealthy.String() {
+		t.Errorf("stall-free window did not exit to healthy: %+v", ex.exit)
+	}
+}
+
+// TestStatusHealthTransitions drives the pressure controller
+// through a full excursion at its production constants: the health
+// model visits degraded and returns to healthy within one fixed-seed
+// run, all visible through Status.
+func TestStatusHealthTransitions(t *testing.T) {
 	var seen []string
-	observe := func() {
-		h := fe.Status().Health
+	ex := degradeExcursion(t, func(e *Engine) {
+		h := e.Status().Health
 		if len(seen) == 0 || seen[len(seen)-1] != h {
 			seen = append(seen, h)
 		}
-	}
-	observe()
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-		observe()
-	}
-	fe.Flush()
-	observe()
+	})
 
 	if seen[0] != obs.HealthHealthy.String() {
 		t.Fatalf("engine not healthy at start: %v", seen)
@@ -248,9 +333,8 @@ func TestStatusHealthTransitions(t *testing.T) {
 	if lastHealthy < firstDeg {
 		t.Fatalf("health never recovered after degrading: %v", seen)
 	}
-	if fe.FaultStats().DegradedTransitions < 2 {
-		t.Fatalf("expected enter+exit transitions, got %d (%v)",
-			fe.FaultStats().DegradedTransitions, seen)
+	if ex.exit.transitions < 2 {
+		t.Fatalf("expected enter+exit transitions, got %d (%v)", ex.exit.transitions, seen)
 	}
 	t.Logf("health excursion: %v", seen)
 }

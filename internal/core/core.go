@@ -301,11 +301,11 @@ func (fe *pair) forwardWire(b []byte) {
 // the island path (control channel).
 func (fe *pair) forward(m gpv.Message) {
 	if m.MGPV != nil {
-		p := fe.inj.Plan()
+		maxRetries := fe.inj.Plan().MaxRetries
 		attempt := 0
 		for fe.inj.IslandBusy() {
-			fe.winStall += p.StallCycles << attempt
-			if attempt >= p.MaxRetries {
+			fe.winStall += stallCycles << attempt
+			if attempt >= maxRetries {
 				fe.inj.CountRetryDrop()
 				fe.fr.Record(obs.Event{Kind: obs.FRRetryDrop, Clock: fe.frClock(), Arg: int64(attempt)})
 				return
@@ -347,6 +347,22 @@ func (fe *pair) ageHeld() {
 	fe.held = fe.held[:n]
 }
 
+// The pressure controller's fixed tuning: the modelled cost of one
+// island-stall hit, the window it sums those costs over, and the
+// hysteresis band that window's sum must leave to flip degraded mode.
+const (
+	// stallCycles is the modelled NFP cycle cost of one island-stall
+	// hit; retry k charges stallCycles << k.
+	stallCycles = 4096
+	// degradeWindow is the controller window in delivered messages.
+	degradeWindow = 4096
+	// degradeEnterCycles and degradeExitCycles are the stall cycles
+	// per window at or above which degraded mode is entered, and at or
+	// below which it is left.
+	degradeEnterCycles = 1 << 18
+	degradeExitCycles  = 1 << 15
+)
+
 // tickDegrade runs the graceful-degradation pressure controller: a
 // window of delivered messages accumulates island-stall cycles, and
 // hysteresis thresholds flip the switch's long-buffer shedding. The
@@ -355,13 +371,12 @@ func (fe *pair) ageHeld() {
 // reproducible as the faults that cause them.
 func (fe *pair) tickDegrade() {
 	fe.winMsgs++
-	p := fe.inj.Plan()
-	if fe.winMsgs < p.DegradeWindow {
+	if fe.winMsgs < degradeWindow {
 		return
 	}
-	if !fe.degraded && fe.winStall >= p.DegradeEnterCycles {
+	if !fe.degraded && fe.winStall >= degradeEnterCycles {
 		fe.setDegraded(true)
-	} else if fe.degraded && fe.winStall <= p.DegradeExitCycles {
+	} else if fe.degraded && fe.winStall <= degradeExitCycles {
 		fe.setDegraded(false)
 	}
 	// Health refinement at window close: degraded escalates to shedding

@@ -62,6 +62,11 @@ const defaultBatch = 256
 // acquisition per run instead of per vector.
 const sinkRunLen = 64
 
+// snapshotInterval is the telemetry's logical-clock snapshot period:
+// with Obs.Enabled, the Recorder captures one interval delta every
+// snapshotInterval routed packets.
+const snapshotInterval = 1 << 16
+
 // shardMsg is one unit of work for a shard — a ring slot in the worker
 // configuration, a plain argument inline: either a columnar batch of
 // packets (cols non-nil) or a control barrier with optional flush. The
@@ -269,7 +274,7 @@ func NewFromPlan(opts ParallelOptions, plan *policy.Plan, sink feature.Sink) (*E
 				"packets routed to each shard (CG-hash skew)", obs.L("shard", strconv.Itoa(i)))
 		}
 		e.obsReg.Seal()
-		e.rec = obs.NewRecorder(opts.Obs.SnapshotInterval, e.captureQuiesced)
+		e.rec = obs.NewRecorder(snapshotInterval, e.captureQuiesced)
 	}
 	e.refreshAdmin()
 	return e, nil
@@ -469,7 +474,10 @@ func (sh *shard) handle(msg shardMsg) {
 }
 
 // handleBarrier optionally flushes the pair. Barrier contract: every
-// vector produced so far is at the shared sink on return.
+// vector produced so far is at the shared sink on return, except with
+// DeterministicMerge, where the shard holds them until Flush emits
+// them in shard order: emitting at every barrier would make the order
+// depend on when telemetry snapshots ran.
 //
 //superfe:coldpath
 func (sh *shard) handleBarrier(flush bool) {

@@ -5,7 +5,6 @@ import (
 
 	"superfe/internal/faults"
 	"superfe/internal/feature"
-	"superfe/internal/obs"
 	"superfe/internal/trace"
 )
 
@@ -22,15 +21,12 @@ func obsDiffPlan() *faults.Plan {
 	return &faults.Plan{Seed: 9, Rate: 0.2, Kinds: faults.AllKinds}
 }
 
-// fullObsOptions enables every telemetry facility at aggressive
-// sampling so the differential covers the instrumented paths densely.
-func fullObsOptions() obs.Options {
-	return obs.Options{
-		Enabled:          true,
-		SnapshotInterval: 1 << 9,
-		TraceSampleEvery: 2,
-		SpanSampleEvery:  1,
-	}
+// obsDiffTrace runs past two snapshot intervals, so the recorder's
+// quiesced captures happen inside the compared run.
+func obsDiffTrace() *trace.Trace {
+	cfg := trace.CampusConfig
+	cfg.Flows = 2500
+	return trace.Generate(cfg, 77)
 }
 
 func identicalVectors(t *testing.T, name string, off, on []feature.Vector) {
@@ -54,15 +50,13 @@ func identicalVectors(t *testing.T, name string, off, on []feature.Vector) {
 // TestObsDifferentialSequential: inline engine, obs-off vs obs-on
 // (plus flight recorder off vs on), byte-identical output.
 func TestObsDifferentialSequential(t *testing.T) {
-	cfg := trace.CampusConfig
-	cfg.Flows = 500
-	tr := trace.Generate(cfg, 77)
+	tr := obsDiffTrace()
 
 	run := func(withObs bool) []feature.Vector {
 		opts := DefaultOptions()
 		opts.Faults = obsDiffPlan()
 		if withObs {
-			opts.Obs = fullObsOptions()
+			opts.Obs = obsTestOptions()
 		} else {
 			opts.FlightRec.Disable = true
 		}
@@ -78,8 +72,11 @@ func TestObsDifferentialSequential(t *testing.T) {
 		if err := fe.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if withObs && fe.FaultStats().Total() == 0 {
+		if withObs && injected(fe.FaultStats()) == 0 {
 			t.Fatal("fault plan injected nothing — the differential is vacuous")
+		}
+		if withObs && len(fe.ObsSeries().Snaps) == 0 {
+			t.Fatal("no interval snapshot fired — the recorder never ran")
 		}
 		return vecs
 	}
@@ -92,9 +89,7 @@ func TestObsDifferentialSequential(t *testing.T) {
 // batches and the ring instrumentation sits on the hand-off itself, so
 // this is the test that proves the observers never touch the data.
 func TestObsDifferentialParallel(t *testing.T) {
-	cfg := trace.CampusConfig
-	cfg.Flows = 500
-	tr := trace.Generate(cfg, 77)
+	tr := obsDiffTrace()
 
 	run := func(withObs bool) []feature.Vector {
 		popts := DefaultParallelOptions()
@@ -102,7 +97,7 @@ func TestObsDifferentialParallel(t *testing.T) {
 		popts.DeterministicMerge = true
 		popts.Options.Faults = obsDiffPlan()
 		if withObs {
-			popts.Obs = fullObsOptions()
+			popts.Obs = obsTestOptions()
 		} else {
 			popts.FlightRec.Disable = true
 		}
@@ -118,11 +113,14 @@ func TestObsDifferentialParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if withObs {
-			if pe.FaultStats().Total() == 0 {
+			if injected(pe.FaultStats()) == 0 {
 				t.Fatal("parallel fault plan injected nothing — the differential is vacuous")
 			}
 			if len(pe.ObsSpans()) == 0 {
-				t.Fatal("no spans sampled at SpanSampleEvery=1 — the span path never ran")
+				t.Fatal("no spans sampled — the span path never ran")
+			}
+			if len(pe.ObsSeries().Snaps) == 0 {
+				t.Fatal("no interval snapshot fired — the recorder never ran")
 			}
 		}
 		if err := pe.Close(); err != nil {

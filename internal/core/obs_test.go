@@ -18,12 +18,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-func obsTestOptions() obs.Options {
-	return obs.Options{
-		Enabled:          true,
-		SnapshotInterval: 1 << 10,
-		TraceSampleEvery: 4,
-	}
+func obsTestOptions() obs.Options { return obs.Options{Enabled: true} }
+
+// obsSeriesTrace runs past two snapshot intervals, so the interval
+// series has rows and the span ring samples at its fixed rate.
+func obsSeriesTrace() *trace.Trace {
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = 16000
+	return trace.Generate(cfg, 42)
 }
 
 func obsTestTrace() *trace.Trace {
@@ -168,7 +170,7 @@ func stripSchedulingCSV(b []byte) []byte {
 func TestObsDeterministicDumps(t *testing.T) {
 	run := func() (promText, seriesCSV []byte) {
 		t.Helper()
-		tr := obsTestTrace()
+		tr := obsSeriesTrace()
 		popts := DefaultParallelOptions()
 		popts.Obs = obsTestOptions()
 		popts.Workers = 4
@@ -249,7 +251,6 @@ func TestObsPrometheusGolden(t *testing.T) {
 // full admit→evict→vector-emit lifecycle, in both engines.
 func TestObsCompleteTimeline(t *testing.T) {
 	o := obsTestOptions()
-	o.TraceSampleEvery = 1 // sample every CG group
 
 	check := func(name string, tls []obs.Timeline) {
 		if len(tls) == 0 {
@@ -322,7 +323,6 @@ func TestObsDisabledIsInert(t *testing.T) {
 func TestObsTimelinesGolden(t *testing.T) {
 	tr := obsTestTrace()
 	o := obsTestOptions()
-	o.TraceSampleEvery = 64
 	var got bytes.Buffer
 	for _, workers := range []int{0, 4} {
 		popts := DefaultParallelOptions()

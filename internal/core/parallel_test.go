@@ -608,10 +608,10 @@ func TestParallelStreamingRunBufferMatches(t *testing.T) {
 // barrier or read the recorder's series off the router goroutine.
 // Meaningful under -race.
 func TestParallelObsEndpointsLive(t *testing.T) {
-	tr := obsTestTrace()
+	tr := obsSeriesTrace()
 	popts := DefaultParallelOptions()
 	popts.Workers = 2
-	popts.Obs = fullObsOptions()
+	popts.Obs = obsTestOptions()
 	pe, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})
 	if err != nil {
 		t.Fatal(err)

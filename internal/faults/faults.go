@@ -120,8 +120,8 @@ func (s Set) String() string {
 // Plan describes a deterministic fault campaign: the seed, the
 // per-opportunity rate, which kinds to inject, and the CG-hash scope
 // faults are confined to. The zero value is unusable; fill the seed
-// and rate or use Parse. Fields left zero are normalised to the
-// documented defaults by NewInjector.
+// and rate or use Parse. A zero scope, window or retry budget is
+// normalised to the documented default by NewInjector.
 type Plan struct {
 	// Seed roots every injector PRNG. Identical seeds reproduce
 	// identical fault sequences across runs (per shard, the streams
@@ -144,27 +144,21 @@ type Plan struct {
 	// ReorderWindow is how many subsequent frames a reordered frame
 	// is delayed past (default 8).
 	ReorderWindow int
-	// CorruptBytes is how many byte flips a corruption fault applies
-	// (default 2).
-	CorruptBytes int
-	// StallNS is the length of one recirculation stall in trace
-	// nanoseconds (default 1ms).
-	StallNS int64
-	// StallCycles is the modelled NFP cycle cost of one island-stall
-	// hit; retries charge StallCycles << attempt (default 4096).
-	StallCycles int64
 	// MaxRetries bounds the deliver retry-with-backoff loop before a
 	// frame is shed (default 3).
 	MaxRetries int
-	// DegradeWindow is the pressure-controller window in delivered
-	// messages (default 4096).
-	DegradeWindow int
-	// DegradeEnterCycles / DegradeExitCycles are the stall-cycle
-	// hysteresis thresholds per window for entering and leaving
-	// degraded mode (defaults 1<<18 and 1<<15).
-	DegradeEnterCycles int64
-	DegradeExitCycles  int64
 }
+
+// Fixed fault magnitudes. The island-stall cost lives with the
+// pressure controller that charges it (core).
+const (
+	// corruptFlips is how many single-bit flips a corruption fault
+	// applies to a frame.
+	corruptFlips = 2
+	// stallNS is the length of one recirculation stall in trace
+	// nanoseconds.
+	stallNS = 1_000_000
+)
 
 // normalised fills defaulted fields.
 func (p Plan) normalised() Plan {
@@ -174,26 +168,8 @@ func (p Plan) normalised() Plan {
 	if p.ReorderWindow <= 0 {
 		p.ReorderWindow = 8
 	}
-	if p.CorruptBytes <= 0 {
-		p.CorruptBytes = 2
-	}
-	if p.StallNS <= 0 {
-		p.StallNS = 1_000_000
-	}
-	if p.StallCycles <= 0 {
-		p.StallCycles = 4096
-	}
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = 3
-	}
-	if p.DegradeWindow <= 0 {
-		p.DegradeWindow = 4096
-	}
-	if p.DegradeEnterCycles <= 0 {
-		p.DegradeEnterCycles = 1 << 18
-	}
-	if p.DegradeExitCycles <= 0 {
-		p.DegradeExitCycles = 1 << 15
 	}
 	return p
 }
@@ -221,7 +197,14 @@ func (p *Plan) String() string {
 		return "<none>"
 	}
 	n := p.normalised()
-	return fmt.Sprintf("seed=%d,rate=%g,kinds=%s,scope=%08x:%08x", n.Seed, n.Rate, n.Kinds, n.ScopeLo, n.ScopeHi)
+	s := fmt.Sprintf("seed=%d,rate=%g,kinds=%s,scope=%08x:%08x", n.Seed, n.Rate, n.Kinds, n.ScopeLo, n.ScopeHi)
+	if p.ReorderWindow > 0 {
+		s += fmt.Sprintf(",window=%d", p.ReorderWindow)
+	}
+	if p.MaxRetries > 0 {
+		s += fmt.Sprintf(",retries=%d", p.MaxRetries)
+	}
+	return s
 }
 
 // Stats counts what an injector (or a merged set of shard injectors)
@@ -263,15 +246,6 @@ func (s *Stats) Rows() []obs.Row {
 // fault stats for the parallel engine.
 func (s *Stats) Add(o Stats) {
 	obs.AddRows(s.Rows(), o.Rows())
-}
-
-// Total sums the injected-fault counters across kinds.
-func (s Stats) Total() uint64 {
-	var t uint64
-	for _, n := range s.Injected {
-		t += n
-	}
-	return t
 }
 
 // String renders a one-line summary, labelling kinds from
@@ -399,14 +373,14 @@ func (inj *Injector) WireKind() Kind {
 	return k
 }
 
-// Corrupt applies the plan's byte flips to an encoded frame in
+// Corrupt applies corruptFlips bit flips to an encoded frame in
 // place. Flips are XORs of a single bit, so a flip never leaves the
 // byte unchanged.
 func (inj *Injector) Corrupt(b []byte) {
 	if inj == nil || len(b) == 0 {
 		return
 	}
-	for i := 0; i < inj.plan.CorruptBytes; i++ {
+	for i := 0; i < corruptFlips; i++ {
 		b[inj.wire.intn(len(b))] ^= 1 << inj.wire.intn(8)
 	}
 }
@@ -430,7 +404,7 @@ func (inj *Injector) AgingStall() int64 {
 		return 0
 	}
 	inj.stats.Injected[KindAgingStall]++
-	return inj.plan.StallNS
+	return stallNS
 }
 
 // SoftError decides whether the register array serving the given CG

@@ -18,8 +18,8 @@ import (
 //	kinds=a+b+c     fault kinds by name, or the aliases wire,
 //	                switch, nic, all (default wire)
 //	scope=LO:HI     inclusive CG-hash range, hex (default full space)
-//	window=N        reorder window in frames
-//	retries=N       deliver retry budget
+//	window=N        reorder window in frames, N >= 1 (default 8)
+//	retries=N       deliver retry budget, N >= 1 (default 3)
 //
 // The returned plan has been validated.
 func Parse(spec string) (*Plan, error) {
@@ -43,9 +43,9 @@ func Parse(spec string) (*Plan, error) {
 		case "scope":
 			p.ScopeLo, p.ScopeHi, err = parseScope(val)
 		case "window":
-			p.ReorderWindow, err = strconv.Atoi(val)
+			p.ReorderWindow, err = parsePositive(val)
 		case "retries":
-			p.MaxRetries, err = strconv.Atoi(val)
+			p.MaxRetries, err = parsePositive(val)
 		default:
 			return nil, fmt.Errorf("faults: unknown field %q", key)
 		}
@@ -88,6 +88,16 @@ func parseKinds(spec string) (Set, error) {
 		}
 	}
 	return s, nil
+}
+
+// parsePositive parses a count that must be at least 1: zero and
+// negative values are errors, not requests for the default.
+func parsePositive(spec string) (int, error) {
+	n, err := strconv.Atoi(spec)
+	if err == nil && n < 1 {
+		err = fmt.Errorf("want a count >= 1, got %d", n)
+	}
+	return n, err
 }
 
 func parseScope(spec string) (lo, hi uint32, err error) {

@@ -2,6 +2,7 @@ package gpv
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"superfe/internal/faults"
@@ -76,9 +77,9 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 
 // FuzzUnmarshalCorrupted is the corruption-mutating variant: instead
 // of fully arbitrary bytes, it starts from VALID wire encodings and
-// applies the fault injector's own corruption and truncation
-// operators — exactly the mutations the fault-injection subsystem
-// produces on the switch→NIC path. Unmarshal must either reject the
+// applies the fault injector's mutations on the switch→NIC path —
+// single-bit flips, here 1 to 32 of them where the injector applies a
+// fixed count, and the injector's own truncation operator. Unmarshal must either reject the
 // mutated frame with an error or decode something internally
 // consistent; it must never panic, over-consume, or return a frame
 // that fails re-marshalling. This is the decode-hardening contract
@@ -110,18 +111,16 @@ func FuzzUnmarshalCorrupted(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte, seed int64, flips uint8) {
-		plan := &faults.Plan{
-			Seed:         seed,
-			Rate:         1,
-			Kinds:        faults.WireKinds,
-			CorruptBytes: int(flips%32) + 1,
-		}
-		inj := plan.NewInjector(0)
-
-		// Corrupted variant.
+		// Corrupted variant: seeded single-bit flips.
 		buf := append([]byte(nil), frame...)
-		inj.Corrupt(buf)
+		if len(buf) > 0 {
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < int(flips%32)+1; i++ {
+				buf[r.Intn(len(buf))] ^= 1 << r.Intn(8)
+			}
+		}
 		checkHardened(t, buf)
+		inj := (&faults.Plan{Seed: seed, Rate: 1, Kinds: faults.WireKinds}).NewInjector(0)
 
 		// Truncated variant (of the corrupted frame — compound faults
 		// happen when a frame is hit on consecutive hops).

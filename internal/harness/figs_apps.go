@@ -50,7 +50,7 @@ func Fig9(s Scale) Table {
 			must(err)
 		}
 		cm := nicsim.NewCostModel(cfg, plan.NIC, pl)
-		computeGbps := cm.CellsPerSecond(cfg.Cores()) / passRate * stats.AvgPacketSize * 8 / 1e9
+		computeGbps := cm.ThroughputGbps(cfg.Cores(), stats.AvgPacketSize) / passRate
 		linkGbps := nicLinkGbps / math.Max(agg, 1e-4)
 		superfe := math.Min(switchGbps, math.Min(linkGbps, computeGbps))
 		bound := "switch"

@@ -29,11 +29,9 @@ func ObsDump(dir string, pol *policy.Policy, tr *trace.Trace, workers int) error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	oo := obs.DefaultOptions()
-	oo.Enabled = true
 	sink := func(feature.Vector) {}
 	opts := core.DefaultOptions()
-	opts.Obs = oo
+	opts.Obs.Enabled = true
 	var fe *core.Engine
 	var err error
 	if workers > 1 {

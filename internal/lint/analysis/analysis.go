@@ -62,42 +62,6 @@ type Program struct {
 	Targets []string
 }
 
-// PackageByPath returns the loaded package with the given import
-// path, or nil.
-func (p *Program) PackageByPath(path string) *Package {
-	for _, pkg := range p.Packages {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// FuncDecl finds the syntax of a function object anywhere in the
-// program, or nil when the function is declared outside the loaded
-// module (stdlib), is interface-abstract, or has no body.
-func (p *Program) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	pkg := p.PackageByPath(fn.Pkg().Path())
-	if pkg == nil {
-		return nil
-	}
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if pkg.Info.Defs[fd.Name] == fn {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
 // Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer  *Analyzer

@@ -116,30 +116,6 @@ func (g *callGraph) PackageOf(fn *types.Func) *analysis.Package { return g.pkgOf
 // or field object exists anywhere in the module.
 func (g *callGraph) ChannelClosed(obj types.Object) bool { return g.closeSites[obj] }
 
-// Reachable returns the set of module-local functions statically
-// reachable from the roots (roots included), stopping at functions for
-// which stop returns true. A nil stop traverses everything.
-func (g *callGraph) Reachable(roots []*types.Func, stop func(*types.Func) bool) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		if stop != nil && stop(fn) {
-			return
-		}
-		for _, c := range g.callees[fn] {
-			visit(c)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return seen
-}
-
 // staticCallee resolves the function a call expression invokes when
 // the target is static: a package-level function, a qualified import,
 // or a method on a concrete receiver. Interface method calls and

@@ -12,14 +12,15 @@ import (
 )
 
 // testOnlyExportsAllowed is the whole allowlist of exported
-// package-level names under internal/ that no production code reaches.
-// Each states why it stays exported anyway; the test caps the list at
-// 15 entries and rejects entries that have become live or no longer
-// exist.
+// package-level names and methods under internal/ that no production
+// code reaches. Each states why it stays exported anyway; the test
+// caps the list at 15 entries and rejects entries that have become
+// live or no longer exist.
 var testOnlyExportsAllowed = map[string]string{
 	// Test infrastructure: exists to be called from tests.
 	"lint/analysistest.Run": "the analyzers' fixture harness (and through it loader.LoadDir); its only possible callers are the analyzer tests",
 	"packet.Validate":       "oracle the trace generators' tests hold every synthesised packet to",
+	"obs.Snapshot.Value":    "by-name series read-out the obs and core tests assert scrapes through; production readers (exposition, merge, delta) walk Defs whole",
 
 	// Reference implementations a test compares the production path against.
 	"nicsim.PlaceAllEMEM": "ablation baseline: cost_test prices the ILP placement against everything-in-EMEM",
@@ -37,14 +38,18 @@ var testOnlyExportsAllowed = map[string]string{
 
 // TestNoTestOnlyExports holds the weight-audit rule "an exported
 // mechanism needs a non-test caller": every exported package-level
-// func or type under internal/ must be referenced from non-test code
-// outside its own declaration (a type's declaration includes its
-// methods), and a reference made from inside another exported
-// declaration only counts if that one is live too — so a type kept
-// alive only by its own constructor falls with the constructor. The
-// loader parses no _test.go file, so "referenced" already means
-// "referenced from production code"; cmd/, bench/ and examples/ are
-// callers like any other.
+// func or type, and every exported method, under internal/ must be
+// referenced from non-test code outside its own declaration (a type's
+// declaration includes its unexported methods; an exported method is
+// a declaration of its own), and a reference made from inside another
+// exported declaration only counts if that one is live too — so a
+// type kept alive only by its own constructor falls with the
+// constructor. A method is also live when it implements an interface
+// method live code calls, or a standard-library interface (String,
+// Error, MarshalJSON, …); an allowlisted type's entry covers its
+// methods. The loader parses no _test.go file, so "referenced"
+// already means "referenced from production code"; cmd/, bench/ and
+// examples/ are callers like any other.
 func TestNoTestOnlyExports(t *testing.T) {
 	prog, err := loader.Load("../..", "./...")
 	if err != nil {
@@ -53,46 +58,70 @@ func TestNoTestOnlyExports(t *testing.T) {
 	internal := prog.ModulePath + "/internal/"
 
 	// Every candidate and the top-level declarations that belong to it:
-	// its own, and for a type its methods'. Top-level declarations do
-	// not nest, so owner is a binary search.
+	// its own, and for a type its unexported methods'. Top-level
+	// declarations do not nest, so owner is a binary search.
 	type span struct {
 		lo, hi token.Pos
 		obj    types.Object
 	}
 	var spans []span
 	candidate := map[types.Object]bool{}
+	methodsOf := map[types.Object][]types.Object{} // receiver type name → its exported methods
+	var named []*types.TypeName                    // every top-level type of the module
 	for _, pkg := range prog.Packages {
+		for _, n := range pkg.Types.Scope().Names() {
+			if tn, ok := pkg.Types.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn)
+			}
+		}
 		if !strings.HasPrefix(pkg.Path, internal) {
 			continue
 		}
 		own := func(id *ast.Ident, n ast.Node) {
-			if id.IsExported() {
-				candidate[pkg.Info.Defs[id]] = true
-				spans = append(spans, span{n.Pos(), n.End(), pkg.Info.Defs[id]})
-			}
+			candidate[pkg.Info.Defs[id]] = true
+			spans = append(spans, span{n.Pos(), n.End(), pkg.Info.Defs[id]})
 		}
 		var methods []*ast.FuncDecl
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil {
-						own(d.Name, d)
-					} else {
+					if d.Recv != nil {
 						methods = append(methods, d)
+					} else if d.Name.IsExported() {
+						own(d.Name, d)
 					}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
-						if ts, ok := s.(*ast.TypeSpec); ok {
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						if ts.Name.IsExported() {
 							own(ts.Name, ts)
+						}
+						if it, ok := ts.Type.(*ast.InterfaceType); ok {
+							for _, m := range it.Methods.List {
+								for _, id := range m.Names {
+									if id.IsExported() {
+										candidate[pkg.Info.Defs[id]] = true
+										methodsOf[pkg.Info.Defs[ts.Name]] = append(methodsOf[pkg.Info.Defs[ts.Name]], pkg.Info.Defs[id])
+									}
+								}
+							}
 						}
 					}
 				}
 			}
 		}
 		for _, d := range methods {
-			if id := receiverIdent(d.Recv.List[0].Type); id != nil && candidate[pkg.Info.Uses[id]] {
-				spans = append(spans, span{d.Pos(), d.End(), pkg.Info.Uses[id]})
+			recv := pkg.Info.Uses[receiverIdent(d.Recv.List[0].Type)]
+			switch {
+			case d.Name.IsExported():
+				own(d.Name, d)
+				methodsOf[recv] = append(methodsOf[recv], pkg.Info.Defs[d.Name])
+			case candidate[recv]:
+				spans = append(spans, span{d.Pos(), d.End(), recv})
 			}
 		}
 	}
@@ -106,20 +135,99 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 
 	// refs[obj] = the candidates (nil for anything else: unexported
-	// code, methods of unexported types, other trees) that mention it.
+	// code, other trees) that mention it. Interface methods from any
+	// tree are tracked too: calling one keeps its implementations.
 	refs := map[types.Object][]types.Object{}
+	called := map[*types.Interface]map[types.Object]bool{} // interface → its referenced methods
 	for _, pkg := range prog.Packages {
 		for id, obj := range pkg.Info.Uses {
-			if !candidate[obj] {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
+			recv := recvType(obj)
+			iface := recv != nil && types.IsInterface(recv)
+			if !candidate[obj] && !iface {
 				continue
+			}
+			if iface {
+				it := recv.Underlying().(*types.Interface)
+				if called[it] == nil {
+					called[it] = map[types.Object]bool{}
+				}
+				called[it][obj] = true
 			}
 			if from := owner(id.Pos()); from != obj {
 				refs[obj] = append(refs[obj], from)
 			}
 		}
 	}
+	// Every exported interface of the standard library the module
+	// reaches, and error.
+	std := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	seenPkg := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seenPkg[p] {
+			return
+		}
+		seenPkg[p] = true
+		if !strings.HasPrefix(p.Path(), prog.ModulePath+"/") {
+			for _, n := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+					std[tn.Type().Underlying().(*types.Interface)] = true
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	for _, pkg := range prog.Packages {
+		walk(pkg.Types)
+	}
+	// implementations calls each with every interface method of it and
+	// the method of a module type implementing it that a call resolves
+	// to (possibly promoted from an embedded field).
+	implementations := func(it *types.Interface, each func(im, m types.Object)) {
+		for _, tn := range named {
+			T := tn.Type()
+			if it.NumMethods() == 0 || T.(*types.Named).TypeParams().Len() > 0 ||
+				!types.Implements(T, it) && !types.Implements(types.NewPointer(T), it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				im := it.Method(i)
+				m, _, _ := types.LookupFieldOrMethod(T, true, im.Pkg(), im.Name())
+				each(im, m.(*types.Func).Origin())
+			}
+		}
+	}
+	// A method implementing a called interface method is referenced by
+	// it; one implementing a standard-library interface is live.
+	for it, methods := range called {
+		implementations(it, func(im, m types.Object) {
+			if candidate[m] && methods[im] {
+				refs[m] = append(refs[m], im)
+			}
+		})
+	}
+	for it := range std {
+		implementations(it, func(_, m types.Object) {
+			if candidate[m] {
+				refs[m] = append(refs[m], nil)
+			}
+		})
+	}
+
 	name := func(obj types.Object) string {
-		return strings.TrimPrefix(obj.Pkg().Path(), internal) + "." + obj.Name()
+		n := strings.TrimPrefix(obj.Pkg().Path(), internal) + "."
+		if recv := recvType(obj); recv != nil {
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			n += recv.(*types.Named).Obj().Name() + "."
+		}
+		return n + obj.Name()
 	}
 	// Liveness spreads from production code that is no candidate (nil)
 	// through references to a fixed point.
@@ -137,10 +245,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	spread()
-	named := map[string]bool{}
+	wasLive := map[types.Object]bool{}
+	for obj := range live {
+		wasLive[obj] = true
+	}
+	allowed := map[string]bool{}
 	for obj := range candidate {
 		n := name(obj)
-		named[n] = true
+		allowed[n] = true
 		if _, ok := testOnlyExportsAllowed[n]; !ok {
 			continue
 		}
@@ -149,8 +261,21 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		live[obj] = true
 	}
-	// What an allowlisted name uses is kept with it.
-	spread()
+	// What an allowlisted name uses is kept with it, and a type kept
+	// that way keeps its methods.
+	for before := (map[types.Object]bool{}); len(before) < len(live); {
+		for obj := range live {
+			before[obj] = true
+		}
+		spread()
+		for obj := range live {
+			for _, m := range methodsOf[obj] {
+				if !wasLive[obj] {
+					live[m] = true
+				}
+			}
+		}
+	}
 
 	var dead []string
 	for obj := range candidate {
@@ -166,13 +291,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("allowlist has %d entries, cap is 15", len(testOnlyExportsAllowed))
 	}
 	for n, why := range testOnlyExportsAllowed {
-		if !named[n] {
+		if !allowed[n] {
 			t.Errorf("allowlist entry %s names nothing exported under internal/", n)
 		}
 		if why == "" {
 			t.Errorf("allowlist entry %s gives no reason", n)
 		}
 	}
+}
+
+// recvType is a method's receiver type, nil for anything else.
+func recvType(obj types.Object) types.Type {
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			return recv.Type()
+		}
+	}
+	return nil
 }
 
 // receiverIdent unwraps *T and T[P] down to the receiver's type name.

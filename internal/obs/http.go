@@ -12,7 +12,8 @@ import (
 // views, refreshed at quiescence points (barriers, Flush/Drain), with
 // Status overlaying live health and clock. The cached views are
 // therefore exact as of the last barrier. Nil functions mark disabled
-// facilities; their endpoints answer 404.
+// facilities; their endpoints answer 404. Series, Timelines and Spans
+// are nil exactly when the engine's telemetry is off.
 type Source struct {
 	Scrape    func() *Snapshot
 	Series    func() *Series
@@ -24,6 +25,9 @@ type Source struct {
 	// profiling half of the admin surface.
 	Pprof bool
 }
+
+// obsDisabled is the 404 text of every endpoint that needs telemetry.
+const obsDisabled = "telemetry disabled (set Obs.Enabled)"
 
 // NewHTTPHandler serves the telemetry and admin surface over HTTP:
 //
@@ -52,7 +56,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/series.csv", func(w http.ResponseWriter, req *http.Request) {
 		if src.Series == nil {
-			http.Error(w, "interval snapshots disabled (set SnapshotInterval)", http.StatusNotFound)
+			http.Error(w, obsDisabled, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "text/csv")
@@ -62,7 +66,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/timelines.json", func(w http.ResponseWriter, req *http.Request) {
 		if src.Timelines == nil {
-			http.Error(w, "flow tracing disabled (set TraceSampleEvery)", http.StatusNotFound)
+			http.Error(w, obsDisabled, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -88,7 +92,7 @@ func NewHTTPHandler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
 		if src.Spans == nil {
-			http.Error(w, "span tracing disabled (set SpanSampleEvery)", http.StatusNotFound)
+			http.Error(w, obsDisabled, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -34,32 +34,16 @@
 //superfe:deterministic
 package obs
 
-// Options configures the telemetry attached to one engine.
+// Options configures the telemetry attached to one engine. The
+// sampling rates and the snapshot period are fixed where they are
+// read: traceSampleEvery and spanSampleEvery in NewPipeline, the
+// snapshot interval in the engine that drives the Recorder.
 type Options struct {
 	// Enabled turns instrumentation on. The zero value keeps every
 	// hook nil so the pipeline runs exactly as before.
 	Enabled bool
-	// SnapshotInterval is the logical-clock snapshot period in
-	// packets; 0 disables the interval series (scrapes still work).
-	SnapshotInterval uint64
-	// TraceSampleEvery samples 1-in-K CG flow groups into the
-	// per-shard lifecycle ring (rounded up to a power of two); 0
-	// disables flow tracing, 1 traces every group.
-	TraceSampleEvery int
-	// SpanSampleEvery samples 1-in-K columnar batches into the
-	// per-shard span ring, keyed by the first row's CG hash (rounded
-	// up to a power of two); 0 disables span tracing, 1 spans every
-	// batch.
-	SpanSampleEvery int
 }
 
-// DefaultOptions returns the default telemetry sizing: snapshots
-// every 64Ki packets, 1-in-64 flow groups traced, 1-in-16 batches
-// spanned. Enabled is left false; callers opt in.
-func DefaultOptions() Options {
-	return Options{
-		SnapshotInterval: 1 << 16,
-		TraceSampleEvery: 64,
-		SpanSampleEvery:  16,
-	}
-}
+// DefaultOptions returns the default telemetry options: off, so
+// callers opt in by setting Enabled.
+func DefaultOptions() Options { return Options{} }

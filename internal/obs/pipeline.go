@@ -38,6 +38,15 @@ type Pipeline struct {
 	Spans    *Ring[BatchSpan]
 }
 
+// Trace sampling rates, each rounded up to a power of two by NewRing:
+// 1-in-traceSampleEvery CG flow groups are traced into a shard's
+// lifecycle ring, and 1-in-spanSampleEvery columnar batches (keyed by
+// the first row's CG hash) into its span ring.
+const (
+	traceSampleEvery = 64
+	spanSampleEvery  = 16
+)
+
 // NewPipeline builds one shard's telemetry with the ring panel
 // registered and the registry still open: the shard's stages register
 // their series in their constructors and the owner seals it once the
@@ -72,7 +81,7 @@ func NewPipeline(o Options, shard int) *Pipeline {
 	}
 	return &Pipeline{
 		Registry: r, Ring: ring,
-		Tracer: NewRing[Event](shard, o.TraceSampleEvery, traceRingSize),
-		Spans:  NewRing[BatchSpan](shard, o.SpanSampleEvery, spanRingSize),
+		Tracer: NewRing[Event](shard, traceSampleEvery, traceRingSize),
+		Spans:  NewRing[BatchSpan](shard, spanSampleEvery, spanRingSize),
 	}
 }

@@ -125,9 +125,6 @@ func (r *Registry) Histogram(name, help string, edges []int64, labels ...LabelPa
 	return Histogram{r: r, slot: r.register(name, help, KindHistogram, edges, labels), edges: edges}
 }
 
-// Defs returns the registered series in registration order.
-func (r *Registry) Defs() []SeriesDef { return r.defs }
-
 // Counter is a handle to one monotonic series. The zero value is a
 // no-op, so engines can keep handles unconditionally.
 type Counter struct {
@@ -225,46 +222,12 @@ func (g Gauge) Set(v int64) {
 	}
 }
 
-// Add adds delta (may be negative).
-//
-//superfe:hotpath
-func (g Gauge) Add(delta int64) {
-	if g.r != nil {
-		// Two's-complement addition: correct for int64 deltas on the
-		// uint64 slot.
-		atomic.AddUint64(&g.r.vals[g.slot], uint64(delta))
-	}
-}
-
 // Histogram is a handle to one distribution series. The zero value is
 // a no-op.
 type Histogram struct {
 	r     *Registry
 	slot  int
 	edges []int64
-}
-
-// Observe records one sample: binary search over the fixed edges,
-// three atomic adds, no allocation.
-//
-//superfe:hotpath
-func (h Histogram) Observe(x int64) {
-	if h.r == nil {
-		return
-	}
-	lo, hi := 0, len(h.edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if x <= h.edges[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	// lo == len(edges) means the +Inf overflow bucket.
-	atomic.AddUint64(&h.r.vals[h.slot], 1)
-	atomic.AddUint64(&h.r.vals[h.slot+1], uint64(x))
-	atomic.AddUint64(&h.r.vals[h.slot+histHdrSlots+lo], 1)
 }
 
 // HistStage is a goroutine-local staging buffer for one Histogram:
@@ -291,8 +254,8 @@ func (h Histogram) Stage() HistStage {
 	return HistStage{h: h, buckets: make([]uint64, len(h.edges)+1)}
 }
 
-// Observe stages one sample: the same binary search as
-// Histogram.Observe, but three plain stores instead of three atomics.
+// Observe stages one sample: a binary search over the fixed edges and
+// three plain stores, which Flush publishes.
 //
 //superfe:hotpath
 func (st *HistStage) Observe(x int64) {

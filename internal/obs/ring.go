@@ -32,11 +32,8 @@ type Ring[T Element[T]] struct {
 
 // NewRing builds shard's ring (-1 = the router) sampling 1-in-
 // sampleEvery hashes into capacity slots, both rounded up to a power
-// of two. sampleEvery <= 0 returns nil.
+// of two.
 func NewRing[T Element[T]](shard, sampleEvery, capacity int) *Ring[T] {
-	if sampleEvery <= 0 {
-		return nil
-	}
 	return &Ring[T]{
 		shard: int32(shard),
 		mask:  uint32(ceilPow2(sampleEvery) - 1),

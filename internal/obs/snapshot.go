@@ -129,32 +129,6 @@ func (s *Snapshot) Value(name string, labelValues ...string) (uint64, bool) {
 	return 0, false
 }
 
-// HistogramValue returns the count, sum and per-bucket counters of
-// the named histogram series (the last bucket is +Inf overflow).
-func (s *Snapshot) HistogramValue(name string, labelValues ...string) (count uint64, sum int64, buckets []uint64, ok bool) {
-	for i := range s.Defs {
-		d := &s.Defs[i]
-		if d.Name != name || d.Kind != KindHistogram || len(d.Labels) != len(labelValues) {
-			continue
-		}
-		match := true
-		for j, lv := range labelValues {
-			if d.Labels[j].Value != lv {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		count = s.Vals[d.Slot]
-		sum = int64(s.Vals[d.Slot+1])
-		buckets = s.Vals[d.Slot+histHdrSlots : d.Slot+d.slots()]
-		return count, sum, buckets, true
-	}
-	return 0, 0, nil, false
-}
-
 // Series is the accumulated interval time-series: one delta Snapshot
 // per logical-clock interval, in clock order.
 type Series struct {
@@ -195,9 +169,6 @@ type Recorder struct {
 // NewRecorder returns a recorder snapshotting every interval packets
 // via capture. A nil recorder is safe to Tick.
 func NewRecorder(interval uint64, capture func() *Snapshot) *Recorder {
-	if interval == 0 || capture == nil {
-		return nil
-	}
 	return &Recorder{interval: interval, left: interval, capture: capture, series: Series{Interval: interval}}
 }
 
@@ -233,12 +204,4 @@ func (rec *Recorder) Series() *Series {
 		return &Series{}
 	}
 	return &rec.series
-}
-
-// Clock returns the number of ticks seen.
-func (rec *Recorder) Clock() uint64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.n
 }

@@ -148,13 +148,6 @@ func (p *Packet) Field(f FieldName) int64 {
 	return 0
 }
 
-// IsTCP reports whether the packet is TCP (the tcp.exist predicate of
-// the policy examples).
-func (p *Packet) IsTCP() bool { return p.Tuple.Proto == flowkey.ProtoTCP }
-
-// IsUDP reports whether the packet is UDP.
-func (p *Packet) IsUDP() bool { return p.Tuple.Proto == flowkey.ProtoUDP }
-
 // String renders a one-line summary for debugging.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s len=%d t=%dns flags=%s", p.Tuple, p.Size, p.Timestamp, p.Flags)

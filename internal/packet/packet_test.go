@@ -73,11 +73,11 @@ func TestFlags(t *testing.T) {
 
 func TestProtoPredicates(t *testing.T) {
 	p := samplePacket()
-	if !p.IsTCP() || p.IsUDP() {
+	if p.Field(FieldProto) != int64(flowkey.ProtoTCP) {
 		t.Error("TCP packet misclassified")
 	}
 	p.Tuple.Proto = flowkey.ProtoUDP
-	if p.IsTCP() || !p.IsUDP() {
+	if p.Field(FieldProto) != int64(flowkey.ProtoUDP) {
 		t.Error("UDP packet misclassified")
 	}
 }

@@ -299,12 +299,6 @@ func (p *Policy) Ops() []Op { return p.ops }
 // granularities, coarsest first (§5.1).
 func (p *Policy) Granularities() []flowkey.Granularity { return p.grans }
 
-// CoarsestGranularity returns the CG of the dependency chain.
-func (p *Policy) CoarsestGranularity() flowkey.Granularity { return p.grans[0] }
-
-// FinestGranularity returns the FG of the dependency chain.
-func (p *Policy) FinestGranularity() flowkey.Granularity { return p.grans[len(p.grans)-1] }
-
 // FeatureDim returns the dimension of the final feature vector, the
 // quantity Table 3 of the paper reports per application.
 func (p *Policy) FeatureDim() int { return p.featureDim }

@@ -34,7 +34,7 @@ func TestFigure3PolicyBuilds(t *testing.T) {
 	if p.FeatureDim() != 9 {
 		t.Errorf("dim = %d, want 9 (count + 4 size + 4 ipt)", p.FeatureDim())
 	}
-	if p.CoarsestGranularity() != flowkey.GranFlow || p.FinestGranularity() != flowkey.GranFlow {
+	if g := p.Granularities(); len(g) != 1 || g[0] != flowkey.GranFlow {
 		t.Error("single-granularity chain wrong")
 	}
 	if p.PerPacket() {

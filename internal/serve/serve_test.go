@@ -478,7 +478,7 @@ func TestHotReloadMidIngestRace(t *testing.T) {
 	if got := ten.Info().Pkts; got != uint64(len(tr.Packets)+500) {
 		t.Fatalf("tenant accounted %d packets, want %d", got, len(tr.Packets)+500)
 	}
-	if got := ten.Policy(); got != "Kitsune" {
+	if got := ten.Info().Policy; got != "Kitsune" {
 		t.Fatalf("tenant policy = %q after reload", got)
 	}
 
@@ -550,7 +550,7 @@ func TestReloadRejectedLeavesLivePlan(t *testing.T) {
 	}
 
 	ten, _ := srv.Tenant("prod")
-	if got := ten.Policy(); got != "NPOD" {
+	if got := ten.Info().Policy; got != "NPOD" {
 		t.Fatalf("live policy = %q after rejected reload, want NPOD", got)
 	}
 	info := ten.Info()

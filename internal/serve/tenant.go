@@ -131,7 +131,6 @@ func newTenant(name, polName string, pol *policy.Policy, workers int) (*Tenant, 
 	}
 	popts := core.DefaultParallelOptions()
 	popts.Workers = workers
-	popts.Obs = obs.DefaultOptions()
 	popts.Obs.Enabled = true
 	eng, err := core.NewFromPlan(popts, plan, t.emit)
 	if err != nil {
@@ -242,13 +241,6 @@ func (t *Tenant) Stop() error {
 	t.mu.Unlock()
 	t.closeSubscribers()
 	return err
-}
-
-// Policy returns the name the live policy was loaded under.
-func (t *Tenant) Policy() string {
-	t.idMu.Lock()
-	defer t.idMu.Unlock()
-	return t.polName
 }
 
 // Info assembles the tenant's admin listing row.

@@ -94,10 +94,3 @@ func (b *Bidirectional) AppendFeatures(dst []float64, v View) []float64 {
 // StateBytes reports the two Welford states plus covariance
 // bookkeeping.
 func (b *Bidirectional) StateBytes() int { return b.fwd.StateBytes() + b.bwd.StateBytes() + 32 }
-
-// Reset clears both streams and the covariance state.
-func (b *Bidirectional) Reset() {
-	b.fwd.Reset()
-	b.bwd.Reset()
-	b.lastResFwd, b.lastResBwd, b.sp, b.nPairs = 0, 0, 0, 0
-}

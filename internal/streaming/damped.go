@@ -75,11 +75,6 @@ func (d *DampedWelford) Std() float64 { return math.Sqrt(d.Var()) }
 // StateBytes reports the fixed 33-byte footprint.
 func (d *DampedWelford) StateBytes() int { return 33 }
 
-// Reset clears the statistics, preserving Lambda.
-func (d *DampedWelford) Reset() {
-	d.w, d.linSum, d.sqSum, d.lastTime, d.started = 0, 0, 0, 0, false
-}
-
 // Damped2D extends the damped statistics to two jointly observed
 // streams, providing the 2D features (magnitude, radius, covariance,
 // correlation) Kitsune computes per channel over damped windows.
@@ -170,11 +165,3 @@ func (d *Damped2D) PCC() float64 {
 
 // StateBytes reports the combined footprint.
 func (d *Damped2D) StateBytes() int { return d.A.StateBytes() + d.B.StateBytes() + 24 }
-
-// Reset clears both streams and the joint state.
-func (d *Damped2D) Reset() {
-	d.A.Reset()
-	d.B.Reset()
-	d.sr, d.wSR, d.lastTime, d.started = 0, 0, 0, false
-	d.lastResA, d.lastResB = 0, 0
-}

@@ -78,9 +78,6 @@ func (d *Damped1D) AppendFeatures(dst []float64, v View) []float64 {
 // StateBytes reports the damped window state.
 func (d *Damped1D) StateBytes() int { return d.w.StateBytes() }
 
-// Reset clears the window.
-func (d *Damped1D) Reset() { d.w.Reset() }
-
 // Damped2DReducer adapts Damped2D to the Reducer interface, one state
 // behind the four 2D views: positive samples feed stream A (forward),
 // negative samples feed stream B (backward) with magnitude |x|.
@@ -119,9 +116,6 @@ func (r *Damped2DReducer) AppendFeatures(dst []float64, v View) []float64 {
 
 // StateBytes reports the 2D window state.
 func (r *Damped2DReducer) StateBytes() int { return r.d.StateBytes() }
-
-// Reset clears both windows.
-func (r *Damped2DReducer) Reset() { r.d.Reset() }
 
 // newDamped dispatches the damped constructors for New.
 func newDamped(f Func, p Params) (Reducer, error) {

@@ -44,7 +44,7 @@ func familySpecs() []spec {
 // per reduce spec — yield when fed the same stream. The stream has
 // sign flips (the 2D families split on sign), equal and backwards
 // timestamps (the damped families skip the decay), samples beyond the
-// histogram range, and a Reset in the middle.
+// histogram range, and fresh states in the middle.
 func TestFamilyViewsMatchPrivateReducers(t *testing.T) {
 	specs := familySpecs()
 	covered := map[Func]bool{}
@@ -101,9 +101,15 @@ func TestFamilyViewsMatchPrivateReducers(t *testing.T) {
 		check(-1) // empty states
 		for step := 0; step < 400; step++ {
 			if step == 250 {
-				state.Reset()
-				for _, r := range private {
-					r.Reset()
+				// Fresh states mid-stream: the shared state still
+				// answers as the private ones from the first sample.
+				if state, err = New(first.f, first.p); err != nil {
+					t.Fatal(err)
+				}
+				for i, m := range members {
+					if private[i], err = New(specs[m].f, specs[m].p); err != nil {
+						t.Fatal(err)
+					}
 				}
 				check(step)
 			}

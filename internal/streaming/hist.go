@@ -30,12 +30,6 @@ func (h *Histogram) Observe(x, _ int64) {
 	h.bins[idx]++
 }
 
-// Counts returns the raw bin counters.
-func (h *Histogram) Counts() []uint32 { return h.bins }
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
 // AppendFeatures appends, depending on the view:
 //
 //	ft_hist:    raw bin counts
@@ -93,14 +87,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // StateBytes reports 4 bytes per bin plus the sample counter.
 func (h *Histogram) StateBytes() int { return 4*len(h.bins) + 8 }
 
-// Reset zeros all bins.
-func (h *Histogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.n = 0
-}
-
 // VariableHistogram implements the variable-bin-width refinement
 // mentioned in §6.1 ("SuperFE also conducts variable bin width to
 // improve the accuracy of features computed through the histogram"):
@@ -154,12 +140,6 @@ func (v *VariableHistogram) Observe(x int64) {
 	v.bins[lo]++
 }
 
-// Counts returns the raw bin counters.
-func (v *VariableHistogram) Counts() []uint32 { return v.bins }
-
-// Edges returns the exclusive bin upper bounds.
-func (v *VariableHistogram) Edges() []int64 { return v.edges }
-
 // Features returns the raw bin counts.
 func (v *VariableHistogram) Features() []float64 {
 	out := make([]float64, len(v.bins))
@@ -171,11 +151,3 @@ func (v *VariableHistogram) Features() []float64 {
 
 // StateBytes reports the bin counters plus edges.
 func (v *VariableHistogram) StateBytes() int { return 4*len(v.bins) + 8*len(v.edges) + 8 }
-
-// Reset zeros the bins.
-func (v *VariableHistogram) Reset() {
-	for i := range v.bins {
-		v.bins[i] = 0
-	}
-	v.n = 0
-}

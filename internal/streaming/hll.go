@@ -55,17 +55,6 @@ func (h *HyperLogLog) Observe(x, _ int64) {
 	}
 }
 
-// ObserveHash folds a precomputed 32-bit hash (the switch-provided
-// hash reuse optimization of §6.2) into the sketch.
-func (h *HyperLogLog) ObserveHash(v uint32) {
-	idx := v >> (32 - h.bits)
-	rest := v << h.bits
-	rho := uint8(bits.LeadingZeros32(rest|1)) + 1
-	if rho > h.buckets[idx] {
-		h.buckets[idx] = rho
-	}
-}
-
 // Estimate returns the cardinality estimate with the standard
 // HyperLogLog bias correction, including the small-range (linear
 // counting) correction.
@@ -110,10 +99,3 @@ func (h *HyperLogLog) AppendFeatures(dst []float64, _ View) []float64 {
 
 // StateBytes reports one byte per bucket.
 func (h *HyperLogLog) StateBytes() int { return len(h.buckets) }
-
-// Reset clears all buckets.
-func (h *HyperLogLog) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-}

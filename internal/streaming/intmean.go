@@ -87,8 +87,3 @@ func (im *IntMean) Count() int64 { return im.n }
 
 // StateBytes reports 16 bytes (n + mean).
 func (im *IntMean) StateBytes() int { return 16 }
-
-// Reset clears the state and counters, preserving the Exact mode.
-func (im *IntMean) Reset() {
-	im.n, im.mean, im.DivisionsUsed, im.ComparesUsed = 0, 0, 0, 0
-}

@@ -1,9 +1,6 @@
 package streaming
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // NaiveReducer is the store-everything counterpart of a streaming
 // reducer: it buffers the complete sample stream and computes the
@@ -35,9 +32,6 @@ func (n *NaiveReducer) Observe(x, ts int64) {
 // StateBytes reports the full buffered stream — this is what blows up
 // the SmartNIC memory in the Figure 15 ablation.
 func (n *NaiveReducer) StateBytes() int { return 8*len(n.data) + 8*len(n.tss) }
-
-// Reset drops the buffer.
-func (n *NaiveReducer) Reset() { n.data, n.tss = n.data[:0], n.tss[:0] }
 
 // AppendFeatures computes the feature with the batch algorithm. A
 // naive reducer is one buffer per feature — its own family, whatever
@@ -157,18 +151,6 @@ func naiveDamped(f Func, lambda float64, data, tss []int64) float64 {
 			return d.Magnitude()
 		}
 	}
-}
-
-// ExactQuantile computes the exact q-th quantile by sorting the
-// buffered stream (what ft_percent approximates via the histogram).
-func (n *NaiveReducer) ExactQuantile(q float64) float64 {
-	if len(n.data) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), n.data...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return float64(sorted[idx])
 }
 
 func naiveMean(data []int64) float64 {

@@ -28,12 +28,12 @@ import (
 // the family member v selects to dst (most emit one, ft_hist emits
 // one per bin, f_array the whole sequence) and returns the extended
 // slice; StateBytes reports the state footprint in bytes, used by the
-// NIC memory model and the ILP placement.
+// NIC memory model and the ILP placement. A state lives as long as its
+// group, and NIC groups never retire, so there is no reset.
 type Reducer interface {
 	Observe(x, ts int64)
 	AppendFeatures(dst []float64, v View) []float64
 	StateBytes() int
-	Reset()
 }
 
 // View selects the family member AppendFeatures reads from a state.
@@ -278,12 +278,6 @@ func (s *Sum) AppendFeatures(dst []float64, _ View) []float64 { return append(ds
 // StateBytes reports 16 bytes (count + sum).
 func (s *Sum) StateBytes() int { return 16 }
 
-// Reset clears the state.
-func (s *Sum) Reset() { *s = Sum{} }
-
-// Count returns the number of observed samples.
-func (s *Sum) Count() uint64 { return s.n }
-
 // Extremum implements f_max / f_min: one state, one compare per
 // sample.
 type Extremum struct {
@@ -303,17 +297,13 @@ func (e *Extremum) Observe(x, _ int64) {
 	}
 }
 
-// AppendFeatures appends the extremum (0 if no samples were observed;
-// Reset zeroes value).
+// AppendFeatures appends the extremum (0 if no samples were observed).
 func (e *Extremum) AppendFeatures(dst []float64, _ View) []float64 {
 	return append(dst, float64(e.value))
 }
 
 // StateBytes reports 9 bytes (value + seen flag).
 func (e *Extremum) StateBytes() int { return 9 }
-
-// Reset clears the state, preserving the max/min mode.
-func (e *Extremum) Reset() { e.seen, e.value = false, 0 }
 
 // ---------------------------------------------------------------------------
 // Welford's online mean/variance (Equations 1-2 of the paper).
@@ -349,9 +339,6 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// Count returns the number of observed samples.
-func (w *Welford) Count() uint64 { return w.n }
-
 // AppendFeatures appends the mean, variance or stddev.
 func (w *Welford) AppendFeatures(dst []float64, v View) []float64 {
 	switch v.Func {
@@ -366,9 +353,6 @@ func (w *Welford) AppendFeatures(dst []float64, v View) []float64 {
 
 // StateBytes reports 24 bytes (n, mean, M2).
 func (w *Welford) StateBytes() int { return 24 }
-
-// Reset clears the state.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // ---------------------------------------------------------------------------
 // Higher moments: skew and kurtosis.
@@ -425,9 +409,6 @@ func (m *Moments) AppendFeatures(dst []float64, v View) []float64 {
 // StateBytes reports 40 bytes (n + four moments).
 func (m *Moments) StateBytes() int { return 40 }
 
-// Reset clears the state.
-func (m *Moments) Reset() { *m = Moments{} }
-
 // ---------------------------------------------------------------------------
 // f_array: pack samples into a sequence (direction sequences, §4.2).
 
@@ -462,11 +443,5 @@ func (a *Array) AppendFeatures(dst []float64, _ View) []float64 {
 	return dst
 }
 
-// Values returns the raw (unpadded) sequence.
-func (a *Array) Values() []int64 { return a.data }
-
 // StateBytes reports the current storage footprint.
 func (a *Array) StateBytes() int { return 8 * len(a.data) }
-
-// Reset clears the sequence, preserving the cap.
-func (a *Array) Reset() { a.data = a.data[:0] }

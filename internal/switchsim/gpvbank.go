@@ -19,7 +19,6 @@ import (
 // granularities — the Figure 13 baseline.
 type GPVBank struct {
 	switches []*Switch
-	grans    []flowkey.Granularity
 }
 
 // NewGPVBank builds the per-granularity caches. Each granularity
@@ -29,7 +28,7 @@ func NewGPVBank(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*GP
 	if len(plan.Chain) == 0 {
 		return nil, fmt.Errorf("switchsim: empty granularity chain")
 	}
-	b := &GPVBank{grans: plan.Chain}
+	b := &GPVBank{}
 	for _, g := range plan.Chain {
 		sub := plan
 		sub.CG, sub.FG = g, g
@@ -90,19 +89,3 @@ func (b *GPVBank) ConfiguredMemoryBytes(cfg Config) int {
 	}
 	return total
 }
-
-// EstimateResources sums the per-granularity resource footprints,
-// capping each fraction at 1.
-func (b *GPVBank) EstimateResources(cfg Config) Resources {
-	var r Resources
-	for _, sw := range b.switches {
-		sr := EstimateResources(cfg, sw.Plan())
-		r.Tables += sr.Tables
-		r.SALUs += sr.SALUs
-		r.SRAM += sr.SRAM
-	}
-	return r
-}
-
-// Granularities returns the chain the bank was built for.
-func (b *GPVBank) Granularities() []flowkey.Granularity { return b.grans }

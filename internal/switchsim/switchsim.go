@@ -547,20 +547,6 @@ func (s *Switch) Flush() {
 	s.publishObs()
 }
 
-// Occupancy returns the number of occupied CG slots and the number of
-// long buffers currently granted.
-func (s *Switch) Occupancy() (shortOccupied, longGranted int) {
-	for i := range s.slots {
-		if s.slots[i].occupied {
-			shortOccupied++
-			if s.slots[i].longIdx >= 0 {
-				longGranted++
-			}
-		}
-	}
-	return
-}
-
 // ActiveOccupied counts occupied slots and, of those, the ones whose
 // group received a packet within the window — the "buffer
 // efficiency" numerator/denominator of Figure 14.

@@ -243,6 +243,17 @@ func TestCollisionEviction(t *testing.T) {
 	}
 }
 
+// longGranted counts the occupied CG slots that hold a long buffer.
+func longGranted(s *Switch) int {
+	n := 0
+	for i := range s.slots {
+		if s.slots[i].occupied && s.slots[i].longIdx >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCollisionReleasesLongBuffer(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumShort = 1
@@ -254,7 +265,7 @@ func TestCollisionReleasesLongBuffer(t *testing.T) {
 		p := pkt(1, 1, 1000, 100, int64(i))
 		sw.Process(&p)
 	}
-	if _, granted := sw.Occupancy(); granted != 1 {
+	if granted := longGranted(sw); granted != 1 {
 		t.Fatal("long buffer not granted")
 	}
 	// Flow B collides: A evicted, long buffer back on the stack.
@@ -265,7 +276,7 @@ func TestCollisionReleasesLongBuffer(t *testing.T) {
 		q := pkt(2, 2, 2000, 100, int64(6000+i))
 		sw.Process(&q)
 	}
-	if _, granted := sw.Occupancy(); granted != 1 {
+	if granted := longGranted(sw); granted != 1 {
 		t.Error("long buffer was not recycled after collision eviction")
 	}
 }
@@ -438,8 +449,8 @@ func TestGPVBankLinearCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bank.Granularities()) != 2 {
-		t.Fatalf("granularities = %d", len(bank.Granularities()))
+	if len(bank.switches) != 2 {
+		t.Fatalf("granularities = %d", len(bank.switches))
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
