@@ -191,6 +191,8 @@ func reduceInstrCycles(f streaming.Func) float64 {
 		return 12 + 3*CycMultiply
 	case streaming.FDWeight, streaming.FDMean, streaming.FDStd:
 		// Decay is a shift-based exponential approximation on the NFP.
+		// The host computes the same factor exactly: math.Exp2's bits,
+		// with 2^k built on the exponent (streaming.DecayFactor).
 		return 8 + 2*CycMultiply
 	case streaming.FD2DMag, streaming.FD2DRadius, streaming.FD2DCov, streaming.FD2DPCC:
 		return 14 + 3*CycMultiply

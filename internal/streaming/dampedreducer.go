@@ -1,6 +1,9 @@
 package streaming
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Damped reducing functions over 2^(-λΔt) windows. FDWeight/FDMean/
 // FDStd are the 1D statistics (w, μ, σ); the FD2D* functions are the
@@ -119,8 +122,8 @@ func (r *Damped2DReducer) StateBytes() int { return r.d.StateBytes() }
 
 // newDamped dispatches the damped constructors for New.
 func newDamped(f Func, p Params) (Reducer, error) {
-	if p.Lambda <= 0 {
-		return nil, fmt.Errorf("streaming: %s requires a positive decay rate lambda", f)
+	if !(p.Lambda > 0 && p.Lambda <= math.MaxFloat64) { // NaN and +Inf included
+		return nil, fmt.Errorf("streaming: %s requires a positive, finite decay rate lambda, got %g", f, p.Lambda)
 	}
 	switch f {
 	case FDWeight, FDMean, FDStd:

@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"math"
+	"runtime"
 )
 
 // Kernels are the fixed-size reducer families compiled onto a group
@@ -131,16 +132,55 @@ func (k *Kernel) Lanes() []int { return k.lanes }
 // DecayFactor is the damped window's decay over dt nanoseconds at rate
 // lambda: 2^(-λ·Δt).
 func DecayFactor(lambda float64, dt int64) float64 {
-	return math.Exp2(-lambda * (float64(dt) / 1e9))
+	return exp2(-lambda * (float64(dt) / 1e9))
 }
 
-// Decay holds the decay factors of the cell in hand, by rate (a lane)
-// and interval. The groups a packet belongs to at its granularities,
+// exp2 is math.Exp2, bit for bit, for the exponents a decay takes.
+// On [-1022, 0] it is the standard library's algorithm (math/exp.go's
+// exp2 and expmulti) — the same constants, the same operations in the
+// same order — except that 2^k is built on the exponent bits, the
+// NFP's shift done exactly, where math.Exp2 calls Ldexp: the product
+// is exact whenever the result is normal, and on [-1022, 0] it is.
+// Everything else (NaN, -Inf, underflow) is math.Exp2's. The copy is
+// taken on amd64 only, where the compiler fuses no multiply-add of its
+// own accord; elsewhere fusion (or arm64's assembly Exp2) could round
+// the two differently.
+func exp2(x float64) float64 {
+	if runtime.GOARCH != "amd64" || !(x >= -1022 && x <= 0) {
+		return math.Exp2(x)
+	}
+	const (
+		Ln2Hi = 6.93147180369123816490e-01
+		Ln2Lo = 1.90821492927058770002e-10
+
+		P1 = 1.66666666666666657415e-01  /* 0x3FC55555; 0x55555555 */
+		P2 = -2.77777777770155933842e-03 /* 0xBF66C16C; 0x16BEBD93 */
+		P3 = 6.61375632143793436117e-05  /* 0x3F11566A; 0xAF25DE2C */
+		P4 = -1.65339022054652515390e-06 /* 0xBEBBBD41; 0xC5D26BF1 */
+		P5 = 4.13813679705723846039e-08  /* 0x3E663769; 0x72BEA4D0 */
+	)
+	// x = k + t with |t| ≤ 1/2 (k rounds half away from zero, as
+	// math's does for x < 0; at x = 0 both give k = 0); e^r with
+	// r = t·ln 2, carried as hi - lo for extra precision.
+	k := int(x - 0.5)
+	t := x - float64(k)
+	hi := t * Ln2Hi
+	lo := -t * Ln2Lo
+	r := hi - lo
+	t = r * r
+	c := r - t*(P1+t*(P2+t*(P3+t*(P4+t*P5))))
+	y := 1 - ((lo - (r*c)/(2-c)) - hi)
+	return y * math.Float64frombits(uint64(1023+k)<<52)
+}
+
+// Decay holds the decay factors of the cell in hand, by interval and
+// rate (a lane). The groups a packet belongs to at its granularities,
 // and the direction halves of their 2D states, mostly stand the same
 // few intervals behind it — a flow alone in its socket, a socket alone
 // in its channel — and a factor is a pure function of (λ, Δt), so one
 // Decay serves every granularity of a runtime and a cell computes each
-// distinct factor once. Reset forgets the intervals between cells.
+// distinct interval's factors once, every lane's when it first meets
+// the interval. Reset forgets the intervals between cells.
 type Decay struct {
 	lambdas []float64
 	rows    []decayRow
@@ -149,8 +189,7 @@ type Decay struct {
 
 type decayRow struct {
 	dt int64
-	f  []float64 // by lane; valid where ok
-	ok []bool
+	f  []float64 // by lane
 }
 
 // Lane returns the lane of rate lambda, adding one for a new rate.
@@ -168,14 +207,14 @@ func (d *Decay) Lane(lambda float64) int {
 // Reset starts a new cell.
 func (d *Decay) Reset() { d.n = 0 }
 
-// row returns the row of interval dt, claiming one when the cell has
-// not met dt before.
+// row returns the factors of interval dt by lane, computing every
+// lane's when the cell has not met dt before.
 //
 //superfe:hotpath
-func (d *Decay) row(dt int64) *decayRow {
+func (d *Decay) row(dt int64) []float64 {
 	for i := range d.rows[:d.n] {
 		if d.rows[i].dt == dt {
-			return &d.rows[i]
+			return d.rows[i].f
 		}
 	}
 	if d.n == len(d.rows) {
@@ -184,8 +223,10 @@ func (d *Decay) row(dt int64) *decayRow {
 	r := &d.rows[d.n]
 	d.n++
 	r.dt = dt
-	clear(r.ok)
-	return r
+	for l, lambda := range d.lambdas {
+		r.f[l] = DecayFactor(lambda, dt)
+	}
+	return r.f
 }
 
 // addRow grows the memo by one interval; it settles at the most
@@ -193,16 +234,7 @@ func (d *Decay) row(dt int64) *decayRow {
 //
 //superfe:coldpath
 func (d *Decay) addRow() {
-	d.rows = append(d.rows, decayRow{f: make([]float64, len(d.lambdas)), ok: make([]bool, len(d.lambdas))})
-}
-
-// factor returns lane's factor over r's interval, computing it on the
-// cell's first request.
-func (d *Decay) factor(r *decayRow, lane int) float64 {
-	if !r.ok[lane] {
-		r.f[lane], r.ok[lane] = DecayFactor(d.lambdas[lane], r.dt), true
-	}
-	return r.f[lane]
+	d.rows = append(d.rows, decayRow{f: make([]float64, len(d.lambdas))})
 }
 
 // Step is what one cell does to its group's clock, computed once per
@@ -216,8 +248,8 @@ type Step struct {
 	// behind Prev.
 	Now, Prev int64
 	// decays: the clock advances (Now > Prev on a started group), and
-	// factors[lane] is DecayFactor(λ, Now-Prev) for each of the group's
-	// lanes. A cell at or before the clock decays nothing.
+	// factors[lane] is DecayFactor(λ, Now-Prev) for every lane of the
+	// memo. A cell at or before the clock decays nothing.
 	decays  bool
 	factors []float64
 	memo    *Decay
@@ -226,7 +258,7 @@ type Step struct {
 // Begin starts the step of a cell at now on a group whose clock stands
 // at prev (first: the group has absorbed no cell, and its clock starts
 // here), and returns the clock after the cell. lanes are the lanes the
-// group's states decay on.
+// group's states decay on; a group with none takes no factor.
 //
 //superfe:hotpath
 func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
@@ -239,11 +271,7 @@ func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
 		return prev
 	}
 	if len(lanes) > 0 {
-		r := d.row(now - prev)
-		for _, l := range lanes {
-			d.factor(r, l)
-		}
-		s.factors = r.f
+		s.factors = d.row(now - prev)
 	}
 	return now
 }
@@ -463,7 +491,7 @@ func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
 				f, decay = factors[l], true
 			}
 		case s.Now > last:
-			f, decay = s.memo.factor(s.memo.row(s.Now-last), l), true
+			f, decay = s.memo.row(s.Now - last)[l], true
 		}
 		if decay {
 			w *= f

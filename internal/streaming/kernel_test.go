@@ -270,9 +270,10 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestDecayComputesEachFactorOnce: within a cell a (lane, interval)
-// pair costs one DecayFactor however many groups and direction halves
-// ask for it, and Reset forgets the cell.
+// TestDecayComputesEachFactorOnce: within a cell an interval costs one
+// DecayFactor per lane, computed for every lane when a row claims the
+// interval, however many groups and direction halves ask for it later;
+// and Reset forgets the cell.
 func TestDecayComputesEachFactorOnce(t *testing.T) {
 	var d Decay
 	fast, slow := d.Lane(5), d.Lane(0.1)
@@ -282,24 +283,71 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 	var s Step
 	d.Reset()
 	s.Begin(&d, []int{fast}, false, 0, 3e8)
-	if got, want := s.factors[fast], DecayFactor(5, 3e8); got != want {
-		t.Errorf("factor %v, want %v", got, want)
+	if got, want := s.factors[fast], DecayFactor(5, 3e8); got != want || d.n != 1 {
+		t.Errorf("factor %v, want %v; %d intervals", got, want, d.n)
 	}
-	row := d.row(3e8)
-	if d.n != 1 || !row.ok[fast] || row.ok[slow] {
-		t.Errorf("after one group: %d intervals, lanes %v", d.n, row.ok)
+	// A direction half on slow, its clock as far behind as the group's,
+	// reads the row a group that decays on fast alone claimed.
+	if got := d.row(3e8)[slow]; got != DecayFactor(0.1, 3e8) || d.n != 1 {
+		t.Errorf("the other lane of a claimed row: factor %v, %d intervals", got, d.n)
 	}
-	row.f[fast] = -1 // a recomputation would overwrite the mark
+	s.factors[fast], s.factors[slow] = -1, -2 // a recomputation would overwrite the marks
 	s.Begin(&d, []int{fast, slow}, false, 7e8, 1e9)
-	if d.n != 1 || s.factors[fast] != -1 || s.factors[slow] != DecayFactor(0.1, 3e8) {
+	if d.n != 1 || s.factors[fast] != -1 || s.factors[slow] != -2 {
 		t.Errorf("a second group at the same interval: %d intervals, factors %v", d.n, s.factors)
 	}
-	if got := d.factor(d.row(4e8), slow); got != DecayFactor(0.1, 4e8) || d.n != 2 {
+	if got := d.row(4e8)[slow]; got != DecayFactor(0.1, 4e8) || d.n != 2 {
 		t.Errorf("a half's own interval: factor %v, %d intervals", got, d.n)
 	}
 	d.Reset()
-	if s.Begin(&d, []int{fast}, false, 0, 3e8); s.factors[fast] != DecayFactor(5, 3e8) {
+	s.Begin(&d, []int{fast}, false, 0, 3e8)
+	if s.factors[fast] != DecayFactor(5, 3e8) || s.factors[slow] != DecayFactor(0.1, 3e8) {
 		t.Error("a factor outlived its cell")
+	}
+}
+
+// TestExp2MatchesMathExp2: the decay's exp2 is math.Exp2 bit for bit —
+// across its scaled range, at every catalog rate over intervals up to
+// 2^31 ns, at the half-integers where the reduction's k rounds, at the
+// edges of the range and at the special values — and DecayFactor is
+// math.Exp2 of -λ·Δt.
+func TestExp2MatchesMathExp2(t *testing.T) {
+	bad := 0
+	same := func(x float64) {
+		if got, want := exp2(x), math.Exp2(x); math.Float64bits(got) != math.Float64bits(want) && bad < 10 {
+			bad++
+			t.Errorf("exp2(%v) = %v (%#x), math.Exp2 %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<19; i++ {
+		same(-1022 * rng.Float64())
+		same(-math.Ldexp(rng.Float64(), -rng.Intn(64))) // near 0, where decays mostly are
+	}
+	for k := 0; k <= 1022; k++ {
+		h := -float64(k) - 0.5
+		same(h)
+		same(math.Nextafter(h, 0))
+		same(math.Nextafter(h, math.Inf(-1)))
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), -1022, -1022.5, -1074, -1075,
+		math.Nextafter(-1022, 0), math.Nextafter(-1022, -2000), math.NaN(), math.Inf(-1)} {
+		same(x)
+	}
+	for _, lambda := range []float64{5, 3, 1, 0.1, 0.01} {
+		check := func(dt int64) {
+			want := math.Exp2(-lambda * (float64(dt) / 1e9))
+			if got := DecayFactor(lambda, dt); math.Float64bits(got) != math.Float64bits(want) && bad < 10 {
+				bad++
+				t.Errorf("DecayFactor(%v, %d) = %v, math.Exp2 %v", lambda, dt, got, want)
+			}
+		}
+		for dt := int64(1); dt <= 1<<31; dt += dt/64 + 1 {
+			check(dt)
+		}
+		for i := 0; i < 1<<14; i++ {
+			check(1 + rng.Int63n(1<<31))
+		}
 	}
 }
 
@@ -309,6 +357,8 @@ func TestConstructorRejectsWhatNewRejects(t *testing.T) {
 	for _, s := range []spec{
 		{FHist, Params{}}, {FPercent, Params{BinWidth: 10, Bins: 4, Quantile: 1}},
 		{FCard, Params{HLLBits: 40}}, {FDMean, Params{}}, {numFuncsExt, Params{}},
+		{FPercent, Params{BinWidth: 10, Bins: 4, Quantile: math.NaN()}},
+		{FDMean, Params{Lambda: math.NaN()}}, {FD2DCov, Params{Lambda: math.Inf(1)}},
 	} {
 		if _, err := New(s.f, s.p); err == nil {
 			t.Fatalf("%s %+v: fixture is valid", s.f, s.p)

@@ -175,7 +175,7 @@ func New(f Func, p Params) (Reducer, error) {
 		if p.Bins <= 0 || p.BinWidth <= 0 {
 			return nil, fmt.Errorf("streaming: %s requires positive bins and bin width, got bins=%d width=%d", f, p.Bins, p.BinWidth)
 		}
-		if f == FPercent && (p.Quantile <= 0 || p.Quantile >= 1) {
+		if f == FPercent && !(p.Quantile > 0 && p.Quantile < 1) { // NaN included
 			return nil, fmt.Errorf("streaming: ft_percent requires quantile in (0,1), got %g", p.Quantile)
 		}
 		return &Histogram{width: p.BinWidth, bins: make([]uint32, p.Bins)}, nil
