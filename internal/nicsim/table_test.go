@@ -274,32 +274,38 @@ func BenchmarkFlush(b *testing.B) {
 	}
 }
 
-// TestFaultedReplayPinned replays a fixed trace under the CLI's
+// TestFaultedReplayPinned replays fixed traces under the CLI's
 // `-faults seed=3,rate=0.05,kinds=nic` plan, whose EMEM failures are
 // drawn once per lookup miss in cell order: a table that probed,
 // missed or admitted in any other order than the map it replaced would
 // move every number below. So would another flowkey.HashKey: the
 // switch's slots and FG indices decide the order cells arrive in.
+// Kitsune's row is its per-packet read-out, 115 values a packet, on a
+// CAMPUS-shaped trace whose FG table overwrites live keys: the digest
+// moves with any bit of any feature of any granularity.
 func TestFaultedReplayPinned(t *testing.T) {
 	fp, err := faults.Parse("seed=3,rate=0.05,kinds=nic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := trace.EnterpriseConfig
-	wl.Flows = 2000
-	tr := trace.Generate(wl, 42)
+	enterprise, campus := trace.EnterpriseConfig, trace.CampusConfig
+	enterprise.Flows, campus.Flows = 2000, 2000
 	for _, tc := range []struct {
 		pol                  func() *policy.Policy
+		wl                   trace.WorkloadConfig
+		overwrites           uint64 // FG-table entries that replaced a live key
 		drops, vectors, live uint64
 		digest               uint64
 	}{
-		{apps.NPOD, 180, 3457, 3457, 0xeddd8e0ee0746c36},
-		{apps.NBaIoT, 179, 1878, 3403, 0xbdad00b3ca4d8ad2},
+		{apps.NPOD, enterprise, 0, 180, 3457, 3457, 0xeddd8e0ee0746c36},
+		{apps.NBaIoT, enterprise, 139, 179, 1878, 3403, 0xbdad00b3ca4d8ad2},
+		{apps.Kitsune, campus, 711, 447, 126896, 8501, 0x602d21b22a63e22d},
 	} {
 		plan, err := policy.Compile(tc.pol())
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr := trace.Generate(tc.wl, 42)
 		h := fnv.New64a()
 		word := func(x uint64) {
 			var b [8]byte
@@ -330,6 +336,9 @@ func TestFaultedReplayPinned(t *testing.T) {
 		}
 		sw.Flush()
 		rt.Flush()
+		if got := sw.Stats().FGOverwrites; got != tc.overwrites {
+			t.Errorf("%s: %d FG-table overwrites, pinned %d", plan.Policy.Name(), got, tc.overwrites)
+		}
 		st := rt.Stats()
 		if st.EMEMDrops != tc.drops || st.Vectors != tc.vectors || uint64(st.GroupsLive) != tc.live || h.Sum64() != tc.digest {
 			t.Errorf("%s: EMEMDrops=%d Vectors=%d GroupsLive=%d digest=%#x, pinned %d %d %d %#x",

@@ -521,19 +521,27 @@ func clampPCC(p float64) float64 {
 	return p
 }
 
-// ReadPlan is a kernel's part of a read-out compiled at deploy: the
-// views every lane reads, each resolved to the family member it reads,
-// and where in the output each lands. What the members of a family
-// share is computed once per lane — a 1D triple's LS/w serves mean and
-// stddev, a 2D state's two means and variances serve magnitude, radius
-// and correlation (the host form of the paper's division elimination) —
-// and a member no view reads is not computed.
+// ReadPlan is a kernel's part of a read-out compiled at deploy: for
+// every lane, the window position of each family member some view
+// reads, so Read stores a member where it goes as it computes it. What
+// the members of a family share is computed once per lane — a 1D
+// triple's LS/w serves mean and stddev, a 2D state's two means and
+// variances serve magnitude, radius and correlation (the host form of
+// the paper's division elimination) — and a member no view reads has
+// no position and is not computed.
 type ReadPlan struct {
-	views   []View  // the histogram's: its views differ in shape
-	members []uint8 // by view: the member it reads, an index into the lane's values
-	pos     []int   // lane i's view j lands at pos[i*len(members)+j]
-	need    uint8   // the members read, a bit each
+	at     [][4]uint32 // by lane: member m lands at at[lane][m], or nowhere if unread
+	copies [][2]uint32 // a view that repeats a member: win[c[0]] = win[c[1]], its first position
+	end    int         // one past the last position: Read cuts the window there
+	// The histogram's views differ in shape: view j writes from pos[j].
+	views []View
+	pos   []int
 }
+
+// unread is the position of a member no view reads: past every window,
+// so the one test that a position lies in the window both skips an
+// unread member and spares the store its bounds check.
+const unread = math.MaxUint32
 
 // PlanRead compiles the read-out of views, in order, from every lane
 // of k: lane i's view j lands at pos[i*len(views)+j] of the window Read
@@ -542,21 +550,32 @@ func (k *Kernel) PlanRead(views []View, pos []int) ReadPlan {
 	if len(pos) != max(1, len(k.lanes))*len(views) {
 		panic("streaming: a read-out position per lane and view")
 	}
-	p := ReadPlan{pos: pos, members: make([]uint8, len(views))}
 	if k.kind == kindHist {
-		p.views = views
+		return ReadPlan{views: views, pos: pos}
 	}
-	for j, v := range views {
-		m := memberOf(v.Func)
-		p.members[j] = m
-		p.need |= 1 << m
+	p := ReadPlan{at: make([][4]uint32, max(1, len(k.lanes)))}
+	for i := range p.at {
+		p.at[i] = [4]uint32{unread, unread, unread, unread}
+		for j, v := range views {
+			q := pos[i*len(views)+j]
+			if q < 0 || int64(q) >= unread {
+				panic("streaming: a read-out position out of range")
+			}
+			p.end = max(p.end, q+1)
+			at := &p.at[i][memberOf(v.Func)]
+			if *at == unread {
+				*at = uint32(q)
+			} else {
+				p.copies = append(p.copies, [2]uint32{uint32(q), *at})
+			}
+		}
 	}
 	return p
 }
 
 // memberOf is the index of the value f reads among its family's
 // read-out values, in the order Read lists them.
-func memberOf(f Func) uint8 {
+func memberOf(f Func) int {
 	switch f {
 	case FVar, FKurtosis, FRadius, FDMean, FD2DRadius:
 		return 1
@@ -568,64 +587,69 @@ func memberOf(f Func) uint8 {
 	return 0
 }
 
-// scatter writes lane's views out of its member values m.
-func (p *ReadPlan) scatter(win []float64, lane int, m *[4]float64) {
-	n := len(p.members)
-	pos := p.pos[lane*n : lane*n+n]
-	for j, mb := range p.members {
-		win[pos[j]] = m[mb&3]
-	}
-}
-
 // Read writes the features p plans from the state at st[:k.Words] into
-// win, one family switch for every lane and view.
+// win, one family switch for every lane and view: each member read is
+// stored at its position as it is computed, and the window's other
+// values are left as they are.
 //
 //superfe:hotpath
 func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
-	var m [4]float64
+	if k.kind == kindHist {
+		for j, v := range p.views {
+			k.readHist(win[p.pos[j]:], st, v)
+		}
+		return
+	}
+	win = win[:p.end:p.end] // panics on a window too short for the plan
 	switch k.kind {
 	case kindSum, kindExtremum: // value
-		m[0] = float64(int64(st[0]))
-		p.scatter(win, 0, &m)
+		if q := p.at[0][0]; uint(q) < uint(len(win)) {
+			win[q] = float64(int64(st[0]))
+		}
 	case kindWelford: // mean, var, std
+		at := &p.at[0]
 		v := welfordVar(st)
-		m[0], m[1] = f64(st[1]), v
-		if p.need&(1<<2) != 0 {
-			m[2] = math.Sqrt(v)
+		if q := at[0]; uint(q) < uint(len(win)) {
+			win[q] = f64(st[1])
 		}
-		p.scatter(win, 0, &m)
+		if q := at[1]; uint(q) < uint(len(win)) {
+			win[q] = v
+		}
+		if q := at[2]; uint(q) < uint(len(win)) {
+			win[q] = math.Sqrt(v)
+		}
 	case kindMoments: // skewness, kurtosis
-		if p.need&(1<<0) != 0 {
-			m[0] = momentsView(st, false)
+		at := &p.at[0]
+		if q := at[0]; uint(q) < uint(len(win)) {
+			win[q] = momentsView(st, false)
 		}
-		if p.need&(1<<1) != 0 {
-			m[1] = momentsView(st, true)
+		if q := at[1]; uint(q) < uint(len(win)) {
+			win[q] = momentsView(st, true)
 		}
-		p.scatter(win, 0, &m)
 	case kindBidir: // magnitude, radius, cov, pcc
 		cov := 0.0
 		if n := st[9]; n != 0 {
 			cov = f64(st[8]) / float64(n)
 		}
 		vf, vb := welfordVar(st[0:3]), welfordVar(st[3:6])
-		read2D(&m, p.need, f64(st[1]), f64(st[4]), vf, vb, cov)
-		p.scatter(win, 0, &m)
-	case kindHist:
-		for j, v := range p.views {
-			k.readHist(win[p.pos[j]:], st, v)
-		}
+		read2D(win, &p.at[0], f64(st[1]), f64(st[4]), vf, vb, cov)
 	case kindDamped1D: // weight, mean, std
-		for i := range k.lanes {
+		for i := range p.at {
+			at := &p.at[i]
 			ln := st[i*damped1DWords : (i+1)*damped1DWords : (i+1)*damped1DWords]
 			mean := dampedMean(ln)
-			m[0], m[1] = f64(ln[0]), mean
-			if p.need&(1<<2) != 0 {
-				m[2] = math.Sqrt(dampedVar(ln, mean))
+			if q := at[0]; uint(q) < uint(len(win)) {
+				win[q] = f64(ln[0])
 			}
-			p.scatter(win, i, &m)
+			if q := at[1]; uint(q) < uint(len(win)) {
+				win[q] = mean
+			}
+			if q := at[2]; uint(q) < uint(len(win)) {
+				win[q] = math.Sqrt(dampedVar(ln, mean))
+			}
 		}
 	case kindDamped2D: // magnitude, radius, cov, pcc
-		for i := range k.lanes {
+		for i := range p.at {
 			ln := st[i*damped2DWords : (i+1)*damped2DWords : (i+1)*damped2DWords]
 			a, b := ln[4:8], ln[8:12]
 			ma, mb := dampedMean(a), dampedMean(b)
@@ -634,28 +658,35 @@ func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
 			if wSR := f64(ln[1]); wSR != 0 {
 				cov = f64(ln[0]) / wSR
 			}
-			read2D(&m, p.need, ma, mb, va, vb, cov)
-			p.scatter(win, i, &m)
+			read2D(win, &p.at[i], ma, mb, va, vb, cov)
 		}
+	}
+	for _, c := range p.copies {
+		win[c[0]] = win[c[1]]
 	}
 }
 
-// read2D computes the members of a two-stream state that need asks
-// for from its two means and variances and the covariance.
-func read2D(m *[4]float64, need uint8, ma, mb, va, vb, cov float64) {
-	if need&(1<<0) != 0 {
-		m[0] = math.Sqrt(ma*ma + mb*mb)
+// read2D stores the members of a two-stream state that at places, from
+// its two means and variances and the covariance. The correlation keeps
+// its clamp: the residual products behind cov are taken against means
+// of different times, so Cauchy–Schwarz does not bound cov/(√va·√vb)
+// by 1 (TestPCCClampIsLive).
+func read2D(win []float64, at *[4]uint32, ma, mb, va, vb, cov float64) {
+	if q := at[0]; uint(q) < uint(len(win)) {
+		win[q] = math.Sqrt(ma*ma + mb*mb)
 	}
-	if need&(1<<1) != 0 {
-		m[1] = math.Sqrt(va*va + vb*vb)
+	if q := at[1]; uint(q) < uint(len(win)) {
+		win[q] = math.Sqrt(va*va + vb*vb)
 	}
-	m[2] = cov
-	if need&(1<<3) != 0 {
+	if q := at[2]; uint(q) < uint(len(win)) {
+		win[q] = cov
+	}
+	if q := at[3]; uint(q) < uint(len(win)) {
 		p := 0.0
 		if denom := math.Sqrt(va) * math.Sqrt(vb); denom != 0 {
 			p = clampPCC(cov / denom)
 		}
-		m[3] = p
+		win[q] = p
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // backwards timestamps, 32-bit cell stamps that wrap and are unwrapped
 // as the NIC unwraps them, and samples beyond the histogram range.
 // After every sample every view of every lane must read, bit for bit,
-// what its reducer reads, planned alone and with all the state's views
-// at once, interleaved across lanes; the guards must stand; and a
-// kernel must model the bytes its reducer reports.
+// what its reducer reads, planned alone and with several of the state's
+// views at once — all of them, in reverse, and without one member —
+// laid out lane-major and view-major, in a window whose other values
+// Read leaves untouched; the guards must stand; and a kernel must model
+// the bytes its reducer reports.
 func TestKernelsMatchReducers(t *testing.T) {
 	const guard = 0xA5A5A5A5A5A5A5A5
 	type state struct {
@@ -112,21 +114,58 @@ func TestKernelsMatchReducers(t *testing.T) {
 	}
 
 	// read plans views from every lane of st, lane i's view j at pos(i,
-	// j), and returns the window Read writes, its unwritten words NaN.
+	// j) of size values, into a window with NaN sentinels around them,
+	// which Read must leave as they are; it returns the planned part.
 	read := func(st *state, views []View, size int, pos func(i, j int) int) []float64 {
+		const pad, sentinel = 3, 0x7ff8_dead_0000_beef
 		var ps []int
 		for i := range st.reducers {
 			for j := range views {
-				ps = append(ps, pos(i, j))
+				ps = append(ps, pad+pos(i, j))
 			}
 		}
 		plan := st.kern.PlanRead(views, ps)
-		win := make([]float64, size)
+		win := make([]float64, pad+size+pad)
 		for i := range win {
-			win[i] = math.NaN()
+			win[i] = math.Float64frombits(sentinel)
 		}
 		st.kern.Read(win, rec[st.off:], &plan)
-		return win
+		for i, x := range win {
+			if (i < pad || i >= pad+size) && math.Float64bits(x) != sentinel {
+				t.Fatalf("%s x%d: Read wrote %v outside its plan, at %d of %d", views[0].Func, len(st.reducers), x, i-pad, size)
+			}
+		}
+		return win[pad : pad+size]
+	}
+	// readAll plans views from every lane of st at once, lane-major
+	// (lane i's views contiguous, as the NIC lays out a fused state's
+	// collects) or view-major (view j of every lane, then view j+1),
+	// and holds every lane's views to what its reducer reads.
+	readAll := func(step int, st *state, views []View, laneMajor bool) {
+		t.Helper()
+		var want []float64
+		at := map[[2]int]int{}
+		put := func(l, j int) {
+			at[[2]int{l, j}] = len(want)
+			want = append(want, Features(st.reducers[l], views[j])...)
+		}
+		if laneMajor {
+			for l := range st.reducers {
+				for j := range views {
+					put(l, j)
+				}
+			}
+		} else {
+			for j := range views {
+				for l := range st.reducers {
+					put(l, j)
+				}
+			}
+		}
+		got := read(st, views, len(want), func(i, j int) int { return at[[2]int{i, j}] })
+		if !sameBits(got, want) {
+			t.Fatalf("step %d %v x%d lane-major=%t: the plan reads %v, the reducers view by view %v", step, views, len(st.reducers), laneMajor, got, want)
+		}
 	}
 	check := func(step int) {
 		t.Helper()
@@ -137,30 +176,24 @@ func TestKernelsMatchReducers(t *testing.T) {
 		}
 		for i := range states {
 			st := &states[i]
-			nl := len(st.reducers)
-			// Each view alone: lane i's at i*width.
+			// Each view alone, then the plans the NIC makes of several:
+			// every view, the views in reverse (a member order not the
+			// family's), and every subset that leaves one member unread.
 			for _, v := range st.views {
-				w := len(Features(st.reducers[0], v))
-				got := read(st, []View{v}, nl*w, func(i, _ int) int { return i * w })
-				for l, r := range st.reducers {
-					if want := Features(r, v); !sameBits(got[l*w:(l+1)*w], want) {
-						t.Fatalf("step %d %s lane %d/%d: kernel reads %v, reducer %v", step, v.Func, l, nl, got[l*w:(l+1)*w], want)
-					}
+				readAll(step, st, []View{v}, true)
+			}
+			rev := slices.Clone(st.views)
+			slices.Reverse(rev)
+			plans := [][]View{st.views, rev}
+			for m := range 4 {
+				sub := slices.DeleteFunc(slices.Clone(st.views), func(v View) bool { return memberOf(v.Func) == m })
+				if len(sub) > 0 && len(sub) < len(st.views) {
+					plans = append(plans, sub)
 				}
 			}
-			// Every view at once, view-major: view j of every lane, then
-			// view j+1.
-			var want []float64
-			at := map[[2]int]int{}
-			for j, v := range st.views {
-				for l, r := range st.reducers {
-					at[[2]int{l, j}] = len(want)
-					want = append(want, Features(r, v)...)
-				}
-			}
-			got := read(st, st.views, len(want), func(i, j int) int { return at[[2]int{i, j}] })
-			if !sameBits(got, want) {
-				t.Fatalf("step %d family of %s x%d: the plan reads %v, the reducers view by view %v", step, st.views[0].Func, nl, got, want)
+			for _, views := range plans {
+				readAll(step, st, views, true)
+				readAll(step, st, views, false)
 			}
 		}
 	}
@@ -366,5 +399,80 @@ func TestConstructorRejectsWhatNewRejects(t *testing.T) {
 		if _, inline, err := KernelFor(s.f, s.p, new(Decay)); err == nil || inline {
 			t.Errorf("KernelFor(%s, %+v) accepted what New rejects", s.f, s.p)
 		}
+	}
+}
+
+// TestPCCClampIsLive: the correlation's clamp to [-1, 1] is not dead
+// code. cov sums products of residuals taken against each stream's mean
+// at the time of its own sample, so the two factors of a product belong
+// to different times and Cauchy–Schwarz does not bound cov/(√va·√vb).
+// A short seeded stream drives the unclamped ratio past ±1 for f_pcc
+// (bidirectional Welford) and fd_pcc (damped 2D), and there every
+// reader — the kernel and the reducer — must return the clamped value.
+func TestPCCClampIsLive(t *testing.T) {
+	for _, f := range []Func{FPCC, FD2DPCC} {
+		var decay Decay
+		p := Params{Lambda: 0.1}
+		k, _, err := KernelFor(f, p, &decay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := New(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// unclamped is the reducer's correlation before its clamp.
+		unclamped := func() float64 {
+			var cov, denom float64
+			switch r := r.(type) {
+			case *Bidirectional:
+				cov, denom = r.Cov(), math.Sqrt(r.fwd.Var())*math.Sqrt(r.bwd.Var())
+			case *Damped2DReducer:
+				cov, denom = r.d.Cov(), r.d.A.Std()*r.d.B.Std()
+			default:
+				t.Fatalf("%s: reducer %T", f, r)
+			}
+			if denom == 0 {
+				return 0
+			}
+			return cov / denom
+		}
+		plan := k.PlanRead([]View{{Func: f}}, []int{0})
+		rec, win := make([]uint64, k.Words), make([]float64, 1)
+		rng := rand.New(rand.NewSource(7))
+		var step Step
+		var clock int64
+		past, level := 0, int64(600)
+		for i := 0; i < 2000; i++ {
+			// A level that jumps now and then, a little jitter on it: a
+			// stream's first residual, and each jump's, is far larger
+			// than the spread its variance settles to.
+			if rng.Intn(200) == 0 {
+				level = 40 + rng.Int63n(1400)
+			}
+			x := level + rng.Int63n(20)
+			if rng.Intn(2) == 0 {
+				x = -x
+			}
+			now := clock + rng.Int63n(1e8)
+			decay.Reset()
+			clock = step.Begin(&decay, k.Lanes(), i == 0, clock, now)
+			k.Observe(rec, x, &step)
+			r.Observe(x, now)
+			u := unclamped()
+			if !(math.Abs(u) > 1) {
+				continue
+			}
+			past++
+			k.Read(win, rec, &plan)
+			want, ref := math.Copysign(1, u), Features(r, View{Func: f})[0]
+			if win[0] != want || ref != want {
+				t.Fatalf("%s step %d: unclamped %v; the kernel reads %v, the reducer %v, want %v", f, i, u, win[0], ref, want)
+			}
+		}
+		if past == 0 {
+			t.Errorf("%s: the stream never took the correlation past ±1", f)
+		}
+		t.Logf("%s: %d of 2000 reads past ±1", f, past)
 	}
 }

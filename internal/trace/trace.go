@@ -19,10 +19,11 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"superfe/internal/flowkey"
 	"superfe/internal/packet"
@@ -92,8 +93,8 @@ func (s Stats) String() string {
 // packets keep generation order).
 func sortByTime(t *Trace) {
 	if len(t.Labels) == 0 {
-		sort.SliceStable(t.Packets, func(i, j int) bool {
-			return t.Packets[i].Timestamp < t.Packets[j].Timestamp
+		slices.SortStableFunc(t.Packets, func(a, b packet.Packet) int {
+			return cmp.Compare(a.Timestamp, b.Timestamp)
 		})
 		return
 	}
@@ -102,8 +103,8 @@ func sortByTime(t *Trace) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return t.Packets[idx[a]].Timestamp < t.Packets[idx[b]].Timestamp
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(t.Packets[a].Timestamp, t.Packets[b].Timestamp)
 	})
 	pkts := make([]packet.Packet, len(t.Packets))
 	labs := make([]uint8, len(t.Labels))
