@@ -1,26 +1,28 @@
 // Command superfe-fuzz is the policy-space differential compiler
 // fuzzer: it generates structurally valid random policies paired
 // with randomized hardware envelopes, classifies each plan with
-// planvet, and runs every feasible plan through the sequential
-// engine, the parallel (SPSC-ring) engine and the software baseline
-// on the same seeded trace, requiring byte-identical feature
-// vectors. A planvet-accepted plan that trips the switch simulator's
-// resource-overflow clamp also fails the run — the static model and
-// the simulator must agree about the envelope.
+// planvet, and holds every feasible plan to polgen's table of legs on
+// the same seeded trace: the engine at one worker (exact sequence and
+// stats), sharded behind SPSC rings (multiset and conservation
+// stats), telemetry on against off and a scoped fault campaign where
+// the spec carries one, and the software baseline. A planvet-accepted
+// plan that trips the switch simulator's resource-overflow clamp also
+// fails the run — the static model and the simulator must agree about
+// the envelope.
 //
 // Cases whose run hits FG-table collisions (FGOverwrites > 0) are
-// counted as approximate and excluded from the byte-identical
-// comparison: collision misattribution is a documented lossy
-// approximation, and the inline leg's single FG table collides on
-// different keys than the sharded leg's per-shard tables.
+// counted as approximate and skip the sharded and baseline legs:
+// collision misattribution is a documented lossy approximation, and
+// the inline engine's single FG table collides on different keys than
+// the sharded engine's per-shard tables.
 //
 // Every case also runs the planprove soundness cross-check: a plan
 // proved saturation-free must not trip any simulator saturation
 // clamp, and every confirmed value-range witness must replay to an
 // actual clamp trip on a fresh engine. A third of the
-// single-granularity cases additionally re-run under a scoped fault
-// campaign, asserting out-of-scope bit-equivalence and (for
-// non-corrupting kinds) clamp soundness under faults.
+// single-granularity cases carry a scoped fault campaign, asserting
+// out-of-scope bit-equivalence and (for non-corrupting kinds) clamp
+// soundness under faults.
 //
 // The case count honours the SUPERFE_FUZZ_N environment variable
 // when -n is not given, so nightly CI can widen the campaign without
@@ -81,12 +83,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			approx++
 		}
 		witnesses += out.Witnesses
-		if out.Faulted {
+		if out.Faulted() {
 			faulted++
 		}
 		if *verbose {
-			fmt.Fprintf(stdout, "case %d (%s): feasible=%v approx=%v vectors=%d witnesses=%d faulted=%v\n",
-				i, spec.Name, out.Feasible, out.Approx, out.Vectors, out.Witnesses, out.Faulted)
+			fmt.Fprintf(stdout, "case %d (%s): feasible=%v approx=%v vectors=%d witnesses=%d legs=%v\n",
+				i, spec.Name, out.Feasible, out.Approx, out.Vectors, out.Witnesses, out.Legs)
 		}
 		if !out.Failed() {
 			continue
@@ -114,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "superfe-fuzz: minimal reproducer:\n%s", b)
 	}
 
-	fmt.Fprintf(stdout, "superfe-fuzz: %d case(s): %d feasible (ran differential), %d infeasible (classified), %d approximate (FG collisions, comparison skipped), %d witness replay(s), %d faulted run(s), %d failure(s)\n",
+	fmt.Fprintf(stdout, "superfe-fuzz: %d case(s): %d feasible (ran differential), %d infeasible (classified), %d approximate (FG collisions, sharded and baseline legs skipped), %d witness replay(s), %d faulted run(s), %d failure(s)\n",
 		*n, feasible, infeasible, approx, witnesses, faulted, failures)
 	if failures > 0 {
 		return 1
@@ -141,11 +143,7 @@ func failureReason(out *polgen.Outcome) string {
 		return "planvet accepted the plan but the switch resource estimate overflowed its clamp"
 	case out.WitnessFailed != "":
 		return "witness soundness: " + out.WitnessFailed
-	case out.Soundness != "":
-		return "prover soundness: " + out.Soundness
-	case out.FaultViolation != "":
-		return "fault campaign: " + out.FaultViolation
 	default:
-		return "engine divergence: " + out.Divergence
+		return "leg " + out.Divergence
 	}
 }

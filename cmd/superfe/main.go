@@ -115,7 +115,7 @@ func main() {
 		return
 	}
 
-	tr, err := makeTrace(*traceName, *seed)
+	tr, err := trace.Named(*traceName, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "superfe:", err)
 		os.Exit(2)
@@ -307,28 +307,4 @@ func writeFlightRec(path string, src obs.Source) error {
 		w = f
 	}
 	return obs.WriteFlightRecJSON(w, src.FlightRec())
-}
-
-func makeTrace(name string, seed int64) (*trace.Trace, error) {
-	switch strings.ToLower(name) {
-	case "mawi":
-		return trace.Generate(trace.MAWIConfig, seed), nil
-	case "enterprise":
-		return trace.Generate(trace.EnterpriseConfig, seed), nil
-	case "campus":
-		return trace.Generate(trace.CampusConfig, seed), nil
-	case "wfp":
-		return trace.GenerateWebsites(trace.DefaultWebsiteConfig(), seed), nil
-	case "botnet":
-		return trace.GenerateBotnet(trace.DefaultBotnetConfig(), seed), nil
-	case "covert":
-		return trace.GenerateCovert(trace.DefaultCovertConfig(), seed), nil
-	case "mirai":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackMirai), seed), nil
-	case "osscan":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackOSScan), seed), nil
-	case "ssdp":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackSSDPFlood), seed), nil
-	}
-	return nil, fmt.Errorf("unknown trace %q", name)
 }

@@ -21,6 +21,7 @@ import (
 	"syscall"
 
 	"superfe/internal/serve"
+	"superfe/internal/trace"
 )
 
 // splitListen parses "unix:/path" or "tcp:host:port".
@@ -152,7 +153,7 @@ func runIngest(args []string) int {
 		fmt.Fprintln(os.Stderr, "superfe: ingest:", err)
 		return 2
 	}
-	tr, err := makeTrace(*traceName, *seed)
+	tr, err := trace.Named(*traceName, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "superfe: ingest:", err)
 		return 2

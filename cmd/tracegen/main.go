@@ -52,7 +52,7 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-o required with -workload"))
 		}
-		tr, err := makeWorkload(*workload, *seed)
+		tr, err := trace.Named(*workload, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -74,30 +74,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func makeWorkload(name string, seed int64) (*trace.Trace, error) {
-	switch name {
-	case "mawi":
-		return trace.Generate(trace.MAWIConfig, seed), nil
-	case "enterprise":
-		return trace.Generate(trace.EnterpriseConfig, seed), nil
-	case "campus":
-		return trace.Generate(trace.CampusConfig, seed), nil
-	case "wfp":
-		return trace.GenerateWebsites(trace.DefaultWebsiteConfig(), seed), nil
-	case "botnet":
-		return trace.GenerateBotnet(trace.DefaultBotnetConfig(), seed), nil
-	case "covert":
-		return trace.GenerateCovert(trace.DefaultCovertConfig(), seed), nil
-	case "mirai":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackMirai), seed), nil
-	case "osscan":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackOSScan), seed), nil
-	case "ssdp":
-		return trace.GenerateIntrusion(trace.DefaultIntrusionConfig(trace.AttackSSDPFlood), seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
 func fatal(err error) {

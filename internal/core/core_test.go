@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"testing"
 
 	"superfe/internal/apps"
-	"superfe/internal/baseline"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
 	"superfe/internal/packet"
@@ -97,65 +95,6 @@ func TestWireVerifyMode(t *testing.T) {
 		for j := range direct[i].Values {
 			if direct[i].Values[j] != wired[i].Values[j] {
 				t.Fatalf("wire codec changed vector %d value %d", i, j)
-			}
-		}
-	}
-}
-
-// TestPipelineMatchesSoftwareBaseline is the central fidelity check:
-// the hardware-accelerated pipeline (switch batching + NIC compute)
-// must produce the same groups, and bit for bit the same features, as
-// the software extractor processing raw packets directly. Cells within a group preserve
-// arrival order through batching and eviction, so the per-group
-// sample streams — and therefore the features — are identical.
-func TestPipelineMatchesSoftwareBaseline(t *testing.T) {
-	pol := apps.NPOD() // histograms + count, single granularity
-	cfg := trace.CampusConfig
-	cfg.Flows = 300
-	tr := trace.Generate(cfg, 123)
-
-	var hw []feature.Vector
-	fe, err := New(DefaultOptions(), pol, feature.Collect(&hw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-	}
-	fe.Flush()
-
-	var sw []feature.Vector
-	ext, err := baseline.New(pol, feature.Collect(&sw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		ext.Process(&tr.Packets[i])
-	}
-	ext.Flush()
-
-	if len(hw) == 0 || len(hw) != len(sw) {
-		t.Fatalf("vector counts: hardware %d vs software %d", len(hw), len(sw))
-	}
-	byKey := func(vs []feature.Vector) map[string][]float64 {
-		m := map[string][]float64{}
-		for _, v := range vs {
-			m[v.Key.String()] = v.Values
-		}
-		return m
-	}
-	hm, sm := byKey(hw), byKey(sw)
-	if len(hm) != len(sm) {
-		t.Fatalf("groups: hardware %d vs software %d", len(hm), len(sm))
-	}
-	for k, hv := range hm {
-		sv, ok := sm[k]
-		if !ok || len(sv) != len(hv) {
-			t.Fatalf("group %s: software has %d features, hardware %d", k, len(sv), len(hv))
-		}
-		for j := range hv {
-			if math.Float64bits(hv[j]) != math.Float64bits(sv[j]) {
-				t.Fatalf("group %s feature %d: hardware %g vs software %g", k, j, hv[j], sv[j])
 			}
 		}
 	}

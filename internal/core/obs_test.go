@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"superfe/internal/apps"
@@ -32,87 +31,6 @@ func obsTestTrace() *trace.Trace {
 	cfg := trace.EnterpriseConfig
 	cfg.Flows = 400
 	return trace.Generate(cfg, 42)
-}
-
-// TestObsMergeMatchesSequential asserts the tentpole merge invariant:
-// for conservation counters, the sum of the sharded engine's per-shard
-// registries equals the inline engine's single shard registry on the
-// same trace — and both agree with the Stats structs they are bound to.
-func TestObsMergeMatchesSequential(t *testing.T) {
-	tr := obsTestTrace()
-
-	opts := DefaultOptions()
-	opts.Obs = obsTestOptions()
-	fe, err := New(opts, apps.NPOD(), func(feature.Vector) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		fe.Process(&tr.Packets[i])
-	}
-	fe.Flush()
-	seq := fe.ObsScrape()
-	seqSW, seqNIC := fe.SwitchStats(), fe.NICStats()
-
-	popts := DefaultParallelOptions()
-	popts.Obs = obsTestOptions()
-	popts.Workers = 4
-	popts.DeterministicMerge = true
-	pe, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pe.Close()
-	for i := range tr.Packets {
-		pe.Process(&tr.Packets[i])
-	}
-	if err := pe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	par := pe.ObsScrape()
-
-	// Conservation series: identical totals regardless of sharding.
-	conserved := []string{
-		"superfe_switch_pkts_in_total",
-		"superfe_switch_bytes_in_total",
-		"superfe_switch_pkts_filtered_total",
-		"superfe_switch_cells_out_total",
-		"superfe_nic_cells_total",
-		"superfe_nic_vectors_total",
-	}
-	for _, name := range conserved {
-		sv, ok := seq.Value(name)
-		if !ok {
-			t.Fatalf("sequential snapshot missing %s", name)
-		}
-		pv, ok := par.Value(name)
-		if !ok {
-			t.Fatalf("merged parallel snapshot missing %s", name)
-		}
-		if sv != pv {
-			t.Errorf("%s: sequential %d != merged parallel %d", name, sv, pv)
-		}
-	}
-
-	// Every series a stats struct binds reads that struct's word.
-	assertRowsScraped(t, seq, seqSW.Rows())
-	assertRowsScraped(t, seq, seqNIC.Rows())
-	if v, _ := seq.Value("superfe_nic_groups_live"); v != uint64(seqNIC.GroupsLive) {
-		t.Errorf("superfe_nic_groups_live = %d, want %d", v, seqNIC.GroupsLive)
-	}
-
-	// Per-shard routing counters must sum to the packet total.
-	var routed uint64
-	for i := 0; i < popts.Workers; i++ {
-		v, ok := par.Value("superfe_engine_shard_pkts_total", strconv.Itoa(i))
-		if !ok {
-			t.Fatalf("missing shard %d routing counter", i)
-		}
-		routed += v
-	}
-	if routed != seqSW.PktsIn {
-		t.Errorf("shard routing counters sum to %d, want %d", routed, seqSW.PktsIn)
-	}
 }
 
 // stripSchedulingProm removes the superfe_ring_* series from a

@@ -1,179 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"superfe/internal/apps"
 	"superfe/internal/feature"
-	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
 	"superfe/internal/obs"
-	"superfe/internal/packet"
 	"superfe/internal/policy"
 	"superfe/internal/trace"
 )
-
-// vectorMultiset renders vectors as sorted strings so two runs can be
-// compared as multisets, independent of emission order. Values use
-// the hex float format: bit-exact, no rounding ambiguity.
-func vectorMultiset(t *testing.T, vecs []feature.Vector) []string {
-	t.Helper()
-	out := make([]string, 0, len(vecs))
-	var sb strings.Builder
-	for _, v := range vecs {
-		sb.Reset()
-		sb.WriteString(v.Key.String())
-		for _, x := range v.Values {
-			sb.WriteByte('|')
-			sb.WriteString(strconv.FormatFloat(x, 'x', -1, 64))
-		}
-		out = append(out, sb.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestParallelMatchesSequential is the central scaling-fidelity
-// check: the same ENTERPRISE trace through the inline engine and a
-// 4-worker deployment must produce the same feature-vector
-// multiset and the same conservation stats. Per-group cell streams
-// are preserved because all MGPVs of one CG group hash to one shard.
-func TestParallelMatchesSequential(t *testing.T) {
-	cfg := trace.EnterpriseConfig
-	cfg.Flows = 400
-	tr := trace.Generate(cfg, 42)
-
-	seqVecs, seqSelected := []feature.Vector{}, 0
-	fe, err := New(DefaultOptions(), apps.NPOD(), feature.Collect(&seqVecs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		if fe.Process(&tr.Packets[i]) {
-			seqSelected++
-		}
-	}
-	fe.Flush()
-	seqSW, seqNIC := fe.SwitchStats(), fe.NICStats()
-
-	parVecs, parSelected := []feature.Vector{}, 0
-	popts := DefaultParallelOptions()
-	popts.Workers = 4
-	popts.DeterministicMerge = true
-	pe, err := NewParallel(popts, apps.NPOD(), feature.Collect(&parVecs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		if pe.Process(&tr.Packets[i]) {
-			parSelected++
-		}
-	}
-	if err := pe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	parSW, parNIC := pe.SwitchStats(), pe.NICStats()
-	if err := pe.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if seqSelected != parSelected {
-		t.Errorf("filter decisions: sequential %d vs parallel %d", seqSelected, parSelected)
-	}
-	// Conservation stats must sum to the sequential totals.
-	if parSW.PktsIn != seqSW.PktsIn || parSW.BytesIn != seqSW.BytesIn ||
-		parSW.PktsFiltered != seqSW.PktsFiltered || parSW.CellsOut != seqSW.CellsOut {
-		t.Errorf("switch stats diverge: parallel %+v vs sequential %+v", parSW, seqSW)
-	}
-	if parNIC.Cells != seqNIC.Cells || parNIC.Vectors != seqNIC.Vectors {
-		t.Errorf("nic stats diverge: parallel cells=%d vectors=%d vs sequential cells=%d vectors=%d",
-			parNIC.Cells, parNIC.Vectors, seqNIC.Cells, seqNIC.Vectors)
-	}
-
-	// Feature vectors must match as a multiset, bit-exactly.
-	sm, pm := vectorMultiset(t, seqVecs), vectorMultiset(t, parVecs)
-	if len(sm) != len(pm) {
-		t.Fatalf("vector counts: sequential %d vs parallel %d", len(sm), len(pm))
-	}
-	for i := range sm {
-		if sm[i] != pm[i] {
-			t.Fatalf("vector multiset diverges at %d:\n  sequential %s\n  parallel   %s", i, sm[i], pm[i])
-		}
-	}
-}
-
-// TestParallelSingleWorkerMatchesSequential pins the two
-// configurations of the one engine against each other: core.New
-// (inline, fixed 256-row batches, sink called directly) and a
-// one-worker NewParallel (ring hand-off, a batch size that shares no
-// boundary with 256, DeterministicMerge) have the same cache geometry
-// and hash→slot mapping, so they must emit the identical vector
-// sequence — not just multiset — and identical merged switch and NIC
-// stats, collision-dependent counters included.
-func TestParallelSingleWorkerMatchesSequential(t *testing.T) {
-	cfg := trace.CampusConfig
-	cfg.Flows = 100
-	tr := trace.Generate(cfg, 7)
-
-	for _, pol := range []func() *policy.Policy{statsPolicy, apps.Kitsune} {
-		var seqVecs []feature.Vector
-		fe, err := New(DefaultOptions(), pol(), feature.Collect(&seqVecs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fe.Plan().Policy.Name()
-		for i := range tr.Packets {
-			fe.Process(&tr.Packets[i])
-		}
-		if err := fe.Flush(); err != nil {
-			t.Fatal(err)
-		}
-
-		var parVecs []feature.Vector
-		popts := DefaultParallelOptions()
-		popts.Workers = 1
-		popts.BatchSize = 37
-		popts.DeterministicMerge = true
-		pe, err := NewParallel(popts, pol(), feature.Collect(&parVecs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tr.Packets {
-			pe.Process(&tr.Packets[i])
-		}
-		if err := pe.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := pe.SwitchStats(), fe.SwitchStats(); got != want {
-			t.Errorf("%s: one-worker switch stats = %+v, inline %+v", name, got, want)
-		}
-		if got, want := pe.NICStats(), fe.NICStats(); got != want {
-			t.Errorf("%s: one-worker NIC stats = %+v, inline %+v", name, got, want)
-		}
-		if err := pe.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		sm, pm := renderVectors(seqVecs), renderVectors(parVecs)
-		if len(sm) == 0 || len(sm) != len(pm) {
-			t.Fatalf("%s: vector counts: inline %d vs one worker %d", name, len(sm), len(pm))
-		}
-		for i := range sm {
-			if sm[i] != pm[i] {
-				t.Fatalf("%s: vector sequence diverges at %d:\n  inline     %s\n  one worker %s", name, i, sm[i], pm[i])
-			}
-		}
-	}
-}
 
 // TestProcessZeroAllocs is the hot-path allocation gate: in the warm
 // steady state Process allocates nothing per packet — inline or
@@ -302,19 +142,8 @@ func TestParallelDeterministicMerge(t *testing.T) {
 		}
 		return vecs
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic vector count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Key != b[i].Key || len(a[i].Values) != len(b[i].Values) {
-			t.Fatalf("nondeterministic vector %d", i)
-		}
-		for j := range a[i].Values {
-			if a[i].Values[j] != b[i].Values[j] {
-				t.Fatalf("nondeterministic value at vector %d index %d", i, j)
-			}
-		}
+	if d := feature.Diff("first run", run(), "second run", run(), true); d != "" {
+		t.Fatal(d)
 	}
 }
 
@@ -417,187 +246,6 @@ func TestDeliverRecordsWireError(t *testing.T) {
 	pr.deliver(bad)
 	if fe.Err() != first {
 		t.Error("first error not preserved")
-	}
-}
-
-// referenceRun is a test-local channel-based reimplementation of the
-// sharded engine — the shape the ring-based hand-off replaced: one
-// goroutine per shard fed whole packets over a buffered Go channel,
-// with the same CG-hash fastrange routing into the switch's one-row
-// Process adapter. Its shard-ordered output is the differential oracle
-// for the SPSC-ring engine.
-func referenceRun(t *testing.T, tr *trace.Trace, workers int) []feature.Vector {
-	t.Helper()
-	plan, err := policy.Compile(apps.NPOD())
-	if err != nil {
-		t.Fatal(err)
-	}
-	chans := make([]chan *packet.Packet, workers)
-	vecs := make([][]feature.Vector, workers)
-	fes := make([]*pair, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		chans[i] = make(chan *packet.Packet, 1024)
-		fes[i], err = newPair(DefaultOptions(), plan, i, feature.Collect(&vecs[i]), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		//superfe:goroutine-ok test helper: joined via wg.Wait below
-		go func(i int) {
-			defer wg.Done()
-			for p := range chans[i] {
-				fes[i].sw.Process(p)
-			}
-			fes[i].flush()
-		}(i)
-	}
-	for i := range tr.Packets {
-		p := &tr.Packets[i]
-		key, _ := flowkey.KeyFor(plan.Switch.CG, p.Tuple)
-		chans[shardIndex(flowkey.HashKey(key), workers)] <- p
-	}
-	for i := range chans {
-		close(chans[i])
-	}
-	wg.Wait()
-	var out []feature.Vector
-	for i := range vecs {
-		out = append(out, vecs[i]...)
-	}
-	return out
-}
-
-// renderVectors is the order-sensitive sibling of vectorMultiset: the
-// exact emission sequence, bit-exact values.
-func renderVectors(vecs []feature.Vector) []string {
-	out := make([]string, 0, len(vecs))
-	var sb strings.Builder
-	for _, v := range vecs {
-		sb.Reset()
-		sb.WriteString(v.Key.String())
-		for _, x := range v.Values {
-			sb.WriteByte('|')
-			sb.WriteString(strconv.FormatFloat(x, 'x', -1, 64))
-		}
-		out = append(out, sb.String())
-	}
-	return out
-}
-
-// TestParallelRingDifferential is the hand-off rework's differential
-// proof: across batch sizes and ring depths chosen to force ring
-// wrap-around and park/wake on both sides (BatchSize=1 dispatches per
-// packet; QueueDepth=1 is a one-slot ring), the ring engine's
-// DeterministicMerge output must be byte-identical to the
-// channel-based reference — same vectors, same order, bit-exact
-// values — and identical across the configurations themselves.
-func TestParallelRingDifferential(t *testing.T) {
-	cfg := trace.EnterpriseConfig
-	cfg.Flows = 250
-	tr := trace.Generate(cfg, 23)
-	const workers = 3
-	want := renderVectors(referenceRun(t, tr, workers))
-	if len(want) == 0 {
-		t.Fatal("reference run emitted no vectors")
-	}
-	for _, tc := range []struct{ batch, depth int }{
-		{1, 1}, {1, 4}, {7, 1}, {64, 2}, {256, 4},
-	} {
-		t.Run(fmt.Sprintf("batch=%d/depth=%d", tc.batch, tc.depth), func(t *testing.T) {
-			var vecs []feature.Vector
-			popts := DefaultParallelOptions()
-			popts.Workers = workers
-			popts.BatchSize = tc.batch
-			popts.QueueDepth = tc.depth
-			popts.DeterministicMerge = true
-			pe, err := NewParallel(popts, apps.NPOD(), feature.Collect(&vecs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range tr.Packets {
-				pe.Process(&tr.Packets[i])
-			}
-			if err := pe.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := pe.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got := renderVectors(vecs)
-			if len(got) != len(want) {
-				t.Fatalf("vector count %d, reference %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("output diverges from channel reference at vector %d:\n  ring      %s\n  reference %s", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
-// TestParallelStreamingRunBufferMatches checks the streaming
-// (non-deterministic-merge) sink path with run-buffering enabled:
-// partial runs must flush at every barrier, the multiset must match
-// DeterministicMerge's, and no vector may arrive after Flush returns.
-func TestParallelStreamingRunBufferMatches(t *testing.T) {
-	cfg := trace.EnterpriseConfig
-	cfg.Flows = 180
-	tr := trace.Generate(cfg, 31)
-
-	var detVecs []feature.Vector
-	popts := DefaultParallelOptions()
-	popts.Workers = 3
-	popts.DeterministicMerge = true
-	pe, err := NewParallel(popts, apps.NPOD(), feature.Collect(&detVecs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		pe.Process(&tr.Packets[i])
-	}
-	if err := pe.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pe.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var streamVecs []feature.Vector
-	var afterFlush bool
-	popts.DeterministicMerge = false
-	pe2, err := NewParallel(popts, apps.NPOD(), func(v feature.Vector) {
-		if afterFlush {
-			t.Error("vector emitted after Flush returned")
-		}
-		// Copy: streaming vectors are arena-backed and reused.
-		cp := v
-		cp.Values = append([]float64(nil), v.Values...)
-		streamVecs = append(streamVecs, cp)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Packets {
-		pe2.Process(&tr.Packets[i])
-	}
-	if err := pe2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	afterFlush = true
-	if err := pe2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dm, sm := vectorMultiset(t, detVecs), vectorMultiset(t, streamVecs)
-	if len(dm) != len(sm) {
-		t.Fatalf("vector counts: deterministic %d vs streaming %d", len(dm), len(sm))
-	}
-	for i := range dm {
-		if dm[i] != sm[i] {
-			t.Fatalf("streaming run-buffer multiset diverges at %d", i)
-		}
 	}
 }
 

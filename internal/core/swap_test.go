@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,11 +94,11 @@ func TestSwapPlanCleanSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := vectorMultiset(t, got[:swapMark]); !reflect.DeepEqual(got, vectorMultiset(t, refOld)) {
-		t.Errorf("old-plan prefix diverges from the single-plan reference: %d vs %d vectors", len(got), len(refOld))
+	if d := feature.Diff("old-plan prefix", got[:swapMark], "single-plan reference", refOld, false); d != "" {
+		t.Error(d)
 	}
-	if got := vectorMultiset(t, got[swapMark:]); !reflect.DeepEqual(got, vectorMultiset(t, refNew)) {
-		t.Errorf("new-plan suffix diverges from the single-plan reference: %d vs %d vectors", len(got), len(refNew))
+	if d := feature.Diff("new-plan suffix", got[swapMark:], "single-plan reference", refNew, false); d != "" {
+		t.Error(d)
 	}
 	oldDim, newDim := apps.NPOD().FeatureDim(), apps.Kitsune().FeatureDim()
 	for i, v := range got {

@@ -6,6 +6,9 @@ package feature
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"strconv"
 
 	"superfe/internal/flowkey"
 )
@@ -38,4 +41,41 @@ func Collect(dst *[]Vector) Sink {
 		v.Values = append([]float64(nil), v.Values...)
 		*dst = append(*dst, v)
 	}
+}
+
+// Diff compares two vector streams bit for bit and names the first
+// difference, or returns "" when they agree: key, timestamp and every
+// value's IEEE-754 bits, so the NaN payloads and signed zeros an
+// epsilon comparison waves through still differ. ordered compares the
+// exact sequence; otherwise both streams compare as multisets.
+func Diff(an string, a []Vector, bn string, b []Vector, ordered bool) string {
+	ra, rb := render(a, ordered), render(b, ordered)
+	if len(ra) != len(rb) {
+		return fmt.Sprintf("%s emitted %d vectors, %s emitted %d", an, len(ra), bn, len(rb))
+	}
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return fmt.Sprintf("%s and %s disagree at vector %d:\n  %s: %s\n  %s: %s", an, bn, i, an, ra[i], bn, rb[i])
+		}
+	}
+	return ""
+}
+
+// render writes each vector as key@timestamp|bits|bits…, sorted
+// unless ordered.
+func render(vecs []Vector, ordered bool) []string {
+	out := make([]string, len(vecs))
+	var buf []byte
+	for i, v := range vecs {
+		buf = append(append(buf[:0], v.Key.String()...), '@')
+		buf = strconv.AppendInt(buf, v.Timestamp, 10)
+		for _, x := range v.Values {
+			buf = strconv.AppendUint(append(buf, '|'), math.Float64bits(x), 16)
+		}
+		out[i] = string(buf)
+	}
+	if !ordered {
+		sort.Strings(out)
+	}
+	return out
 }

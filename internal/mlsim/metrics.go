@@ -88,33 +88,3 @@ func ClassificationAccuracy(pred, truth []int) float64 {
 	}
 	return float64(ok) / float64(len(pred))
 }
-
-// RelativeError is the Figure 10 metric: |got-want| / max(|want|, ε)
-// averaged over the vector, with ε guarding near-zero references.
-func RelativeError(got, want []float64) float64 {
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	if n == 0 {
-		return 0
-	}
-	const eps = 1e-9
-	var sum float64
-	count := 0
-	for i := 0; i < n; i++ {
-		denom := math.Abs(want[i])
-		if denom < eps {
-			if math.Abs(got[i]) < eps {
-				continue // both ~zero: exact
-			}
-			denom = eps
-		}
-		sum += math.Abs(got[i]-want[i]) / denom
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}

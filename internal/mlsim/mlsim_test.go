@@ -211,19 +211,3 @@ func TestClassificationAccuracy(t *testing.T) {
 		t.Error("mismatched lengths should be 0")
 	}
 }
-
-func TestRelativeError(t *testing.T) {
-	if e := RelativeError([]float64{110}, []float64{100}); math.Abs(e-0.1) > 1e-9 {
-		t.Errorf("10%% error = %g", e)
-	}
-	if e := RelativeError([]float64{0, 0}, []float64{0, 0}); e != 0 {
-		t.Errorf("zero vectors error = %g", e)
-	}
-	if e := RelativeError(nil, nil); e != 0 {
-		t.Error("empty error")
-	}
-	// Mixed: one exact zero pair, one 50% off.
-	if e := RelativeError([]float64{0, 150}, []float64{0, 100}); math.Abs(e-0.5) > 1e-9 {
-		t.Errorf("mixed error = %g", e)
-	}
-}

@@ -5,9 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"superfe/internal/apps"
+	"superfe/internal/core"
+	"superfe/internal/faults"
 	"superfe/internal/planvet"
+	"superfe/internal/policy"
+	"superfe/internal/trace"
 )
 
 // TestGenerateDeterministic pins the reproducibility contract: the
@@ -74,9 +80,8 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // TestDifferentialGenerated runs a slice of the campaign end to end:
-// for every feasible plan the three engines must agree byte for
-// byte, and no planvet-accepted plan may trip the simulator's
-// resource-overflow clamp. Small trace, few cases — the full 200-case
+// for every feasible plan every leg must hold, and no planvet-accepted
+// plan may trip the simulator's resource-overflow clamp. Small trace, few cases — the full 200-case
 // campaign runs in CI via cmd/superfe-fuzz.
 func TestDifferentialGenerated(t *testing.T) {
 	if testing.Short() {
@@ -155,5 +160,138 @@ func TestHostSingleGranKeys(t *testing.T) {
 	}
 	if out.Vectors < 2 {
 		t.Fatalf("host grouping collapsed: %d groups for 40 flows (policy %s)", out.Vectors, pol.Name())
+	}
+}
+
+// newCase deploys pol at default device options on tr, sharded at
+// workers over one ring configuration, under fp.
+func newCase(t *testing.T, pol *policy.Policy, tr *trace.Trace, workers int, fp *faults.Plan) *dcase {
+	t.Helper()
+	plan, err := policy.Compile(pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dcase{pol: pol, plan: plan, opts: core.DefaultOptions(), tr: tr, workers: workers, rings: []ring{{64, 2}}, faults: fp}
+}
+
+// runLegs runs the named legs of the table on c and fails on any
+// divergence.
+func runLegs(t *testing.T, c *dcase, names ...string) *Outcome {
+	t.Helper()
+	var some []leg
+	for _, l := range legs {
+		for _, n := range names {
+			if l.name == n {
+				some = append(some, l)
+			}
+		}
+	}
+	out := &Outcome{}
+	c.run(out, some)
+	if out.Divergence != "" {
+		t.Fatal(out.Divergence)
+	}
+	return out
+}
+
+// statsPolicy is a single-granularity TCP flow policy whose values
+// are a count and the size moments.
+func statsPolicy(t *testing.T) *policy.Policy {
+	t.Helper()
+	spec := Spec{Name: "stats", Filters: []FilterSpec{{Kind: "tcp"}}, Blocks: []BlockSpec{{
+		Gran: "flow",
+		Maps: []MapSpec{{Dst: "one", Func: "one"}},
+		Reduces: []ReduceSpec{
+			{Src: "one", Reducers: []ReducerSpec{{Func: "sum"}}},
+			{Src: "size", Reducers: []ReducerSpec{{Func: "mean"}, {Func: "var"}, {Func: "min"}, {Func: "max"}}},
+		},
+	}}}
+	pol, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
+// TestNamedCasesHoldEveryLeg runs the whole table on the ten catalog
+// applications over each Table 2 workload at a small flow count, so
+// Kitsune on CAMPUS is a case and not only random specs. Each deploys
+// at default device options, which lets the serve leg run, and is
+// sharded over ring configurations that force wrap-around and
+// park/wake on both sides (one-row batches dispatch per packet; depth
+// 1 is a one-slot ring). The fault plan holds every flow-scoped kind
+// on the upper half of the CG-hash space. A leg may skip only for its
+// stated reason.
+func TestNamedCasesHoldEveryLeg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the named cases are not a -short test")
+	}
+	fp := &faults.Plan{Seed: 7, Rate: 0.2, Kinds: faults.AllKinds &^ shardWide, ScopeLo: FaultScopeLo, ScopeHi: ^uint32(0)}
+	// Flow counts that make each trace 2–3k packets.
+	flows := map[string]int{"mawi": 30, "enterprise": 300, "campus": 60}
+	for i, app := range apps.Catalog() {
+		for j, w := range []string{"mawi", "enterprise", "campus"} {
+			t.Run(app.Name+"/"+w, func(t *testing.T) {
+				cfg, _ := trace.Workload(w)
+				cfg.Flows = flows[w]
+				c := newCase(t, app.Build(), trace.Generate(cfg, 42), 2+(i+j)%3, fp)
+				c.rings = []ring{{1, 1}, {1, 4}, {7, 1}, {64, 2}, {256, 4}}
+				c.served = true
+				out := &Outcome{}
+				c.run(out, legs)
+				if out.Divergence != "" {
+					t.Fatal(out.Divergence)
+				}
+				if out.Vectors == 0 {
+					t.Fatal("the inline reference emitted no vectors")
+				}
+				for _, l := range legs {
+					v := out.Legs[l.name]
+					switch {
+					case v == held:
+					case l.skipFG && out.Approx && strings.HasPrefix(v, "skipped"):
+					case l.name == "fault" && len(c.plan.Switch.Chain) > 1 && strings.HasPrefix(v, "skipped"):
+					case strings.HasPrefix(l.name, "obs") && strings.HasPrefix(v, "vacuous: no interval snapshot"):
+						// A few thousand packets are far short of one
+						// snapshot interval; TestObsLegOnLongTrace
+						// covers the recorder.
+					default:
+						t.Errorf("%s: %s", l.name, v)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestObsLegOnLongTrace holds the observers to a trace past two
+// snapshot intervals under every fault kind, shard-wide hazards
+// included: the recorder's quiesced captures, the span lottery and
+// the quarantine, retry and degradation paths the flight recorder
+// hooks all run inside the compared runs, so the leg may not be
+// vacuous.
+func TestObsLegOnLongTrace(t *testing.T) {
+	cfg := trace.CampusConfig
+	cfg.Flows = 2500
+	c := newCase(t, statsPolicy(t), trace.Generate(cfg, 77), 4, &faults.Plan{Seed: 9, Rate: 0.2, Kinds: faults.AllKinds})
+	out := runLegs(t, c, "obs-inline", "obs-sharded")
+	for _, n := range []string{"obs-inline", "obs-sharded"} {
+		if out.Legs[n] != held {
+			t.Errorf("%s: %s", n, out.Legs[n])
+		}
+	}
+}
+
+// TestFaultLegScoped holds the fault leg to a 20 % wire-fault plan on
+// the bottom quarter of the CG-hash space: the groups outside it stay
+// bit-identical, and the leg may not be vacuous — the plan injects,
+// groups fall outside the scope, and groups inside it change.
+func TestFaultLegScoped(t *testing.T) {
+	cfg := trace.CampusConfig
+	cfg.Flows = 600
+	c := newCase(t, statsPolicy(t), trace.Generate(cfg, 77), 4,
+		&faults.Plan{Seed: 7, Rate: 0.2, Kinds: faults.WireKinds, ScopeLo: 0, ScopeHi: 0x3FFFFFFF})
+	if out := runLegs(t, c, "fault"); out.Legs["fault"] != held {
+		t.Fatalf("fault: %s", out.Legs["fault"])
 	}
 }

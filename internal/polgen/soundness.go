@@ -3,33 +3,20 @@ package polgen
 // The planprove soundness cross-check: the abstract interpreter's
 // verdicts are held against the simulators' saturation counters in
 // both directions. A plan proved saturation-free must never trip a
-// clamp on any engine run (checked inline in Run), and every
-// confirmed value-range witness must replay — through a fresh engine
-// built from the very configurations the proof assumed — to at least
-// one clamp trip (replayWitnesses). The fault campaign re-runs the
-// sequential engine under scoped injection and asserts the PR-5
-// isolation contract on top: out-of-scope flows bit-identical to the
-// clean run, and no clamp trips on clean-proved plans unless the
-// fault kinds corrupt frame payloads (runFaultPass).
+// clamp on any engine run whose faults leave payloads intact (checked
+// by runner.drive on every leg), and every confirmed value-range
+// witness must replay — through a fresh engine built from the very
+// configurations the proof assumed — to at least one clamp trip
+// (replayWitnesses).
 
 import (
 	"fmt"
-	"math"
 
 	"superfe/internal/core"
-	"superfe/internal/faults"
 	"superfe/internal/feature"
-	"superfe/internal/flowkey"
 	"superfe/internal/planprove"
 	"superfe/internal/policy"
-	"superfe/internal/trace"
 )
-
-// clampCounts renders the four saturation counters for failure logs.
-func (r *engineRun) clampCounts() string {
-	return fmt.Sprintf("[cellsat=%d fgclip=%d rangeclamp=%d satinput=%d]",
-		r.sw.CellSaturations, r.sw.FGIndexClips, r.nic.RangeClamps, r.nic.SatInputs)
-}
 
 // replayWitnesses feeds every confirmed Warn-or-above witness through
 // a fresh sequential engine on the spec's own hardware envelope and
@@ -71,73 +58,4 @@ func replayWitnesses(spec Spec, pol *policy.Policy, proof *planprove.Result) (in
 		}
 	}
 	return replayed, ""
-}
-
-// runFaultPass re-runs the sequential engine under the spec's fault
-// plan and checks two invariants against the clean run:
-//
-//  1. Isolation: flows hashing outside the fault scope emit
-//     bit-identical vectors — a fault may damage only the flows it
-//     belongs to (skipped if either run saw FG-table collisions,
-//     which misattribute cells independently of faults).
-//  2. Clamp soundness under faults: a clean-proved plan still trips
-//     no saturation clamp, unless the plan injects corrupt/truncate
-//     faults — decoded garbage values may legitimately saturate, and
-//     quarantine (not the prover) is the defense there.
-//
-// Returns the first violation, or "".
-func runFaultPass(opts core.Options, fp *faults.Plan, pol *policy.Policy, tr *trace.Trace, proof *planprove.Result, clean engineRun) string {
-	// The clean sequential pass already round-tripped the wire codec;
-	// under corruption the faulted frames are quarantined before the
-	// verifier anyway.
-	opts.VerifyWire = false
-	opts.Faults = fp
-	faulted, err := runSequential(opts, pol, tr)
-	if err != nil {
-		return "faulted sequential: " + err.Error()
-	}
-
-	if clean.sw.FGOverwrites == 0 && faulted.sw.FGOverwrites == 0 {
-		faultedBy := make(map[flowkey.Key]feature.Vector, len(faulted.vecs))
-		for _, v := range faulted.vecs {
-			faultedBy[v.Key] = v
-		}
-		for _, cv := range clean.vecs {
-			if flowkey.HashKey(cv.Key) >= FaultScopeLo {
-				continue // in scope: faults may legitimately damage it
-			}
-			fv, ok := faultedBy[cv.Key]
-			if !ok {
-				return fmt.Sprintf("out-of-scope flow %v lost its vector under scoped faults — isolation broken", cv.Key)
-			}
-			if !valuesBitIdentical(cv, fv) {
-				return fmt.Sprintf("out-of-scope flow %v drifted under scoped faults: clean %v vs faulted %v — isolation broken",
-					cv.Key, cv.Values, fv.Values)
-			}
-		}
-	}
-
-	corrupting := faults.Set(0).With(faults.KindCorrupt).With(faults.KindTruncate)
-	if proof.Clean() && fp.Kinds&corrupting == 0 {
-		if n := faulted.tripped(); n > 0 {
-			return fmt.Sprintf("proved saturation-free but the faulted run tripped %d clamp(s): %s",
-				n, faulted.clampCounts())
-		}
-	}
-	return ""
-}
-
-// valuesBitIdentical compares two vectors' values bit for bit —
-// epsilon comparisons would wave through exactly the drift the
-// isolation contract forbids.
-func valuesBitIdentical(a, b feature.Vector) bool {
-	if len(a.Values) != len(b.Values) {
-		return false
-	}
-	for i := range a.Values {
-		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -120,8 +120,8 @@ func TestSeededUnsafePlansReplay(t *testing.T) {
 			if out.WitnessFailed != "" {
 				t.Fatalf("witness failed to replay to a clamp: %s", out.WitnessFailed)
 			}
-			if out.Soundness != "" || out.Divergence != "" {
-				t.Fatalf("unexpected failure: soundness=%q divergence=%q", out.Soundness, out.Divergence)
+			if out.Divergence != "" {
+				t.Fatalf("unexpected failure: %s", out.Divergence)
 			}
 		})
 	}
@@ -157,8 +157,7 @@ func TestCleanPlanTripsNoClamp(t *testing.T) {
 		t.Fatalf("expected a clean proof:\n%s", out.Report.Proof)
 	}
 	if out.Failed() {
-		t.Fatalf("clean plan failed the case: soundness=%q divergence=%q witness=%q fault=%q",
-			out.Soundness, out.Divergence, out.WitnessFailed, out.FaultViolation)
+		t.Fatalf("clean plan failed the case: divergence=%q witness=%q", out.Divergence, out.WitnessFailed)
 	}
 }
 
@@ -172,7 +171,7 @@ func TestFaultCampaignIsolation(t *testing.T) {
 	if out.Failed() {
 		t.Fatalf("faulted case failed: %+v", out)
 	}
-	if !out.Faulted {
+	if !out.Faulted() {
 		t.Fatal("fault pass did not run on a single-granularity spec with a fault plan")
 	}
 }
@@ -187,7 +186,7 @@ func TestFaultCampaignCorruptingKinds(t *testing.T) {
 	if out.Failed() {
 		t.Fatalf("corrupting-kinds case failed: %+v", out)
 	}
-	if !out.Faulted {
+	if !out.Faulted() {
 		t.Fatal("fault pass did not run")
 	}
 }

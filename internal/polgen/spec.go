@@ -5,9 +5,11 @@
 // synthesizers), pairs each with a randomized hardware envelope
 // (MGPV buffer splits, cache sizing, EMEM budget), asks planvet to
 // classify the plan feasible/infeasible, and — for feasible plans —
-// runs the engine inline ("sequential"), the engine sharded behind
-// SPSC rings ("parallel") and the independent software baseline on
-// the same seeded trace, asserting byte-identical feature vectors.
+// holds every leg of one differential table (diff.go) to the inline
+// engine on the same seeded trace: the engine at one worker and
+// sharded behind SPSC rings, telemetry on against off, a scoped fault
+// plan, the independent software baseline, and the serve transport.
+// The same runner carries the named cases in the package's tests.
 //
 // The package is deliberately self-describing: a Spec is a plain
 // JSON value, so a failing policy shrinks to a minimal reproducer
@@ -43,14 +45,14 @@ type Spec struct {
 	// Workers is the parallel-engine shard count used when the plan
 	// is feasible (clamped to [2,4] by Run).
 	Workers int `json:"workers"`
-	// Fault, when set, adds a fault-injection pass to the case: the
-	// sequential engine re-runs under the materialized faults.Plan and
-	// the harness asserts the PR-5 isolation contract (out-of-scope
-	// flows bit-identical to the clean run) plus planprove soundness
-	// (a clean-proved plan trips no saturation clamp even under
-	// faults, unless the kinds corrupt frame payloads). Only honoured
-	// for single-granularity policies — multi-granularity FG updates
-	// ride the reliable channel, so scoped isolation is not exact.
+	// Fault, when set, runs the obs and fault legs under the
+	// materialized faults.Plan: telemetry on against off, and the
+	// isolation contract (out-of-scope flows bit-identical to the clean
+	// run) plus planprove soundness (a clean-proved plan trips no
+	// saturation clamp even under faults, unless the kinds corrupt
+	// frame payloads). The fault leg runs only for single-granularity
+	// policies — multi-granularity FG updates ride the reliable
+	// channel, so scoped isolation is not exact.
 	Fault *FaultSpec `json:"fault,omitempty"`
 }
 

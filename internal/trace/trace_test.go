@@ -260,3 +260,16 @@ func TestStatsString(t *testing.T) {
 		t.Error("empty stats string")
 	}
 }
+
+// TestNamedIsCaseInsensitive pins the one name→trace table both
+// commands share: any case selects the trace, an unknown name fails.
+func TestNamedIsCaseInsensitive(t *testing.T) {
+	for _, name := range []string{"campus", "CAMPUS", "Covert"} {
+		if tr, err := Named(name, 1); err != nil || len(tr.Packets) == 0 {
+			t.Errorf("Named(%q): %v", name, err)
+		}
+	}
+	if _, err := Named("nosuch", 1); err == nil {
+		t.Error("an unknown name generated a trace")
+	}
+}

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"superfe/internal/flowkey"
 )
@@ -49,6 +51,44 @@ var (
 		MeanPktSize: 135, MeanIPT: 5e6, SpanNS: 2e9, UDPShare: 0.2, Hosts: 800,
 	}
 )
+
+// Workload returns the Table 2 workload a short name selects (mawi,
+// enterprise or campus), case-insensitively.
+func Workload(name string) (WorkloadConfig, bool) {
+	switch strings.ToLower(name) {
+	case "mawi":
+		return MAWIConfig, true
+	case "enterprise":
+		return EnterpriseConfig, true
+	case "campus":
+		return CampusConfig, true
+	}
+	return WorkloadConfig{}, false
+}
+
+// Named generates the trace a short name selects, case-insensitively:
+// a Table 2 workload or an application scenario (wfp, botnet, covert,
+// mirai, osscan, ssdp) at its default size.
+func Named(name string, seed int64) (*Trace, error) {
+	if cfg, ok := Workload(name); ok {
+		return Generate(cfg, seed), nil
+	}
+	switch strings.ToLower(name) {
+	case "wfp":
+		return GenerateWebsites(DefaultWebsiteConfig(), seed), nil
+	case "botnet":
+		return GenerateBotnet(DefaultBotnetConfig(), seed), nil
+	case "covert":
+		return GenerateCovert(DefaultCovertConfig(), seed), nil
+	case "mirai":
+		return GenerateIntrusion(DefaultIntrusionConfig(AttackMirai), seed), nil
+	case "osscan":
+		return GenerateIntrusion(DefaultIntrusionConfig(AttackOSScan), seed), nil
+	case "ssdp":
+		return GenerateIntrusion(DefaultIntrusionConfig(AttackSSDPFlood), seed), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
 
 // Generate synthesises the workload deterministically from the seed.
 func Generate(cfg WorkloadConfig, seed int64) *Trace {
