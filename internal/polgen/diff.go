@@ -66,10 +66,11 @@ func (o *Outcome) Failed() bool {
 	return o.BuildErr != "" || o.Overflow || o.Divergence != "" || o.WitnessFailed != ""
 }
 
-// Faulted reports whether the fault leg ran: the case's scoped plan
-// against the clean reference.
+// Faulted reports whether the fault legs ran: the case's scoped plan
+// against the clean reference. They share their skip conditions, so
+// the inline one answers for both.
 func (o *Outcome) Faulted() bool {
-	v, ok := o.Legs["fault"]
+	v, ok := o.Legs["fault-inline"]
 	return ok && !strings.HasPrefix(v, "skipped")
 }
 
@@ -199,8 +200,8 @@ const held = "held"
 //   - obs-inline, obs-sharded: telemetry and flight recorder on
 //     against off under the fault plan — the exact sequence, and a
 //     scrape that reads what the stats read;
-//   - fault: out-of-scope groups bit-identical to the clean reference
-//     under a scoped plan;
+//   - fault-inline, fault-sharded: out-of-scope groups bit-identical
+//     to the clean reference under a scoped plan;
 //   - baseline: baseline.Extractor, which shares no router, switch or
 //     NIC code with the engine — the vector multiset;
 //   - serve: one tenant at one worker behind serve.Config.Resolve,
@@ -211,7 +212,8 @@ var legs = []leg{
 	{"sharded", true, sharded},
 	{"obs-inline", false, func(r *runner) (string, string) { return r.obs(0) }},
 	{"obs-sharded", false, func(r *runner) (string, string) { return r.obs(r.c.workers) }},
-	{"fault", false, faultIsolation},
+	{"fault-inline", false, func(r *runner) (string, string) { return r.fault(0) }},
+	{"fault-sharded", false, func(r *runner) (string, string) { return r.fault(r.c.workers) }},
 	{"baseline", true, baselineLeg},
 	{"serve", false, serveLeg},
 }
@@ -483,16 +485,16 @@ func injected(s faults.Stats) uint64 {
 // perturb every group on the shard and would void the comparison.
 var shardWide = faults.Set(0).With(faults.KindAgingStall).With(faults.KindIslandStall)
 
-// faultIsolation re-runs the engine, inline and sharded, under the
-// case's scoped fault plan: a fault may damage only the groups it
-// belongs to, so every group hashing outside the scope emits what the
-// clean reference emitted, bit for bit. Each shard derives its own
-// injector, so the sharded run faults other frames than the inline
-// one. The leg is vacuous unless each run injected, some group fell
-// outside the scope and some group inside it changed. Only exact for
-// single-granularity plans: multi-granularity FG updates ride the
-// reliable channel and are shared across flows.
-func faultIsolation(r *runner) (string, string) {
+// fault re-runs the configuration at workers under the case's scoped
+// fault plan: a fault may damage only the groups it belongs to, so
+// every group hashing outside the scope emits what the clean reference
+// emitted, bit for bit. Each shard derives its own injector, so a
+// sharded run faults other frames than the inline one. The leg is
+// vacuous unless the run injected, some group fell outside the scope
+// and some group inside it changed. Only exact for single-granularity
+// plans: multi-granularity FG updates ride the reliable channel and
+// are shared across flows.
+func (r *runner) fault(workers int) (string, string) {
 	fp := r.c.faults
 	switch {
 	case fp == nil:
@@ -502,31 +504,27 @@ func faultIsolation(r *runner) (string, string) {
 	case fp.Kinds&shardWide != 0:
 		return "skipped: shard-wide fault kinds", ""
 	}
-	cleanIn, cleanOut := split(r.ref.vecs, fp)
-	verdict := held
-	for _, workers := range []int{0, r.c.workers} {
-		name := fmt.Sprintf("faulted at %d workers", workers)
-		p := core.ParallelOptions{Options: r.c.opts, Workers: workers, DeterministicMerge: true}
-		p.Faults = fp
-		run, err := r.drive(p)
-		if err != nil {
-			return "", name + ": " + err.Error()
-		}
-		faultIn, faultOut := split(run.vecs, fp)
-		if d := feature.Diff("clean", cleanOut, name, faultOut, false); d != "" {
-			return "", "out of scope: " + d
-		}
-		switch {
-		case verdict != held:
-		case injected(run.faults) == 0:
-			verdict = "vacuous: fault plan injected nothing"
-		case len(cleanOut) == 0:
-			verdict = "vacuous: no group outside the fault scope"
-		case feature.Diff("clean", cleanIn, name, faultIn, false) == "":
-			verdict = "vacuous: no group inside the fault scope changed"
-		}
+	name := fmt.Sprintf("faulted at %d workers", workers)
+	p := core.ParallelOptions{Options: r.c.opts, Workers: workers, DeterministicMerge: true}
+	p.Faults = fp
+	run, err := r.drive(p)
+	if err != nil {
+		return "", name + ": " + err.Error()
 	}
-	return verdict, ""
+	cleanIn, cleanOut := split(r.ref.vecs, fp)
+	faultIn, faultOut := split(run.vecs, fp)
+	if d := feature.Diff("clean", cleanOut, name, faultOut, false); d != "" {
+		return "", "out of scope: " + d
+	}
+	switch {
+	case injected(run.faults) == 0:
+		return "vacuous: fault plan injected nothing", ""
+	case len(cleanOut) == 0:
+		return "vacuous: no group outside the fault scope", ""
+	case feature.Diff("clean", cleanIn, name, faultIn, false) == "":
+		return "vacuous: no group inside the fault scope changed", ""
+	}
+	return held, ""
 }
 
 // split partitions vectors by whether their group's CG hash falls in

@@ -2,6 +2,7 @@ package polgen
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,7 +251,7 @@ func TestNamedCasesHoldEveryLeg(t *testing.T) {
 					switch {
 					case v == held:
 					case l.skipFG && out.Approx && strings.HasPrefix(v, "skipped"):
-					case l.name == "fault" && len(c.plan.Switch.Chain) > 1 && strings.HasPrefix(v, "skipped"):
+					case strings.HasPrefix(l.name, "fault") && len(c.plan.Switch.Chain) > 1 && strings.HasPrefix(v, "skipped"):
 					case strings.HasPrefix(l.name, "obs") && strings.HasPrefix(v, "vacuous: no interval snapshot"):
 						// A few thousand packets are far short of one
 						// snapshot interval; TestObsLegOnLongTrace
@@ -264,34 +265,66 @@ func TestNamedCasesHoldEveryLeg(t *testing.T) {
 	}
 }
 
-// TestObsLegOnLongTrace holds the observers to a trace past two
-// snapshot intervals under every fault kind, shard-wide hazards
-// included: the recorder's quiesced captures, the span lottery and
-// the quarantine, retry and degradation paths the flight recorder
-// hooks all run inside the compared runs, so the leg may not be
-// vacuous.
-func TestObsLegOnLongTrace(t *testing.T) {
-	cfg := trace.CampusConfig
-	cfg.Flows = 2500
-	c := newCase(t, statsPolicy(t), trace.Generate(cfg, 77), 4, &faults.Plan{Seed: 9, Rate: 0.2, Kinds: faults.AllKinds})
-	out := runLegs(t, c, "obs-inline", "obs-sharded")
-	for _, n := range []string{"obs-inline", "obs-sharded"} {
-		if out.Legs[n] != held {
-			t.Errorf("%s: %s", n, out.Legs[n])
-		}
+// TestShardedLegRings holds the sharded leg to NPOD at three workers,
+// one ring configuration per subtest: one-row batches dispatch per
+// packet, depth 1 is a one-slot ring, so both sides wrap around and
+// park and wake. Each configuration streams once and matches the
+// default ring's deterministic merge as an exact sequence.
+func TestShardedLegRings(t *testing.T) {
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = 250
+	tr := trace.Generate(cfg, 23)
+	for _, g := range []ring{{1, 1}, {1, 4}, {7, 1}, {64, 2}, {256, 4}} {
+		t.Run(fmt.Sprintf("batch=%d/depth=%d", g.batch, g.depth), func(t *testing.T) {
+			c := newCase(t, apps.NPOD(), tr, 3, nil)
+			c.rings = []ring{g, {}}
+			out := runLegs(t, c, "sharded")
+			if out.Vectors == 0 {
+				t.Fatal("the inline reference emitted no vectors")
+			}
+			if out.Legs["sharded"] != held {
+				t.Fatalf("sharded: %s", out.Legs["sharded"])
+			}
+		})
 	}
 }
 
-// TestFaultLegScoped holds the fault leg to a 20 % wire-fault plan on
-// the bottom quarter of the CG-hash space: the groups outside it stay
-// bit-identical, and the leg may not be vacuous — the plan injects,
-// groups fall outside the scope, and groups inside it change.
+// TestObsLegOnLongTrace holds the observers, inline and at four
+// workers, to a trace past two snapshot intervals under every fault
+// kind, shard-wide hazards included: the recorder's quiesced captures,
+// the span lottery and the quarantine, retry and degradation paths the
+// flight recorder hooks all run inside the compared runs, so neither
+// leg may be vacuous.
+func TestObsLegOnLongTrace(t *testing.T) {
+	cfg := trace.CampusConfig
+	cfg.Flows = 2500
+	tr := trace.Generate(cfg, 77)
+	for _, l := range []string{"inline", "sharded"} {
+		t.Run(l, func(t *testing.T) {
+			c := newCase(t, statsPolicy(t), tr, 4, &faults.Plan{Seed: 9, Rate: 0.2, Kinds: faults.AllKinds})
+			if out := runLegs(t, c, "obs-"+l); out.Legs["obs-"+l] != held {
+				t.Fatalf("obs-%s: %s", l, out.Legs["obs-"+l])
+			}
+		})
+	}
+}
+
+// TestFaultLegScoped holds the fault legs, inline and at four workers,
+// to a 20 % wire-fault plan on the bottom quarter of the CG-hash
+// space: the groups outside it stay bit-identical, and neither leg may
+// be vacuous — the plan injects, groups fall outside the scope, and
+// groups inside it change.
 func TestFaultLegScoped(t *testing.T) {
 	cfg := trace.CampusConfig
 	cfg.Flows = 600
-	c := newCase(t, statsPolicy(t), trace.Generate(cfg, 77), 4,
-		&faults.Plan{Seed: 7, Rate: 0.2, Kinds: faults.WireKinds, ScopeLo: 0, ScopeHi: 0x3FFFFFFF})
-	if out := runLegs(t, c, "fault"); out.Legs["fault"] != held {
-		t.Fatalf("fault: %s", out.Legs["fault"])
+	tr := trace.Generate(cfg, 77)
+	for _, l := range []string{"inline", "sharded"} {
+		t.Run(l, func(t *testing.T) {
+			c := newCase(t, statsPolicy(t), tr, 4,
+				&faults.Plan{Seed: 7, Rate: 0.2, Kinds: faults.WireKinds, ScopeLo: 0, ScopeHi: 0x3FFFFFFF})
+			if out := runLegs(t, c, "fault-"+l); out.Legs["fault-"+l] != held {
+				t.Fatalf("fault-%s: %s", l, out.Legs["fault-"+l])
+			}
+		})
 	}
 }

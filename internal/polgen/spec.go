@@ -50,7 +50,7 @@ type Spec struct {
 	// isolation contract (out-of-scope flows bit-identical to the clean
 	// run) plus planprove soundness (a clean-proved plan trips no
 	// saturation clamp even under faults, unless the kinds corrupt
-	// frame payloads). The fault leg runs only for single-granularity
+	// frame payloads). The fault legs run only for single-granularity
 	// policies — multi-granularity FG updates ride the reliable
 	// channel, so scoped isolation is not exact.
 	Fault *FaultSpec `json:"fault,omitempty"`
