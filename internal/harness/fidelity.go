@@ -146,39 +146,31 @@ func exact2D(f streaming.Func, ss sampleStream, lambda float64) float64 {
 
 // streamingValue runs what the FE-NIC runs for f over the stream: a
 // one-state group record driven through its streaming.Kernel, on one
-// clock and one Decay as a group keeps them; f_card, whose state grows
-// with the data, stays a Reducer behind a pointer on the NIC and here.
+// clock and one Decay as a group keeps them.
 func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 	params := streaming.Params{Lambda: lambda}
 	if f == streaming.FPercent {
 		params = streaming.Params{BinWidth: 16, Bins: 128, Quantile: 0.5}
 	}
-	view := streaming.ViewOf(f, params)
 	var decay streaming.Decay
-	k, inline, err := streaming.KernelFor(f, params, &decay)
+	k, err := streaming.KernelFor(f, params, &decay, new(streaming.Logs))
 	must(err)
-	if !inline {
-		r, err := streaming.New(f, params)
-		must(err)
-		for _, s := range ss {
-			r.Observe(s.x, s.ts)
-		}
-		return streaming.Features(r, view)[0]
-	}
 	rec := make([]uint64, k.Words)
 	var step streaming.Step
 	var clock int64
-	twoD := streaming.FamilyOf(f, params).Func == streaming.FD2DMag
+	// The 1D statistics and the percentile observe magnitudes; the 2D
+	// ones split on the sign, and f_card counts the signed samples.
+	signed := f == streaming.FCard || streaming.FamilyOf(f, params).Func == streaming.FD2DMag
 	for i, s := range ss {
 		x := s.x
-		if x < 0 && !twoD {
-			x = -x // the 1D statistics and the percentile observe magnitudes
+		if x < 0 && !signed {
+			x = -x
 		}
 		decay.Reset()
 		clock = step.Begin(&decay, k.Lanes(), i == 0, clock, s.ts)
 		k.Observe(rec, x, &step)
 	}
-	plan := k.PlanRead([]streaming.View{view}, []int{0})
+	plan := k.PlanRead([]streaming.View{streaming.ViewOf(f, params)}, []int{0})
 	out := make([]float64, 1)
 	k.Read(out, rec, &plan)
 	return out[0]

@@ -101,6 +101,21 @@ func TestFig14Claim_AgingRaisesBufferEfficiency(t *testing.T) {
 	}
 }
 
+// The naive store-everything extractor needs more NIC state and more
+// modelled cycles per cell than the streaming one.
+func TestFig15Claim_NaiveExceedsStreaming(t *testing.T) {
+	tab := Fig15(Quick)
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "streaming" || tab.Rows[1][0] != "naive" {
+		t.Fatalf("rows %v, want streaming then naive", tab.Rows)
+	}
+	streaming, naive := tab.Rows[0], tab.Rows[1]
+	for _, col := range []int{1, 3} { // StateBytes, ModelCycles/cell
+		if s, n := num(t, streaming[col]), num(t, naive[col]); n <= s {
+			t.Errorf("%s: naive %g does not exceed streaming %g", tab.Headers[col], n, s)
+		}
+	}
+}
+
 func TestFig16Claim_LinearScalingAndTFFastest(t *testing.T) {
 	tab := Fig16()
 	first := tab.Rows[0]

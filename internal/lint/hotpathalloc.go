@@ -27,10 +27,10 @@ import (
 //
 // Traversal stops at //superfe:coldpath functions (declared
 // amortized/error paths), at interface method calls and at dynamic
-// function values, which static analysis cannot resolve — reducers
-// behind streaming.Reducer must therefore carry their own hotpath
-// annotations. A finding can be suppressed with //superfe:alloc-ok
-// <reason> on (or immediately above) the offending line.
+// function values, which static analysis cannot resolve — code reached
+// only through one must carry its own hotpath annotation. A finding
+// can be suppressed with //superfe:alloc-ok <reason> on (or
+// immediately above) the offending line.
 var HotPathAlloc = &analysis.Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "check //superfe:hotpath functions (and their static module callees) for allocating constructs",

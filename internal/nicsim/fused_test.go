@@ -115,10 +115,29 @@ func sharingEdges() *policy.Policy {
 		MustBuild()
 }
 
+// cardinalities counts distinct values at sketches of 2, 6 and 16 bits
+// on a host and the default size on its flows: f_card on a chain, where
+// cells run one at a time.
+func cardinalities() *policy.Policy {
+	card := func(bits int) policy.ReduceSpec {
+		return policy.ReduceSpec{Func: streaming.FCard, Params: streaming.Params{HLLBits: bits}}
+	}
+	return policy.New("cardinalities").
+		GroupBy(flowkey.GranHost).
+		Reduce("size", card(2), card(6), card(16)).
+		Collect().
+		GroupBy(flowkey.GranFlow).
+		Map("d", policy.SrcField(packet.FieldSize), policy.MapDirection).
+		Reduce("d", card(0), policy.RF(streaming.FSum)).
+		Collect().
+		MustBuild()
+}
+
 // TestFusedRuntimeMatchesPrivateReducers tees the switch→NIC stream of
-// five applications — the two damped per-packet chains, a
-// multi-granularity per-group one, a histogram-heavy one and the
-// single-granularity NPOD — and of sharingEdges into the Runtime and
+// seven applications — the two damped per-packet chains, a
+// multi-granularity per-group one, a histogram-heavy one, the
+// single-granularity NPOD and the f_array ones CUMUL (with ft_sample)
+// and TF — and of sharingEdges and cardinalities into the Runtime and
 // into the baseline's interpreter, and compares the vector sequences
 // bit for bit.
 func TestFusedRuntimeMatchesPrivateReducers(t *testing.T) {
@@ -129,7 +148,7 @@ func TestFusedRuntimeMatchesPrivateReducers(t *testing.T) {
 	// FG indices.
 	scfg := switchsim.DefaultConfig()
 	scfg.FGTableSize = 64
-	for _, build := range []func() *policy.Policy{apps.Kitsune, apps.HELAD, apps.NBaIoT, apps.MPTD, apps.NPOD, sharingEdges} {
+	for _, build := range []func() *policy.Policy{apps.Kitsune, apps.HELAD, apps.NBaIoT, apps.MPTD, apps.NPOD, apps.CUMUL, apps.TF, sharingEdges, cardinalities} {
 		pol := build()
 		t.Run(pol.Name(), func(t *testing.T) { teeRun(t, pol, tr, scfg, nil, nil) })
 	}

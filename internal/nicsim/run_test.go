@@ -272,10 +272,10 @@ func TestFGGroupRefsMatchRederivation(t *testing.T) {
 // their groups' clocks as they do in a live run, so damped lanes decay
 // (a warm runtime replaying the same stream would decay nothing) and
 // groups that start late are admitted. NPOD (hist, sum and IPT on one
-// record) and TF (the direction sequence, an out-of-line f_array) run
-// at a time over MAWI flows; Kitsune, over CAMPUS flows, is the
-// four-granularity chain of fused damped lanes and a 115-value
-// read-out every cell.
+// record) and TF (the direction sequence, an f_array log: one record
+// word, the samples in the program's Logs) run at a time over MAWI
+// flows; Kitsune, over CAMPUS flows, is the four-granularity chain of
+// fused damped lanes and a 115-value read-out every cell.
 func BenchmarkProcess(b *testing.B) {
 	for _, bc := range []struct {
 		build func() *policy.Policy

@@ -216,20 +216,17 @@ const runChunk = 32
 //
 // The layout rule: after the header (recHeader words) come the map ops'
 // scratch words in op order, then the states in the order their first
-// reduce op names them, each at stateSpec.off. A state of a fixed-size
-// family lives in the record (its streaming.Kernel's words); a state
-// whose storage grows with the data — f_array, f_card, and every
-// store-everything reducer of cfg.Naive — is a streaming.Reducer in
-// outline, and the record's word holds its position there.
+// reduce op names them, each its streaming.Kernel's words at
+// stateSpec.off. A log state (f_array, and every state of cfg.Naive)
+// keeps its samples in logs, and its word there says where.
 type program struct {
 	gran flowkey.Granularity
 	// isCG / isFG: the granularity is the plan's coarsest / finest,
 	// resolved once. At the CG the MGPV's carried hash probes the
 	// table; the FG's groups are the ones Flush emits.
 	isCG, isFG bool
-	// naive: cfg.Naive, every state a store-everything reducer out of line.
-	naive bool
-	table groupTable
+	table      groupTable
+	logs       streaming.Logs
 
 	instrs     []instruction
 	numScratch int
@@ -255,14 +252,6 @@ type program struct {
 	// one per state.
 	lanes []int
 	step  streaming.Step // this cell's clock step, reused
-	// outOfLine lists the states kept in outline, and outline holds
-	// them for every group: group after group in admission order, each
-	// group's in outOfLine order.
-	outOfLine []int
-	outline   []streaming.Reducer
-	// inlineBytes is the modelled footprint of a group's inline states
-	// and scratch, a constant of the program (see StateBytes).
-	inlineBytes int
 	// out is the program's collect ops compiled into one read-out: the
 	// per-packet ones of a per-packet policy, read every cell
 	// (perPacket), or those Flush emits.
@@ -272,13 +261,9 @@ type program struct {
 
 // stateSpec describes one state of the record.
 type stateSpec struct {
-	// off is the state's first word in the record.
-	off int
-	// inline states are kern's words at off. An out-of-line state is
-	// built per group by streaming.New(fn, params), or streaming.NewNaive
-	// when the program is naive. A fused damped state's fn and params
-	// are its first lane's.
-	inline bool
+	// off is the state's first word in the record, where kern's words
+	// lie. A fused damped state's fn and params are its first lane's.
+	off    int
 	kern   streaming.Kernel
 	fn     streaming.Func
 	params streaming.Params
@@ -292,8 +277,8 @@ type stateSpec struct {
 }
 
 // readOut is a program's collect ops compiled at deploy: every feature
-// they emit has a position in a window of width values, and each inline
-// state is read once, all its views and lanes in one call
+// they emit has a position in a window of width values, and each state
+// is read once, all its views and lanes in one call
 // (streaming.Kernel.Read), with no per-view dispatch left for the cell.
 type readOut struct {
 	width int
@@ -304,13 +289,10 @@ type readOut struct {
 	raw   []float64 // the window before synthesis, reused
 }
 
-// stateRead is one state's part of a read-out: an inline state's plan,
-// or an out-of-line one's views and their positions.
+// stateRead is one state's part of a read-out.
 type stateRead struct {
 	state int
 	plan  streaming.ReadPlan
-	views []streaming.View
-	pos   []int
 }
 
 // emitSpan is a collect's region [lo, hi) of its read-out's window and
@@ -410,7 +392,7 @@ func (r *Runtime) PublishObs() {
 // read-out. naive gives every reduce spec a state of its own: the
 // store-everything ablation is one buffer per feature.
 func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
-	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG, naive: naive}
+	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
 	numCols := 0
 	mapCol := map[string]int{}
 	field := func(pos int) int {
@@ -498,10 +480,13 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				si, shared := stateOf[k]
 				if !shared || naive {
 					st := stateSpec{fn: rf.Func, params: rf.Params, src: src}
-					if !naive {
-						if st.kern, st.inline, err = streaming.KernelFor(rf.Func, rf.Params, decay); err != nil {
-							return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
-						}
+					if naive {
+						st.kern, err = streaming.NaiveKernel(rf.Func, rf.Params, &pr.logs)
+					} else {
+						st.kern, err = streaming.KernelFor(rf.Func, rf.Params, decay, &pr.logs)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
 					}
 					for _, l := range st.kern.Lanes() {
 						if !slices.Contains(pr.lanes, l) {
@@ -555,20 +540,17 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		if len(at[m[0]]) == 0 {
 			continue // no collect reads it
 		}
-		rd := stateRead{state: j}
+		var views []streaming.View
+		var pos []int
 		for _, f := range at[m[0]] {
-			rd.views = append(rd.views, f.view)
+			views = append(views, f.view)
 		}
 		for _, si := range m { // lane by lane
 			for _, f := range at[si] {
-				rd.pos = append(rd.pos, f.pos)
+				pos = append(pos, f.pos)
 			}
 		}
-		if st := &pr.states[j]; st.inline {
-			rd.plan = st.kern.PlanRead(rd.views, rd.pos)
-			rd.views, rd.pos = nil, nil
-		}
-		pr.out.reads = append(pr.out.reads, rd)
+		pr.out.reads = append(pr.out.reads, stateRead{state: j, plan: pr.states[j].kern.PlanRead(views, pos)})
 	}
 	pr.env = make([]int64, numCols)
 	pr.cols = make([]int64, numCols*runChunk)
@@ -576,17 +558,9 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	// The states follow the scratch words, which are only counted once
 	// every map op has been seen.
 	words := recHeader + pr.numScratch
-	pr.inlineBytes = 16 * pr.numScratch
 	for i := range pr.states {
-		st := &pr.states[i]
-		st.off = words
-		if st.inline {
-			words += st.kern.Words
-			pr.inlineBytes += st.kern.StateBytes * st.views
-		} else {
-			pr.outOfLine = append(pr.outOfLine, i)
-			words++
-		}
+		pr.states[i].off = words
+		words += pr.states[i].kern.Words
 	}
 	pr.table = newGroupTable(words)
 	return pr, nil
@@ -703,27 +677,6 @@ func (pr *program) fuseLanes(at [][]feat) (members [][]int) {
 	return members
 }
 
-// admit adds a group for the key (a, b), which the table does not
-// hold, and builds its out-of-line states.
-//
-//superfe:coldpath
-func (pr *program) admit(h uint32, a, b, clock uint64) record {
-	g := pr.table.insert(h, a, b)
-	g[recAdmit] = clock
-	for _, si := range pr.outOfLine {
-		st := &pr.states[si]
-		g[st.off] = uint64(len(pr.outline))
-		var r streaming.Reducer
-		if pr.naive {
-			r = streaming.NewNaive(st.fn, st.params)
-		} else {
-			r, _ = streaming.New(st.fn, st.params) // validated by KernelFor
-		}
-		pr.outline = append(pr.outline, r)
-	}
-	return g
-}
-
 // occupancy returns the live group count over all granularities and
 // how many of them lie past the modelled fixed chain (DRAM overflow).
 func (r *Runtime) occupancy() (live, over int) {
@@ -742,17 +695,19 @@ func (r *Runtime) Stats() RuntimeStats {
 }
 
 // StateBytes sums the live per-group reducer state — the Figure 15
-// memory-consumption metric. It is the modelled footprint: a state
-// counts once per reduce spec that reads it (stateSpec.views), at what
-// its streaming.Reducer reports, whatever the record spends on it. The
-// inline families are a constant per group; only the out-of-line
-// states, whose size follows their data, are walked.
+// memory-consumption metric. It is the modelled footprint: 16 bytes a
+// map scratch, and a state once per reduce spec that reads it
+// (stateSpec.views) at what its reducer would report (Kernel.Bytes),
+// whatever the record spends on it.
 func (r *Runtime) StateBytes() int {
 	total := 0
 	for _, pr := range r.programs {
-		total += pr.table.n * pr.inlineBytes
-		for i, st := range pr.outline {
-			total += st.StateBytes() * pr.states[pr.outOfLine[i%len(pr.outOfLine)]].views
+		total += pr.table.n * 16 * pr.numScratch
+		for i := range pr.table.n {
+			g := pr.table.at(i)
+			for _, st := range pr.states {
+				total += st.kern.Bytes(g[st.off:]) * st.views
+			}
 		}
 	}
 	return total
@@ -951,7 +906,7 @@ func (r *Runtime) resolve(pr *program, h uint32, a, b uint64, scope uint32) uint
 		}
 		return 0
 	}
-	pr.admit(h, a, b, r.stats.Cells)
+	pr.table.insert(h, a, b)[recAdmit] = r.stats.Cells
 	return uint32(pr.table.n)
 }
 
@@ -1011,11 +966,8 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		case opReduce:
 			r.countInput(ins, x)
 			for _, si := range ins.states {
-				if st := &pr.states[si]; st.inline {
-					st.kern.Observe(g[st.off:], x, step)
-				} else {
-					pr.outline[g[st.off]].Observe(x, step.Now)
-				}
+				st := &pr.states[si]
+				st.kern.Observe(g[st.off:], x, step)
 			}
 			continue
 		case opcode(policy.MapOne):
@@ -1094,14 +1046,8 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 				r.countInput(ins, x)
 			}
 			for _, si := range ins.states {
-				if st := &pr.states[si]; st.inline {
-					st.kern.ObserveRun(g[st.off:], src, step)
-				} else {
-					red := pr.outline[g[st.off]]
-					for j, x := range src {
-						red.Observe(x, nows[j])
-					}
-				}
+				st := &pr.states[si]
+				st.kern.ObserveRun(g[st.off:], src, nows, step)
 			}
 			continue
 		}
@@ -1211,15 +1157,7 @@ func (pr *program) read(dst []float64, g record) []float64 {
 	for i := range ro.reads {
 		rd := &ro.reads[i]
 		st := &pr.states[rd.state]
-		if st.inline {
-			st.kern.Read(win, g[st.off:], &rd.plan)
-			continue
-		}
-		red := pr.outline[g[st.off]]
-		for j, v := range rd.views {
-			// The view appends its FeatureWidth values into the window.
-			red.AppendFeatures(win[rd.pos[j]:rd.pos[j]], v)
-		}
+		st.kern.Read(win, g[st.off:], &rd.plan)
 	}
 	if ro.emits != nil {
 		ro.raw = append(ro.raw[:0], win...)

@@ -112,6 +112,10 @@ func TestValidationRejectsBadParams(t *testing.T) {
 		t.Error("bad histogram params accepted")
 	}
 	if _, err := New("x").GroupBy(flowkey.GranFlow).
+		Reduce("size", RFArray(-5)).Collect().Build(); err == nil {
+		t.Error("a negative f_array cap accepted")
+	}
+	if _, err := New("x").GroupBy(flowkey.GranFlow).
 		Map("", SrcNone, MapOne).Build(); err == nil {
 		t.Error("unnamed map destination accepted")
 	}

@@ -42,8 +42,6 @@ func hash32(x int64) uint32 {
 }
 
 // Observe folds one sample into the sketch.
-//
-//superfe:hotpath
 func (h *HyperLogLog) Observe(x, _ int64) {
 	v := hash32(x)
 	idx := v >> (32 - h.bits)
@@ -59,7 +57,6 @@ func (h *HyperLogLog) Observe(x, _ int64) {
 // HyperLogLog bias correction, including the small-range (linear
 // counting) correction.
 func (h *HyperLogLog) Estimate() float64 {
-	m := float64(len(h.buckets))
 	var sum float64
 	zeros := 0
 	for _, b := range h.buckets {
@@ -68,8 +65,14 @@ func (h *HyperLogLog) Estimate() float64 {
 			zeros++
 		}
 	}
-	alpha := alphaFor(len(h.buckets))
-	e := alpha * m * m / sum
+	return hllEstimate(len(h.buckets), sum, zeros)
+}
+
+// hllEstimate is the estimate of n registers whose 2^-register terms
+// sum to sum, zeros of them empty.
+func hllEstimate(n int, sum float64, zeros int) float64 {
+	m := float64(n)
+	e := alphaFor(n) * m * m / sum
 	if e <= 2.5*m && zeros > 0 {
 		// Linear counting for small cardinalities.
 		e = m * math.Log(m/float64(zeros))
@@ -91,8 +94,6 @@ func alphaFor(m int) float64 {
 }
 
 // AppendFeatures appends the cardinality estimate.
-//
-//superfe:hotpath
 func (h *HyperLogLog) AppendFeatures(dst []float64, _ View) []float64 {
 	return append(dst, h.Estimate())
 }

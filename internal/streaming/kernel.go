@@ -2,16 +2,18 @@ package streaming
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 )
 
-// Kernels are the fixed-size reducer families compiled onto a group
-// record: the FE-NIC keeps one record of uint64 words per group with
-// every state at an offset resolved when the plan is compiled, and a
-// Kernel is one family's update and read-out over its words. The
-// Reducer types beside them stay as the reference the kernels are held
-// to, bit for bit (TestKernelsMatchReducers): same float operations in
-// the same order, so a kernel's features are a private reducer's.
+// Kernels are the reducer families compiled onto a group record: the
+// FE-NIC keeps one record of uint64 words per group with every state at
+// an offset resolved when the plan is compiled, and a Kernel is one
+// family's update and read-out over its words. The Reducer types beside
+// them are the reference the kernels are held to, bit for bit
+// (TestKernelsMatchReducers), and share no update code with them: same
+// float operations in the same order, so a kernel's features are a
+// private reducer's, and a slip on either side shows as a difference.
 //
 // Word layouts (a float is stored as its IEEE bits, a zeroed state is
 // the empty state):
@@ -24,6 +26,14 @@ import (
 //	histogram   n, then the uint32 bins two to a word, even bin low
 //	fd_* 1D     per lane: w, LS, SS        (clock is the group's)
 //	fd_* 2D     per lane: SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock
+//	f_card      the 2^bits HyperLogLog registers, eight bytes to a word, register i in byte i%8 of word i/8
+//	log         the index + 1 of the state's sample log in its Logs (0: none yet)
+//
+// A log is the one state whose storage grows with the data: f_array's
+// samples up to its cap, and every state of the store-everything
+// ablation (NaiveKernel), which keeps each sample with its time. The
+// samples live in a Logs table of the program, out of the record (the
+// NFP would keep them in EMEM); the record word finds them.
 //
 // What a reducer keeps per state and a kernel does not: λ, bin width,
 // bin count and the max/min mode live in the Kernel (the op table), and
@@ -49,24 +59,33 @@ const (
 	kindHist
 	kindDamped1D
 	kindDamped2D
+	kindCard
+	kindLog
 )
 
-// Kernel is one inline state of a group record: which family, how many
-// words, and the parameters the reducer type would have carried.
+// Kernel is one state of a group record: which family, how many words,
+// and the parameters the reducer type would have carried.
 type Kernel struct {
 	kind kind
+	max  bool  // f_max rather than f_min
+	bits uint8 // f_card: log2 of the register count
 	// Words is the state's size in the record, all its lanes;
-	// StateBytes the family's modelled footprint, what its Reducer
-	// reports, for one lane.
-	Words      int
-	StateBytes int
+	// stateBytes the family's modelled footprint, what a fresh Reducer
+	// reports, for one lane (a log's grows: Bytes).
+	Words, stateBytes int
 	// lanes are a damped kernel's Decay lanes, one per rate; lane i's
 	// words follow lane i-1's, damped1DWords or damped2DWords each.
 	lanes []int
 
-	max   bool  // f_max rather than f_min
 	width int64 // histogram bin width
 	bins  int   // histogram bin count
+
+	// A log's table and cap. naive is set on a store-everything log:
+	// every sample is kept with its time, and read through the batch
+	// algorithm of the reducer it stands for (its data left empty).
+	logs   *Logs
+	maxLen int
+	naive  *NaiveReducer
 }
 
 // The words of one lane of a damped kernel.
@@ -75,17 +94,16 @@ const (
 	damped2DWords = 12
 )
 
-// KernelFor resolves the kernel of f's family. inline is false for the
-// families whose storage grows with the data (f_array, f_card): they
-// stay Reducers behind a pointer. The parameters are validated exactly
-// as New validates them. A damped family's kernel has one lane, d's
-// lane of its rate (d is not read for the other families).
-func KernelFor(f Func, p Params, d *Decay) (k Kernel, inline bool, err error) {
+// KernelFor resolves the kernel of f's family. The parameters are
+// validated exactly as New validates them. A damped family's kernel has
+// one lane, d's lane of its rate; f_array's keeps its samples in logs
+// (neither is read for the other families).
+func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
 	r, err := New(f, p)
 	if err != nil {
-		return Kernel{}, false, err
+		return Kernel{}, err
 	}
-	k = Kernel{StateBytes: r.StateBytes()}
+	k := Kernel{stateBytes: r.StateBytes()}
 	switch FamilyOf(f, p).Func {
 	case FSum:
 		k.kind, k.Words = kindSum, 1
@@ -103,10 +121,75 @@ func KernelFor(f Func, p Params, d *Decay) (k Kernel, inline bool, err error) {
 		k.kind, k.Words, k.lanes = kindDamped1D, damped1DWords, []int{d.Lane(p.Lambda)}
 	case FD2DMag:
 		k.kind, k.Words, k.lanes = kindDamped2D, damped2DWords, []int{d.Lane(p.Lambda)}
+	case FCard:
+		k.kind, k.bits = kindCard, uint8(r.(*HyperLogLog).bits)
+		k.Words = (1<<k.bits + 7) / 8
+	case FArray:
+		k.kind, k.Words, k.logs, k.maxLen = kindLog, 1, logs, r.(*Array).maxLen
 	default:
-		return Kernel{}, false, nil
+		panic("streaming: a family without a kernel")
 	}
-	return k, true, nil
+	return k, nil
+}
+
+// NaiveKernel is f's state in the store-everything ablation (Figure
+// 15): a log in logs of every sample and its time, read through
+// NaiveReducer's batch algorithm. It answers for f alone, whatever
+// FamilyOf says, and validates the parameters as New does.
+func NaiveKernel(f Func, p Params, logs *Logs) (Kernel, error) {
+	if _, err := New(f, p); err != nil {
+		return Kernel{}, err
+	}
+	return Kernel{kind: kindLog, Words: 1, logs: logs, naive: NewNaive(f, p)}, nil
+}
+
+// Logs is the sample logs of one program's log states, every group's:
+// a state's record word holds its log's index + 1, taken on the state's
+// first sample.
+type Logs struct {
+	logs []sampleLog
+}
+
+// sampleLog is one state's samples, and a naive log's sample times.
+type sampleLog struct {
+	xs, ts []int64
+}
+
+// of returns the log the record word w names, taking one for a state
+// that has none yet.
+func (l *Logs) of(w *uint64) *sampleLog {
+	if *w == 0 {
+		l.open(w)
+	}
+	return &l.logs[*w-1]
+}
+
+// open takes a new log for the state whose record word is w.
+//
+//superfe:coldpath once per group and log state, on its first sample
+func (l *Logs) open(w *uint64) {
+	l.logs = append(l.logs, sampleLog{})
+	*w = uint64(len(l.logs))
+}
+
+// at returns the log the record word w names; an empty one for a state
+// that has taken none.
+func (l *Logs) at(w uint64) sampleLog {
+	if w == 0 {
+		return sampleLog{}
+	}
+	return l.logs[w-1]
+}
+
+// Bytes is the modelled footprint of the state at st[:k.Words], for one
+// lane: stateBytes, or what a log holds, 8 bytes a sample and 8 a time,
+// as its Reducer reports it.
+func (k *Kernel) Bytes(st []uint64) int {
+	if k.kind != kindLog {
+		return k.stateBytes
+	}
+	l := k.logs.at(st[0])
+	return 8 * (len(l.xs) + len(l.ts))
 }
 
 // Fuse lays damped kernels of one kind out as one kernel of all their
@@ -301,19 +384,24 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 		k.damped1DObserve(st, x, s)
 	case kindDamped2D:
 		k.damped2DObserve(st, x, s)
+	case kindCard:
+		k.cardObserve(st, x)
+	case kindLog:
+		k.logObserve(st, x, s.Now)
 	}
 }
 
 // ObserveRun folds the samples xs, in order, into the state at
 // st[:k.Words]: one op's inputs over a run of cells of one group, with
-// the family switched on once, outside the loop. s is the step of
-// xs[0], the only sample of a run that can be its group's first. A
-// damped family reads the group's clock, which moves from cell to
-// cell, so it is only ever fed one sample at a time (Observe): a
-// program that keeps decay lanes never forms runs (nicsim).
+// the family switched on once, outside the loop. nows[i] is xs[i]'s
+// time, which only a naive log keeps. s is the step of xs[0], the only
+// sample of a run that can be its group's first. A damped family reads
+// the group's clock, which moves from cell to cell, so it is only ever
+// fed one sample at a time (Observe): a program that keeps decay lanes
+// never forms runs (nicsim).
 //
 //superfe:hotpath
-func (k *Kernel) ObserveRun(st []uint64, xs []int64, s *Step) {
+func (k *Kernel) ObserveRun(st []uint64, xs, nows []int64, s *Step) {
 	switch k.kind {
 	case kindSum:
 		for _, x := range xs {
@@ -339,6 +427,17 @@ func (k *Kernel) ObserveRun(st []uint64, xs []int64, s *Step) {
 		for _, x := range xs {
 			k.histObserve(st, x)
 		}
+	case kindCard:
+		for _, x := range xs {
+			k.cardObserve(st, x)
+		}
+	case kindLog:
+		l := k.logs.of(&st[0])
+		if k.naive != nil {
+			l.xs, l.ts = append(l.xs, xs...), append(l.ts, nows...)
+			break
+		}
+		l.xs = append(l.xs, xs[:min(len(xs), k.maxLen-len(l.xs))]...)
 	default: // the damped families, one sample
 		for _, x := range xs {
 			k.Observe(st, x, s)
@@ -370,6 +469,29 @@ func (k *Kernel) histObserve(st []uint64, x int64) {
 		*w = *w&^math.MaxUint32 | uint64(uint32(*w)+1)
 	} else {
 		*w += 1 << 32
+	}
+}
+
+// cardObserve raises the sample's register to the leading-zero run of
+// the hash bits past its index, plus one.
+func (k *Kernel) cardObserve(st []uint64, x int64) {
+	v := hash32(x)
+	i := v >> (32 - k.bits)
+	rho := uint64(bits.LeadingZeros32(v<<k.bits|1)) + 1
+	w, sh := &st[i>>3], 8*(i&7)
+	if rho > *w>>sh&0xff {
+		*w = *w&^(0xff<<sh) | rho<<sh
+	}
+}
+
+// logObserve appends x to the state's log: with its time ts on a naive
+// log, else while the log is under its cap.
+func (k *Kernel) logObserve(st []uint64, x, ts int64) {
+	l := k.logs.of(&st[0])
+	if k.naive != nil {
+		l.xs, l.ts = append(l.xs, x), append(l.ts, ts)
+	} else if len(l.xs) < k.maxLen {
+		l.xs = append(l.xs, x)
 	}
 }
 
@@ -533,7 +655,8 @@ type ReadPlan struct {
 	at     [][4]uint32 // by lane: member m lands at at[lane][m], or nowhere if unread
 	copies [][2]uint32 // a view that repeats a member: win[c[0]] = win[c[1]], its first position
 	end    int         // one past the last position: Read cuts the window there
-	// The histogram's views differ in shape: view j writes from pos[j].
+	// A histogram's or a log's views differ in shape: view j writes its
+	// FeatureWidth values from pos[j].
 	views []View
 	pos   []int
 }
@@ -550,7 +673,7 @@ func (k *Kernel) PlanRead(views []View, pos []int) ReadPlan {
 	if len(pos) != max(1, len(k.lanes))*len(views) {
 		panic("streaming: a read-out position per lane and view")
 	}
-	if k.kind == kindHist {
+	if k.kind == kindHist || k.kind == kindLog {
 		return ReadPlan{views: views, pos: pos}
 	}
 	p := ReadPlan{at: make([][4]uint32, max(1, len(k.lanes)))}
@@ -594,9 +717,15 @@ func memberOf(f Func) int {
 //
 //superfe:hotpath
 func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
-	if k.kind == kindHist {
+	switch k.kind {
+	case kindHist:
 		for j, v := range p.views {
 			k.readHist(win[p.pos[j]:], st, v)
+		}
+		return
+	case kindLog:
+		for _, q := range p.pos {
+			k.readLog(win[q:], st)
 		}
 		return
 	}
@@ -605,6 +734,10 @@ func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
 	case kindSum, kindExtremum: // value
 		if q := p.at[0][0]; uint(q) < uint(len(win)) {
 			win[q] = float64(int64(st[0]))
+		}
+	case kindCard: // estimate
+		if q := p.at[0][0]; uint(q) < uint(len(win)) {
+			win[q] = k.cardEstimate(st)
 		}
 	case kindWelford: // mean, var, std
 		at := &p.at[0]
@@ -700,6 +833,38 @@ func momentsView(st []uint64, kurtosis bool) float64 {
 		return n*f64(st[4])/(m2*m2) - 3
 	}
 	return math.Sqrt(n) * f64(st[3]) / math.Pow(m2, 1.5)
+}
+
+// cardEstimate is HyperLogLog.Estimate over the packed registers.
+func (k *Kernel) cardEstimate(st []uint64) float64 {
+	var sum float64
+	zeros := 0
+	for i := range 1 << k.bits {
+		r := uint8(st[i>>3] >> (8 * (i & 7)))
+		sum += 1 / float64(uint64(1)<<r)
+		if r == 0 {
+			zeros++
+		}
+	}
+	return hllEstimate(1<<k.bits, sum, zeros)
+}
+
+// readLog writes the log's features from out[0] on: f_array's samples
+// zero-padded to its cap, or a naive log's feature, computed by its
+// reducer's batch algorithm.
+func (k *Kernel) readLog(out []float64, st []uint64) {
+	l := k.logs.at(st[0])
+	if k.naive != nil {
+		n := *k.naive
+		n.data, n.tss = l.xs, l.ts
+		n.AppendFeatures(out[:0], View{}) // in place
+		return
+	}
+	out = out[:k.maxLen]
+	for i, x := range l.xs {
+		out[i] = float64(x)
+	}
+	clear(out[len(l.xs):])
 }
 
 // bin reads histogram bin i.

@@ -7,21 +7,26 @@ import (
 	"testing"
 )
 
-// TestKernelsMatchReducers lays every inline family of familySpecs out
-// in one record — the states interleaved with guard words, the damped
-// ones on one clock and one Decay, as a group record holds them — and
-// beside them fused damped kernels, 1D and 2D, of 1, 3 and 5 lanes. It
-// feeds the record a hostile stream beside one streaming.New reducer
-// per family and lane: sign flips for the 2D split and one-direction
-// stretches that leave a 2D half's clock behind its group's, equal and
-// backwards timestamps, 32-bit cell stamps that wrap and are unwrapped
-// as the NIC unwraps them, and samples beyond the histogram range.
-// After every sample every view of every lane must read, bit for bit,
-// what its reducer reads, planned alone and with several of the state's
-// views at once — all of them, in reverse, and without one member —
-// laid out lane-major and view-major, in a window whose other values
-// Read leaves untouched; the guards must stand; and a kernel must model
-// the bytes its reducer reports.
+// TestKernelsMatchReducers lays every family of familySpecs out in one
+// record — the states interleaved with guard words, the damped ones on
+// one clock and one Decay, the f_array logs in one Logs, as a group
+// record holds them — with f_array at caps 1, 16, 32 and 5000 and
+// f_card at 2, 4, 6 and 16 bits, and beside them fused damped kernels,
+// 1D and 2D, of 1, 3 and 5 lanes. It feeds the record a hostile stream
+// beside one streaming.New reducer per family and lane: sign flips for
+// the 2D split and one-direction stretches that leave a 2D half's clock
+// behind its group's, equal and backwards timestamps, 32-bit cell
+// stamps that wrap and are unwrapped as the NIC unwraps them, samples
+// beyond the histogram range and beyond ±2^31, and more samples than
+// the largest cap. After each of the first 900 samples, and every 250th
+// after, every view of every lane must read, bit for bit, what its
+// reducer reads, planned alone and with several of the state's views at
+// once — all of them, in reverse, and without one member — laid out
+// lane-major and view-major, in a window whose other values Read leaves
+// untouched; the guards must stand; and a kernel must model the bytes
+// its reducer reports. Then the naive log of every function is held to
+// its NaiveReducer over the stream's first samples, fed cell by cell
+// and as runs.
 func TestKernelsMatchReducers(t *testing.T) {
 	const guard = 0xA5A5A5A5A5A5A5A5
 	type state struct {
@@ -32,32 +37,26 @@ func TestKernelsMatchReducers(t *testing.T) {
 	}
 	var states []state
 	var decay Decay
+	var logs Logs
 	kinds := map[kind]bool{}
 	words := 1
 	add := func(k Kernel, rs []Reducer, views []View) {
-		if k.StateBytes != rs[0].StateBytes() {
-			t.Errorf("%s: kernel models %d bytes, its reducer %d", views[0].Func, k.StateBytes, rs[0].StateBytes())
-		}
 		kinds[k.kind] = true
 		states = append(states, state{kern: k, off: words, reducers: rs, views: views})
 		words += k.Words + 1
 	}
 	seen := map[Family]int{}
-	for _, s := range familySpecs() {
+	specs := append(familySpecs(), spec{FArray, Params{MaxLen: 1}}, spec{FArray, Params{MaxLen: 32}},
+		spec{FCard, Params{HLLBits: 2}}, spec{FCard, Params{HLLBits: 16}})
+	for _, s := range specs {
 		fam := FamilyOf(s.f, s.p)
 		if i, ok := seen[fam]; ok {
 			states[i].views = append(states[i].views, ViewOf(s.f, s.p))
 			continue
 		}
-		k, inline, err := KernelFor(s.f, s.p, &decay)
+		k, err := KernelFor(s.f, s.p, &decay, &logs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !inline {
-			if s.f != FCard && s.f != FArray {
-				t.Errorf("%s is out of line", s.f)
-			}
-			continue
 		}
 		r, err := New(s.f, s.p)
 		if err != nil {
@@ -66,8 +65,8 @@ func TestKernelsMatchReducers(t *testing.T) {
 		seen[fam] = len(states)
 		add(k, []Reducer{r}, []View{ViewOf(s.f, s.p)})
 	}
-	if len(kinds) != 8 {
-		t.Fatalf("%d inline families under test, want 8", len(kinds))
+	if len(kinds) != 10 {
+		t.Fatalf("%d kernel kinds under test, want 10", len(kinds))
 	}
 	rates := []float64{3, 0.1, 5, 0.01, 1}
 	for _, fam := range [][]Func{{FDWeight, FDMean, FDStd}, {FD2DMag, FD2DRadius, FD2DCov, FD2DPCC}} {
@@ -79,7 +78,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 			var ks []Kernel
 			var rs []Reducer
 			for _, l := range rates[:n] {
-				k, _, err := KernelFor(fam[0], Params{Lambda: l}, &decay)
+				k, err := KernelFor(fam[0], Params{Lambda: l}, &decay, &logs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,11 +175,18 @@ func TestKernelsMatchReducers(t *testing.T) {
 		}
 		for i := range states {
 			st := &states[i]
+			if got, want := st.kern.Bytes(rec[st.off:]), st.reducers[0].StateBytes(); got != want {
+				t.Fatalf("step %d %s: the kernel models %d bytes, its reducer %d", step, st.views[0].Func, got, want)
+			}
 			// Each view alone, then the plans the NIC makes of several:
 			// every view, the views in reverse (a member order not the
 			// family's), and every subset that leaves one member unread.
+			// A state of one view and one lane has no other plan.
 			for _, v := range st.views {
 				readAll(step, st, []View{v}, true)
+			}
+			if len(st.views) == 1 && len(st.reducers) == 1 {
+				continue
 			}
 			rev := slices.Clone(st.views)
 			slices.Reverse(rev)
@@ -203,8 +209,13 @@ func TestKernelsMatchReducers(t *testing.T) {
 	clock := int64(0)
 	tt := int64(1)<<32 - 3e9 // true time; a cell carries uint32(tt)
 	neg, stretch := false, 0
-	for i := 0; i < 900; i++ {
+	const samples = DefaultMaxArray + 200
+	var xs, nows []int64 // the stream, for the naive logs
+	for i := 0; i < samples; i++ {
 		x := rng.Int63n(1500)
+		if rng.Intn(25) == 0 {
+			x = 1<<31 + rng.Int63n(1<<40) // past a 32-bit sample
+		}
 		switch {
 		case stretch > 0:
 			stretch--
@@ -242,10 +253,80 @@ func TestKernelsMatchReducers(t *testing.T) {
 				r.Observe(x, now)
 			}
 		}
-		check(i)
+		xs, nows = append(xs, x), append(nows, now)
+		if i < 900 || i%250 == 0 || i == samples-1 {
+			check(i)
+		}
 	}
 	if tt>>32 < 3 {
 		t.Fatalf("the stream ends at %d: its stamps wrapped fewer than three times", tt)
+	}
+	naiveLogsMatchReducers(t, xs[:400], nows[:400])
+}
+
+// naiveLogsMatchReducers holds the naive log of every function of
+// familySpecs to its NaiveReducer over the stream xs at times nows: one
+// log fed cell by cell, one fed the same samples as runs cut at random,
+// each read, after every run and before the first, into a window whose
+// other values Read leaves untouched, and each modelling the bytes its
+// reducer reports.
+func naiveLogsMatchReducers(t *testing.T, xs, nows []int64) {
+	t.Helper()
+	const pad, sentinel = 3, 0x7ff8_dead_0000_beef
+	rng := rand.New(rand.NewSource(2))
+	for _, s := range familySpecs() {
+		var cellLogs, runLogs Logs
+		byCell, err := NaiveKernel(s.f, s.p, &cellLogs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRun, err := NaiveKernel(s.f, s.p, &runLogs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := NewNaive(s.f, s.p)
+		cell, run := make([]uint64, byCell.Words), make([]uint64, byRun.Words)
+		view := ViewOf(s.f, s.p)
+		check := func(n int) {
+			t.Helper()
+			want := Features(ref, view)
+			for _, c := range []struct {
+				how string
+				k   *Kernel
+				rec []uint64
+			}{{"cell by cell", &byCell, cell}, {"as runs", &byRun, run}} {
+				plan := c.k.PlanRead([]View{view}, []int{pad})
+				win := make([]float64, pad+len(want)+pad)
+				for i := range win {
+					win[i] = math.Float64frombits(sentinel)
+				}
+				c.k.Read(win, c.rec, &plan)
+				for i, x := range win {
+					if (i < pad || i >= pad+len(want)) && math.Float64bits(x) != sentinel {
+						t.Fatalf("naive %s %+v %s: Read wrote %v outside its plan", s.f, s.p, c.how, x)
+					}
+				}
+				if got := win[pad : pad+len(want)]; !sameBits(got, want) {
+					t.Fatalf("naive %s %+v %s after %d samples: the log reads %v, its reducer %v", s.f, s.p, c.how, n, got, want)
+				}
+				if got, want := c.k.Bytes(c.rec), ref.StateBytes(); got != want {
+					t.Fatalf("naive %s %s: the log models %d bytes, its reducer %d", s.f, c.how, got, want)
+				}
+			}
+		}
+		check(0)
+		var step Step
+		for i := 0; i < len(xs); {
+			n := min(len(xs)-i, 1+rng.Intn(40))
+			byRun.ObserveRun(run, xs[i:i+n], nows[i:i+n], &step)
+			for j := i; j < i+n; j++ {
+				step.Now = nows[j]
+				byCell.Observe(cell, xs[j], &step)
+				ref.Observe(xs[j], nows[j])
+			}
+			i += n
+			check(i)
+		}
 	}
 }
 
@@ -262,11 +343,17 @@ func TestObserveRunSplitsAnywhere(t *testing.T) {
 	}
 	tested := map[kind]bool{}
 	for _, s := range familySpecs() {
-		k, inline, err := KernelFor(s.f, s.p, new(Decay))
+		// Each its own Logs, so the two f_array states take the same log
+		// index and the words compare.
+		k, err := KernelFor(s.f, s.p, new(Decay), new(Logs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inline || k.Lanes() != nil {
+		kr, err := KernelFor(s.f, s.p, new(Decay), new(Logs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Lanes() != nil {
 			continue
 		}
 		tested[k.kind] = true
@@ -279,15 +366,21 @@ func TestObserveRunSplitsAnywhere(t *testing.T) {
 		for i := 0; i < len(xs); {
 			n := min(len(xs)-i, rng.Intn(40))
 			step.First = i == 0
-			k.ObserveRun(runs, xs[i:i+n], &step)
+			kr.ObserveRun(runs, xs[i:i+n], nil, &step)
 			i += n
 		}
-		if !slices.Equal(one, runs) {
+		read := func(k *Kernel, st []uint64) []float64 {
+			plan := k.PlanRead([]View{ViewOf(s.f, s.p)}, []int{0})
+			win := make([]float64, FeatureWidth(s.f, s.p))
+			k.Read(win, st, &plan)
+			return win
+		}
+		if !slices.Equal(one, runs) || !sameBits(read(&k, one), read(&kr, runs)) {
 			t.Errorf("%s: runs leave %v, Observe %v", s.f, runs, one)
 		}
 	}
-	if len(tested) != 6 {
-		t.Fatalf("%d clock-free families under test, want 6", len(tested))
+	if len(tested) != 8 {
+		t.Fatalf("%d clock-free families under test, want 8", len(tested))
 	}
 }
 
@@ -392,12 +485,16 @@ func TestConstructorRejectsWhatNewRejects(t *testing.T) {
 		{FCard, Params{HLLBits: 40}}, {FDMean, Params{}}, {numFuncsExt, Params{}},
 		{FPercent, Params{BinWidth: 10, Bins: 4, Quantile: math.NaN()}},
 		{FDMean, Params{Lambda: math.NaN()}}, {FD2DCov, Params{Lambda: math.Inf(1)}},
+		{FArray, Params{MaxLen: -5}}, {FCard, Params{HLLBits: 1}}, {FCard, Params{HLLBits: 17}},
 	} {
 		if _, err := New(s.f, s.p); err == nil {
 			t.Fatalf("%s %+v: fixture is valid", s.f, s.p)
 		}
-		if _, inline, err := KernelFor(s.f, s.p, new(Decay)); err == nil || inline {
+		if _, err := KernelFor(s.f, s.p, new(Decay), new(Logs)); err == nil {
 			t.Errorf("KernelFor(%s, %+v) accepted what New rejects", s.f, s.p)
+		}
+		if _, err := NaiveKernel(s.f, s.p, new(Logs)); err == nil {
+			t.Errorf("NaiveKernel(%s, %+v) accepted what New rejects", s.f, s.p)
 		}
 	}
 }
@@ -413,7 +510,7 @@ func TestPCCClampIsLive(t *testing.T) {
 	for _, f := range []Func{FPCC, FD2DPCC} {
 		var decay Decay
 		p := Params{Lambda: 0.1}
-		k, _, err := KernelFor(f, p, &decay)
+		k, err := KernelFor(f, p, &decay, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,6 @@ func NewNaive(f Func, p Params) *NaiveReducer {
 
 // Observe buffers the sample with its timestamp (damped functions
 // recompute the full decayed sums at emit time from the buffer).
-//
-//superfe:hotpath
 func (n *NaiveReducer) Observe(x, ts int64) {
 	n.data = append(n.data, x)
 	n.tss = append(n.tss, ts)

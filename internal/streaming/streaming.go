@@ -167,6 +167,9 @@ func New(f Func, p Params) (Reducer, error) {
 		return NewHyperLogLog(bits)
 	case FArray:
 		maxLen := p.MaxLen
+		if maxLen < 0 {
+			return nil, fmt.Errorf("streaming: f_array requires a non-negative cap (0: the default), got %d", p.MaxLen)
+		}
 		if maxLen == 0 {
 			maxLen = DefaultMaxArray
 		}
@@ -421,8 +424,6 @@ type Array struct {
 }
 
 // Observe appends the sample until the cap is reached.
-//
-//superfe:hotpath
 func (a *Array) Observe(x, _ int64) {
 	if len(a.data) < a.maxLen {
 		a.data = append(a.data, x)
@@ -431,8 +432,6 @@ func (a *Array) Observe(x, _ int64) {
 
 // AppendFeatures appends the sequence zero-padded to maxLen, which is
 // the fixed-length representation the WFP models consume.
-//
-//superfe:hotpath
 func (a *Array) AppendFeatures(dst []float64, _ View) []float64 {
 	for _, v := range a.data {
 		dst = append(dst, float64(v))
