@@ -31,6 +31,10 @@ func main() {
 	obsPolicy := flag.String("obs-policy", "Kitsune", "policy for -obs-dump")
 	obsWorkers := flag.Int("obs-workers", 1, "worker count for -obs-dump (>1 shards the engine across worker goroutines)")
 	flag.Parse()
+	if *obsWorkers < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -obs-workers %d: want at least 1\n", *obsWorkers)
+		os.Exit(2)
+	}
 
 	if *obsDump != "" {
 		var pol *policy.Policy

@@ -79,3 +79,17 @@ func TestUnknownObsPolicyExitsTwo(t *testing.T) {
 		t.Errorf("error message does not name the failure:\n%s", out)
 	}
 }
+
+func TestBadObsWorkersExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	out, code := runCLI(t, "-obs-dump", dir, "-obs-workers", "-3")
+	if code != 2 {
+		t.Fatalf("-obs-workers -3 exited %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "want at least 1") {
+		t.Errorf("-obs-workers -3: missing usage hint:\n%s", out)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) > 0 {
+		t.Errorf("-obs-workers -3 wrote %d artefacts (%v)", len(ents), err)
+	}
+}

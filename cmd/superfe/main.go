@@ -92,6 +92,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "superfe: -workers %d: want at least 1\n", *workers)
 		os.Exit(2)
 	}
+	if *maxVecs < 0 {
+		fmt.Fprintf(os.Stderr, "superfe: -n %d: want 0 (all) or more\n", *maxVecs)
+		os.Exit(2)
+	}
 	var pol *policy.Policy
 	for _, e := range apps.Catalog() {
 		if strings.EqualFold(e.Name, *polName) {

@@ -130,6 +130,16 @@ func TestBadWorkersExitsTwo(t *testing.T) {
 	}
 }
 
+func TestNegativeNExitsTwo(t *testing.T) {
+	out, code := runCLI(t, "-policy", "NPOD", "-trace", "mawi", "-n", "-5")
+	if code != 2 {
+		t.Fatalf("-n -5 exited %d, want 2:\n%s", code, out)
+	}
+	if !strings.Contains(out, "want 0 (all) or more") {
+		t.Errorf("-n -5: missing usage hint:\n%s", out)
+	}
+}
+
 func TestProfileFlagsWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

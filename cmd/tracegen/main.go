@@ -25,6 +25,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	amplify := flag.Int("amplify", 1, "replicate the trace into N disjoint flow spaces (in-switch amplification)")
 	flag.Parse()
+	if *amplify < 1 {
+		fmt.Fprintf(os.Stderr, "tracegen: -amplify %d: want at least 1\n", *amplify)
+		os.Exit(2)
+	}
 
 	switch {
 	case *info != "":

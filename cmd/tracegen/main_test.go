@@ -88,6 +88,22 @@ func TestGenerateInfoRoundTrip(t *testing.T) {
 	}
 }
 
+func TestBadAmplifyExitsTwo(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		path := filepath.Join(t.TempDir(), "mawi.sft")
+		out, code := runCLI(t, "-workload", "mawi", "-amplify", n, "-o", path)
+		if code != 2 {
+			t.Fatalf("-amplify %s exited %d, want 2:\n%s", n, code, out)
+		}
+		if !strings.Contains(out, "want at least 1") {
+			t.Errorf("-amplify %s: missing usage hint:\n%s", n, out)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-amplify %s wrote a trace (%v)", n, err)
+		}
+	}
+}
+
 func TestNoArgsExitsTwo(t *testing.T) {
 	if _, code := runCLI(t); code != 2 {
 		t.Fatalf("no arguments exited %d, want 2", code)

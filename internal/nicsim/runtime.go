@@ -274,6 +274,10 @@ type stateSpec struct {
 	views int
 	// src is the column the state observes.
 	src int
+	// read is the state's part of the read-out when the program reads
+	// out every cell (perPacket): runCell has the state write its
+	// features as it observes the cell. nil otherwise.
+	read *streaming.ReadPlan
 }
 
 // readOut is a program's collect ops compiled at deploy: every feature
@@ -551,6 +555,12 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			}
 		}
 		pr.out.reads = append(pr.out.reads, stateRead{state: j, plan: pr.states[j].kern.PlanRead(views, pos)})
+	}
+	if pr.perPacket {
+		for i := range pr.out.reads {
+			rd := &pr.out.reads[i]
+			pr.states[rd.state].read = &rd.plan
+		}
 	}
 	pr.env = make([]int64, numCols)
 	pr.cols = make([]int64, numCols*runChunk)
@@ -942,7 +952,13 @@ func cellTime(first bool, clock int64, ts uint32) int64 {
 // Every op below runs on every cell of the group, so one flag and one
 // clock serve them all: a scratch word or a state has been written
 // exactly when the group has absorbed a cell, and the damped states
-// decay over the same interval.
+// decay over the same interval. Each state observes the cell once, so
+// a per-packet program reads each state out as it observes it
+// (streaming.Kernel.ObserveRead), into the window grown before the op
+// table: a damped state lane by lane, from the words just stored.
+// Synthesis runs over the whole window afterwards.
+//
+//superfe:hotpath
 func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst []float64) ([]float64, bool) {
 	env := pr.env
 	for _, f := range pr.fields {
@@ -955,6 +971,12 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 	step := &pr.step
 	first, clock := g[recCells] == 0, int64(g[recClock])
 	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, first, clock, cellTime(first, clock, ts)))
+	start := len(dst)
+	var win []float64
+	if pr.perPacket {
+		dst = slices.Grow(dst, pr.out.width)[:start+pr.out.width]
+		win = dst[start:]
+	}
 	for i := range pr.instrs {
 		ins := &pr.instrs[i]
 		var x int64
@@ -967,7 +989,11 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 			r.countInput(ins, x)
 			for _, si := range ins.states {
 				st := &pr.states[si]
-				st.kern.Observe(g[st.off:], x, step)
+				if st.read != nil {
+					st.kern.ObserveRead(g[st.off:], x, step, win, st.read)
+				} else {
+					st.kern.Observe(g[st.off:], x, step)
+				}
 			}
 			continue
 		case opcode(policy.MapOne):
@@ -988,11 +1014,10 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 	g[recCells]++
 	g[recLastTS] = uint64(ts)
 
-	// Per-packet emits: read the group out now.
 	if !pr.perPacket {
 		return dst, false
 	}
-	return pr.read(dst, g), true
+	return pr.out.synthesize(dst, start), true
 }
 
 // runSpan executes one granularity's op table over a run of cells of
@@ -1159,16 +1184,23 @@ func (pr *program) read(dst []float64, g record) []float64 {
 		st := &pr.states[rd.state]
 		st.kern.Read(win, g[st.off:], &rd.plan)
 	}
-	if ro.emits != nil {
-		ro.raw = append(ro.raw[:0], win...)
-		dst = dst[:start]
-		for _, em := range ro.emits {
-			vals := ro.raw[em.lo:em.hi]
-			for _, s := range em.synth {
-				vals = s.Synthesize(vals)
-			}
-			dst = append(dst, vals...)
+	return ro.synthesize(dst, start)
+}
+
+// synthesize rewrites the window dst[start:] through each collect's
+// synthesize ops over its region, when a collect synthesizes.
+func (ro *readOut) synthesize(dst []float64, start int) []float64 {
+	if ro.emits == nil {
+		return dst
+	}
+	ro.raw = append(ro.raw[:0], dst[start:]...)
+	dst = dst[:start]
+	for _, em := range ro.emits {
+		vals := ro.raw[em.lo:em.hi]
+		for _, s := range em.synth {
+			vals = s.Synthesize(vals)
 		}
+		dst = append(dst, vals...)
 	}
 	return dst
 }

@@ -213,25 +213,29 @@ func Fuse(ks []Kernel) Kernel {
 func (k *Kernel) Lanes() []int { return k.lanes }
 
 // DecayFactor is the damped window's decay over dt nanoseconds at rate
-// lambda: 2^(-λ·Δt).
+// lambda: 2^(-λ·Δt), a decay row of one lane.
 func DecayFactor(lambda float64, dt int64) float64 {
-	return exp2(-lambda * (float64(dt) / 1e9))
+	var f [1]float64
+	exp2Row(f[:], []float64{lambda}, dt)
+	return f[0]
 }
 
-// exp2 is math.Exp2, bit for bit, for the exponents a decay takes.
-// On [-1022, 0] it is the standard library's algorithm (math/exp.go's
-// exp2 and expmulti) — the same constants, the same operations in the
-// same order — except that 2^k is built on the exponent bits, the
-// NFP's shift done exactly, where math.Exp2 calls Ldexp: the product
-// is exact whenever the result is normal, and on [-1022, 0] it is.
-// Everything else (NaN, -Inf, underflow) is math.Exp2's. The copy is
+// exp2Row sets f[l] to the decay over dt nanoseconds at rate lambdas[l],
+// 2^(-λ·Δt), every lane in one pass: the lanes are independent, so
+// their chains of arithmetic overlap in the pipeline. Each is
+// math.Exp2(-λ·Δt) bit for bit. On [-1022, 0] the loop's body is the
+// standard library's algorithm (math/exp.go's exp2 and expmulti) — the
+// same constants, the same operations in the same order — except that
+// 2^k is built on the exponent bits, the NFP's shift done exactly,
+// where math.Exp2 calls Ldexp: the product is exact whenever the result
+// is normal, and on [-1022, 0] it is. A lane off that range (NaN, -Inf,
+// underflow: λ = 5 past ~204 s) takes math.Exp2 itself. The copy is
 // taken on amd64 only, where the compiler fuses no multiply-add of its
 // own accord; elsewhere fusion (or arm64's assembly Exp2) could round
 // the two differently.
-func exp2(x float64) float64 {
-	if runtime.GOARCH != "amd64" || !(x >= -1022 && x <= 0) {
-		return math.Exp2(x)
-	}
+//
+//superfe:hotpath
+func exp2Row(f, lambdas []float64, dt int64) {
 	const (
 		Ln2Hi = 6.93147180369123816490e-01
 		Ln2Lo = 1.90821492927058770002e-10
@@ -242,18 +246,27 @@ func exp2(x float64) float64 {
 		P4 = -1.65339022054652515390e-06 /* 0xBEBBBD41; 0xC5D26BF1 */
 		P5 = 4.13813679705723846039e-08  /* 0x3E663769; 0x72BEA4D0 */
 	)
-	// x = k + t with |t| ≤ 1/2 (k rounds half away from zero, as
-	// math's does for x < 0; at x = 0 both give k = 0); e^r with
-	// r = t·ln 2, carried as hi - lo for extra precision.
-	k := int(x - 0.5)
-	t := x - float64(k)
-	hi := t * Ln2Hi
-	lo := -t * Ln2Lo
-	r := hi - lo
-	t = r * r
-	c := r - t*(P1+t*(P2+t*(P3+t*(P4+t*P5))))
-	y := 1 - ((lo - (r*c)/(2-c)) - hi)
-	return y * math.Float64frombits(uint64(1023+k)<<52)
+	dts := float64(dt) / 1e9
+	f = f[:len(lambdas)]
+	for l, lambda := range lambdas {
+		x := -lambda * dts
+		if runtime.GOARCH != "amd64" || !(x >= -1022 && x <= 0) {
+			f[l] = math.Exp2(x)
+			continue
+		}
+		// x = k + t with |t| ≤ 1/2 (k rounds half away from zero, as
+		// math's does for x < 0; at x = 0 both give k = 0); e^r with
+		// r = t·ln 2, carried as hi - lo for extra precision.
+		k := int(x - 0.5)
+		t := x - float64(k)
+		hi := t * Ln2Hi
+		lo := -t * Ln2Lo
+		r := hi - lo
+		t = r * r
+		c := r - t*(P1+t*(P2+t*(P3+t*(P4+t*P5))))
+		y := 1 - ((lo - (r*c)/(2-c)) - hi)
+		f[l] = y * math.Float64frombits(uint64(1023+k)<<52)
+	}
 }
 
 // Decay holds the decay factors of the cell in hand, by interval and
@@ -291,7 +304,7 @@ func (d *Decay) Lane(lambda float64) int {
 func (d *Decay) Reset() { d.n = 0 }
 
 // row returns the factors of interval dt by lane, computing every
-// lane's when the cell has not met dt before.
+// lane's in one pass (exp2Row) when the cell has not met dt before.
 //
 //superfe:hotpath
 func (d *Decay) row(dt int64) []float64 {
@@ -306,9 +319,7 @@ func (d *Decay) row(dt int64) []float64 {
 	r := &d.rows[d.n]
 	d.n++
 	r.dt = dt
-	for l, lambda := range d.lambdas {
-		r.f[l] = DecayFactor(lambda, dt)
-	}
+	exp2Row(r.f, d.lambdas, dt)
 	return r.f
 }
 
@@ -381,14 +392,37 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 	case kindHist:
 		k.histObserve(st, x)
 	case kindDamped1D:
-		k.damped1DObserve(st, x, s)
+		k.damped1DLanes(st, x, s, nil, nil)
 	case kindDamped2D:
-		k.damped2DObserve(st, x, s)
+		k.damped2DLanes(st, x, s, nil, nil)
 	case kindCard:
 		k.cardObserve(st, x)
 	case kindLog:
 		k.logObserve(st, x, s.Now)
 	}
+}
+
+// ObserveRead is Observe followed by Read of p into win, in one pass
+// over a damped kernel's lanes, the pass Read runs without the fold:
+// each lane is read out as soon as the sample is folded into it, from
+// what was just stored, so the window ends as Observe then Read leave
+// it. The other families observe, then read.
+//
+//superfe:hotpath
+func (k *Kernel) ObserveRead(st []uint64, x int64, s *Step, win []float64, p *ReadPlan) {
+	switch k.kind {
+	case kindDamped1D:
+		win = win[:p.end:p.end] // panics on a window too short for the plan
+		k.damped1DLanes(st, x, s, win, p.at)
+	case kindDamped2D:
+		win = win[:p.end:p.end]
+		k.damped2DLanes(st, x, s, win, p.at)
+	default:
+		k.Observe(st, x, s)
+		k.Read(win, st, p)
+		return
+	}
+	p.copy(win)
 }
 
 // ObserveRun folds the samples xs, in order, into the state at
@@ -542,92 +576,142 @@ func bidirObserve(st []uint64, x int64) {
 }
 
 // dampedMean and dampedVar read a (w, LS, SS) triple.
-func dampedMean(st []uint64) float64 {
-	w := f64(st[0])
+func dampedMean(w, ls float64) float64 {
 	if w == 0 {
 		return 0
 	}
-	return f64(st[1]) / w
+	return ls / w
 }
 
-func dampedVar(st []uint64, mean float64) float64 {
-	w := f64(st[0])
+func dampedVar(w, ss, mean float64) float64 {
 	if w == 0 {
 		return 0
 	}
-	v := f64(st[2])/w - mean*mean
+	v := ss/w - mean*mean
 	if v < 0 {
 		v = 0
 	}
 	return v
 }
 
-// damped1DObserve folds x into every lane, each on its own rate.
-func (k *Kernel) damped1DObserve(st []uint64, x int64, s *Step) {
+// damped1DLanes is the one pass over a 1D kernel's lanes: under a step
+// s it folds x into each lane, on the lane's own rate, and with places
+// at it then stores the lane's members where at[lane] places them in
+// win (weight, mean, std), from the values it just stored. Observe
+// passes no places, Read no step.
+func (k *Kernel) damped1DLanes(st []uint64, x int64, s *Step, win []float64, at [][4]uint32) {
 	xf := float64(x)
-	decays, factors := s.decays, s.factors
+	fold, decays, factors := s != nil, false, []float64(nil)
+	if fold {
+		decays, factors = s.decays, s.factors
+	}
 	for i, l := range k.lanes {
 		ln := st[i*damped1DWords : (i+1)*damped1DWords : (i+1)*damped1DWords]
 		w, ls, ss := f64(ln[0]), f64(ln[1]), f64(ln[2])
-		if decays {
-			f := factors[l]
-			w *= f
-			ls *= f
-			ss *= f
+		if fold {
+			if decays {
+				f := factors[l]
+				w *= f
+				ls *= f
+				ss *= f
+			}
+			w++
+			ls += xf
+			ss += xf * xf
+			ln[0], ln[1], ln[2] = u64(w), u64(ls), u64(ss)
 		}
-		w++
-		ls += xf
-		ss += xf * xf
-		ln[0], ln[1], ln[2] = u64(w), u64(ls), u64(ss)
+		if at == nil {
+			continue
+		}
+		p := &at[i]
+		mean := dampedMean(w, ls)
+		if q := p[0]; uint(q) < uint(len(win)) {
+			win[q] = w
+		}
+		if q := p[1]; uint(q) < uint(len(win)) {
+			win[q] = mean
+		}
+		if q := p[2]; uint(q) < uint(len(win)) {
+			win[q] = math.Sqrt(dampedVar(w, ss, mean))
+		}
 	}
 }
 
-// damped2DObserve folds xi into every lane: the sign picks the
-// direction half once, and each lane decays on its own rate.
-func (k *Kernel) damped2DObserve(st []uint64, xi int64, s *Step) {
+// damped2DLanes is the one pass over a 2D kernel's lanes: under a step
+// s it folds xi into each lane — the sign picks the direction half
+// once, and each lane decays on its own rate — and with places at it
+// then stores the lane's members where at[lane] places them in win
+// (magnitude, radius, cov, pcc), from the words it just stored. Observe
+// passes no places, Read no step.
+func (k *Kernel) damped2DLanes(st []uint64, xi int64, s *Step, win []float64, at [][4]uint32) {
 	h, mine, other := 4, 2, 3 // forward: the half at 4:8
 	if xi < 0 {
 		xi, h, mine, other = -xi, 8, 3, 2
 	}
 	x := float64(xi)
-	decays, factors := s.decays, s.factors
+	fold, decays, factors := s != nil, false, []float64(nil)
+	if fold {
+		decays, factors = s.decays, s.factors
+	}
+	// row is the factors of the half's own interval from rowFrom, fetched
+	// once for every lane whose half clock stands there. The lanes take
+	// the same samples, so their half clocks agree and one fetch serves
+	// them all.
+	var row []float64
+	var rowFrom int64
 	for i, l := range k.lanes {
 		ln := st[i*damped2DWords : (i+1)*damped2DWords : (i+1)*damped2DWords]
-		if decays {
-			f := factors[l]
-			ln[0], ln[1] = u64(f64(ln[0])*f), u64(f64(ln[1])*f)
-		}
-		half := ln[h : h+4 : h+4]
-		res := x - dampedMean(half)
-		// The half's own clock; a half that has seen a sample weighs at
-		// least 1. When the clock stands where the group's stood, the
-		// half decays over the same interval as the group: the factor is
-		// the shared one.
-		w, ls, ss := f64(half[0]), f64(half[1]), f64(half[2])
-		f, decay := 0.0, false
-		switch last := int64(half[3]); {
-		case half[0] == 0:
-			half[3] = uint64(s.Now)
-		case last == s.Prev:
+		if fold {
 			if decays {
-				f, decay = factors[l], true
+				f := factors[l]
+				ln[0], ln[1] = u64(f64(ln[0])*f), u64(f64(ln[1])*f)
 			}
-		case s.Now > last:
-			f, decay = s.memo.row(s.Now - last)[l], true
+			half := ln[h : h+4 : h+4]
+			w, ls, ss := f64(half[0]), f64(half[1]), f64(half[2])
+			res := x - dampedMean(w, ls)
+			// The half's own clock; a half that has seen a sample weighs
+			// at least 1. When the clock stands where the group's stood,
+			// the half decays over the same interval as the group: the
+			// factor is the shared one.
+			f, decay := 0.0, false
+			switch last := int64(half[3]); {
+			case half[0] == 0:
+				half[3] = uint64(s.Now)
+			case last == s.Prev:
+				if decays {
+					f, decay = factors[l], true
+				}
+			case s.Now > last:
+				if row == nil || last != rowFrom {
+					row, rowFrom = s.memo.row(s.Now-last), last
+				}
+				f, decay = row[l], true
+			}
+			if decay {
+				w *= f
+				ls *= f
+				ss *= f
+				half[3] = uint64(s.Now)
+			}
+			w++
+			ls += x
+			ss += x * x
+			half[0], half[1], half[2] = u64(w), u64(ls), u64(ss)
+			ln[mine] = u64(res)
+			ln[0] = u64(f64(ln[0]) + res*f64(ln[other]))
+			ln[1] = u64(f64(ln[1]) + 1)
 		}
-		if decay {
-			w *= f
-			ls *= f
-			ss *= f
-			half[3] = uint64(s.Now)
+		if at == nil {
+			continue
 		}
-		w++
-		ls += x
-		ss += x * x
-		half[0], half[1], half[2] = u64(w), u64(ls), u64(ss)
-		ln[mine] = u64(res)
-		ln[0] = u64(f64(ln[0]) + res*f64(ln[other]))
-		ln[1] = u64(f64(ln[1]) + 1)
+		wa, wb := f64(ln[4]), f64(ln[8])
+		ma, mb := dampedMean(wa, f64(ln[5])), dampedMean(wb, f64(ln[9]))
+		va, vb := dampedVar(wa, f64(ln[6]), ma), dampedVar(wb, f64(ln[10]), mb)
+		cov := 0.0
+		if wSR := f64(ln[1]); wSR != 0 {
+			cov = f64(ln[0]) / wSR
+		}
+		read2D(win, &at[i], ma, mb, va, vb, cov)
 	}
 }
 
@@ -766,34 +850,16 @@ func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
 		}
 		vf, vb := welfordVar(st[0:3]), welfordVar(st[3:6])
 		read2D(win, &p.at[0], f64(st[1]), f64(st[4]), vf, vb, cov)
-	case kindDamped1D: // weight, mean, std
-		for i := range p.at {
-			at := &p.at[i]
-			ln := st[i*damped1DWords : (i+1)*damped1DWords : (i+1)*damped1DWords]
-			mean := dampedMean(ln)
-			if q := at[0]; uint(q) < uint(len(win)) {
-				win[q] = f64(ln[0])
-			}
-			if q := at[1]; uint(q) < uint(len(win)) {
-				win[q] = mean
-			}
-			if q := at[2]; uint(q) < uint(len(win)) {
-				win[q] = math.Sqrt(dampedVar(ln, mean))
-			}
-		}
-	case kindDamped2D: // magnitude, radius, cov, pcc
-		for i := range p.at {
-			ln := st[i*damped2DWords : (i+1)*damped2DWords : (i+1)*damped2DWords]
-			a, b := ln[4:8], ln[8:12]
-			ma, mb := dampedMean(a), dampedMean(b)
-			va, vb := dampedVar(a, ma), dampedVar(b, mb)
-			cov := 0.0
-			if wSR := f64(ln[1]); wSR != 0 {
-				cov = f64(ln[0]) / wSR
-			}
-			read2D(win, &p.at[i], ma, mb, va, vb, cov)
-		}
+	case kindDamped1D:
+		k.damped1DLanes(st, 0, nil, win, p.at)
+	case kindDamped2D:
+		k.damped2DLanes(st, 0, nil, win, p.at)
 	}
+	p.copy(win)
+}
+
+// copy stores each repeated member at its later positions.
+func (p *ReadPlan) copy(win []float64) {
 	for _, c := range p.copies {
 		win[c[0]] = win[c[1]]
 	}

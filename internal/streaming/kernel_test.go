@@ -12,21 +12,27 @@ import (
 // one clock and one Decay, the f_array logs in one Logs, as a group
 // record holds them — with f_array at caps 1, 16, 32 and 5000 and
 // f_card at 2, 4, 6 and 16 bits, and beside them fused damped kernels,
-// 1D and 2D, of 1, 3 and 5 lanes. It feeds the record a hostile stream
-// beside one streaming.New reducer per family and lane: sign flips for
-// the 2D split and one-direction stretches that leave a 2D half's clock
-// behind its group's, equal and backwards timestamps, 32-bit cell
-// stamps that wrap and are unwrapped as the NIC unwraps them, samples
-// beyond the histogram range and beyond ±2^31, and more samples than
-// the largest cap. After each of the first 900 samples, and every 250th
-// after, every view of every lane must read, bit for bit, what its
-// reducer reads, planned alone and with several of the state's views at
-// once — all of them, in reverse, and without one member — laid out
-// lane-major and view-major, in a window whose other values Read leaves
-// untouched; the guards must stand; and a kernel must model the bytes
-// its reducer reports. Then the naive log of every function is held to
-// its NaiveReducer over the stream's first samples, fed cell by cell
-// and as runs.
+// 1D and 2D, of 1, 2, 3 and 5 lanes. It feeds the record a hostile
+// stream beside one streaming.New reducer per family and lane: sign
+// flips for the 2D split, a first stretch of one direction so the other
+// half's first sample comes many cells after, and later stretches that
+// leave a 2D half's clock behind its group's, equal and backwards
+// timestamps, 32-bit cell stamps that wrap and are unwrapped as the NIC
+// unwraps them, idle gaps of minutes that underflow the λ = 5 factors to
+// 0, samples beyond the histogram range and beyond ±2^31, and more
+// samples than the largest cap. After each of the first 900 samples,
+// and every 250th after, every view of every lane must read, bit for
+// bit, what its reducer reads, planned alone and with several of the
+// state's views at once — all of them, in reverse, and without one
+// member — laid out lane-major and view-major, in a window whose other
+// values Read leaves untouched; the guards must stand; and a kernel
+// must model the bytes its reducer reports. Every damped state also
+// has a twin per such plan, fed the same samples through the one pass
+// (ObserveRead) into a window of NaN sentinels: after every sample the
+// twin's words must be the state's and its window what Read of the
+// state writes into the same sentinels, bit for bit. Then the naive
+// log of every function is held to its NaiveReducer over the stream's
+// first samples, fed cell by cell and as runs.
 func TestKernelsMatchReducers(t *testing.T) {
 	const guard = 0xA5A5A5A5A5A5A5A5
 	type state struct {
@@ -74,7 +80,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 		for _, f := range append(fam, fam[1]) { // a view read twice
 			views = append(views, View{Func: f})
 		}
-		for _, n := range []int{1, 3, 5} {
+		for _, n := range []int{1, 2, 3, 5} {
 			var ks []Kernel
 			var rs []Reducer
 			for _, l := range rates[:n] {
@@ -166,6 +172,37 @@ func TestKernelsMatchReducers(t *testing.T) {
 			t.Fatalf("step %d %v x%d lane-major=%t: the plan reads %v, the reducers view by view %v", step, views, len(st.reducers), laneMajor, got, want)
 		}
 	}
+	// plans are the view lists a state is read with: each view alone
+	// (lane-major only), then the plans the NIC makes of several: every
+	// view, the views in reverse (a member order not the family's), and
+	// every subset that leaves one member unread. A state of one view
+	// and one lane has no other plan.
+	type plan struct {
+		views     []View
+		laneMajor bool
+	}
+	plans := func(st *state) []plan {
+		var ps []plan
+		for _, v := range st.views {
+			ps = append(ps, plan{[]View{v}, true})
+		}
+		if len(st.views) == 1 && len(st.reducers) == 1 {
+			return ps
+		}
+		rev := slices.Clone(st.views)
+		slices.Reverse(rev)
+		several := [][]View{st.views, rev}
+		for m := range 4 {
+			sub := slices.DeleteFunc(slices.Clone(st.views), func(v View) bool { return memberOf(v.Func) == m })
+			if len(sub) > 0 && len(sub) < len(st.views) {
+				several = append(several, sub)
+			}
+		}
+		for _, views := range several {
+			ps = append(ps, plan{views, true}, plan{views, false})
+		}
+		return ps
+	}
 	check := func(step int) {
 		t.Helper()
 		for _, g := range guards {
@@ -178,28 +215,65 @@ func TestKernelsMatchReducers(t *testing.T) {
 			if got, want := st.kern.Bytes(rec[st.off:]), st.reducers[0].StateBytes(); got != want {
 				t.Fatalf("step %d %s: the kernel models %d bytes, its reducer %d", step, st.views[0].Func, got, want)
 			}
-			// Each view alone, then the plans the NIC makes of several:
-			// every view, the views in reverse (a member order not the
-			// family's), and every subset that leaves one member unread.
-			// A state of one view and one lane has no other plan.
-			for _, v := range st.views {
-				readAll(step, st, []View{v}, true)
+			for _, p := range plans(st) {
+				readAll(step, st, p.views, p.laneMajor)
 			}
-			if len(st.views) == 1 && len(st.reducers) == 1 {
-				continue
-			}
-			rev := slices.Clone(st.views)
-			slices.Reverse(rev)
-			plans := [][]View{st.views, rev}
-			for m := range 4 {
-				sub := slices.DeleteFunc(slices.Clone(st.views), func(v View) bool { return memberOf(v.Func) == m })
-				if len(sub) > 0 && len(sub) < len(st.views) {
-					plans = append(plans, sub)
+		}
+	}
+
+	// twins are the damped states' one-pass copies, one per plan: a
+	// damped view is one value wide, so lane i's view j lands at i·views+j
+	// lane-major, j·lanes+i view-major, between pad sentinels each side.
+	const pad, sentinel = 3, 0x7ff8_dead_0000_beef
+	type twin struct {
+		st        *state
+		views     []View
+		plan      ReadPlan
+		rec       []uint64
+		got, want []float64
+	}
+	var twins []twin
+	laneCounts := map[int]bool{} // of the damped states
+	for i := range states {
+		st := &states[i]
+		if st.kern.kind != kindDamped1D && st.kern.kind != kindDamped2D {
+			continue
+		}
+		laneCounts[len(st.reducers)] = true
+		for _, p := range plans(st) {
+			nl, nv := len(st.reducers), len(p.views)
+			var ps []int
+			for l := range nl {
+				for j := range nv {
+					if p.laneMajor {
+						ps = append(ps, pad+l*nv+j)
+					} else {
+						ps = append(ps, pad+j*nl+l)
+					}
 				}
 			}
-			for _, views := range plans {
-				readAll(step, st, views, true)
-				readAll(step, st, views, false)
+			twins = append(twins, twin{st: st, views: p.views, plan: st.kern.PlanRead(p.views, ps),
+				rec: make([]uint64, st.kern.Words), got: make([]float64, pad+nl*nv+pad), want: make([]float64, pad+nl*nv+pad)})
+		}
+	}
+	if !laneCounts[1] || !laneCounts[2] || !laneCounts[5] {
+		t.Fatalf("damped states of %v lanes under the one pass, want 1, 2 and 5", laneCounts)
+	}
+	onePass := func(step int, x int64, s *Step) {
+		t.Helper()
+		for i := range twins {
+			tw := &twins[i]
+			for j := range tw.got {
+				tw.got[j], tw.want[j] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
+			}
+			tw.st.kern.ObserveRead(tw.rec, x, s, tw.got, &tw.plan)
+			st := rec[tw.st.off : tw.st.off+tw.st.kern.Words]
+			tw.st.kern.Read(tw.want, st, &tw.plan)
+			if !slices.Equal(tw.rec, st) {
+				t.Fatalf("step %d %v x%d: the one pass leaves %v, Observe %v", step, tw.views, len(tw.st.reducers), tw.rec, st)
+			}
+			if !sameBits(tw.got, tw.want) {
+				t.Fatalf("step %d %v x%d: the one pass writes %v, Observe then Read %v", step, tw.views, len(tw.st.reducers), tw.got, tw.want)
 			}
 		}
 	}
@@ -207,8 +281,9 @@ func TestKernelsMatchReducers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var step Step
 	clock := int64(0)
-	tt := int64(1)<<32 - 3e9 // true time; a cell carries uint32(tt)
-	neg, stretch := false, 0
+	tt := int64(1)<<32 - 3e9  // true time; a cell carries uint32(tt)
+	neg, stretch := false, 60 // the backward half starts 60 cells late
+	gaps := 0
 	const samples = DefaultMaxArray + 200
 	var xs, nows []int64 // the stream, for the naive logs
 	for i := 0; i < samples; i++ {
@@ -227,19 +302,32 @@ func TestKernelsMatchReducers(t *testing.T) {
 		if neg {
 			x = -x
 		}
+		idle := false
 		switch rng.Intn(4) {
 		case 0: // same instant: a duplicate
 		case 1:
 			tt -= rng.Int63n(1e6) // reordered, behind the clock
 		default:
 			tt += rng.Int63n(5e8)
+			if rng.Intn(150) == 0 {
+				// Idle for minutes: 2^(-5·Δt) underflows to 0 past ~215 s,
+				// 2^(-3·Δt) past ~358 s.
+				tt += 216e9 + rng.Int63n(300e9)
+				idle, gaps = true, gaps+1
+			}
 		}
 		// The clock unwraps the cell's 32-bit stamp by serial-number
-		// difference, as the NIC does.
+		// difference, as the NIC does. A stamp cannot carry an idle gap
+		// of minutes (the NIC's group clock moves less than 2.15 s a
+		// cell), but a kernel's clock is 64-bit and takes it as it is,
+		// as a direction half takes its own interval.
 		ts := uint32(tt)
 		now := int64(ts)
 		if i > 0 {
 			now = clock + int64(int32(ts-uint32(clock)))
+		}
+		if idle {
+			now = tt
 		}
 		if now != tt {
 			t.Fatalf("step %d: stamp %d unwraps to %d, want %d", i, ts, now, tt)
@@ -253,6 +341,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 				r.Observe(x, now)
 			}
 		}
+		onePass(i, x, &step)
 		xs, nows = append(xs, x), append(nows, now)
 		if i < 900 || i%250 == 0 || i == samples-1 {
 			check(i)
@@ -260,6 +349,9 @@ func TestKernelsMatchReducers(t *testing.T) {
 	}
 	if tt>>32 < 3 {
 		t.Fatalf("the stream ends at %d: its stamps wrapped fewer than three times", tt)
+	}
+	if gaps < 5 {
+		t.Fatalf("%d idle gaps in the stream, want at least 5", gaps)
 	}
 	naiveLogsMatchReducers(t, xs[:400], nows[:400])
 }
@@ -436,9 +528,19 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 // across its scaled range, at every catalog rate over intervals up to
 // 2^31 ns, at the half-integers where the reduction's k rounds, at the
 // edges of the range and at the special values — and DecayFactor is
-// math.Exp2 of -λ·Δt.
+// math.Exp2 of -λ·Δt. So is every lane of a Decay row, which computes
+// its lanes in one pass: rows at the catalog rates, and rows that mix
+// lanes in range with lanes whose -λ·Δt falls below -1022 (λ = 5 beside
+// λ = 0.01 past ~204.4 s) and underflows.
 func TestExp2MatchesMathExp2(t *testing.T) {
 	bad := 0
+	// exp2 is the row's one-lane case at an exponent: λ = -x over one
+	// second, -(-x)·1 = x exactly.
+	exp2 := func(x float64) float64 {
+		var f [1]float64
+		exp2Row(f[:], []float64{-x}, 1e9)
+		return f[0]
+	}
 	same := func(x float64) {
 		if got, want := exp2(x), math.Exp2(x); math.Float64bits(got) != math.Float64bits(want) && bad < 10 {
 			bad++
@@ -460,7 +562,8 @@ func TestExp2MatchesMathExp2(t *testing.T) {
 		math.Nextafter(-1022, 0), math.Nextafter(-1022, -2000), math.NaN(), math.Inf(-1)} {
 		same(x)
 	}
-	for _, lambda := range []float64{5, 3, 1, 0.1, 0.01} {
+	catalog := []float64{5, 3, 1, 0.1, 0.01}
+	for _, lambda := range catalog {
 		check := func(dt int64) {
 			want := math.Exp2(-lambda * (float64(dt) / 1e9))
 			if got := DecayFactor(lambda, dt); math.Float64bits(got) != math.Float64bits(want) && bad < 10 {
@@ -474,6 +577,31 @@ func TestExp2MatchesMathExp2(t *testing.T) {
 		for i := 0; i < 1<<14; i++ {
 			check(1 + rng.Int63n(1<<31))
 		}
+	}
+	rows := func(lambdas []float64, dts func() int64, n int) {
+		var d Decay
+		for _, l := range lambdas {
+			d.Lane(l)
+		}
+		for i := 0; i < n; i++ {
+			dt := dts()
+			d.Reset()
+			for l, got := range d.row(dt) {
+				want := math.Exp2(-d.lambdas[l] * (float64(dt) / 1e9))
+				if math.Float64bits(got) != math.Float64bits(want) && bad < 10 {
+					bad++
+					t.Errorf("row %v at %d ns, lane %d: %v, math.Exp2 %v", d.lambdas, dt, l, got, want)
+				}
+			}
+		}
+	}
+	rows(catalog, func() int64 { return 1 + rng.Int63n(1<<31) }, 1<<14)
+	rows(catalog, func() int64 { return 1 + rng.Int63n(1e12) }, 1<<14)
+	// -5·Δt passes -1022 at Δt = 204.4 s and the factor underflows to 0
+	// past ~215 s, while λ = 0.01 stays in range.
+	past := func() int64 { return 200e9 + rng.Int63n(30e9) }
+	for _, lambdas := range [][]float64{{5, 0.01}, {0.01, 5}, {5, 3, 0.01, 1, 0.1}, {0.1, 5, 0.01, 5.5}} {
+		rows(lambdas, past, 1<<12)
 	}
 }
 
