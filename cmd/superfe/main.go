@@ -64,7 +64,7 @@ func main() {
 	traceName := flag.String("trace", "enterprise", "workload: mawi, enterprise, campus, wfp, botnet, covert, mirai, osscan, ssdp")
 	seed := flag.Int64("seed", 42, "trace generator seed")
 	statsOnly := flag.Bool("stats", false, "print pipeline statistics instead of vectors")
-	maxVecs := flag.Int("n", 0, "emit at most n vectors (0 = all)")
+	maxVecs := flag.Int("n", 0, "emit the first n vectors in emission order (0 = all)")
 	workers := flag.Int("workers", 1, "shard the pipeline across n switch+NIC pairs (>1 runs them on worker goroutines; 1 runs the engine inline)")
 	verifyWire := flag.Bool("verify-wire", false, "round-trip every switch→NIC message through the binary wire codec; exit non-zero on any mismatch")
 	faultSpec := flag.String("faults", "", "seeded fault-injection plan, e.g. seed=7,rate=0.01,kinds=drop+corrupt,scope=0:3fffffff (kinds also accept wire/switch/nic/all; see internal/faults)")

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"superfe/internal/faults"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
@@ -28,6 +26,9 @@ type Interpreter struct {
 	pos    map[packet.FieldName]int
 	fg     map[uint16]flowkey.FiveTuple
 	groups map[flowkey.Key]*group
+	// fgKeys lists the finest-granularity groups in admission order, the
+	// order Flush emits them in.
+	fgKeys []flowkey.Key
 	// inj, when set, fails group admissions as the Runtime's injector
 	// does: one draw per cell and granularity whose group is missing, in
 	// order, so two injectors of one plan stay in step.
@@ -94,6 +95,9 @@ func (n *Interpreter) Process(m gpv.Message) {
 				}
 				g = &group{reducers: make([][]streaming.Reducer, len(n.plan.Policy.Ops())), last: map[int]int64{}, bursts: map[int]int64{}}
 				n.groups[key] = g
+				if key.Gran == n.plan.Switch.FG {
+					n.fgKeys = append(n.fgKeys, key)
+				}
 			}
 			vals = n.cell(gran, g, cell, fwd, vals)
 		}
@@ -231,20 +235,13 @@ func (n *Interpreter) collect(gran flowkey.Granularity, g *group, perPacket bool
 }
 
 // Flush emits one vector per finest-granularity group of a per-group
-// policy, in key order, each the concatenation of its own and its
+// policy, in admission order, each the concatenation of its own and its
 // coarser groups' collects.
 func (n *Interpreter) Flush() {
 	if n.plan.Policy.PerPacket() {
 		return
 	}
-	var keys []flowkey.Key
-	for k := range n.groups { //superfe:unordered sorted below
-		if k.Gran == n.plan.Switch.FG {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Tuple.Less(keys[j].Tuple) })
-	for _, k := range keys {
+	for _, k := range n.fgKeys {
 		var vals []float64
 		for _, gran := range n.plan.Switch.Chain {
 			pk := k

@@ -274,24 +274,24 @@ func Project(g Granularity, fg FiveTuple) Key {
 	return k
 }
 
-// TupleBits is how much of a key's second word (Words) the tuple
+// tupleBits is how much of a key's second word (Words) the tuple
 // takes; the granularity sits above it.
-const TupleBits = 40
+const tupleBits = 40
 
 // Words packs the key into two words: SrcIP and DstIP in a; SrcPort,
-// DstPort and Proto in b's low TupleBits, the granularity above them.
+// DstPort and Proto in b's low tupleBits, the granularity above them.
 // Within one granularity their lexicographic order is the tuple's
 // field order. HashKey mixes them; the NIC stores them as a group's
-// identity and sorts its drain by them.
+// identity.
 func (k Key) Words() (a, b uint64) {
 	t := k.Tuple
 	return uint64(t.SrcIP)<<32 | uint64(t.DstIP),
-		uint64(k.Gran)<<TupleBits | uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
+		uint64(k.Gran)<<tupleBits | uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
 }
 
 // FromWords rebuilds the key Words packed.
 func FromWords(a, b uint64) Key {
-	return Key{Gran: Granularity(b >> TupleBits), Tuple: FiveTuple{
+	return Key{Gran: Granularity(b >> tupleBits), Tuple: FiveTuple{
 		SrcIP: uint32(a >> 32), DstIP: uint32(a),
 		SrcPort: uint16(b >> 24), DstPort: uint16(b >> 8), Proto: Proto(b)}}
 }

@@ -84,11 +84,7 @@ type Runtime struct {
 	// are appended into (per-packet collects and Flush alike); sinks
 	// must not retain vector Values past the call.
 	ppVals []float64
-	// drain is Flush's reused radix-sort scratch, both ping-pong halves
-	// in one slice; drainHist its digit histograms (allocated by the
-	// first Flush); drainMemo its last group per program.
-	drain     []drainRec
-	drainHist *drainHist
+	// drainMemo is Flush's last group per program.
 	drainMemo []record
 }
 
@@ -1228,110 +1224,27 @@ func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64
 	r.sink(feature.Vector{Key: key, Timestamp: ts, Values: vals})
 }
 
-// drainRec is one FG group in Flush's sort scratch: the key's words
-// (flowkey.Key.Words) without the granularity, least significant
-// first — b, then a — and the group's position in its table.
-type drainRec struct {
-	key [2]uint64
-	idx uint32
-}
-
-// The drain's radix digits: drainDigit bits each, cut from each key
-// word separately, least significant first — b's 40 tuple bits, then
-// a's 64 — so no digit straddles the two words. Eleven bits (ten
-// passes, 80 KiB of histograms) sorted npod-enterprise's 52 k records
-// faster than eight (thirteen passes) or sixteen (seven passes over
-// 1.8 MiB).
-const (
-	drainDigit   = 11
-	drainMask    = 1<<drainDigit - 1
-	drainBDigits = (flowkey.TupleBits + drainDigit - 1) / drainDigit
-	drainPasses  = drainBDigits + (64+drainDigit-1)/drainDigit
-)
-
-// drainHist holds one count per value of every digit.
-type drainHist [drainPasses][1 << drainDigit]uint32
-
-// drainDigitAt is where digit p sits: its key word and shift.
-func drainDigitAt(p int) (word int, shift uint) {
-	if p < drainBDigits {
-		return 0, uint(p * drainDigit)
-	}
-	return 1, uint((p - drainBDigits) * drainDigit)
-}
-
-// radixSort orders recs by key with a least-significant-digit radix
-// sort through tmp (as long as recs) and returns whichever of the two
-// holds the result. One pass counts every digit; a digit every record
-// shares takes no pass. Keys in one table are unique, so the order is
-// total: any correct sort gives this sequence.
-func radixSort(recs, tmp []drainRec, hist *drainHist) []drainRec {
-	n := len(recs)
-	if n < 2 {
-		return recs
-	}
-	clear(hist[:])
-	for i := range recs {
-		x := &recs[i]
-		for p := range hist {
-			w, s := drainDigitAt(p)
-			hist[p][x.key[w]>>s&drainMask]++
-		}
-	}
-	src, dst := recs, tmp
-	for p := range hist {
-		h := &hist[p]
-		w, s := drainDigitAt(p)
-		if h[src[0].key[w]>>s&drainMask] == uint32(n) {
-			continue
-		}
-		var sum uint32
-		for d, c := range h {
-			h[d] = sum
-			sum += c
-		}
-		for i := range src {
-			x := &src[i]
-			d := x.key[w] >> s & drainMask
-			dst[h[d]] = *x
-			h[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
 // Flush emits the per-group vectors of all finest-granularity groups
-// (end-of-stream collection for per-group policies) in key order —
-// SrcIP, DstIP, SrcPort, DstPort, Proto — which is a contract: CSV
-// output, DeterministicMerge and the goldens depend on it. It walks
-// the FG table's blocks once, radix-sorts 24-byte records on their two
-// key words and emits through the index. Coarser granularities
-// contribute the features their collect ops selected, found in their
-// own tables by projecting the group's key — probed only when the
-// projection changes from the previous group's. Groups are kept, not
-// retired: a second Flush emits them again.
+// (end-of-stream collection for per-group policies) in admission order,
+// the order the groups got their records: a function of the shard's
+// packet sequence, so CSV output, DeterministicMerge and the goldens
+// are deterministic, and key order is one sort away. It walks the FG
+// table's blocks once, reading each record where it lies. Coarser
+// granularities contribute the features their collect ops selected,
+// found in their own tables by projecting the group's key — probed only
+// when the projection changes from the previous group's. Groups are
+// kept, not retired: a second Flush emits them again.
 func (r *Runtime) Flush() {
 	if r.plan.Policy.PerPacket() {
 		return // per-packet policies have already emitted everything
 	}
 	t := &r.fgProg.table
-	scratch := slices.Grow(r.drain[:0], 2*t.n)[:2*t.n]
-	recs, tmp := scratch[:t.n], scratch[t.n:]
-	for i := range recs {
-		g := t.at(i)
-		recs[i] = drainRec{[2]uint64{g[recKeyB] & (1<<flowkey.TupleBits - 1), g[recKeyA]}, uint32(i)}
-	}
-	if r.drainHist == nil {
-		r.drainHist = new(drainHist)
-	}
-	// memo holds each coarser granularity's last group: in key order,
-	// consecutive FG groups nearly always share their coarser groups, so
-	// the projection is probed only when it changes.
+	// memo holds each coarser granularity's last group: consecutive FG
+	// groups that share one probe its table once.
 	memo := r.drainMemo
 	clear(memo)
-	for _, rec := range radixSort(recs, tmp, r.drainHist) {
-		g := t.at(int(rec.idx))
+	for i := range t.n {
+		g := t.at(i)
 		key := g.key()
 		vals := r.ppVals[:0]
 		for pi, pr := range r.programs {
@@ -1368,5 +1281,4 @@ func (r *Runtime) Flush() {
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}
-	r.drain = scratch[:0]
 }

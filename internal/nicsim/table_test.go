@@ -10,11 +10,14 @@ import (
 	"testing"
 
 	"superfe/internal/apps"
+	"superfe/internal/baseline"
 	"superfe/internal/faults"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
+	"superfe/internal/packet"
 	"superfe/internal/policy"
+	"superfe/internal/streaming"
 	"superfe/internal/switchsim"
 	"superfe/internal/trace"
 )
@@ -153,16 +156,15 @@ func TestSameHashStreamStaysCorrect(t *testing.T) {
 	}
 }
 
-// TestFlushOrderIsKeyOrder admits distinct flow keys in random order
-// and requires Flush to emit them in tuple order (FiveTuple.Less, the
-// order baseline.Interpreter sorts its groups in): keys drawn from
+// TestFlushOrderIsAdmissionOrder admits distinct flow keys in random
+// order and requires Flush to emit them in the order they were admitted
+// (the order baseline.Interpreter emits its groups in): keys drawn from
 // tiny field alphabets (many pairs differ only in Proto, only in one
 // port, only in DstIP); thousands of random keys over many 64-record
 // blocks, differing in every byte; keys sharing every field but one
-// port, so the radix sort skips most digits; and the empty and
-// one-group tables. A second Flush must emit the same sequence without
-// allocating: the drain's scratch is reused.
-func TestFlushOrderIsKeyOrder(t *testing.T) {
+// port; and the empty and one-group tables. A second Flush must emit
+// the same sequence without allocating.
+func TestFlushOrderIsAdmissionOrder(t *testing.T) {
 	plan := compile(t, statsPolicy())
 	rng := rand.New(rand.NewSource(1))
 	pick := func(xs ...uint32) uint32 { return xs[rng.Intn(len(xs))] }
@@ -197,23 +199,19 @@ func TestFlushOrderIsKeyOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := map[flowkey.Key]bool{}
-			for len(seen) < tc.n {
+			var want []flowkey.Key
+			for len(want) < tc.n {
 				k, _ := flowkey.KeyFor(flowkey.GranFlow, tc.tup())
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
 				cell := gpv.Cell{Values: make([]uint32, len(plan.Switch.MetadataFields)), Forward: true}
 				rt.Process(gpv.Message{MGPV: &gpv.MGPV{CG: k, Hash: flowkey.HashKey(k), Cells: []gpv.Cell{cell}}})
+				if !seen[k] { // a repeat adds a cell to its group, not a group
+					seen[k] = true
+					want = append(want, k)
+				}
 			}
 			rt.Flush()
-			want := make([]flowkey.Key, 0, len(seen))
-			for k := range seen {
-				want = append(want, k)
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i].Tuple.Less(want[j].Tuple) })
 			if !slices.Equal(got, want) {
-				t.Fatalf("Flush order differs from tuple order (%d emitted, %d admitted)", len(got), len(want))
+				t.Fatalf("Flush order differs from admission order (%d emitted, %d admitted)", len(got), len(want))
 			}
 			if allocs := testing.AllocsPerRun(3, func() {
 				got = got[:0]
@@ -228,11 +226,92 @@ func TestFlushOrderIsKeyOrder(t *testing.T) {
 	}
 }
 
+// TestFlushMemoInAdmissionOrder drains a host → flow chain whose flows
+// were admitted round robin over four hosts, so no two consecutive FG
+// groups share a host, under a scoped EMEM plan that fails every
+// admission of host D's group and none of its flows'. Flush's
+// coarser-group memo must re-probe at each change of host: every flow
+// carries exactly its own host's features, D's flows none, bit for bit
+// and in sequence against baseline.Interpreter.
+func TestFlushMemoInAdmissionOrder(t *testing.T) {
+	plan := compile(t, policy.New("host-flow").
+		GroupBy(flowkey.GranHost).
+		Reduce("size", policy.RF(streaming.FMean), policy.RF(streaming.FSum)).
+		Collect().
+		GroupBy(flowkey.GranFlow).
+		Reduce("size", policy.RF(streaming.FMax)).
+		Collect())
+	const hosts, flows = 4, 3
+	hostD := flowkey.Key{Gran: flowkey.GranHost, Tuple: flowkey.FiveTuple{SrcIP: flowkey.IPv4(10, 0, 0, hosts)}}
+	// At seed 26 the scoped stream draws fail, pass, fail, pass, fail,
+	// pass: each of D's one-cell flows loses its host admission and
+	// wins its own.
+	fp := &faults.Plan{Seed: 26, Rate: 0.5, Kinds: 1 << faults.KindEMEMFail,
+		ScopeLo: flowkey.HashKey(hostD), ScopeHi: flowkey.HashKey(hostD)}
+	var got, want []feature.Vector
+	cfg := DefaultConfig()
+	cfg.Faults = fp.NewInjector(0)
+	rt, err := NewRuntime(cfg, plan, feature.Collect(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := baseline.NewInterpreter(plan, feature.Collect(&want), fp.NewInjector(0))
+	process := func(m gpv.Message) {
+		rt.Process(m)
+		ref.Process(m)
+	}
+	sizePos := slices.Index(plan.Switch.MetadataFields, packet.FieldSize)
+	for f := range flows {
+		for h := 1; h <= hosts; h++ {
+			tup := flowkey.FiveTuple{SrcIP: flowkey.IPv4(10, 0, 0, byte(h)), DstIP: flowkey.IPv4(172, 16, byte(h), byte(f)),
+				SrcPort: uint16(1000 + f), DstPort: 443, Proto: flowkey.ProtoTCP}
+			idx := uint16(flows*h + f)
+			process(gpv.Message{FG: &gpv.FGUpdate{Index: idx, Key: tup}})
+			host, _ := flowkey.KeyFor(flowkey.GranHost, tup)
+			v := &gpv.MGPV{CG: host, Hash: flowkey.HashKey(host)}
+			for c := range 1 + (h%2)*(f+1) {
+				cell := gpv.Cell{FGIndex: idx, Forward: true, Values: make([]uint32, len(plan.Switch.MetadataFields))}
+				cell.Values[sizePos] = uint32(100*h + 10*f + c)
+				v.Cells = append(v.Cells, cell)
+			}
+			process(gpv.Message{MGPV: v})
+		}
+	}
+	rt.Flush()
+	ref.Flush()
+	for _, pr := range rt.programs {
+		if a, b := hostD.Words(); pr.gran == flowkey.GranHost && (pr.table.n != hosts-1 || pr.table.lookup(flowkey.HashKey(hostD), a, b) != 0) {
+			t.Fatalf("%d host groups, D's among them; the fault plan no longer drops exactly host D", pr.table.n)
+		}
+	}
+	if len(got) != hosts*flows || len(want) != len(got) {
+		t.Fatalf("%d vectors, reference %d, want %d", len(got), len(want), hosts*flows)
+	}
+	for i, w := range want {
+		g := got[i]
+		dim := 3
+		if w.Key.Tuple.SrcIP == hostD.Tuple.SrcIP {
+			dim = 1
+		}
+		if g.Key != w.Key || g.Timestamp != w.Timestamp || len(g.Values) != len(w.Values) || len(w.Values) != dim {
+			t.Fatalf("vector %d: %v@%d dim %d, reference %v@%d dim %d, want dim %d", i, g.Key, g.Timestamp, len(g.Values),
+				w.Key, w.Timestamp, len(w.Values), dim)
+		}
+		for j, x := range w.Values {
+			if math.Float64bits(g.Values[j]) != math.Float64bits(x) {
+				t.Fatalf("vector %d (%v) feature %d: %v, reference %v", i, w.Key, j, g.Values[j], x)
+			}
+		}
+	}
+}
+
 // BenchmarkFlush prices the end-of-trace drain per FG group: a single
 // granularity (NPOD, flow) and the host/channel/socket chain (N-BaIoT),
 // whose coarser groups the drain finds by projecting each FG key. Each
 // admits ~40 k groups from an ENTERPRISE-shaped trace; groups are kept,
-// so every iteration drains the same tables.
+// so every iteration re-drains the same warm tables. cold/<policy>
+// instead times a fresh runtime's first Flush, after an untimed replay
+// of the captured switch stream, as at the end of a trace.
 func BenchmarkFlush(b *testing.B) {
 	for _, tc := range []struct {
 		pol   func() *policy.Policy
@@ -261,11 +340,34 @@ func BenchmarkFlush(b *testing.B) {
 				sw.Process(&tr.Packets[i])
 			}
 			sw.Flush()
-			rt.Flush() // grows the scratch
+			rt.Flush() // grows the vector buffer
 			groups := rt.fgProg.table.n
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				rt.Flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(groups), "ns/group")
+			b.ReportMetric(float64(groups), "groups")
+		})
+		b.Run("cold/"+plan.Policy.Name(), func(b *testing.B) {
+			wl := trace.EnterpriseConfig
+			wl.Flows = tc.flows
+			msgs := capture(b, plan, trace.Generate(wl, 42))
+			groups := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range msgs {
+					rt.Process(m)
+				}
+				groups = rt.fgProg.table.n
+				b.StartTimer()
 				rt.Flush()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(groups), "ns/group")
@@ -282,7 +384,10 @@ func BenchmarkFlush(b *testing.B) {
 // switch's slots and FG indices decide the order cells arrive in.
 // Kitsune's row is its per-packet read-out, 115 values a packet, on a
 // CAMPUS-shaped trace whose FG table overwrites live keys: the digest
-// moves with any bit of any feature of any granularity.
+// moves with any bit of any feature of any granularity. The per-group
+// rows hash Flush's vectors in key order, so their digests pin the
+// features; the order Flush emits them in is
+// TestFlushOrderIsAdmissionOrder's and teeRun's to hold.
 func TestFaultedReplayPinned(t *testing.T) {
 	fp, err := faults.Parse("seed=3,rate=0.05,kinds=nic")
 	if err != nil {
@@ -314,15 +419,25 @@ func TestFaultedReplayPinned(t *testing.T) {
 			}
 			h.Write(b[:])
 		}
-		cfg := DefaultConfig()
-		cfg.Faults = fp.NewInjector(0)
-		rt, err := NewRuntime(cfg, plan, func(v feature.Vector) {
+		hash := func(v feature.Vector) {
 			k := v.Key.Tuple
 			word(uint64(k.SrcIP)<<32 | uint64(k.DstIP))
 			word(uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto))
 			for _, x := range v.Values {
 				word(math.Float64bits(x))
 			}
+		}
+		var flushed []feature.Vector
+		flushing := false
+		cfg := DefaultConfig()
+		cfg.Faults = fp.NewInjector(0)
+		rt, err := NewRuntime(cfg, plan, func(v feature.Vector) {
+			if flushing {
+				v.Values = slices.Clone(v.Values)
+				flushed = append(flushed, v)
+				return
+			}
+			hash(v)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +450,12 @@ func TestFaultedReplayPinned(t *testing.T) {
 			sw.Process(&tr.Packets[i])
 		}
 		sw.Flush()
+		flushing = true
 		rt.Flush()
+		sort.Slice(flushed, func(i, j int) bool { return flushed[i].Key.Tuple.Less(flushed[j].Key.Tuple) })
+		for _, v := range flushed {
+			hash(v)
+		}
 		if got := sw.Stats().FGOverwrites; got != tc.overwrites {
 			t.Errorf("%s: %d FG-table overwrites, pinned %d", plan.Policy.Name(), got, tc.overwrites)
 		}

@@ -617,7 +617,7 @@ func serveLeg(r *runner) (string, string) {
 		return "", err.Error()
 	}
 	// Flush returns once every vector is written to the subscriber. Read
-	// exactly those: Shutdown's drain would emit the kept groups again.
+	// exactly those.
 	if err := in.Flush(); err != nil {
 		return "", err.Error()
 	}

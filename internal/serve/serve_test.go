@@ -1059,6 +1059,56 @@ func TestFlushIsEgressBarrier(t *testing.T) {
 	}
 }
 
+// TestStopAfterFlushDeliversOnce stops a tenant whose resident groups
+// were already emitted by a Flush, and one that was never flushed: in
+// both, the subscriber reads to the end of its stream exactly the
+// inline engine's multiset, each per-group vector once.
+func TestStopAfterFlushDeliversOnce(t *testing.T) {
+	tr := enterprise(300, 11)
+	var ref []feature.Vector
+	e, err := core.New(core.DefaultOptions(), apps.NPOD(), feature.Collect(&ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Packets {
+		e.Process(&tr.Packets[i])
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, flush := range []bool{true, false} {
+		t.Run(fmt.Sprintf("flush=%v", flush), func(t *testing.T) {
+			srv, ten := startTenant(t, "edge", "NPOD", 1)
+			col, _ := pipeSubscriber(t, srv, "edge", false)
+			if err := ten.Ingest(tr.Packets); err != nil {
+				t.Fatal(err)
+			}
+			if flush {
+				if err := ten.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.StopTenant("edge"); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-col.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the subscriber's stream did not end at Stop")
+			}
+			if col.err != io.EOF {
+				t.Fatalf("stream ended with %v, want io.EOF", col.err)
+			}
+			if got := col.snapshot(); !sameMultiset(got, ref) {
+				t.Fatalf("subscriber read %d vectors, the inline engine emitted %d (or another multiset)", len(got), len(ref))
+			}
+		})
+	}
+}
+
 // TestVectorsFlowWithoutBarrier: a steady per-packet emitter (Kitsune)
 // reaches its subscriber as the engine emits — no Flush, no full
 // buffer. One engine batch of vectors is deliberately less than one

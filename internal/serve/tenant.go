@@ -43,9 +43,13 @@ type Tenant struct {
 	// (Process, Flush, SwapPlan, Close), which takes one caller at a
 	// time: each connection's handler runs the router on its own
 	// goroutine while it holds mu. Nothing emit, Info, Status or
-	// ObsSource does takes it.
-	mu      sync.Mutex
-	stopped bool
+	// ObsSource does takes it. unflushed is set when packets were
+	// ingested since the engine last flushed (a Flush, or the one a
+	// reload's SwapPlan runs): only then has Stop anything to emit, and
+	// flushing again would deliver every resident group twice.
+	mu        sync.Mutex
+	stopped   bool
+	unflushed bool
 
 	// idMu guards the identity fields a reload rewrites, so Info never
 	// waits behind a batch holding mu.
@@ -159,6 +163,7 @@ func (t *Tenant) Ingest(pkts []packet.Packet) error {
 	for i := range pkts {
 		t.eng.Process(&pkts[i])
 	}
+	t.unflushed = true
 	t.pktsIn.Add(uint64(len(pkts)))
 	return nil
 }
@@ -178,6 +183,7 @@ func (t *Tenant) Flush() error {
 		return ErrTenantStopped
 	}
 	err := t.eng.Flush()
+	t.unflushed = false
 	t.mu.Unlock()
 	for _, sub := range t.subscribers() {
 		sub.await()
@@ -215,6 +221,7 @@ func (t *Tenant) Reload(polName string, pol *policy.Policy) (string, error) {
 		t.rejected.Add(1)
 		return report, err
 	}
+	t.unflushed = false
 	t.reloads.Add(1)
 	t.idMu.Lock()
 	t.polName = polName
@@ -223,8 +230,9 @@ func (t *Tenant) Reload(polName string, pol *policy.Policy) (string, error) {
 	return report, nil
 }
 
-// Stop drains the tenant: it emits everything resident, retires the
-// engine's workers, then ends every subscriber's stream once its
+// Stop drains the tenant: it emits everything resident unless nothing
+// was ingested since the last flush (which emitted it already), retires
+// the engine's workers, then ends every subscriber's stream once its
 // writer has written what is left (joining the writer). Every
 // operation after Stop returns ErrTenantStopped.
 func (t *Tenant) Stop() error {
@@ -234,7 +242,10 @@ func (t *Tenant) Stop() error {
 		return ErrTenantStopped
 	}
 	t.stopped = true
-	err := t.eng.Flush()
+	var err error
+	if t.unflushed {
+		err = t.eng.Flush()
+	}
 	if cerr := t.eng.Close(); err == nil {
 		err = cerr
 	}
