@@ -66,6 +66,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "superfe-fuzz: -n %d: want at least 1 case\n", *n)
+		return 2
+	}
+	if *flows < 0 {
+		fmt.Fprintf(stderr, "superfe-fuzz: -flows %d: want 0 (the default) or more\n", *flows)
+		return 2
+	}
 
 	opts := polgen.RunOptions{Flows: *flows}
 	feasible, infeasible, approx, failures := 0, 0, 0, 0

@@ -28,3 +28,22 @@ func TestRunBadFlags(t *testing.T) {
 		t.Fatalf("bad flag exited %d, want 2", code)
 	}
 }
+
+// TestRunRejectsEmptyCampaign: a case count below 1 would run nothing
+// and report success, and a negative flow count would silently run the
+// default; both exit 2 with a message and run no case.
+func TestRunRejectsEmptyCampaign(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "0", "-corpus", ""},
+		{"-n", "-4", "-corpus", ""},
+		{"-n", "1", "-flows", "-3", "-corpus", ""},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "superfe-fuzz: -") {
+			t.Errorf("%v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -2,11 +2,13 @@ package baseline
 
 import (
 	"go/build"
+	"go/types"
 	"testing"
 
 	"superfe/internal/apps"
 	"superfe/internal/feature"
 	"superfe/internal/flowkey"
+	"superfe/internal/lint/loader"
 	"superfe/internal/trace"
 )
 
@@ -127,4 +129,70 @@ func TestSharesNoEngineCode(t *testing.T) {
 		}
 	}
 	walk("superfe/internal/baseline")
+}
+
+// sharedContract is all of streaming that baseline's non-test code may
+// name: the definitions of a reducing function, its parameters and its
+// views, and the arithmetic both legs of a differential run (streaming's
+// shared.go). DampedWelford, Damped2D and NewDamped2D are the one
+// exception: the damped windows the oracle shares with the naive
+// ablation, never with the kernels.
+var sharedContract = map[string]bool{
+	"Func": true, "Params": true, "View": true, "ViewOf": true,
+	"Family": true, "FamilyOf": true, "FeatureWidth": true,
+	"DefaultMaxArray": true, "DefaultHLLBits": true,
+	"DecayFactor": true, "Hash32": true, "HLLEstimate": true,
+	"DampedWelford": true, "Damped2D": true, "NewDamped2D": true,
+}
+
+// TestNamesOnlyTheSharedContract: the oracle's non-test code names no
+// streaming symbol outside sharedContract — no kernel, naive log,
+// validator or footprint — so what the oracle shares with the NIC is
+// that list and nothing else. A Func constant is a definition of Func;
+// a method or field counts as its type.
+func TestNamesOnlyTheSharedContract(t *testing.T) {
+	prog, err := loader.Load("../..", "./internal/baseline")
+	if err != nil {
+		t.Fatalf("load baseline: %v", err)
+	}
+	streaming := prog.ModulePath + "/internal/streaming"
+	shared := func(obj types.Object) bool {
+		scope := obj.Pkg().Scope()
+		if obj.Parent() == scope {
+			_, isConst := obj.(*types.Const)
+			return sharedContract[obj.Name()] || isConst && obj.Type() == scope.Lookup("Func").Type()
+		}
+		if f, ok := obj.(*types.Func); ok { // a method: its receiver's type
+			recv := f.Type().(*types.Signature).Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			return sharedContract[recv.(*types.Named).Obj().Name()]
+		}
+		for name := range sharedContract { // a field: its struct's type
+			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if st.Field(i) == obj {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	checked := false
+	for _, pkg := range prog.Packages {
+		if pkg.Path != prog.ModulePath+"/internal/baseline" {
+			continue
+		}
+		checked = true
+		for id, obj := range pkg.Info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() == streaming && !shared(obj) {
+				t.Errorf("%s: baseline names streaming.%s, outside the shared contract", prog.Fset.Position(id.Pos()), obj.Name())
+			}
+		}
+	}
+	if !checked {
+		t.Fatal("baseline was not loaded")
+	}
 }

@@ -13,8 +13,8 @@ import (
 // Interpreter computes a plan's features from the switch→NIC message
 // stream the way a software extractor does: for every cell it walks the
 // policy's ops in order, resolves map keys by name, and keeps groups in
-// a map keyed by flowkey.Key, each holding one private streaming.New
-// reducer per reduce spec. It shares no code with nicsim — no op table,
+// a map keyed by flowkey.Key, each holding one private reducer per
+// reduce spec (reducers.go). It shares no code with nicsim — no op table,
 // state record, decay memo, group table or drain — so it is the oracle
 // the Runtime is held to bit for bit
 // (nicsim.TestFusedRuntimeMatchesPrivateReducers), and the Extractor
@@ -37,8 +37,8 @@ type Interpreter struct {
 }
 
 type group struct {
-	reducers [][]streaming.Reducer // by op index, then spec index
-	last     map[int]int64         // map op index → previous source value or time
+	reducers [][]reducer   // by op index, then spec index
+	last     map[int]int64 // map op index → previous source value or time
 	bursts   map[int]int64
 	lastTS   uint32
 	// clock is the latest time any cell carried, the 32-bit timestamps
@@ -93,7 +93,7 @@ func (n *Interpreter) Process(m gpv.Message) {
 				if n.inj.EMEMFail(v.Hash) {
 					continue // this granularity loses the cell
 				}
-				g = &group{reducers: make([][]streaming.Reducer, len(n.plan.Policy.Ops())), last: map[int]int64{}, bursts: map[int]int64{}}
+				g = &group{reducers: make([][]reducer, len(n.plan.Policy.Ops())), last: map[int]int64{}, bursts: map[int]int64{}}
 				n.groups[key] = g
 				if key.Gran == n.plan.Switch.FG {
 					n.fgKeys = append(n.fgKeys, key)
@@ -185,9 +185,9 @@ func (n *Interpreter) cell(gran flowkey.Granularity, g *group, cell *gpv.Cell, f
 		case policy.OpReduce:
 			x := load(op.ReduceSrc)
 			if g.reducers[oi] == nil {
-				g.reducers[oi] = make([]streaming.Reducer, len(op.Reducers))
+				g.reducers[oi] = make([]reducer, len(op.Reducers))
 				for si, rf := range op.Reducers {
-					g.reducers[oi][si], _ = streaming.New(rf.Func, rf.Params)
+					g.reducers[oi][si] = newReducer(rf.Func, rf.Params)
 				}
 			}
 			for _, r := range g.reducers[oi] {
@@ -217,7 +217,7 @@ func (n *Interpreter) collect(gran flowkey.Granularity, g *group, perPacket bool
 		switch op.Kind {
 		case policy.OpReduce:
 			for si, rf := range op.Reducers {
-				pending = append(pending, streaming.Features(g.reducers[oi][si], streaming.ViewOf(rf.Func, rf.Params))...)
+				pending = g.reducers[oi][si].AppendFeatures(pending, streaming.ViewOf(rf.Func, rf.Params))
 			}
 		case policy.OpSynthesize:
 			synth = append(synth, op)

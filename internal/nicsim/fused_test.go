@@ -21,7 +21,7 @@ import (
 // teeRun replays tr through a switch of scfg whose every message goes,
 // after mutate (if any), to a Runtime and to baseline.Interpreter — the
 // FE-NIC without the lowering, map-keyed groups with one private
-// streaming.New reducer per spec — each failing EMEM admissions from
+// reducer per spec — each failing EMEM admissions from
 // an injector of fp (nil: none fail), and requires bit-identical vector
 // sequences. It returns the switch's and the Runtime's counters.
 func teeRun(t *testing.T, pol *policy.Policy, tr *trace.Trace, scfg switchsim.Config, fp *faults.Plan, mutate func(*gpv.MGPV)) (switchsim.Stats, RuntimeStats) {

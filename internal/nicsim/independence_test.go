@@ -1,37 +1,38 @@
 package nicsim
 
 import (
+	"go/build"
 	"testing"
-
-	"superfe/internal/lint/loader"
 )
 
 // TestNICHoldsNoReducer: the NIC keeps every state as a
-// streaming.Kernel over its group records, and the oracle
-// (baseline.Interpreter, the family tests) runs the streaming.Reducer
-// types, so a differential between the two compares independent code.
-// nicsim's non-test code must therefore name neither the Reducer
-// interface nor the constructors that build one.
+// streaming.Kernel over its group records, and the oracle's reducers
+// live in baseline, so a differential between the two compares
+// independent code. nicsim's non-test import closure must therefore
+// hold no baseline.
 func TestNICHoldsNoReducer(t *testing.T) {
-	prog, err := loader.Load("../..", "./internal/nicsim")
-	if err != nil {
-		t.Fatalf("load nicsim: %v", err)
-	}
-	streaming := prog.ModulePath + "/internal/streaming"
-	banned := map[string]bool{"Reducer": true, "New": true, "NewNaive": true}
-	checked := false
-	for _, pkg := range prog.Packages {
-		if pkg.Path != prog.ModulePath+"/internal/nicsim" {
-			continue
+	seen := map[string]bool{}
+	var walk func(path string)
+	walk = func(path string) {
+		if seen[path] {
+			return
 		}
-		checked = true
-		for id, obj := range pkg.Info.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Path() == streaming && obj.Parent() == obj.Pkg().Scope() && banned[obj.Name()] {
-				t.Errorf("%s: nicsim names streaming.%s", prog.Fset.Position(id.Pos()), obj.Name())
+		seen[path] = true
+		if path == "superfe/internal/baseline" {
+			t.Errorf("nicsim's import closure holds %s", path)
+		}
+		pkg, err := build.Import(path, ".", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if !pkg.Goroot {
+				walk(imp)
 			}
 		}
 	}
-	if !checked {
-		t.Fatal("nicsim was not loaded")
+	walk("superfe/internal/nicsim")
+	if !seen["superfe/internal/streaming"] {
+		t.Fatal("the walk did not reach streaming: it read no imports")
 	}
 }

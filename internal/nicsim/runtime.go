@@ -352,9 +352,9 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		r.dramEntries = reg.Gauge("superfe_nic_dram_entries", "group-table entries overflowed past the fixed chain into DRAM")
 		// Geometric edges, fine near zero: 64 .. ~256k cycles, 16 .. ~256k ticks.
 		r.cycStage = reg.Histogram("superfe_nic_cycles_per_mgpv", "modelled NFP core cycles per MGPV (cost model x batch size)",
-			streaming.GeometricEdges(64, 2, 12)).Stage()
+			obs.GeometricEdges(64, 2, 12)).Stage()
 		r.emitStage = reg.Histogram("superfe_nic_emit_latency_ticks", "logical ticks (NIC cells) between group admission and vector emit",
-			streaming.GeometricEdges(16, 2, 14)).Stage()
+			obs.GeometricEdges(16, 2, 14)).Stage()
 		// Price the plan once with the architectural cost model so the
 		// CyclesPerMGPV histogram reflects the same cycles the Figure
 		// 16/17 experiments report.

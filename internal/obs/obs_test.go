@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +64,23 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		if buckets[i] != w {
 			t.Errorf("bucket[%d] = %d, want %d", i, buckets[i], w)
 		}
+	}
+}
+
+// TestGeometricEdges: widths start at base and grow by the factor, and
+// a histogram on those edges puts one sample of each range in its bucket.
+func TestGeometricEdges(t *testing.T) {
+	edges := GeometricEdges(100, 2, 4)
+	if want := []int64{100, 300, 700, 1500}; !slices.Equal(edges, want) {
+		t.Fatalf("edges = %v, want %v", edges, want)
+	}
+	r := NewRegistry()
+	h := r.Histogram("h", "geometric", edges)
+	r.Seal()
+	observe(h, 50, 150, 500, 1500, 5000)
+	_, _, buckets := histValue(t, r.Snapshot(), "h")
+	if want := []uint64{1, 1, 1, 1, 1}; !slices.Equal(buckets, want) {
+		t.Errorf("buckets = %v, want %v", buckets, want)
 	}
 }
 

@@ -125,6 +125,23 @@ func (r *Registry) Histogram(name, help string, edges []int64, labels ...LabelPa
 	return Histogram{r: r, slot: r.register(name, help, KindHistogram, edges, labels), edges: edges}
 }
 
+// GeometricEdges returns histogram bucket upper bounds whose widths
+// start at base and grow by the given integer factor per bucket, e.g.
+// base=100, factor=2, bins=4 yields 100, 300, 700, 1500: fine near zero,
+// where batch sizes and latencies concentrate, with the long tail still
+// covered (the variable-bin-width layout of the paper's §6.1).
+func GeometricEdges(base int64, factor int64, bins int) []int64 {
+	edges := make([]int64, bins)
+	width := base
+	var edge int64
+	for i := 0; i < bins; i++ {
+		edge += width
+		edges[i] = edge
+		width *= factor
+	}
+	return edges
+}
+
 // Counter is a handle to one monotonic series. The zero value is a
 // no-op, so engines can keep handles unconditionally.
 type Counter struct {

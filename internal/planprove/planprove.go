@@ -82,7 +82,7 @@ const (
 	ClassFilter = "filter"
 	// ClassHistRange: a histogram-family reducer input can leave the
 	// clamp-free range [0, Bins×BinWidth); the tail clamps into the
-	// last bin and negatives into bin 0 (see streaming.Histogram).
+	// last bin and negatives into bin 0 (see streaming.ContractFor).
 	ClassHistRange = "hist-range"
 	// ClassFixedPoint: a reducer input can exceed the fixed-point
 	// input lane of a deployed dataplane implementation

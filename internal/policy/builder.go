@@ -140,8 +140,7 @@ func (b *Builder) Build() (*Policy, error) {
 			}
 			w := 0
 			for _, rf := range op.Reducers {
-				// Construct once to validate parameters.
-				if _, err := streaming.New(rf.Func, rf.Params); err != nil {
+				if err := streaming.Validate(rf.Func, rf.Params); err != nil {
 					return nil, fmt.Errorf("op %d: %w", i, err)
 				}
 				w += streaming.FeatureWidth(rf.Func, rf.Params)

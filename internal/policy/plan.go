@@ -179,7 +179,7 @@ func Compile(p *Policy) (*Plan, error) {
 			}
 		case OpReduce:
 			for _, rf := range op.Reducers {
-				if _, err := streaming.New(rf.Func, rf.Params); err != nil {
+				if err := streaming.Validate(rf.Func, rf.Params); err != nil {
 					return nil, fmt.Errorf("policy compile: %w", err)
 				}
 				nic.StateSpecs = append(nic.StateSpecs, StateSpec{

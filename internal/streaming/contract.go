@@ -29,7 +29,7 @@ type Contract struct {
 	// InLo/InHi bound the clamp-free input range [InLo, InHi): the
 	// histogram family behaviourally clamps samples outside it
 	// (negatives into bin 0, the tail into the last bin — see
-	// Histogram.Observe); every other function accepts the full int64
+	// Kernel.histObserve); every other function accepts the full int64
 	// range. Unbounded sides are MinInt64 / MaxInt64.
 	InLo, InHi int64
 	// FixedPointMax bounds |x| for the function's fixed-point input

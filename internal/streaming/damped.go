@@ -9,7 +9,10 @@ import "math"
 // 2^(-λ·Δt) between observations, so recent traffic dominates and
 // idle flows fade without any explicit window buffer. State is
 // (w, linSum, sqSum, lastTime): weight, decayed sum, decayed sum of
-// squares and the last update timestamp.
+// squares and the last update timestamp. The naive ablation replays it
+// (NaiveReducer), and so do the oracle's damped reducers
+// (internal/baseline): the one code the oracle shares beyond shared.go,
+// and never with the kernels.
 type DampedWelford struct {
 	// Lambda is the decay rate in 1/seconds. Kitsune uses the set
 	// {5, 3, 1, 0.1, 0.01} to cover multiple time scales.
@@ -71,9 +74,6 @@ func (d *DampedWelford) Var() float64 {
 
 // Std returns the decayed standard deviation.
 func (d *DampedWelford) Std() float64 { return math.Sqrt(d.Var()) }
-
-// StateBytes reports the fixed 33-byte footprint.
-func (d *DampedWelford) StateBytes() int { return 33 }
 
 // Damped2D extends the damped statistics to two jointly observed
 // streams, providing the 2D features (magnitude, radius, covariance,
@@ -162,6 +162,3 @@ func (d *Damped2D) PCC() float64 {
 	p := d.Cov() / denom
 	return math.Max(-1, math.Min(1, p))
 }
-
-// StateBytes reports the combined footprint.
-func (d *Damped2D) StateBytes() int { return d.A.StateBytes() + d.B.StateBytes() + 24 }

@@ -8,16 +8,18 @@ import (
 func TestDampedNoDecayEqualsPlainStats(t *testing.T) {
 	// All samples at the same timestamp: damped == plain statistics.
 	d := DampedWelford{Lambda: 1}
-	w := &Welford{}
+	mean, variance := NewNaive(FMean, Params{}), NewNaive(FVar, Params{})
 	for _, x := range []int64{2, 4, 4, 4, 5, 5, 7, 9} {
 		d.ObserveAt(float64(x), 0)
-		w.Observe(x, 0)
+		mean.Observe(x, 0)
+		variance.Observe(x, 0)
 	}
-	if !approx(d.Mean(), w.Mean(), tol) {
-		t.Errorf("mean: damped %g vs plain %g", d.Mean(), w.Mean())
+	plain := func(n *NaiveReducer) float64 { return n.AppendFeatures(nil, View{})[0] }
+	if !approx(d.Mean(), plain(mean), tol) {
+		t.Errorf("mean: damped %g vs plain %g", d.Mean(), plain(mean))
 	}
-	if !approx(d.Var(), w.Var(), tol) {
-		t.Errorf("var: damped %g vs plain %g", d.Var(), w.Var())
+	if !approx(d.Var(), plain(variance), tol) {
+		t.Errorf("var: damped %g vs plain %g", d.Var(), plain(variance))
 	}
 	if !approx(d.Weight(), 8, tol) {
 		t.Errorf("weight = %g, want 8", d.Weight())
@@ -93,53 +95,32 @@ func TestDamped2DPCCBounds(t *testing.T) {
 	}
 }
 
-func TestDamped1DReducerModes(t *testing.T) {
-	for _, c := range []struct {
-		f    Func
-		want float64
-	}{
-		{FDWeight, 4},
-		{FDMean, 5},
-		{FDStd, 0},
-	} {
-		r := NewDamped1D(1)
-		for i := 0; i < 4; i++ {
-			r.Observe(5, 0)
-		}
-		if !approx(feat(r, c.f), c.want, tol) {
-			t.Errorf("%s = %g, want %g", c.f, feat(r, c.f), c.want)
-		}
-	}
-}
-
-func TestDamped2DReducerSignConvention(t *testing.T) {
-	r := NewDamped2DReducer(1)
-	r.Observe(300, 0)  // forward
-	r.Observe(-400, 0) // backward, magnitude 400
-	want := math.Sqrt(300*300 + 400*400)
-	if !approx(feat(r, FD2DMag), want, tol) {
-		t.Errorf("magnitude = %g, want %g (sign convention broken)", feat(r, FD2DMag), want)
-	}
-}
-
 func TestNaiveDampedMatchesStreaming(t *testing.T) {
 	// The naive replay of damped stats must agree with the streaming
-	// computation (same algorithm, buffered).
+	// computation, the NIC's kernel (same algorithm, buffered).
 	for _, f := range []Func{FDWeight, FDMean, FDStd, FD2DMag, FD2DRadius, FD2DCov, FD2DPCC} {
-		s, err := New(f, Params{Lambda: 2})
+		var d Decay
+		k, err := KernelFor(f, Params{Lambda: 2}, &d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := NewNaive(f, Params{Lambda: 2})
-		ts := int64(0)
+		st := make([]uint64, k.Words)
+		var s Step
+		var clock, ts int64
 		for i := 0; i < 200; i++ {
 			x := int64((i%13)*50 - 300)
-			s.Observe(x, ts)
+			d.Reset()
+			clock = s.Begin(&d, k.Lanes(), i == 0, clock, ts)
+			k.Observe(st, x, &s)
 			n.Observe(x, ts)
 			ts += 3e6
 		}
-		if !approx(feat(s, f), feat(n, f), 1e-9) {
-			t.Errorf("%s: streaming %g vs naive replay %g", f, feat(s, f), feat(n, f))
+		plan := k.PlanRead([]View{{Func: f}}, []int{0})
+		win := make([]float64, 1)
+		k.Read(win, st, &plan)
+		if naive := n.AppendFeatures(nil, View{})[0]; !approx(win[0], naive, 1e-9) {
+			t.Errorf("%s: streaming %g vs naive replay %g", f, win[0], naive)
 		}
 	}
 }

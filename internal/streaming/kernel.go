@@ -1,19 +1,20 @@
 package streaming
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"runtime"
 )
 
 // Kernels are the reducer families compiled onto a group record: the
 // FE-NIC keeps one record of uint64 words per group with every state at
 // an offset resolved when the plan is compiled, and a Kernel is one
-// family's update and read-out over its words. The Reducer types beside
-// them are the reference the kernels are held to, bit for bit
-// (TestKernelsMatchReducers), and share no update code with them: same
-// float operations in the same order, so a kernel's features are a
-// private reducer's, and a slip on either side shows as a difference.
+// family's update and read-out over its words. The oracle's reducers
+// (internal/baseline) are the reference the kernels are held to, bit
+// for bit (baseline.TestKernelsMatchReducers), and share no update code
+// with them, only shared.go's arithmetic: same float operations in the
+// same order, so a kernel's features are a private reducer's, and a
+// slip on either side shows as a difference.
 //
 // Word layouts (a float is stored as its IEEE bits, a zeroed state is
 // the empty state):
@@ -64,14 +65,14 @@ const (
 )
 
 // Kernel is one state of a group record: which family, how many words,
-// and the parameters the reducer type would have carried.
+// and the parameters a reducer would carry.
 type Kernel struct {
 	kind kind
 	max  bool  // f_max rather than f_min
 	bits uint8 // f_card: log2 of the register count
 	// Words is the state's size in the record, all its lanes;
-	// stateBytes the family's modelled footprint, what a fresh Reducer
-	// reports, for one lane (a log's grows: Bytes).
+	// stateBytes the family's modelled footprint for one lane (a log's
+	// grows: Bytes).
 	Words, stateBytes int
 	// lanes are a damped kernel's Decay lanes, one per rate; lane i's
 	// words follow lane i-1's, damped1DWords or damped2DWords each.
@@ -94,17 +95,17 @@ const (
 	damped2DWords = 12
 )
 
-// KernelFor resolves the kernel of f's family. The parameters are
-// validated exactly as New validates them. A damped family's kernel has
-// one lane, d's lane of its rate; f_array's keeps its samples in logs
-// (neither is read for the other families).
+// KernelFor resolves the kernel of f's family, once Validate accepts
+// the parameters. A damped family's kernel has one lane, d's lane of
+// its rate; f_array's keeps its samples in logs (neither is read for
+// the other families).
 func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
-	r, err := New(f, p)
-	if err != nil {
+	if err := Validate(f, p); err != nil {
 		return Kernel{}, err
 	}
-	k := Kernel{stateBytes: r.StateBytes()}
-	switch FamilyOf(f, p).Func {
+	fam := FamilyOf(f, p)
+	k := Kernel{stateBytes: stateBytes(fam)}
+	switch fam.Func {
 	case FSum:
 		k.kind, k.Words = kindSum, 1
 	case FMax, FMin:
@@ -122,10 +123,10 @@ func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
 	case FD2DMag:
 		k.kind, k.Words, k.lanes = kindDamped2D, damped2DWords, []int{d.Lane(p.Lambda)}
 	case FCard:
-		k.kind, k.bits = kindCard, uint8(r.(*HyperLogLog).bits)
+		k.kind, k.bits = kindCard, uint8(cmp.Or(p.HLLBits, DefaultHLLBits))
 		k.Words = (1<<k.bits + 7) / 8
 	case FArray:
-		k.kind, k.Words, k.logs, k.maxLen = kindLog, 1, logs, r.(*Array).maxLen
+		k.kind, k.Words, k.logs, k.maxLen = kindLog, 1, logs, cmp.Or(p.MaxLen, DefaultMaxArray)
 	default:
 		panic("streaming: a family without a kernel")
 	}
@@ -135,9 +136,9 @@ func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
 // NaiveKernel is f's state in the store-everything ablation (Figure
 // 15): a log in logs of every sample and its time, read through
 // NaiveReducer's batch algorithm. It answers for f alone, whatever
-// FamilyOf says, and validates the parameters as New does.
+// FamilyOf says, once Validate accepts the parameters.
 func NaiveKernel(f Func, p Params, logs *Logs) (Kernel, error) {
-	if _, err := New(f, p); err != nil {
+	if err := Validate(f, p); err != nil {
 		return Kernel{}, err
 	}
 	return Kernel{kind: kindLog, Words: 1, logs: logs, naive: NewNaive(f, p)}, nil
@@ -182,8 +183,8 @@ func (l *Logs) at(w uint64) sampleLog {
 }
 
 // Bytes is the modelled footprint of the state at st[:k.Words], for one
-// lane: stateBytes, or what a log holds, 8 bytes a sample and 8 a time,
-// as its Reducer reports it.
+// lane: its family's (stateBytes), or what a log holds, 8 bytes a
+// sample and 8 a time.
 func (k *Kernel) Bytes(st []uint64) int {
 	if k.kind != kindLog {
 		return k.stateBytes
@@ -211,63 +212,6 @@ func Fuse(ks []Kernel) Kernel {
 // Lanes returns a damped kernel's Decay lanes, one per rate; nil for
 // the other families.
 func (k *Kernel) Lanes() []int { return k.lanes }
-
-// DecayFactor is the damped window's decay over dt nanoseconds at rate
-// lambda: 2^(-λ·Δt), a decay row of one lane.
-func DecayFactor(lambda float64, dt int64) float64 {
-	var f [1]float64
-	exp2Row(f[:], []float64{lambda}, dt)
-	return f[0]
-}
-
-// exp2Row sets f[l] to the decay over dt nanoseconds at rate lambdas[l],
-// 2^(-λ·Δt), every lane in one pass: the lanes are independent, so
-// their chains of arithmetic overlap in the pipeline. Each is
-// math.Exp2(-λ·Δt) bit for bit. On [-1022, 0] the loop's body is the
-// standard library's algorithm (math/exp.go's exp2 and expmulti) — the
-// same constants, the same operations in the same order — except that
-// 2^k is built on the exponent bits, the NFP's shift done exactly,
-// where math.Exp2 calls Ldexp: the product is exact whenever the result
-// is normal, and on [-1022, 0] it is. A lane off that range (NaN, -Inf,
-// underflow: λ = 5 past ~204 s) takes math.Exp2 itself. The copy is
-// taken on amd64 only, where the compiler fuses no multiply-add of its
-// own accord; elsewhere fusion (or arm64's assembly Exp2) could round
-// the two differently.
-//
-//superfe:hotpath
-func exp2Row(f, lambdas []float64, dt int64) {
-	const (
-		Ln2Hi = 6.93147180369123816490e-01
-		Ln2Lo = 1.90821492927058770002e-10
-
-		P1 = 1.66666666666666657415e-01  /* 0x3FC55555; 0x55555555 */
-		P2 = -2.77777777770155933842e-03 /* 0xBF66C16C; 0x16BEBD93 */
-		P3 = 6.61375632143793436117e-05  /* 0x3F11566A; 0xAF25DE2C */
-		P4 = -1.65339022054652515390e-06 /* 0xBEBBBD41; 0xC5D26BF1 */
-		P5 = 4.13813679705723846039e-08  /* 0x3E663769; 0x72BEA4D0 */
-	)
-	dts := float64(dt) / 1e9
-	f = f[:len(lambdas)]
-	for l, lambda := range lambdas {
-		x := -lambda * dts
-		if runtime.GOARCH != "amd64" || !(x >= -1022 && x <= 0) {
-			f[l] = math.Exp2(x)
-			continue
-		}
-		// x = k + t with |t| ≤ 1/2 (k rounds half away from zero, as
-		// math's does for x < 0; at x = 0 both give k = 0); e^r with
-		// r = t·ln 2, carried as hi - lo for extra precision.
-		k := int(x - 0.5)
-		t := x - float64(k)
-		hi := t * Ln2Hi
-		lo := -t * Ln2Lo
-		r := hi - lo
-		t = r * r
-		c := r - t*(P1+t*(P2+t*(P3+t*(P4+t*P5))))
-		y := 1 - ((lo - (r*c)/(2-c)) - hi)
-		f[l] = y * math.Float64frombits(uint64(1023+k)<<52)
-	}
-}
 
 // Decay holds the decay factors of the cell in hand, by interval and
 // rate (a lane). The groups a packet belongs to at its granularities,
@@ -509,7 +453,7 @@ func (k *Kernel) histObserve(st []uint64, x int64) {
 // cardObserve raises the sample's register to the leading-zero run of
 // the hash bits past its index, plus one.
 func (k *Kernel) cardObserve(st []uint64, x int64) {
-	v := hash32(x)
+	v := Hash32(x)
 	i := v >> (32 - k.bits)
 	rho := uint64(bits.LeadingZeros32(v<<k.bits|1)) + 1
 	w, sh := &st[i>>3], 8*(i&7)
@@ -901,7 +845,7 @@ func momentsView(st []uint64, kurtosis bool) float64 {
 	return math.Sqrt(n) * f64(st[3]) / math.Pow(m2, 1.5)
 }
 
-// cardEstimate is HyperLogLog.Estimate over the packed registers.
+// cardEstimate is the sketch's estimate over the packed registers.
 func (k *Kernel) cardEstimate(st []uint64) float64 {
 	var sum float64
 	zeros := 0
@@ -912,7 +856,7 @@ func (k *Kernel) cardEstimate(st []uint64) float64 {
 			zeros++
 		}
 	}
-	return hllEstimate(1<<k.bits, sum, zeros)
+	return HLLEstimate(1<<k.bits, sum, zeros)
 }
 
 // readLog writes the log's features from out[0] on: f_array's samples
@@ -926,11 +870,17 @@ func (k *Kernel) readLog(out []float64, st []uint64) {
 		n.AppendFeatures(out[:0], View{}) // in place
 		return
 	}
-	out = out[:k.maxLen]
-	for i, x := range l.xs {
+	readArray(out[:k.maxLen], l.xs)
+}
+
+// readArray writes f_array's features into out: the samples, as many as
+// fit, zero-padded to its length.
+func readArray(out []float64, xs []int64) {
+	xs = xs[:min(len(xs), len(out))]
+	for i, x := range xs {
 		out[i] = float64(x)
 	}
-	clear(out[len(l.xs):])
+	clear(out[len(xs):])
 }
 
 // bin reads histogram bin i.
@@ -962,7 +912,9 @@ func (k *Kernel) readHist(out []float64, st []uint64, v View) {
 	}
 }
 
-// quantile is Histogram.Quantile over record words.
+// quantile is the q-th quantile estimated from the histogram ("adding
+// up those bins lower than that data", §6.1), with linear interpolation
+// inside the bin that crosses the target count.
 func (k *Kernel) quantile(st []uint64, q float64) float64 {
 	if st[0] == 0 {
 		return 0

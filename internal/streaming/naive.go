@@ -1,13 +1,17 @@
 package streaming
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // NaiveReducer is the store-everything counterpart of a streaming
-// reducer: it buffers the complete sample stream and computes the
+// state: it buffers the complete sample stream and computes the
 // feature with a multi-pass batch algorithm on demand. The paper's
 // Figure 15 compares FE-NIC with streaming algorithms against this
 // naïve re-implementation ("naïve algorithms ask for a large amount
 // of on-chip memory, which exceeds the capacity of our SmartNICs").
+// A naive log (NaiveKernel) reads through it.
 type NaiveReducer struct {
 	emit   Func
 	params Params
@@ -27,33 +31,32 @@ func (n *NaiveReducer) Observe(x, ts int64) {
 	n.tss = append(n.tss, ts)
 }
 
-// StateBytes reports the full buffered stream — this is what blows up
-// the SmartNIC memory in the Figure 15 ablation.
-func (n *NaiveReducer) StateBytes() int { return 8*len(n.data) + 8*len(n.tss) }
-
 // AppendFeatures computes the feature with the batch algorithm. A
 // naive reducer is one buffer per feature — its own family, whatever
 // FamilyOf says of the function — so it answers for the function it
-// was built with and ignores the view.
+// was built with and ignores the view. The histogram views bin the
+// whole buffer into a fresh histogram state and read it as the kernel
+// does; f_array's is the buffer's first cap samples, zero-padded.
 //
 //superfe:coldpath ablation only (Figure 15): the batch algorithms allocate by design
 func (n *NaiveReducer) AppendFeatures(dst []float64, _ View) []float64 {
+	w := FeatureWidth(n.emit, n.params)
+	dst = slices.Grow(dst, w)
+	out := dst[len(dst) : len(dst)+w]
 	switch n.emit {
 	case FHist, FPDF, FCDF, FPercent:
-		h := &Histogram{width: n.params.BinWidth, bins: make([]uint32, n.params.Bins)}
+		h := Kernel{kind: kindHist, width: n.params.BinWidth, bins: n.params.Bins}
+		st := make([]uint64, 1+(h.bins+1)/2)
 		for _, x := range n.data {
-			h.Observe(x, 0)
+			h.histObserve(st, x)
 		}
-		return h.AppendFeatures(dst, ViewOf(n.emit, n.params))
+		h.readHist(out, st, ViewOf(n.emit, n.params))
 	case FArray:
-		maxLen := n.params.MaxLen
-		if maxLen == 0 {
-			maxLen = DefaultMaxArray
-		}
-		a := Array{maxLen: maxLen, data: n.data[:min(len(n.data), maxLen)]}
-		return a.AppendFeatures(dst, View{})
+		readArray(out, n.data)
+	default:
+		out[0] = n.scalar()
 	}
-	return append(dst, n.scalar())
+	return dst[:len(dst)+w]
 }
 
 // scalar computes the single-valued features.

@@ -1,16 +1,17 @@
-// Package streaming implements the one-pass streaming algorithms that
-// SuperFE's FE-NIC uses to compute reducing functions (§6.1 of the
-// paper, Appendix A Table 5).
+// Package streaming is the FE-NIC's side of the reducing functions
+// (§6.1 of the paper, Appendix A Table 5): the one-pass streaming
+// algorithms the NIC computes, compiled onto group records as Kernels
+// (kernel.go), and the store-everything naive counterpart the Figure 15
+// ablation replays (naive.go).
 //
-// Every reducer observes a stream of int64 samples one at a time,
-// keeps O(1) or O(bins) state, and can produce its feature value(s)
-// at any point. This mirrors the constraint of SoC SmartNIC cores:
-// restricted state, single pass, no floating point on the hot path.
-//
-// Alongside each streaming implementation the package provides the
-// naïve counterpart (store-everything, two-pass) used by the Figure
-// 15 ablation, so the memory/computation comparison in the paper can
-// be reproduced directly.
+// The kernels are held to the oracle's reducers (internal/baseline),
+// which may run only the shared contract of this package: the
+// Func/Params/View/Family/FeatureWidth definitions (this file) and the
+// arithmetic of shared.go (DecayFactor and its exp2Row, Hash32,
+// HLLEstimate with its α). A slip there moves both legs of every
+// differential alike, so each has an exact-math test. DampedWelford and
+// Damped2D (damped.go) are the one exception: the oracle shares them
+// with the naive ablation, never with the kernels.
 //
 //superfe:deterministic
 package streaming
@@ -20,23 +21,7 @@ import (
 	"math"
 )
 
-// Reducer is the common interface of all reducing-function state.
-// One state serves a whole family of reducing functions (see
-// FamilyOf): Observe consumes one sample with its timestamp in ns
-// (only the damped families read it); AppendFeatures appends the
-// feature value(s) of
-// the family member v selects to dst (most emit one, ft_hist emits
-// one per bin, f_array the whole sequence) and returns the extended
-// slice; StateBytes reports the state footprint in bytes, used by the
-// NIC memory model and the ILP placement. A state lives as long as its
-// group, and NIC groups never retire, so there is no reset.
-type Reducer interface {
-	Observe(x, ts int64)
-	AppendFeatures(dst []float64, v View) []float64
-	StateBytes() int
-}
-
-// View selects the family member AppendFeatures reads from a state.
+// View selects the family member a read-out takes from a state.
 // States of single-member families ignore it.
 type View struct {
 	Func     Func
@@ -45,10 +30,6 @@ type View struct {
 
 // ViewOf returns the view of f with the given parameters.
 func ViewOf(f Func, p Params) View { return View{Func: f, Quantile: p.Quantile} }
-
-// Features returns the features v selects from r in a fresh slice —
-// the convenience form of AppendFeatures for cold callers and tests.
-func Features(r Reducer, v View) []float64 { return r.AppendFeatures(nil, v) }
 
 // Func identifies a reducing function from Appendix A Table 5.
 type Func uint8
@@ -118,12 +99,47 @@ func (f Func) String() string {
 		return "f_cov"
 	case FPCC:
 		return "f_pcc"
-	}
-	if n := dampedName(f); n != "" {
-		return n
+	case FDWeight:
+		return "fd_weight"
+	case FDMean:
+		return "fd_mean"
+	case FDStd:
+		return "fd_std"
+	case FD2DMag:
+		return "fd_mag"
+	case FD2DRadius:
+		return "fd_radius"
+	case FD2DCov:
+		return "fd_cov"
+	case FD2DPCC:
+		return "fd_pcc"
 	}
 	return fmt.Sprintf("f(%d)", uint8(f))
 }
+
+// Damped reducing functions over 2^(-λΔt) windows. FDWeight/FDMean/
+// FDStd are the 1D statistics (w, μ, σ); the FD2D* functions are the
+// bidirectional 2D statistics, with direction carried in the sample
+// sign exactly like the undamped f_mag family.
+const (
+	FDWeight Func = Func(numFuncs) + iota
+	FDMean
+	FDStd
+	FD2DMag
+	FD2DRadius
+	FD2DCov
+	FD2DPCC
+	numFuncsExt
+)
+
+// NumFuncsTotal counts all reducing functions including the damped
+// extension set.
+const NumFuncsTotal = int(numFuncsExt)
+
+// IsTimed reports whether f is a damped (timestamp-consuming)
+// reducing function; the policy compiler batches the timestamp
+// metadata field whenever one is used.
+func IsTimed(f Func) bool { return f >= FDWeight && f < numFuncsExt }
 
 // Params carries the per-function parameters. Only the histogram
 // family uses them (bin width and count, §4.2 Figure 4); f_array and
@@ -144,58 +160,87 @@ const (
 	DefaultHLLBits  = 6    // 64 HyperLogLog buckets
 )
 
-// New constructs the streaming reducer for f with the given
-// parameters. It returns an error for unknown functions or invalid
-// parameters so the policy compiler can reject bad policies early.
-func New(f Func, p Params) (Reducer, error) {
+// Validate reports whether f is a known reducing function and p
+// parameters it accepts: the one parameter check, which the policy
+// compiler runs on every reduce spec and the kernel constructors run
+// again, so a bad policy is rejected before anything is built.
+func Validate(f Func, p Params) error {
 	switch f {
-	case FSum:
-		return &Sum{}, nil
-	case FMean, FVar, FStd:
-		return &Welford{}, nil
-	case FMax:
-		return &Extremum{max: true}, nil
-	case FMin:
-		return &Extremum{}, nil
-	case FKurtosis, FSkew:
-		return &Moments{}, nil
+	case FSum, FMean, FVar, FStd, FMax, FMin, FKurtosis, FSkew, FMag, FRadius, FCov, FPCC:
+		return nil
 	case FCard:
 		bits := p.HLLBits
 		if bits == 0 {
 			bits = DefaultHLLBits
 		}
-		return NewHyperLogLog(bits)
+		if bits < 2 || bits > 16 {
+			return fmt.Errorf("streaming: HyperLogLog bits must be in [2,16], got %d", bits)
+		}
+		return nil
 	case FArray:
-		maxLen := p.MaxLen
-		if maxLen < 0 {
-			return nil, fmt.Errorf("streaming: f_array requires a non-negative cap (0: the default), got %d", p.MaxLen)
+		if p.MaxLen < 0 {
+			return fmt.Errorf("streaming: f_array requires a non-negative cap (0: the default), got %d", p.MaxLen)
 		}
-		if maxLen == 0 {
-			maxLen = DefaultMaxArray
-		}
-		return &Array{maxLen: maxLen}, nil
+		return nil
 	case FHist, FPercent, FPDF, FCDF:
 		if p.Bins <= 0 || p.BinWidth <= 0 {
-			return nil, fmt.Errorf("streaming: %s requires positive bins and bin width, got bins=%d width=%d", f, p.Bins, p.BinWidth)
+			return fmt.Errorf("streaming: %s requires positive bins and bin width, got bins=%d width=%d", f, p.Bins, p.BinWidth)
 		}
 		if f == FPercent && !(p.Quantile > 0 && p.Quantile < 1) { // NaN included
-			return nil, fmt.Errorf("streaming: ft_percent requires quantile in (0,1), got %g", p.Quantile)
+			return fmt.Errorf("streaming: ft_percent requires quantile in (0,1), got %g", p.Quantile)
 		}
-		return &Histogram{width: p.BinWidth, bins: make([]uint32, p.Bins)}, nil
-	case FMag, FRadius, FCov, FPCC:
-		return &Bidirectional{}, nil
+		return nil
 	case FDWeight, FDMean, FDStd, FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
-		return newDamped(f, p)
+		if !(p.Lambda > 0 && p.Lambda <= math.MaxFloat64) { // NaN and +Inf included
+			return fmt.Errorf("streaming: %s requires a positive, finite decay rate lambda, got %g", f, p.Lambda)
+		}
+		return nil
 	}
-	return nil, fmt.Errorf("streaming: unknown reducing function %d", uint8(f))
+	return fmt.Errorf("streaming: unknown reducing function %d", uint8(f))
 }
+
+// stateBytes is the modelled footprint in bytes of one state of the
+// family fam, one lane of a damped one: what the NIC memory model
+// charges a group for it (Kernel.Bytes). A log (f_array) holds no
+// sample yet; it grows by 8 bytes a sample (Kernel.Bytes).
+func stateBytes(fam Family) int {
+	switch fam.Func {
+	case FSum:
+		return 16 // count + sum
+	case FMax, FMin:
+		return 9 // value + seen flag
+	case FMean:
+		return 24 // n, mean, M2
+	case FSkew:
+		return 40 // n + four moments
+	case FMag:
+		return 2*24 + 32 // two Welford triples + covariance bookkeeping
+	case FHist:
+		return 4*fam.Params.Bins + 8 // uint32 bins + the sample counter
+	case FDWeight:
+		return dampedBytes
+	case FD2DMag:
+		return 2*dampedBytes + 24 // two windows + covariance bookkeeping
+	case FCard:
+		bits := fam.Params.HLLBits
+		if bits == 0 {
+			bits = DefaultHLLBits
+		}
+		return 1 << bits // one byte a register
+	}
+	return 0 // f_array: an empty log
+}
+
+// dampedBytes is one damped window's footprint: w, LS, SS and the
+// clock, 8 bytes each, and a started flag.
+const dampedBytes = 33
 
 // ProvisionedBytes returns the per-group state footprint a deployed
 // (Micro-C) implementation provisions for f — the b_s input of the
-// §6.2 placement ILP. It differs from a fresh reducer's StateBytes
-// in two cases: f_array provisions a fixed resident window (the bulk
-// sequence streams to external memory as it grows), and the damped
-// statistics pack into 32-bit fixed-point words on the NFP.
+// §6.2 placement ILP. It differs from the modelled footprint
+// (stateBytes) in two cases: f_array provisions a fixed resident window
+// (the bulk sequence streams to external memory as it grows), and the
+// damped statistics pack into 32-bit fixed-point words on the NFP.
 func ProvisionedBytes(f Func, p Params) int {
 	switch f {
 	case FArray:
@@ -205,11 +250,10 @@ func ProvisionedBytes(f Func, p Params) int {
 	case FD2DMag, FD2DRadius, FD2DCov, FD2DPCC:
 		return 40 // two packed windows + residual product
 	}
-	r, err := New(f, p)
-	if err != nil {
+	if Validate(f, p) != nil {
 		return 16
 	}
-	return r.StateBytes()
+	return stateBytes(FamilyOf(f, p))
 }
 
 // FeatureWidth returns how many feature values f emits given params.
@@ -262,185 +306,3 @@ func FamilyOf(f Func, p Params) Family {
 	}
 	return Family{Func: f}
 }
-
-// ---------------------------------------------------------------------------
-// Simple reducers: sum, max, min.
-
-// Sum implements f_sum: one 64-bit state, one add per sample.
-type Sum struct {
-	n   uint64
-	sum int64
-}
-
-// Observe adds the sample.
-func (s *Sum) Observe(x, _ int64) { s.sum += x; s.n++ }
-
-// AppendFeatures appends the running sum.
-func (s *Sum) AppendFeatures(dst []float64, _ View) []float64 { return append(dst, float64(s.sum)) }
-
-// StateBytes reports 16 bytes (count + sum).
-func (s *Sum) StateBytes() int { return 16 }
-
-// Extremum implements f_max / f_min: one state, one compare per
-// sample.
-type Extremum struct {
-	max   bool
-	seen  bool
-	value int64
-}
-
-// Observe folds the sample into the extremum.
-func (e *Extremum) Observe(x, _ int64) {
-	if !e.seen {
-		e.value, e.seen = x, true
-		return
-	}
-	if e.max == (x > e.value) && x != e.value {
-		e.value = x
-	}
-}
-
-// AppendFeatures appends the extremum (0 if no samples were observed).
-func (e *Extremum) AppendFeatures(dst []float64, _ View) []float64 {
-	return append(dst, float64(e.value))
-}
-
-// StateBytes reports 9 bytes (value + seen flag).
-func (e *Extremum) StateBytes() int { return 9 }
-
-// ---------------------------------------------------------------------------
-// Welford's online mean/variance (Equations 1-2 of the paper).
-
-// Welford implements f_mean, f_var and f_std with Welford's
-// single-pass algorithm. State: n, mean, M2 (sum of squared
-// deviations). The paper's Equation (1)-(2) formulation updates σ²
-// directly; we keep M2 = n·σ² which is the numerically standard form
-// and algebraically identical.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe folds one sample into the running moments.
-func (w *Welford) Observe(x, _ int64) {
-	w.n++
-	xf := float64(x)
-	delta := xf - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (xf - w.mean)
-}
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// AppendFeatures appends the mean, variance or stddev.
-func (w *Welford) AppendFeatures(dst []float64, v View) []float64 {
-	switch v.Func {
-	case FVar:
-		return append(dst, w.Var())
-	case FStd:
-		return append(dst, math.Sqrt(w.Var()))
-	default:
-		return append(dst, w.mean)
-	}
-}
-
-// StateBytes reports 24 bytes (n, mean, M2).
-func (w *Welford) StateBytes() int { return 24 }
-
-// ---------------------------------------------------------------------------
-// Higher moments: skew and kurtosis.
-
-// Moments implements f_skew and f_kur with the one-pass extension of
-// Welford's algorithm to third and fourth central moments.
-type Moments struct {
-	n                uint64
-	mean, m2, m3, m4 float64
-}
-
-// Observe folds one sample into the running central moments.
-func (m *Moments) Observe(x, _ int64) {
-	n1 := float64(m.n)
-	m.n++
-	n := float64(m.n)
-	xf := float64(x)
-	delta := xf - m.mean
-	deltaN := delta / n
-	deltaN2 := deltaN * deltaN
-	term1 := delta * deltaN * n1
-	m.mean += deltaN
-	m.m4 += term1*deltaN2*(n*n-3*n+3) + 6*deltaN2*m.m2 - 4*deltaN*m.m3
-	m.m3 += term1*deltaN*(n-2) - 3*deltaN*m.m2
-	m.m2 += term1
-}
-
-// Skew returns the sample skewness g1.
-func (m *Moments) Skew() float64 {
-	if m.n < 2 || m.m2 == 0 {
-		return 0
-	}
-	n := float64(m.n)
-	return math.Sqrt(n) * m.m3 / math.Pow(m.m2, 1.5)
-}
-
-// Kurtosis returns the excess kurtosis g2.
-func (m *Moments) Kurtosis() float64 {
-	if m.n < 2 || m.m2 == 0 {
-		return 0
-	}
-	n := float64(m.n)
-	return n*m.m4/(m.m2*m.m2) - 3
-}
-
-// AppendFeatures appends the skew or kurtosis.
-func (m *Moments) AppendFeatures(dst []float64, v View) []float64 {
-	if v.Func == FKurtosis {
-		return append(dst, m.Kurtosis())
-	}
-	return append(dst, m.Skew())
-}
-
-// StateBytes reports 40 bytes (n + four moments).
-func (m *Moments) StateBytes() int { return 40 }
-
-// ---------------------------------------------------------------------------
-// f_array: pack samples into a sequence (direction sequences, §4.2).
-
-// Array implements f_array: it stores the raw sequence up to maxLen
-// samples (the fixed feature length the deep-learning fingerprinting
-// models expect), discarding overflow.
-type Array struct {
-	maxLen int
-	data   []int64
-}
-
-// Observe appends the sample until the cap is reached.
-func (a *Array) Observe(x, _ int64) {
-	if len(a.data) < a.maxLen {
-		a.data = append(a.data, x)
-	}
-}
-
-// AppendFeatures appends the sequence zero-padded to maxLen, which is
-// the fixed-length representation the WFP models consume.
-func (a *Array) AppendFeatures(dst []float64, _ View) []float64 {
-	for _, v := range a.data {
-		dst = append(dst, float64(v))
-	}
-	for i := len(a.data); i < a.maxLen; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
-// StateBytes reports the current storage footprint.
-func (a *Array) StateBytes() int { return 8 * len(a.data) }

@@ -33,7 +33,6 @@ import (
 	"superfe/internal/obs"
 	"superfe/internal/packet"
 	"superfe/internal/policy"
-	"superfe/internal/streaming"
 )
 
 // Config sizes the MGPV cache. The zero value is unusable; use
@@ -247,7 +246,7 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 		// 1, 3, 7, ..., 255 cells: fine near zero where batch sizes
 		// concentrate, a long tail still covered.
 		s.cellsPerMsg = r.Histogram("superfe_switch_cells_per_msg", "cells batched per evicted MGPV message",
-			streaming.GeometricEdges(1, 2, 8)).Stage()
+			obs.GeometricEdges(1, 2, 8)).Stage()
 	}
 	return s, nil
 }
