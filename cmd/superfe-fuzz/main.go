@@ -58,13 +58,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("superfe-fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "campaign seed; case i is Generate(seed, i)")
-	n := fs.Int("n", defaultCases(), "number of cases (default honours $SUPERFE_FUZZ_N)")
+	n := fs.Int("n", 200, "number of cases (unset: $SUPERFE_FUZZ_N, else 200)")
 	flows := fs.Int("flows", 0, "trace flow count per case (0 = default)")
 	corpus := fs.String("corpus", filepath.Join("internal", "polgen", "testdata", "corpus"),
 		"directory shrunk reproducers are written to (empty disables)")
 	verbose := fs.Bool("v", false, "log every case, not just failures")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	nSet := false
+	fs.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+	if !nSet {
+		def, err := defaultCases()
+		if err != nil {
+			fmt.Fprintf(stderr, "superfe-fuzz: %v\n", err)
+			return 2
+		}
+		*n = def
 	}
 	if *n < 1 {
 		fmt.Fprintf(stderr, "superfe-fuzz: -n %d: want at least 1 case\n", *n)
@@ -132,15 +142,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// defaultCases is the -n default: 200 for the per-PR budget, or
-// whatever SUPERFE_FUZZ_N says (nightly CI raises it).
-func defaultCases() int {
-	if s := os.Getenv("SUPERFE_FUZZ_N"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+// defaultCases is the case count when -n is not given: whatever
+// SUPERFE_FUZZ_N says (nightly CI raises it), or 200, the per-PR
+// budget, when it is unset. A value that is not a positive integer is
+// an error: falling back to 200 would run a campaign nobody asked for.
+func defaultCases() (int, error) {
+	s := os.Getenv("SUPERFE_FUZZ_N")
+	if s == "" {
+		return 200, nil
 	}
-	return 200
+	if n, err := strconv.Atoi(s); err == nil && n > 0 {
+		return n, nil
+	}
+	return 0, fmt.Errorf("SUPERFE_FUZZ_N=%q: want a positive integer", s)
 }
 
 func failureReason(out *polgen.Outcome) string {

@@ -47,3 +47,30 @@ func TestRunRejectsEmptyCampaign(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadCaseEnv: without -n the case count is
+// SUPERFE_FUZZ_N's, and a value that is not a positive integer exits 2
+// with a message, running no case, as a bad -n does. An explicit -n
+// does not read the variable.
+func TestRunRejectsBadCaseEnv(t *testing.T) {
+	for _, v := range []string{"-4", "0", "abc", "1.5"} {
+		t.Setenv("SUPERFE_FUZZ_N", v)
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-corpus", ""}, &stdout, &stderr); code != 2 {
+			t.Errorf("SUPERFE_FUZZ_N=%q exited %d, want 2", v, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "superfe-fuzz: SUPERFE_FUZZ_N=") {
+			t.Errorf("SUPERFE_FUZZ_N=%q: stdout %q, stderr %q", v, stdout.String(), stderr.String())
+		}
+	}
+	t.Setenv("SUPERFE_FUZZ_N", "abc")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-n", "1", "-flows", "30", "-corpus", ""}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "1 case(s)") {
+		t.Errorf("-n 1 beside SUPERFE_FUZZ_N=abc exited %d: stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	t.Setenv("SUPERFE_FUZZ_N", "1")
+	stdout.Reset()
+	if code := run([]string{"-flows", "30", "-corpus", ""}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "1 case(s)") {
+		t.Errorf("SUPERFE_FUZZ_N=1 exited %d: stdout %q", code, stdout.String())
+	}
+}

@@ -356,16 +356,17 @@ func TestKernelsMatchReducers(t *testing.T) {
 	if gaps < 5 {
 		t.Fatalf("%d idle gaps in the stream, want at least 5", gaps)
 	}
-	naiveLogsMatchReducers(t, xs[:400], nows[:400])
+	naiveLogsMatchOneRun(t, xs[:400], nows[:400])
 }
 
-// naiveLogsMatchReducers holds the naive log of every function of
-// familySpecs to its NaiveReducer over the stream xs at times nows: one
-// log fed cell by cell, one fed the same samples as runs cut at random,
-// each read, after every run and before the first, into a window whose
-// other values Read leaves untouched, and each modelling 16 bytes a
-// sample it holds (the sample and its time).
-func naiveLogsMatchReducers(t *testing.T, xs, nows []int64) {
+// naiveLogsMatchOneRun holds the naive log of every function of
+// familySpecs over the stream xs at times nows to a fresh log fed the
+// stream so far as one run: one log fed cell by cell, one fed the same
+// samples as runs cut at random, each read, after every run and before
+// the first, into a window whose other values Read leaves untouched,
+// and each modelling 16 bytes a sample it holds (the sample and its
+// time).
+func naiveLogsMatchOneRun(t *testing.T, xs, nows []int64) {
 	t.Helper()
 	const pad, sentinel = 3, 0x7ff8_dead_0000_beef
 	rng := rand.New(rand.NewSource(2))
@@ -379,12 +380,27 @@ func naiveLogsMatchReducers(t *testing.T, xs, nows []int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := streaming.NewNaive(s.f, s.p)
 		cell, run := make([]uint64, byCell.Words), make([]uint64, byRun.Words)
 		view := streaming.ViewOf(s.f, s.p)
+		// whole reads a fresh log fed xs[:n] in one run.
+		whole := func(n int) []float64 {
+			var logs streaming.Logs
+			k, err := streaming.NaiveKernel(s.f, s.p, &logs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := make([]uint64, k.Words)
+			if n > 0 {
+				k.ObserveRun(rec, xs[:n], nows[:n], &streaming.Step{})
+			}
+			plan := k.PlanRead([]streaming.View{view}, []int{0})
+			out := make([]float64, streaming.FeatureWidth(s.f, s.p))
+			k.Read(out, rec, &plan)
+			return out
+		}
 		check := func(n int) {
 			t.Helper()
-			want := features(ref, view)
+			want := whole(n)
 			for _, c := range []struct {
 				how string
 				k   *streaming.Kernel
@@ -402,7 +418,7 @@ func naiveLogsMatchReducers(t *testing.T, xs, nows []int64) {
 					}
 				}
 				if got := win[pad : pad+len(want)]; !sameBits(got, want) {
-					t.Fatalf("naive %s %+v %s after %d samples: the log reads %v, its reducer %v", s.f, s.p, c.how, n, got, want)
+					t.Fatalf("naive %s %+v %s after %d samples: the log reads %v, one run of them %v", s.f, s.p, c.how, n, got, want)
 				}
 				if got := c.k.Bytes(c.rec); got != 16*n {
 					t.Fatalf("naive %s %s: the log models %d bytes after %d samples, want %d", s.f, c.how, got, n, 16*n)
@@ -417,7 +433,6 @@ func naiveLogsMatchReducers(t *testing.T, xs, nows []int64) {
 			for j := i; j < i+n; j++ {
 				step.Now = nows[j]
 				byCell.Observe(cell, xs[j], &step)
-				ref.Observe(xs[j], nows[j])
 			}
 			i += n
 			check(i)

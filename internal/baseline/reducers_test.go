@@ -37,6 +37,26 @@ func feed(r reducer, xs []int64) {
 	}
 }
 
+// naive is f's store-everything feature over xs: a naive log
+// (streaming.NaiveKernel) fed at time 0 and read as the NIC does.
+func naive(t *testing.T, f streaming.Func, xs []int64) float64 {
+	t.Helper()
+	var logs streaming.Logs
+	k, err := streaming.NaiveKernel(f, streaming.Params{}, &logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := make([]uint64, k.Words)
+	var s streaming.Step
+	for _, x := range xs {
+		k.Observe(st, x, &s)
+	}
+	plan := k.PlanRead([]streaming.View{{Func: f}}, []int{0})
+	win := make([]float64, streaming.FeatureWidth(f, streaming.Params{}))
+	k.Read(win, st, &plan)
+	return win[0]
+}
+
 func TestSum(t *testing.T) {
 	s := &sum{}
 	feed(s, []int64{1, 2, 3, -4})
@@ -78,10 +98,8 @@ func TestWelfordAgainstNaive(t *testing.T) {
 			xs[i] %= 1 << 20
 		}
 		w := &welford{}
-		n := streaming.NewNaive(streaming.FVar, streaming.Params{})
 		feed(w, xs)
-		feed(n, xs)
-		return approx(feat(w, streaming.FVar), feat(n, streaming.FVar), 1e-6)
+		return approx(feat(w, streaming.FVar), naive(t, streaming.FVar, xs), 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -112,11 +130,9 @@ func TestMomentsAgainstNaive(t *testing.T) {
 	}
 	for _, emit := range []streaming.Func{streaming.FSkew, streaming.FKurtosis} {
 		m := &moments{}
-		n := streaming.NewNaive(emit, streaming.Params{})
 		feed(m, xs)
-		feed(n, xs)
-		if !approx(feat(m, emit), feat(n, emit), 1e-6) {
-			t.Errorf("%s: streaming %g vs naive %g", emit, feat(m, emit), feat(n, emit))
+		if n := naive(t, emit, xs); !approx(feat(m, emit), n, 1e-6) {
+			t.Errorf("%s: streaming %g vs naive %g", emit, feat(m, emit), n)
 		}
 	}
 }
@@ -297,11 +313,9 @@ func TestBidirectionalAgainstNaive(t *testing.T) {
 		{streaming.FMag, 1e-9}, {streaming.FRadius, 1e-9},
 	} {
 		b := &bidirectional{}
-		n := streaming.NewNaive(c.f, streaming.Params{})
 		feed(b, xs)
-		feed(n, xs)
-		if !approx(feat(b, c.f), feat(n, c.f), c.eps) {
-			t.Errorf("%s: %g vs %g", c.f, feat(b, c.f), feat(n, c.f))
+		if n := naive(t, c.f, xs); !approx(feat(b, c.f), n, c.eps) {
+			t.Errorf("%s: %g vs %g", c.f, feat(b, c.f), n)
 		}
 	}
 }

@@ -42,11 +42,12 @@ var testOnlyExportsAllowed = map[string]string{
 // constructor. A method is also live when it implements an interface
 // method live code calls, or a standard-library interface (String,
 // Error, MarshalJSON, …); an allowlisted type's entry covers its
-// methods. The loader parses no _test.go file, so "referenced"
-// already means "referenced from production code"; cmd/, bench/ and
-// examples/ are callers like any other. The same holds one level up:
-// every package under internal/ is imported by non-test code outside
-// itself, or owns an allowlisted name.
+// methods. A method matching another package's unexported interface
+// is not live by that alone. The loader parses no _test.go file, so
+// "referenced" already means "referenced from production code"; cmd/,
+// bench/ and examples/ are callers like any other. The same holds one
+// level up: every package under internal/ is imported by non-test code
+// outside itself, or owns an allowlisted name.
 func TestNoTestOnlyExports(t *testing.T) {
 	prog, err := loader.Load("../..", "./...")
 	if err != nil {
@@ -136,6 +137,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	// tree are tracked too: calling one keeps its implementations.
 	refs := map[types.Object][]types.Object{}
 	called := map[*types.Interface]map[types.Object]bool{} // interface → its referenced methods
+	private := map[*types.Interface]*types.Package{}       // an unexported interface → its package
 	for _, pkg := range prog.Packages {
 		for id, obj := range pkg.Info.Uses {
 			if f, ok := obj.(*types.Func); ok {
@@ -152,6 +154,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 					called[it] = map[types.Object]bool{}
 				}
 				called[it][obj] = true
+				if n, ok := recv.(*types.Named); ok && !n.Obj().Exported() {
+					private[it] = n.Obj().Pkg()
+				}
 			}
 			if from := owner(id.Pos()); from != obj {
 				refs[obj] = append(refs[obj], from)
@@ -200,9 +205,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	// A method implementing a called interface method is referenced by
-	// it; one implementing a standard-library interface is live.
+	// it; one implementing a standard-library interface is live. Another
+	// package's unexported interface does not count: a type there that
+	// only happens to match it is not what its callers hold.
 	for it, methods := range called {
 		implementations(it, func(im, m types.Object) {
+			if p := private[it]; p != nil && p != m.Pkg() {
+				return
+			}
 			if candidate[m] && methods[im] {
 				refs[m] = append(refs[m], im)
 			}

@@ -1,0 +1,177 @@
+package nicsim
+
+import (
+	"math/bits"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"superfe/internal/apps"
+	"superfe/internal/feature"
+	"superfe/internal/obs"
+	"superfe/internal/policy"
+)
+
+// layoutModes are the deployments a record's layout depends on: the
+// header keeps the admission clock only with telemetry on, and a naive
+// log records the unwrapped clock.
+var layoutModes = []struct {
+	name string
+	cfg  func() Config
+}{
+	{"telemetry off", DefaultConfig},
+	{"telemetry on", func() Config {
+		cfg := DefaultConfig()
+		cfg.Obs = obs.NewPipeline(obs.Options{Enabled: true}, 0)
+		return cfg
+	}},
+	{"naive", func() Config {
+		cfg := DefaultConfig()
+		cfg.Naive = true
+		return cfg
+	}},
+}
+
+// catalogPrograms deploys every catalog application in mode m and hands
+// each program to fn with its app's plan.
+func catalogPrograms(t *testing.T, m int, fn func(app string, plan *policy.Plan, pr *program)) {
+	t.Helper()
+	for _, app := range apps.Catalog() {
+		plan, err := policy.Compile(app.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRuntime(layoutModes[m].cfg(), plan, func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range rt.programs {
+			fn(app.Name, plan, pr)
+		}
+	}
+}
+
+// TestRecordLayout pins the stride of every catalog program's record,
+// in chain order, with telemetry off and on and under Config.Naive, and
+// holds its header to the rule that a word exists exactly where
+// something reads it: the admission clock in the FG program with
+// telemetry on (the emit-latency histogram), the last timestamp in the
+// FG program of a per-group policy (Flush), the unwrapped clock where a
+// damped lane decays on it or a naive log records it. The header's
+// words come first, then the map scratch, then the states, with nothing
+// between them and nothing after.
+func TestRecordLayout(t *testing.T) {
+	want := map[string][3][]int{ // by mode, as layoutModes
+		"CUMUL":     {{17}, {18}, {10}},
+		"AWF":       {{5}, {6}, {6}},
+		"DF":        {{5}, {6}, {6}},
+		"TF":        {{5}, {6}, {6}},
+		"PeerShark": {{43}, {44}, {10}},
+		"N-BaIoT":   {{19, 96}, {19, 97}, {19, 56}},
+		"MPTD":      {{101}, {102}, {49}},
+		"NPOD":      {{26}, {27}, {9}},
+		"HELAD":     {{19, 79, 79, 19}, {19, 79, 79, 20}, {19, 39, 39, 19}},
+		"Kitsune":   {{19, 95, 79, 19}, {19, 95, 79, 20}, {19, 55, 39, 19}},
+	}
+	for m, mode := range layoutModes {
+		got := map[string][]int{}
+		catalogPrograms(t, m, func(app string, plan *policy.Plan, pr *program) {
+			got[app] = append(got[app], pr.table.stride)
+			telemetry, naive := m == 1, m == 2
+			for _, w := range []struct {
+				name string
+				off  int
+				read bool
+			}{
+				{"admission clock", pr.admit, pr.isFG && telemetry},
+				{"last timestamp", pr.lastTS, pr.isFG && !plan.Policy.PerPacket()},
+				{"clock", pr.clock, len(pr.lanes) > 0 || naive && len(pr.states) > 0},
+			} {
+				if (w.off != 0) != w.read {
+					t.Errorf("%s %s, %s program: %s at word %d, read: %v", app, mode.name, pr.gran, w.name, w.off, w.read)
+				}
+			}
+			header := recHeader
+			for _, off := range []int{pr.admit, pr.lastTS, pr.clock} {
+				if off != 0 {
+					if off != header {
+						t.Errorf("%s %s, %s program: a header word at %d, want %d", app, mode.name, pr.gran, off, header)
+					}
+					header++
+				}
+			}
+			words := header + pr.numScratch
+			for _, ins := range pr.instrs {
+				if ins.code != opReduce && ins.scratchOff >= 0 && (ins.scratchOff < header || ins.scratchOff >= words) {
+					t.Errorf("%s %s, %s program: scratch at %d, outside [%d, %d)", app, mode.name, pr.gran, ins.scratchOff, header, words)
+				}
+			}
+			for _, st := range pr.states {
+				if st.off != words {
+					t.Errorf("%s %s, %s program: a state at %d, want %d", app, mode.name, pr.gran, st.off, words)
+				}
+				words += st.kern.Words
+			}
+			if words != pr.table.stride {
+				t.Errorf("%s %s, %s program: %d words laid out, stride %d", app, mode.name, pr.gran, words, pr.table.stride)
+			}
+		})
+		for app, strides := range got {
+			if !slices.Equal(strides, want[app][m]) {
+				t.Errorf("%s %s: strides %v, want %v", app, mode.name, strides, want[app][m])
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d catalog apps, the table pins %d", mode.name, len(got), len(want))
+		}
+	}
+}
+
+// TestBlockFitsItsAllocation: for every catalog table, in every mode, a
+// block is zeroed, holds at least groupBlock records and raises the live
+// heap by no more than 2 % over its bytes — the allocator's rounding is
+// filled with records — and at finds position i in block i / perBlock.
+func TestBlockFitsItsAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for m, mode := range layoutModes {
+		catalogPrograms(t, m, func(app string, _ *policy.Plan, pr *program) {
+			tb := newGroupTable(pr.table.stride)
+			var before, after runtime.MemStats
+			grew := ^uint64(0)
+			var b []uint64
+			// The live heap's growth, after a collection on either side:
+			// what the block keeps, whatever garbage allocating it made.
+			// The least of three, so that nothing else allocating counts.
+			for range 3 {
+				b = nil
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b = tb.block()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				grew = min(grew, after.HeapAlloc-before.HeapAlloc)
+			}
+			if i := slices.IndexFunc(b, func(w uint64) bool { return w != 0 }); i >= 0 {
+				t.Errorf("%s %s, %s table: a new block's word %d is %#x", app, mode.name, pr.gran, i, b[i])
+			}
+			bytes := uint64(8 * len(b))
+			if tb.perBlock < groupBlock || len(b) != tb.perBlock*tb.stride {
+				t.Errorf("%s %s, %s table: a block of %d words holds %d records of %d", app, mode.name, pr.gran, len(b), tb.perBlock, tb.stride)
+			}
+			if 100*grew > 102*bytes {
+				t.Errorf("%s %s, %s table: a block of %d bytes raised the heap by %d", app, mode.name, pr.gran, bytes, grew)
+			}
+			per := uint64(tb.perBlock)
+			for k := range 1000 {
+				i := uint64(rng.Uint32())
+				if k < 4 { // the edges: a block's first and last, the last ref
+					i = []uint64{0, per - 1, per, 1<<32 - 1}[k]
+				}
+				if q, _ := bits.Mul64(tb.recip, i); q != i/per {
+					t.Fatalf("%s %s, %s table: position %d in block %d, want %d", app, mode.name, pr.gran, i, q, i/per)
+				}
+			}
+		})
+	}
+}

@@ -321,17 +321,20 @@ func BenchmarkProcess(b *testing.B) {
 				}
 				return rt
 			}
-			// The timed half must move forward the clocks of most of the
-			// groups it feeds that the first half admitted (a plan that
-			// batches no timestamp keeps no clock).
+			// The timed half must move the clocks of most of the groups it
+			// feeds that the first half admitted (a plan that batches no
+			// timestamp keeps no clock). A group's clock is its unwrapped
+			// clock where the program keeps one, else its last timestamp;
+			// a program that keeps neither is not counted.
 			rt := deploy()
-			type mark struct{ clock, cells uint64 }
+			timeWord := func(pr *program) int { return cmp.Or(pr.clock, pr.lastTS) }
+			type mark struct{ time, cells uint64 }
 			var at [][]mark
 			for _, pr := range rt.programs {
 				ms := make([]mark, pr.table.n)
 				for i := range ms {
 					g := pr.table.at(i)
-					ms[i] = mark{g[recClock], g[recCells]}
+					ms[i] = mark{g[timeWord(pr)], g[recCells]}
 				}
 				at = append(at, ms)
 			}
@@ -340,10 +343,13 @@ func BenchmarkProcess(b *testing.B) {
 			}
 			fed, moved := 0, 0
 			for pi, pr := range rt.programs {
+				if timeWord(pr) == 0 {
+					continue
+				}
 				for i, was := range at[pi] {
 					if g := pr.table.at(i); g[recCells] > was.cells {
 						fed++
-						if int64(g[recClock]) > int64(was.clock) {
+						if g[timeWord(pr)] != was.time {
 							moved++
 						}
 					}

@@ -210,10 +210,11 @@ const runChunk = 32
 // program is the compiled op table for one granularity, the layout of
 // that granularity's group record, and the store of its groups.
 //
-// The layout rule: after the header (recHeader words) come the map ops'
-// scratch words in op order, then the states in the order their first
-// reduce op names them, each its streaming.Kernel's words at
-// stateSpec.off. A log state (f_array, and every state of cfg.Naive)
+// The layout rule: after the fixed header (recHeader words) come the
+// header words the program reads (admit, lastTS, clock, in that order),
+// then the map ops' scratch words in op order, then the states in the
+// order their first reduce op names them, each its streaming.Kernel's
+// words at stateSpec.off. A log state (f_array, and every state of cfg.Naive)
 // keeps its samples in logs, and its word there says where.
 type program struct {
 	gran flowkey.Granularity
@@ -243,11 +244,25 @@ type program struct {
 	// policy's reduce specs are views of it.
 	states []stateSpec
 	// lanes lists the decay lanes (Runtime.decay) of the damped states,
-	// one per distinct rate. The states of a group share its clock
-	// (recClock), so a cell costs at most one decay factor per lane, not
-	// one per state.
+	// one per distinct rate. The states of a group share its clock, so a
+	// cell costs at most one decay factor per lane, not one per state.
 	lanes []int
 	step  streaming.Step // this cell's clock step, reused
+	// admit, lastTS and clock are the header words a record keeps only
+	// where something reads them: each its offset past the fixed header,
+	// or 0 where the record has none (word 0 is the key's).
+	//   - admit: the runtime's logical clock (total cells processed) when
+	//     the group was admitted; the FG program's with telemetry on,
+	//     whose emit-latency histogram is the clock distance to the emit.
+	//   - lastTS: the timestamp of the group's latest cell; the FG
+	//     program's of a per-group policy, the timestamp of the vector
+	//     Flush emits.
+	//   - clock: the latest time any cell of the group carried, the
+	//     32-bit cell timestamps unwrapped into 64 bits (cellTime); kept
+	//     where a damped lane decays on it or a naive log records it.
+	//     Every other op reads only a cell's low 32 bits, which the cell
+	//     carries.
+	admit, lastTS, clock int
 	// out is the program's collect ops compiled into one read-out: the
 	// per-packet ones of a per-packet policy, read every cell
 	// (perPacket), or those Flush emits.
@@ -324,7 +339,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		fieldPos[f] = i
 	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, fieldPos, cfg.Naive, &r.decay)
+		pr, err := compileProgram(plan, g, fieldPos, cfg, &r.decay)
 		if err != nil {
 			return nil, err
 		}
@@ -388,11 +403,13 @@ func (r *Runtime) PublishObs() {
 
 // compileProgram lowers the ops at granularity g into an op table with
 // resolved slots and shared state families, fuses the damped states of
-// each source into lanes (fuseLanes) and compiles the collects into one
-// read-out. naive gives every reduce spec a state of its own: the
-// store-everything ablation is one buffer per feature.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, naive bool, decay *streaming.Decay) (*program, error) {
+// each source into lanes (fuseLanes), compiles the collects into one
+// read-out and lays out the record. cfg.Naive gives every reduce spec a
+// state of its own: the store-everything ablation is one buffer per
+// feature; cfg.Obs keeps the admission clock telemetry reads.
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, cfg Config, decay *streaming.Decay) (*program, error) {
 	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
+	naive := cfg.Naive
 	numCols := 0
 	mapCol := map[string]int{}
 	field := func(pos int) int {
@@ -454,7 +471,7 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			ins.dst = numCols
 			numCols++
 			mapCol[op.Dst] = ins.dst
-			ins.scratchOff = recHeader + pr.numScratch
+			ins.scratchOff = pr.numScratch // past the header: laid out below
 			switch op.MapF {
 			case policy.MapIPT, policy.MapSpeed:
 				pr.numScratch++
@@ -561,9 +578,26 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	pr.env = make([]int64, numCols)
 	pr.cols = make([]int64, numCols*runChunk)
 	pr.nows = make([]int64, runChunk)
-	// The states follow the scratch words, which are only counted once
-	// every map op has been seen.
-	words := recHeader + pr.numScratch
+	// The header keeps a word only where something reads it; the scratch
+	// words follow it and the states them, which are only counted once
+	// every op has been seen.
+	words := recHeader
+	keep := func(read bool) int {
+		if !read {
+			return 0
+		}
+		words++
+		return words - 1
+	}
+	pr.admit = keep(pr.isFG && cfg.Obs != nil)
+	pr.lastTS = keep(pr.isFG && !plan.Policy.PerPacket())
+	pr.clock = keep(len(pr.lanes) > 0 || naive && len(pr.states) > 0)
+	for i := range pr.instrs {
+		if ins := &pr.instrs[i]; ins.code != opReduce && ins.scratchOff >= 0 {
+			ins.scratchOff += words
+		}
+	}
+	words += pr.numScratch
 	for i := range pr.states {
 		pr.states[i].off = words
 		words += pr.states[i].kern.Words
@@ -912,7 +946,10 @@ func (r *Runtime) resolve(pr *program, h uint32, a, b uint64, scope uint32) uint
 		}
 		return 0
 	}
-	pr.table.insert(h, a, b)[recAdmit] = r.stats.Cells
+	g := pr.table.insert(h, a, b)
+	if pr.admit != 0 {
+		g[pr.admit] = r.stats.Cells
+	}
 	return uint32(pr.table.n)
 }
 
@@ -965,8 +1002,15 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		ts = cell.Values[r.tsPos]
 	}
 	step := &pr.step
-	first, clock := g[recCells] == 0, int64(g[recClock])
-	g[recClock] = uint64(step.Begin(&r.decay, pr.lanes, first, clock, cellTime(first, clock, ts)))
+	first, clock, now := g[recCells] == 0, int64(0), int64(ts)
+	if pr.clock != 0 {
+		clock = int64(g[pr.clock])
+		now = cellTime(first, clock, ts)
+	}
+	clock = step.Begin(&r.decay, pr.lanes, first, clock, now)
+	if pr.clock != 0 {
+		g[pr.clock] = uint64(clock)
+	}
 	start := len(dst)
 	var win []float64
 	if pr.perPacket {
@@ -1008,7 +1052,9 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		env[ins.dst] = out
 	}
 	g[recCells]++
-	g[recLastTS] = uint64(ts)
+	if pr.lastTS != 0 {
+		g[pr.lastTS] = uint64(ts)
+	}
 
 	if !pr.perPacket {
 		return dst, false
@@ -1038,17 +1084,25 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 			col[j] = int64(cells[j].Values[f.pos])
 		}
 	}
-	// nows[j] is cell j's time. Step.Begin starts the first cell's step
-	// (without decay lanes, First is all a kernel reads of it).
+	// nows[j] is cell j's time: the cell's timestamp, unwrapped on the
+	// group's clock where the program keeps one. Step.Begin starts the
+	// first cell's step (without decay lanes, First is all a kernel
+	// reads of it).
 	nows := pr.nows[:n]
 	step := &pr.step
-	first, clock := g[recCells] == 0, int64(g[recClock])
+	first, clock := g[recCells] == 0, int64(0)
+	if pr.clock != 0 {
+		clock = int64(g[pr.clock])
+	}
 	for j := range cells {
 		ts := uint32(0)
 		if r.tsPos >= 0 {
 			ts = cells[j].Values[r.tsPos]
 		}
-		now := cellTime(first && j == 0, clock, ts)
+		now := int64(ts)
+		if pr.clock != 0 {
+			now = cellTime(first && j == 0, clock, ts)
+		}
 		nows[j] = now
 		if j == 0 {
 			clock = step.Begin(&r.decay, pr.lanes, first, clock, now)
@@ -1105,8 +1159,12 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 		}
 	}
 	g[recCells] += uint64(n)
-	g[recLastTS] = uint64(uint32(nows[n-1]))
-	g[recClock] = uint64(clock)
+	if pr.lastTS != 0 {
+		g[pr.lastTS] = uint64(uint32(nows[n-1]))
+	}
+	if pr.clock != 0 {
+		g[pr.clock] = uint64(clock)
+	}
 }
 
 // The maps' arithmetic on one cell, which runCell and runSpan share.
@@ -1211,7 +1269,7 @@ func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64
 	r.stats.Vectors++
 	if o := r.obs; o != nil {
 		if g != nil {
-			r.emitStage.Observe(int64(r.stats.Cells - g[recAdmit]))
+			r.emitStage.Observe(int64(r.stats.Cells - g[r.fgProg.admit]))
 		}
 		if t := o.Tracer; t != nil {
 			// Record under the CG key so the event joins the flow's
@@ -1277,7 +1335,7 @@ func (r *Runtime) Flush() {
 				cgKey = flowkey.Project(r.plan.Switch.CG, key.Tuple)
 				cgHash = flowkey.HashKey(cgKey)
 			}
-			r.emitVector(key, g, int64(g[recLastTS]), vals, cgKey, cgHash)
+			r.emitVector(key, g, int64(g[r.fgProg.lastTS]), vals, cgKey, cgHash)
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}

@@ -1,7 +1,9 @@
 package nicsim
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 
 	"superfe/internal/flowkey"
 )
@@ -10,7 +12,10 @@ import (
 // stay the modelled NFP geometry (DRAMEntries, the cost model); these
 // two only shape what the simulator itself probes.
 const (
-	// groupBlock is how many group records one block holds.
+	// groupBlock is the fewest group records a block holds. A block is
+	// one allocation, which the allocator rounds up to its size class or
+	// page; the table fills the rounding with more records (block), so
+	// a block wastes less than one record, under 1/groupBlock of it.
 	groupBlock = 64
 	// tableMinSlots is the index size a table starts from; it doubles
 	// whenever an insert would take the load past 3/4.
@@ -23,7 +28,10 @@ const (
 // names the group for as long as the table lives.
 type record []uint64
 
-// The header words of a record.
+// The header words every record starts with. The words only some
+// programs read — the admission clock, the last timestamp, the unwrapped
+// clock — follow where compileProgram keeps them (program.admit,
+// program.lastTS, program.clock).
 const (
 	// recKeyA and recKeyB hold the key (flowkey.Key.Words).
 	recKeyA = iota
@@ -31,18 +39,7 @@ const (
 	// recCells counts the cells the group has absorbed; zero marks the
 	// group's first cell, which is what starts every state.
 	recCells
-	// recAdmit is the runtime's logical clock (total cells processed)
-	// when the group was admitted; emit latency is the clock distance
-	// to the vector emission.
-	recAdmit
-	// recLastTS is the timestamp of the group's latest cell, the
-	// timestamp of the vector Flush emits for it.
-	recLastTS
-	// recClock is the damped families' one clock: the latest time any
-	// cell of the group carried, the 32-bit cell timestamps unwrapped
-	// into 64 bits (cellTime).
-	recClock
-	recHeader // the layout's first word
+	recHeader // the fixed header's length
 )
 
 // key rebuilds the group's key from its two words.
@@ -50,19 +47,25 @@ func (g record) key() flowkey.Key { return flowkey.FromWords(g[recKeyA], g[recKe
 
 // groupTable stores one granularity's groups: an open-addressed,
 // linearly probed index over records kept in admission order, at a
-// fixed stride, in blocks of groupBlock. A record therefore never moves
-// (a group's ref, its position + 1, names it for good), walking the
-// blocks is deterministic, and a block is one pointer-free allocation.
-// The caller supplies the probe hash — the switch-computed one carried
-// by the MGPV wherever it can (§6.2 hash reuse) — and the hash only
-// picks where probing starts: identity is full key equality, so the one
-// requirement is that a key always arrives with the same hash.
+// fixed stride, perBlock records to a block. A record therefore never
+// moves (a group's ref, its position + 1, names it for good), walking
+// the blocks is deterministic, and a block is one pointer-free
+// allocation. The caller supplies the probe hash — the switch-computed
+// one carried by the MGPV wherever it can (§6.2 hash reuse) — and the
+// hash only picks where probing starts: identity is full key equality,
+// so the one requirement is that a key always arrives with the same
+// hash.
 type groupTable struct {
 	index  []tableSlot // power-of-two length
 	shift  uint        // 32 - log2(len(index))
 	stride int         // words per record
-	blocks [][]uint64
-	n      int
+	// perBlock records fill a block (0 until the first is allocated);
+	// recip is ⌈2⁶⁴/perBlock⌉, so at divides a position by perBlock with
+	// one multiply (Lemire's fastdiv, exact for 32-bit positions).
+	perBlock int
+	recip    uint64
+	blocks   [][]uint64
+	n        int
 }
 
 // tableSlot is one index entry: the group's full hash, so a probe
@@ -85,8 +88,9 @@ func (t *groupTable) home(h uint32) uint32 { return (h * 2654435769) >> t.shift 
 
 // at returns the i-th group in admission order.
 func (t *groupTable) at(i int) record {
-	o := (i % groupBlock) * t.stride
-	return t.blocks[i/groupBlock][o : o+t.stride : o+t.stride]
+	b, _ := bits.Mul64(t.recip, uint64(i))
+	o := (i - int(b)*t.perBlock) * t.stride
+	return t.blocks[b][o : o+t.stride : o+t.stride]
 }
 
 // lookup returns the ref of the group whose key words are (a, b): its
@@ -116,14 +120,29 @@ func (t *groupTable) insert(h uint32, a, b uint64) record {
 	if (t.n+1)*4 > len(t.index)*3 {
 		t.grow()
 	}
-	if t.n == len(t.blocks)*groupBlock {
-		t.blocks = append(t.blocks, make([]uint64, groupBlock*t.stride))
+	if t.n == len(t.blocks)*t.perBlock {
+		t.blocks = append(t.blocks, t.block())
 	}
 	t.n++
 	t.place(tableSlot{hash: h, ref: uint32(t.n)})
 	g := t.at(t.n - 1)
 	g[recKeyA], g[recKeyB] = a, b
 	return g
+}
+
+// block allocates a zeroed block: at least groupBlock records, and as
+// many more as the allocator's rounding of that request holds whole.
+// The first block fixes perBlock; every later one is the same request,
+// so it rounds the same.
+//
+//superfe:coldpath
+func (t *groupTable) block() []uint64 {
+	b := slices.Grow([]uint64(nil), groupBlock*t.stride)
+	if t.perBlock == 0 {
+		t.perBlock = cap(b) / t.stride
+		t.recip = math.MaxUint64/uint64(t.perBlock) + 1
+	}
+	return b[:t.perBlock*t.stride]
 }
 
 // place stores s in the first empty slot of its probe sequence.

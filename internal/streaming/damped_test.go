@@ -5,21 +5,51 @@ import (
 	"testing"
 )
 
+// naiveLog is one store-everything state, fed and read as the NIC
+// feeds and reads it: a naive log (NaiveKernel) over its record word.
+type naiveLog struct {
+	k  Kernel
+	st []uint64
+	f  Func
+	p  Params
+}
+
+func newNaiveLog(t *testing.T, f Func, p Params, logs *Logs) *naiveLog {
+	t.Helper()
+	k, err := NaiveKernel(f, p, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &naiveLog{k: k, st: make([]uint64, k.Words), f: f, p: p}
+}
+
+// observe logs x at the step's time.
+func (n *naiveLog) observe(x int64, s *Step) { n.k.Observe(n.st, x, s) }
+
+// read is the log's first feature, by the batch algorithm.
+func (n *naiveLog) read() float64 {
+	plan := n.k.PlanRead([]View{{Func: n.f}}, []int{0})
+	win := make([]float64, FeatureWidth(n.f, n.p))
+	n.k.Read(win, n.st, &plan)
+	return win[0]
+}
+
 func TestDampedNoDecayEqualsPlainStats(t *testing.T) {
 	// All samples at the same timestamp: damped == plain statistics.
 	d := DampedWelford{Lambda: 1}
-	mean, variance := NewNaive(FMean, Params{}), NewNaive(FVar, Params{})
+	var logs Logs
+	mean, variance := newNaiveLog(t, FMean, Params{}, &logs), newNaiveLog(t, FVar, Params{}, &logs)
+	var s Step
 	for _, x := range []int64{2, 4, 4, 4, 5, 5, 7, 9} {
 		d.ObserveAt(float64(x), 0)
-		mean.Observe(x, 0)
-		variance.Observe(x, 0)
+		mean.observe(x, &s)
+		variance.observe(x, &s)
 	}
-	plain := func(n *NaiveReducer) float64 { return n.AppendFeatures(nil, View{})[0] }
-	if !approx(d.Mean(), plain(mean), tol) {
-		t.Errorf("mean: damped %g vs plain %g", d.Mean(), plain(mean))
+	if !approx(d.Mean(), mean.read(), tol) {
+		t.Errorf("mean: damped %g vs plain %g", d.Mean(), mean.read())
 	}
-	if !approx(d.Var(), plain(variance), tol) {
-		t.Errorf("var: damped %g vs plain %g", d.Var(), plain(variance))
+	if !approx(d.Var(), variance.read(), tol) {
+		t.Errorf("var: damped %g vs plain %g", d.Var(), variance.read())
 	}
 	if !approx(d.Weight(), 8, tol) {
 		t.Errorf("weight = %g, want 8", d.Weight())
@@ -104,7 +134,8 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := NewNaive(f, Params{Lambda: 2})
+		var logs Logs
+		n := newNaiveLog(t, f, Params{Lambda: 2}, &logs)
 		st := make([]uint64, k.Words)
 		var s Step
 		var clock, ts int64
@@ -113,13 +144,13 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 			d.Reset()
 			clock = s.Begin(&d, k.Lanes(), i == 0, clock, ts)
 			k.Observe(st, x, &s)
-			n.Observe(x, ts)
+			n.observe(x, &s)
 			ts += 3e6
 		}
 		plan := k.PlanRead([]View{{Func: f}}, []int{0})
 		win := make([]float64, 1)
 		k.Read(win, st, &plan)
-		if naive := n.AppendFeatures(nil, View{})[0]; !approx(win[0], naive, 1e-9) {
+		if naive := n.read(); !approx(win[0], naive, 1e-9) {
 			t.Errorf("%s: streaming %g vs naive replay %g", f, win[0], naive)
 		}
 	}

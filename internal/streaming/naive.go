@@ -6,12 +6,12 @@ import (
 )
 
 // NaiveReducer is the store-everything counterpart of a streaming
-// state: it buffers the complete sample stream and computes the
-// feature with a multi-pass batch algorithm on demand. The paper's
-// Figure 15 compares FE-NIC with streaming algorithms against this
-// naïve re-implementation ("naïve algorithms ask for a large amount
-// of on-chip memory, which exceeds the capacity of our SmartNICs").
-// A naive log (NaiveKernel) reads through it.
+// state: it computes the feature with a multi-pass batch algorithm
+// over the complete sample stream. The paper's Figure 15 compares
+// FE-NIC with streaming algorithms against this naïve
+// re-implementation ("naïve algorithms ask for a large amount of
+// on-chip memory, which exceeds the capacity of our SmartNICs"). A
+// naive log (NaiveKernel) keeps the stream and reads through it.
 type NaiveReducer struct {
 	emit   Func
 	params Params
@@ -22,13 +22,6 @@ type NaiveReducer struct {
 // NewNaive constructs a naïve reducer computing f.
 func NewNaive(f Func, p Params) *NaiveReducer {
 	return &NaiveReducer{emit: f, params: p}
-}
-
-// Observe buffers the sample with its timestamp (damped functions
-// recompute the full decayed sums at emit time from the buffer).
-func (n *NaiveReducer) Observe(x, ts int64) {
-	n.data = append(n.data, x)
-	n.tss = append(n.tss, ts)
 }
 
 // AppendFeatures computes the feature with the batch algorithm. A

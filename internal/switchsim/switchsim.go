@@ -26,6 +26,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math"
 
 	"superfe/internal/faults"
 	"superfe/internal/flowkey"
@@ -109,20 +110,39 @@ func (c Config) Validate() error {
 	if c.AgingT > 0 && c.AgingScanNS <= 0 {
 		return fmt.Errorf("switchsim: aging enabled but scan interval is %d", c.AgingScanNS)
 	}
+	if c.ShortBufCells > maxShortBufCells {
+		return fmt.Errorf("switchsim: %d cells per short buffer exceed the slot's 8-bit fill register (at most %d)", c.ShortBufCells, maxShortBufCells)
+	}
+	if c.NumLong > maxLongBufs {
+		return fmt.Errorf("switchsim: %d long buffers exceed the slot's 16-bit long-buffer index (at most %d)", c.NumLong, maxLongBufs)
+	}
 	return nil
 }
 
-// slot is one CG group entry: the fill of its short buffer (slot i's
-// cells are shortBuf's cells i·ShortBufCells onward) plus an optional
-// long buffer reference.
+// The slot's register widths bound the geometry Validate accepts: the
+// short buffer's fill is an 8-bit register, the long-buffer index a
+// 16-bit one with -1 for none.
+const (
+	maxShortBufCells = math.MaxUint8
+	maxLongBufs      = math.MaxInt16
+)
+
+// slot is one CG group entry, 32 bytes at register width: the group's
+// key as its two words (flowkey.Key.Words), the fill of its short buffer
+// (slot i's cells are shortBuf's cells i·ShortBufCells onward) and an
+// optional long buffer reference. Two slots share a cache line and
+// none straddles two.
 type slot struct {
-	occupied   bool
-	key        flowkey.Key
-	hash       uint32
-	nshort     int32 // cells in the short buffer
-	longIdx    int32 // -1 when the group owns no long buffer
+	keyA, keyB uint64
 	lastAccess int64
+	hash       uint32
+	longIdx    int16 // -1 when the group owns no long buffer
+	nshort     uint8 // cells in the short buffer
+	occupied   bool
 }
+
+// key rebuilds the slot's group key.
+func (sl *slot) key() flowkey.Key { return flowkey.FromWords(sl.keyA, sl.keyB) }
 
 // fgEntry is one FG key table entry.
 type fgEntry struct {
@@ -135,8 +155,10 @@ type Switch struct {
 	cfg  Config
 	plan policy.SwitchPlan
 
-	slots   []slot
-	stack   []int32 // free long-buffer indices
+	slots []slot
+	stack []int16 // free long-buffer indices
+	// fgTable is the FG key table; nil for a single-granularity plan,
+	// which never indexes one (singleGran).
 	fgTable []fgEntry
 
 	// The short and long buffers as the Tofino holds them: register
@@ -213,8 +235,7 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 		cfg:        cfg,
 		plan:       plan,
 		slots:      make([]slot, cfg.NumShort),
-		stack:      make([]int32, 0, cfg.NumLong),
-		fgTable:    make([]fgEntry, cfg.FGTableSize),
+		stack:      make([]int16, 0, cfg.NumLong),
 		shortBuf:   make([]uint32, cfg.NumShort*cfg.ShortBufCells*(nvals+1)),
 		longBuf:    make([]uint32, cfg.NumLong*cfg.LongBufCells*(nvals+1)),
 		longLen:    make([]int32, cfg.NumLong),
@@ -230,13 +251,16 @@ func New(cfg Config, plan policy.SwitchPlan, sink func(gpv.Message)) (*Switch, e
 		s.slots[i].longIdx = -1
 	}
 	for i := cfg.NumLong - 1; i >= 0; i-- {
-		s.stack = append(s.stack, int32(i))
+		s.stack = append(s.stack, int16(i))
 	}
 	// Single-granularity fast path: when CG == FG the FG table is
 	// pure overhead (every cell's FG key equals the group key), so
 	// the compiled program omits it — this also serves as the plain
 	// GPV emulation for Figure 13.
 	s.singleGran = plan.CG == plan.FG && len(plan.Chain) == 1
+	if !s.singleGran {
+		s.fgTable = make([]fgEntry, cfg.FGTableSize)
+	}
 	s.narrowSlots = narrowSlotsFor(plan.MetadataFields)
 	if s.obs != nil {
 		r := s.obs.Registry
@@ -303,14 +327,15 @@ func (s *Switch) Process(p *packet.Packet) bool {
 func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTuple, vals []uint32) {
 	idx := int(hash % uint32(len(s.slots)))
 	sl := &s.slots[idx]
+	a, b := cgKey.Words()
 
 	// Case 1 of §5.2: hash collision with an older group → evict it.
-	if sl.occupied && sl.key != cgKey {
+	if sl.occupied && (sl.keyA != a || sl.keyB != b) {
 		s.evict(idx, gpv.EvictCollision, true)
 	}
 	if !sl.occupied {
 		sl.occupied = true
-		sl.key = cgKey
+		sl.keyA, sl.keyB = a, b
 		sl.hash = hash
 		s.stat.GroupsAdmitted++
 		s.occSlots++
@@ -495,14 +520,14 @@ func (s *Switch) evict(idx int, reason gpv.EvictReason, release bool) {
 		if s.cfg.ZeroCopy {
 			cells := s.view(s.evictCells[:0], s.shortBuf, short, ns)
 			cells = s.view(cells, s.longBuf, long, nl)
-			s.evictMGPV = gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: cells[:n:n], Reason: reason}
+			s.evictMGPV = gpv.MGPV{CG: sl.key(), Hash: sl.hash, Cells: cells[:n:n], Reason: reason}
 			m = &s.evictMGPV
 		} else {
 			w := s.nvals + 1
 			regs := make([]uint32, n*w)
 			copy(regs, s.shortBuf[short*w:(short+ns)*w])
 			copy(regs[ns*w:], s.longBuf[long*w:(long+nl)*w])
-			m = &gpv.MGPV{CG: sl.key, Hash: sl.hash, Cells: s.view(make([]gpv.Cell, 0, n), regs, 0, n), Reason: reason}
+			m = &gpv.MGPV{CG: sl.key(), Hash: sl.hash, Cells: s.view(make([]gpv.Cell, 0, n), regs, 0, n), Reason: reason}
 		}
 		s.emit(gpv.Message{MGPV: m})
 		s.stat.Evictions[reason]++
@@ -510,7 +535,7 @@ func (s *Switch) evict(idx int, reason gpv.EvictReason, release bool) {
 		if o := s.obs; o != nil {
 			s.cellsPerMsg.Observe(int64(n))
 			if o.Tracer.Sampled(sl.hash) {
-				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key, Clock: s.stat.PktsIn, Reason: uint8(reason), Arg: int64(n)})
+				o.Tracer.Record(obs.Event{Kind: obs.EvEvict, Key: sl.key(), Clock: s.stat.PktsIn, Reason: uint8(reason), Arg: int64(n)})
 			}
 		}
 	}

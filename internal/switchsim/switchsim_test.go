@@ -3,7 +3,9 @@ package switchsim
 import (
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"superfe/internal/flowkey"
 	"superfe/internal/gpv"
@@ -101,6 +103,50 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(good, policy.SwitchPlan{Pred: policy.TruePred{}, Chain: []flowkey.Granularity{flowkey.GranFlow}}, nil); err == nil {
 		t.Error("nil sink accepted")
+	}
+	// The slot's fill and long-buffer index are register-width fields:
+	// their largest geometry is accepted, one past it is not.
+	edge := good
+	edge.ShortBufCells, edge.NumLong = maxShortBufCells, maxLongBufs
+	if err := edge.Validate(); err != nil {
+		t.Errorf("%d-cell short buffers and %d long buffers rejected: %v", edge.ShortBufCells, edge.NumLong, err)
+	}
+	bad = edge
+	bad.ShortBufCells++
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "8-bit fill register") {
+		t.Errorf("%d-cell short buffers: %v, want the fill register's bound", bad.ShortBufCells, err)
+	}
+	bad = edge
+	bad.NumLong++
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "16-bit long-buffer index") {
+		t.Errorf("%d long buffers: %v, want the long-buffer index's bound", bad.NumLong, err)
+	}
+}
+
+// TestSlotLayout: a slot is 32 bytes, so two share a cache line and none
+// straddles two, and only a multi-granularity plan, the one that
+// indexes FG keys, gets an FG table.
+func TestSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 32 {
+		t.Errorf("a slot is %d bytes, want 32", n)
+	}
+	_, sink := collectSink()
+	for _, c := range []struct {
+		name  string
+		plan  policy.SwitchPlan
+		table bool
+	}{
+		{"flow", flowPlan(t, flowkey.GranFlow), false},
+		{"socket", flowPlan(t, flowkey.GranSocket), false},
+		{"host+socket", multiGranPlan(t), true},
+	} {
+		sw, err := New(DefaultConfig(), c.plan, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sw.fgTable != nil; got != c.table || c.table && len(sw.fgTable) != DefaultConfig().FGTableSize {
+			t.Errorf("%s plan: FG table of %d entries, want one: %v", c.name, len(sw.fgTable), c.table)
+		}
 	}
 }
 
