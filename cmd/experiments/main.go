@@ -57,7 +57,7 @@ func main() {
 	}
 
 	if *list {
-		for _, id := range []string{"table2", "table3", "table4", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"} {
+		for _, id := range harness.IDs() {
 			fmt.Println(id)
 		}
 		return

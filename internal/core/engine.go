@@ -67,16 +67,6 @@ const sinkRunLen = 64
 // snapshotInterval routed packets.
 const snapshotInterval = 1 << 16
 
-// shardMsg is one unit of work for a shard — a ring slot in the worker
-// configuration, a plain argument inline: either a columnar batch of
-// packets (cols non-nil) or a control barrier with optional flush. The
-// recycle ring reuses the same slot type carrying only cols.
-type shardMsg struct {
-	cols  *switchsim.Columns
-	ctl   chan<- struct{} // worker configuration: acknowledge a barrier here
-	flush bool            // barrier: flush the shard's switch+NIC first
-}
-
 // pendingVec is one run-buffered vector in streaming mode: values live
 // in the shard's reusable arena (offset+length), so buffering a run
 // allocates nothing in the steady state.
@@ -89,14 +79,14 @@ type pendingVec struct {
 
 // shard is one switch+NIC pair and the batches in flight to it. In the
 // worker configuration a goroutine owns the pair and drains the in
-// ring; inline, the rings and done are nil and the router calls handle
-// itself.
+// ring; inline, in and done are nil and the router calls handle itself.
 type shard struct {
-	eng  *Engine
-	fe   *pair
-	in   *spscRing // router → worker: batches and control barriers
-	free *spscRing // worker → router: recycled batch columns
-	cur  *switchsim.Columns
+	eng *Engine
+	fe  *pair
+	in  *spscRing // router → worker: batches, barriers riding in their slots
+	// cur is the slot the router fills: the ring slot it holds, or
+	// inline the shard's one slot.
+	cur  *slot
 	vecs []feature.Vector // DeterministicMerge buffer
 	// Streaming-mode run buffer: emitted vectors accumulate here and
 	// flush to the shared sink in one lock acquisition per run.
@@ -170,7 +160,7 @@ type Engine struct {
 	pubPkts atomic.Uint64
 
 	// fr is the router's own flight ring (shard -1: barriers, ring
-	// parks, free-ring starvation, dump markers); nil when disabled.
+	// parks, dump markers); nil when disabled.
 	// Anomalies — the router's own and every shard's — are pended
 	// first-wins into frPend (shard triggers fire on shard goroutines
 	// and the router's fire inside a blocked push, where no barrier can
@@ -281,9 +271,9 @@ func NewFromPlan(opts ParallelOptions, plan *policy.Plan, sink feature.Sink) (*E
 }
 
 // deployShards builds one complete shard set — switch+NIC pair and,
-// in the worker configuration, rings, recycled columnar batches and
-// worker goroutine — for the given compiled plan, without touching the
-// engine's current shard set. It is the constructor's shard loop,
+// in the worker configuration, the ring with its columnar batches and
+// the worker goroutine — for the given compiled plan, without touching
+// the engine's current shard set. It is the constructor's shard loop,
 // factored out so SwapPlan can stand up a candidate deployment off to
 // the side and only then retire the live one. On error the partially
 // built set is stopped and nothing is left running.
@@ -317,27 +307,21 @@ func (e *Engine) deployShards(plan *policy.Plan) ([]*shard, error) {
 		if fe.obs != nil {
 			sh.spans = fe.obs.Spans
 		}
-		// Pre-size the recycled columnar batches: one being filled by
-		// the router, QueueDepth in flight or on the recycle ring.
-		sh.cur = switchsim.NewColumns(opts.BatchSize, nf)
 		shards = append(shards, sh)
 		if e.inline {
+			sh.cur = &slot{cols: switchsim.NewColumns(opts.BatchSize, nf)}
 			continue
 		}
-		sh.in = newSPSCRing(opts.QueueDepth, 0)
-		sh.free = newSPSCRing(opts.QueueDepth+1, 0)
+		// Pre-sized columnar batches, one per ring slot: one being
+		// filled by the router, QueueDepth in flight.
+		sh.in = newSPSCRing(opts.QueueDepth, opts.BatchSize, nf, 0)
+		sh.cur = &sh.in.slots[0]
 		sh.done = make(chan struct{})
-		// Both hooked ring sides run on the router side (in-ring
-		// producer, free-ring consumer), so the router's recorder and
-		// clock are safe here.
-		sh.in.hookProdFR(e.fr, obs.FRRingPark, &e.pkts)
-		sh.free.hookConsFR(e.fr, obs.FRFreeStarve, &e.pkts)
+		// The router is the ring's producer, so its recorder and clock
+		// are safe here.
+		sh.in.hookProdFR(e.fr, &e.pkts)
 		if fe.obs != nil {
-			sh.in.instrumentIn(fe.obs.Ring)
-			sh.free.instrumentFree(fe.obs.Ring)
-		}
-		for j := 0; j < opts.QueueDepth; j++ {
-			sh.free.push(shardMsg{cols: switchsim.NewColumns(opts.BatchSize, nf)})
+			sh.in.instrument(fe.obs.Ring)
 		}
 		//superfe:goroutine-ok shard worker: exits when stopShards closes its input ring (pop returns ok=false) and is joined via sh.done
 		go sh.run()
@@ -436,41 +420,45 @@ func (e *Engine) mergedSnapshot() *obs.Snapshot {
 	return merged
 }
 
-// run is the shard worker loop: drain the input ring through handle,
-// acknowledge barriers, recycle consumed batches on the free ring.
+// run is the shard worker loop: pop a slot, handle it, and only then
+// release it — the release hands the batch back to the router — and
+// acknowledge the barrier it carried.
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
-		msg, ok := sh.in.pop()
+		s, ok := sh.in.pop()
 		if !ok {
 			return
 		}
-		sh.handle(msg)
-		if msg.cols != nil {
-			sh.free.push(shardMsg{cols: msg.cols})
-		} else {
-			msg.ctl <- struct{}{}
+		sh.handle(s)
+		ack := s.ctl
+		sh.in.release()
+		if ack != nil {
+			ack <- struct{}{}
 		}
 	}
 }
 
-// handle does one message's work on the pair: extract a batch and
-// reset it for reuse, or honour a barrier. It runs on the worker
+// handle does one slot's work on the pair: extract its rows and reset
+// the batch for reuse, then honour the barrier riding in it. Inline the
+// barrier has no ack channel, and a non-flushing one has nothing to do:
+// vectors already reach the sink directly. It runs on the worker
 // goroutine, or on the router's when the engine is inline, and touches
 // no ring either way.
 //
 //superfe:hotpath
-func (sh *shard) handle(msg shardMsg) {
-	if msg.cols == nil {
-		sh.handleBarrier(msg.flush)
-		return
+func (sh *shard) handle(s *slot) {
+	if c := s.cols; c.N > 0 {
+		if c.Span.Sampled {
+			sh.traceColumns(c)
+		} else {
+			sh.fe.processColumns(c)
+		}
+		c.Reset()
 	}
-	if msg.cols.Span.Sampled {
-		sh.traceColumns(msg.cols)
-	} else {
-		sh.fe.processColumns(msg.cols)
+	if s.ctl != nil || s.flush {
+		sh.handleBarrier(s.flush)
 	}
-	msg.cols.Reset()
 }
 
 // handleBarrier optionally flushes the pair. Barrier contract: every
@@ -491,8 +479,8 @@ func (sh *shard) handleBarrier(flush bool) {
 // extraction with the shard's own switch/NIC counters: the switch
 // delivers evicted MGPVs synchronously, so all NIC work the batch
 // caused lands inside the bracket. The completed span is copied out
-// of the batch (which is about to be recycled) into the shard's ring.
-// Stats are value copies on the stack — no allocation.
+// of the batch (which is about to be reset for reuse) into the shard's
+// ring. Stats are value copies on the stack — no allocation.
 func (sh *shard) traceColumns(c *switchsim.Columns) {
 	sp := c.Span
 	sw0 := sh.fe.sw.Stats()
@@ -573,8 +561,9 @@ func (e *Engine) Process(p *packet.Packet) bool {
 	si := shardIndex(h, len(e.shards))
 	sh := e.shards[si]
 	pass := e.pred.Eval(p)
-	sh.cur.Append(p, key, h, pass, e.metaFields)
-	if sh.cur.N >= e.opts.BatchSize {
+	c := sh.cur.cols
+	c.Append(p, key, h, pass, e.metaFields)
+	if c.N >= e.opts.BatchSize {
 		e.dispatch(sh)
 	}
 	if e.obsReg != nil {
@@ -584,8 +573,8 @@ func (e *Engine) Process(p *packet.Packet) bool {
 		// routing counter is charged per batch in dispatch, not here:
 		// an atomic add per packet is exactly the kind of diffuse tax
 		// the obs-overhead gate exists to catch.
-		if sh.cur.N == 1 && sh.spans.Sampled(h) {
-			sp := &sh.cur.Span
+		if c := sh.cur.cols; c.N == 1 && sh.spans.Sampled(h) {
+			sp := &c.Span
 			sp.Sampled = true
 			sp.Hash = h
 			sp.FillStart = e.pkts
@@ -595,40 +584,41 @@ func (e *Engine) Process(p *packet.Packet) bool {
 	return pass
 }
 
-// dispatch hands the shard's current batch to its worker over the
-// input ring and pulls a recycled one from the free ring (blocking =
-// backpressure); inline, it extracts the batch in place and keeps it.
+// dispatch hands the shard's current slot — its batch, and any
+// barrier riding in it — to the worker by publishing it on the ring
+// and takes the next slot, blocking until the worker has released it
+// (backpressure); inline, it handles the slot in place and keeps it.
+// A slot with no rows (a barrier alone) is not a batch.
 //
 //superfe:hotpath
 func (e *Engine) dispatch(sh *shard) {
-	sh.batches++
-	c := sh.cur
-	if e.obsReg != nil {
-		// Batch-granular routing accounting: every packet lands in
-		// exactly one dispatched batch (barriers dispatch partial
-		// ones), so charging c.N here conserves the total while
-		// amortizing one atomic add over the whole batch.
-		e.shardPkts[sh.idx].Add(uint64(c.N))
-	}
-	sp := &c.Span
-	if sp.Sampled {
-		// Complete the ingress half of the span before the hand-off
-		// (nothing may touch the batch after the push) — the traced
-		// push fills the enqueue-evidence fields itself, pre-publication.
-		sp.Batch = sh.batches
-		sp.Rows = int32(c.N)
-		sp.FillEnd = e.pkts
+	s := sh.cur
+	c := s.cols
+	var sp *obs.BatchSpan
+	if c.N > 0 {
+		sh.batches++
+		if e.obsReg != nil {
+			// Batch-granular routing accounting: every packet lands in
+			// exactly one dispatched batch (barriers dispatch partial
+			// ones), so charging c.N here conserves the total while
+			// amortizing one atomic add over the whole batch.
+			e.shardPkts[sh.idx].Add(uint64(c.N))
+		}
+		if c.Span.Sampled {
+			// Complete the ingress half of the span before the hand-off
+			// (nothing may touch the batch after the push) — push fills
+			// the enqueue-evidence fields itself, pre-publication.
+			sp = &c.Span
+			sp.Batch = sh.batches
+			sp.Rows = int32(c.N)
+			sp.FillEnd = e.pkts
+		}
 	}
 	if e.inline {
-		sh.handle(shardMsg{cols: c})
+		sh.handle(s)
+		s.flush = false
 	} else {
-		if sp.Sampled {
-			sh.in.pushTraced(shardMsg{cols: c}, sp)
-		} else {
-			sh.in.push(shardMsg{cols: c})
-		}
-		m, _ := sh.free.pop() // never closed: always ok
-		sh.cur = m.cols
+		sh.cur = sh.in.push(sp)
 	}
 	e.pubPkts.Store(e.pkts)
 	if e.frPend.Load() != nil && !e.inControl {
@@ -638,14 +628,15 @@ func (e *Engine) dispatch(sh *shard) {
 	}
 }
 
-// barrier dispatches partial batches and waits until every shard has
-// drained its ring (optionally flushing shard state first). Every
-// barrier is also an admin quiescence point: it lands in the router's
-// flight recorder, materializes any pended anomaly (the shards are
-// provably idle, so their event rings are safe to merge) and rebuilds
-// the /status, /spans and /flightrecorder caches. The allocations
-// this costs amortize over the packets between barriers, like the
-// interval snapshots.
+// barrier dispatches every shard's current slot with the barrier
+// riding in it — after the partial batch's rows, if any — and waits
+// until every shard has drained its ring (optionally flushing shard
+// state first). Every barrier is also an admin quiescence point: it
+// lands in the router's flight recorder, materializes any pended
+// anomaly (the shards are provably idle, so their event rings are safe
+// to merge) and rebuilds the /status, /spans and /flightrecorder
+// caches. The allocations this costs amortize over the packets between
+// barriers, like the interval snapshots.
 //
 //superfe:coldpath
 func (e *Engine) barrier(flush bool) {
@@ -655,14 +646,8 @@ func (e *Engine) barrier(flush bool) {
 		ack = make(chan struct{}, len(e.shards))
 	}
 	for _, sh := range e.shards {
-		if sh.cur.N > 0 {
-			e.dispatch(sh)
-		}
-		if e.inline {
-			sh.handle(shardMsg{flush: flush})
-		} else {
-			sh.in.push(shardMsg{ctl: ack, flush: flush})
-		}
+		sh.cur.ctl, sh.cur.flush = ack, flush
+		e.dispatch(sh)
 	}
 	if !e.inline {
 		for range e.shards {
@@ -682,9 +667,10 @@ func (e *Engine) barrier(flush bool) {
 
 // Drain blocks until every packet handed to Process so far has been
 // fully processed by its shard, without evicting any state — the
-// quiescence point for reading mid-trace stats.
+// quiescence point for reading mid-trace stats. On a closed engine,
+// whose workers have exited, it returns at once.
 func (e *Engine) Drain() {
-	e.barrier(false)
+	e.quiesce()
 }
 
 // Flush drains all shards, evicts every resident group (switch cache

@@ -4,8 +4,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"superfe/internal/apps"
 	"superfe/internal/feature"
@@ -306,5 +308,213 @@ func TestParallelObsEndpointsLive(t *testing.T) {
 	}
 	if len(pe.ObsTimelines()) == 0 || len(pe.ObsSeries().Snaps) == 0 || len(pe.ObsSpans()) == 0 {
 		t.Fatal("a cached view is empty after Flush")
+	}
+}
+
+// TestParallelRouterFillsDepthPlusOneBatches: over a multi-batch run the router
+// fills exactly QueueDepth+1 distinct batches per worker shard — the
+// ones its ring slots own — and the inline shard its one batch.
+func TestParallelRouterFillsDepthPlusOneBatches(t *testing.T) {
+	tr := obsTestTrace()
+	popts := DefaultParallelOptions()
+	popts.Workers, popts.BatchSize, popts.QueueDepth = 2, 8, 3
+	for _, cfg := range []struct {
+		name    string
+		workers int
+		want    int
+	}{{"inline", 0, 1}, {"workers", 2, popts.QueueDepth + 1}} {
+		popts.Workers = cfg.workers
+		e, err := NewFromPlan(popts, compilePlan(t, apps.NPOD()), func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]map[any]bool, len(e.shards))
+		for i := range seen {
+			seen[i] = map[any]bool{}
+		}
+		for i := range tr.Packets {
+			e.Process(&tr.Packets[i])
+			for j, sh := range e.shards {
+				seen[j][sh.cur.cols] = true
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for j, sh := range e.shards {
+			if sh.batches < 4*uint64(cfg.want) {
+				t.Fatalf("%s: shard %d dispatched only %d batches; the run is too short", cfg.name, j, sh.batches)
+			}
+			if len(seen[j]) != cfg.want {
+				t.Errorf("%s: shard %d filled %d distinct batches, want %d", cfg.name, j, len(seen[j]), cfg.want)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestParallelBarrierSpanOrdinals: a barrier rides in the slot that carries
+// the shard's last rows, so a partial span-sampled batch keeps its
+// ordinal and row count, and a barrier slot with no rows is not a
+// batch — the ordinals of the batches after it do not move.
+func TestParallelBarrierSpanOrdinals(t *testing.T) {
+	tr := obsTestTrace()
+	popts := DefaultParallelOptions()
+	popts.Obs = obsTestOptions()
+	for _, workers := range []int{0, 1} {
+		popts.Workers = workers
+		e, err := NewFromPlan(popts, compilePlan(t, apps.NPOD()), func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := e.shards[0]
+		// Sample every batch. The worker reads the ring only after the
+		// slot that carries its first batch is published.
+		sh.spans = obs.NewRing[obs.BatchSpan](0, 1, 64)
+		next := 0
+		route := func(n int) {
+			for i := 0; i < n; i++ {
+				e.Process(&tr.Packets[next])
+				next++
+			}
+		}
+		route(defaultBatch) // batch 1, dispatched full
+		e.Drain()           // a barrier alone
+		route(3)            // batch 2, dispatched partial by the barrier
+		e.Drain()
+		e.Drain()
+		route(defaultBatch) // batch 3
+		e.Drain()
+		type ord struct {
+			Batch uint64
+			Rows  int32
+		}
+		var got []ord
+		for _, sp := range sh.spans.Snapshot() {
+			got = append(got, ord{sp.Batch, sp.Rows})
+		}
+		want := []ord{{1, defaultBatch}, {2, 3}, {3, defaultBatch}}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: spans %v, want %v", workers, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: spans %v, want %v", workers, got, want)
+			}
+		}
+		if sh.batches != 3 {
+			t.Errorf("workers=%d: %d batches counted, want 3", workers, sh.batches)
+		}
+		if pkts := e.SwitchStats().PktsIn; pkts != uint64(next) {
+			t.Errorf("workers=%d: switch saw %d packets, want %d", workers, pkts, next)
+		}
+		e.Close()
+	}
+}
+
+// TestParallelStalledWorkerKeepsItsBatch stalls the worker in the middle of a
+// batch — the sink blocks on the first vector run — while the router
+// keeps routing. The router must stop once every batch but the one it
+// fills is in flight, and must not touch the batch the worker is still
+// handling: afterwards every packet reaches the switch and the vectors
+// match an inline run's.
+func TestParallelStalledWorkerKeepsItsBatch(t *testing.T) {
+	cfg := trace.CampusConfig
+	cfg.Flows = 200
+	tr := trace.Generate(cfg, 7)
+	want := 0
+	ref, err := New(DefaultOptions(), apps.Kitsune(), func(feature.Vector) { want++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Packets {
+		ref.Process(&tr.Packets[i])
+	}
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	got := 0 // sink calls are serialised by the engine's sink lock
+	popts := DefaultParallelOptions()
+	popts.Workers, popts.BatchSize, popts.QueueDepth = 1, 8, 2
+	e, err := NewParallel(popts, apps.Kitsune(), func(feature.Vector) {
+		once.Do(func() {
+			close(stalled)
+			<-resume
+		})
+		got++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routed atomic.Int64
+	done := make(chan error, 1)
+	//superfe:goroutine-ok test router: joined via the done channel below
+	go func() {
+		for i := range tr.Packets {
+			e.Process(&tr.Packets[i])
+			routed.Add(1)
+		}
+		done <- e.Flush()
+	}()
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no vector reached the sink")
+	}
+	// Wait for the router to park behind the stalled worker.
+	for deadline := time.Now().Add(10 * time.Second); !e.shards[0].in.prodParked.Load(); {
+		if time.Now().After(deadline) {
+			close(resume)
+			t.Fatalf("router never blocked behind the stalled worker (%d of %d packets routed)", routed.Load(), len(tr.Packets))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held := routed.Load()
+	close(resume)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("router did not finish after the worker resumed")
+	}
+	if held >= int64(len(tr.Packets)) {
+		t.Fatalf("router routed all %d packets past a stalled worker", held)
+	}
+	if pkts := e.SwitchStats().PktsIn; pkts != uint64(len(tr.Packets)) {
+		t.Errorf("switch saw %d packets, want %d", pkts, len(tr.Packets))
+	}
+	if got != want {
+		t.Errorf("%d vectors, want %d (inline)", got, want)
+	}
+	e.Close()
+}
+
+// TestDrainAfterCloseReturns: the workers of a closed engine have
+// exited, so Drain must not hand them a barrier and wait for its ack.
+func TestDrainAfterCloseReturns(t *testing.T) {
+	popts := DefaultParallelOptions()
+	popts.Workers = 2
+	e, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	//superfe:goroutine-ok test helper: joined via the drained channel below, or abandoned with the failed test
+	go func() {
+		e.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain after Close did not return")
 	}
 }

@@ -1,26 +1,31 @@
 // Lock-free single-producer/single-consumer ring for the router→shard
 // hand-off — the software analogue of the NBI distributor's descriptor
 // rings feeding NFP cores (§6.2). The router (single producer) and the
-// shard worker (single consumer) exchange batch slots through a
-// power-of-two array indexed by two monotonically increasing sequence
-// counters; no locks, no channel machinery, and no allocation on
-// either side of the steady-state path.
+// shard worker (single consumer) share depth+1 slots indexed by two
+// monotonically increasing sequence counters. Each slot owns one
+// columnar batch for the ring's lifetime: the producer fills the slot
+// it holds and publishes it in place, the consumer handles the slot it
+// popped and then releases it, and the release is what hands the batch
+// back. A barrier rides in the slot that carries the shard's last rows.
+// No locks, no channel machinery, and no allocation on either side of
+// the steady-state path.
 //
-// Memory ordering: the producer writes the slot, then publishes it
-// with an atomic tail store; the consumer observes the tail with an
-// atomic load before reading the slot (and symmetrically for head on
-// the recycle direction). Go's sync/atomic operations are sequentially
-// consistent, which subsumes the acquire/release pairing this protocol
-// needs. The producer is a role, not a goroutine: the router's callers
-// take turns under a happens-before edge (see Engine), so the producer
-// fields have one writer at a time.
+// Memory ordering: the producer fills the slot, then publishes it with
+// an atomic tail store; the consumer observes the tail with an atomic
+// load before reading the slot, and releases it with an atomic head
+// store the producer loads before refilling it. Go's sync/atomic
+// operations are sequentially consistent, which subsumes the
+// acquire/release pairing this protocol needs. The producer is a role,
+// not a goroutine: the router's callers take turns under a
+// happens-before edge (see Engine), so the producer fields have one
+// writer at a time.
 //
 // Blocking: both sides spin briefly (yielding the processor between
 // polls, which matters on single-core hosts where the peer goroutine
 // needs the CPU to make progress) and then park on a futex-style
 // one-slot wake channel. A parked side advertises itself in an atomic
 // flag; the peer hands it exactly one wake token after the next
-// publish/consume, so throughput stays high under load while a drained
+// publish/release, so throughput stays high under load while a drained
 // ring costs no CPU.
 package core
 
@@ -29,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"superfe/internal/obs"
+	"superfe/internal/switchsim"
 )
 
 // ringSpin is the number of empty/full polls a side performs (yielding
@@ -37,6 +43,15 @@ import (
 // steady state never parks.
 const ringSpin = 128
 
+// slot is one ring slot: the batch it owns for the ring's lifetime and
+// the barrier that may ride with the batch's rows. Inline, the shard's
+// one slot is handled in place and never enters a ring.
+type slot struct {
+	cols  *switchsim.Columns
+	ctl   chan<- struct{} // barrier, worker configuration: acknowledge here once handled
+	flush bool            // barrier: flush the shard's switch+NIC first
+}
+
 // spscRing is the ring. Head and tail live on their own cache lines so
 // the producer's tail stores and the consumer's head stores do not
 // false-share; each side keeps a cached copy of the peer's counter to
@@ -44,11 +59,14 @@ const ringSpin = 128
 //
 //superfe:padded
 type spscRing struct {
-	slots []shardMsg
-	mask  uint64
+	// slots holds depth+1 slots: at most depth published and not yet
+	// released, plus the one the producer fills. n is len(slots); a
+	// sequence maps to its slot by t % n, one division per batch.
+	slots []slot
+	n     uint64
 	spin  int
 
-	_    [64]byte // pad: slots/mask are read-only after construction
+	_    [64]byte // pad: slots/n are read-only after construction
 	tail atomic.Uint64
 	// tailCache is the consumer's last-observed tail: consumer-owned,
 	// so pops only touch the shared tail line when the cache runs dry.
@@ -70,19 +88,17 @@ type spscRing struct {
 
 	_ [64]byte
 	// Producer-owned instrumentation (plain fields: single writer, read
-	// at quiescence or by the producer itself). occHW is the input
-	// ring's occupancy high watermark; prodParkEpisodes feeds the batch
-	// spans (parks charged to the span's enqueue).
+	// at quiescence or by the producer itself). occHW is the occupancy
+	// high watermark; prodParkEpisodes feeds the batch spans (parks
+	// charged to the span's enqueue).
 	occHW            uint64
 	prodParkEpisodes uint64
 
 	// Read-only after construction: the obs handles (zero values are
 	// no-ops, so unwired rings cost nothing but the instr branch) and
-	// the flight-recorder hooks. frProd records producer parks (the
-	// router blocked on a full input ring), frCons consumer parks (the
-	// router starved on the free ring) — each side's recorder/clock is
-	// owned by the goroutine driving that side, which for both wired
-	// cases is the router.
+	// the flight-recorder hook on producer parks (the router blocked
+	// until the shard releases a slot), whose recorder and clock the
+	// router owns.
 	instr     bool
 	obsOccHW  obs.Gauge
 	prodParks obs.Counter
@@ -93,91 +109,62 @@ type spscRing struct {
 	consWakes obs.Counter
 
 	frProd      *obs.Ring[obs.Event]
-	frProdKind  obs.EventKind
 	frProdClock *uint64
-	frCons      *obs.Ring[obs.Event]
-	frConsKind  obs.EventKind
-	frConsClock *uint64
 }
 
-// newSPSCRing sizes the ring to the next power of two ≥ capacity. spin
-// ≤ 0 selects the default poll budget.
-func newSPSCRing(capacity, spin int) *spscRing {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
+// newSPSCRing builds a ring of depth+1 slots, each owning a batch of
+// rows rows and nfields metadata fields; the producer starts out
+// holding slot 0. spin ≤ 0 selects the default poll budget.
+func newSPSCRing(depth, rows, nfields, spin int) *spscRing {
 	if spin <= 0 {
 		spin = ringSpin
 	}
-	return &spscRing{
-		slots:    make([]shardMsg, n),
-		mask:     uint64(n - 1),
+	r := &spscRing{
+		slots:    make([]slot, depth+1),
+		n:        uint64(depth + 1),
 		spin:     spin,
 		wakeCons: make(chan struct{}, 1),
 		wakeProd: make(chan struct{}, 1),
 	}
-}
-
-// cap returns the slot capacity (a power of two).
-func (r *spscRing) cap() int { return len(r.slots) }
-
-// push publishes one message, blocking while the ring is full
-// (backpressure toward the router). Producer goroutine only.
-//
-//superfe:hotpath
-//superfe:producer
-func (r *spscRing) push(m shardMsg) {
-	t := r.tail.Load()
-	if t-r.headCache >= uint64(len(r.slots)) {
-		r.headCache = r.head.Load()
-		if t-r.headCache >= uint64(len(r.slots)) {
-			r.pushSlow(t)
-		}
+	for i := range r.slots {
+		r.slots[i].cols = switchsim.NewColumns(rows, nfields)
 	}
-	r.slots[t&r.mask] = m
-	r.tail.Store(t + 1)
-	r.published(t)
+	return r
 }
 
-// pushTraced is push for a span-sampled batch: it additionally fills
-// the span's enqueue-evidence fields. The span lives inside the batch
-// being pushed, so every field must be written before the publishing
-// tail store — which is why the evidence is gathered producer-side,
-// pre-publication: occupancy counts this slot against the fresh head,
-// ProdParks is the park episodes this push itself cost, and
-// WokeConsumer reports whether the consumer was parked at publish
-// time (the publish is then what wakes it).
+// push publishes the slot the producer holds (slot 0, then each slot
+// push returned) and returns the next one to fill. It first waits
+// until that next slot is released — the one place the router blocks
+// (backpressure toward the router) — so sp, the batch's span when it
+// is sampled and nil otherwise, is charged before publication: the
+// span lives inside the batch being published, so every field must be
+// written before the publishing tail store. ProdParks is the park
+// episodes this push cost, EnqueueOcc counts this slot against the
+// fresh head, and WokeConsumer reports whether the consumer was parked
+// at publish time (the publish is then what wakes it). Producer
+// goroutine only.
 //
 //superfe:hotpath
 //superfe:producer
-func (r *spscRing) pushTraced(m shardMsg, sp *obs.BatchSpan) {
+func (r *spscRing) push(sp *obs.BatchSpan) *slot {
 	t := r.tail.Load()
-	if t-r.headCache >= uint64(len(r.slots)) {
+	// Slot t+1 is free once the consumer has released sequence t+1-n.
+	if t+1-r.headCache >= r.n {
 		r.headCache = r.head.Load()
-		if t-r.headCache >= uint64(len(r.slots)) {
+		if t+1-r.headCache >= r.n {
 			parks0 := r.prodParkEpisodes
-			r.pushSlow(t)
-			sp.ProdParks = uint32(r.prodParkEpisodes - parks0)
+			r.pushSlow(t + 1)
+			if sp != nil {
+				sp.ProdParks = uint32(r.prodParkEpisodes - parks0)
+			}
 		}
 	}
-	r.headCache = r.head.Load()
-	sp.EnqueueOcc = int32(t + 1 - r.headCache)
-	sp.WokeConsumer = r.consParked.Load()
-	r.slots[t&r.mask] = m
+	if sp != nil {
+		r.headCache = r.head.Load()
+		sp.EnqueueOcc = int32(t + 1 - r.headCache)
+		sp.WokeConsumer = r.consParked.Load()
+	}
 	r.tail.Store(t + 1)
-	r.published(t)
-}
-
-// published maintains the occupancy high watermark and wakes a parked
-// consumer — the common back half of push and pushTraced. The callers
-// keep the slot write and the releasing tail store inline
-// (store-index-then-release is their own contract); this runs after
-// the message is already visible.
-//
-//superfe:hotpath
-//superfe:producer
-func (r *spscRing) published(t uint64) {
 	if r.instr {
 		// High-watermark occupancy: the stale headCache overestimates,
 		// so refresh against the true head only when the estimate would
@@ -194,26 +181,27 @@ func (r *spscRing) published(t uint64) {
 		r.wake(r.wakeCons)
 		r.consWakes.Inc()
 	}
+	return &r.slots[(t+1)%r.n]
 }
 
-// pushSlow waits for a free slot: spin with yields, then park until
-// the consumer signals progress.
+// pushSlow waits until sequence next's slot is free: spin with
+// yields, then park until the consumer releases a slot.
 //
 //superfe:coldpath
 //superfe:producer
-func (r *spscRing) pushSlow(t uint64) {
+func (r *spscRing) pushSlow(next uint64) {
 	r.prodSpins.Inc()
 	for i := 0; i < r.spin; i++ {
 		runtime.Gosched()
 		r.headCache = r.head.Load()
-		if t-r.headCache < uint64(len(r.slots)) {
+		if next-r.headCache < r.n {
 			return
 		}
 	}
 	for {
 		r.prodParked.Store(true)
 		r.headCache = r.head.Load()
-		if t-r.headCache < uint64(len(r.slots)) {
+		if next-r.headCache < r.n {
 			// Recheck beat the park: un-advertise, draining any token
 			// the consumer may already have handed us.
 			r.prodParked.Store(false)
@@ -223,41 +211,52 @@ func (r *spscRing) pushSlow(t uint64) {
 		r.prodParkEpisodes++
 		r.prodParks.Inc()
 		if r.frProd != nil {
-			r.frProd.Record(obs.Event{Kind: r.frProdKind, Clock: *r.frProdClock, Arg: int64(len(r.slots))})
+			r.frProd.Record(obs.Event{Kind: obs.FRRingPark, Clock: *r.frProdClock, Arg: int64(r.n)})
 		}
 		<-r.wakeProd
 		r.headCache = r.head.Load()
-		if t-r.headCache < uint64(len(r.slots)) {
+		if next-r.headCache < r.n {
 			return
 		}
 	}
 }
 
-// pop removes the next message. It blocks while the ring is empty and
-// returns ok=false once the ring is closed and fully drained. Consumer
-// goroutine only.
+// pop returns the oldest published slot. It blocks while the ring is
+// empty and returns ok=false once the ring is closed and fully
+// drained. The slot stays the consumer's — the producer cannot refill
+// it — until release. Consumer goroutine only.
 //
 //superfe:hotpath
 //superfe:consumer
-func (r *spscRing) pop() (shardMsg, bool) {
+func (r *spscRing) pop() (*slot, bool) {
 	h := r.head.Load()
 	if h == r.tailCache {
 		r.tailCache = r.tail.Load()
 		if h == r.tailCache && !r.popSlow(h) {
-			return shardMsg{}, false
+			return nil, false
 		}
 	}
-	m := r.slots[h&r.mask]
-	r.slots[h&r.mask] = shardMsg{} // drop references for the recycler
+	return &r.slots[h%r.n], true
+}
+
+// release hands the popped slot back to the producer, clearing the
+// barrier it carried; its batch stays in the slot to be refilled.
+// Consumer goroutine only, once per pop, after the slot is handled.
+//
+//superfe:hotpath
+//superfe:consumer
+func (r *spscRing) release() {
+	h := r.head.Load()
+	i := h % r.n
+	r.slots[i].ctl, r.slots[i].flush = nil, false
 	r.head.Store(h + 1)
 	if r.prodParked.Load() && r.prodParked.Swap(false) {
 		r.wake(r.wakeProd)
 		r.prodWakes.Inc()
 	}
-	return m, true
 }
 
-// popSlow waits for the next message: spin with yields, then park
+// popSlow waits for the next published slot: spin with yields, then park
 // until the producer publishes or closes. Returns false when the ring
 // is closed and drained.
 //
@@ -293,9 +292,6 @@ func (r *spscRing) popSlow(h uint64) bool {
 			return h != r.tailCache
 		}
 		r.consParks.Inc()
-		if r.frCons != nil {
-			r.frCons.Record(obs.Event{Kind: r.frConsKind, Clock: *r.frConsClock})
-		}
 		<-r.wakeCons
 		r.tailCache = r.tail.Load()
 		if h != r.tailCache {
@@ -332,10 +328,9 @@ func (r *spscRing) drain(ch chan struct{}) {
 	}
 }
 
-// instrumentIn wires a shard input ring's metric handles. Call before
-// the first push/pop (construction time): the handles are read-only
-// afterwards.
-func (r *spscRing) instrumentIn(ro *obs.RingObs) {
+// instrument wires the ring's metric handles. Call before the first
+// push/pop (construction time): the handles are read-only afterwards.
+func (r *spscRing) instrument(ro *obs.RingObs) {
 	if ro == nil {
 		return
 	}
@@ -349,26 +344,8 @@ func (r *spscRing) instrumentIn(ro *obs.RingObs) {
 	r.consWakes = ro.ConsWakes
 }
 
-// instrumentFree wires a recycle ring: its consumer is the router, so
-// a consumer park there means the whole pipeline is starved of free
-// batches. Only that counter is wired — occupancy and the producer
-// side carry no signal (capacity exceeds the batch population by
-// construction, so the shard's pushes never block).
-func (r *spscRing) instrumentFree(ro *obs.RingObs) {
-	if ro == nil {
-		return
-	}
-	r.consParks = ro.FreeStarvation
-}
-
 // hookProdFR attaches a flight recorder to producer park episodes.
 // The recorder and clock must be owned by the producer goroutine.
-func (r *spscRing) hookProdFR(fr *obs.Ring[obs.Event], kind obs.EventKind, clock *uint64) {
-	r.frProd, r.frProdKind, r.frProdClock = fr, kind, clock
-}
-
-// hookConsFR attaches a flight recorder to consumer park episodes.
-// The recorder and clock must be owned by the consumer goroutine.
-func (r *spscRing) hookConsFR(fr *obs.Ring[obs.Event], kind obs.EventKind, clock *uint64) {
-	r.frCons, r.frConsKind, r.frConsClock = fr, kind, clock
+func (r *spscRing) hookProdFR(fr *obs.Ring[obs.Event], clock *uint64) {
+	r.frProd, r.frProdClock = fr, clock
 }

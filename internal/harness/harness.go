@@ -108,53 +108,62 @@ func fmtPct(v float64) string {
 	return fmt.Sprintf("%.2f%%", v*100)
 }
 
-// All runs every experiment at the given scale, in paper order.
-func All(s Scale) []Table {
-	return []Table{
-		Table2(s),
-		Table3(),
-		Table4(),
-		Fig9(s),
-		Fig10(s),
-		Fig11(s),
-		Fig12(s),
-		Fig13(s),
-		Fig14(s),
-		Fig15(s),
-		Fig16(),
-		Fig17(),
-	}
+// registry is every experiment, in paper order: its id and how to run
+// it at a scale. IDs, All and ByID all read it.
+var registry = []struct {
+	id  string
+	run func(Scale) Table
+}{
+	{"table2", Table2},
+	{"table3", func(Scale) Table { return Table3() }},
+	{"table4", func(Scale) Table { return Table4() }},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15", Fig15},
+	{"fig16", func(Scale) Table { return Fig16() }},
+	{"fig17", func(Scale) Table { return Fig17() }},
 }
 
-// ByID returns the experiment with the given id, or false.
-func ByID(id string, s Scale) (Table, bool) {
-	switch strings.ToLower(id) {
-	case "table2":
-		return Table2(s), true
-	case "table3":
-		return Table3(), true
-	case "table4":
-		return Table4(), true
-	case "fig9":
-		return Fig9(s), true
-	case "fig10":
-		return Fig10(s), true
-	case "fig11":
-		return Fig11(s), true
-	case "fig12":
-		return Fig12(s), true
-	case "fig13":
-		return Fig13(s), true
-	case "fig14":
-		return Fig14(s), true
-	case "fig15":
-		return Fig15(s), true
-	case "fig16":
-		return Fig16(), true
-	case "fig17":
-		return Fig17(), true
+// IDs lists the experiment ids in paper order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, x := range registry {
+		ids[i] = x.id
 	}
-	return Table{}, false
+	return ids
+}
+
+// All runs every experiment at the given scale, in paper order.
+func All(s Scale) []Table {
+	out := make([]Table, len(registry))
+	for i, x := range registry {
+		out[i] = x.run(s)
+	}
+	return out
+}
+
+// ByID returns the experiment with the given id (case-insensitive), or
+// false.
+func ByID(id string, s Scale) (Table, bool) {
+	run, ok := lookup(id)
+	if !ok {
+		return Table{}, false
+	}
+	return run(s), true
+}
+
+// lookup resolves an id (case-insensitive) without running anything.
+func lookup(id string) (func(Scale) Table, bool) {
+	for _, x := range registry {
+		if strings.EqualFold(x.id, id) {
+			return x.run, true
+		}
+	}
+	return nil, false
 }
 
 // must panics on experiment-harness errors. The harness drives the

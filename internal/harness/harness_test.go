@@ -7,7 +7,11 @@ import (
 )
 
 func TestAllExperimentsProduceRows(t *testing.T) {
-	for _, tab := range All(Quick) {
+	ids := IDs()
+	for i, tab := range All(Quick) {
+		if tab.ID != ids[i] {
+			t.Errorf("experiment %d is registered as %q but reports id %q", i, ids[i], tab.ID)
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: no rows", tab.ID)
 		}
@@ -22,12 +26,23 @@ func TestAllExperimentsProduceRows(t *testing.T) {
 	}
 }
 
+// TestByID resolves every registered id, in either case; running them
+// is TestAllExperimentsProduceRows's job, so only a static table runs
+// here.
 func TestByID(t *testing.T) {
-	if _, ok := ByID("fig12", Quick); !ok {
-		t.Error("fig12 not found")
+	ids := IDs()
+	if len(ids) != 12 {
+		t.Fatalf("%d experiments registered, want 12: %v", len(ids), ids)
 	}
-	if _, ok := ByID("FIG12", Quick); !ok {
-		t.Error("lookup should be case-insensitive")
+	for _, id := range ids {
+		for _, q := range []string{id, strings.ToUpper(id)} {
+			if _, ok := lookup(q); !ok {
+				t.Errorf("%s not found", q)
+			}
+		}
+	}
+	if tab, ok := ByID("TABLE3", Quick); !ok || tab.ID != "table3" {
+		t.Errorf("ByID(TABLE3) = %q, %v", tab.ID, ok)
 	}
 	if _, ok := ByID("nonsense", Quick); ok {
 		t.Error("nonsense id resolved")

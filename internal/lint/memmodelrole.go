@@ -357,15 +357,20 @@ const (
 
 func checkPublication(pass *analysis.Pass, dirs *directives, fd *ast.FuncDecl, role string) {
 	info := pass.TypesInfo
-	// Index expressions appearing as assignment targets are writes.
+	// Index expressions an assignment target writes through are
+	// writes: the target itself (slots[i] = v) or the element whose
+	// field it sets (slots[i].f = v, slots[i].f++).
 	lhsIndex := map[*ast.IndexExpr]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, lhs := range asg.Lhs {
-			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix := writtenIndex(lhs); ix != nil {
+					lhsIndex[ix] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix := writtenIndex(n.X); ix != nil {
 				lhsIndex[ix] = true
 			}
 		}
@@ -422,6 +427,21 @@ func checkPublication(pass *analysis.Pass, dirs *directives, fd *ast.FuncDecl, r
 			if !ordered && !dirs.at(ev.pos, "publish-ok") {
 				pass.Reportf(ev.pos, "plain read of slot field %s in //superfe:%s code is not preceded by an atomic acquire load of a sequence field", ev.name, role)
 			}
+		}
+	}
+}
+
+// writtenIndex returns the index expression an assignment target
+// writes through, looking past field selections, or nil.
+func writtenIndex(e ast.Expr) *ast.IndexExpr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
 		}
 	}
 }

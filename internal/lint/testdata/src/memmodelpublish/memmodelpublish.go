@@ -1,6 +1,6 @@
 // Package memmodelpublish seeds memmodelpublish violations: a slot
-// write published before the payload lands, and a slot read with no
-// acquiring load.
+// write published before the payload lands — the whole slot or one
+// field of it — and a slot read with no acquiring load.
 package memmodelpublish
 
 import "sync/atomic"
@@ -57,4 +57,36 @@ func (r *ring) popUnordered() int {
 func (r *ring) popWaived() int {
 	//superfe:publish-ok drain runs after both goroutines joined
 	return r.slots[0]
+}
+
+// cell is a slot that carries more than its payload: a control field
+// rides beside the batch.
+type cell struct {
+	batch []int
+	ctl   chan struct{}
+}
+
+type cellRing struct {
+	cells []cell
+	n     uint64
+	tail  atomic.Uint64
+}
+
+// pushCtlGood sets the slot's control field, then releases the slot.
+//
+//superfe:producer
+func (r *cellRing) pushCtlGood(ctl chan struct{}) {
+	t := r.tail.Load()
+	r.cells[t%r.n].ctl = ctl
+	r.tail.Store(t + 1)
+}
+
+// pushCtlUnpublished sets the control field after the releasing store:
+// the consumer may already be reading the slot.
+//
+//superfe:producer
+func (r *cellRing) pushCtlUnpublished(ctl chan struct{}) {
+	t := r.tail.Load()
+	r.tail.Store(t + 1)
+	r.cells[t%r.n].ctl = ctl // want `plain write to slot field cells in //superfe:producer code is not followed by an atomic release store`
 }

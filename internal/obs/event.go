@@ -31,8 +31,7 @@ const (
 	FREMEMDrop      // NIC EMEM allocation failure drop (coalesced; arg = total drops)
 	FRBarrier       // router barrier (arg = 1 when flushing)
 	FRFlush         // engine flush
-	FRRingPark      // router parked on a full input ring
-	FRFreeStarve    // router parked waiting for a recycled batch
+	FRRingPark      // router parked on a full ring, waiting for the shard to release a slot
 	FRDumped        // a dump bundle was produced (arg = dump ordinal)
 	numKinds
 )
@@ -43,7 +42,7 @@ var kindNames = [numKinds]string{
 	FRDegradedEnter: "degraded-enter", FRDegradedExit: "degraded-exit",
 	FRQuarantine: "quarantine", FRRetry: "retry", FRRetryDrop: "retry-drop",
 	FRShed: "shed", FREMEMDrop: "emem-drop", FRBarrier: "barrier", FRFlush: "flush",
-	FRRingPark: "ring-park", FRFreeStarve: "free-starve", FRDumped: "dumped",
+	FRRingPark: "ring-park", FRDumped: "dumped",
 }
 
 // String names the kind for exposition.
@@ -179,10 +178,10 @@ func WriteTimelinesJSON(w io.Writer, tls []Timeline) error {
 
 // Ring capacities per retention class, and the flight rings' anomaly
 // trigger tuning: quarSpikeCount quarantines within spikeWindowClocks
-// clock units fire quarantine-spike, parkSpikeCount ring-park/
-// free-starve events within the same window fire ring-full-sustained,
-// and anomalyCooldown clock units of silence follow any fired anomaly,
-// bounding dump storms.
+// clock units fire quarantine-spike, parkSpikeCount ring-park events
+// within the same window fire ring-full-sustained, and anomalyCooldown
+// clock units of silence follow any fired anomaly, bounding dump
+// storms.
 const (
 	traceRingSize  = 4096
 	spanRingSize   = 1024
@@ -240,7 +239,7 @@ func (t *triggers) observe(e Event) {
 		if t.quar.hit(e.Clock) {
 			t.fire("quarantine-spike", e.Clock)
 		}
-	case FRRingPark, FRFreeStarve:
+	case FRRingPark:
 		if t.park.hit(e.Clock) {
 			t.fire("ring-full-sustained", e.Clock)
 		}

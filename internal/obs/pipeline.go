@@ -1,12 +1,12 @@
 package obs
 
 // RingObs is the router→shard SPSC-ring instrument panel: the
-// backpressure evidence the PR 6 hot path was blind to. The in-ring
-// handles are wired to the shard's input ring; FreeStarvation is the
-// recycle ring's consumer-park count (the router waiting for a free
-// batch — the whole pipeline stalled on the shard). Registered
-// unconditionally so the per-shard registry schemas stay identical
-// (an inline engine has no rings and simply leaves them at zero).
+// backpressure evidence the hot path is otherwise blind to, wired to
+// the shard's one ring. A producer park is the router waiting for the
+// shard to release a batch — the whole pipeline stalled on the shard.
+// Registered unconditionally so the per-shard registry schemas stay
+// identical (an inline engine has no ring and simply leaves them at
+// zero).
 type RingObs struct {
 	// InOccupancyHW is the high-watermark occupancy of the input ring
 	// (per-shard gauge; summed across shards at snapshot like the
@@ -22,8 +22,6 @@ type RingObs struct {
 	// Wake counters: tokens handed to a parked peer.
 	ProdWakes Counter
 	ConsWakes Counter
-	// FreeStarvation: router parks waiting for a recycled batch.
-	FreeStarvation Counter
 }
 
 // Pipeline bundles one engine shard's telemetry: the registry every
@@ -76,8 +74,6 @@ func NewPipeline(o Options, shard int) *Pipeline {
 			"wake tokens handed to a parked producer"),
 		ConsWakes: r.Counter("superfe_ring_cons_wakes_total",
 			"wake tokens handed to a parked consumer"),
-		FreeStarvation: r.Counter("superfe_ring_free_starvation_total",
-			"router park episodes waiting for a recycled batch on the free ring"),
 	}
 	return &Pipeline{
 		Registry: r, Ring: ring,
