@@ -3,7 +3,6 @@ package nicsim
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -54,20 +53,5 @@ func TestStateBytesGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s groups=%d state_bytes=%d\n", app.Name, mode, rt.Stats().GroupsLive, rt.StateBytes())
 		}
 	}
-	const golden = "testdata/state_bytes.golden"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("StateBytes moved:\n--- got\n%s--- want\n%s", got.String(), want)
-	}
+	goldenCompare(t, "state_bytes.golden", got.String())
 }

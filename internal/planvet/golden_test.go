@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"superfe/examples/policies"
+	"superfe/internal/apps"
 	"superfe/internal/flowkey"
 	"superfe/internal/packet"
 	"superfe/internal/policy"
@@ -147,4 +149,30 @@ func TestFindingsDeterministic(t *testing.T) {
 			t.Errorf("findings out of order at %d: %q ≥ %q", i, a, b)
 		}
 	}
+}
+
+// TestCatalogReportGoldens pins the full report — resource figures,
+// findings, proved ranges and witness packets — of every catalog
+// application and every example policy, the plans the tree ships.
+func TestCatalogReportGoldens(t *testing.T) {
+	var reports []*Report
+	for _, e := range apps.Catalog() {
+		r, err := CheckPolicy(DefaultModel(), e.Name, e.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+	}
+	for _, e := range policies.Registry() {
+		r, err := CheckPolicy(DefaultModel(), e.Name, e.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+	}
+	b, err := json.MarshalIndent(reports, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "catalog_reports.json", append(b, '\n'))
 }
