@@ -588,12 +588,18 @@ func (e *Engine) Process(p *packet.Packet) bool {
 // barrier riding in it — to the worker by publishing it on the ring
 // and takes the next slot, blocking until the worker has released it
 // (backpressure); inline, it handles the slot in place and keeps it.
-// A slot with no rows (a barrier alone) is not a batch.
+// A slot with no rows (a barrier alone) is not a batch. On a closed
+// engine, whose workers have exited, the batch is dropped: the check
+// runs once per batch, so the per-packet path carries no branch.
 //
 //superfe:hotpath
 func (e *Engine) dispatch(sh *shard) {
 	s := sh.cur
 	c := s.cols
+	if e.closed {
+		c.Reset()
+		return
+	}
 	var sp *obs.BatchSpan
 	if c.N > 0 {
 		sh.batches++
@@ -694,8 +700,11 @@ func (e *Engine) Flush() error {
 }
 
 // Close drains in-flight work and stops the workers. Unflushed state
-// is discarded; call Flush first to emit it. The engine cannot be
-// used after Close.
+// is discarded; call Flush first to emit it. Afterwards Process still
+// returns the filter verdict but drops every batch it fills: nothing
+// reaches the switch, the NIC or the sink, and no counter names the
+// drop yet. Flush and SwapPlan return an error, and Drain and the
+// stats reads return at once.
 func (e *Engine) Close() error {
 	if e.closed {
 		return e.Err()

@@ -518,3 +518,40 @@ func TestDrainAfterCloseReturns(t *testing.T) {
 		t.Fatal("Drain after Close did not return")
 	}
 }
+
+// TestProcessAfterCloseReturns: the workers of a closed engine have
+// exited, so Process must drop its batches instead of waiting on a
+// ring no worker releases.
+func TestProcessAfterCloseReturns(t *testing.T) {
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = 600
+	tr := trace.Generate(cfg, 42)
+	if len(tr.Packets) < 3000 {
+		t.Fatalf("trace has %d packets, want ≥ 3000 to fill the ring", len(tr.Packets))
+	}
+	popts := DefaultParallelOptions()
+	popts.Workers = 1
+	e, err := NewParallel(popts, apps.NPOD(), func(feature.Vector) { t.Error("vector after Close") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	//superfe:goroutine-ok test helper: joined via the done channel below, or abandoned with the failed test
+	go func() {
+		for i := range tr.Packets {
+			e.Process(&tr.Packets[i])
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Process after Close did not return")
+	}
+	if in := e.SwitchStats().PktsIn; in != 0 {
+		t.Errorf("switch took %d packets after Close, want 0", in)
+	}
+}
