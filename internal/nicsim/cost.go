@@ -50,7 +50,7 @@ func NewCostModel(cfg Config, plan policy.NICPlan, pl Placement) *CostModel {
 			m.instr += mapInstrCycles(st.Op.MapF)
 			m.divs += mapDivs(st.Op.MapF)
 		case policy.OpReduce:
-			for _, rf := range st.Specs {
+			for _, rf := range st.Op.Reducers {
 				m.instr += reduceInstrCycles(rf.Func)
 				if reduceNeedsDiv(rf.Func, rf.Params) {
 					divGrans[st.Op.Gran] = true

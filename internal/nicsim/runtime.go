@@ -333,13 +333,8 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		inj:    cfg.Faults,
 		fr:     cfg.FlightRec,
 	}
-	// Field position index within cells.
-	fieldPos := map[packet.FieldName]int{}
-	for i, f := range plan.Switch.MetadataFields {
-		fieldPos[f] = i
-	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, fieldPos, cfg, &r.decay)
+		pr, err := compileProgram(plan, g, cfg, &r.decay)
 		if err != nil {
 			return nil, err
 		}
@@ -354,10 +349,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 			r.fgProg = pr
 		}
 	}
-	r.tsPos = -1
-	if pos, ok := fieldPos[packet.FieldTimestamp]; ok {
-		r.tsPos = pos
-	}
+	r.tsPos = slices.Index(plan.Switch.MetadataFields, packet.FieldTimestamp)
 	r.drainMemo = make([]record, len(r.programs))
 	if cfg.Obs != nil {
 		r.obs = cfg.Obs
@@ -401,39 +393,34 @@ func (r *Runtime) PublishObs() {
 	r.emitStage.Flush()
 }
 
-// compileProgram lowers the ops at granularity g into an op table with
-// resolved slots and shared state families, fuses the damped states of
-// each source into lanes (fuseLanes), compiles the collects into one
-// read-out and lays out the record. cfg.Naive gives every reduce spec a
-// state of its own: the store-everything ablation is one buffer per
-// feature; cfg.Obs keeps the admission clock telemetry reads.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packet.FieldName]int, cfg Config, decay *streaming.Decay) (*program, error) {
+// compileProgram lowers the NIC stages at granularity g into an op
+// table with column operands and shared state families, fuses the
+// damped states of each source into lanes (fuseLanes), compiles the
+// collects into one read-out and lays out the record. cfg.Naive gives
+// every reduce spec a state of its own: the store-everything ablation
+// is one buffer per feature; cfg.Obs keeps the admission clock
+// telemetry reads.
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, cfg Config, decay *streaming.Decay) (*program, error) {
 	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
 	naive := cfg.Naive
 	numCols := 0
-	mapCol := map[string]int{}
-	field := func(pos int) int {
-		for _, f := range pr.fields {
-			if f.pos == pos {
-				return f.col
+	// stageCol[i] is the column map stage i writes.
+	stageCol := make([]int, len(plan.NIC.Stages))
+	operand := func(in policy.Operand) int {
+		switch in.Kind {
+		case policy.OperandField:
+			for _, f := range pr.fields {
+				if f.pos == in.Pos {
+					return f.col
+				}
 			}
+			pr.fields = append(pr.fields, fieldCol{in.Pos, numCols})
+			numCols++
+			return numCols - 1
+		case policy.OperandStage:
+			return stageCol[in.Stage]
 		}
-		pr.fields = append(pr.fields, fieldCol{pos, numCols})
-		numCols++
-		return numCols - 1
-	}
-	resolve := func(name string) (int, error) {
-		if c, ok := mapCol[name]; ok {
-			return c, nil
-		}
-		if f, ok := policy.BuiltinField(name); ok {
-			pos, ok := fieldPos[f]
-			if !ok {
-				return 0, fmt.Errorf("nicsim: field %s not batched in MGPV cells", f)
-			}
-			return field(pos), nil
-		}
-		return 0, fmt.Errorf("nicsim: unresolved key %q", name)
+		return -1 // f_one reads none
 	}
 	type stateKey struct {
 		src int
@@ -442,10 +429,8 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 	stateOf := map[stateKey]int{}
 	var collects []collect
 	var pending *collect
-	for _, op := range plan.Policy.Ops() {
-		if op.Kind == policy.OpGroupBy || op.Kind == policy.OpFilter {
-			continue // switch-side
-		}
+	for i, stage := range plan.NIC.Stages {
+		op := stage.Op
 		if op.Gran != g {
 			continue
 		}
@@ -453,24 +438,10 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 		case policy.OpMap:
 			// Every map writes a column of its own, so a column names
 			// one definition and equal columns always carry equal values.
-			ins := instruction{code: opcode(op.MapF), src: -1, burstNS: op.BurstNS}
-			switch op.Src.Kind {
-			case policy.SourceField:
-				pos, ok := fieldPos[op.Src.Field]
-				if !ok {
-					return nil, fmt.Errorf("nicsim: field %s not batched", op.Src.Field)
-				}
-				ins.src = field(pos)
-			case policy.SourceKey:
-				c, err := resolve(op.Src.Key)
-				if err != nil {
-					return nil, err
-				}
-				ins.src = c
-			}
+			ins := instruction{code: opcode(op.MapF), src: operand(stage.In), burstNS: op.BurstNS}
 			ins.dst = numCols
 			numCols++
-			mapCol[op.Dst] = ins.dst
+			stageCol[i] = ins.dst
 			ins.scratchOff = pr.numScratch // past the header: laid out below
 			switch op.MapF {
 			case policy.MapIPT, policy.MapSpeed:
@@ -483,10 +454,7 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 			}
 			pr.instrs = append(pr.instrs, ins)
 		case policy.OpReduce:
-			src, err := resolve(op.ReduceSrc)
-			if err != nil {
-				return nil, err
-			}
+			src := operand(stage.In)
 			ins := instruction{code: opReduce, src: src, ops: 1,
 				satLo: math.MinInt64, satHi: math.MaxInt64, fpMax: math.MaxInt64}
 			if pending == nil {
@@ -497,6 +465,7 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, fieldPos map[packe
 				si, shared := stateOf[k]
 				if !shared || naive {
 					st := stateSpec{fn: rf.Func, params: rf.Params, src: src}
+					var err error
 					if naive {
 						st.kern, err = streaming.NaiveKernel(rf.Func, rf.Params, &pr.logs)
 					} else {

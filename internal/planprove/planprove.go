@@ -11,10 +11,13 @@
 // The abstract domain is the interval lattice over int64
 // (internal/planprove/interval.go), seeded per packet field from the
 // plan's filter predicate and the fields' natural wire widths. The
+// interpreter walks plan.NIC.Stages and follows each stage's resolved
+// operand (policy.Operand), the same one the runtime compiles. The
 // transfer functions mirror nicsim's map arithmetic (ipt, speed,
-// burst, shared by its cell and run loops) instruction for instruction — f_ipt is a 32-bit wrapping difference, f_speed
-// divides by a ≥1ns delta so its range is bounded by src×1e9, f_burst
-// is an unbounded counter — so a proved range is an invariant of the
+// burst, shared by its cell and run loops) instruction for
+// instruction — f_ipt is a 32-bit wrapping difference, f_speed divides
+// by a ≥1ns delta so its range is bounded by src×1e9, f_burst is an
+// unbounded counter — so a proved range is an invariant of the
 // simulator's concrete execution. Synthesize ops post-process emitted
 // float vectors after reduction and cannot feed values back into
 // cells or reducer inputs, so they need no transfer function.
@@ -256,8 +259,9 @@ func Check(sw switchsim.Config, name string, plan *policy.Plan) *Result {
 	}
 	c.checkCells()
 	c.checkFGIndex()
+	ivs := make([]Interval, len(plan.NIC.Stages))
 	for _, g := range plan.Switch.Chain {
-		c.transfer(g)
+		c.transfer(g, ivs)
 	}
 	// Deterministic report order regardless of traversal details.
 	sort.SliceStable(res.Findings, func(i, j int) bool {
@@ -479,26 +483,17 @@ func (c *checker) cellIv(f packet.FieldName) Interval {
 	return iv
 }
 
-// keyIv resolves a name the way nicsim's compileProgram does: mapped
-// env slots shadow built-in fields.
-func (c *checker) keyIv(vals map[string]Interval, name string) Interval {
-	if iv, ok := vals[name]; ok {
-		return iv
+// operandIv is the proved interval of a stage's resolved input: a
+// batched field's cell interval, or an earlier map stage's output
+// (ivs, indexed like plan.NIC.Stages).
+func (c *checker) operandIv(ivs []Interval, in policy.Operand) Interval {
+	switch in.Kind {
+	case policy.OperandField:
+		return c.cellIv(in.Field)
+	case policy.OperandStage:
+		return ivs[in.Stage]
 	}
-	if f, ok := policy.BuiltinField(name); ok {
-		return c.cellIv(f)
-	}
-	return unbounded // unresolved (Compile rejects these); stay sound
-}
-
-func (c *checker) srcIv(vals map[string]Interval, src policy.Source) Interval {
-	switch src.Kind {
-	case policy.SourceField:
-		return c.cellIv(src.Field)
-	case policy.SourceKey:
-		return c.keyIv(vals, src.Key)
-	}
-	return point(0) // SourceNone (f_one ignores its source)
+	return point(0) // OperandNone (f_one ignores its source)
 }
 
 // checkCells verifies each batched metadata field against its MGPV
@@ -547,36 +542,35 @@ func (c *checker) checkFGIndex() {
 		"FG key table has %d entries but the wire cell header packs the FG index into 15 bits (+ direction flag): indices ≥ %d alias to other keys on the NIC", size, switchsim.MaxWireFGIndex+1)
 }
 
-// transfer abstractly executes the granularity-g NIC program,
-// recording proved ranges and checking every reducer input.
-func (c *checker) transfer(g flowkey.Granularity) {
-	vals := map[string]Interval{}
-	defs := map[string]policy.Op{}
-	for _, op := range c.plan.Policy.Ops() {
+// transfer abstractly executes the granularity-g stages of the NIC
+// program, recording proved ranges and checking every reducer input.
+// ivs[i] is map stage i's proved output, which the operands of later
+// stages at g read.
+func (c *checker) transfer(g flowkey.Granularity, ivs []Interval) {
+	for i, st := range c.plan.NIC.Stages {
+		op := st.Op
 		if op.Gran != g {
 			continue
 		}
+		in := c.operandIv(ivs, st.In)
 		switch op.Kind {
 		case policy.OpMap:
-			out := c.mapTransfer(g, op, vals)
-			vals[op.Dst] = out
-			defs[op.Dst] = op
+			ivs[i] = c.mapTransfer(g, op, in)
 			c.res.Ranges = append(c.res.Ranges, SiteRange{
-				Gran: g.String(), Site: op.Dst, Range: out,
+				Gran: g.String(), Site: op.Dst, Range: ivs[i],
 			})
 		case policy.OpReduce:
-			in := c.keyIv(vals, op.ReduceSrc)
 			c.res.Ranges = append(c.res.Ranges, SiteRange{
 				Gran: g.String(), Site: "reduce(" + op.ReduceSrc + ")", Range: in,
 			})
-			c.checkReduce(g, op, in, defs)
+			c.checkReduce(g, op, in, c.driverFor(st.In))
 		}
 	}
 }
 
-// mapTransfer mirrors nicsim's map arithmetic on intervals.
-func (c *checker) mapTransfer(g flowkey.Granularity, op policy.Op, vals map[string]Interval) Interval {
-	in := c.srcIv(vals, op.Src)
+// mapTransfer mirrors nicsim's map arithmetic on intervals: in is the
+// map's input interval.
+func (c *checker) mapTransfer(g flowkey.Granularity, op policy.Op, in Interval) Interval {
 	switch op.MapF {
 	case policy.MapOne:
 		return point(1)
@@ -610,8 +604,8 @@ func (c *checker) mapTransfer(g flowkey.Granularity, op policy.Op, vals map[stri
 
 // checkReduce verifies op's input interval against every reducer's
 // streaming.Contract, attaching witnesses to violations.
-func (c *checker) checkReduce(g flowkey.Granularity, op policy.Op, in Interval, defs map[string]policy.Op) {
-	drv := c.driverFor(g, op.ReduceSrc, defs, 0)
+// drv drives the input (nil: no packet sequence realises it).
+func (c *checker) checkReduce(g flowkey.Granularity, op policy.Op, in Interval, drv *driver) {
 	for _, rf := range op.Reducers {
 		ct := streaming.ContractFor(rf.Func, rf.Params)
 		site := fmt.Sprintf("%s(%s)@%s", rf.Func, op.ReduceSrc, g)

@@ -41,38 +41,26 @@ type driver struct {
 	inner *driver          // drvDirection
 }
 
-// driverFor resolves name to its driver, mirroring compileProgram's
-// env-before-builtin resolution order. defs holds the map ops already
-// defined at this granularity, keyed by destination.
-func (c *checker) driverFor(g flowkey.Granularity, name string, defs map[string]policy.Op, depth int) *driver {
-	if depth > 16 {
-		return nil
-	}
-	if op, ok := defs[name]; ok {
-		return c.mapDriver(g, op, defs, depth+1)
-	}
-	if f, ok := policy.BuiltinField(name); ok {
-		return &driver{kind: drvField, field: f}
+// driverFor follows a resolved operand to its driver: a batched field,
+// or the map stage that computes it. An operand names an earlier stage,
+// so the walk ends.
+func (c *checker) driverFor(in policy.Operand) *driver {
+	switch in.Kind {
+	case policy.OperandField:
+		return &driver{kind: drvField, field: in.Field}
+	case policy.OperandStage:
+		return c.mapDriver(c.plan.NIC.Stages[in.Stage])
 	}
 	return nil
 }
 
-func (c *checker) mapDriver(g flowkey.Granularity, op policy.Op, defs map[string]policy.Op, depth int) *driver {
-	src := func() *driver {
-		switch op.Src.Kind {
-		case policy.SourceField:
-			return &driver{kind: drvField, field: op.Src.Field}
-		case policy.SourceKey:
-			return c.driverFor(g, op.Src.Key, defs, depth)
-		}
-		return nil
-	}
-	switch op.MapF {
+func (c *checker) mapDriver(st policy.NICStage) *driver {
+	switch st.Op.MapF {
 	case policy.MapIdentity:
-		return src()
+		return c.driverFor(st.In)
 	case policy.MapDirection:
-		d := src()
-		if !g.Directional() {
+		d := c.driverFor(st.In)
+		if !st.Op.Gran.Directional() {
 			return d // pass-through at flow granularity
 		}
 		if d == nil {
@@ -80,11 +68,11 @@ func (c *checker) mapDriver(g flowkey.Granularity, op policy.Op, defs map[string
 		}
 		return &driver{kind: drvDirection, inner: d}
 	case policy.MapIPT:
-		if d := src(); d != nil && d.kind == drvField {
+		if d := c.driverFor(st.In); d != nil && d.kind == drvField {
 			return &driver{kind: drvIPT, field: d.field}
 		}
 	case policy.MapSpeed:
-		if d := src(); d != nil && d.kind == drvField {
+		if d := c.driverFor(st.In); d != nil && d.kind == drvField {
 			return &driver{kind: drvSpeed, field: d.field}
 		}
 	}

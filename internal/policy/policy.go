@@ -281,12 +281,10 @@ type Policy struct {
 	name string
 	ops  []Op
 	// Derived during Build:
-	grans       []flowkey.Granularity // dependency chain, coarse→fine
-	featureDim  int
-	perPacket   bool
-	mappedKeys  map[string]int // key name → op index that defined it
-	hasGroupBy  bool
-	filterCount int
+	grans      []flowkey.Granularity // dependency chain, coarse→fine
+	featureDim int
+	perPacket  bool
+	stages     []NICStage // the NIC operators, sources resolved; Compile places their fields
 }
 
 // Name returns the policy's name.
@@ -326,7 +324,7 @@ func (p *Policy) Source() string {
 var (
 	ErrNoGroupBy        = errors.New("policy: no groupby operator — reduce/collect need a grouping")
 	ErrCollectFirst     = errors.New("policy: collect before any reduce or synthesize")
-	ErrUnknownSourceKey = errors.New("policy: map/reduce reads an undefined key")
+	ErrUnknownSourceKey = errors.New("policy: map/reduce reads a key neither mapped earlier at its granularity nor built in")
 	ErrEmptyPolicy      = errors.New("policy: empty operator list")
 	ErrFilterAfterGroup = errors.New("policy: filter must precede groupby (switch executes filter first)")
 	ErrGranRepeat       = errors.New("policy: duplicate groupby granularity")

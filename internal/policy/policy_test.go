@@ -97,6 +97,9 @@ func TestValidationErrors(t *testing.T) {
 		{"collect first", New("x").GroupBy(flowkey.GranFlow).Collect(), ErrCollectFirst},
 		{"unknown key", New("x").GroupBy(flowkey.GranFlow).Reduce("nope", RF(streaming.FSum)), ErrUnknownSourceKey},
 		{"unknown map src", New("x").GroupBy(flowkey.GranFlow).Map("d", SrcKey("nope"), MapIdentity), ErrUnknownSourceKey},
+		{"key mapped at another granularity", crossGranProbe(), ErrUnknownSourceKey},
+		{"map src mapped at another granularity", New("x").GroupBy(flowkey.GranHost).Map("one", SrcNone, MapOne).
+			GroupBy(flowkey.GranFlow).Map("d", SrcKey("one"), MapIdentity), ErrUnknownSourceKey},
 	}
 	for _, c := range cases {
 		_, err := c.b.Build()
