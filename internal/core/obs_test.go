@@ -10,7 +10,9 @@ import (
 
 	"superfe/internal/apps"
 	"superfe/internal/feature"
+	"superfe/internal/flowkey"
 	"superfe/internal/obs"
+	"superfe/internal/packet"
 	"superfe/internal/policy"
 	"superfe/internal/trace"
 )
@@ -232,6 +234,48 @@ func TestObsDisabledIsInert(t *testing.T) {
 	defer pe.Close()
 	if pe.ObsScrape() != nil || pe.ObsTimelines() != nil {
 		t.Error("disabled parallel telemetry must return nils")
+	}
+}
+
+// TestObsNeverDecidesDeploy: telemetry only counts what the engine
+// did, so whether a plan deploys cannot depend on it. The probe's
+// histogram is priced past the placement model's per-group EMEM budget
+// (nicsim.EMEMPerGroupBudget), a plan the modelled NIC cannot place;
+// the engine still executes it, with telemetry off and on alike. It is
+// the narrowest power-of-two such histogram: a record holds every bin,
+// and a group table allocates 64 records at a time.
+func TestObsNeverDecidesDeploy(t *testing.T) {
+	pol := policy.New("wide-hist").
+		GroupBy(flowkey.GranFlow).
+		Map("sz", policy.SrcField(packet.FieldSize), policy.MapIdentity).
+		Reduce("sz", policy.RFHist(1, 1<<18)).
+		Collect().
+		MustBuild()
+	cfg := trace.EnterpriseConfig
+	cfg.Flows = 4
+	tr := trace.Generate(cfg, 42)
+	var counts []int
+	for _, on := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Obs.Enabled = on
+		n := 0
+		fe, err := New(opts, pol, func(feature.Vector) { n++ })
+		if err != nil {
+			t.Fatalf("obs %v: %v", on, err)
+		}
+		for i := range tr.Packets {
+			fe.Process(&tr.Packets[i])
+		}
+		if err := fe.Flush(); err != nil {
+			t.Fatalf("obs %v: %v", on, err)
+		}
+		if err := fe.Close(); err != nil {
+			t.Fatalf("obs %v: %v", on, err)
+		}
+		counts = append(counts, n)
+	}
+	if counts[0] == 0 || counts[0] != counts[1] {
+		t.Errorf("vectors with obs off, on = %v; want equal and nonzero", counts)
 	}
 }
 

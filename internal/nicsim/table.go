@@ -9,8 +9,8 @@ import (
 )
 
 // The host's geometry for a group table. Config.GroupSlots/TableWidth
-// stay the modelled NFP geometry (DRAMEntries, the cost model); these
-// two only shape what the simulator itself probes.
+// are the modelled NFP geometry, read only by the placement and the
+// cost model; these two only shape what the simulator itself probes.
 const (
 	// groupBlock is the fewest group records a block holds. A block is
 	// one allocation, which the allocator rounds up to its size class or

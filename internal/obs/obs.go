@@ -11,8 +11,8 @@
 //   - logical-clock interval snapshots: every N packets — never wall
 //     time, the simulators are //superfe:deterministic — a Recorder
 //     captures a delta Snapshot, yielding time-series of aggregation
-//     ratio, eviction-reason mix, MGPV occupancy, DRAM-overflow
-//     entries and per-shard packet skew (snapshot.go);
+//     ratio, eviction-reason mix, MGPV occupancy, live NIC groups
+//     and per-shard packet skew (snapshot.go);
 //
 //   - one event ring (ring.go) sampled by the CG hash the pipeline
 //     already carries, one Event record and EventKind enum, one

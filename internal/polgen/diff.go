@@ -420,7 +420,8 @@ func sharded(r *runner) (string, string) {
 
 // conservation compares the counters sharding must not change: filter
 // decisions, packets and bytes in, packets filtered, cells out of the
-// switch and into the NIC, and vectors.
+// switch and into the NIC, vectors, and the NIC's live groups (every
+// group of a CG lives on the one shard the CG hashes to).
 func conservation(ref, run engineRun) string {
 	a, b := ref.sw, run.sw
 	switch {
@@ -428,9 +429,9 @@ func conservation(ref, run engineRun) string {
 		return fmt.Sprintf("filter decisions: inline %d, sharded %d", ref.selected, run.selected)
 	case a.PktsIn != b.PktsIn || a.BytesIn != b.BytesIn || a.PktsFiltered != b.PktsFiltered || a.CellsOut != b.CellsOut:
 		return fmt.Sprintf("switch stats: inline %+v, sharded %+v", a, b)
-	case ref.nic.Cells != run.nic.Cells || ref.nic.Vectors != run.nic.Vectors:
-		return fmt.Sprintf("NIC stats: inline cells=%d vectors=%d, sharded cells=%d vectors=%d",
-			ref.nic.Cells, ref.nic.Vectors, run.nic.Cells, run.nic.Vectors)
+	case ref.nic.Cells != run.nic.Cells || ref.nic.Vectors != run.nic.Vectors || ref.nic.GroupsLive != run.nic.GroupsLive:
+		return fmt.Sprintf("NIC stats: inline cells=%d vectors=%d groups=%d, sharded cells=%d vectors=%d groups=%d",
+			ref.nic.Cells, ref.nic.Vectors, ref.nic.GroupsLive, run.nic.Cells, run.nic.Vectors, run.nic.GroupsLive)
 	}
 	return ""
 }

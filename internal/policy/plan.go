@@ -140,11 +140,11 @@ func Compile(p *Policy) (*Plan, error) {
 
 	// --- NIC half ----------------------------------------------------------
 	// One walk over the stages Build resolved derives the metadata
-	// fields — every field an operand reads, plus the timestamp and
-	// size the timed maps and reducers read besides — and the state
-	// inventory for the ILP: one state per reducer at the granularity
-	// its reduce operates within (op.Gran, stamped by Build), plus
-	// per-group map scratch (e.g. last timestamp for f_ipt).
+	// fields — every field an operand reads, plus the timestamp the
+	// timed maps and reducers read besides — and the state inventory
+	// for the ILP: one state per reducer at the granularity its reduce
+	// operates within (op.Gran, stamped by Build), plus per-group map
+	// scratch (e.g. last timestamp for f_ipt).
 	nic := NICPlan{Stages: append([]NICStage(nil), p.stages...), FeatureDim: p.FeatureDim()}
 	var need [packet.NumFields]bool
 	for _, st := range nic.Stages {
@@ -153,9 +153,6 @@ func Compile(p *Policy) (*Plan, error) {
 		}
 		switch op := st.Op; op.Kind {
 		case OpMap:
-			if op.MapF == MapSpeed {
-				need[packet.FieldSize] = true
-			}
 			switch op.MapF {
 			case MapIPT, MapSpeed:
 				need[packet.FieldTimestamp] = true

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,12 +110,33 @@ func TestCompileDampedNeedsTimestamp(t *testing.T) {
 	}
 }
 
+// TestCellBytes checks the batched fields and the cell they make. A
+// speed map batches its operand and the timestamp, not the size: the
+// operand is the byte count it divides.
 func TestCellBytes(t *testing.T) {
-	p := figure3Policy().MustBuild()
-	plan, _ := Compile(p)
-	// size + tstamp = 2 words × 4B + 2B FG index.
-	if got := plan.Switch.CellBytes(); got != 10 {
-		t.Errorf("cell bytes = %d, want 10", got)
+	for _, tc := range []struct {
+		name   string
+		pol    *Builder
+		fields []packet.FieldName
+	}{
+		{"figure3", figure3Policy(), []packet.FieldName{packet.FieldSize, packet.FieldTimestamp}},
+		{"speed over ttl", New("speed").
+			GroupBy(flowkey.GranFlow).
+			Map("sp", SrcField(packet.FieldTTL), MapSpeed).
+			Reduce("sp", RF(streaming.FMax)).
+			Collect(), []packet.FieldName{packet.FieldTTL, packet.FieldTimestamp}},
+	} {
+		plan, err := Compile(tc.pol.MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Switch.MetadataFields; !slices.Equal(got, tc.fields) {
+			t.Errorf("%s: metadata fields = %v, want %v", tc.name, got, tc.fields)
+		}
+		// 2 words × 4B + 2B FG index.
+		if got := plan.Switch.CellBytes(); got != 10 {
+			t.Errorf("%s: cell bytes = %d, want 10", tc.name, got)
+		}
 	}
 }
 
