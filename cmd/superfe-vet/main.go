@@ -366,13 +366,8 @@ func printProof(p *planprove.Result, waivers []planprove.Waiver, hints bool) int
 			continue
 		}
 		fmt.Printf("  %-5s %s %s: %s\n", f.Sev, f.Class, f.Site, f.Detail)
-		if w := f.Witness; w != nil {
-			state := "unconfirmed"
-			if w.Confirmed {
-				state = fmt.Sprintf("replayable, %d packet(s)", len(w.Packets))
-			}
-			fmt.Printf("        witness: %s = %d against bound %d under %s ∈ %s (%s)\n",
-				w.Var, w.Value, w.Bound, w.Var, w.Input, state)
+		if f.Witness != nil {
+			fmt.Printf("        witness: %s\n", f.Witness)
 		}
 		if w, ok := planprove.WaiverFor(f, waivers); ok {
 			waived++

@@ -242,8 +242,9 @@ func TestObsDisabledIsInert(t *testing.T) {
 // histogram is priced past the placement model's per-group EMEM budget
 // (nicsim.EMEMPerGroupBudget), a plan the modelled NIC cannot place;
 // the engine still executes it, with telemetry off and on alike. It is
-// the narrowest power-of-two such histogram: a record holds every bin,
-// and a group table allocates 64 records at a time.
+// the narrowest power-of-two such histogram: a record holds every bin
+// (two to a word: 1 MiB), and a record that wide gets a group-table
+// block of its own.
 func TestObsNeverDecidesDeploy(t *testing.T) {
 	pol := policy.New("wide-hist").
 		GroupBy(flowkey.GranFlow).

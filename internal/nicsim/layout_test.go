@@ -13,9 +13,9 @@ import (
 	"superfe/internal/policy"
 )
 
-// layoutModes are the deployments a record's layout depends on: the
-// header keeps the admission clock only with telemetry on, and a naive
-// log records the unwrapped clock.
+// layoutModes are the deployments TestRecordLayout lays out: telemetry
+// off and on, which must lay every record out alike, and naive, whose
+// logs record the unwrapped clock.
 var layoutModes = []struct {
 	name string
 	cfg  func() Config
@@ -55,36 +55,39 @@ func catalogPrograms(t *testing.T, m int, fn func(app string, plan *policy.Plan,
 // TestRecordLayout pins the stride of every catalog program's record,
 // in chain order, with telemetry off and on and under Config.Naive, and
 // holds its header to the rule that a word exists exactly where
-// something reads it: the admission clock in the FG program with
-// telemetry on (the emit-latency histogram), the last timestamp in the
-// FG program of a per-group policy (Flush), the unwrapped clock where a
-// damped lane decays on it or a naive log records it. The header's
-// words come first, then the map scratch, then the states, with nothing
-// between them and nothing after.
+// something reads it: the last timestamp in the FG program of a
+// per-group policy (Flush), the unwrapped clock where a damped lane
+// decays on it or a naive log records it. The header's words come
+// first, then the map scratch, then the states, with nothing between
+// them and nothing after. Telemetry stores nothing in a group: with it
+// on, every program's stride and header offsets are those with it off.
 func TestRecordLayout(t *testing.T) {
-	want := map[string][3][]int{ // by mode, as layoutModes
-		"CUMUL":     {{17}, {18}, {10}},
-		"AWF":       {{5}, {6}, {6}},
-		"DF":        {{5}, {6}, {6}},
-		"TF":        {{5}, {6}, {6}},
-		"PeerShark": {{43}, {44}, {10}},
-		"N-BaIoT":   {{19, 96}, {19, 97}, {19, 56}},
-		"MPTD":      {{101}, {102}, {49}},
-		"NPOD":      {{26}, {27}, {9}},
-		"HELAD":     {{19, 79, 79, 19}, {19, 79, 79, 20}, {19, 39, 39, 19}},
-		"Kitsune":   {{19, 95, 79, 19}, {19, 95, 79, 20}, {19, 55, 39, 19}},
+	want := map[string][2][]int{ // telemetry off and on, naive
+		"CUMUL":     {{17}, {10}},
+		"AWF":       {{5}, {6}},
+		"DF":        {{5}, {6}},
+		"TF":        {{5}, {6}},
+		"PeerShark": {{43}, {10}},
+		"N-BaIoT":   {{19, 96}, {19, 56}},
+		"MPTD":      {{101}, {49}},
+		"NPOD":      {{26}, {9}},
+		"HELAD":     {{19, 79, 79, 19}, {19, 39, 39, 19}},
+		"Kitsune":   {{19, 95, 79, 19}, {19, 55, 39, 19}},
 	}
+	// layouts[m][app] lists mode m's (stride, lastTS, clock) by program.
+	layouts := make([]map[string][][3]int, len(layoutModes))
 	for m, mode := range layoutModes {
 		got := map[string][]int{}
+		layouts[m] = map[string][][3]int{}
+		naive := m == 2
 		catalogPrograms(t, m, func(app string, plan *policy.Plan, pr *program) {
 			got[app] = append(got[app], pr.table.stride)
-			telemetry, naive := m == 1, m == 2
+			layouts[m][app] = append(layouts[m][app], [3]int{pr.table.stride, pr.lastTS, pr.clock})
 			for _, w := range []struct {
 				name string
 				off  int
 				read bool
 			}{
-				{"admission clock", pr.admit, pr.isFG && telemetry},
 				{"last timestamp", pr.lastTS, pr.isFG && !plan.Policy.PerPacket()},
 				{"clock", pr.clock, len(pr.lanes) > 0 || naive && len(pr.states) > 0},
 			} {
@@ -93,7 +96,7 @@ func TestRecordLayout(t *testing.T) {
 				}
 			}
 			header := recHeader
-			for _, off := range []int{pr.admit, pr.lastTS, pr.clock} {
+			for _, off := range []int{pr.lastTS, pr.clock} {
 				if off != 0 {
 					if off != header {
 						t.Errorf("%s %s, %s program: a header word at %d, want %d", app, mode.name, pr.gran, off, header)
@@ -117,13 +120,22 @@ func TestRecordLayout(t *testing.T) {
 				t.Errorf("%s %s, %s program: %d words laid out, stride %d", app, mode.name, pr.gran, words, pr.table.stride)
 			}
 		})
+		row := 0
+		if naive {
+			row = 1
+		}
 		for app, strides := range got {
-			if !slices.Equal(strides, want[app][m]) {
-				t.Errorf("%s %s: strides %v, want %v", app, mode.name, strides, want[app][m])
+			if !slices.Equal(strides, want[app][row]) {
+				t.Errorf("%s %s: strides %v, want %v", app, mode.name, strides, want[app][row])
 			}
 		}
 		if len(got) != len(want) {
 			t.Errorf("%s: %d catalog apps, the table pins %d", mode.name, len(got), len(want))
+		}
+	}
+	for app, off := range layouts[0] {
+		if on := layouts[1][app]; !slices.Equal(on, off) {
+			t.Errorf("%s: (stride, lastTS, clock) by program %v with telemetry on, %v off", app, on, off)
 		}
 	}
 }
@@ -168,7 +180,7 @@ func TestBlockFitsItsAllocation(t *testing.T) {
 				if k < 4 { // the edges: a block's first and last, the last ref
 					i = []uint64{0, per - 1, per, 1<<32 - 1}[k]
 				}
-				if q, _ := bits.Mul64(tb.recip, i); q != i/per {
+				if q, _ := bits.Mul64(tb.recip, i+1); q != i/per {
 					t.Fatalf("%s %s, %s table: position %d in block %d, want %d", app, mode.name, pr.gran, i, q, i/per)
 				}
 			}

@@ -93,10 +93,11 @@ type Config struct {
 	Naive bool
 	// Obs, when non-nil, is the shard's telemetry: NewRuntime registers
 	// the runtime's series in its still-open registry — a counter per
-	// RuntimeStats.Rows row, the live-group gauge and the emit-latency
-	// histogram — and sampled flow-lifecycle events go to its tracer.
-	// Every series counts what the executor did; modelled numbers are
-	// the plan's (Place, NewCostModel). Nil keeps the hot path
+	// RuntimeStats.Rows row and the live-group gauge — and sampled
+	// flow-lifecycle events go to its tracer. Every series counts what
+	// the executor did; modelled numbers are the plan's (Place,
+	// NewCostModel). Telemetry stores nothing in a group: a record's
+	// layout is the same with it on and off. Nil keeps the hot path
 	// byte-identical to the uninstrumented build.
 	Obs *obs.Pipeline
 	// Faults, when non-nil, injects the NIC-side fault kinds the

@@ -50,13 +50,12 @@ type Runtime struct {
 	stats RuntimeStats
 
 	// obs mirrors cfg.Obs. The hot path only mutates the plain stats
-	// struct and the staged histogram; PublishObs pushes what the stats'
-	// rows gained into the registry at batch boundaries (same discipline
-	// as the switch's publishObs).
+	// struct; PublishObs pushes what the stats' rows gained into the
+	// registry at batch boundaries (same discipline as the switch's
+	// publishObs).
 	obs        *obs.Pipeline
 	pub        obs.Bound
 	groupsLive obs.Gauge
-	emitStage  obs.HistStage
 
 	// tsPos is the position of the timestamp metadata within cell
 	// Values (-1 when not batched), resolved once so the per-cell path
@@ -203,7 +202,7 @@ const runChunk = 32
 // that granularity's group record, and the store of its groups.
 //
 // The layout rule: after the fixed header (recHeader words) come the
-// header words the program reads (admit, lastTS, clock, in that order),
+// header words the program reads (lastTS, clock, in that order),
 // then the map ops' scratch words in op order, then the states in the
 // order their first reduce op names them, each its streaming.Kernel's
 // words at stateSpec.off. A log state (f_array, and every state of cfg.Naive)
@@ -240,12 +239,9 @@ type program struct {
 	// cell costs at most one decay factor per lane, not one per state.
 	lanes []int
 	step  streaming.Step // this cell's clock step, reused
-	// admit, lastTS and clock are the header words a record keeps only
-	// where something reads them: each its offset past the fixed header,
-	// or 0 where the record has none (word 0 is the key's).
-	//   - admit: the runtime's logical clock (total cells processed) when
-	//     the group was admitted; the FG program's with telemetry on,
-	//     whose emit-latency histogram is the clock distance to the emit.
+	// lastTS and clock are the header words a record keeps only where
+	// something reads them: each its offset past the fixed header, or 0
+	// where the record has none (word 0 is the key's).
 	//   - lastTS: the timestamp of the group's latest cell; the FG
 	//     program's of a per-group policy, the timestamp of the vector
 	//     Flush emits.
@@ -254,7 +250,7 @@ type program struct {
 	//     where a damped lane decays on it or a naive log records it.
 	//     Every other op reads only a cell's low 32 bits, which the cell
 	//     carries.
-	admit, lastTS, clock int
+	lastTS, clock int
 	// out is the program's collect ops compiled into one read-out: the
 	// per-packet ones of a per-packet policy, read every cell
 	// (perPacket), or those Flush emits.
@@ -325,7 +321,7 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		fr:     cfg.FlightRec,
 	}
 	for _, g := range plan.Switch.Chain {
-		pr, err := compileProgram(plan, g, cfg, &r.decay)
+		pr, err := compileProgram(plan, g, cfg.Naive, &r.decay)
 		if err != nil {
 			return nil, err
 		}
@@ -347,39 +343,33 @@ func NewRuntime(cfg Config, plan *policy.Plan, sink feature.Sink) (*Runtime, err
 		reg := cfg.Obs.Registry
 		r.pub = reg.Bind(r.stats.Rows())
 		r.groupsLive = reg.Gauge("superfe_nic_groups_live", "live per-granularity group-state entries")
-		// Geometric edges, fine near zero: 16 .. ~256k ticks.
-		r.emitStage = reg.Histogram("superfe_nic_emit_latency_ticks", "logical ticks (NIC cells) between group admission and vector emit",
-			obs.GeometricEdges(16, 2, 14)).Stage()
 	}
 	return r, nil
 }
 
 // PublishObs pushes what the counters gained since the last publish
-// into the registry, refreshes the live-group gauge and flushes the
-// staged histogram. The owning engine calls it once per columnar
-// batch so the per-event NIC path carries no lock-prefixed
-// instructions; scrapers see batch-granular values, which
-// barrier-quiesced snapshots never observe mid-step. No-op without
-// telemetry.
+// into the registry and refreshes the live-group gauge. The owning
+// engine calls it once per columnar batch so the per-event NIC path
+// carries no lock-prefixed instructions; scrapers see batch-granular
+// values, which barrier-quiesced snapshots never observe mid-step.
+// No-op without telemetry.
 func (r *Runtime) PublishObs() {
 	if r.obs == nil {
 		return
 	}
 	r.pub.Publish()
 	r.groupsLive.Set(int64(r.occupancy()))
-	r.emitStage.Flush()
 }
 
 // compileProgram lowers the NIC stages at granularity g into an op
 // table with column operands and shared state families, fuses the
 // damped states of each source into lanes (fuseLanes), compiles the
-// collects into one read-out and lays out the record. cfg.Naive gives
-// every reduce spec a state of its own: the store-everything ablation
-// is one buffer per feature; cfg.Obs keeps the admission clock
-// telemetry reads.
-func compileProgram(plan *policy.Plan, g flowkey.Granularity, cfg Config, decay *streaming.Decay) (*program, error) {
+// collects into one read-out and lays out the record. naive
+// (Config.Naive) gives every reduce spec a state of its own: the
+// store-everything ablation is one buffer per feature. Nothing else of
+// the deployment shapes the record.
+func compileProgram(plan *policy.Plan, g flowkey.Granularity, naive bool, decay *streaming.Decay) (*program, error) {
 	pr := &program{gran: g, isCG: g == plan.Switch.CG, isFG: g == plan.Switch.FG}
-	naive := cfg.Naive
 	numCols := 0
 	// stageCol[i] is the column map stage i writes.
 	stageCol := make([]int, len(plan.NIC.Stages))
@@ -535,7 +525,6 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, cfg Config, decay 
 		words++
 		return words - 1
 	}
-	pr.admit = keep(pr.isFG && cfg.Obs != nil)
 	pr.lastTS = keep(pr.isFG && !plan.Policy.PerPacket())
 	pr.clock = keep(len(pr.lanes) > 0 || naive && len(pr.states) > 0)
 	for i := range pr.instrs {
@@ -829,7 +818,7 @@ func (r *Runtime) processMGPV(v *gpv.MGPV) {
 			}
 			// The MGPV's switch-computed CG hash scopes the tracer
 			// sampling decision — no rehash on the emit path (§6.2).
-			r.emitVector(fgKey, fgGroup, r.cellTimestamp(cell), perPacketVals, v.CG, v.Hash)
+			r.emitVector(fgKey, r.cellTimestamp(cell), perPacketVals, v.CG, v.Hash)
 		}
 		r.ppVals = perPacketVals[:0] // retain the backing array for the next cell
 	}
@@ -886,10 +875,7 @@ func (r *Runtime) resolve(pr *program, h uint32, a, b uint64, scope uint32) uint
 		}
 		return 0
 	}
-	g := pr.table.insert(h, a, b)
-	if pr.admit != 0 {
-		g[pr.admit] = r.stats.Cells
-	}
+	pr.table.insert(h, a, b)
 	return uint32(pr.table.n)
 }
 
@@ -1199,24 +1185,18 @@ func (ro *readOut) synthesize(dst []float64, start int) []float64 {
 	return dst
 }
 
-// emitVector hands a vector to the sink. g is the emitting FG group
-// (nil when its granularity had no state), used for the emit-latency
-// histogram and the tracer's vector-emit event. cgKey/cgHash identify
-// the flow's CG group for tracer sampling: the per-packet path passes
-// the MGPV's switch-computed values straight through (§6.2 hash
-// reuse); only the cold Flush path derives them by projection.
-func (r *Runtime) emitVector(key flowkey.Key, g record, ts int64, vals []float64, cgKey flowkey.Key, cgHash uint32) {
+// emitVector hands a vector to the sink. cgKey/cgHash identify the
+// flow's CG group for the tracer's vector-emit event and its sampling:
+// the per-packet path passes the MGPV's switch-computed values straight
+// through (§6.2 hash reuse); only the cold Flush path derives them by
+// projection.
+func (r *Runtime) emitVector(key flowkey.Key, ts int64, vals []float64, cgKey flowkey.Key, cgHash uint32) {
 	r.stats.Vectors++
 	if o := r.obs; o != nil {
-		if g != nil {
-			r.emitStage.Observe(int64(r.stats.Cells - g[r.fgProg.admit]))
-		}
-		if t := o.Tracer; t != nil {
+		if t := o.Tracer; t != nil && t.Sampled(cgHash) {
 			// Record under the CG key so the event joins the flow's
 			// switch-side admit/evict events in one timeline.
-			if t.Sampled(cgHash) {
-				t.Record(obs.Event{Kind: obs.EvVectorEmit, Key: cgKey, Clock: r.stats.Cells, Arg: int64(len(vals))})
-			}
+			t.Record(obs.Event{Kind: obs.EvVectorEmit, Key: cgKey, Clock: r.stats.Cells, Arg: int64(len(vals))})
 		}
 	}
 	r.sink(feature.Vector{Key: key, Timestamp: ts, Values: vals})
@@ -1275,7 +1255,7 @@ func (r *Runtime) Flush() {
 				cgKey = flowkey.Project(r.plan.Switch.CG, key.Tuple)
 				cgHash = flowkey.HashKey(cgKey)
 			}
-			r.emitVector(key, g, int64(g[r.fgProg.lastTS]), vals, cgKey, cgHash)
+			r.emitVector(key, int64(g[r.fgProg.lastTS]), vals, cgKey, cgHash)
 		}
 		r.ppVals = vals[:0] // retain the (possibly grown) backing array for the next group
 	}

@@ -10,13 +10,17 @@ import (
 
 // The host's geometry for a group table. Config.GroupSlots/TableWidth
 // are the modelled NFP geometry, read only by the placement and the
-// cost model; these two only shape what the simulator itself probes.
+// cost model; these only shape what the simulator itself probes.
 const (
-	// groupBlock is the fewest group records a block holds. A block is
+	// groupBlock is the group records a block asks for, blockBytes the
+	// most bytes it asks for: a record wider than blockBytes/groupBlock
+	// gets as many records as fit blockBytes, at least one. A block is
 	// one allocation, which the allocator rounds up to its size class or
 	// page; the table fills the rounding with more records (block), so
-	// a block wastes less than one record, under 1/groupBlock of it.
+	// a block wastes less than one record. A record of up to 128 words,
+	// as every catalog one is, gets groupBlock to a block.
 	groupBlock = 64
+	blockBytes = 64 << 10
 	// tableMinSlots is the index size a table starts from; it doubles
 	// whenever an insert would take the load past 3/4.
 	tableMinSlots = 64
@@ -29,9 +33,8 @@ const (
 type record []uint64
 
 // The header words every record starts with. The words only some
-// programs read — the admission clock, the last timestamp, the unwrapped
-// clock — follow where compileProgram keeps them (program.admit,
-// program.lastTS, program.clock).
+// programs read — the last timestamp, the unwrapped clock — follow
+// where compileProgram keeps them (program.lastTS, program.clock).
 const (
 	// recKeyA and recKeyB hold the key (flowkey.Key.Words).
 	recKeyA = iota
@@ -60,8 +63,9 @@ type groupTable struct {
 	shift  uint        // 32 - log2(len(index))
 	stride int         // words per record
 	// perBlock records fill a block (0 until the first is allocated);
-	// recip is ⌈2⁶⁴/perBlock⌉, so at divides a position by perBlock with
-	// one multiply (Lemire's fastdiv, exact for 32-bit positions).
+	// recip is ⌊(2⁶⁴−1)/perBlock⌋, so at divides a position i by perBlock
+	// with one multiply: the high word of recip·(i+1), exact for 32-bit
+	// positions and a perBlock of 1, whose ⌈2⁶⁴/perBlock⌉ would not fit.
 	perBlock int
 	recip    uint64
 	blocks   [][]uint64
@@ -88,7 +92,7 @@ func (t *groupTable) home(h uint32) uint32 { return (h * 2654435769) >> t.shift 
 
 // at returns the i-th group in admission order.
 func (t *groupTable) at(i int) record {
-	b, _ := bits.Mul64(t.recip, uint64(i))
+	b, _ := bits.Mul64(t.recip, uint64(i)+1)
 	o := (i - int(b)*t.perBlock) * t.stride
 	return t.blocks[b][o : o+t.stride : o+t.stride]
 }
@@ -130,17 +134,19 @@ func (t *groupTable) insert(h uint32, a, b uint64) record {
 	return g
 }
 
-// block allocates a zeroed block: at least groupBlock records, and as
-// many more as the allocator's rounding of that request holds whole.
-// The first block fixes perBlock; every later one is the same request,
-// so it rounds the same.
+// block allocates a zeroed block: groupBlock records, fewer where they
+// would pass blockBytes (at least one), and as many more as the
+// allocator's rounding of that request holds whole. The first block
+// fixes perBlock; every later one is the same request, so it rounds
+// the same.
 //
 //superfe:coldpath
 func (t *groupTable) block() []uint64 {
-	b := slices.Grow([]uint64(nil), groupBlock*t.stride)
+	n := max(1, min(groupBlock, blockBytes/(8*t.stride)))
+	b := slices.Grow([]uint64(nil), n*t.stride)
 	if t.perBlock == 0 {
 		t.perBlock = cap(b) / t.stride
-		t.recip = math.MaxUint64/uint64(t.perBlock) + 1
+		t.recip = math.MaxUint64 / uint64(t.perBlock)
 	}
 	return b[:t.perBlock*t.stride]
 }

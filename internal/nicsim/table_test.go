@@ -34,7 +34,9 @@ func same(x, y record) bool { return len(x) > 0 && len(y) > 0 && &x[0] == &y[0] 
 // TestGroupTableGrowth admits enough keys for seven doublings of the index and
 // checks, after every insert that grew the index, that each key still
 // finds the record it was given (records never move), stamped with its
-// key and clear of its neighbours, and that absent keys miss.
+// key and clear of its neighbours, and that absent keys miss. A record
+// wider than a block's byte budget (a flow's 1<<18-bin histogram, 1 MiB)
+// gets a block of its own, not groupBlock of them.
 func TestGroupTableGrowth(t *testing.T) {
 	const stride = recHeader + 3
 	tb := newGroupTable(stride)
@@ -75,6 +77,19 @@ func TestGroupTableGrowth(t *testing.T) {
 	}
 	if 4*tb.n > 3*len(tb.index) {
 		t.Errorf("load %d/%d is past 3/4", tb.n, len(tb.index))
+	}
+
+	wide := newGroupTable(recHeader + 1<<17)
+	for i := range 2 {
+		k := flowKey(i)
+		a, b := k.Words()
+		if g := wide.insert(flowkey.HashKey(k), a, b); g.key() != k || wide.lookup(flowkey.HashKey(k), a, b) != uint32(i+1) {
+			t.Fatalf("wide record %d does not resolve to its key", i)
+		}
+	}
+	if wide.perBlock != 1 || len(wide.blocks) != 2 || len(wide.blocks[0]) != wide.stride {
+		t.Errorf("a %d-word record: %d record(s) a block, %d block(s) of %d words for 2 records; want 1 a block",
+			wide.stride, wide.perBlock, len(wide.blocks), len(wide.blocks[0]))
 	}
 }
 

@@ -140,6 +140,17 @@ type Witness struct {
 	Packets   []packet.Packet `json:"packets,omitempty"`
 }
 
+// String renders "var = value against bound b under var ∈ input
+// (state)", the state saying whether the witness replays and on how
+// many packets.
+func (w *Witness) String() string {
+	state := "unconfirmed"
+	if w.Confirmed {
+		state = fmt.Sprintf("replayable, %d packet(s)", len(w.Packets))
+	}
+	return fmt.Sprintf("%s = %d against bound %d under %s ∈ %s (%s)", w.Var, w.Value, w.Bound, w.Var, w.Input, state)
+}
+
 // SiteRange is one entry of the machine-readable proof report: the
 // proved value interval of a mapped key or reducer input.
 type SiteRange struct {
@@ -183,13 +194,8 @@ func (r *Result) String() string {
 	}
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "  %-5s %s %s: %s\n", f.Sev, f.Class, f.Site, f.Detail)
-		if w := f.Witness; w != nil {
-			state := "unconfirmed"
-			if w.Confirmed {
-				state = fmt.Sprintf("replayable, %d packet(s)", len(w.Packets))
-			}
-			fmt.Fprintf(&b, "        witness: %s = %d against bound %d under %s ∈ %s (%s)\n",
-				w.Var, w.Value, w.Bound, w.Var, w.Input, state)
+		if f.Witness != nil {
+			fmt.Fprintf(&b, "        witness: %s\n", f.Witness)
 		}
 	}
 	return b.String()
