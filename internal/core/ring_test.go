@@ -56,7 +56,7 @@ func TestRingCapacityIsDepthPlusOne(t *testing.T) {
 		seen := map[any]bool{}
 		for i := range r.slots {
 			c := r.slots[i].cols
-			if c == nil || len(c.Keys) != 4 || seen[c] {
+			if c == nil || len(c.KeyA) != 4 || seen[c] {
 				t.Fatalf("depth %d: slot %d batch %p is missing, mis-sized or shared", depth, i, c)
 			}
 			seen[c] = true

@@ -237,30 +237,29 @@ func (k Key) String() string {
 // returned forward flag is true when the packet travels in the
 // canonical (first-seen, by convention "ingress") direction.
 func KeyFor(g Granularity, t FiveTuple) (key Key, forward bool) {
-	switch g {
-	case GranFlow:
-		return Key{Gran: GranFlow, Tuple: t}, true
-	case GranHost:
-		// Host groups by source IP. Canonicalise on the IP pair so
-		// replies from the peer land in the same group; direction is
-		// whether this packet's source is the canonical host.
-		a, b := t.SrcIP, t.DstIP
-		fwd := true
-		if b < a {
-			a, fwd = b, false
-		}
-		return Key{Gran: GranHost, Tuple: FiveTuple{SrcIP: a}}, fwd
-	case GranChannel:
-		a, b := t.SrcIP, t.DstIP
-		fwd := true
-		if b < a {
+	if g == GranFlow { // GranFlow is 0; naming it below would stop KeyFor inlining
+		return Key{Tuple: t}, true
+	}
+	return directedKey(g, t)
+}
+
+// directedKey is KeyFor for every granularity but flow.
+func directedKey(g Granularity, t FiveTuple) (Key, bool) {
+	switch a, b := t.SrcIP, t.DstIP; g {
+	case GranHost, GranChannel:
+		// Canonicalise on the IP pair so replies from the peer land in
+		// the same group; a host is the pair's lower address alone.
+		fwd := a <= b
+		if !fwd {
 			a, b = b, a
-			fwd = false
 		}
-		return Key{Gran: GranChannel, Tuple: FiveTuple{SrcIP: a, DstIP: b}}, fwd
+		if g == GranHost {
+			b = 0
+		}
+		return Key{Gran: g, Tuple: FiveTuple{SrcIP: a, DstIP: b}}, fwd
 	case GranSocket:
 		c, fwd := t.Canonical()
-		return Key{Gran: GranSocket, Tuple: c}, fwd
+		return Key{Gran: g, Tuple: c}, fwd
 	}
 	return Key{Gran: g, Tuple: t}, true
 }
@@ -281,12 +280,16 @@ const tupleBits = 40
 // Words packs the key into two words: SrcIP and DstIP in a; SrcPort,
 // DstPort and Proto in b's low tupleBits, the granularity above them.
 // Within one granularity their lexicographic order is the tuple's
-// field order. HashKey mixes them; the NIC stores them as a group's
-// identity.
-func (k Key) Words() (a, b uint64) {
-	t := k.Tuple
+// field order. HashKey mixes them; the switch's slots and the NIC's
+// records store them as a group's identity.
+func (k Key) Words() (a, b uint64) { return TupleWords(k.Gran, &k.Tuple) }
+
+// TupleWords is the Words of Key{g, *t}, read in place: copying a Key
+// or tuple just stored field by field reloads it as one wide word, a
+// load the store buffer cannot forward.
+func TupleWords(g Granularity, t *FiveTuple) (a, b uint64) {
 	return uint64(t.SrcIP)<<32 | uint64(t.DstIP),
-		uint64(k.Gran)<<tupleBits | uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
+		uint64(g)<<tupleBits | uint64(t.SrcPort)<<24 | uint64(t.DstPort)<<8 | uint64(t.Proto)
 }
 
 // FromWords rebuilds the key Words packed.
@@ -311,8 +314,10 @@ func FromWords(a, b uint64) Key {
 //   - tracer and span sampling: a low-bit mask;
 //   - fault scope: a range over the whole value, which under fastrange
 //     is a range of whole shards.
-func HashKey(k Key) uint32 {
-	a, b := k.Words()
+func HashKey(k Key) uint32 { return HashWords(TupleWords(k.Gran, &k.Tuple)) }
+
+// HashWords is HashKey of the key whose Words are a and b.
+func HashWords(a, b uint64) uint32 {
 	h := a*0x9E3779B97F4A7C15 + b*0xC2B2AE3D27D4EB4F
 	h ^= h >> 29
 	h *= 0xFF51AFD7ED558CCD

@@ -1,9 +1,9 @@
 // Columnar packet batches — the switch's one ingress unit. Instead of
 // handing shards packet pointers to chase, the engine's router parses
-// each packet exactly once into parallel column arrays — the grouping
-// key and its hash (computed once at ingress and reused
-// by the switch's slot indexing, the NIC's grouping, fault scoping and
-// tracer sampling, §6.2's hash-reuse trick applied end-to-end), the
+// each packet exactly once into parallel column arrays — the CG key as
+// the two words the switch's slots compare (no per-packet call past the
+// router takes a Key) and its hash, reused by the slot index, the NIC,
+// fault scoping and tracer sampling (§6.2's hash reuse end-to-end), the
 // policy-filter verdict, the switch metadata the pipeline touches
 // (timestamp, size) and the batched metadata field values the compiled
 // plan extracts. The shard's switch then streams down contiguous
@@ -24,10 +24,10 @@ import (
 type Columns struct {
 	// N is the number of filled rows.
 	N int
-	// Keys and Hashes carry the CG grouping key and its HashKey value,
-	// computed once by the router.
-	Keys   []flowkey.Key
-	Hashes []uint32
+	// KeyA, KeyB and Hashes carry the CG key's two words (Key.Words)
+	// and its HashKey value, computed once by the router.
+	KeyA, KeyB []uint64
+	Hashes     []uint32
 	// Tuples is the packet 5-tuple (the switch derives FG keys and
 	// direction from it).
 	Tuples []flowkey.FiveTuple
@@ -55,7 +55,8 @@ type Columns struct {
 // metadata fields per row.
 func NewColumns(capacity, nfields int) *Columns {
 	return &Columns{
-		Keys:   make([]flowkey.Key, capacity),
+		KeyA:   make([]uint64, capacity),
+		KeyB:   make([]uint64, capacity),
 		Hashes: make([]uint32, capacity),
 		Tuples: make([]flowkey.FiveTuple, capacity),
 		TS:     make([]int64, capacity),
@@ -67,14 +68,14 @@ func NewColumns(capacity, nfields int) *Columns {
 }
 
 // Append fills the next row from a packet plus the router-computed
-// key, hash and filter verdict, extracting the batched metadata
-// fields in plan order. The caller must not append past the capacity
-// given to NewColumns.
+// key (packed into its two words), hash and filter verdict, extracting
+// the batched metadata fields in plan order. The caller must not
+// append past the capacity given to NewColumns.
 //
 //superfe:hotpath
 func (c *Columns) Append(p *packet.Packet, key flowkey.Key, hash uint32, pass bool, fields []packet.FieldName) {
 	n := c.N
-	c.Keys[n] = key
+	c.KeyA[n], c.KeyB[n] = flowkey.TupleWords(key.Gran, &key.Tuple)
 	c.Hashes[n] = hash
 	c.Tuples[n] = p.Tuple
 	c.TS[n] = p.Timestamp
@@ -119,7 +120,7 @@ func (s *Switch) ProcessColumns(c *Columns) {
 
 		// Group the pre-extracted metadata row under the
 		// router-computed key and hash.
-		s.groupCell(c.Keys[i], c.Hashes[i], c.Tuples[i], c.Fields[i*c.nf:i*c.nf+c.nf])
+		s.groupCell(c.KeyA[i], c.KeyB[i], c.Hashes[i], &c.Tuples[i], c.Fields[i*c.nf:i*c.nf+c.nf])
 	}
 	// Telemetry is published once per batch (deltas of the plain
 	// stats), not per event: a handful of atomic adds amortized over

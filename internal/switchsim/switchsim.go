@@ -321,13 +321,12 @@ func (s *Switch) Process(p *packet.Packet) bool {
 }
 
 // groupCell batches one cell — the metadata values vals, staged by
-// ProcessColumns — into the CG group's buffers.
+// ProcessColumns — into the buffers of the CG group keyed (a, b).
 //
 //superfe:hotpath
-func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTuple, vals []uint32) {
+func (s *Switch) groupCell(a, b uint64, hash uint32, tuple *flowkey.FiveTuple, vals []uint32) {
 	idx := int(hash % uint32(len(s.slots)))
 	sl := &s.slots[idx]
-	a, b := cgKey.Words()
 
 	// Case 1 of §5.2: hash collision with an older group → evict it.
 	if sl.occupied && (sl.keyA != a || sl.keyB != b) {
@@ -340,7 +339,7 @@ func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTup
 		s.stat.GroupsAdmitted++
 		s.occSlots++
 		if o := s.obs; o != nil && o.Tracer.Sampled(hash) {
-			o.Tracer.Record(obs.Event{Kind: obs.EvAdmit, Key: cgKey, Clock: s.stat.PktsIn})
+			o.Tracer.Record(obs.Event{Kind: obs.EvAdmit, Key: flowkey.FromWords(a, b), Clock: s.stat.PktsIn})
 		}
 	}
 	sl.lastAccess = s.now
@@ -356,33 +355,28 @@ func (s *Switch) groupCell(cgKey flowkey.Key, hash uint32, tuple flowkey.FiveTup
 	// group key IS the packet's tuple orientation.
 	meta := uint32(forwardBit)
 	if !s.singleGran {
-		fgKey, fwd := s.fgKeyFor(tuple)
-		meta = uint32(s.fgIndex(fgKey))
+		// The FG key: the canonical 5-tuple with a direction bit
+		// whenever any granularity in the chain is directional (the NIC
+		// can then reconstruct the packet's true orientation and
+		// re-derive direction at every level), the raw tuple otherwise.
+		fg, fwd := *tuple, true
+		if s.plan.NeedsDirection {
+			fg, fwd = tuple.Canonical()
+		}
+		meta = uint32(s.fgIndex(&fg))
 		if fwd {
 			meta |= forwardBit
 		}
 	} else if s.plan.NeedsDirection {
-		if _, fwd := flowkey.KeyFor(s.plan.FG, tuple); !fwd {
+		if _, fwd := flowkey.KeyFor(s.plan.FG, *tuple); !fwd {
 			meta = 0
 		}
 	}
 
 	s.appendCell(idx, vals, meta)
 	if o := s.obs; o != nil && o.Tracer.Sampled(hash) {
-		o.Tracer.Record(obs.Event{Kind: obs.EvCellAppend, Key: cgKey, Clock: s.stat.PktsIn, Arg: 1})
+		o.Tracer.Record(obs.Event{Kind: obs.EvCellAppend, Key: flowkey.FromWords(a, b), Clock: s.stat.PktsIn, Arg: 1})
 	}
-}
-
-// fgKeyFor derives the FG key and direction for a packet: the
-// canonical 5-tuple with a direction bit whenever any granularity in
-// the chain is directional (the NIC can then reconstruct the packet's
-// true orientation and re-derive direction at every level), the raw
-// tuple otherwise.
-func (s *Switch) fgKeyFor(t flowkey.FiveTuple) (flowkey.FiveTuple, bool) {
-	if s.plan.NeedsDirection {
-		return t.Canonical()
-	}
-	return t, true
 }
 
 // fgIndex looks up (or installs) the FG key in the FG table and
@@ -391,23 +385,23 @@ func (s *Switch) fgKeyFor(t flowkey.FiveTuple) (flowkey.FiveTuple, bool) {
 // overwritten and re-synchronised; cells already batched under the
 // old key are misattributed on the NIC — counted in FGOverwrites and
 // one of the approximation sources bounded by Figure 10.
-func (s *Switch) fgIndex(key flowkey.FiveTuple) uint16 {
-	idx := flowkey.HashKey(flowkey.Key{Tuple: key}) % uint32(len(s.fgTable))
+func (s *Switch) fgIndex(key *flowkey.FiveTuple) uint16 {
+	idx := flowkey.HashWords(flowkey.TupleWords(flowkey.GranFlow, key)) % uint32(len(s.fgTable))
 	if idx > MaxWireFGIndex {
 		s.stat.FGIndexClips++
 	}
 	e := &s.fgTable[idx]
-	if !e.occupied || e.key != key {
+	if !e.occupied || e.key != *key {
 		if e.occupied {
 			s.stat.FGOverwrites++
 		}
 		e.occupied = true
-		e.key = key
+		e.key = *key
 		if s.cfg.ZeroCopy {
-			s.fgScratch = gpv.FGUpdate{Index: uint16(idx), Key: key}
+			s.fgScratch = gpv.FGUpdate{Index: uint16(idx), Key: *key}
 			s.emit(gpv.Message{FG: &s.fgScratch})
 		} else {
-			s.emit(gpv.Message{FG: &gpv.FGUpdate{Index: uint16(idx), Key: key}})
+			s.emit(gpv.Message{FG: &gpv.FGUpdate{Index: uint16(idx), Key: *key}})
 		}
 		s.stat.FGUpdates++
 	}
