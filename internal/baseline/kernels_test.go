@@ -13,8 +13,10 @@ import (
 // record — the states interleaved with guard words, the damped ones on
 // one clock and one Decay, the f_array logs in one Logs, as a group
 // record holds them — with f_array at caps 1, 16, 32 and 5000 and
-// f_card at 2, 4, 6 and 16 bits, and beside them fused damped kernels,
-// 1D and 2D, of 1, 2, 3 and 5 lanes. It feeds the record a hostile
+// f_card at 2, 4, 6 and 16 bits, an f_sum over an f_one map (which
+// keeps no word and reads the count), and beside them fused damped
+// kernels, 1D and 2D, of 1, 2, 3 and 5 lanes. Every state reads the
+// count it is passed, the samples fed so far. It feeds the record a hostile
 // stream beside one private reducer per family and lane: sign
 // flips for the 2D split, a first stretch of one direction so the other
 // half's first sample comes many cells after, and later stretches that
@@ -41,6 +43,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 		off      int
 		reducers []reducer // one per lane
 		views    []streaming.View
+		ones     bool // fed 1 for every sample: an f_sum over an f_one map
 	}
 	var states []state
 	var decay streaming.Decay
@@ -77,6 +80,15 @@ func TestKernelsMatchReducers(t *testing.T) {
 	if len(kinds) != 10 {
 		t.Fatalf("%d kernel kinds under test, want 10", len(kinds))
 	}
+	sum, err := streaming.KernelFor(streaming.FSum, streaming.Params{}, &decay, &logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ones := sum.OverOnes(); ones.Words != 0 || ones.Bytes(nil) != sum.Bytes(nil) {
+		t.Fatalf("an f_sum over ones keeps %d words and models %d bytes, want 0 and %d", ones.Words, ones.Bytes(nil), sum.Bytes(nil))
+	}
+	add(sum.OverOnes(), []reducer{newReducer(streaming.FSum, streaming.Params{})}, []streaming.View{{Func: streaming.FSum}})
+	states[len(states)-1].ones = true
 	rates := []float64{3, 0.1, 5, 0.01, 1}
 	for _, fam := range [][]streaming.Func{{streaming.FDWeight, streaming.FDMean, streaming.FDStd}, {streaming.FD2DMag, streaming.FD2DRadius, streaming.FD2DCov, streaming.FD2DPCC}} {
 		var views []streaming.View
@@ -116,6 +128,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 	for _, g := range guards {
 		rec[g] = guard
 	}
+	var fed uint64 // samples fed: the count every state reads
 
 	// read plans views from every lane of st, lane i's view j at pos(i,
 	// j) of size values, into a window with NaN sentinels around them,
@@ -133,7 +146,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 		for i := range win {
 			win[i] = math.Float64frombits(sentinel)
 		}
-		st.kern.Read(win, rec[st.off:], &plan)
+		st.kern.Read(win, rec[st.off:], fed, &plan)
 		for i, x := range win {
 			if (i < pad || i >= pad+size) && math.Float64bits(x) != sentinel {
 				t.Fatalf("%s x%d: Read wrote %v outside its plan, at %d of %d", views[0].Func, len(st.reducers), x, i-pad, size)
@@ -271,7 +284,7 @@ func TestKernelsMatchReducers(t *testing.T) {
 			}
 			tw.st.kern.ObserveRead(tw.rec, x, s, tw.got, &tw.plan)
 			st := rec[tw.st.off : tw.st.off+tw.st.kern.Words]
-			tw.st.kern.Read(tw.want, st, &tw.plan)
+			tw.st.kern.Read(tw.want, st, s.N+1, &tw.plan)
 			if !slices.Equal(tw.rec, st) {
 				t.Fatalf("step %d %v x%d: the one pass leaves %v, Observe %v", step, tw.views, len(tw.st.reducers), tw.rec, st)
 			}
@@ -336,15 +349,20 @@ func TestKernelsMatchReducers(t *testing.T) {
 			t.Fatalf("step %d: stamp %d unwraps to %d, want %d", i, ts, now, tt)
 		}
 		decay.Reset()
-		clock = step.Begin(&decay, lanes, i == 0, clock, now)
+		clock = step.Begin(&decay, lanes, uint64(i), clock, now)
 		for j := range states {
 			st := &states[j]
-			st.kern.Observe(rec[st.off:], x, &step)
+			xi := x
+			if st.ones {
+				xi = 1
+			}
+			st.kern.Observe(rec[st.off:], xi, &step)
 			for _, r := range st.reducers {
-				r.Observe(x, now)
+				r.Observe(xi, now)
 			}
 		}
 		onePass(i, x, &step)
+		fed++
 		xs, nows = append(xs, x), append(nows, now)
 		if i < 900 || i%250 == 0 || i == samples-1 {
 			check(i)
@@ -395,7 +413,7 @@ func naiveLogsMatchOneRun(t *testing.T, xs, nows []int64) {
 			}
 			plan := k.PlanRead([]streaming.View{view}, []int{0})
 			out := make([]float64, streaming.FeatureWidth(s.f, s.p))
-			k.Read(out, rec, &plan)
+			k.Read(out, rec, uint64(n), &plan)
 			return out
 		}
 		check := func(n int) {
@@ -411,7 +429,7 @@ func naiveLogsMatchOneRun(t *testing.T, xs, nows []int64) {
 				for i := range win {
 					win[i] = math.Float64frombits(sentinel)
 				}
-				c.k.Read(win, c.rec, &plan)
+				c.k.Read(win, c.rec, uint64(n), &plan)
 				for i, x := range win {
 					if (i < pad || i >= pad+len(want)) && math.Float64bits(x) != sentinel {
 						t.Fatalf("naive %s %+v %s: Read wrote %v outside its plan", s.f, s.p, c.how, x)
@@ -429,9 +447,10 @@ func naiveLogsMatchOneRun(t *testing.T, xs, nows []int64) {
 		var step streaming.Step
 		for i := 0; i < len(xs); {
 			n := min(len(xs)-i, 1+rng.Intn(40))
+			step.N = uint64(i)
 			byRun.ObserveRun(run, xs[i:i+n], nows[i:i+n], &step)
 			for j := i; j < i+n; j++ {
-				step.Now = nows[j]
+				step.N, step.Now = uint64(j), nows[j]
 				byCell.Observe(cell, xs[j], &step)
 			}
 			i += n
@@ -503,7 +522,7 @@ func TestPCCClampIsLive(t *testing.T) {
 			}
 			now := clock + rng.Int63n(1e8)
 			decay.Reset()
-			clock = step.Begin(&decay, k.Lanes(), i == 0, clock, now)
+			clock = step.Begin(&decay, k.Lanes(), uint64(i), clock, now)
 			k.Observe(rec, x, &step)
 			r.Observe(x, now)
 			u := unclamped()
@@ -511,7 +530,7 @@ func TestPCCClampIsLive(t *testing.T) {
 				continue
 			}
 			past++
-			k.Read(win, rec, &plan)
+			k.Read(win, rec, uint64(i+1), &plan)
 			want, ref := math.Copysign(1, u), features(r, streaming.View{Func: f})[0]
 			if win[0] != want || ref != want {
 				t.Fatalf("%s step %d: unclamped %v; the kernel reads %v, the reducer %v, want %v", f, i, u, win[0], ref, want)

@@ -48,12 +48,13 @@ func naive(t *testing.T, f streaming.Func, xs []int64) float64 {
 	}
 	st := make([]uint64, k.Words)
 	var s streaming.Step
-	for _, x := range xs {
+	for i, x := range xs {
+		s.N = uint64(i)
 		k.Observe(st, x, &s)
 	}
 	plan := k.PlanRead([]streaming.View{{Func: f}}, []int{0})
 	win := make([]float64, streaming.FeatureWidth(f, streaming.Params{}))
-	k.Read(win, st, &plan)
+	k.Read(win, st, uint64(len(xs)), &plan)
 	return win[0]
 }
 

@@ -167,12 +167,12 @@ func streamingValue(f streaming.Func, ss sampleStream, lambda float64) float64 {
 			x = -x
 		}
 		decay.Reset()
-		clock = step.Begin(&decay, k.Lanes(), i == 0, clock, s.ts)
+		clock = step.Begin(&decay, k.Lanes(), uint64(i), clock, s.ts)
 		k.Observe(rec, x, &step)
 	}
 	plan := k.PlanRead([]streaming.View{streaming.ViewOf(f, params)}, []int{0})
 	out := make([]float64, 1)
-	k.Read(out, rec, &plan)
+	k.Read(out, rec, uint64(len(ss)), &plan)
 	return out[0]
 }
 

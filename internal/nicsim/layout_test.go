@@ -11,6 +11,7 @@ import (
 	"superfe/internal/feature"
 	"superfe/internal/obs"
 	"superfe/internal/policy"
+	"superfe/internal/trace"
 )
 
 // layoutModes are the deployments TestRecordLayout lays out: telemetry
@@ -56,21 +57,27 @@ func catalogPrograms(t *testing.T, m int, fn func(app string, plan *policy.Plan,
 // in chain order, with telemetry off and on and under Config.Naive, and
 // holds its header to the rule that a word exists exactly where
 // something reads it: the last timestamp in the FG program of a
-// per-group policy (Flush), the unwrapped clock where a damped lane
-// decays on it or a naive log records it. The header's words come
-// first, then the map scratch, then the states, with nothing between
-// them and nothing after. Telemetry stores nothing in a group: with it
-// on, every program's stride and header offsets are those with it off.
+// per-group policy (Flush) and wherever a map reads the previous
+// cell's timestamp (ipt or burst over it, speed), the unwrapped clock
+// where a damped lane decays on it or a naive log records it. The
+// header's words come first, then the map scratch the record keeps
+// (an ipt's or burst's last input that is not the timestamp, burst's
+// counter), then the states, with nothing between them and nothing
+// after. No word keeps what the header holds: after a replay, no word
+// past the header equals its group's cell count, or its last
+// timestamp, in every group (noWordRepeatsTheHeader). Telemetry stores
+// nothing in a group: with it on, every program's stride and header
+// offsets are those with it off.
 func TestRecordLayout(t *testing.T) {
 	want := map[string][2][]int{ // telemetry off and on, naive
-		"CUMUL":     {{17}, {10}},
+		"CUMUL":     {{16}, {10}},
 		"AWF":       {{5}, {6}},
 		"DF":        {{5}, {6}},
 		"TF":        {{5}, {6}},
-		"PeerShark": {{43}, {10}},
-		"N-BaIoT":   {{19, 96}, {19, 56}},
-		"MPTD":      {{101}, {49}},
-		"NPOD":      {{26}, {9}},
+		"PeerShark": {{39}, {9}},
+		"N-BaIoT":   {{19, 95}, {19, 55}},
+		"MPTD":      {{91}, {46}},
+		"NPOD":      {{22}, {8}},
 		"HELAD":     {{19, 79, 79, 19}, {19, 39, 39, 19}},
 		"Kitsune":   {{19, 95, 79, 19}, {19, 55, 39, 19}},
 	}
@@ -83,12 +90,20 @@ func TestRecordLayout(t *testing.T) {
 		catalogPrograms(t, m, func(app string, plan *policy.Plan, pr *program) {
 			got[app] = append(got[app], pr.table.stride)
 			layouts[m][app] = append(layouts[m][app], [3]int{pr.table.stride, pr.lastTS, pr.clock})
+			prevTS, scratch := false, 0 // a map reads the previous timestamp; the scratch words kept
+			for _, ins := range pr.instrs {
+				switch ins.code {
+				case opcode(policy.MapIPT), opcode(policy.MapBurst), opcode(policy.MapSpeed):
+					prevTS = prevTS || ins.last == 0
+					scratch += min(ins.last, 1) + min(ins.count, 1)
+				}
+			}
 			for _, w := range []struct {
 				name string
 				off  int
 				read bool
 			}{
-				{"last timestamp", pr.lastTS, pr.isFG && !plan.Policy.PerPacket()},
+				{"last timestamp", pr.lastTS, pr.isFG && !plan.Policy.PerPacket() || prevTS},
 				{"clock", pr.clock, len(pr.lanes) > 0 || naive && len(pr.states) > 0},
 			} {
 				if (w.off != 0) != w.read {
@@ -104,10 +119,12 @@ func TestRecordLayout(t *testing.T) {
 					header++
 				}
 			}
-			words := header + pr.numScratch
+			words := header + scratch
 			for _, ins := range pr.instrs {
-				if ins.code != opReduce && ins.scratchOff >= 0 && (ins.scratchOff < header || ins.scratchOff >= words) {
-					t.Errorf("%s %s, %s program: scratch at %d, outside [%d, %d)", app, mode.name, pr.gran, ins.scratchOff, header, words)
+				for _, off := range []int{ins.last, ins.count} {
+					if off != 0 && (off < header || off >= words) {
+						t.Errorf("%s %s, %s program: scratch at %d, outside [%d, %d)", app, mode.name, pr.gran, off, header, words)
+					}
 				}
 			}
 			for _, st := range pr.states {
@@ -136,6 +153,63 @@ func TestRecordLayout(t *testing.T) {
 	for app, off := range layouts[0] {
 		if on := layouts[1][app]; !slices.Equal(on, off) {
 			t.Errorf("%s: (stride, lastTS, clock) by program %v with telemetry on, %v off", app, on, off)
+		}
+	}
+	noWordRepeatsTheHeader(t)
+}
+
+// noWordRepeatsTheHeader replays a MAWI-shaped trace through every
+// catalog application and fails on a record word past the header that
+// equals its group's cell count, or its last timestamp, in every group
+// of its table: a word that keeps what the header holds. A table whose
+// groups do not differ in both is too uniform to tell, and fails too,
+// but for the last timestamp of a plan that batches none.
+func noWordRepeatsTheHeader(t *testing.T) {
+	t.Helper()
+	wl := trace.MAWIConfig
+	wl.Flows = 120
+	tr := trace.Generate(wl, 5)
+	for _, app := range apps.Catalog() {
+		plan, err := policy.Compile(app.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range capture(t, plan, tr) {
+			rt.Process(m)
+		}
+		for _, pr := range rt.programs {
+			tb := &pr.table
+			for _, h := range []struct {
+				name string
+				off  int
+			}{{"cell count", recCells}, {"last timestamp", pr.lastTS}} {
+				if h.off == 0 || h.off == pr.lastTS && rt.tsPos < 0 {
+					continue
+				}
+				distinct := map[uint64]bool{}
+				for i := range tb.n {
+					distinct[tb.at(i)[h.off]] = true
+				}
+				if len(distinct) < 3 {
+					t.Fatalf("%s, %s program: %d groups with %d distinct values of the %s", app.Name, pr.gran, tb.n, len(distinct), h.name)
+				}
+				for w := recHeader + min(pr.lastTS, 1) + min(pr.clock, 1); w < tb.stride; w++ {
+					same := true
+					for i := range tb.n {
+						if g := tb.at(i); g[w] != g[h.off] {
+							same = false
+							break
+						}
+					}
+					if same {
+						t.Errorf("%s, %s program: word %d repeats the %s in all %d groups", app.Name, pr.gran, w, h.name, tb.n)
+					}
+				}
+			}
 		}
 	}
 }

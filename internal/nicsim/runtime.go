@@ -172,11 +172,13 @@ type instruction struct {
 	ops uint32
 	// src is the operand's column (-1: f_one reads none).
 	src int
-	// map: destination column, record offset of its scratch word(s)
-	// (-1 when it keeps none), burst gap.
-	dst        int
-	scratchOff int
-	burstNS    int64
+	// map: destination column; last, the record word of the previous
+	// cell's input (ipt, burst), 0 where that is the previous cell's
+	// timestamp, which the op reads from the group's one last-timestamp
+	// word (speed always does); count, burst's burst counter; burst gap.
+	dst         int
+	last, count int
+	burstNS     int64
 	// reduce: the states this op feeds, as positions in program.states.
 	// A state whose family an earlier reduce of the same source already
 	// feeds is not listed again: each state observes a cell once.
@@ -206,7 +208,10 @@ const runChunk = 32
 // then the map ops' scratch words in op order, then the states in the
 // order their first reduce op names them, each its streaming.Kernel's
 // words at stateSpec.off. A log state (f_array, and every state of cfg.Naive)
-// keeps its samples in logs, and its word there says where.
+// keeps its samples in logs, and its word there says where. A record
+// holds each fact once: the maps that read the previous cell's
+// timestamp share the lastTS word, and no state keeps a count of its
+// samples, which is the group's cell count (recCells).
 type program struct {
 	gran flowkey.Granularity
 	// isCG / isFG: the granularity is the plan's coarsest / finest,
@@ -216,7 +221,11 @@ type program struct {
 	table      groupTable
 	logs       streaming.Logs
 
-	instrs     []instruction
+	instrs []instruction
+	// numScratch is the map scratch the modelled NIC prices, 16 bytes a
+	// word (StateBytes): ipt's and speed's last timestamp, burst's last
+	// timestamp and counter. The record keeps fewer (instruction.last,
+	// count).
 	numScratch int
 	// fields lists the batched fields the ops read. An operand is a
 	// column: every field's, gathered from the cells, and every map op's
@@ -244,7 +253,8 @@ type program struct {
 	// where the record has none (word 0 is the key's).
 	//   - lastTS: the timestamp of the group's latest cell; the FG
 	//     program's of a per-group policy, the timestamp of the vector
-	//     Flush emits.
+	//     Flush emits, and any program's whose maps read the previous
+	//     cell's timestamp (ipt or burst over it, speed).
 	//   - clock: the latest time any cell of the group carried, the
 	//     32-bit cell timestamps unwrapped into 64 bits (cellTime); kept
 	//     where a damped lane decays on it or a naive log records it.
@@ -396,6 +406,14 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, naive bool, decay 
 	stateOf := map[stateKey]int{}
 	var collects []collect
 	var pending *collect
+	// ones: the operand is an f_one map's output, every value 1.
+	ones := func(in policy.Operand) bool {
+		return in.Kind == policy.OperandStage && plan.NIC.Stages[in.Stage].Op.MapF == policy.MapOne
+	}
+	// scratch counts the record words the maps keep; an op's last and
+	// count are 1-based among them until the header is laid out below.
+	// sharesTS: a map reads the previous cell's timestamp.
+	scratch, sharesTS := 0, false
 	for i, stage := range plan.NIC.Stages {
 		op := stage.Op
 		if op.Gran != g {
@@ -409,15 +427,23 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, naive bool, decay 
 			ins.dst = numCols
 			numCols++
 			stageCol[i] = ins.dst
-			ins.scratchOff = pr.numScratch // past the header: laid out below
+			// Modelled: a last-timestamp word each, and burst's counter.
+			// Kept: an ipt's or burst's last input where it is not the
+			// cell's timestamp, and burst's counter.
 			switch op.MapF {
-			case policy.MapIPT, policy.MapSpeed:
+			case policy.MapIPT, policy.MapSpeed, policy.MapBurst:
 				pr.numScratch++
-			case policy.MapBurst:
-				// Two scratch words: last timestamp + burst counter.
-				pr.numScratch += 2
-			default:
-				ins.scratchOff = -1
+				if op.MapF == policy.MapSpeed || stage.In.Kind == policy.OperandField && stage.In.Field == packet.FieldTimestamp {
+					sharesTS = true
+				} else {
+					scratch++
+					ins.last = scratch
+				}
+				if op.MapF == policy.MapBurst {
+					pr.numScratch++
+					scratch++
+					ins.count = scratch
+				}
 			}
 			pr.instrs = append(pr.instrs, ins)
 		case policy.OpReduce:
@@ -440,6 +466,9 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, naive bool, decay 
 					}
 					if err != nil {
 						return nil, fmt.Errorf("nicsim: reducer %s: %w", rf.Func, err)
+					}
+					if !naive && k.fam.Func == streaming.FSum && ones(stage.In) {
+						st.kern = st.kern.OverOnes() // the cell count
 					}
 					for _, l := range st.kern.Lanes() {
 						if !slices.Contains(pr.lanes, l) {
@@ -525,14 +554,18 @@ func compileProgram(plan *policy.Plan, g flowkey.Granularity, naive bool, decay 
 		words++
 		return words - 1
 	}
-	pr.lastTS = keep(pr.isFG && !plan.Policy.PerPacket())
+	pr.lastTS = keep(pr.isFG && !plan.Policy.PerPacket() || sharesTS)
 	pr.clock = keep(len(pr.lanes) > 0 || naive && len(pr.states) > 0)
 	for i := range pr.instrs {
-		if ins := &pr.instrs[i]; ins.code != opReduce && ins.scratchOff >= 0 {
-			ins.scratchOff += words
+		ins := &pr.instrs[i]
+		if ins.last != 0 {
+			ins.last += words - 1
+		}
+		if ins.count != 0 {
+			ins.count += words - 1
 		}
 	}
-	words += pr.numScratch
+	words += scratch
 	for i := range pr.states {
 		pr.states[i].off = words
 		words += pr.states[i].kern.Words
@@ -908,10 +941,13 @@ func cellTime(first bool, clock int64, ts uint32) int64 {
 // g, appending its read-out to dst when the program emits per packet.
 // It returns the extended dst and whether it did.
 //
-// Every op below runs on every cell of the group, so one flag and one
+// Every op below runs on every cell of the group, so one count and one
 // clock serve them all: a scratch word or a state has been written
-// exactly when the group has absorbed a cell, and the damped states
-// decay over the same interval. Each state observes the cell once, so
+// exactly when the group has absorbed a cell, every state has seen as
+// many samples as the group has cells (Step.N), and the damped states
+// decay over the same interval. The maps over the previous cell's
+// timestamp read it from the lastTS word before the op table, which
+// writes it once, after. Each state observes the cell once, so
 // a per-packet program reads each state out as it observes it
 // (streaming.Kernel.ObserveRead), into the window grown before the op
 // table: a damped state lane by lane, from the words just stored.
@@ -928,14 +964,19 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		ts = cell.Values[r.tsPos]
 	}
 	step := &pr.step
-	first, clock, now := g[recCells] == 0, int64(0), int64(ts)
+	n := g[recCells]
+	first, clock, now := n == 0, int64(0), int64(ts)
 	if pr.clock != 0 {
 		clock = int64(g[pr.clock])
 		now = cellTime(first, clock, ts)
 	}
-	clock = step.Begin(&r.decay, pr.lanes, first, clock, now)
+	clock = step.Begin(&r.decay, pr.lanes, n, clock, now)
 	if pr.clock != 0 {
 		g[pr.clock] = uint64(clock)
+	}
+	var prevTS uint64
+	if pr.lastTS != 0 {
+		prevTS = g[pr.lastTS]
 	}
 	start := len(dst)
 	var win []float64
@@ -969,11 +1010,13 @@ func (r *Runtime) runCell(pr *program, g record, cell *gpv.Cell, fwd bool, dst [
 		case opcode(policy.MapDirection):
 			out = direction(x, fwd)
 		case opcode(policy.MapIPT):
-			out = ipt(&g[ins.scratchOff], x, step.First)
+			out = ipt(ins.from(g, prevTS), x, first)
+			ins.keep(g, uint64(x))
 		case opcode(policy.MapSpeed):
-			out = speed(&g[ins.scratchOff], x, ts, step.First)
+			out = speed(prevTS, x, ts, first)
 		case opcode(policy.MapBurst):
-			out = burst(g[ins.scratchOff:ins.scratchOff+2], x, step.First, ins.burstNS)
+			out = burst(&g[ins.count], ins.from(g, prevTS), x, first, ins.burstNS)
+			ins.keep(g, uint64(x))
 		}
 		env[ins.dst] = out
 	}
@@ -1016,9 +1059,14 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 	// reads of it).
 	nows := pr.nows[:n]
 	step := &pr.step
-	first, clock := g[recCells] == 0, int64(0)
+	seen := g[recCells]
+	first, clock := seen == 0, int64(0)
 	if pr.clock != 0 {
 		clock = int64(g[pr.clock])
+	}
+	var prevTS uint64
+	if pr.lastTS != 0 {
+		prevTS = g[pr.lastTS]
 	}
 	for j := range cells {
 		ts := uint32(0)
@@ -1031,7 +1079,7 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 		}
 		nows[j] = now
 		if j == 0 {
-			clock = step.Begin(&r.decay, pr.lanes, first, clock, now)
+			clock = step.Begin(&r.decay, pr.lanes, seen, clock, now)
 		} else if now > clock {
 			clock = now
 		}
@@ -1065,23 +1113,27 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 				out[j] = direction(x, cells[j].Forward)
 			}
 		case opcode(policy.MapIPT):
-			last := g[ins.scratchOff]
+			last := ins.from(g, prevTS)
 			for j, x := range src {
-				out[j] = ipt(&last, x, j == 0 && step.First)
+				out[j] = ipt(last, x, j == 0 && first)
+				last = uint64(x)
 			}
-			g[ins.scratchOff] = last
+			ins.keep(g, last)
 		case opcode(policy.MapSpeed):
-			last := g[ins.scratchOff]
+			last := prevTS
 			for j, x := range src {
-				out[j] = speed(&last, x, uint32(nows[j]), j == 0 && step.First)
+				ts := uint32(nows[j])
+				out[j] = speed(last, x, ts, j == 0 && first)
+				last = uint64(ts)
 			}
-			g[ins.scratchOff] = last
 		case opcode(policy.MapBurst):
-			sc := [2]uint64{g[ins.scratchOff], g[ins.scratchOff+1]}
+			last, count := ins.from(g, prevTS), g[ins.count]
 			for j, x := range src {
-				out[j] = burst(sc[:], x, j == 0 && step.First, ins.burstNS)
+				out[j] = burst(&count, last, x, j == 0 && first, ins.burstNS)
+				last = uint64(x)
 			}
-			g[ins.scratchOff], g[ins.scratchOff+1] = sc[0], sc[1]
+			ins.keep(g, last)
+			g[ins.count] = count
 		}
 	}
 	g[recCells] += uint64(n)
@@ -1093,8 +1145,28 @@ func (r *Runtime) runSpan(pr *program, g record, cells []gpv.Cell) {
 	}
 }
 
+// from is the previous cell's input of an ipt or burst op: its own
+// word's, or the group's last timestamp prevTS where the op is over
+// the cell's timestamp.
+func (ins *instruction) from(g record, prevTS uint64) uint64 {
+	if ins.last == 0 {
+		return prevTS
+	}
+	return g[ins.last]
+}
+
+// keep stores an ipt's or burst's latest input in its own word. The
+// shared last-timestamp word is written once a cell, after the op
+// table, so no map sees another's store.
+func (ins *instruction) keep(g record, x uint64) {
+	if ins.last != 0 {
+		g[ins.last] = x
+	}
+}
+
 // The maps' arithmetic on one cell, which runCell and runSpan share.
-// first: the cell is its group's first; last, sc: the op's scratch.
+// first: the cell is its group's first; last: the previous cell's
+// input (from).
 
 func direction(x int64, fwd bool) int64 {
 	if !fwd {
@@ -1105,36 +1177,32 @@ func direction(x int64, fwd bool) int64 {
 
 // ipt is the gap to the previous cell's timestamp, a 32-bit wrapping
 // difference matching the switch's 32-bit timestamp metadata.
-func ipt(last *uint64, cur int64, first bool) int64 {
-	var out int64
-	if !first {
-		out = int64(uint32(cur) - uint32(*last))
+func ipt(last uint64, cur int64, first bool) int64 {
+	if first {
+		return 0
 	}
-	*last = uint64(cur)
-	return out
+	return int64(uint32(cur) - uint32(last))
 }
 
-// speed is bytes per second since the previous cell.
-func speed(last *uint64, size int64, ts uint32, first bool) int64 {
+// speed is bytes per second since the previous cell, at last.
+func speed(last uint64, size int64, ts uint32, first bool) int64 {
 	var dt int64
 	if !first {
-		dt = int64(ts - uint32(*last))
+		dt = int64(ts - uint32(last))
 	}
-	*last = uint64(ts)
 	if dt > 0 {
 		return size * 1e9 / dt
 	}
 	return 0
 }
 
-// burst numbers the cell's burst: sc holds the last timestamp and the
-// burst count, and a gap past gapNS starts a new burst.
-func burst(sc []uint64, cur int64, first bool, gapNS int64) int64 {
-	if first || int64(uint32(cur)-uint32(sc[0])) > gapNS {
-		sc[1]++
+// burst numbers the cell's burst in count: a gap past gapNS from the
+// last timestamp starts a new one.
+func burst(count *uint64, last uint64, cur int64, first bool, gapNS int64) int64 {
+	if first || int64(uint32(cur)-uint32(last)) > gapNS {
+		*count++
 	}
-	sc[0] = uint64(cur)
-	return int64(sc[1])
+	return int64(*count)
 }
 
 // countInput is a reduce row's saturation accounting for one input,
@@ -1162,7 +1230,7 @@ func (pr *program) read(dst []float64, g record) []float64 {
 	for i := range ro.reads {
 		rd := &ro.reads[i]
 		st := &pr.states[rd.state]
-		st.kern.Read(win, g[st.off:], &rd.plan)
+		st.kern.Read(win, g[st.off:], g[recCells], &rd.plan)
 	}
 	return ro.synthesize(dst, start)
 }

@@ -515,3 +515,52 @@ func TestAdmissionAllocs(t *testing.T) {
 		t.Errorf("%.3f allocations per admitted group, want < 0.04", per)
 	}
 }
+
+// BenchmarkAdmission prices a group's admission on its own, the NIC
+// work a trace of short flows does most (npod-enterprise): each
+// iteration deploys a fresh NPOD runtime, untimed, and times the first
+// cell of every flow of a MAWI-shaped capture, each admitting its group
+// (a missed probe, an insert, the record's first cell). It reports
+// ns/group and the record bytes the table holds per group, its blocks
+// over its groups.
+func BenchmarkAdmission(b *testing.B) {
+	plan, err := policy.Compile(apps.NPOD())
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := trace.MAWIConfig
+	wl.Flows = 4000
+	// The first MGPV of each group, cut to its first cell.
+	var msgs []gpv.Message
+	seen := map[flowkey.Key]bool{}
+	for _, m := range capture(b, plan, trace.Generate(wl, 42)) {
+		if v := m.MGPV; v != nil && !seen[v.CG] {
+			seen[v.CG] = true
+			first := *v
+			first.Cells = first.Cells[:1]
+			msgs = append(msgs, gpv.Message{MGPV: &first})
+		}
+	}
+	var rt *Runtime
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rt, err = NewRuntime(DefaultConfig(), plan, func(feature.Vector) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, m := range msgs {
+			rt.Process(m)
+		}
+	}
+	b.StopTimer()
+	t := &rt.fgProg.table
+	if t.n != len(msgs) {
+		b.Fatalf("%d groups admitted from %d first cells", t.n, len(msgs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(t.n), "ns/group")
+	b.ReportMetric(float64(8*len(t.blocks)*t.perBlock*t.stride)/float64(t.n), "record-B/group")
+	b.ReportMetric(float64(t.n), "groups")
+}

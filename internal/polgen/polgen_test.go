@@ -12,8 +12,11 @@ import (
 	"superfe/internal/apps"
 	"superfe/internal/core"
 	"superfe/internal/faults"
+	"superfe/internal/flowkey"
+	"superfe/internal/packet"
 	"superfe/internal/planvet"
 	"superfe/internal/policy"
+	"superfe/internal/streaming"
 	"superfe/internal/trace"
 )
 
@@ -261,6 +264,48 @@ func TestNamedCasesHoldEveryLeg(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPerPacketReadsCountTheCell holds the NIC's per-packet read-out
+// of the states that take their count from the group's cells — f_sum
+// over f_one, f_mean, f_var, f_skew, f_mag, ft_pdf, ft_cdf and
+// ft_percent, read as each cell is observed, so the count includes it —
+// and the maps that share the group's last-timestamp word — ipt and
+// burst over the timestamp, then speed, which must read the word as
+// the previous cell left it — to the inline reference at four workers
+// and to the software baseline, which keeps its own counts and
+// timestamps: the vectors must be equal bit for bit.
+func TestPerPacketReadsCountTheCell(t *testing.T) {
+	pol := policy.New("per-packet-reads").
+		GroupBy(flowkey.GranFlow).
+		Map("one", policy.SrcNone, policy.MapOne).
+		Map("dirsize", policy.SrcField(packet.FieldSize), policy.MapDirection).
+		Map("ipt", policy.SrcField(packet.FieldTimestamp), policy.MapIPT).
+		MapBurst("burst", policy.SrcField(packet.FieldTimestamp), 2_000_000).
+		Map("speed", policy.SrcField(packet.FieldSize), policy.MapSpeed).
+		Reduce("one", policy.RF(streaming.FSum)).
+		Reduce("size", policy.RF(streaming.FMean), policy.RF(streaming.FVar), policy.RF(streaming.FSkew),
+			policy.ReduceSpec{Func: streaming.FPDF, Params: streaming.Params{BinWidth: 200, Bins: 8}},
+			policy.ReduceSpec{Func: streaming.FCDF, Params: streaming.Params{BinWidth: 200, Bins: 8}},
+			policy.RFPercent(200, 8, 0.5)).
+		Reduce("dirsize", policy.RF(streaming.FMag)).
+		Reduce("ipt", policy.RF(streaming.FMean)).
+		Reduce("burst", policy.RF(streaming.FMax)).
+		Reduce("speed", policy.RF(streaming.FMean), policy.RF(streaming.FMax)).
+		CollectPerPacket().
+		MustBuild()
+	cfg := trace.MAWIConfig
+	cfg.Flows = 40
+	c := newCase(t, pol, trace.Generate(cfg, 11), 4, nil)
+	out := runLegs(t, c, "sharded", "baseline")
+	if out.Vectors < 1000 {
+		t.Fatalf("the inline reference emitted %d vectors, want a per-packet stream", out.Vectors)
+	}
+	for _, l := range []string{"sharded", "baseline"} {
+		if out.Legs[l] != held {
+			t.Fatalf("%s: %s", l, out.Legs[l])
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 type naiveLog struct {
 	k  Kernel
 	st []uint64
+	n  uint64 // samples observed
 	f  Func
 	p  Params
 }
@@ -24,13 +25,16 @@ func newNaiveLog(t *testing.T, f Func, p Params, logs *Logs) *naiveLog {
 }
 
 // observe logs x at the step's time.
-func (n *naiveLog) observe(x int64, s *Step) { n.k.Observe(n.st, x, s) }
+func (n *naiveLog) observe(x int64, s *Step) {
+	n.k.Observe(n.st, x, s)
+	n.n++
+}
 
 // read is the log's first feature, by the batch algorithm.
 func (n *naiveLog) read() float64 {
 	plan := n.k.PlanRead([]View{{Func: n.f}}, []int{0})
 	win := make([]float64, FeatureWidth(n.f, n.p))
-	n.k.Read(win, n.st, &plan)
+	n.k.Read(win, n.st, n.n, &plan)
 	return win[0]
 }
 
@@ -142,14 +146,14 @@ func TestNaiveDampedMatchesStreaming(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			x := int64((i%13)*50 - 300)
 			d.Reset()
-			clock = s.Begin(&d, k.Lanes(), i == 0, clock, ts)
+			clock = s.Begin(&d, k.Lanes(), uint64(i), clock, ts)
 			k.Observe(st, x, &s)
 			n.observe(x, &s)
 			ts += 3e6
 		}
 		plan := k.PlanRead([]View{{Func: f}}, []int{0})
 		win := make([]float64, 1)
-		k.Read(win, st, &plan)
+		k.Read(win, st, 200, &plan)
 		if naive := n.read(); !approx(win[0], naive, 1e-9) {
 			t.Errorf("%s: streaming %g vs naive replay %g", f, win[0], naive)
 		}

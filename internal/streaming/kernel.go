@@ -19,12 +19,12 @@ import (
 // Word layouts (a float is stored as its IEEE bits, a zeroed state is
 // the empty state):
 //
-//	f_sum       sum
-//	f_max/min   value                      (seen is Step.First)
-//	Welford     n, mean, M2
-//	moments     n, mean, M2, M3, M4
-//	2D          fwd Welford, bwd Welford, lastResFwd, lastResBwd, SP, pairs
-//	histogram   n, then the uint32 bins two to a word, even bin low
+//	f_sum       sum                        (over an f_one map: none, the count)
+//	f_max/min   value                      (the first sample: Step.N = 0)
+//	Welford     mean, M2
+//	moments     mean, M2, M3, M4
+//	2D          fwd n, mean, M2, bwd n, mean, M2, lastResFwd, lastResBwd, SP
+//	histogram   the uint32 bins two to a word, even bin low
 //	fd_* 1D     per lane: w, LS, SS        (clock is the group's)
 //	fd_* 2D     per lane: SR, wSR, lastResA, lastResB, then per direction w, LS, SS, clock
 //	f_card      the 2^bits HyperLogLog registers, eight bytes to a word, register i in byte i%8 of word i/8
@@ -38,10 +38,14 @@ import (
 //
 // What a reducer keeps per state and a kernel does not: λ, bin width,
 // bin count and the max/min mode live in the Kernel (the op table), and
-// the damped families share their group's clock — every state of a
-// group observes every cell of it, so their lastTime/started fields
-// were equal by construction. Only a 2D direction half, which observes
-// just the cells of its sign, keeps a clock of its own.
+// every state of a group observes every cell of it, so what counts or
+// times the group's samples is the group's: the damped families share
+// its clock (their lastTime/started fields were equal by construction),
+// and a count of samples — Welford's and the moments' n, a histogram's
+// total, the 2D state's pair count, an f_sum over an f_one map — is its
+// cell count, which the caller passes (Step.N, and Read's n). Only a 2D
+// direction half, which observes just the cells of its sign, keeps a
+// clock and a count of its own.
 //
 // A damped kernel has lanes: one per decay rate, each the words of one
 // λ's state, one after the other (Fuse). The states of one source at
@@ -62,6 +66,9 @@ const (
 	kindDamped2D
 	kindCard
 	kindLog
+	// kindCount is an f_sum over an f_one map (OverOnes): the sum is the
+	// group's cell count, so the state keeps no word.
+	kindCount
 )
 
 // Kernel is one state of a group record: which family, how many words,
@@ -111,13 +118,13 @@ func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
 	case FMax, FMin:
 		k.kind, k.Words, k.max = kindExtremum, 1, f == FMax
 	case FMean:
-		k.kind, k.Words = kindWelford, 3
+		k.kind, k.Words = kindWelford, 2
 	case FSkew:
-		k.kind, k.Words = kindMoments, 5
+		k.kind, k.Words = kindMoments, 4
 	case FMag:
-		k.kind, k.Words = kindBidir, 10
+		k.kind, k.Words = kindBidir, 9
 	case FHist:
-		k.kind, k.Words, k.width, k.bins = kindHist, 1+(p.Bins+1)/2, p.BinWidth, p.Bins
+		k.kind, k.Words, k.width, k.bins = kindHist, (p.Bins+1)/2, p.BinWidth, p.Bins
 	case FDWeight:
 		k.kind, k.Words, k.lanes = kindDamped1D, damped1DWords, []int{d.Lane(p.Lambda)}
 	case FD2DMag:
@@ -131,6 +138,18 @@ func KernelFor(f Func, p Params, d *Decay, logs *Logs) (Kernel, error) {
 		panic("streaming: a family without a kernel")
 	}
 	return k, nil
+}
+
+// OverOnes is an f_sum kernel k over an f_one map, whose every sample
+// is 1: the sum is the group's cell count, which the caller passes, so
+// the state keeps no word. Its modelled footprint stays the sum's. It
+// panics on a kernel of another family.
+func (k Kernel) OverOnes() Kernel {
+	if k.kind != kindSum {
+		panic("streaming: OverOnes of a kernel that is not an f_sum")
+	}
+	k.kind, k.Words = kindCount, 0
+	return k
 }
 
 // NaiveKernel is f's state in the store-everything ablation (Figure
@@ -275,12 +294,14 @@ func (d *Decay) addRow() {
 	d.rows = append(d.rows, decayRow{f: make([]float64, len(d.lambdas))})
 }
 
-// Step is what one cell does to its group's clock, computed once per
-// cell and shared by every state of the group.
+// Step is what one cell does to its group's clock and count, computed
+// once per cell and shared by every state of the group.
 type Step struct {
-	// First: the group's first cell. States are empty and the clock
-	// starts at Now.
-	First bool
+	// N is the cells the group absorbed before this one: the count of
+	// samples every state has seen (each observes every cell). At 0 the
+	// cell is the group's first: states are empty and the clock starts
+	// at Now.
+	N uint64
 	// Now is the cell's time (ns) and Prev the clock before it: the
 	// latest time any earlier cell carried. A reordered cell's Now lies
 	// behind Prev.
@@ -293,14 +314,15 @@ type Step struct {
 	memo    *Decay
 }
 
-// Begin starts the step of a cell at now on a group whose clock stands
-// at prev (first: the group has absorbed no cell, and its clock starts
+// Begin starts the step of a cell at now on a group that has absorbed
+// n cells and whose clock stands at prev (n = 0: the clock starts
 // here), and returns the clock after the cell. lanes are the lanes the
 // group's states decay on; a group with none takes no factor.
 //
 //superfe:hotpath
-func (s *Step) Begin(d *Decay, lanes []int, first bool, prev, now int64) int64 {
-	s.First, s.Now, s.Prev, s.memo = first, now, prev, d
+func (s *Step) Begin(d *Decay, lanes []int, n uint64, prev, now int64) int64 {
+	s.N, s.Now, s.Prev, s.memo = n, now, prev, d
+	first := n == 0
 	s.decays = !first && now > prev
 	if !s.decays {
 		if first {
@@ -318,7 +340,8 @@ func f64(w uint64) float64 { return math.Float64frombits(w) }
 func u64(f float64) uint64 { return math.Float64bits(f) }
 
 // Observe folds one sample into the state at st[:k.Words], every lane
-// of a damped one, under the step s.
+// of a damped one, under the step s: the sample is the group's s.N-th,
+// counting from 0.
 //
 //superfe:hotpath
 func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
@@ -326,11 +349,11 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 	case kindSum:
 		sumObserve(st, x)
 	case kindExtremum:
-		k.extremumObserve(st, x, s.First)
+		k.extremumObserve(st, x, s.N == 0)
 	case kindWelford:
-		welfordObserve(st, float64(x))
+		welfordObserve(st, float64(x), s.N)
 	case kindMoments:
-		momentsObserve(st, float64(x))
+		momentsObserve(st, float64(x), s.N)
 	case kindBidir:
 		bidirObserve(st, x)
 	case kindHist:
@@ -350,7 +373,8 @@ func (k *Kernel) Observe(st []uint64, x int64, s *Step) {
 // over a damped kernel's lanes, the pass Read runs without the fold:
 // each lane is read out as soon as the sample is folded into it, from
 // what was just stored, so the window ends as Observe then Read leave
-// it. The other families observe, then read.
+// it. The other families observe, then read, counting the sample (Read
+// of s.N+1).
 //
 //superfe:hotpath
 func (k *Kernel) ObserveRead(st []uint64, x int64, s *Step, win []float64, p *ReadPlan) {
@@ -363,7 +387,7 @@ func (k *Kernel) ObserveRead(st []uint64, x int64, s *Step, win []float64, p *Re
 		k.damped2DLanes(st, x, s, win, p.at)
 	default:
 		k.Observe(st, x, s)
-		k.Read(win, st, p)
+		k.Read(win, st, s.N+1, p)
 		return
 	}
 	p.copy(win)
@@ -372,8 +396,8 @@ func (k *Kernel) ObserveRead(st []uint64, x int64, s *Step, win []float64, p *Re
 // ObserveRun folds the samples xs, in order, into the state at
 // st[:k.Words]: one op's inputs over a run of cells of one group, with
 // the family switched on once, outside the loop. nows[i] is xs[i]'s
-// time, which only a naive log keeps. s is the step of xs[0], the only
-// sample of a run that can be its group's first. A damped family reads
+// time, which only a naive log keeps. s is the step of xs[0], the
+// group's s.N-th sample; xs[i] is its (s.N+i)-th. A damped family reads
 // the group's clock, which moves from cell to cell, so it is only ever
 // fed one sample at a time (Observe): a program that keeps decay lanes
 // never forms runs (nicsim).
@@ -387,15 +411,15 @@ func (k *Kernel) ObserveRun(st []uint64, xs, nows []int64, s *Step) {
 		}
 	case kindExtremum:
 		for i, x := range xs {
-			k.extremumObserve(st, x, i == 0 && s.First)
+			k.extremumObserve(st, x, i == 0 && s.N == 0)
 		}
 	case kindWelford:
-		for _, x := range xs {
-			welfordObserve(st, float64(x))
+		for i, x := range xs {
+			welfordObserve(st, float64(x), s.N+uint64(i))
 		}
 	case kindMoments:
-		for _, x := range xs {
-			momentsObserve(st, float64(x))
+		for i, x := range xs {
+			momentsObserve(st, float64(x), s.N+uint64(i))
 		}
 	case kindBidir:
 		for _, x := range xs {
@@ -416,6 +440,7 @@ func (k *Kernel) ObserveRun(st []uint64, xs, nows []int64, s *Step) {
 			break
 		}
 		l.xs = append(l.xs, xs[:min(len(xs), k.maxLen-len(l.xs))]...)
+	case kindCount:
 	default: // the damped families, one sample
 		for _, x := range xs {
 			k.Observe(st, x, s)
@@ -435,7 +460,6 @@ func (k *Kernel) extremumObserve(st []uint64, x int64, first bool) {
 }
 
 func (k *Kernel) histObserve(st []uint64, x int64) {
-	st[0]++
 	idx := 0
 	if x >= 0 {
 		idx = k.bins - 1
@@ -443,7 +467,7 @@ func (k *Kernel) histObserve(st []uint64, x int64) {
 			idx = int(q)
 		}
 	}
-	if w := &st[1+idx>>1]; idx&1 == 0 {
+	if w := &st[idx>>1]; idx&1 == 0 {
 		*w = *w&^math.MaxUint32 | uint64(uint32(*w)+1)
 	} else {
 		*w += 1 << 32
@@ -473,28 +497,31 @@ func (k *Kernel) logObserve(st []uint64, x, ts int64) {
 	}
 }
 
-func welfordObserve(st []uint64, x float64) {
-	n := st[0] + 1
-	mean := f64(st[1])
+// welfordObserve folds x into a Welford pair (mean, M2) that has seen
+// n samples.
+func welfordObserve(st []uint64, x float64, n uint64) {
+	mean := f64(st[0])
 	delta := x - mean
-	mean += delta / float64(n)
-	st[0], st[1] = n, u64(mean)
-	st[2] = u64(f64(st[2]) + delta*(x-mean))
+	mean += delta / float64(n+1)
+	st[0] = u64(mean)
+	st[1] = u64(f64(st[1]) + delta*(x-mean))
 }
 
-// welfordVar is the population variance of a Welford triple.
-func welfordVar(st []uint64) float64 {
-	if st[0] == 0 {
+// welfordVar is the population variance of a Welford pair over n
+// samples.
+func welfordVar(st []uint64, n uint64) float64 {
+	if n == 0 {
 		return 0
 	}
-	return f64(st[2]) / float64(st[0])
+	return f64(st[1]) / float64(n)
 }
 
-func momentsObserve(st []uint64, x float64) {
-	n1 := float64(st[0])
-	st[0]++
-	n := float64(st[0])
-	mean, m2, m3, m4 := f64(st[1]), f64(st[2]), f64(st[3]), f64(st[4])
+// momentsObserve folds x into moments (mean, M2, M3, M4) that have seen
+// count samples.
+func momentsObserve(st []uint64, x float64, count uint64) {
+	n1 := float64(count)
+	n := float64(count + 1)
+	mean, m2, m3, m4 := f64(st[0]), f64(st[1]), f64(st[2]), f64(st[3])
 	delta := x - mean
 	deltaN := delta / n
 	deltaN2 := deltaN * deltaN
@@ -503,9 +530,12 @@ func momentsObserve(st []uint64, x float64) {
 	m4 += term1*deltaN2*(n*n-3*n+3) + 6*deltaN2*m2 - 4*deltaN*m3
 	m3 += term1*deltaN*(n-2) - 3*deltaN*m2
 	m2 += term1
-	st[1], st[2], st[3], st[4] = u64(mean), u64(m2), u64(m3), u64(m4)
+	st[0], st[1], st[2], st[3] = u64(mean), u64(m2), u64(m3), u64(m4)
 }
 
+// bidirObserve folds x into its sign's direction half, a Welford triple
+// (n, mean, M2): the half counts only its own samples. The pairs the
+// co-moment SP sums over are every sample, the group's count.
 func bidirObserve(st []uint64, x int64) {
 	self, other, mine := st[0:3], 7, 6 // forward: residual in st[6], the other stream's in st[7]
 	if x < 0 {
@@ -513,10 +543,10 @@ func bidirObserve(st []uint64, x int64) {
 	}
 	xf := float64(x)
 	res := xf - f64(self[1])
-	welfordObserve(self, xf)
+	welfordObserve(self[1:], xf, self[0])
+	self[0]++
 	st[mine] = u64(res)
 	st[8] = u64(f64(st[8]) + res*f64(st[other]))
-	st[9]++
 }
 
 // dampedMean and dampedVar read a (w, LS, SS) triple.
@@ -738,17 +768,18 @@ func memberOf(f Func) int {
 	return 0
 }
 
-// Read writes the features p plans from the state at st[:k.Words] into
-// win, one family switch for every lane and view: each member read is
-// stored at its position as it is computed, and the window's other
-// values are left as they are.
+// Read writes the features p plans from the state at st[:k.Words],
+// which has seen n samples (its group's cells), into win, one family
+// switch for every lane and view: each member read is stored at its
+// position as it is computed, and the window's other values are left
+// as they are.
 //
 //superfe:hotpath
-func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
+func (k *Kernel) Read(win []float64, st []uint64, n uint64, p *ReadPlan) {
 	switch k.kind {
 	case kindHist:
 		for j, v := range p.views {
-			k.readHist(win[p.pos[j]:], st, v)
+			k.readHist(win[p.pos[j]:], st, n, v)
 		}
 		return
 	case kindLog:
@@ -763,15 +794,19 @@ func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
 		if q := p.at[0][0]; uint(q) < uint(len(win)) {
 			win[q] = float64(int64(st[0]))
 		}
+	case kindCount: // the sum of n ones
+		if q := p.at[0][0]; uint(q) < uint(len(win)) {
+			win[q] = float64(int64(n))
+		}
 	case kindCard: // estimate
 		if q := p.at[0][0]; uint(q) < uint(len(win)) {
 			win[q] = k.cardEstimate(st)
 		}
 	case kindWelford: // mean, var, std
 		at := &p.at[0]
-		v := welfordVar(st)
+		v := welfordVar(st, n)
 		if q := at[0]; uint(q) < uint(len(win)) {
-			win[q] = f64(st[1])
+			win[q] = f64(st[0])
 		}
 		if q := at[1]; uint(q) < uint(len(win)) {
 			win[q] = v
@@ -782,17 +817,17 @@ func (k *Kernel) Read(win []float64, st []uint64, p *ReadPlan) {
 	case kindMoments: // skewness, kurtosis
 		at := &p.at[0]
 		if q := at[0]; uint(q) < uint(len(win)) {
-			win[q] = momentsView(st, false)
+			win[q] = momentsView(st, n, false)
 		}
 		if q := at[1]; uint(q) < uint(len(win)) {
-			win[q] = momentsView(st, true)
+			win[q] = momentsView(st, n, true)
 		}
 	case kindBidir: // magnitude, radius, cov, pcc
 		cov := 0.0
-		if n := st[9]; n != 0 {
+		if n != 0 {
 			cov = f64(st[8]) / float64(n)
 		}
-		vf, vb := welfordVar(st[0:3]), welfordVar(st[3:6])
+		vf, vb := welfordVar(st[1:3], st[0]), welfordVar(st[4:6], st[3])
 		read2D(win, &p.at[0], f64(st[1]), f64(st[4]), vf, vb, cov)
 	case kindDamped1D:
 		k.damped1DLanes(st, 0, nil, win, p.at)
@@ -833,16 +868,18 @@ func read2D(win []float64, at *[4]uint32, ma, mb, va, vb, cov float64) {
 	}
 }
 
-func momentsView(st []uint64, kurtosis bool) float64 {
-	m2 := f64(st[2])
-	if st[0] < 2 || m2 == 0 {
+// momentsView is the skewness or the kurtosis of moments over count
+// samples.
+func momentsView(st []uint64, count uint64, kurtosis bool) float64 {
+	m2 := f64(st[1])
+	if count < 2 || m2 == 0 {
 		return 0
 	}
-	n := float64(st[0])
+	n := float64(count)
 	if kurtosis {
-		return n*f64(st[4])/(m2*m2) - 3
+		return n*f64(st[3])/(m2*m2) - 3
 	}
-	return math.Sqrt(n) * f64(st[3]) / math.Pow(m2, 1.5)
+	return math.Sqrt(n) * f64(st[2]) / math.Pow(m2, 1.5)
 }
 
 // cardEstimate is the sketch's estimate over the packed registers.
@@ -884,17 +921,18 @@ func readArray(out []float64, xs []int64) {
 }
 
 // bin reads histogram bin i.
-func bin(st []uint64, i int) uint32 { return uint32(st[1+i>>1] >> (32 * uint(i&1))) }
+func bin(st []uint64, i int) uint32 { return uint32(st[i>>1] >> (32 * uint(i&1))) }
 
-// readHist writes histogram view v from out[0] on: the views of a
-// histogram differ in what they compute, not only in what they pick.
-func (k *Kernel) readHist(out []float64, st []uint64, v View) {
+// readHist writes histogram view v, over count samples, from out[0]
+// on: the views of a histogram differ in what they compute, not only
+// in what they pick.
+func (k *Kernel) readHist(out []float64, st []uint64, count uint64, v View) {
 	switch v.Func {
 	case FPercent:
-		out[0] = k.quantile(st, v.Quantile)
+		out[0] = k.quantile(st, count, v.Quantile)
 	case FPDF, FCDF:
-		n := float64(st[0])
-		if st[0] == 0 {
+		n := float64(count)
+		if count == 0 {
 			n = 1 // every bin is empty: emit zeros, not 0/0
 		}
 		var cum uint64
@@ -915,11 +953,11 @@ func (k *Kernel) readHist(out []float64, st []uint64, v View) {
 // quantile is the q-th quantile estimated from the histogram ("adding
 // up those bins lower than that data", §6.1), with linear interpolation
 // inside the bin that crosses the target count.
-func (k *Kernel) quantile(st []uint64, q float64) float64 {
-	if st[0] == 0 {
+func (k *Kernel) quantile(st []uint64, count uint64, q float64) float64 {
+	if count == 0 {
 		return 0
 	}
-	target := q * float64(st[0])
+	target := q * float64(count)
 	if target < 1 {
 		target = 1
 	}

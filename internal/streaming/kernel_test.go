@@ -37,19 +37,19 @@ func TestObserveRunSplitsAnywhere(t *testing.T) {
 		one, runs := make([]uint64, k.Words), make([]uint64, k.Words)
 		var step Step
 		for i, x := range xs {
-			step.First = i == 0
+			step.N = uint64(i)
 			k.Observe(one, x, &step)
 		}
 		for i := 0; i < len(xs); {
 			n := min(len(xs)-i, rng.Intn(40))
-			step.First = i == 0
+			step.N = uint64(i)
 			kr.ObserveRun(runs, xs[i:i+n], nil, &step)
 			i += n
 		}
 		read := func(k *Kernel, st []uint64) []float64 {
 			plan := k.PlanRead([]View{ViewOf(s.f, s.p)}, []int{0})
 			win := make([]float64, FeatureWidth(s.f, s.p))
-			k.Read(win, st, &plan)
+			k.Read(win, st, uint64(len(xs)), &plan)
 			return win
 		}
 		if !slices.Equal(one, runs) || !sameBits(read(&k, one), read(&kr, runs)) {
@@ -85,7 +85,7 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 	}
 	var s Step
 	d.Reset()
-	s.Begin(&d, []int{fast}, false, 0, 3e8)
+	s.Begin(&d, []int{fast}, 1, 0, 3e8)
 	if got, want := s.factors[fast], DecayFactor(5, 3e8); got != want || d.n != 1 {
 		t.Errorf("factor %v, want %v; %d intervals", got, want, d.n)
 	}
@@ -95,7 +95,7 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 		t.Errorf("the other lane of a claimed row: factor %v, %d intervals", got, d.n)
 	}
 	s.factors[fast], s.factors[slow] = -1, -2 // a recomputation would overwrite the marks
-	s.Begin(&d, []int{fast, slow}, false, 7e8, 1e9)
+	s.Begin(&d, []int{fast, slow}, 1, 7e8, 1e9)
 	if d.n != 1 || s.factors[fast] != -1 || s.factors[slow] != -2 {
 		t.Errorf("a second group at the same interval: %d intervals, factors %v", d.n, s.factors)
 	}
@@ -103,7 +103,7 @@ func TestDecayComputesEachFactorOnce(t *testing.T) {
 		t.Errorf("a half's own interval: factor %v, %d intervals", got, d.n)
 	}
 	d.Reset()
-	s.Begin(&d, []int{fast}, false, 0, 3e8)
+	s.Begin(&d, []int{fast}, 1, 0, 3e8)
 	if s.factors[fast] != DecayFactor(5, 3e8) || s.factors[slow] != DecayFactor(0.1, 3e8) {
 		t.Error("a factor outlived its cell")
 	}

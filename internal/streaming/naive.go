@@ -39,11 +39,11 @@ func (n *NaiveReducer) AppendFeatures(dst []float64, _ View) []float64 {
 	switch n.emit {
 	case FHist, FPDF, FCDF, FPercent:
 		h := Kernel{kind: kindHist, width: n.params.BinWidth, bins: n.params.Bins}
-		st := make([]uint64, 1+(h.bins+1)/2)
+		st := make([]uint64, (h.bins+1)/2)
 		for _, x := range n.data {
 			h.histObserve(st, x)
 		}
-		h.readHist(out, st, ViewOf(n.emit, n.params))
+		h.readHist(out, st, uint64(len(n.data)), ViewOf(n.emit, n.params))
 	case FArray:
 		readArray(out, n.data)
 	default:
